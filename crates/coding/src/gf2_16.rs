@@ -44,7 +44,11 @@ fn tables() -> &'static Tables {
 }
 
 /// An element of GF(2^16).
+///
+/// `repr(transparent)` is load-bearing: the SIMD kernels in
+/// [`crate::kernels`] read and write `[Gf2_16]` slices as plain `u16`s.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[repr(transparent)]
 pub struct Gf2_16(pub u16);
 
 impl std::fmt::Debug for Gf2_16 {
@@ -125,11 +129,9 @@ impl Field for Gf2_16 {
         }
         if acc.len() >= 16 {
             // Long slices amortize a 128-byte split-table multiplier for the
-            // constant: four nibble lookups per element, no log/antilog traffic.
-            let m = crate::kernels::NibbleMul::new(c);
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                a.0 ^= m.mul(s).0;
-            }
+            // constant: no log/antilog traffic, sixteen elements per step
+            // where a SIMD backend exists.
+            crate::kernels::gf2_16_addmul(acc, src, c);
         } else {
             // Short slices: log/antilog walk with the constant's log hoisted.
             let t = tables();

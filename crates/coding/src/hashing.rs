@@ -76,6 +76,33 @@ impl KWiseHash {
         acc.to_u64() % self.range
     }
 
+    /// Evaluate the hash on every input in place: `xs[i]` becomes
+    /// `hash(xs[i])`, bit for bit.
+    ///
+    /// One evaluation is a chain of `c` dependent multiply–adds, so a single
+    /// [`KWiseHash::hash`] call is bound by multiplier latency; this walks
+    /// four inputs' Horner chains in lockstep so the multiplies overlap.
+    /// Callers that tag a whole round of messages (Theorem 1.3) batch them
+    /// through here.
+    pub fn hash_many(&self, xs: &mut [u64]) {
+        let mut quads = xs.chunks_exact_mut(4);
+        for quad in &mut quads {
+            let x: [Fp61; 4] = std::array::from_fn(|lane| Fp61::from_u64(quad[lane]));
+            let mut acc = [Fp61::ZERO; 4];
+            for &c in self.coeffs.iter().rev() {
+                for lane in 0..4 {
+                    acc[lane] = acc[lane] * x[lane] + c;
+                }
+            }
+            for lane in 0..4 {
+                quad[lane] = acc[lane].to_u64() % self.range;
+            }
+        }
+        for x in quads.into_remainder() {
+            *x = self.hash(*x);
+        }
+    }
+
     /// Evaluate the hash on an arbitrary byte string by first collapsing it with
     /// a fixed injective-enough packing (length-prefixed 8-byte chunks combined
     /// with a Horner pass using a fixed base point).
@@ -167,6 +194,26 @@ mod tests {
         let h = KWiseHash::from_seed(42, 4, 1000);
         for x in 0..10_000u64 {
             assert!(h.hash(x) < 1000);
+        }
+    }
+
+    #[test]
+    fn hash_many_is_hash_mapped_over_the_inputs() {
+        for (c, range) in [(1, u64::MAX), (2, 1000), (384, u64::MAX)] {
+            let h = KWiseHash::from_seed(0x917E + c as u64, c, range);
+            for len in 0..=9u64 {
+                // Input 3 is the largest word, which `Fp61::from_u64` must wrap.
+                let xs: Vec<u64> = (0..len)
+                    .map(|i| match i {
+                        3 => u64::MAX,
+                        _ => (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ len,
+                    })
+                    .collect();
+                let expect: Vec<u64> = xs.iter().map(|&x| h.hash(x)).collect();
+                let mut out = xs;
+                h.hash_many(&mut out);
+                assert_eq!(out, expect, "c={c} len={len}");
+            }
         }
     }
 

@@ -91,6 +91,45 @@ impl<F: Field> Vandermonde<F> {
         }
         Ok(out)
     }
+
+    /// The streaming, batched form of [`Vandermonde::apply`]: fold input row
+    /// `i` of `w = row.len()` independent columns into their outputs at once.
+    ///
+    /// `acc` holds the `cols × w` outputs row-major by output index
+    /// (`acc[j·w + k]` is output `j` of column `k`) and gains
+    /// `alpha_i^j · row[k]` there, as `cols` long-slice
+    /// [`Field::addmul_slice`] calls.  Starting from zeros and absorbing rows
+    /// `0..rows` (in any order) leaves `acc[j·w + k] == apply(column k)[j]`
+    /// without ever holding a whole column.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodingError::InvalidParameters`] if `i >= rows` and
+    /// [`CodingError::LengthMismatch`] if `acc.len() != cols · row.len()`.
+    pub fn absorb_row(&self, i: usize, row: &[F], acc: &mut [F]) -> Result<()> {
+        if i >= self.rows {
+            return Err(CodingError::InvalidParameters(format!(
+                "row {i} out of range for {} rows",
+                self.rows
+            )));
+        }
+        if acc.len() != self.cols * row.len() {
+            return Err(CodingError::LengthMismatch {
+                expected: self.cols * row.len(),
+                got: acc.len(),
+            });
+        }
+        if row.is_empty() {
+            return Ok(());
+        }
+        let alpha = self.points[i];
+        let mut p = F::ONE;
+        for out in acc.chunks_exact_mut(row.len()) {
+            F::addmul_slice(out, row, p);
+            p = p * alpha;
+        }
+        Ok(())
+    }
 }
 
 /// The bit-extraction procedure of Theorem 2.1, specialised to the way the
@@ -139,6 +178,21 @@ impl<F: Field> BitExtractor<F> {
     pub fn extract(&self, pads: &[F]) -> Result<Vec<F>> {
         self.matrix.apply(pads)
     }
+
+    /// Streamed extraction over many pad lanes at once: fold the pads of
+    /// exchange round `round` (one per lane) into `keys`, the
+    /// `output_len() × pads.len()` key block laid out key-index-major.  After
+    /// rounds `0..input_len()` have been absorbed into a zeroed block,
+    /// `keys[j·w + k]` is `extract(lane k)[j]` — see
+    /// [`Vandermonde::absorb_row`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `round >= input_len()` or `keys` is not
+    /// `output_len() · pads.len()` long.
+    pub fn absorb(&self, round: usize, pads: &[F], keys: &mut [F]) -> Result<()> {
+        self.matrix.absorb_row(round, pads, keys)
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +221,51 @@ mod tests {
             Err(CodingError::LengthMismatch {
                 expected: 5,
                 got: 4
+            })
+        ));
+    }
+
+    /// The streamed form against the per-column oracle: random shapes, widths
+    /// on both sides of the long-slice kernel threshold, rows absorbed out of
+    /// order.
+    #[test]
+    fn absorbing_every_row_equals_per_column_apply() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..12usize);
+            let t = rng.gen_range(0..n);
+            let width = rng.gen_range(0..40usize);
+            let ex = BitExtractor::<F>::new(n, t).unwrap();
+            let rows: Vec<Vec<F>> = (0..n)
+                .map(|_| (0..width).map(|_| F::from_u64(rng.gen())).collect())
+                .collect();
+            let mut keys = vec![F::ZERO; (n - t) * width];
+            for i in (0..n).rev() {
+                ex.absorb(i, &rows[i], &mut keys).unwrap();
+            }
+            for k in 0..width {
+                let column: Vec<F> = rows.iter().map(|r| r[k]).collect();
+                let expect = ex.extract(&column).unwrap();
+                for (j, &key) in expect.iter().enumerate() {
+                    assert_eq!(keys[j * width + k], key, "n={n} t={t} lane {k} key {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_checks_row_index_and_block_size() {
+        let ex = BitExtractor::<F>::new(5, 2).unwrap();
+        let row = [F::ONE; 4];
+        assert!(matches!(
+            ex.absorb(5, &row, &mut [F::ZERO; 12]),
+            Err(CodingError::InvalidParameters(_))
+        ));
+        assert!(matches!(
+            ex.absorb(0, &row, &mut [F::ZERO; 11]),
+            Err(CodingError::LengthMismatch {
+                expected: 12,
+                got: 11
             })
         ));
     }

@@ -180,6 +180,20 @@ impl Traffic {
         }
     }
 
+    /// The message on a specific arc for rewriting in place at its current
+    /// length — the one-time-pad compilers XOR their keystream straight into
+    /// the arena through this instead of copying each payload out and back.
+    #[inline]
+    pub fn arc_mut(&mut self, arc: ArcId) -> Option<&mut [u64]> {
+        let span = *self.spans.get(arc)?;
+        if span.len_plus_one == 0 {
+            None
+        } else {
+            let off = span.off as usize;
+            Some(&mut self.words[off..off + span.len()])
+        }
+    }
+
     /// Overwrite the message on a specific arc (used by the adversary).
     ///
     /// # Panics
@@ -323,8 +337,12 @@ mod tests {
         t.set_arc(arc, Some(&[5]));
         assert_eq!(t.get_arc(arc), Some(&[5u64][..]));
         assert_eq!(t.get(&g, 1, 0), Some(&[5u64][..]));
+        t.arc_mut(arc).expect("message present")[0] ^= 1;
+        assert_eq!(t.get_arc(arc), Some(&[4u64][..]));
+        assert_eq!(t.arc_mut(arc ^ 1), None);
         t.set_arc(arc, None);
         assert_eq!(t.message_count(), 0);
+        assert_eq!(t.arc_mut(arc), None);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 use crate::secure::keys::KeyPool;
 use coding::KWiseHash;
 use congest_sim::network::Network;
-use congest_sim::traffic::{Output, Payload, Traffic};
+use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
 use netgraph::tree_packing::{greedy_low_depth_packing, TreePacking};
-use netgraph::NodeId;
+use netgraph::{ArcId, NodeId};
 use rand::Rng;
 
 /// Report of a secure broadcast run.
@@ -98,57 +98,59 @@ pub fn mobile_secure_broadcast(
     for (j, share) in shares.iter().enumerate() {
         node_share[source][j] = Some(share.clone());
     }
+    let depths: Vec<_> = packing.trees.iter().map(|tree| tree.depths()).collect();
+    let children: Vec<_> = packing.trees.iter().map(|tree| tree.children()).collect();
+    // Per-hop scratch, recycled across sub-rounds and levels.
+    let mut traffic = Traffic::new(&g);
+    let mut used_arcs = vec![false; g.arc_count()];
+    let mut payload = vec![0u64; words];
+    let mut pending: Vec<(usize, NodeId, NodeId)> = Vec::new();
+    let mut deferred: Vec<(usize, NodeId, NodeId)> = Vec::new();
+    let mut plan: Vec<(usize, ArcId, NodeId)> = Vec::new();
     let max_height = packing.max_height().max(1);
     for level in 0..max_height {
         // Collect every (tree, parent, child) transmission for this level, then
         // schedule them over as many sub-rounds as needed so that no arc carries
         // two different trees' messages in the same round (at most `eta`
         // sub-rounds by the load bound, but conflicts are resolved explicitly).
-        let mut pending: Vec<(usize, NodeId, NodeId)> = Vec::new();
-        for (j, tree) in packing.trees.iter().enumerate() {
-            let depths = tree.depths();
+        pending.clear();
+        for j in 0..k {
             for v in g.nodes() {
-                if depths[v] != Some(level) || node_share[v][j].is_none() {
-                    continue;
-                }
-                for c in g.nodes() {
-                    if tree.parent[c] == Some(v) {
-                        pending.push((j, v, c));
-                    }
+                if depths[j][v] == Some(level) && node_share[v][j].is_some() {
+                    pending.extend(children[j][v].iter().map(|&c| (j, v, c)));
                 }
             }
         }
         let mut guard = 0;
         while !pending.is_empty() && guard <= eta + k {
             guard += 1;
-            let mut traffic = Traffic::new(&g);
-            let mut used_arcs: Vec<bool> = vec![false; g.arc_count()];
-            let mut plan: Vec<(usize, NodeId, NodeId)> = Vec::new();
-            let mut deferred: Vec<(usize, NodeId, NodeId)> = Vec::new();
-            for (j, v, c) in pending {
-                let arc = g.arc_between(v, c).unwrap();
+            traffic.begin_round(&g);
+            used_arcs.fill(false);
+            plan.clear();
+            deferred.clear();
+            for &(j, v, c) in &pending {
+                let arc = g.arc_between(v, c).expect("tree edges are graph edges");
                 if used_arcs[arc] {
                     deferred.push((j, v, c));
                     continue;
                 }
                 used_arcs[arc] = true;
-                let mut payload = vec![j as u64];
-                payload.extend_from_slice(node_share[v][j].as_ref().unwrap());
-                let enc = pool.apply(&g, arc, j, &payload);
-                traffic.send(&g, v, c, enc);
-                plan.push((j, v, c));
+                payload[0] = j as u64;
+                payload[1..].copy_from_slice(node_share[v][j].as_ref().expect("checked above"));
+                pool.apply(arc, j, &mut payload);
+                traffic.set_arc(arc, Some(&payload));
+                plan.push((j, arc, c));
             }
-            pending = deferred;
+            std::mem::swap(&mut pending, &mut deferred);
             if plan.is_empty() {
                 continue;
             }
-            let delivered = net.exchange(traffic);
-            for (j, v, c) in plan {
-                if let Some(msg) = delivered.get(&g, v, c) {
-                    let arc = g.arc_between(v, c).unwrap();
-                    let dec = pool.apply(&g, arc, j, msg);
-                    if dec.first() == Some(&(j as u64)) {
-                        node_share[c][j] = Some(dec[1..].to_vec());
+            net.exchange_in_place(&mut traffic);
+            for &(j, arc, c) in &plan {
+                if let Some(msg) = traffic.arc_mut(arc) {
+                    pool.apply(arc, j, msg);
+                    if msg.first() == Some(&(j as u64)) {
+                        node_share[c][j] = Some(msg[1..].to_vec());
                     }
                 }
             }
@@ -250,52 +252,75 @@ impl CongestionSensitiveCompiler {
         let global_key_rounds = net.round() - global_start;
 
         // Step 3: round-by-round simulation with dummy traffic on silent edges.
+        // Each direction frames (or decrypts) every arc first, tags the whole
+        // round through one batched hash evaluation, then finishes per arc;
+        // all scratch is recycled, so steady-state rounds do not allocate.
         let sim_start = net.round();
+        let arcs = g.arc_count();
+        // A frame is `length ‖ payload (zero-padded)`, followed by its tag.
+        let framed = self.words_per_message + 1;
         let mut dummy_rng = Network::node_rng(self.seed ^ 0xD0_0D, 0);
         let mut plain = Traffic::new(&g);
-        let mut cipher = Traffic::new(&g);
+        let mut wire = Traffic::new(&g);
         let mut decrypted = Traffic::new(&g);
+        let mut frame = vec![0u64; width];
+        let mut tagged: Vec<ArcId> = Vec::with_capacity(arcs);
+        // Per tagged arc: the mixed frame going into the tagger, its tag
+        // coming out.
+        let mut tags: Vec<u64> = Vec::with_capacity(arcs);
         for round in 0..r {
             alg.send_into(round, &mut plain);
-            cipher.begin_round(&g);
+            wire.begin_round(&g);
+            tagged.clear();
+            tags.clear();
+            // Arcs are visited in this order because silent ones draw from
+            // the dummy stream as they come.
             for v in g.nodes() {
-                for &(u, _) in g.neighbors(v) {
-                    let arc = g.arc_between(v, u).unwrap();
-                    let payload = plain.get(&g, v, u);
-                    let body: Payload = match payload {
+                for &(u, e) in g.neighbors(v) {
+                    let arc = g.arc(e, v, u);
+                    match plain.get_arc(arc) {
                         Some(p) => {
                             assert!(
                                 p.len() <= self.words_per_message,
                                 "payload wider than the compiler's configured width"
                             );
-                            let mut framed = vec![p.len() as u64];
-                            framed.extend_from_slice(p);
-                            framed.resize(self.words_per_message + 1, 0);
-                            let tag = tagger.hash(mix_words(&framed, arc as u64, round as u64));
-                            framed.push(tag);
-                            pool.apply(&g, arc, round, &framed)
+                            frame[0] = p.len() as u64;
+                            frame[1..=p.len()].copy_from_slice(p);
+                            frame[1 + p.len()..].fill(0);
+                            tags.push(mix_words(&frame[..framed], arc as u64, round as u64));
+                            tagged.push(arc);
                         }
-                        None => (0..width).map(|_| dummy_rng.gen()).collect(),
-                    };
-                    cipher.send(&g, v, u, body);
+                        None => frame.fill_with(|| dummy_rng.gen()),
+                    }
+                    wire.set_arc(arc, Some(&frame));
                 }
             }
-            net.exchange_in_place(&mut cipher);
-            decrypted.begin_round(&g);
-            for v in g.nodes() {
-                for &(u, _) in g.neighbors(v) {
-                    let arc = g.arc_between(u, v).unwrap();
-                    if let Some(msg) = cipher.get(&g, u, v) {
-                        let dec = pool.apply(&g, arc, round, msg);
-                        if dec.len() == width {
-                            let (framed, tag) = dec.split_at(self.words_per_message + 1);
-                            let expect = tagger.hash(mix_words(framed, arc as u64, round as u64));
-                            let len = framed[0] as usize;
-                            if tag[0] == expect && len <= self.words_per_message {
-                                decrypted.send(&g, u, v, &framed[1..1 + len]);
-                            }
-                        }
+            tagger.hash_many(&mut tags);
+            for (&arc, &tag) in tagged.iter().zip(&tags) {
+                let body = wire.arc_mut(arc).expect("framed above");
+                body[framed] = tag;
+                pool.apply(arc, round, body);
+            }
+            net.exchange_in_place(&mut wire);
+
+            tagged.clear();
+            tags.clear();
+            for arc in 0..arcs {
+                if let Some(msg) = wire.arc_mut(arc) {
+                    pool.apply(arc, round, msg);
+                    if msg.len() == width {
+                        tags.push(mix_words(&msg[..framed], arc as u64, round as u64));
+                        tagged.push(arc);
                     }
+                }
+            }
+            tagger.hash_many(&mut tags);
+            decrypted.begin_round(&g);
+            for (&arc, &expect) in tagged.iter().zip(&tags) {
+                let msg = wire.get_arc(arc).expect("decrypted above");
+                let len = msg[0] as usize;
+                if msg[framed] == expect && len <= self.words_per_message {
+                    decrypted.set_arc(arc, Some(&msg[1..=len]));
                 }
             }
             alg.receive(round, &decrypted);

@@ -12,12 +12,19 @@
 //!
 //! Pads are exchanged and extracted in 16-bit chunks of the `GF(2^16)` field;
 //! a keystream "round" consists of enough chunks to pad one full payload.
+//!
+//! Extraction is *streamed*: each exchange round's pads — one flat arc-major
+//! row of `arcs · lanes` chunks — are sent and immediately folded into the
+//! keystream with one long-slice multiply–accumulate per protected round
+//! ([`BitExtractor::absorb`]), so the accumulator *is* the keystream and no
+//! exchanged pad outlives its round: memory is `O(r · arcs · lanes)`, never
+//! `O(ℓ · arcs · lanes)`.
 
 use coding::field::Field;
 use coding::{BitExtractor, Gf2_16};
 use congest_sim::network::Network;
-use congest_sim::traffic::{Payload, Traffic};
-use netgraph::{ArcId, Graph};
+use congest_sim::traffic::Traffic;
+use netgraph::ArcId;
 use rand::Rng;
 
 /// Number of 16-bit chunks in one 64-bit payload word.
@@ -26,9 +33,14 @@ const CHUNKS_PER_WORD: usize = 4;
 /// A per-arc one-time-pad keystream established by the two-phase exchange.
 #[derive(Debug, Clone)]
 pub struct KeyPool {
-    /// Keystream chunks per arc: `chunks[arc][i]`.
-    chunks: Vec<Vec<Gf2_16>>,
-    /// Chunks consumed per protected message round.
+    /// The keystream, flat and round-major: the chunks of protected round
+    /// `i` on arc `a` start at `(i · arcs + a) · chunks_per_round`.
+    keystream: Vec<Gf2_16>,
+    /// Number of protected rounds the keystream covers.
+    rounds: usize,
+    /// Number of arcs of the graph the pool was established on.
+    arcs: usize,
+    /// Chunks consumed per arc per protected message round.
     chunks_per_round: usize,
     /// Number of exchange rounds used in phase 1 (`ℓ = rounds + t`).
     exchange_rounds: usize,
@@ -65,58 +77,50 @@ impl KeyPool {
         net.tracer_mut().span_open(obs::Phase::KeySchedule);
         let chunks_per_round = words_per_message * CHUNKS_PER_WORD;
         let exchange_rounds = rounds + t;
+        let arcs = g.arc_count();
+        let width = arcs * chunks_per_round;
 
-        // raw[arc][round] = the chunks exchanged over this arc in this round,
-        // as known to BOTH endpoints (the sender generated them, the receiver
-        // received them verbatim — the eavesdropper only listens).
-        let mut raw: Vec<Vec<Vec<Gf2_16>>> = vec![Vec::new(); g.arc_count()];
+        let extractor = BitExtractor::<Gf2_16>::new(exchange_rounds, t)
+            .expect("exchange parameters must fit the field");
         let mut node_rngs: Vec<_> = g.nodes().map(|v| Network::node_rng(seed, v)).collect();
-
+        let mut keystream = vec![Gf2_16::ZERO; rounds * width];
+        // This round's pads, arc-major, as known to BOTH endpoints (the sender
+        // generated them, the receiver received them verbatim — the
+        // eavesdropper only listens).
+        let mut pads = vec![Gf2_16::ZERO; width];
+        let mut words = vec![0u64; words_per_message];
         let mut traffic = Traffic::new(&g);
-        for _ in 0..exchange_rounds {
+        for round in 0..exchange_rounds {
             traffic.begin_round(&g);
-            let mut this_round: Vec<Vec<Gf2_16>> = vec![Vec::new(); g.arc_count()];
             for v in g.nodes() {
                 for &(u, e) in g.neighbors(v) {
                     let arc = g.arc(e, v, u);
-                    let chunks: Vec<Gf2_16> = (0..chunks_per_round)
-                        .map(|_| Gf2_16::from_u64(node_rngs[v].gen()))
-                        .collect();
-                    let words = pack_chunks(&chunks);
-                    traffic.send(&g, v, u, words);
-                    this_round[arc] = chunks;
+                    let lanes = &mut pads[arc * chunks_per_round..][..chunks_per_round];
+                    for (word, group) in words
+                        .iter_mut()
+                        .zip(lanes.chunks_exact_mut(CHUNKS_PER_WORD))
+                    {
+                        *word = 0;
+                        for (c, pad) in group.iter_mut().enumerate() {
+                            *pad = Gf2_16::from_u64(node_rngs[v].gen());
+                            *word |= pad.to_u64() << (16 * c);
+                        }
+                    }
+                    traffic.set_arc(arc, Some(&words));
                 }
             }
             net.exchange_in_place(&mut traffic);
-            for arc in 0..g.arc_count() {
-                raw[arc].push(std::mem::take(&mut this_round[arc]));
-            }
-        }
-
-        // Extract: for each arc independently, each chunk lane is condensed from
-        // ℓ exchanged chunks to `rounds` hidden chunks via the Vandermonde map.
-        let extractor = BitExtractor::<Gf2_16>::new(exchange_rounds, t)
-            .expect("exchange parameters must fit the field");
-        let mut chunks = vec![Vec::new(); g.arc_count()];
-        for arc in 0..g.arc_count() {
-            let mut stream = Vec::with_capacity(rounds * chunks_per_round);
-            for lane in 0..chunks_per_round {
-                let column: Vec<Gf2_16> = raw[arc].iter().map(|r| r[lane]).collect();
-                let extracted = extractor.extract(&column).expect("length matches");
-                stream.push(extracted);
-            }
-            // Interleave lanes so that round i uses chunk i of every lane.
-            let mut flat = Vec::with_capacity(rounds * chunks_per_round);
-            for i in 0..rounds {
-                for lane_stream in stream.iter().take(chunks_per_round) {
-                    flat.push(lane_stream[i]);
-                }
-            }
-            chunks[arc] = flat;
+            // Condense on the fly: protected round i of every arc and lane
+            // gains α_round^i times this round's pad (Theorem 2.1).
+            extractor
+                .absorb(round, &pads, &mut keystream)
+                .expect("the keystream block is sized for the extractor");
         }
         net.tracer_mut().span_close(obs::Phase::KeySchedule);
         KeyPool {
-            chunks,
+            keystream,
+            rounds,
+            arcs,
             chunks_per_round,
             exchange_rounds,
             threshold: t,
@@ -135,43 +139,43 @@ impl KeyPool {
 
     /// Maximum number of protected rounds the keystream supports.
     pub fn protected_rounds(&self) -> usize {
-        self.chunks
-            .first()
-            .map(|c| c.len() / self.chunks_per_round)
-            .unwrap_or(0)
+        self.rounds
     }
 
-    /// Encrypt (or decrypt — XOR is an involution) a payload for the given arc
-    /// and protected round.  Words beyond the keystream width are padded with
-    /// derived chunks of the same round (never reusing earlier rounds' pads).
+    /// The extracted key chunks of one arc for one protected round: lane `k`
+    /// is the bit extraction of the `ℓ` pads exchanged in lane `k` of the arc.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` exceeds the number of protected rounds or `arc` is
+    /// not an arc of the graph.
+    pub fn keystream(&self, arc: ArcId, round: usize) -> &[Gf2_16] {
+        assert!(round < self.rounds, "keystream exhausted");
+        assert!(arc < self.arcs, "arc {arc} out of range");
+        &self.keystream[(round * self.arcs + arc) * self.chunks_per_round..]
+            [..self.chunks_per_round]
+    }
+
+    /// Encrypt (or decrypt — XOR is an involution) a payload in place for the
+    /// given arc and protected round.
     ///
     /// # Panics
     ///
     /// Panics if `round` exceeds the number of protected rounds or the payload
     /// is wider than the keystream provisioned per round.
-    pub fn apply(&self, g: &Graph, arc: ArcId, round: usize, payload: &[u64]) -> Payload {
-        assert!(round < self.protected_rounds(), "keystream exhausted");
+    pub fn apply(&self, arc: ArcId, round: usize, payload: &mut [u64]) {
         assert!(
             payload.len() * CHUNKS_PER_WORD <= self.chunks_per_round,
             "payload wider than the provisioned keystream ({} words > {} chunks)",
             payload.len(),
             self.chunks_per_round
         );
-        let _ = g;
-        let base = round * self.chunks_per_round;
-        let key = &self.chunks[arc][base..base + self.chunks_per_round];
-        payload
-            .iter()
-            .enumerate()
-            .map(|(w, &word)| {
-                let mut out = word;
-                for c in 0..CHUNKS_PER_WORD {
-                    let pad = key[w * CHUNKS_PER_WORD + c].to_u64();
-                    out ^= pad << (16 * c);
-                }
-                out
-            })
-            .collect()
+        let key = self.keystream(arc, round);
+        for (word, group) in payload.iter_mut().zip(key.chunks_exact(CHUNKS_PER_WORD)) {
+            for (c, pad) in group.iter().enumerate() {
+                *word ^= pad.to_u64() << (16 * c);
+            }
+        }
     }
 
     /// The number of "bad" edges guaranteed by the averaging argument of
@@ -181,23 +185,12 @@ impl KeyPool {
     }
 }
 
-fn pack_chunks(chunks: &[Gf2_16]) -> Vec<u64> {
-    chunks
-        .chunks(CHUNKS_PER_WORD)
-        .map(|group| {
-            group
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, c)| acc | (c.to_u64() << (16 * i)))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
-    use netgraph::generators;
+    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, FixedEdges, RandomMobile};
+    use netgraph::{generators, Graph};
+    use rand::SeedableRng;
 
     fn pool_on(g: Graph, rounds: usize, words: usize, t: usize) -> (KeyPool, Network) {
         let mut net = Network::new(
@@ -209,6 +202,12 @@ mod tests {
         );
         let pool = KeyPool::establish(&mut net, 42, rounds, words, t);
         (pool, net)
+    }
+
+    fn applied(pool: &KeyPool, arc: ArcId, round: usize, payload: &[u64]) -> Vec<u64> {
+        let mut out = payload.to_vec();
+        pool.apply(arc, round, &mut out);
+        out
     }
 
     #[test]
@@ -228,13 +227,13 @@ mod tests {
         let arc = g.arc_between(0, 1).unwrap();
         let payload = vec![0xDEAD_BEEF_u64, 42];
         for round in 0..4 {
-            let enc = pool.apply(&g, arc, round, &payload);
+            let enc = applied(&pool, arc, round, &payload);
             assert_ne!(enc, payload, "encryption must change the payload (w.h.p.)");
-            let dec = pool.apply(&g, arc, round, &enc);
+            let dec = applied(&pool, arc, round, &enc);
             assert_eq!(dec, payload);
         }
-        let e0 = pool.apply(&g, arc, 0, &payload);
-        let e1 = pool.apply(&g, arc, 1, &payload);
+        let e0 = applied(&pool, arc, 0, &payload);
+        let e1 = applied(&pool, arc, 1, &payload);
         assert_ne!(e0, e1, "distinct rounds must use distinct pads");
     }
 
@@ -246,9 +245,9 @@ mod tests {
         let a10 = g.arc_between(1, 0).unwrap();
         let a12 = g.arc_between(1, 2).unwrap();
         let payload = vec![0u64];
-        let e01 = pool.apply(&g, a01, 0, &payload);
-        let e10 = pool.apply(&g, a10, 0, &payload);
-        let e12 = pool.apply(&g, a12, 0, &payload);
+        let e01 = applied(&pool, a01, 0, &payload);
+        let e10 = applied(&pool, a10, 0, &payload);
+        let e12 = applied(&pool, a12, 0, &payload);
         assert!(e01 != e10 || e01 != e12, "keys should differ across arcs");
     }
 
@@ -258,7 +257,7 @@ mod tests {
         let g = generators::path(2);
         let (pool, _) = pool_on(g.clone(), 2, 1, 1);
         let arc = g.arc_between(0, 1).unwrap();
-        let _ = pool.apply(&g, arc, 2, &[1]);
+        let _ = applied(&pool, arc, 2, &[1]);
     }
 
     #[test]
@@ -267,7 +266,73 @@ mod tests {
         let g = generators::path(2);
         let (pool, _) = pool_on(g.clone(), 2, 1, 1);
         let arc = g.arc_between(0, 1).unwrap();
-        let _ = pool.apply(&g, arc, 0, &[1, 2, 3]);
+        let _ = applied(&pool, arc, 0, &[1, 2, 3]);
+    }
+
+    #[test]
+    fn an_arcless_graph_still_reports_its_protected_rounds() {
+        let (pool, net) = pool_on(Graph::new(3), 4, 2, 1);
+        assert_eq!(pool.protected_rounds(), 4);
+        assert_eq!(net.round(), 5);
+    }
+
+    /// The streamed keystream against the Theorem 2.1 oracle.  An
+    /// eavesdropper on every edge records every exchanged pad; condensing
+    /// each arc's lanes with one `BitExtractor::extract` call per lane — the
+    /// textbook form the streamed schedule replaced — must reproduce the
+    /// pool's keystream chunk for chunk, for random graphs and parameters.
+    #[test]
+    fn streamed_keystream_equals_per_lane_extraction_of_the_recorded_pads() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED);
+        for case in 0..24 {
+            let n = rng.gen_range(2..9usize);
+            let g = match case % 3 {
+                0 => generators::erdos_renyi(&mut rng, n, 0.6),
+                1 => generators::cycle(n.max(3)),
+                _ => generators::complete(n),
+            };
+            let rounds = rng.gen_range(1..6usize);
+            let words = rng.gen_range(1..6usize);
+            let t = rng.gen_range(0..7usize);
+            let all: Vec<usize> = (0..g.edge_count()).collect();
+            let mut net = Network::new(
+                g.clone(),
+                AdversaryRole::Eavesdropper,
+                Box::new(FixedEdges::new(all.clone())),
+                CorruptionBudget::Static(all),
+                case,
+            );
+            let pool = KeyPool::establish(&mut net, rng.gen(), rounds, words, t);
+            assert_eq!(net.view_log().len(), (rounds + t) * g.edge_count());
+
+            let lanes = words * CHUNKS_PER_WORD;
+            // recorded[arc][lane][exchange round]
+            let mut recorded = vec![vec![Vec::new(); lanes]; g.arc_count()];
+            for entry in &net.view_log().entries {
+                let (forward, backward) = Graph::arcs_of(entry.edge);
+                for (arc, side) in [(forward, &entry.forward), (backward, &entry.backward)] {
+                    let sent = side.as_ref().expect("every arc carries pads every round");
+                    assert_eq!(sent.len(), words);
+                    for (lane, column) in recorded[arc].iter_mut().enumerate() {
+                        let word = sent[lane / CHUNKS_PER_WORD];
+                        column.push(Gf2_16::from_u64(word >> (16 * (lane % CHUNKS_PER_WORD))));
+                    }
+                }
+            }
+            let extractor = BitExtractor::<Gf2_16>::new(rounds + t, t).unwrap();
+            for (arc, columns) in recorded.iter().enumerate() {
+                for (lane, column) in columns.iter().enumerate() {
+                    let keys = extractor.extract(column).unwrap();
+                    for (round, &key) in keys.iter().enumerate() {
+                        assert_eq!(
+                            pool.keystream(arc, round)[lane],
+                            key,
+                            "case {case}: arc {arc} lane {lane} round {round}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The structural security property: pads on edges the eavesdropper missed
@@ -309,8 +374,8 @@ mod tests {
         let arc = g.arc_between(0, 1).unwrap();
         let p = vec![0u64];
         assert_ne!(
-            pool1.apply(&g, arc, 0, &p),
-            pool2.apply(&g, arc, 0, &p),
+            applied(&pool1, arc, 0, &p),
+            applied(&pool2, arc, 0, &p),
             "keystream must depend on private node randomness"
         );
     }

@@ -85,26 +85,17 @@ impl StaticToMobileCompiler {
         let pool = KeyPool::establish(net, self.seed, r, self.words_per_message, self.t);
         let key_rounds = pool.exchange_rounds();
 
-        // Phase 2: round-by-round OTP simulation of A.  All three traffic
-        // buffers are recycled across rounds.
-        let mut plain = Traffic::new(&g);
-        let mut cipher = Traffic::new(&g);
-        let mut decrypted = Traffic::new(&g);
+        // Phase 2: round-by-round OTP simulation of A.  One traffic buffer
+        // carries each round through: the pads are XORed into it in place
+        // before the exchange and again (XOR is an involution, receivers hold
+        // the same per-arc keys) after it.
+        let mut wire = Traffic::new(&g);
         for round in 0..r {
-            alg.send_into(round, &mut plain);
-            cipher.begin_round(&g);
-            for (arc, payload) in plain.iter_present() {
-                let enc = pool.apply(&g, arc, round, payload);
-                cipher.set_arc(arc, Some(&enc));
-            }
-            net.exchange_in_place(&mut cipher);
-            // Receivers decrypt with the same per-arc keys.
-            decrypted.begin_round(&g);
-            for (arc, payload) in cipher.iter_present() {
-                let dec = pool.apply(&g, arc, round, payload);
-                decrypted.set_arc(arc, Some(&dec));
-            }
-            alg.receive(round, &decrypted);
+            alg.send_into(round, &mut wire);
+            pad_in_place(&pool, round, &mut wire);
+            net.exchange_in_place(&mut wire);
+            pad_in_place(&pool, round, &mut wire);
+            alg.receive(round, &wire);
         }
 
         let report = MobileSecureReport {
@@ -113,6 +104,15 @@ impl StaticToMobileCompiler {
             f_mobile_for: (1..=4).map(|f| (f, self.mobile_tolerance(f, r))).collect(),
         };
         (alg.outputs(), report)
+    }
+}
+
+/// XOR every present message with its arc's key for this round.
+fn pad_in_place(pool: &KeyPool, round: usize, wire: &mut Traffic) {
+    for arc in 0..wire.arc_slots() {
+        if let Some(payload) = wire.arc_mut(arc) {
+            pool.apply(arc, round, payload);
+        }
     }
 }
 

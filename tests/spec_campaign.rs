@@ -4,6 +4,7 @@
 //! the union of all shards equals the unsharded run.
 
 use mobile_congest::graphs::generators;
+use mobile_congest::harness::json::fnv1a_hex;
 use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec};
 use mobile_congest::payloads::FloodBroadcast;
 use mobile_congest::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
@@ -70,6 +71,41 @@ fn checked_in_spec_is_golden() {
         "specs/e16-small.json must stay in canonical to_json form"
     );
     assert_eq!(spec.cell_count(), 3 * 3 * 3 * 2);
+}
+
+/// The secure-compiler CI gate's spec, pinned as a test:
+/// `specs/secure-gossip-small.json` runs token dissemination under both
+/// secrecy compilers on a torus and a clique.  The report fingerprint covers
+/// every output word, round count and adversary metric of the grid; it was
+/// captured before the key schedule was rewritten to stream its bit
+/// extraction, so the rewrite provably changed no behaviour.
+#[test]
+fn secure_gossip_spec_is_golden() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/specs/secure-gossip-small.json"
+    );
+    let text = std::fs::read_to_string(path).expect("specs/secure-gossip-small.json checked in");
+    let spec = CampaignSpec::from_json(&text).expect("secure-gossip spec parses");
+    assert_eq!(
+        spec.to_json(),
+        text,
+        "specs/secure-gossip-small.json must stay in canonical to_json form"
+    );
+    assert_eq!(spec.cell_count(), 2 * 2);
+
+    let report = Campaign::from_spec(&spec).unwrap().threads(2).run();
+    assert_eq!(
+        report.executed().count(),
+        4,
+        "every cell validates and runs"
+    );
+    assert!(report.all_protected_cells_agree());
+    assert_eq!(
+        fnv1a_hex(report.fingerprint().bytes()),
+        "d4375e21aa11b9bd",
+        "secure-gossip-small report drifted"
+    );
 }
 
 #[test]
