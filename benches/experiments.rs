@@ -10,7 +10,9 @@
 //! `Scenario::…::network()`.  Run with `cargo bench` (the harness is plain
 //! `main`, no criterion statistics are needed for discrete round counts).
 
-use mobile_congest::compilers::resilient::{l0_threshold_correction, sparse_majority_correction};
+use mobile_congest::compilers::resilient::{
+    l0_threshold_correction, sparse_majority_correction, CorrectionContext,
+};
 use mobile_congest::compilers::secure::{
     mobile_secure_broadcast, mobile_secure_multicast, mobile_secure_unicast, UnicastInstance,
 };
@@ -19,7 +21,7 @@ use mobile_congest::graphs::generators;
 use mobile_congest::graphs::tree_packing::{greedy_low_depth_packing, star_packing};
 use mobile_congest::graphs::Graph;
 use mobile_congest::harness::Campaign;
-use mobile_congest::icoding::RsScheduler;
+use mobile_congest::icoding::{RsScheduler, SchedulePlan};
 use mobile_congest::payloads::{FloodBroadcast, LeaderElection, TokenDissemination};
 use mobile_congest::scenario::{
     BoxedAlgorithm, CliqueAdapter, Compiler, CongestionSensitiveAdapter, CycleCoverAdapter,
@@ -378,6 +380,7 @@ fn e12_mismatch_decay() {
     );
     let g = generators::complete(20);
     let packing = star_packing(&g, 0);
+    let ctx = CorrectionContext::new(&g, &packing);
     for &f in &[1usize, 2] {
         let mut net = primitive_net(&g, AdversaryRole::Byzantine, f, 31 + f as u64);
         let mut sent = Traffic::new(&g);
@@ -387,7 +390,8 @@ fn e12_mismatch_decay() {
             }
         }
         let received = net.exchange(sent.clone());
-        let (_, rep) = l0_threshold_correction(&mut net, &packing, &sent, &received, f, 8, 41);
+        let (_, rep) =
+            l0_threshold_correction(&mut net, &ctx, &packing, &sent, &received, f, 8, 41);
         println!("f={f}  B_j trace = {:?}", rep.decay);
     }
     // The sparse-majority variant for comparison (single-shot).
@@ -400,7 +404,8 @@ fn e12_mismatch_decay() {
             }
         }
         let received = net.exchange(sent.clone());
-        let (_, rep) = sparse_majority_correction(&mut net, &packing, &sent, &received, 8 * f, 61);
+        let (_, rep) =
+            sparse_majority_correction(&mut net, &ctx, &packing, &sent, &received, 8 * f, 61);
         println!(
             "sparse-majority f={f}: before={} after={} rounds={}",
             rep.mismatches_before, rep.mismatches_after, rep.rounds
@@ -447,7 +452,8 @@ fn e14_scheduler() {
         let packing = star_packing(&g, 0);
         let eta = packing.load(&g);
         let mut net = primitive_net(&g, AdversaryRole::Byzantine, f, 7 + n as u64);
-        let report = RsScheduler.run_family(&mut net, &packing, 10);
+        let plan = SchedulePlan::new(&g, &packing);
+        let report = RsScheduler.run_planned(&mut net, &packing, &plan, 10);
         println!(
             "{:>6} {:>4} {:>10} {:>10}",
             n,
@@ -517,92 +523,6 @@ fn e15_baselines() {
             compiled.agrees_with_fault_free() == Some(true)
         );
     }
-}
-
-/// E16a — the zero-allocation round engine, before/after: the same round
-/// workload (full 2-word traffic on every arc, `f = 2` mobile byzantine
-/// corruption) on every graph of the E16 campaign grid, driven once through
-/// the retained PR-2 reference engine (`sim::reference`, one heap payload
-/// per arc per round) and once through the flat-buffer engine.  The target
-/// is a ≥2× speedup at identical per-round semantics (the parity is a
-/// regression test; this is the wall-clock half of the claim).
-fn e16a_round_engine_ab() {
-    use mobile_congest::sim::reference::{LegacyTraffic, ReferenceNetwork};
-    use mobile_congest::sim::Traffic;
-
-    header("E16a", "round engine before/after (seed vs flat buffers)");
-    const ROUNDS: usize = 1500;
-    println!(
-        "{:>20} {:>7} {:>12} {:>12} {:>9}",
-        "graph", "rounds", "seed ms", "flat ms", "speedup"
-    );
-    let mut total_seed = 0.0f64;
-    let mut total_flat = 0.0f64;
-    for spec in mobile_congest::scenario::matrix::graph_zoo(2024) {
-        let g = spec.graph;
-        // Seed path: per-round legacy traffic, allocating exchange.
-        let mut ref_net = ReferenceNetwork::new(
-            g.clone(),
-            AdversaryRole::Byzantine,
-            Box::new(RandomMobile::new(2, 7)),
-            CorruptionBudget::Mobile { f: 2 },
-            7,
-        );
-        let t0 = Instant::now();
-        for round in 0..ROUNDS {
-            let mut t = LegacyTraffic::new(&g);
-            for e in g.edges() {
-                t.send(&g, e.u, e.v, vec![round as u64, e.u as u64]);
-                t.send(&g, e.v, e.u, vec![round as u64, e.v as u64]);
-            }
-            let _ = ref_net.exchange(t);
-        }
-        let seed_s = t0.elapsed().as_secs_f64();
-
-        // Flat path: one recycled arena, in-place exchange.
-        let mut net = Network::new(
-            g.clone(),
-            AdversaryRole::Byzantine,
-            Box::new(RandomMobile::new(2, 7)),
-            CorruptionBudget::Mobile { f: 2 },
-            7,
-        );
-        let mut t = Traffic::new(&g);
-        let t0 = Instant::now();
-        for round in 0..ROUNDS {
-            t.begin_round(&g);
-            for e in g.edges() {
-                t.send(&g, e.u, e.v, [round as u64, e.u as u64]);
-                t.send(&g, e.v, e.u, [round as u64, e.v as u64]);
-            }
-            net.exchange_in_place(&mut t);
-        }
-        let flat_s = t0.elapsed().as_secs_f64();
-
-        assert_eq!(
-            net.metrics().messages,
-            ref_net.metrics.messages,
-            "A/B halves must do identical work"
-        );
-        total_seed += seed_s;
-        total_flat += flat_s;
-        println!(
-            "{:>20} {:>7} {:>12.2} {:>12.2} {:>8.1}x",
-            spec.name,
-            ROUNDS,
-            seed_s * 1e3,
-            flat_s * 1e3,
-            seed_s / flat_s
-        );
-    }
-    println!(
-        "{:>20} {:>7} {:>12.2} {:>12.2} {:>8.1}x   (target >= 2x)",
-        "TOTAL",
-        "",
-        total_seed * 1e3,
-        total_flat * 1e3,
-        total_seed / total_flat
-    );
 }
 
 /// E16 — the deterministic parallel campaign engine over the expanded
@@ -1170,7 +1090,6 @@ fn main() {
     e13_sketches();
     e14_scheduler();
     e15_baselines();
-    e16a_round_engine_ab();
     let (e16_fingerprint, e16_secs) = e16_campaign();
     e16b_spec_campaign(&e16_fingerprint, e16_secs);
     e16c_packing_ab();

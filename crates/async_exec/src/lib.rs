@@ -65,8 +65,10 @@
 //! let lock_out = run_on_network(&mut reference, &mut lock_net);
 //! // … and the async executor on the synchronous schedule.
 //! let mut async_net = Network::fault_free(g.clone());
-//! let (out, notes) = AsyncExecutor::new(ScheduleDef::synchronous())
-//!     .compile_replayable(&|| Box::new(doctest_payload(g.clone())), &mut async_net)
+//! let executor = AsyncExecutor::new(ScheduleDef::synchronous());
+//! let artifacts = executor.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+//! let (out, notes) = executor
+//!     .execute(&artifacts, &|| Box::new(doctest_payload(g.clone())), &mut async_net)
 //!     .unwrap();
 //! assert_eq!(out, lock_out);
 //! assert_eq!(format!("{:?}", async_net.metrics()), format!("{:?}", lock_net.metrics()));
@@ -377,12 +379,9 @@ fn should_drop(drops: DropModel, count: u64) -> bool {
 ///
 /// `kind()` is [`CompilerKind::Baseline`]: like
 /// `congest_sim::scenario::Uncompiled`, it adds no defence of its own and
-/// runs under byzantine and eavesdropping adversaries alike.  It needs fresh
-/// payload instances (one per node), so it must be driven through
-/// [`Compiler::compile_replayable`] — the single-instance
-/// [`Compiler::compile`] entry point returns
-/// [`ScenarioError::ReplayRequired`].  The `Scenario` pipeline always uses
-/// the replayable entry point.
+/// runs under byzantine and eavesdropping adversaries alike.  It hosts one
+/// payload instance per node, so [`Compiler::execute`] calls its payload
+/// factory `n` times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsyncExecutor {
     schedule: ScheduleDef,
@@ -520,39 +519,11 @@ impl Compiler for AsyncExecutor {
         CompilerKind::Baseline
     }
 
-    fn compile(
+    // The executor derives everything per run from the schedule and the run
+    // seed, so the default graph-only `prepare` is all there is to cache.
+    fn execute(
         &self,
-        _payload: BoxedAlgorithm,
-        _net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        Err(ScenarioError::ReplayRequired {
-            compiler: self.name(),
-        })
-    }
-
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        // The executor derives everything per run from the schedule and the
-        // run seed; only the warmed graph is seed-independent.
-        let _ = tracer;
-        Ok(CompileArtifacts::graph_only(graph))
-    }
-
-    fn execute_replayable(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let _ = artifacts;
-        self.compile_replayable(make, net)
-    }
-
-    fn compile_replayable(
-        &self,
+        _artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
@@ -904,7 +875,7 @@ mod tests {
         let mut async_net = adversarial_net(&g, 11);
         let (out, notes) = AsyncExecutor::new(ScheduleDef::synchronous())
             .with_hosts(3)
-            .compile_replayable(&make, &mut async_net)
+            .execute(&CompileArtifacts::graph_only(&g), &make, &mut async_net)
             .unwrap();
 
         assert_eq!(out, lock_out);
@@ -948,7 +919,7 @@ mod tests {
             let mut net = adversarial_net(&g, 7);
             let result = AsyncExecutor::new(schedule.clone())
                 .with_hosts(hosts)
-                .compile_replayable(&make, &mut net)
+                .execute(&CompileArtifacts::graph_only(&g), &make, &mut net)
                 .unwrap();
             let bytes = format!(
                 "{result:?}/{:?}/{:?}",
@@ -975,7 +946,7 @@ mod tests {
         let (out, notes) = AsyncExecutor::new(
             ScheduleDef::synchronous().with_latency(LatencyModel::Fixed { ticks: 2 }),
         )
-        .compile_replayable(&make, &mut net)
+        .execute(&CompileArtifacts::graph_only(&g), &make, &mut net)
         .unwrap();
         assert_eq!(out, fault_free);
         match notes {
@@ -1007,7 +978,7 @@ mod tests {
             from: 1,
             until: 5,
         }))
-        .compile_replayable(&make, &mut net)
+        .execute(&CompileArtifacts::graph_only(&g), &make, &mut net)
         .unwrap();
         assert_eq!(out, fault_free, "a healed crash loses no content");
         match notes {
@@ -1033,7 +1004,7 @@ mod tests {
         // is the schedule that actually bites.
         let (out, notes) =
             AsyncExecutor::new(ScheduleDef::synchronous().with_drops(DropModel::EveryKth { k: 1 }))
-                .compile_replayable(&make, &mut net)
+                .execute(&CompileArtifacts::graph_only(&g), &make, &mut net)
                 .unwrap();
         assert_ne!(out, fault_free, "total loss must stop the broadcast");
         match notes {
@@ -1088,15 +1059,5 @@ mod tests {
                 .name(),
             "async(drop1in5)"
         );
-    }
-
-    #[test]
-    fn single_instance_entry_point_requires_replay() {
-        let g = generators::grid(3, 3);
-        let mut net = Network::fault_free(g.clone());
-        let err = AsyncExecutor::new(ScheduleDef::synchronous())
-            .compile(Box::new(FloodBroadcast::new(g, 0, 5)), &mut net)
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::ReplayRequired { .. }));
     }
 }

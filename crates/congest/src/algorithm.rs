@@ -5,8 +5,8 @@
 //! securely).  The [`CongestAlgorithm`] trait exposes exactly the hooks such a
 //! simulation needs:
 //!
-//! * [`CongestAlgorithm::send`] — the messages every node sends in round `i`
-//!   (a function of what its nodes received in rounds `< i`),
+//! * [`CongestAlgorithm::send_into`] — the messages every node sends in round
+//!   `i` (a function of what its nodes received in rounds `< i`),
 //! * [`CongestAlgorithm::receive`] — delivery of the (possibly corrected)
 //!   round-`i` messages,
 //! * [`CongestAlgorithm::outputs`] — per-node outputs when the algorithm ends.
@@ -21,12 +21,8 @@ use crate::traffic::{Output, Traffic};
 
 /// A CONGEST algorithm expressed round by round.
 ///
-/// Implement **at least one** of [`CongestAlgorithm::send`] and
-/// [`CongestAlgorithm::send_into`] — each has a default implementation in
-/// terms of the other, so overriding neither recurses forever.  Hot payloads
-/// override `send_into` (the drivers reuse one [`Traffic`] buffer across all
-/// rounds, making the steady-state round loop allocation-free); simple or
-/// legacy algorithms can keep implementing `send`.
+/// The drivers reuse one [`Traffic`] buffer across all rounds, so the
+/// steady-state round loop is allocation-free.
 pub trait CongestAlgorithm {
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> String;
@@ -34,21 +30,12 @@ pub trait CongestAlgorithm {
     /// The total number of rounds the algorithm runs.
     fn rounds(&self) -> usize;
 
-    /// Outgoing messages for round `round` (0-based), as a fresh value.
-    fn send(&mut self, round: usize) -> Traffic {
-        let mut out = Traffic::default();
-        self.send_into(round, &mut out);
-        out
-    }
-
-    /// Write the outgoing messages for round `round` into `out`.
+    /// Write the outgoing messages for round `round` (0-based) into `out`.
     ///
     /// Implementations must start with [`Traffic::begin_round`] (which clears
     /// the buffer and sizes it for the graph) — `out` arrives with the
     /// previous round's contents.
-    fn send_into(&mut self, round: usize, out: &mut Traffic) {
-        *out = self.send(round);
-    }
+    fn send_into(&mut self, round: usize, out: &mut Traffic);
 
     /// Deliver the messages received in round `round`.
     fn receive(&mut self, round: usize, inbox: &Traffic);
@@ -71,9 +58,6 @@ impl<T: CongestAlgorithm + ?Sized> CongestAlgorithm for Box<T> {
     fn rounds(&self) -> usize {
         (**self).rounds()
     }
-    fn send(&mut self, round: usize) -> Traffic {
-        (**self).send(round)
-    }
     fn send_into(&mut self, round: usize, out: &mut Traffic) {
         (**self).send_into(round, out)
     }
@@ -91,8 +75,7 @@ impl<T: CongestAlgorithm + ?Sized> CongestAlgorithm for Box<T> {
 /// Run an algorithm in the fault-free setting (no network, no adversary):
 /// every round's messages are delivered verbatim.  Returns the outputs.
 ///
-/// One [`Traffic`] buffer is reused across all rounds, so algorithms that
-/// override [`CongestAlgorithm::send_into`] run allocation-free here.
+/// One [`Traffic`] buffer is reused across all rounds.
 pub fn run_fault_free<A: CongestAlgorithm + ?Sized>(alg: &mut A) -> Vec<Output> {
     let mut buf = Traffic::default();
     for round in 0..alg.rounds() {
@@ -107,8 +90,7 @@ pub fn run_fault_free<A: CongestAlgorithm + ?Sized>(alg: &mut A) -> Vec<Output> 
 /// the baseline the compilers are compared against.
 ///
 /// The round loop reuses one [`Traffic`] buffer through
-/// [`Network::exchange_in_place`], so algorithms that override
-/// [`CongestAlgorithm::send_into`] run allocation-free at steady state.
+/// [`Network::exchange_in_place`], so it is allocation-free at steady state.
 pub fn run_on_network<A: CongestAlgorithm + ?Sized>(alg: &mut A, net: &mut Network) -> Vec<Output> {
     let mut buf = Traffic::new(net.graph());
     for round in 0..alg.rounds() {
@@ -123,62 +105,13 @@ pub fn run_on_network<A: CongestAlgorithm + ?Sized>(alg: &mut A, net: &mut Netwo
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryRole, CorruptionBudget, CorruptionMode, FixedEdges};
-    use netgraph::{generators, Graph};
-
-    /// A toy algorithm: in round 0 every node sends its id to all neighbours;
-    /// the output of a node is the sorted list of ids it received.
-    struct ExchangeIds {
-        graph: Graph,
-        received: Vec<Vec<u64>>,
-    }
-
-    impl ExchangeIds {
-        fn new(graph: Graph) -> Self {
-            let n = graph.node_count();
-            ExchangeIds {
-                graph,
-                received: vec![Vec::new(); n],
-            }
-        }
-    }
-
-    impl CongestAlgorithm for ExchangeIds {
-        fn name(&self) -> String {
-            "exchange-ids".into()
-        }
-        fn rounds(&self) -> usize {
-            1
-        }
-        fn send(&mut self, _round: usize) -> Traffic {
-            let mut t = Traffic::new(&self.graph);
-            for v in self.graph.nodes() {
-                for &(u, _) in self.graph.neighbors(v) {
-                    t.send(&self.graph, v, u, vec![v as u64]);
-                }
-            }
-            t
-        }
-        fn receive(&mut self, _round: usize, inbox: &Traffic) {
-            for v in self.graph.nodes() {
-                for (_, payload) in inbox.inbox_of(&self.graph, v) {
-                    self.received[v].push(payload[0]);
-                }
-                self.received[v].sort_unstable();
-            }
-        }
-        fn outputs(&self) -> Vec<Output> {
-            self.received.clone()
-        }
-        fn congestion_bound(&self) -> Option<usize> {
-            Some(1)
-        }
-    }
+    use crate::scenario::doctest_payload;
+    use netgraph::generators;
 
     #[test]
     fn fault_free_run_collects_neighbours() {
         let g = generators::cycle(5);
-        let mut alg = ExchangeIds::new(g);
-        let out = run_fault_free(&mut alg);
+        let out = run_fault_free(&mut doctest_payload(g));
         assert_eq!(out[0], vec![1, 4]);
         assert_eq!(out[2], vec![1, 3]);
     }
@@ -186,9 +119,9 @@ mod tests {
     #[test]
     fn uncompiled_run_on_clean_network_matches_fault_free() {
         let g = generators::cycle(5);
-        let fault_free = run_fault_free(&mut ExchangeIds::new(g.clone()));
+        let fault_free = run_fault_free(&mut doctest_payload(g.clone()));
         let mut net = Network::fault_free(g.clone());
-        let networked = run_on_network(&mut ExchangeIds::new(g), &mut net);
+        let networked = run_on_network(&mut doctest_payload(g), &mut net);
         assert_eq!(fault_free, networked);
         assert_eq!(net.round(), 1);
     }
@@ -196,7 +129,7 @@ mod tests {
     #[test]
     fn uncompiled_run_is_vulnerable_to_byzantine_corruption() {
         let g = generators::cycle(5);
-        let clean = run_fault_free(&mut ExchangeIds::new(g.clone()));
+        let clean = run_fault_free(&mut doctest_payload(g.clone()));
         let target = g.edge_between(0, 1).unwrap();
         let strategy = FixedEdges::new(vec![target]).with_mode(CorruptionMode::Constant(999));
         let mut net = Network::new(
@@ -206,7 +139,7 @@ mod tests {
             CorruptionBudget::Static(vec![target]),
             0,
         );
-        let corrupted = run_on_network(&mut ExchangeIds::new(g), &mut net);
+        let corrupted = run_on_network(&mut doctest_payload(g), &mut net);
         assert_ne!(clean, corrupted, "the baseline must be breakable");
         assert!(corrupted[0].contains(&999) || corrupted[1].contains(&999));
     }

@@ -43,8 +43,8 @@
 //! edges into a reusable [`adversary::EdgeSet`] bitset, corruption rewrites
 //! payloads in place through a recycled scratch buffer, and the corruption
 //! history appends to a flattened [`network::CorruptionHistory`].  The
-//! PR-2-era engine is retained in [`mod@reference`] for parity tests and the
-//! before/after benchmark.
+//! PR-2-era engine survives only as the test-only oracle of this crate's
+//! round-by-round parity tests.
 
 #![warn(missing_docs)]
 
@@ -52,7 +52,8 @@ pub mod adversary;
 pub mod algorithm;
 pub mod metrics;
 pub mod network;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod scenario;
 pub mod traffic;
 

@@ -252,12 +252,6 @@ impl Network {
         std::mem::take(&mut self.tracer)
     }
 
-    /// Split borrow: the graph plus the tracer, for instrumented code that
-    /// needs to read the topology while emitting events.
-    pub fn graph_and_tracer(&mut self) -> (&Graph, &mut Tracer) {
-        (&self.graph, &mut self.tracer)
-    }
-
     /// The seed this network was constructed with.  Deterministic executors
     /// (the async runtime's latency/jitter hashing) derive their per-message
     /// randomness from it without touching [`Network::public_coin`]'s RNG —

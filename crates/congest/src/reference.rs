@@ -1,17 +1,11 @@
-//! The PR-2-era round engine, retained verbatim as a *reference
-//! implementation* for two purposes:
+//! The PR-2-era round engine, retained verbatim as a test-only *oracle*:
+//! the parity tests below drive the same rounds through this engine and
+//! through [`crate::network::Network`] and require byte-identical outputs,
+//! metrics, corruption history and eavesdropper views, proving the
+//! flat-buffer rewrite changed the cost of a round but not its semantics.
 //!
-//! 1. **Parity** — regression tests drive the same scenario through this
-//!    engine and through [`crate::network::Network`] and require byte-identical
-//!    outputs, metrics, corruption history and eavesdropper views, proving the
-//!    flat-buffer rewrite changed the cost of a round but not its semantics.
-//! 2. **Benchmarking** — `benches/experiments.rs` (E16a) measures the same
-//!    round workload on both engines; the reported speedup is the
-//!    before/after comparison against the seed representation (one
-//!    `Option<Vec<u64>>` heap allocation per arc per round).
-//!
-//! Nothing here is used by the production path; prefer
-//! [`crate::network::Network`] everywhere else.
+//! The module is compiled only under `cfg(test)`; nothing outside this file
+//! can reach it.
 
 use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, EdgeSet};
 use crate::metrics::Metrics;
@@ -203,19 +197,120 @@ pub fn run_on_reference_network<A: crate::algorithm::CongestAlgorithm + ?Sized>(
     net: &mut ReferenceNetwork,
 ) -> Vec<crate::traffic::Output> {
     let g = net.graph().clone();
+    let mut sent = Traffic::new(&g);
     for round in 0..alg.rounds() {
-        let outgoing = LegacyTraffic::from_traffic(&g, &alg.send(round));
+        alg.send_into(round, &mut sent);
+        let outgoing = LegacyTraffic::from_traffic(&g, &sent);
         let delivered = net.exchange(outgoing);
         alg.receive(round, &delivered.to_traffic(&g));
     }
     alg.outputs()
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::RandomMobile;
+    use crate::adversary::{CorruptionMode, RandomMobile};
+    use crate::algorithm::CongestAlgorithm;
     use crate::network::Network;
+    use crate::scenario::{Scenario, Uncompiled};
+    use netgraph::generators;
+
+    /// A multi-round payload: every node floods the largest word it has seen
+    /// to all neighbours for four rounds and outputs it.  Every arc carries a
+    /// message every round, so corruption lands on live traffic and feeds
+    /// back into later rounds.
+    struct FloodMax {
+        graph: Graph,
+        best: Vec<u64>,
+    }
+
+    impl FloodMax {
+        fn new(graph: Graph) -> Self {
+            let best = graph.nodes().map(|v| 2 * v as u64 + 10).collect();
+            FloodMax { graph, best }
+        }
+    }
+
+    impl CongestAlgorithm for FloodMax {
+        fn name(&self) -> String {
+            "flood-max".into()
+        }
+        fn rounds(&self) -> usize {
+            4
+        }
+        fn send_into(&mut self, _round: usize, out: &mut Traffic) {
+            out.begin_round(&self.graph);
+            for v in self.graph.nodes() {
+                for &(u, _) in self.graph.neighbors(v) {
+                    out.send(&self.graph, v, u, [self.best[v]]);
+                }
+            }
+        }
+        fn receive(&mut self, _round: usize, inbox: &Traffic) {
+            for v in self.graph.nodes() {
+                for (_, payload) in inbox.inbox_of(&self.graph, v) {
+                    self.best[v] = self.best[v].max(payload[0]);
+                }
+            }
+        }
+        fn outputs(&self) -> Vec<crate::traffic::Output> {
+            self.best.iter().map(|&b| vec![b]).collect()
+        }
+    }
+
+    /// Through the `Scenario` pipeline, the flat-buffer round engine gives
+    /// the seed-era reference engine's `RunReport` facets exactly: same
+    /// outputs, same metrics, same eavesdropper view, same round count.  The
+    /// rewrite changed the cost of a round, not its semantics.
+    #[test]
+    fn flat_engine_matches_the_seed_reference_engine_through_the_scenario_pipeline() {
+        for (role, seed) in [
+            (AdversaryRole::Byzantine, 41u64),
+            (AdversaryRole::Eavesdropper, 42),
+        ] {
+            for g in [
+                generators::complete(10),
+                generators::torus(3, 4),
+                generators::ring_of_cliques(3, 4),
+            ] {
+                // Uncompiled through the Scenario pipeline (flat engine).
+                let gg = g.clone();
+                let report = Scenario::on(g.clone())
+                    .payload(move || FloodMax::new(gg.clone()))
+                    .adversary(
+                        role,
+                        RandomMobile::new(2, seed).with_mode(CorruptionMode::FlipLowBit),
+                        CorruptionBudget::Mobile { f: 2 },
+                    )
+                    .seed(seed)
+                    .compiled_with(Uncompiled)
+                    .run()
+                    .unwrap();
+
+                // The same cell through the retained seed engine.
+                let mut ref_net = ReferenceNetwork::new(
+                    g.clone(),
+                    role,
+                    Box::new(RandomMobile::new(2, seed).with_mode(CorruptionMode::FlipLowBit)),
+                    CorruptionBudget::Mobile { f: 2 },
+                    seed,
+                );
+                let ref_out = run_on_reference_network(&mut FloodMax::new(g.clone()), &mut ref_net);
+
+                assert_eq!(report.outputs, ref_out, "outputs under {role:?}");
+                assert_eq!(report.metrics, ref_net.metrics, "metrics under {role:?}");
+                assert_eq!(report.view, ref_net.view_log, "view under {role:?}");
+                assert_eq!(report.network_rounds, ref_net.round());
+                if role == AdversaryRole::Eavesdropper {
+                    // Eavesdroppers never alter traffic, so even the
+                    // uncompiled outputs match the fault-free reference.
+                    assert_eq!(report.agrees_with_fault_free(), Some(true));
+                } else {
+                    assert!(report.metrics.corrupted_messages > 0, "adversary acted");
+                }
+            }
+        }
+    }
 
     /// The parity contract: identical decision sequences on both engines.
     #[test]

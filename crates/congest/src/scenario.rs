@@ -40,7 +40,7 @@
 //!   the fault-free-agreement verdict;
 //! * [`CompilerNotes`] — the typed diagnostics channel (rewind counts,
 //!   correction verdicts, key rounds, packing quality) threaded from every
-//!   compiler through [`Compiler::compile`] onto the report;
+//!   compiler through [`Compiler::execute`] onto the report;
 //! * [`matrix`] — sweeps graph-family × adversary-strategy × compiler grids
 //!   in one call (single-threaded facade over the cells the parallel
 //!   `harness::Campaign` engine drives).
@@ -101,9 +101,10 @@ pub enum ScenarioError {
         /// Actual edge connectivity.
         found: usize,
     },
-    /// The compiler needs a replayable payload (a factory), but was invoked
-    /// through the single-instance [`Compiler::compile`] entry point.
-    ReplayRequired {
+    /// [`Compiler::execute`] was handed [`CompileArtifacts`] whose payload is
+    /// not the one this compiler's [`Compiler::prepare`] builds (they were
+    /// prepared by a different compiler).
+    ArtifactMismatch {
         /// The compiler's display name.
         compiler: String,
     },
@@ -139,7 +140,10 @@ impl core::fmt::Display for ScenarioError {
                 "compiler `{compiler}` ({kind:?}) does not defend against a {role:?} adversary"
             ),
             ScenarioError::UnsupportedGraph { compiler, reason } => {
-                write!(f, "compiler `{compiler}` cannot run on this graph: {reason}")
+                write!(
+                    f,
+                    "compiler `{compiler}` cannot run on this graph: {reason}"
+                )
             }
             ScenarioError::InsufficientConnectivity {
                 compiler,
@@ -149,9 +153,9 @@ impl core::fmt::Display for ScenarioError {
                 f,
                 "compiler `{compiler}` needs edge connectivity >= {needed}, graph has {found}"
             ),
-            ScenarioError::ReplayRequired { compiler } => write!(
+            ScenarioError::ArtifactMismatch { compiler } => write!(
                 f,
-                "compiler `{compiler}` must be driven through a payload factory (compile_replayable)"
+                "compiler `{compiler}` was handed artifacts prepared by a different compiler"
             ),
             ScenarioError::InvalidParameter { compiler, reason } => {
                 write!(f, "compiler `{compiler}` rejected its parameters: {reason}")
@@ -211,7 +215,7 @@ impl CompilerKind {
     }
 }
 
-/// Typed per-compiler diagnostics, returned from [`Compiler::compile`] and
+/// Typed per-compiler diagnostics, returned from [`Compiler::execute`] and
 /// carried on [`RunReport::notes`].
 ///
 /// Every compiler of the paper produces a structured report of *how* the run
@@ -633,13 +637,11 @@ impl core::fmt::Debug for CompileArtifacts {
 /// The interface is **two-phase**: [`Compiler::prepare`] builds everything
 /// that depends only on the graph and the compiler's parameters (tree
 /// packings, covers, prebuilt correction state) into [`CompileArtifacts`],
-/// and [`Compiler::execute`] / [`Compiler::execute_replayable`] run the
-/// seed/adversary-dependent simulation against those artifacts.  The
-/// one-phase [`Compiler::compile`] entry point remains the required method —
-/// simple compilers implement only it and inherit prepare/execute defaults
-/// that make the two phases behave identically to the single phase, while
-/// compilers with an expensive seed-independent prefix override the pair so
-/// campaign drivers can cache the artifacts across cells.
+/// and [`Compiler::execute`] runs the seed/adversary-dependent simulation
+/// against those artifacts.  `execute` is the one required run method;
+/// compilers with no seed-independent prefix inherit the graph-only `prepare`
+/// default, while compilers with an expensive one override it so campaign
+/// drivers can cache the artifacts across cells.
 pub trait Compiler {
     /// Display name for reports and error messages.
     fn name(&self) -> String;
@@ -650,8 +652,8 @@ pub trait Compiler {
     /// Phase one: build the seed-independent artifacts for `graph`.
     ///
     /// The default returns graph-only artifacts (warm CSR, no payload) —
-    /// correct for every compiler, optimal for those whose derived state is
-    /// seed- or adversary-dependent.  Overrides must produce a pure function
+    /// correct for every compiler whose derived state is seed- or
+    /// adversary-dependent.  Overrides must produce a pure function
     /// of `(graph, self)`: campaign drivers key cached artifacts by
     /// `(GraphDef, CompilerDef)` only, and campaign fingerprints must stay
     /// byte-identical whether artifacts are cached or rebuilt per cell.
@@ -666,64 +668,26 @@ pub trait Compiler {
         Ok(CompileArtifacts::graph_only(graph))
     }
 
-    /// Phase two: execute `payload` on `net` using prepared `artifacts`.
+    /// Phase two: simulate the payload on `net` using the `artifacts` this
+    /// compiler's [`Compiler::prepare`] built for `net`'s graph, returning the
+    /// payload outputs together with the compiler's typed diagnostics.
     ///
-    /// The default ignores the artifacts and forwards to
-    /// [`Compiler::compile`], so single-phase compilers behave identically
-    /// under both entry points.  Overrides downcast their payload out of the
-    /// artifacts and must fall back to rebuilding it (the artifacts may be
-    /// graph-only if prepared by a default `prepare`).
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let _ = artifacts;
-        self.compile(payload, net)
-    }
-
-    /// [`Compiler::execute`] with access to fresh payload instances, for
-    /// compilers that re-simulate from a committed prefix.  The default
-    /// routes through [`Compiler::execute`] and falls back to
-    /// [`Compiler::compile_replayable`] when the compiler demands replay.
-    fn execute_replayable(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        match self.execute(artifacts, make(), net) {
-            Err(ScenarioError::ReplayRequired { .. }) => self.compile_replayable(make, net),
-            other => other,
-        }
-    }
-
-    /// Compile and execute `payload` on `net`, returning the payload outputs
-    /// together with the compiler's typed diagnostics.
+    /// `make` returns a fresh payload instance per call; compilers that
+    /// re-simulate from a committed prefix (the rewind compiler) or host one
+    /// instance per node (the async executor) simply call it again.
     ///
     /// Implementations re-check the adversary role against [`Network::role`],
     /// but full graph validation runs once in [`Compiler::validate`] (the
     /// `Scenario` pipeline calls it at build time).  When invoking a compiler
     /// directly, call `validate(net.graph(), net.role())` first to get the
-    /// typed graph errors.
-    fn compile(
+    /// typed graph errors.  Artifacts whose payload is not the one `prepare`
+    /// builds are a [`ScenarioError::ArtifactMismatch`].
+    fn execute(
         &self,
-        payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError>;
-
-    /// Compile and execute with access to fresh payload instances.  Compilers
-    /// that re-simulate from a committed prefix (the rewind compiler)
-    /// override this; the default forwards one instance to
-    /// [`Compiler::compile`].
-    fn compile_replayable(
-        &self,
+        artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        self.compile(make(), net)
-    }
+    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError>;
 
     /// Check the configuration before anything runs.  Overrides should call
     /// [`validate_role`] (or repeat its check) in addition to their own
@@ -763,12 +727,13 @@ impl Compiler for Uncompiled {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Baseline
     }
-    fn compile(
+    fn execute(
         &self,
-        mut payload: BoxedAlgorithm,
+        _artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        Ok((run_on_network(&mut *payload, net), CompilerNotes::None))
+        Ok((run_on_network(&mut *make(), net), CompilerNotes::None))
     }
 }
 
@@ -784,12 +749,13 @@ impl Compiler for FaultFree {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Reference
     }
-    fn compile(
+    fn execute(
         &self,
-        mut payload: BoxedAlgorithm,
+        _artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
         _net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        Ok((run_fault_free(&mut *payload), CompilerNotes::None))
+        Ok((run_fault_free(&mut *make()), CompilerNotes::None))
     }
 }
 
@@ -1058,8 +1024,7 @@ impl BuiltScenario {
         let _ = net.graph().csr();
         tracer.span_close(obs::Phase::CsrIndex);
         // Phase one: reuse supplied artifacts, or prepare them now on the same
-        // tracer so packing spans land in the trace exactly where the
-        // single-phase pipeline put them.
+        // tracer so packing spans land in the cell's own trace.
         let artifacts = match self.artifacts {
             Some(artifacts) => artifacts,
             None => std::sync::Arc::new(self.compiler.prepare(net.graph(), &mut tracer)?),
@@ -1069,9 +1034,7 @@ impl BuiltScenario {
             net.set_bandwidth_words(words);
         }
         let adversary = net.adversary_name();
-        let result = self
-            .compiler
-            .execute_replayable(&artifacts, &self.payload, &mut net);
+        let result = self.compiler.execute(&artifacts, &self.payload, &mut net);
         let trace = net.take_tracer().finish();
         let (outputs, notes) = result?;
         let fault_free = if self.check_fault_free && is_reference {
@@ -1258,14 +1221,13 @@ pub fn doctest_payload(graph: Graph) -> impl CongestAlgorithm {
         fn rounds(&self) -> usize {
             1
         }
-        fn send(&mut self, _round: usize) -> crate::traffic::Traffic {
-            let mut t = crate::traffic::Traffic::new(&self.graph);
+        fn send_into(&mut self, _round: usize, out: &mut crate::traffic::Traffic) {
+            out.begin_round(&self.graph);
             for v in self.graph.nodes() {
                 for &(u, _) in self.graph.neighbors(v) {
-                    t.send(&self.graph, v, u, vec![v as u64]);
+                    out.send(&self.graph, v, u, [v as u64]);
                 }
             }
-            t
         }
         fn receive(&mut self, _round: usize, inbox: &crate::traffic::Traffic) {
             for v in self.graph.nodes() {
@@ -1736,54 +1698,23 @@ pub mod matrix {
     }
 
     /// Execute one grid cell: build the scenario for `gspec` × `aspec` ×
-    /// `cspec` with the given seed and run it.
+    /// `cspec` with the given seed and trace spec and run it.
     ///
     /// This is the single per-cell engine entry point: [`sweep`] calls it
     /// sequentially, and the `harness` campaign engine calls it from worker
     /// threads (everything a cell needs is constructed inside the call, so
-    /// nothing non-`Send` ever crosses a thread boundary).  The outcome is a
-    /// pure function of the specs and the seed, which is what makes parallel
+    /// nothing non-`Send` ever crosses a thread boundary).  The outcome —
+    /// the event stream on [`RunReport::trace`] included — is a pure
+    /// function of the specs and the seed, which is what makes parallel
     /// campaigns byte-identical at any thread count.
+    ///
+    /// `artifacts` optionally supplies pre-built [`CompileArtifacts`] for the
+    /// cell's `(graph, compiler)` pair (the campaign artifact cache does).
+    /// With `Some`, the scenario runs on the artifacts' CSR-warmed graph and
+    /// skips [`Compiler::prepare`]; with `None` it prepares inside the cell.
+    /// Because prepared artifacts are a pure function of `(graph, compiler)`,
+    /// both produce byte-identical reports.
     pub fn run_cell<P>(
-        gspec: &GraphSpec,
-        aspec: &AdversarySpec,
-        cspec: &CompilerSpec,
-        payload: &P,
-        seed: u64,
-    ) -> Result<RunReport, ScenarioError>
-    where
-        P: Fn(&Graph) -> BoxedAlgorithm + Clone + 'static,
-    {
-        run_cell_traced(gspec, aspec, cspec, payload, seed, obs::TraceSpec::off())
-    }
-
-    /// [`run_cell`] with an explicit trace spec: the cell's event stream and
-    /// per-phase wall profile come back on [`RunReport::trace`].  Because a
-    /// cell's trace is a pure function of the specs and the seed, traced
-    /// campaigns stay byte-identical at any worker-thread count.
-    pub fn run_cell_traced<P>(
-        gspec: &GraphSpec,
-        aspec: &AdversarySpec,
-        cspec: &CompilerSpec,
-        payload: &P,
-        seed: u64,
-        trace: obs::TraceSpec,
-    ) -> Result<RunReport, ScenarioError>
-    where
-        P: Fn(&Graph) -> BoxedAlgorithm + Clone + 'static,
-    {
-        run_cell_artifacts(gspec, aspec, cspec, payload, seed, trace, None)
-    }
-
-    /// [`run_cell_traced`] with optional pre-built [`CompileArtifacts`] for
-    /// the cell's `(graph, compiler)` pair, the entry point the campaign
-    /// artifact cache drives.  With `Some`, the scenario runs on the
-    /// artifacts' CSR-warmed graph and skips [`Compiler::prepare`]; with
-    /// `None` it behaves exactly like [`run_cell_traced`].  Because prepared
-    /// artifacts are a pure function of `(graph, compiler)`, both paths
-    /// produce byte-identical reports.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_cell_artifacts<P>(
         gspec: &GraphSpec,
         aspec: &AdversarySpec,
         cspec: &CompilerSpec,
@@ -1847,7 +1778,15 @@ pub mod matrix {
                         graph: gspec.name.clone(),
                         adversary: aspec.name.clone(),
                         compiler: cspec.name.clone(),
-                        outcome: run_cell(gspec, aspec, cspec, &payload, seed),
+                        outcome: run_cell(
+                            gspec,
+                            aspec,
+                            cspec,
+                            &payload,
+                            seed,
+                            obs::TraceSpec::off(),
+                            None,
+                        ),
                     });
                 }
             }
@@ -2013,12 +1952,13 @@ mod tests {
             fn kind(&self) -> CompilerKind {
                 CompilerKind::Secure
             }
-            fn compile(
+            fn execute(
                 &self,
-                payload: BoxedAlgorithm,
+                artifacts: &CompileArtifacts,
+                make: &dyn Fn() -> BoxedAlgorithm,
                 net: &mut Network,
             ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-                Uncompiled.compile(payload, net)
+                Uncompiled.execute(artifacts, make, net)
             }
         }
         let compilers = vec![CompilerSpec::of(FaultFree), CompilerSpec::of(SecureShim)];

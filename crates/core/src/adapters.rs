@@ -2,11 +2,12 @@
 //! `scenario` execution API.
 //!
 //! Each adapter is a cheap, `Clone` parameter holder; everything derived from
-//! the graph (star packings, greedy tree packings, cycle covers, key pools)
-//! is built inside `compile` from `net.graph()`.  That makes one adapter
-//! value reusable across a whole [`congest_sim::scenario::matrix`] sweep, and
-//! turns the constructors' former panics and `Option` returns into typed
-//! [`ScenarioError`]s at validation time:
+//! the graph alone (star packings, greedy tree packings, cycle covers) is
+//! built in `prepare`, everything seed- or adversary-dependent (key pools,
+//! under-attack packings) inside `execute` from `net.graph()`.  That makes one
+//! adapter value reusable across a whole [`congest_sim::scenario::matrix`]
+//! sweep, and turns the constructors' former panics and `Option` returns into
+//! typed [`ScenarioError`]s at validation time:
 //!
 //! | Adapter | Wraps | Paper result |
 //! |---|---|---|
@@ -137,11 +138,17 @@ fn resilient_packing_on(
     packing
 }
 
-/// [`resilient_packing_on`] against a network's own graph and tracer (the
-/// single-phase `compile` path).
-fn resilient_packing(net: &mut Network, k: usize, version: PackingVersion) -> TreePacking {
-    let (g, tracer) = net.graph_and_tracer();
-    resilient_packing_on(g, tracer, k, version)
+/// The payload `compiler`'s own `prepare` stored in `artifacts`, or the typed
+/// error for artifacts some other compiler prepared.
+fn prepared<'a, T: std::any::Any + Send + Sync>(
+    compiler: &impl Compiler,
+    artifacts: &'a CompileArtifacts,
+) -> Result<&'a T, ScenarioError> {
+    artifacts
+        .payload()
+        .ok_or_else(|| ScenarioError::ArtifactMismatch {
+            compiler: compiler.name(),
+        })
 }
 
 /// The number of trees the majority argument needs against `f` mobile faults
@@ -193,14 +200,6 @@ impl CliqueAdapter {
         self.variant = variant;
         self
     }
-
-    /// Build the wrapped compiler (star packing and all) under a packing span.
-    fn build_compiler(&self, g: &Graph, tracer: &mut obs::Tracer) -> CliqueCompiler {
-        tracer.span_open(obs::Phase::Packing);
-        let compiler = CliqueCompiler::new(g, self.f, self.seed).with_variant(self.variant);
-        tracer.span_close(obs::Phase::Packing);
-        compiler
-    }
 }
 
 impl Compiler for CliqueAdapter {
@@ -224,19 +223,6 @@ impl Compiler for CliqueAdapter {
         // experiments rather than enforced.
         validate_clique_floor(&self.name(), graph, self.f)
     }
-    fn compile(
-        &self,
-        mut payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let compiler = {
-            let (g, tracer) = net.graph_and_tracer();
-            self.build_compiler(g, tracer)
-        };
-        let (out, report) = compiler.run(&mut *payload, net);
-        Ok((out, resilient_notes(&report)))
-    }
     fn prepare(
         &self,
         graph: &Graph,
@@ -250,20 +236,23 @@ impl Compiler for CliqueAdapter {
                 reason: "the clique compiler requires the complete graph".into(),
             });
         }
-        let compiler = self.build_compiler(graph, tracer);
+        // The wrapped compiler, star packing and all, under a packing span.
+        tracer.span_open(obs::Phase::Packing);
+        let compiler = CliqueCompiler::new(graph, self.f, self.seed).with_variant(self.variant);
+        tracer.span_close(obs::Phase::Packing);
         Ok(CompileArtifacts::with_payload(graph, compiler))
     }
     fn execute(
         &self,
         artifacts: &CompileArtifacts,
-        mut payload: BoxedAlgorithm,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let Some(compiler) = artifacts.payload::<CliqueCompiler>() else {
-            return self.compile(payload, net);
-        };
+        // Full graph validation runs once at `ScenarioBuilder::build`; here
+        // only the cheap role check guards direct trait callers.
         validate_role(self, net.role())?;
-        let (out, report) = compiler.run(&mut *payload, net);
+        let compiler: &CliqueCompiler = prepared(self, artifacts)?;
+        let (out, report) = compiler.run(&mut *make(), net);
         Ok((out, resilient_notes(&report)))
     }
 }
@@ -339,20 +328,6 @@ impl Compiler for TreePackingAdapter {
         }
         validate_packing_feasible(&self.name(), graph, self.k, 2, self.f)
     }
-    fn compile(
-        &self,
-        mut payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        // Full graph validation runs once at `ScenarioBuilder::build`; here
-        // only the cheap role check guards direct trait callers.
-        validate_role(self, net.role())?;
-        let packing = resilient_packing(net, self.k, self.packing);
-        let compiler =
-            MobileByzantineCompiler::new(packing, self.f, self.seed).with_variant(self.variant);
-        let (out, report) = compiler.run(&mut *payload, net);
-        Ok((out, resilient_notes(&report)))
-    }
     fn prepare(
         &self,
         graph: &Graph,
@@ -363,22 +338,19 @@ impl Compiler for TreePackingAdapter {
         // is the correction context (schedule plan, spanning flags, broadcast
         // code, quality measurement) prepared alongside it.
         let packing = resilient_packing_on(graph, tracer, self.k, self.packing);
-        let compiler = MobileByzantineCompiler::new(packing, self.f, self.seed)
-            .with_variant(self.variant)
-            .contextualize(graph);
+        let compiler = MobileByzantineCompiler::new(graph, packing, self.f, self.seed)
+            .with_variant(self.variant);
         Ok(CompileArtifacts::with_payload(graph, compiler))
     }
     fn execute(
         &self,
         artifacts: &CompileArtifacts,
-        mut payload: BoxedAlgorithm,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let Some(compiler) = artifacts.payload::<MobileByzantineCompiler>() else {
-            return self.compile(payload, net);
-        };
         validate_role(self, net.role())?;
-        let (out, report) = compiler.run(&mut *payload, net);
+        let compiler: &MobileByzantineCompiler = prepared(self, artifacts)?;
+        let (out, report) = compiler.run(&mut *make(), net);
         Ok((out, resilient_notes(&report)))
     }
 }
@@ -395,26 +367,6 @@ impl CycleCoverAdapter {
     /// Adapter for an `f`-mobile byzantine adversary.
     pub fn new(f: usize) -> Self {
         CycleCoverAdapter { f }
-    }
-
-    /// Build the wrapped compiler (cover construction included), surfacing
-    /// insufficient connectivity as the same typed error `validate` gives.
-    fn build_compiler(&self, g: &Graph) -> Result<CycleCoverCompiler, ScenarioError> {
-        CycleCoverCompiler::new(g, self.f).ok_or_else(|| ScenarioError::InsufficientConnectivity {
-            compiler: self.name(),
-            needed: 2 * self.f + 1,
-            found: edge_connectivity(g),
-        })
-    }
-
-    /// Fold a cover report into the typed notes channel.
-    fn cover_notes(report: &crate::resilient::CycleCoverReport) -> CompilerNotes {
-        CompilerNotes::CycleCover {
-            paths_per_edge: report.paths_per_edge,
-            dilation: report.dilation,
-            congestion: report.congestion,
-            colors: report.colors,
-        }
     }
 }
 
@@ -438,39 +390,40 @@ impl Compiler for CycleCoverAdapter {
         }
         Ok(())
     }
-    fn compile(
-        &self,
-        mut payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let compiler = self.build_compiler(net.graph())?;
-        let (out, report) = compiler.run(&mut *payload, net);
-        Ok((out, Self::cover_notes(&report)))
-    }
     fn prepare(
         &self,
         graph: &Graph,
         tracer: &mut obs::Tracer,
     ) -> Result<CompileArtifacts, ScenarioError> {
         // The FT cycle cover is deterministic in the graph; the wrapped
-        // compiler carries no seed at all.
+        // compiler carries no seed at all.  Insufficient connectivity
+        // surfaces as the same typed error `validate` gives.
         let _ = tracer;
-        let compiler = self.build_compiler(graph)?;
+        let compiler = CycleCoverCompiler::new(graph, self.f).ok_or_else(|| {
+            ScenarioError::InsufficientConnectivity {
+                compiler: self.name(),
+                needed: 2 * self.f + 1,
+                found: edge_connectivity(graph),
+            }
+        })?;
         Ok(CompileArtifacts::with_payload(graph, compiler))
     }
     fn execute(
         &self,
         artifacts: &CompileArtifacts,
-        mut payload: BoxedAlgorithm,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let Some(compiler) = artifacts.payload::<CycleCoverCompiler>() else {
-            return self.compile(payload, net);
-        };
         validate_role(self, net.role())?;
-        let (out, report) = compiler.run(&mut *payload, net);
-        Ok((out, Self::cover_notes(&report)))
+        let compiler: &CycleCoverCompiler = prepared(self, artifacts)?;
+        let (out, report) = compiler.run(&mut *make(), net);
+        let notes = CompilerNotes::CycleCover {
+            paths_per_edge: report.paths_per_edge,
+            dilation: report.dilation,
+            congestion: report.congestion,
+            colors: report.colors,
+        };
+        Ok((out, notes))
     }
 }
 
@@ -524,14 +477,18 @@ impl Compiler for ExpanderAdapter {
         }
         Ok(())
     }
-    fn compile(
+    // Theorem 1.7's whole point is that the weak packing is *built while the
+    // adversary attacks* — it depends on the seed and the adversary, so the
+    // default graph-only `prepare` is all that is cacheable.
+    fn execute(
         &self,
-        mut payload: BoxedAlgorithm,
+        _artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         validate_role(self, net.role())?;
         let (out, report) = run_expander_compiled(
-            &mut *payload,
+            &mut *make(),
             net,
             self.f,
             self.k,
@@ -552,22 +509,11 @@ impl Compiler for ExpanderAdapter {
         };
         Ok((out, notes))
     }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        // Theorem 1.7's whole point is that the weak packing is *built while
-        // the adversary attacks* — it depends on the seed and the adversary,
-        // so only the warmed graph is seed-independent and cacheable.
-        let _ = tracer;
-        Ok(CompileArtifacts::graph_only(graph))
-    }
 }
 
-/// Theorem 4.1: the round-error-rate rewind compiler.  Needs a replayable
-/// payload, so it only runs through [`Compiler::compile_replayable`] (the
-/// `Scenario` pipeline always does).
+/// Theorem 4.1: the round-error-rate rewind compiler.  Rewinding re-simulates
+/// the payload from the committed prefix, so `execute` calls its payload
+/// factory once per global round.
 #[derive(Debug, Clone, Copy)]
 pub struct RewindAdapter {
     /// The average per-round corruption bound to withstand.
@@ -580,34 +526,6 @@ impl RewindAdapter {
     /// Adapter for an `f`-average-rate byzantine adversary.
     pub fn new(f: usize, seed: u64) -> Self {
         RewindAdapter { f, seed }
-    }
-
-    /// Drive the wrapped [`RewindCompiler`] over `packing` and fold its
-    /// report into the typed notes channel.
-    fn run_rewind(
-        &self,
-        packing: TreePacking,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let compiler = RewindCompiler::new(packing, self.f, self.seed);
-        let (out, report) = compiler.run(make, net);
-        if !report.completed {
-            return Err(ScenarioError::IncompleteRun {
-                compiler: self.name(),
-                detail: format!(
-                    "committed only {} rounds after {} rewinds in {} global rounds",
-                    report.committed_rounds, report.rewinds, report.global_rounds
-                ),
-            });
-        }
-        let notes = CompilerNotes::Rewind {
-            rewinds: report.rewinds,
-            committed_rounds: report.committed_rounds,
-            global_rounds: report.global_rounds,
-            completed: report.completed,
-        };
-        Ok((out, notes))
     }
 }
 
@@ -625,26 +543,6 @@ impl Compiler for RewindAdapter {
         }
         validate_packing_feasible(&self.name(), graph, default_tree_count(self.f), 2, self.f)
     }
-    fn compile(
-        &self,
-        _payload: BoxedAlgorithm,
-        _net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        Err(ScenarioError::ReplayRequired {
-            compiler: self.name(),
-        })
-    }
-    fn compile_replayable(
-        &self,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        // Full graph validation runs once at `ScenarioBuilder::build`; here
-        // only the cheap role check guards direct trait callers.
-        validate_role(self, net.role())?;
-        let packing = resilient_packing(net, default_tree_count(self.f), PackingVersion::default());
-        self.run_rewind(packing, make, net)
-    }
     fn prepare(
         &self,
         graph: &Graph,
@@ -660,17 +558,32 @@ impl Compiler for RewindAdapter {
         );
         Ok(CompileArtifacts::with_payload(graph, packing))
     }
-    fn execute_replayable(
+    fn execute(
         &self,
         artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        let Some(packing) = artifacts.payload::<TreePacking>() else {
-            return self.compile_replayable(make, net);
-        };
         validate_role(self, net.role())?;
-        self.run_rewind(packing.clone(), make, net)
+        let packing: &TreePacking = prepared(self, artifacts)?;
+        let compiler = RewindCompiler::new(packing.clone(), self.f, self.seed);
+        let (out, report) = compiler.run(make, net);
+        if !report.completed {
+            return Err(ScenarioError::IncompleteRun {
+                compiler: self.name(),
+                detail: format!(
+                    "committed only {} rounds after {} rewinds in {} global rounds",
+                    report.committed_rounds, report.rewinds, report.global_rounds
+                ),
+            });
+        }
+        let notes = CompilerNotes::Rewind {
+            rewinds: report.rewinds,
+            committed_rounds: report.committed_rounds,
+            global_rounds: report.global_rounds,
+            completed: report.completed,
+        };
+        Ok((out, notes))
     }
 }
 
@@ -715,30 +628,23 @@ impl Compiler for StaticToMobileAdapter {
         }
         Ok(())
     }
-    fn compile(
+    // Key schedules are exchanged *over the network* per run (the pads depend
+    // on node randomness the eavesdropper races against), so the default
+    // graph-only `prepare` is all that is cacheable.
+    fn execute(
         &self,
-        mut payload: BoxedAlgorithm,
+        _artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         self.validate(net.graph(), net.role())?;
         let compiler = StaticToMobileCompiler::new(self.t, self.words_per_message, self.seed);
-        let (out, report) = compiler.run(&mut *payload, net);
+        let (out, report) = compiler.run(&mut *make(), net);
         let notes = CompilerNotes::Secure {
             key_rounds: report.key_rounds,
             simulation_rounds: report.simulation_rounds,
         };
         Ok((out, notes))
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        // Key schedules are exchanged *over the network* per run (the pads
-        // depend on node randomness the eavesdropper races against), so only
-        // the warmed graph is seed-independent and cacheable.
-        let _ = tracer;
-        Ok(CompileArtifacts::graph_only(graph))
     }
 }
 
@@ -802,14 +708,18 @@ impl Compiler for CongestionSensitiveAdapter {
         }
         Ok(())
     }
-    fn compile(
+    // Both the local and the global key exchanges run over the live
+    // (eavesdropped) network, so nothing beyond the default graph-only
+    // `prepare` is seed-independent.
+    fn execute(
         &self,
-        mut payload: BoxedAlgorithm,
+        _artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         self.validate(net.graph(), net.role())?;
         let compiler = CongestionSensitiveCompiler::new(self.f, self.words_per_message, self.seed);
-        let (out, report) = compiler.run(&mut *payload, net, self.source);
+        let (out, report) = compiler.run(&mut *make(), net, self.source);
         let notes = CompilerNotes::CongestionSensitive {
             local_key_rounds: report.local_key_rounds,
             global_key_rounds: report.global_key_rounds,
@@ -817,17 +727,6 @@ impl Compiler for CongestionSensitiveAdapter {
             congestion: report.congestion,
         };
         Ok((out, notes))
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        // Both the local and the global key exchanges run over the live
-        // (eavesdropped) network, so nothing beyond the warmed graph is
-        // seed-independent.
-        let _ = tracer;
-        Ok(CompileArtifacts::graph_only(graph))
     }
 }
 
@@ -1026,9 +925,10 @@ mod tests {
             CorruptionBudget::Mobile { f: 1 },
             2,
         );
-        let err = CliqueAdapter::new(1, 3)
-            .compile(Box::new(LeaderElection::new(g.clone())), &mut eaves)
-            .unwrap_err();
+        let adapter = CliqueAdapter::new(1, 3);
+        let artifacts = adapter.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+        let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
+        let err = adapter.execute(&artifacts, &make, &mut eaves).unwrap_err();
         assert!(matches!(
             err,
             ScenarioError::RoleMismatch {
@@ -1039,15 +939,39 @@ mod tests {
     }
 
     #[test]
-    fn rewind_adapter_requires_replay() {
+    fn foreign_artifacts_are_a_typed_mismatch_not_a_silent_rebuild() {
+        let g = generators::complete(8);
+        let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
+        let foreign = CliqueAdapter::new(1, 3)
+            .prepare(&g, &mut obs::Tracer::disabled())
+            .unwrap();
+        let adapter = TreePackingAdapter::new(1, 3);
+        let mut net = Network::fault_free(g.clone());
+        assert_eq!(
+            adapter.execute(&foreign, &make, &mut net).unwrap_err(),
+            ScenarioError::ArtifactMismatch {
+                compiler: adapter.name()
+            }
+        );
+        assert_eq!(net.round(), 0, "nothing ran");
+        // Graph-only artifacts (no payload at all) are a mismatch too.
+        let bare = CompileArtifacts::graph_only(&g);
+        assert!(matches!(
+            RewindAdapter::new(1, 3).execute(&bare, &make, &mut net),
+            Err(ScenarioError::ArtifactMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn rewind_adapter_runs_through_plain_execute() {
         let g = generators::complete(8);
         let adapter = RewindAdapter::new(1, 3);
+        let artifacts = adapter.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+        let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
         let mut net = Network::fault_free(g.clone());
-        let gg = g.clone();
-        let err = adapter
-            .compile(Box::new(LeaderElection::new(gg)), &mut net)
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::ReplayRequired { .. }));
+        let (out, notes) = adapter.execute(&artifacts, &make, &mut net).unwrap();
+        assert_eq!(out, congest_sim::run_fault_free(&mut *make()));
+        assert_eq!(notes.rewinds(), Some(0));
     }
 
     #[test]

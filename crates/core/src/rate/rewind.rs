@@ -27,11 +27,11 @@
 //! The protected algorithm is supplied as a *factory* because rewinding means
 //! re-simulating it from the committed transcript prefix.
 
-use crate::resilient::correction::{sparse_majority_correction_ctx, CorrectionContext};
+use crate::resilient::correction::{sparse_majority_correction, CorrectionContext};
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
-use interactive_coding::RsScheduler;
+use interactive_coding::{most_frequent, RsScheduler};
 use netgraph::tree_packing::TreePacking;
 
 /// Report of a rewind-compiled run.
@@ -98,6 +98,8 @@ impl RewindCompiler {
         let mut committed: Vec<Traffic> = Vec::new();
         let mut rewinds = 0usize;
         let mut progress_trace = Vec::with_capacity(global_rounds);
+        // The replayed rounds' messages, one buffer for the whole run.
+        let mut intended = Traffic::new(&g);
 
         for _global in 0..global_rounds {
             if committed.len() >= r {
@@ -109,10 +111,10 @@ impl RewindCompiler {
             // Recompute the intended messages of `sim_round` from the committed prefix.
             let mut replay = make_alg();
             for (j, delivered) in committed.iter().enumerate() {
-                let _ = replay.send(j);
+                replay.send_into(j, &mut intended);
                 replay.receive(j, delivered);
             }
-            let intended = replay.send(sim_round);
+            replay.send_into(sim_round, &mut intended);
 
             // Phase A: round-initialisation — repeat the exchange and take the
             // per-arc majority.
@@ -120,21 +122,19 @@ impl RewindCompiler {
             for _ in 0..self.repetitions.max(1) {
                 copies.push(net.exchange(intended.clone()));
             }
+            // Ties go to the smallest value, an absent message first (the
+            // `most_frequent` rule), so the vote — and with it the whole
+            // trajectory — is the same on every run.
             let mut majority = Traffic::new(&g);
             for arc in 0..g.arc_count() {
-                let mut counts: std::collections::HashMap<Option<&[u64]>, usize> =
-                    std::collections::HashMap::new();
-                for c in &copies {
-                    *counts.entry(c.get_arc(arc)).or_insert(0) += 1;
-                }
-                if let Some((val, _)) = counts.into_iter().max_by_key(|(_, c)| *c) {
+                if let Some(val) = most_frequent(copies.iter().map(|c| c.get_arc(arc))) {
                     majority.set_arc(arc, val);
                 }
             }
 
             // Phase B: message correction (Lemma 4.2).
             net.tracer_mut().span_open(obs::Phase::Correction);
-            let (corrected, _rep) = sparse_majority_correction_ctx(
+            let (corrected, _rep) = sparse_majority_correction(
                 net,
                 &ctx,
                 &self.packing,
@@ -182,7 +182,7 @@ impl RewindCompiler {
         let completed = committed.len() >= r;
         let mut final_alg = make_alg();
         for (j, delivered) in committed.iter().take(r).enumerate() {
-            let _ = final_alg.send(j);
+            final_alg.send_into(j, &mut intended);
             final_alg.receive(j, delivered);
         }
         let report = RewindReport {
@@ -206,8 +206,9 @@ where
     F: Fn() -> A,
 {
     let mut replay = make_alg();
+    let mut intended = Traffic::default();
     for (j, delivered) in committed.iter().enumerate() {
-        let intended = replay.send(j);
+        replay.send_into(j, &mut intended);
         // The committed traffic may legitimately differ from `intended` only by
         // having *no more* information (e.g. dropped empty slots); any arc whose
         // committed value is present but different from the intended one marks

@@ -76,20 +76,6 @@ impl Compiler for CompilerDef {
         // The inherent `CompilerDef::kind` — already the adapter's kind.
         CompilerDef::kind(self)
     }
-    fn compile(
-        &self,
-        payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        instantiate(self).compile(payload, net)
-    }
-    fn compile_replayable(
-        &self,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        instantiate(self).compile_replayable(make, net)
-    }
     fn prepare(
         &self,
         graph: &Graph,
@@ -100,18 +86,10 @@ impl Compiler for CompilerDef {
     fn execute(
         &self,
         artifacts: &CompileArtifacts,
-        payload: BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        instantiate(self).execute(artifacts, payload, net)
-    }
-    fn execute_replayable(
-        &self,
-        artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        instantiate(self).execute_replayable(artifacts, make, net)
+        instantiate(self).execute(artifacts, make, net)
     }
     fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
         instantiate(self).validate(graph, role)

@@ -21,7 +21,7 @@
 //!   mismatch decay of Lemma 3.8 (instrumented so the experiments can plot
 //!   `B_j`).
 
-use crate::resilient::safe_broadcast::{ecc_safe_broadcast_ctx, BroadcastContext};
+use crate::resilient::safe_broadcast::{ecc_safe_broadcast, BroadcastContext};
 use congest_sim::network::Network;
 use congest_sim::traffic::Traffic;
 use interactive_coding::{RsScheduler, SchedulePlan};
@@ -202,8 +202,7 @@ pub struct CorrectionReport {
 /// and a Vandermonde inversion.  All of that is a pure function of the graph
 /// and the packing, so the compilers build this once — in `Compiler::prepare`,
 /// where the campaign artifact cache shares it across every `(seed, adversary)`
-/// cell of a grid.  Correcting through a context is byte-identical to the
-/// plain entry points.
+/// cell of a grid.
 ///
 /// # Panics
 ///
@@ -252,27 +251,11 @@ impl CorrectionContext {
 /// The `Õ(D_TP + f)` correction: per-tree `s`-sparse recovery + majority over
 /// trees + one safe broadcast of the mismatch list.
 ///
-/// `sent` is the ground-truth traffic of the protected round (known piecewise
-/// to the senders), `received` is what the adversary delivered.  Returns the
+/// `ctx` is the [`CorrectionContext`] of `(net.graph(), packing)`; `sent` is
+/// the ground-truth traffic of the protected round (known piecewise to the
+/// senders), `received` is what the adversary delivered.  Returns the
 /// corrected received traffic and a report.
-///
-/// Builds a fresh [`CorrectionContext`] per call; callers correcting over the
-/// same packing repeatedly should build the context once and use
-/// [`sparse_majority_correction_ctx`].
 pub fn sparse_majority_correction(
-    net: &mut Network,
-    packing: &TreePacking,
-    sent: &Traffic,
-    received: &Traffic,
-    sparsity: usize,
-    seed: u64,
-) -> (Traffic, CorrectionReport) {
-    let ctx = CorrectionContext::new(net.graph(), packing);
-    sparse_majority_correction_ctx(net, &ctx, packing, sent, received, sparsity, seed)
-}
-
-/// [`sparse_majority_correction`] through a precomputed [`CorrectionContext`].
-pub fn sparse_majority_correction_ctx(
     net: &mut Network,
     ctx: &CorrectionContext,
     packing: &TreePacking,
@@ -362,7 +345,7 @@ pub fn sparse_majority_correction_ctx(
             .collect();
         for attempt in 0..3 {
             let (per_node, bcast) =
-                ecc_safe_broadcast_ctx(net, &ctx.bcast, &words, seed ^ 0xB0 ^ attempt);
+                ecc_safe_broadcast(net, &ctx.bcast, &words, seed ^ 0xB0 ^ attempt);
             if std::env::var("MC_DEBUG").is_ok() {
                 eprintln!(
                     "[bcast attempt {attempt}] words={} node0_some={} node0_eq={} unanimous={} maxfail={}",
@@ -410,39 +393,13 @@ pub fn sparse_majority_correction_ctx(
 }
 
 /// The `Õ(D_TP)` correction: `O(log f)` iterations of per-tree ℓ0-sampling with
-/// support thresholds (Algorithm `ImprovedMobileByznatineSim`, Steps 2–3).
+/// support thresholds (Algorithm `ImprovedMobileByznatineSim`, Steps 2–3),
+/// through the [`CorrectionContext`] of `(net.graph(), packing)`.
 ///
 /// Returns the corrected traffic and a report whose `decay` field records the
 /// number of mismatched arcs after every iteration (the `B_j` of Lemma 3.8).
-///
-/// Builds a fresh [`CorrectionContext`] per call; callers correcting over the
-/// same packing repeatedly should build the context once and use
-/// [`l0_threshold_correction_ctx`].
-pub fn l0_threshold_correction(
-    net: &mut Network,
-    packing: &TreePacking,
-    sent: &Traffic,
-    received: &Traffic,
-    f: usize,
-    samplers_per_tree: usize,
-    seed: u64,
-) -> (Traffic, CorrectionReport) {
-    let ctx = CorrectionContext::new(net.graph(), packing);
-    l0_threshold_correction_ctx(
-        net,
-        &ctx,
-        packing,
-        sent,
-        received,
-        f,
-        samplers_per_tree,
-        seed,
-    )
-}
-
-/// [`l0_threshold_correction`] through a precomputed [`CorrectionContext`].
 #[allow(clippy::too_many_arguments)]
-pub fn l0_threshold_correction_ctx(
+pub fn l0_threshold_correction(
     net: &mut Network,
     ctx: &CorrectionContext,
     packing: &TreePacking,
@@ -536,12 +493,8 @@ pub fn l0_threshold_correction_ctx(
                 .flat_map(|(&el, &fq)| [el, fq as u64])
                 .collect();
             for attempt in 0..2 {
-                let (per_node, bcast) = ecc_safe_broadcast_ctx(
-                    net,
-                    &ctx.bcast,
-                    &words,
-                    seed ^ (j as u64) ^ (attempt << 8),
-                );
+                let (per_node, bcast) =
+                    ecc_safe_broadcast(net, &ctx.bcast, &words, seed ^ (j as u64) ^ (attempt << 8));
                 if let Some(decoded) = &per_node[0] {
                     let mut corrections = BTreeMap::new();
                     for pair in decoded.chunks(2) {
@@ -622,6 +575,7 @@ mod tests {
     fn sparse_correction_fixes_mobile_corruption() {
         let g = generators::complete(16);
         let packing = star_packing(&g, 0);
+        let ctx = CorrectionContext::new(&g, &packing);
         let f = 2;
         let mut net = Network::new(
             g.clone(),
@@ -639,7 +593,7 @@ mod tests {
         }
         let received = net.exchange(sent.clone());
         let (corrected, report) =
-            sparse_majority_correction(&mut net, &packing, &sent, &received, 8 * f, 11);
+            sparse_majority_correction(&mut net, &ctx, &packing, &sent, &received, 8 * f, 11);
         assert_eq!(
             report.mismatches_after, 0,
             "correction left mismatches: before={} after={}",
@@ -652,11 +606,12 @@ mod tests {
     fn sparse_correction_noop_when_clean() {
         let g = generators::complete(8);
         let packing = star_packing(&g, 0);
+        let ctx = CorrectionContext::new(&g, &packing);
         let mut net = Network::fault_free(g.clone());
         let sent = traffic_with(&g, &[(0, 1, vec![5]), (3, 2, vec![9, 9])]);
         let received = sent.clone();
         let (corrected, report) =
-            sparse_majority_correction(&mut net, &packing, &sent, &received, 8, 1);
+            sparse_majority_correction(&mut net, &ctx, &packing, &sent, &received, 8, 1);
         assert_eq!(report.mismatches_before, 0);
         assert_eq!(report.mismatches_after, 0);
         assert!(corrected.agrees_with(&sent));
@@ -666,6 +621,7 @@ mod tests {
     fn l0_threshold_correction_decays_mismatches() {
         let g = generators::complete(20);
         let packing = star_packing(&g, 0);
+        let ctx = CorrectionContext::new(&g, &packing);
         let f = 1;
         let mut net = Network::new(
             g.clone(),
@@ -681,7 +637,8 @@ mod tests {
             }
         }
         let received = net.exchange(sent.clone());
-        let (_, report) = l0_threshold_correction(&mut net, &packing, &sent, &received, f, 8, 17);
+        let (_, report) =
+            l0_threshold_correction(&mut net, &ctx, &packing, &sent, &received, f, 8, 17);
         assert!(
             report.mismatches_after <= report.mismatches_before,
             "decay: {:?}",

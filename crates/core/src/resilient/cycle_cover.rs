@@ -14,7 +14,7 @@ use congest_sim::traffic::{Output, Payload, Traffic};
 use congest_sim::CongestAlgorithm;
 use netgraph::cycle_cover::FtCycleCover;
 use netgraph::{EdgeId, Graph, NodeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Report of a cycle-cover-compiled run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,8 +74,9 @@ impl CycleCoverCompiler {
             .map(|c| c + 1)
             .unwrap_or(0);
 
+        let mut sent = Traffic::new(&g);
         for round in 0..r {
-            let sent = alg.send(round);
+            alg.send_into(round, &mut sent);
             let mut corrected = Traffic::new(&g);
             // Process colour classes one after the other; within a class all
             // path systems are edge-disjoint, so all their floods share rounds.
@@ -204,20 +205,8 @@ fn flood_instances(
     }
 
     arrived
-        .into_iter()
-        .map(|values| {
-            if values.is_empty() {
-                return None;
-            }
-            let mut counts: HashMap<&Payload, usize> = HashMap::new();
-            for v in &values {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-            counts
-                .into_iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-                .map(|(v, _)| v.clone())
-        })
+        .iter()
+        .map(|values| interactive_coding::majority(values))
         .collect()
 }
 

@@ -158,7 +158,7 @@ pub fn run_expander_compiled<A: CongestAlgorithm + ?Sized>(
     seed: u64,
 ) -> (Vec<Output>, ExpanderCompilerReport) {
     let (packing, packing_report) = weak_packing_under_attack(net, k, bfs_rounds, seed);
-    let compiler = MobileByzantineCompiler::new(packing, f, seed ^ 0xE0);
+    let compiler = MobileByzantineCompiler::new(net.graph(), packing, f, seed ^ 0xE0);
     let (out, compilation) = compiler.run(alg, net);
     (
         out,

@@ -61,8 +61,7 @@ pub fn rs_error_capacity(k: usize) -> usize {
 /// so building this per call repeats `O(k·n)` spanning walks and a Vandermonde
 /// inversion every time.  Build it once per packing instead — in
 /// `Compiler::prepare`, where the campaign artifact cache shares it across
-/// cells.  The context is pure precomputation: broadcasting through it is
-/// byte-identical to the plain entry point.
+/// cells.
 #[derive(Debug, Clone)]
 pub struct BroadcastContext {
     packing: TreePacking,
@@ -106,39 +105,24 @@ impl BroadcastContext {
     }
 }
 
-/// Broadcast `message` from the packing's common root to all nodes, resiliently
-/// against the byzantine adversary configured on `net`.
+/// Broadcast `message` from the root of `ctx`'s packing to all nodes,
+/// resiliently against the byzantine adversary configured on `net`.
 ///
 /// Returns each node's decoded message (`None` only if decoding failed, which
 /// the Lemma 3.6 parameter regime rules out) and a report.
 ///
-/// # Panics
-///
-/// Panics if the packing is empty or the message is empty.
-pub fn ecc_safe_broadcast(
-    net: &mut Network,
-    packing: &TreePacking,
-    message: &[u64],
-    seed: u64,
-) -> (Vec<Option<Vec<u64>>>, SafeBroadcastReport) {
-    let ctx = BroadcastContext::new(net.graph(), packing);
-    ecc_safe_broadcast_ctx(net, &ctx, message, seed)
-}
-
-/// [`ecc_safe_broadcast`] through a precomputed [`BroadcastContext`].
-///
-/// Beyond reusing the context's plan, flags, and code, this entry point decodes
-/// each chunk **once** instead of once per node: the received word is built
-/// from the family run report and the garbage stream, neither of which depends
-/// on the receiving node, so all `n` decoders see identical input by
-/// construction.  (That is the Lemma 3.6 worst case — the adversary coordinates
-/// the garbage across nodes — and has been this module's semantics from the
-/// start; the per-node decode was `n−1` redundant Berlekamp–Welch solves.)
+/// Each chunk is decoded **once** instead of once per node: the received word
+/// is built from the family run report and the garbage stream, neither of
+/// which depends on the receiving node, so all `n` decoders see identical
+/// input by construction.  (That is the Lemma 3.6 worst case — the adversary
+/// coordinates the garbage across nodes — and has been this module's
+/// semantics from the start; a per-node decode would be `n−1` redundant
+/// Berlekamp–Welch solves.)
 ///
 /// # Panics
 ///
 /// Panics if the message is empty.
-pub fn ecc_safe_broadcast_ctx(
+pub fn ecc_safe_broadcast(
     net: &mut Network,
     ctx: &BroadcastContext,
     message: &[u64],
@@ -244,9 +228,10 @@ mod tests {
     fn fault_free_safe_broadcast() {
         let g = generators::complete(10);
         let packing = star_packing(&g, 0);
+        let ctx = BroadcastContext::new(&g, &packing);
         let mut net = Network::fault_free(g);
         let msg = vec![0xDEAD_BEEF_u64, 77, u64::MAX];
-        let (out, report) = ecc_safe_broadcast(&mut net, &packing, &msg, 1);
+        let (out, report) = ecc_safe_broadcast(&mut net, &ctx, &msg, 1);
         assert!(report.unanimous);
         assert!(out.iter().all(|o| o.as_deref() == Some(&msg[..])));
         assert_eq!(report.max_failed_trees, 0);
@@ -256,9 +241,10 @@ mod tests {
     fn survives_mobile_adversary_on_clique() {
         let g = generators::complete(16);
         let packing = star_packing(&g, 0);
+        let ctx = BroadcastContext::new(&g, &packing);
         let mut net = byz_net(g, 2, 9);
         let msg = vec![123456789u64, 42];
-        let (_, report) = ecc_safe_broadcast(&mut net, &packing, &msg, 3);
+        let (_, report) = ecc_safe_broadcast(&mut net, &ctx, &msg, 3);
         assert!(
             report.unanimous,
             "broadcast failed: {} trees failed (capacity {})",
@@ -271,6 +257,7 @@ mod tests {
     fn survives_traffic_targeting_adversary() {
         let g = generators::complete(16);
         let packing = star_packing(&g, 0);
+        let ctx = BroadcastContext::new(&g, &packing);
         let f = 2;
         let mut net = Network::new(
             g.clone(),
@@ -280,7 +267,7 @@ mod tests {
             5,
         );
         let msg = vec![0xABCDu64];
-        let (_, report) = ecc_safe_broadcast(&mut net, &packing, &msg, 7);
+        let (_, report) = ecc_safe_broadcast(&mut net, &ctx, &msg, 7);
         assert!(report.unanimous);
     }
 
@@ -288,9 +275,10 @@ mod tests {
     fn long_messages_are_chunked() {
         let g = generators::complete(12);
         let packing = star_packing(&g, 0);
+        let ctx = BroadcastContext::new(&g, &packing);
         let mut net = Network::fault_free(g);
         let msg: Vec<u64> = (0..20).map(|i| i * 1_000_003).collect();
-        let (out, report) = ecc_safe_broadcast(&mut net, &packing, &msg, 1);
+        let (out, report) = ecc_safe_broadcast(&mut net, &ctx, &msg, 1);
         assert!(report.chunks > 1);
         assert!(report.unanimous);
         assert_eq!(out[5].as_deref(), Some(&msg[..]));
@@ -301,7 +289,8 @@ mod tests {
     fn empty_message_rejected() {
         let g = generators::complete(6);
         let packing = star_packing(&g, 0);
+        let ctx = BroadcastContext::new(&g, &packing);
         let mut net = Network::fault_free(g);
-        let _ = ecc_safe_broadcast(&mut net, &packing, &[], 1);
+        let _ = ecc_safe_broadcast(&mut net, &ctx, &[], 1);
     }
 }

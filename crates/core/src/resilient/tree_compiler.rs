@@ -16,8 +16,7 @@
 //! regimes; both are selectable via [`CorrectionVariant`].
 
 use crate::resilient::correction::{
-    l0_threshold_correction_ctx, sparse_majority_correction_ctx, CorrectionContext,
-    CorrectionReport,
+    l0_threshold_correction, sparse_majority_correction, CorrectionContext, CorrectionReport,
 };
 use congest_sim::network::Network;
 use congest_sim::traffic::Output;
@@ -70,68 +69,45 @@ pub struct MobileByzantineCompiler {
     pub variant: CorrectionVariant,
     /// Seed for the compiler's randomness (sketch seeds, share padding).
     pub seed: u64,
-    /// Precomputed per-`(graph, packing)` state, built by
-    /// [`MobileByzantineCompiler::contextualize`] (ideally from
-    /// `Compiler::prepare`, so the campaign artifact cache shares it across
-    /// cells).  `run` falls back to building it on the fly.
-    prepared: Option<PreparedPacking>,
-}
-
-/// Everything about a `(graph, packing)` pair the compiler needs per run but
-/// that does not depend on the adversary, the seed or the payload: the
-/// correction context and the packing-quality measurement (which runs a
-/// min-cut computation).
-#[derive(Debug, Clone)]
-struct PreparedPacking {
+    // Everything about the `(graph, packing)` pair the compiler needs per run
+    // but that does not depend on the adversary, the seed or the payload:
+    // the correction context and the packing-quality measurement (which runs
+    // a min-cut computation).
     ctx: CorrectionContext,
     quality: PackingQuality,
 }
 
-impl PreparedPacking {
-    fn new(g: &Graph, packing: &TreePacking) -> Self {
+impl MobileByzantineCompiler {
+    /// Create a compiler from an explicit tree packing of `g`, the graph it
+    /// will run on.
+    ///
+    /// This precomputes the per-graph correction state (schedule plan,
+    /// spanning flags, broadcast code, packing quality) — the expensive,
+    /// adversary-independent half of a compiled run.  Adapters build the
+    /// compiler in `Compiler::prepare`, so the artifact cache pays for it
+    /// once per `(graph, compiler)` pair instead of once per cell.
+    pub fn new(g: &Graph, packing: TreePacking, f: usize, seed: u64) -> Self {
         // Measured at the packing's own height: `good_trees` counts the
         // spanning, root-anchored trees the correction majority can use.
         let quality = PackingQuality::measure(
             g,
-            packing,
+            &packing,
             packing.trees.first().map_or(0, |t| t.root),
             packing.max_height(),
         );
-        PreparedPacking {
-            ctx: CorrectionContext::new(g, packing),
-            quality,
-        }
-    }
-}
-
-impl MobileByzantineCompiler {
-    /// Create a compiler from an explicit tree packing.
-    pub fn new(packing: TreePacking, f: usize, seed: u64) -> Self {
         MobileByzantineCompiler {
+            ctx: CorrectionContext::new(g, &packing),
+            quality,
             packing,
             f,
             variant: CorrectionVariant::SparseMajority,
             seed,
-            prepared: None,
         }
     }
 
     /// Select the correction variant (default: sparse majority).
     pub fn with_variant(mut self, variant: CorrectionVariant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Precompute the per-graph correction state (schedule plan, spanning
-    /// flags, broadcast code, packing quality) for running on `g`.
-    ///
-    /// This is the expensive, adversary-independent half of a compiled run;
-    /// adapters call it from `Compiler::prepare` so the artifact cache pays it
-    /// once per `(graph, compiler)` pair instead of once per cell.  `g` must
-    /// be the graph the compiler will run on — `run` recomputes the state on
-    /// the fly when no context was prepared, with identical results.
-    pub fn contextualize(mut self, g: &Graph) -> Self {
-        self.prepared = Some(PreparedPacking::new(g, &self.packing));
         self
     }
 
@@ -149,15 +125,6 @@ impl MobileByzantineCompiler {
     ) -> (Vec<Output>, ByzantineCompilerReport) {
         let start = net.round();
         let r = alg.rounds();
-        let local;
-        let prepared = match &self.prepared {
-            Some(p) => p,
-            None => {
-                local = PreparedPacking::new(net.graph(), &self.packing);
-                &local
-            }
-        };
-        let packing_quality = prepared.quality;
         let mut per_round = Vec::with_capacity(r);
         // Round buffers, reused across all simulated rounds.
         let mut sent = congest_sim::traffic::Traffic::new(net.graph());
@@ -172,18 +139,18 @@ impl MobileByzantineCompiler {
             let sparsity = 8 * self.f.max(1) * (sent.max_words().max(1) + 1);
             net.tracer_mut().span_open(obs::Phase::Correction);
             let (corrected, report) = match self.variant {
-                CorrectionVariant::SparseMajority => sparse_majority_correction_ctx(
+                CorrectionVariant::SparseMajority => sparse_majority_correction(
                     net,
-                    &prepared.ctx,
+                    &self.ctx,
                     &self.packing,
                     &sent,
                     &received,
                     sparsity,
                     self.seed ^ ((round as u64) << 20),
                 ),
-                CorrectionVariant::L0Threshold => l0_threshold_correction_ctx(
+                CorrectionVariant::L0Threshold => l0_threshold_correction(
                     net,
-                    &prepared.ctx,
+                    &self.ctx,
                     &self.packing,
                     &sent,
                     &received,
@@ -204,7 +171,7 @@ impl MobileByzantineCompiler {
                 network_rounds: net.round() - start,
                 per_round,
                 fully_corrected,
-                packing_quality,
+                packing_quality: self.quality,
             },
         )
     }
@@ -227,10 +194,7 @@ impl CliqueCompiler {
     pub fn new(g: &Graph, f: usize, seed: u64) -> Self {
         let packing = star_packing(g, 0);
         CliqueCompiler {
-            // The clique compiler always knows its graph up front, so the
-            // correction context is prepared here — `prepare` paths hand the
-            // whole compiler (context included) to the artifact cache.
-            inner: MobileByzantineCompiler::new(packing, f, seed).contextualize(g),
+            inner: MobileByzantineCompiler::new(g, packing, f, seed),
         }
     }
 
@@ -347,7 +311,7 @@ mod tests {
         let f = 1;
         let packing = greedy_low_depth_packing(&g, 0, 9, 2);
         let expected = run_fault_free(&mut LeaderElection::new(g.clone()));
-        let compiler = MobileByzantineCompiler::new(packing, f, 11);
+        let compiler = MobileByzantineCompiler::new(&g, packing, f, 11);
         let mut net = byz_net(g.clone(), f, 21);
         let (out, report) = compiler.run(&mut LeaderElection::new(g.clone()), &mut net);
         assert_eq!(out, expected);
@@ -359,7 +323,7 @@ mod tests {
         let g = generators::complete(20);
         let f = 1;
         let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 99));
-        let compiler = MobileByzantineCompiler::new(star_packing(&g, 0), f, 3)
+        let compiler = MobileByzantineCompiler::new(&g, star_packing(&g, 0), f, 3)
             .with_variant(CorrectionVariant::L0Threshold);
         let mut net = byz_net(g.clone(), f, 9);
         let (out, _report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 99), &mut net);

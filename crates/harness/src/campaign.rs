@@ -7,7 +7,7 @@ use crate::engine;
 use crate::json::{json_num, json_str};
 use crate::spec::{CampaignSpec, SpecError};
 use crate::stats::StatSummary;
-use congest_sim::scenario::matrix::{run_cell_artifacts, AdversarySpec, CompilerSpec, GraphSpec};
+use congest_sim::scenario::matrix::{run_cell, AdversarySpec, CompilerSpec, GraphSpec};
 use congest_sim::scenario::{BoxedAlgorithm, RunReport, ScenarioError};
 use netgraph::Graph;
 use std::sync::Arc;
@@ -251,7 +251,7 @@ impl Campaign {
     /// Cells are enumerated graph-major, then adversary, then compiler, with
     /// repetitions innermost; each cell's RNG seed is [`cell_seed`]`(campaign
     /// seed, cell index)` and the whole cell is built and run inside the
-    /// worker via [`matrix::run_cell_artifacts`](congest_sim::scenario::matrix::run_cell_artifacts),
+    /// worker via [`matrix::run_cell`](congest_sim::scenario::matrix::run_cell),
     /// so the report is byte-identical at any thread count.
     ///
     /// # Panics
@@ -330,7 +330,7 @@ impl Campaign {
                 compiler: cspec.name.clone(),
                 repetition: rep,
                 seed,
-                outcome: run_cell_artifacts(
+                outcome: run_cell(
                     gspec,
                     aspec,
                     cspec,

@@ -17,21 +17,27 @@ use netgraph::spanning::RootedTree;
 use netgraph::{Graph, NodeId};
 use std::collections::HashMap;
 
-/// Take the majority value of a list of payloads (`None` if the list is empty
-/// or no value attains a strict majority... ties resolved by the lexicographically
-/// smallest most-frequent value, matching the paper's "majority or 0" rule).
-pub fn majority(values: &[Payload]) -> Option<Payload> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut counts: HashMap<&Payload, usize> = HashMap::new();
+/// The most frequent of `values` (`None` if there are none), ties resolved
+/// to the smallest value in `T`'s order.  The winner is the maximum of a
+/// total order on `(count, value)`, so it does not depend on the order the
+/// values arrive in or on the map's iteration order — callers can rely on it
+/// for run-to-run determinism.
+pub fn most_frequent<T: Ord + std::hash::Hash>(values: impl IntoIterator<Item = T>) -> Option<T> {
+    let mut counts: HashMap<T, usize> = HashMap::new();
     for v in values {
         *counts.entry(v).or_insert(0) += 1;
     }
     counts
         .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-        .map(|(v, _)| v.clone())
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .map(|(v, _)| v)
+}
+
+/// Take the majority value of a list of payloads (`None` if the list is
+/// empty), ties resolved by the lexicographically smallest most-frequent
+/// value, matching the paper's "majority or 0" rule.
+pub fn majority(values: &[Payload]) -> Option<Payload> {
+    most_frequent(values).cloned()
 }
 
 /// Broadcast `value` from the root of `tree` to every tree node, repeating each
@@ -345,6 +351,25 @@ mod tests {
         assert_eq!(majority(&[]), None);
         assert_eq!(majority(&[vec![1]]), Some(vec![1]));
         assert_eq!(majority(&[vec![1], vec![2], vec![1]]), Some(vec![1]));
+    }
+
+    /// The tie rule the rewind compiler's per-arc vote relies on: highest
+    /// count first, then the lexicographically smallest value, an absent
+    /// message ordering below every present one — whatever order the copies
+    /// arrive in.
+    #[test]
+    fn most_frequent_breaks_ties_to_the_smallest_value_with_absent_first() {
+        let (a, b, c): (&[u64], &[u64], &[u64]) = (&[7, 1], &[7, 2], &[9]);
+        for copies in [[Some(a), Some(b), Some(c)], [Some(c), Some(b), Some(a)]] {
+            assert_eq!(most_frequent(copies), Some(Some(a)));
+        }
+        for copies in [[Some(c), None, Some(a)], [None, Some(a), Some(c)]] {
+            assert_eq!(most_frequent(copies), Some(None));
+        }
+        // A strict majority beats the tie rule.
+        assert_eq!(most_frequent([None, Some(c), Some(c)]), Some(Some(c)));
+        assert_eq!(most_frequent([Some(a), None, None]), Some(None));
+        assert_eq!(most_frequent(Vec::<Option<&[u64]>>::new()), None);
     }
 
     #[test]

@@ -76,8 +76,7 @@ impl FamilyRunReport {
 /// safe-broadcast chunk), so callers build it once per packing — ideally in
 /// `Compiler::prepare`, where the campaign artifact cache then shares it
 /// across every `(seed, adversary)` cell.  The plan carries no randomness
-/// and no network state: running through a plan is byte-identical to
-/// [`RsScheduler::run_family`] building the same structure per call.
+/// and no network state.
 #[derive(Debug, Clone)]
 pub struct SchedulePlan {
     /// For every edge, the (ordered) list of trees that use it.
@@ -110,7 +109,7 @@ pub struct RsScheduler;
 
 impl RsScheduler {
     /// Run one RS-compiled protocol per tree of `packing`, all in parallel, on
-    /// the network.
+    /// the network, through the [`SchedulePlan`] built for `(graph, packing)`.
     ///
     /// * `rounds_per_protocol` — the round complexity `r` of each individual
     ///   (uncompiled) tree protocol (e.g. `Θ(D_TP + sketch words)`),
@@ -127,21 +126,6 @@ impl RsScheduler {
     /// *compute* is up to the caller (the compiler applies the corresponding
     /// fault-free result to successful trees and treats failed trees as
     /// adversarially controlled).
-    ///
-    /// Builds a fresh [`SchedulePlan`] per call; callers that schedule the
-    /// same packing repeatedly should build the plan once and use
-    /// [`RsScheduler::run_planned`].
-    pub fn run_family(
-        &self,
-        net: &mut Network,
-        packing: &TreePacking,
-        rounds_per_protocol: usize,
-    ) -> FamilyRunReport {
-        let plan = SchedulePlan::new(net.graph(), packing);
-        self.run_planned(net, packing, &plan, rounds_per_protocol)
-    }
-
-    /// [`RsScheduler::run_family`] through a precomputed [`SchedulePlan`].
     ///
     /// The scheduled rounds reuse one traffic buffer (`begin_round` +
     /// `exchange_in_place`, the zero-allocation engine path), so the steady
@@ -244,8 +228,9 @@ mod tests {
     fn fault_free_schedule_succeeds_everywhere() {
         let g = generators::complete(8);
         let packing = star_packing(&g, 0);
+        let plan = SchedulePlan::new(&g, &packing);
         let mut net = Network::fault_free(g);
-        let report = RsScheduler.run_family(&mut net, &packing, 6);
+        let report = RsScheduler.run_planned(&mut net, &packing, &plan, 6);
         assert_eq!(report.success_count(), packing.len());
         assert_eq!(report.rounds_used, T_RS * 6 * 2);
         assert_eq!(net.round(), report.rounds_used);
@@ -264,7 +249,8 @@ mod tests {
             CorruptionBudget::Mobile { f },
             11,
         );
-        let report = RsScheduler.run_family(&mut net, &packing, 10);
+        let report =
+            RsScheduler.run_planned(&mut net, &packing, &SchedulePlan::new(&g, &packing), 10);
         let failures = packing.len() - report.success_count();
         assert!(
             failures <= RsScheduler::failure_bound(f, eta),
@@ -289,7 +275,8 @@ mod tests {
             CorruptionBudget::Mobile { f },
             3,
         );
-        let report = RsScheduler.run_family(&mut net, &packing, 12);
+        let report =
+            RsScheduler.run_planned(&mut net, &packing, &SchedulePlan::new(&g, &packing), 12);
         assert!(
             report.success_count() * 2 > packing.len(),
             "majority of instances must survive"
@@ -308,7 +295,8 @@ mod tests {
             CorruptionBudget::Mobile { f },
             5,
         );
-        let report = RsScheduler.run_family(&mut net, &packing, 8);
+        let report =
+            RsScheduler.run_planned(&mut net, &packing, &SchedulePlan::new(&g, &packing), 8);
         let eta = packing.load(&g);
         assert!(packing.len() - report.success_count() <= RsScheduler::failure_bound(f, eta));
     }

@@ -4,12 +4,13 @@
 use crate::schedule::SynthesizedAdversary;
 use crate::spec::TargetSpec;
 use congest_sim::adversary::CorruptionMode;
-use congest_sim::scenario::matrix::{run_cell, run_cell_traced, CompilerSpec, GraphSpec};
-use congest_sim::scenario::{RunReport, ScenarioError};
+use congest_sim::scenario::matrix::{run_cell, CompilerSpec, GraphSpec};
+use congest_sim::scenario::{CompileArtifacts, RunReport, ScenarioError};
 use mobile_congest_core::adapters::CompilerDef;
 use mobile_congest_harness::campaign::cell_seed;
 use mobile_congest_harness::spec::{PayloadDef, SpecError};
 use netgraph::{Graph, GraphDef};
+use std::sync::Arc;
 
 /// How much damage a candidate attack did, as a lexicographic lattice: the
 /// derived `Ord` compares fields top to bottom, so a failed decode dominates
@@ -109,23 +110,24 @@ pub struct ResolvedTarget {
     /// `target.seed` gets — which is why an exported counterexample spec
     /// replays the search's evaluation bit-for-bit.
     pub eval_seed: u64,
+    /// The `(graph, compiler)` artifacts, prepared once when the target is
+    /// resolved and shared by every candidate evaluation.  `None` when
+    /// `prepare` failed: evaluations then prepare inline and reproduce the
+    /// identical typed error.
+    artifacts: Option<Arc<CompileArtifacts>>,
 }
 
 impl ResolvedTarget {
     /// Resolve a target spec (builds the graph, validates the payload
     /// against it).
     pub fn resolve(target: &TargetSpec) -> Result<ResolvedTarget, SpecError> {
-        let gspec = GraphSpec::from_def(&target.graph)?;
-        target.payload.validate(&gspec.name, &gspec.graph)?;
-        Ok(ResolvedTarget {
-            graph_def: target.graph.clone(),
-            gspec,
-            compiler: target.compiler.clone(),
-            cspec: target.compiler.to_spec(),
-            payload: target.payload.clone(),
-            mode: target.mode,
-            eval_seed: cell_seed(target.seed, 0),
-        })
+        Self::on_graph(
+            &target.graph,
+            &target.compiler,
+            &target.payload,
+            target.mode,
+            cell_seed(target.seed, 0),
+        )
     }
 
     /// The same target on a different graph — the shrinker's graph-descent
@@ -133,16 +135,39 @@ impl ResolvedTarget {
     /// the flood source fell off the node range), which simply rejects that
     /// shrink candidate.
     pub fn with_graph(&self, def: &GraphDef) -> Result<ResolvedTarget, SpecError> {
-        let gspec = GraphSpec::from_def(def)?;
-        self.payload.validate(&gspec.name, &gspec.graph)?;
+        Self::on_graph(
+            def,
+            &self.compiler,
+            &self.payload,
+            self.mode,
+            self.eval_seed,
+        )
+    }
+
+    fn on_graph(
+        graph_def: &GraphDef,
+        compiler: &CompilerDef,
+        payload: &PayloadDef,
+        mode: CorruptionMode,
+        eval_seed: u64,
+    ) -> Result<ResolvedTarget, SpecError> {
+        let gspec = GraphSpec::from_def(graph_def)?;
+        payload.validate(&gspec.name, &gspec.graph)?;
+        let cspec = compiler.to_spec();
+        let artifacts = cspec
+            .instantiate()
+            .prepare(&gspec.graph, &mut obs::Tracer::disabled())
+            .ok()
+            .map(Arc::new);
         Ok(ResolvedTarget {
-            graph_def: def.clone(),
+            graph_def: graph_def.clone(),
             gspec,
-            compiler: self.compiler.clone(),
-            cspec: self.compiler.to_spec(),
-            payload: self.payload.clone(),
-            mode: self.mode,
-            eval_seed: self.eval_seed,
+            compiler: compiler.clone(),
+            cspec,
+            payload: payload.clone(),
+            mode,
+            eval_seed,
+            artifacts,
         })
     }
 
@@ -164,6 +189,8 @@ impl ResolvedTarget {
             &self.cspec,
             &move |g: &Graph| payload.build(g),
             self.eval_seed,
+            obs::TraceSpec::off(),
+            self.artifacts.clone(),
         ) {
             Ok(report) => Fitness::from_report(&report),
             Err(_) => Fitness::default(),
@@ -171,17 +198,19 @@ impl ResolvedTarget {
     }
 
     /// Re-run one candidate with event tracing on (ring buffer) — used to
-    /// export the replay trace of a minimized counterexample.
+    /// export the replay trace of a minimized counterexample.  Prepares
+    /// inside the cell so the packing spans land in the replay trace.
     pub fn run_traced(&self, adv: &SynthesizedAdversary) -> Result<RunReport, ScenarioError> {
         let aspec = adv.def().to_spec();
         let payload = self.payload.clone();
-        run_cell_traced(
+        run_cell(
             &self.gspec,
             &aspec,
             &self.cspec,
             &move |g: &Graph| payload.build(g),
             self.eval_seed,
             obs::TraceSpec::ring(),
+            None,
         )
     }
 }

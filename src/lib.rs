@@ -104,8 +104,8 @@ pub mod scenario {
         AsyncExecutor, CrashWindow, DropModel, LatencyModel, PartitionWindow, ScheduleDef,
     };
     pub use congest_sim::scenario::{
-        doctest_payload, matrix, validate_role, BoxedAlgorithm, BuiltScenario, Compiler,
-        CompilerKind, CompilerNotes, FaultFree, PayloadFactory, RunReport, Scenario,
+        doctest_payload, matrix, validate_role, BoxedAlgorithm, BuiltScenario, CompileArtifacts,
+        Compiler, CompilerKind, CompilerNotes, FaultFree, PayloadFactory, RunReport, Scenario,
         ScenarioBuilder, ScenarioError, Uncompiled,
     };
     pub use mobile_congest_core::adapters::{

@@ -4,7 +4,17 @@
 //! campaign reports are byte-identical with the cache on or off at any
 //! thread count.
 
+use mobile_congest::graphs::generators;
 use mobile_congest::harness::{ArtifactCache, Campaign, CampaignSpec};
+use mobile_congest::payloads::FloodBroadcast;
+use mobile_congest::scenario::matrix::CompilerSpec;
+use mobile_congest::scenario::{
+    BoxedAlgorithm, CompileArtifacts, Compiler, CompilerDef, CompilerKind, CompilerNotes, Scenario,
+    ScenarioError,
+};
+use mobile_congest::sim::network::Network;
+use mobile_congest::sim::run_on_network;
+use mobile_congest::sim::traffic::Output;
 use proptest::prelude::*;
 
 fn e16_small_spec() -> CampaignSpec {
@@ -118,6 +128,66 @@ fn traced_campaigns_bypass_the_cache() {
         .trace(mobile_congest::obs::TraceSpec::ring())
         .run();
     assert_eq!(traced.fingerprint(), untouched.fingerprint());
+}
+
+/// A compiler written against the public trait alone: `name`, `kind` and the
+/// one required run method (`prepare` and `validate` are the defaults).
+#[derive(Clone)]
+struct ThirdParty;
+
+impl Compiler for ThirdParty {
+    fn name(&self) -> String {
+        "third-party".into()
+    }
+    fn kind(&self) -> CompilerKind {
+        CompilerKind::Baseline
+    }
+    fn execute(
+        &self,
+        _artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
+        net: &mut Network,
+    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
+        Ok((run_on_network(&mut *make(), net), CompilerNotes::None))
+    }
+}
+
+#[test]
+fn a_compiler_implementing_only_execute_runs_through_scenario_and_a_cached_campaign() {
+    let g = generators::torus(3, 4);
+    let gg = g.clone();
+    let report = Scenario::on(g)
+        .payload(move || FloodBroadcast::new(gg.clone(), 0, 9))
+        .compiled_with(ThirdParty)
+        .run()
+        .unwrap();
+    assert_eq!(report.compiler, "third-party");
+    assert_eq!(report.agrees_with_fault_free(), Some(true));
+
+    // Through a campaign with the cache on: the e16-small grid with its
+    // compiler axis narrowed to the baseline, then that one slot handed to
+    // the third-party compiler.  Its default `prepare` is what the cache
+    // stores, and every cell must come out exactly as the baseline's does.
+    let mut spec = e16_small_spec();
+    spec.grid.compilers = vec![CompilerDef::Uncompiled];
+    let baseline = Campaign::from_spec(&spec).unwrap().threads(2).run();
+    let campaign = Campaign::from_spec(&spec)
+        .unwrap()
+        .compilers(vec![CompilerSpec::of(ThirdParty)])
+        .threads(2);
+    let report = campaign.run();
+    let cache = campaign.artifact_cache_handle().unwrap();
+    assert_eq!(cache.misses(), 3, "one default prepare per graph");
+    assert_eq!(cache.hits(), 3 * 3 * 2 - 3);
+    for (cell, twin) in report.cells.iter().zip(&baseline.cells) {
+        assert_eq!(cell.compiler, "third-party");
+        let (run, base) = (
+            cell.outcome.as_ref().unwrap(),
+            twin.outcome.as_ref().unwrap(),
+        );
+        assert_eq!(run.outputs, base.outputs);
+        assert_eq!(run.metrics, base.metrics);
+    }
 }
 
 /// The determinism contract of the tentpole, checked for one campaign seed:

@@ -6,6 +6,7 @@
 //! repetition never change a byte).
 
 use mobile_congest::graphs::Graph;
+use mobile_congest::obs::TraceSpec;
 use mobile_congest::payloads::FloodBroadcast;
 use mobile_congest::scenario::matrix::{self, run_cell, CompilerSpec};
 use mobile_congest::scenario::{
@@ -36,14 +37,24 @@ fn synchronous_async_matches_lockstep_across_the_zoo_grid() {
     for (gi, gspec) in graphs.iter().enumerate() {
         for (ai, aspec) in adversaries.iter().enumerate() {
             let seed = zoo_seed(gi, ai);
-            let lockstep = run_cell(gspec, aspec, &CompilerSpec::of(Uncompiled), &payload, seed)
-                .expect("uncompiled zoo cells always validate");
+            let lockstep = run_cell(
+                gspec,
+                aspec,
+                &CompilerSpec::of(Uncompiled),
+                &payload,
+                seed,
+                TraceSpec::off(),
+                None,
+            )
+            .expect("uncompiled zoo cells always validate");
             let asynchronous = run_cell(
                 gspec,
                 aspec,
                 &CompilerSpec::of(AsyncExecutor::new(ScheduleDef::synchronous())),
                 &payload,
                 seed,
+                TraceSpec::off(),
+                None,
             )
             .expect("the synchronous schedule validates everywhere");
 
@@ -98,6 +109,8 @@ proptest! {
                 &CompilerSpec::of(AsyncExecutor::new(schedule.clone()).with_hosts(hosts)),
                 &payload,
                 seed,
+                TraceSpec::off(),
+                None,
             )
             .expect("fixed-latency schedules validate on grid3x3");
             format!("{report:?}")

@@ -108,6 +108,31 @@ fn secure_gossip_spec_is_golden() {
     );
 }
 
+/// Absolute pins for the other checked-in campaign specs, captured at the
+/// commit before the `Compiler` trait was collapsed to `prepare` + `execute`.
+/// Together with `secure_gossip_spec_is_golden` and
+/// `bench/golden/fingerprints.json` these are what "byte-identical
+/// behaviour" means for a refactor of the execution path.
+#[test]
+fn spec_report_fingerprints_are_golden() {
+    const GOLDEN: [(&str, &str); 3] = [
+        ("e16-small", "4d8ec5b8df0ff471"),
+        ("frontier-small-world", "8d659f046d26bc4f"),
+        ("async-partial-sync", "5f4a3def4ab50c21"),
+    ];
+    for (name, pinned) in GOLDEN {
+        let path = format!("{}/specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("spec is checked in");
+        let spec = CampaignSpec::from_json(&text).expect("spec parses");
+        let report = Campaign::from_spec(&spec).unwrap().threads(1).run();
+        assert_eq!(
+            fnv1a_hex(report.fingerprint().bytes()),
+            pinned,
+            "specs/{name}.json report drifted"
+        );
+    }
+}
+
 #[test]
 fn spec_built_campaign_matches_hand_built_at_any_thread_count() {
     let spec = CampaignSpec::from_json(&checked_in_spec_text()).unwrap();
