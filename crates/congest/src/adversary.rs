@@ -421,14 +421,28 @@ impl GreedyHeaviest {
     }
 }
 
-/// Rank all edges by a weight vector, heaviest first (ties by edge id), and
-/// mark the top `f` — the shared core of [`GreedyHeaviest`] and
-/// [`AdaptiveHeaviest`].
+/// Mark the `f` heaviest edges of a weight vector, heaviest first (ties by
+/// edge id) — the shared core of [`GreedyHeaviest`] and [`AdaptiveHeaviest`].
+///
+/// Streaming top-`f`: `ranked` holds the best `min(f, m)` edges seen so far in
+/// final order, so with the usual small `f` an edge costs one comparison
+/// against the current `f`-th heaviest instead of a share of a full sort.
+/// Edges arrive in increasing id, so a newcomer ranks after every kept edge
+/// of equal weight.
 fn mark_heaviest(weight: &[usize], ranked: &mut Vec<EdgeId>, f: usize, out: &mut EdgeSet) {
     ranked.clear();
-    ranked.extend(0..weight.len());
-    ranked.sort_unstable_by_key(|&e| (std::cmp::Reverse(weight[e]), e));
-    for &e in ranked.iter().take(f) {
+    let keep = f.min(weight.len());
+    for (e, &w) in weight.iter().enumerate() {
+        if ranked.len() == keep {
+            if ranked.last().is_none_or(|&last| w <= weight[last]) {
+                continue;
+            }
+            ranked.pop();
+        }
+        let at = ranked.partition_point(|&x| weight[x] >= w);
+        ranked.insert(at, e);
+    }
+    for &e in ranked.iter() {
         out.insert(e);
     }
 }
@@ -440,8 +454,8 @@ impl AdversaryStrategy for GreedyHeaviest {
     fn mark_edges(&mut self, _round: usize, graph: &Graph, traffic: &Traffic, out: &mut EdgeSet) {
         self.weight.clear();
         self.weight.resize(graph.edge_count(), 0);
-        for (arc, payload) in traffic.iter_present() {
-            self.weight[Graph::edge_of(arc)] += payload.len();
+        for (arc, len) in traffic.iter_lens() {
+            self.weight[Graph::edge_of(arc)] += len;
         }
         mark_heaviest(&self.weight, &mut self.ranked, self.f, out);
     }
@@ -500,8 +514,8 @@ impl AdversaryStrategy for AdaptiveHeaviest {
         mark_heaviest(&self.prev, &mut self.ranked, self.f, out);
         // … then observe the current round for the next one.
         self.prev.fill(0);
-        for (arc, payload) in traffic.iter_present() {
-            self.prev[Graph::edge_of(arc)] += payload.len();
+        for (arc, len) in traffic.iter_lens() {
+            self.prev[Graph::edge_of(arc)] += len;
         }
     }
     fn corruption_mode(&self) -> CorruptionMode {
@@ -845,6 +859,36 @@ mod tests {
         let mut adv = GreedyHeaviest::new(1);
         let chosen = adv.choose_edges(0, &g, &t);
         assert_eq!(chosen, vec![g.edge_between(1, 2).unwrap()]);
+    }
+
+    /// The pre-streaming `mark_heaviest`: rank all edges, take the top `f`.
+    fn mark_heaviest_by_full_sort(weight: &[usize], f: usize) -> Vec<EdgeId> {
+        let mut ranked: Vec<EdgeId> = (0..weight.len()).collect();
+        ranked.sort_unstable_by_key(|&e| (std::cmp::Reverse(weight[e]), e));
+        ranked.truncate(f);
+        ranked
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_top_f_equals_the_full_sort(
+            // Few distinct weights: most comparisons are ties.
+            weight in proptest::prop::collection::vec(0usize..4, 0..40),
+            f_small in 0usize..4,
+        ) {
+            let m = weight.len();
+            let mut ranked = vec![99; 3]; // stale scratch must not leak through
+            for f in [0, 1, 3, f_small, m, m + 5] {
+                let mut out = EdgeSet::new();
+                out.reset(m);
+                mark_heaviest(&weight, &mut ranked, f, &mut out);
+                proptest::prop_assert_eq!(
+                    out.as_slice(),
+                    &mark_heaviest_by_full_sort(&weight, f)[..],
+                    "f = {}, weights {:?}", f, weight
+                );
+            }
+        }
     }
 
     #[test]

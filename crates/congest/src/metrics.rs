@@ -76,13 +76,15 @@ impl Metrics {
 
     pub(crate) fn record_exchange(&mut self, traffic: &Traffic, bandwidth_words: usize) {
         self.rounds += 1;
-        let max_words = traffic.max_words();
-        self.bandwidth_rounds += max_words.div_ceil(bandwidth_words).max(1);
-        for (arc, payload) in traffic.iter_present() {
+        // One walk over the spans; the word arena is never touched.
+        let mut max_words = 0;
+        for (arc, len) in traffic.iter_lens() {
+            max_words = max_words.max(len);
             self.messages += 1;
-            self.words += payload.len();
+            self.words += len;
             self.edge_messages[Graph::edge_of(arc)] += 1;
         }
+        self.bandwidth_rounds += max_words.div_ceil(bandwidth_words).max(1);
     }
 
     pub(crate) fn record_corruption(&mut self, edges: &[EdgeId], altered_messages: usize) {
@@ -163,6 +165,48 @@ mod tests {
         assert_eq!(m.rounds, 1);
         assert_eq!(m.bandwidth_rounds, 1);
         assert_eq!(m.messages, 0);
+    }
+
+    #[test]
+    fn single_pass_matches_the_two_pass_fold() {
+        // The pre-single-pass `record_exchange`, kept as the oracle.
+        fn two_pass(m: &mut Metrics, traffic: &Traffic, bandwidth_words: usize) {
+            m.rounds += 1;
+            let max_words = traffic.max_words();
+            m.bandwidth_rounds += max_words.div_ceil(bandwidth_words).max(1);
+            for (arc, payload) in traffic.iter_present() {
+                m.messages += 1;
+                m.words += payload.len();
+                m.edge_messages[Graph::edge_of(arc)] += 1;
+            }
+        }
+        let g = generators::complete(5);
+        let mut mixed = Traffic::new(&g);
+        mixed.send(&g, 0, 1, [1, 2, 3, 4, 5]);
+        mixed.send(&g, 1, 0, Vec::<u64>::new()); // empty but present
+        mixed.send(&g, 2, 3, [7]);
+        mixed.send(&g, 4, 0, [8, 9]);
+        mixed.set_arc(g.arc_between(2, 3).unwrap(), None); // present, then dropped
+        let only_empty = {
+            let mut t = Traffic::new(&g);
+            t.send(&g, 3, 4, Vec::<u64>::new());
+            t
+        };
+        let idle = Traffic::new(&g);
+        for bandwidth_words in [1, 2, 3] {
+            let (mut got, mut want) = (Metrics::new(&g), Metrics::new(&g));
+            for t in [&mixed, &idle, &only_empty, &mixed] {
+                got.record_exchange(t, bandwidth_words);
+                two_pass(&mut want, t, bandwidth_words);
+            }
+            assert_eq!(got, want, "bandwidth_words = {bandwidth_words}");
+            // An empty round, and a round of empty payloads, still cost one.
+            assert_eq!(
+                got.bandwidth_rounds,
+                2 * 5usize.div_ceil(bandwidth_words) + 2
+            );
+            assert_eq!(got.messages, 2 * 3 + 1);
+        }
     }
 
     #[test]

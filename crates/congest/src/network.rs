@@ -31,6 +31,7 @@ use obs::{EventKind, Phase, Tracer};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// One observation made by an eavesdropper: both directions of one edge in one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,7 +166,10 @@ struct RoundBuffers {
 
 /// The round-synchronous network simulator.
 pub struct Network {
-    graph: Graph,
+    /// Shared, never mutated: compilers that need the graph beside a
+    /// `&mut Network` take a handle ([`Network::shared_graph`]) instead of a
+    /// deep copy.
+    graph: Arc<Graph>,
     role: AdversaryRole,
     strategy: Box<dyn AdversaryStrategy>,
     budget: CorruptionBudget,
@@ -195,7 +199,7 @@ impl std::fmt::Debug for Network {
 
 impl Network {
     /// A fault-free network over `graph`.
-    pub fn fault_free(graph: Graph) -> Self {
+    pub fn fault_free(graph: impl Into<Arc<Graph>>) -> Self {
         Network::new(
             graph,
             AdversaryRole::Byzantine,
@@ -211,12 +215,13 @@ impl Network {
     /// corrupted payloads (the nodes' randomness is separate and never exposed
     /// to the adversary).
     pub fn new(
-        graph: Graph,
+        graph: impl Into<Arc<Graph>>,
         role: AdversaryRole,
         strategy: Box<dyn AdversaryStrategy>,
         budget: CorruptionBudget,
         seed: u64,
     ) -> Self {
+        let graph = graph.into();
         let metrics = Metrics::new(&graph);
         Network {
             graph,
@@ -266,6 +271,12 @@ impl Network {
         &self.graph
     }
 
+    /// A handle on the communication graph that does not borrow the network
+    /// (a reference-count bump, not a copy of the adjacency lists).
+    pub fn shared_graph(&self) -> Arc<Graph> {
+        Arc::clone(&self.graph)
+    }
+
     /// The adversary's role (eavesdropper or byzantine).
     pub fn role(&self) -> AdversaryRole {
         self.role
@@ -294,6 +305,14 @@ impl Network {
     /// The adversary strategy's display name.
     pub fn adversary_name(&self) -> String {
         self.strategy.name()
+    }
+
+    /// Allocated capacity of the engine's recycled corruption scratch and
+    /// budget-clamp buffers, in elements.  Exposed (like
+    /// [`Traffic::word_capacity`]) so buffer-reuse tests of round loops in
+    /// other crates can assert that the steady state stops allocating.
+    pub fn round_buffer_capacity(&self) -> usize {
+        self.buffers.scratch.capacity() + self.buffers.controlled.capacity()
     }
 
     /// Change the number of words per bandwidth-normalised round (default 2).

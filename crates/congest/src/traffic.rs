@@ -225,6 +225,17 @@ impl Traffic {
         })
     }
 
+    /// Iterate over all present messages as `(arc, payload length)`, reading
+    /// only the spans — the per-round bookkeeping (metrics, traffic-weighing
+    /// adversaries) needs lengths, never the words.
+    pub fn iter_lens(&self) -> impl Iterator<Item = (ArcId, usize)> + '_ {
+        self.spans
+            .iter()
+            .enumerate()
+            .filter(|(_, span)| span.len_plus_one != 0)
+            .map(|(a, span)| (a, span.len()))
+    }
+
     /// Number of non-empty messages.
     pub fn message_count(&self) -> usize {
         self.spans.iter().filter(|s| s.len_plus_one != 0).count()

@@ -33,6 +33,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sketches::{L0SamplerBank, SketchRandomness, SparseRecovery};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Maximum number of payload words per message the correction machinery can
 /// track (word indices are packed into 8 bits; index 255 is the length record).
@@ -101,8 +102,15 @@ pub fn true_mismatch_elements(g: &Graph, sent: &Traffic, received: &Traffic) -> 
         *freq.entry(el).or_insert(0) += d;
     };
     for arc in 0..g.arc_count() {
-        stream_message(arc, sent.get_arc(arc), 1, &mut add);
-        stream_message(arc, received.get_arc(arc), -1, &mut add);
+        let (s, r) = (sent.get_arc(arc), received.get_arc(arc));
+        // An arc delivered verbatim streams every element once with +1 and
+        // once with -1 (also under the 40-bit truncation), and elements
+        // carry their arc, so it contributes nothing: only the ≤ 2f
+        // mismatched arcs of a round reach the map.
+        if s != r {
+            stream_message(arc, s, 1, &mut add);
+            stream_message(arc, r, -1, &mut add);
+        }
     }
     freq.retain(|_, f| *f != 0);
     freq
@@ -215,7 +223,7 @@ pub struct CorrectionContext {
     spanning: Vec<bool>,
     dtp: usize,
     eta: usize,
-    plan: SchedulePlan,
+    plan: Arc<SchedulePlan>,
     /// Broadcast state over the spanning subset (Definition 7 guarantees
     /// `0.9k` spanning trees; weak packings fall back to the full packing).
     bcast: BroadcastContext,
@@ -225,25 +233,29 @@ impl CorrectionContext {
     /// Precompute the correction state for `packing` over `g`.
     pub fn new(g: &Graph, packing: &TreePacking) -> Self {
         let spanning: Vec<bool> = packing.trees.iter().map(|t| t.is_spanning(g)).collect();
-        let plan = SchedulePlan::new(g, packing);
-        let subset: Vec<RootedTree> = packing
-            .trees
-            .iter()
-            .zip(&spanning)
-            .filter(|&(_, &s)| s)
-            .map(|(t, _)| t.clone())
-            .collect();
-        let bcast_packing = if subset.len() >= 2 {
-            TreePacking::new(subset)
+        let plan = Arc::new(SchedulePlan::new(g, packing));
+        let spanning_count = spanning.iter().filter(|&&s| s).count();
+        // The broadcast runs over the spanning subset; when that is the whole
+        // packing (or too small to use, so the full packing stands in) it
+        // schedules exactly like the aggregation and shares its plan.
+        let bcast = if spanning_count == packing.len() || spanning_count < 2 {
+            BroadcastContext::with_plan(g, packing, Arc::clone(&plan))
         } else {
-            packing.clone()
+            let subset: Vec<RootedTree> = packing
+                .trees
+                .iter()
+                .zip(&spanning)
+                .filter(|&(_, &s)| s)
+                .map(|(t, _)| t.clone())
+                .collect();
+            BroadcastContext::new(g, &TreePacking::new(subset))
         };
         CorrectionContext {
             spanning,
             dtp: packing.max_height().max(1),
             eta: plan.eta(),
             plan,
-            bcast: BroadcastContext::new(g, &bcast_packing),
+            bcast,
         }
     }
 }
@@ -264,7 +276,7 @@ pub fn sparse_majority_correction(
     sparsity: usize,
     seed: u64,
 ) -> (Traffic, CorrectionReport) {
-    let g = net.graph().clone();
+    let g = net.shared_graph();
     let start = net.round();
     let dtp = ctx.dtp;
     let k = packing.len();
@@ -313,7 +325,7 @@ pub fn sparse_majority_correction(
             )
         })
         .collect();
-    let true_list: Vec<(u64, i64)> = true_decode.clone().unwrap_or_default();
+    let true_list: Vec<(u64, i64)> = true_decode.unwrap_or_default();
     let mut true_votes = 0usize;
     let mut fake_votes = 0usize;
     for tr in &report.per_tree {
@@ -346,16 +358,6 @@ pub fn sparse_majority_correction(
         for attempt in 0..3 {
             let (per_node, bcast) =
                 ecc_safe_broadcast(net, &ctx.bcast, &words, seed ^ 0xB0 ^ attempt);
-            if std::env::var("MC_DEBUG").is_ok() {
-                eprintln!(
-                    "[bcast attempt {attempt}] words={} node0_some={} node0_eq={} unanimous={} maxfail={}",
-                    words.len(),
-                    per_node[0].is_some(),
-                    per_node[0].as_deref() == Some(&words[..]),
-                    bcast.unanimous,
-                    bcast.max_failed_trees
-                );
-            }
             if let Some(decoded) = &per_node[0] {
                 corrections.clear();
                 for pair in decoded.chunks(2) {
@@ -368,15 +370,6 @@ pub fn sparse_majority_correction(
                 break;
             }
         }
-    }
-    if std::env::var("MC_DEBUG").is_ok() {
-        eprintln!(
-            "[correction] truth={} decode_some={} majority_len={} corrections={}",
-            truth.len(),
-            true_decode.is_some(),
-            majority_list.len(),
-            corrections.len()
-        );
     }
     let corrected = apply_corrections(&g, received, &corrections);
     let mismatches_after = mismatched_arc_count(&g, sent, &corrected);
@@ -409,7 +402,7 @@ pub fn l0_threshold_correction(
     samplers_per_tree: usize,
     seed: u64,
 ) -> (Traffic, CorrectionReport) {
-    let g = net.graph().clone();
+    let g = net.shared_graph();
     let start = net.round();
     let dtp = ctx.dtp;
     let k = packing.len();
@@ -569,6 +562,76 @@ mod tests {
             "full truth must fully correct"
         );
         assert_eq!(mismatched_arc_count(&g, &sent, &corrected), 0);
+    }
+
+    /// The pre-skip `true_mismatch_elements`: stream every arc of both
+    /// snapshots and let equal arcs cancel inside the map.
+    fn true_mismatch_elements_unskipped(
+        g: &Graph,
+        sent: &Traffic,
+        received: &Traffic,
+    ) -> BTreeMap<u64, i64> {
+        let mut freq: BTreeMap<u64, i64> = BTreeMap::new();
+        let mut add = |el: u64, d: i64| *freq.entry(el).or_insert(0) += d;
+        for arc in 0..g.arc_count() {
+            stream_message(arc, sent.get_arc(arc), 1, &mut add);
+            stream_message(arc, received.get_arc(arc), -1, &mut add);
+        }
+        freq.retain(|_, f| *f != 0);
+        freq
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mismatch_only_stream_equals_the_full_fold(
+            // Per arc: the sent message (none / empty / words) and how the
+            // delivery differs from it.  Tiny word alphabet, so a corrupted
+            // word often equals another arc's or index's honest one.
+            arcs in proptest::prop::collection::vec(
+                (0usize..4, 0u64..3, 0usize..6, proptest::any::<u64>()),
+                12,
+            ),
+        ) {
+            let g = generators::cycle(6);
+            let (mut sent, mut received) = (Traffic::new(&g), Traffic::new(&g));
+            for (arc, &(len, word, fate, garbage)) in arcs.iter().enumerate() {
+                // len 0 = no message, 1 = empty payload, else len - 1 words.
+                let payload: Option<Vec<u64>> = len.checked_sub(1).map(|w| vec![word; w]);
+                sent.set_arc(arc, payload.as_deref());
+                let delivered = match fate {
+                    0 => None,                         // dropped (or still absent)
+                    1 => Some(vec![]),                 // emptied (or fabricated empty)
+                    2 => Some(vec![garbage, word]),    // > 40-bit garbage, new length
+                    // Same low 40 bits as the honest word, different message.
+                    3 => Some(vec![word | (garbage << 40); len.saturating_sub(1).max(1)]),
+                    _ => payload,                      // delivered verbatim
+                };
+                received.set_arc(arc, delivered.as_deref());
+            }
+            proptest::prop_assert_eq!(
+                true_mismatch_elements(&g, &sent, &received),
+                true_mismatch_elements_unskipped(&g, &sent, &received)
+            );
+        }
+    }
+
+    #[test]
+    fn all_spanning_packing_shares_one_plan_with_its_broadcast() {
+        let g = generators::complete(8);
+        let ctx = CorrectionContext::new(&g, &star_packing(&g, 0));
+        assert!(ctx.bcast.shares_plan(&ctx.plan));
+        // Drop a tree edge: tree 0 no longer spans, the broadcast runs over
+        // the 7 others and needs a schedule of its own.
+        let mut weak = star_packing(&g, 0);
+        weak.trees[0].edges.pop();
+        let last = (0..8).rev().find(|&v| weak.trees[0].parent[v].is_some());
+        let v = last.expect("a non-root node");
+        weak.trees[0].parent[v] = None;
+        weak.trees[0].in_tree[v] = false;
+        let ctx = CorrectionContext::new(&g, &weak);
+        assert_eq!(ctx.spanning.iter().filter(|&&s| s).count(), 7);
+        assert!(!ctx.bcast.shares_plan(&ctx.plan));
+        assert_eq!(ctx.bcast.packing().len(), 7);
     }
 
     #[test]

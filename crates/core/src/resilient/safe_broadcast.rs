@@ -17,6 +17,7 @@ use netgraph::Graph;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Report of one safe broadcast.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +68,7 @@ pub struct BroadcastContext {
     packing: TreePacking,
     /// Per tree: spanning *and* rooted at the packing's common root.
     usable: Vec<bool>,
-    plan: SchedulePlan,
+    plan: Arc<SchedulePlan>,
     rs: ReedSolomon<Gf2_16>,
     dtp: usize,
     ell: usize,
@@ -80,6 +81,13 @@ impl BroadcastContext {
     ///
     /// Panics if the packing is empty.
     pub fn new(g: &Graph, packing: &TreePacking) -> Self {
+        BroadcastContext::with_plan(g, packing, Arc::new(SchedulePlan::new(g, packing)))
+    }
+
+    /// [`BroadcastContext::new`] around an already built plan of
+    /// `(g, packing)` — the correction context passes its own when it
+    /// broadcasts over the very packing it aggregates over.
+    pub(crate) fn with_plan(g: &Graph, packing: &TreePacking, plan: Arc<SchedulePlan>) -> Self {
         assert!(!packing.is_empty(), "tree packing must be non-empty");
         let k = packing.len();
         let ell = rs_data_symbols(k);
@@ -91,12 +99,18 @@ impl BroadcastContext {
             .collect();
         BroadcastContext {
             usable,
-            plan: SchedulePlan::new(g, packing),
+            plan,
             rs: ReedSolomon::new(ell, k).expect("ℓ ≤ k by construction"),
             dtp: packing.max_height().max(1),
             ell,
             packing: packing.clone(),
         }
+    }
+
+    /// Whether this context schedules through the very `plan` allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_plan(&self, plan: &Arc<SchedulePlan>) -> bool {
+        Arc::ptr_eq(&self.plan, plan)
     }
 
     /// The packing this context was built for.
