@@ -15,7 +15,8 @@
 //! [`Traffic::begin_round`] recycle both buffers without releasing their
 //! capacity.  A round loop that reuses one `Traffic` therefore performs **no
 //! steady-state allocations**, which is what the campaign engine’s ≥2×
-//! round-throughput win comes from (see `benches/experiments.rs`, E16a).
+//! round-throughput win comes from (the bench package measures the round
+//! engine as `congest.exchange_ns_per_arc_word`).
 //!
 //! Re-sending on an arc reuses its span in place when the new payload fits and
 //! appends to the arena otherwise; superseded words are reclaimed at the next

@@ -35,7 +35,7 @@ use congest_sim::scenario::{
 };
 use congest_sim::traffic::Output;
 use congest_sim::AdversaryRole;
-use netgraph::connectivity::edge_connectivity;
+use netgraph::connectivity::{edge_connectivity, edge_connectivity_at_least};
 use netgraph::tree_packing::{
     augmented_low_depth_packing_traced, greedy_low_depth_packing, load_floor, star_packing,
     TreePacking,
@@ -64,14 +64,7 @@ fn validate_packing_feasible(
     eta: usize,
     f: usize,
 ) -> Result<(), ScenarioError> {
-    let lambda = edge_connectivity(g);
-    if lambda < 2 * f + 1 {
-        return Err(ScenarioError::InsufficientConnectivity {
-            compiler: compiler.to_string(),
-            needed: 2 * f + 1,
-            found: lambda,
-        });
-    }
+    validate_connectivity_floor(compiler, g, f)?;
     let n = g.node_count();
     if k * n.saturating_sub(1) > 2 * eta * g.edge_count() {
         return Err(ScenarioError::UnsupportedGraph {
@@ -95,6 +88,21 @@ fn validate_packing_feasible(
         });
     }
     Ok(())
+}
+
+/// The information-theoretic floor lambda >= 2f+1.  Validation runs per cell
+/// and only needs the threshold; the exact lambda — `n - 1` uncapped max-flows
+/// — is computed for the error of a cell that fails it.
+fn validate_connectivity_floor(compiler: &str, g: &Graph, f: usize) -> Result<(), ScenarioError> {
+    let needed = 2 * f + 1;
+    if edge_connectivity_at_least(g, needed) {
+        return Ok(());
+    }
+    Err(ScenarioError::InsufficientConnectivity {
+        compiler: compiler.to_string(),
+        needed,
+        found: edge_connectivity(g),
+    })
 }
 
 /// The information-theoretic floor lambda >= 2f+1, specialised to complete
@@ -379,16 +387,7 @@ impl Compiler for CycleCoverAdapter {
     }
     fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
         validate_role(self, role)?;
-        let needed = 2 * self.f + 1;
-        let found = edge_connectivity(graph);
-        if found < needed {
-            return Err(ScenarioError::InsufficientConnectivity {
-                compiler: self.name(),
-                needed,
-                found,
-            });
-        }
-        Ok(())
+        validate_connectivity_floor(&self.name(), graph, self.f)
     }
     fn prepare(
         &self,
@@ -911,6 +910,33 @@ mod tests {
         assert!(adapter
             .validate(&generators::circulant(9, 2), AdversaryRole::Byzantine)
             .is_ok());
+    }
+
+    #[test]
+    fn threshold_validation_reports_the_exact_connectivity_found() {
+        // Validation only asks `λ ≥ 2f+1`; a cell that fails it must still
+        // carry the exact λ in its typed error.
+        let adapters: [Box<dyn Compiler>; 3] = [
+            Box::new(CycleCoverAdapter::new(1)),
+            Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V1Greedy)),
+            Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V2Augmented)),
+        ];
+        for (g, lambda) in [
+            (generators::grid(4, 4), 2),
+            (generators::ring_of_cliques(4, 5), 2),
+            (generators::barbell(5, 2), 1),
+        ] {
+            for adapter in &adapters {
+                assert_eq!(
+                    adapter.validate(&g, AdversaryRole::Byzantine),
+                    Err(ScenarioError::InsufficientConnectivity {
+                        compiler: adapter.name(),
+                        needed: 3,
+                        found: lambda,
+                    })
+                );
+            }
+        }
     }
 
     #[test]

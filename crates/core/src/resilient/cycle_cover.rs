@@ -8,13 +8,29 @@
 //! receiver (Lemma 5.6).  Path systems are processed colour class by colour
 //! class using the good cycle colouring of Lemma 5.2, so that systems handled
 //! together never share an edge.
+//!
+//! # The flood plan
+//!
+//! Cover, colouring, dilation and congestion are pure functions of
+//! `(graph, f)`, so [`CycleCoverCompiler::new`] folds them once into a flood
+//! plan of flat arrays: per colour class the two directed path systems of each
+//! of its edges, and every path as the sequence of *arcs* it travels from the
+//! message's sender to its receiver.  Within a class each arc then belongs to
+//! at most one hop of one path of one flooded message — the plan asserts it —
+//! so "what every relay currently holds" is itself a [`Traffic`] (`held`): a
+//! flood round is `wire.clone_from(&held)`, one [`Network::exchange_in_place`]
+//! on the complete real traffic, and a walk over the hops that moves each
+//! delivered message one hop on.  No path, payload or graph is allocated or
+//! searched in that loop, and the cover and the colouring map are dropped
+//! once the plan is built.
 
 use congest_sim::network::Network;
-use congest_sim::traffic::{Output, Payload, Traffic};
+use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
 use netgraph::cycle_cover::FtCycleCover;
-use netgraph::{EdgeId, Graph, NodeId};
+use netgraph::{ArcId, EdgeId, Graph, NodeId};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Report of a cycle-cover-compiled run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +49,275 @@ pub struct CycleCoverReport {
     pub payload_rounds: usize,
 }
 
+/// One direction of a covered edge in the [`FloodPlan`]: the message sent on
+/// `arc` floods over `paths`.
+#[derive(Debug, Clone)]
+struct PathSystem {
+    /// The arc the message is sent on, and delivered on once decided.
+    arc: ArcId,
+    /// Indices into [`FloodPlan::path_end`].
+    paths: Range<usize>,
+    /// Hops of the longest path.
+    hops: usize,
+}
+
+/// The cover and its colouring as the flood loop reads them (see the module
+/// docs).
+#[derive(Debug, Clone)]
+struct FloodPlan {
+    /// Every path of every system as the arcs it travels from the message's
+    /// sender to its receiver, back to back.
+    arcs: Vec<ArcId>,
+    /// Path `p` is `arcs[path_end[p - 1]..path_end[p]]`.
+    path_end: Vec<usize>,
+    /// The `u → v` system of every covered edge followed by its `v → u`
+    /// system, by colour class and ascending edge id within a class.
+    systems: Vec<PathSystem>,
+    /// Colour class `c` is `systems[class_end[c - 1]..class_end[c]]`.
+    class_end: Vec<usize>,
+    paths_per_edge: usize,
+    dilation: usize,
+    congestion: usize,
+}
+
+impl FloodPlan {
+    /// # Panics
+    ///
+    /// Panics if two hops of one colour class travel the same edge: then an
+    /// arc would carry two floods at once.  A good colouring (Lemma 5.2) of
+    /// edge-disjoint path systems rules it out.
+    fn new(g: &Graph, cover: &FtCycleCover, coloring: &BTreeMap<EdgeId, usize>) -> Self {
+        // Stable: ascending edge id (the map's order) within a colour.  An
+        // edge without a colour is in no class, so its messages are not
+        // carried.
+        let mut by_class: Vec<(usize, EdgeId, &Vec<Vec<NodeId>>)> = cover
+            .paths
+            .iter()
+            .filter_map(|(&eid, paths)| Some((*coloring.get(&eid)?, eid, paths)))
+            .collect();
+        by_class.sort_by_key(|&(colour, ..)| colour);
+        let colors = by_class.last().map_or(0, |&(colour, ..)| colour + 1);
+        let mut plan = FloodPlan {
+            arcs: Vec::new(),
+            path_end: Vec::new(),
+            systems: Vec::with_capacity(2 * by_class.len()),
+            class_end: vec![0; colors],
+            paths_per_edge: cover.paths_per_edge(),
+            dilation: cover.dilation().max(1),
+            congestion: cover.congestion(g),
+        };
+        // Per graph edge: the last colour class one of whose hops travels it.
+        let mut class_of_hop = vec![usize::MAX; g.edge_count()];
+        for (colour, eid, paths) in by_class {
+            let first = plan.path_end.len();
+            for path in paths {
+                for w in path.windows(2) {
+                    let arc = g
+                        .arc_between(w[0], w[1])
+                        .unwrap_or_else(|| panic!("cover path leaves the graph at {w:?}"));
+                    let owner = &mut class_of_hop[Graph::edge_of(arc)];
+                    assert!(
+                        *owner != colour,
+                        "flood plan: two hops of colour class {colour} share edge {} \
+                         (not a good colouring of edge-disjoint path systems)",
+                        Graph::edge_of(arc)
+                    );
+                    *owner = colour;
+                    plan.arcs.push(arc);
+                }
+                plan.path_end.push(plan.arcs.len());
+            }
+            // The cover's paths run `u → v`; the message from `v` to `u`
+            // travels them backwards over the reverse arcs.
+            let mirrored = plan.path_end.len();
+            for p in first..mirrored {
+                for i in plan.path_range(p).rev() {
+                    plan.arcs.push(Graph::reverse_arc(plan.arcs[i]));
+                }
+                plan.path_end.push(plan.arcs.len());
+            }
+            let hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
+            let (uv, vu) = Graph::arcs_of(eid);
+            for (arc, paths) in [(uv, first..mirrored), (vu, mirrored..plan.path_end.len())] {
+                plan.systems.push(PathSystem { arc, paths, hops });
+            }
+            plan.class_end[colour] = plan.systems.len();
+        }
+        // A colour nobody holds is an empty class, not a class from 0.
+        for colour in 1..colors {
+            plan.class_end[colour] = plan.class_end[colour].max(plan.class_end[colour - 1]);
+        }
+        plan
+    }
+
+    fn colors(&self) -> usize {
+        self.class_end.len()
+    }
+
+    fn class(&self, colour: usize) -> &[PathSystem] {
+        let start = colour.checked_sub(1).map_or(0, |c| self.class_end[c]);
+        &self.systems[start..self.class_end[colour]]
+    }
+
+    fn path_range(&self, p: usize) -> Range<usize> {
+        p.checked_sub(1).map_or(0, |p| self.path_end[p])..self.path_end[p]
+    }
+
+    fn path(&self, p: usize) -> &[ArcId] {
+        &self.arcs[self.path_range(p)]
+    }
+}
+
+/// What reached the targets of a colour class's instances: per instance the
+/// distinct payloads with how often each arrived.  Honest copies are all
+/// alike, so an arrival is one slice comparison and the arena holds little
+/// more than one payload per instance.
+#[derive(Debug, Default)]
+struct Arrivals {
+    words: Vec<u64>,
+    values: Vec<ArrivedValue>,
+    /// Per instance: its first entry in `values` (`usize::MAX` for none);
+    /// the others follow through [`ArrivedValue::next`].
+    head: Vec<usize>,
+}
+
+#[derive(Debug)]
+struct ArrivedValue {
+    words: Range<usize>,
+    count: usize,
+    next: usize,
+}
+
+impl Arrivals {
+    fn reset(&mut self, instances: usize) {
+        self.words.clear();
+        self.values.clear();
+        self.head.clear();
+        self.head.resize(instances, usize::MAX);
+    }
+
+    fn record(&mut self, instance: usize, msg: &[u64]) {
+        let mut at = self.head[instance];
+        while let Some(value) = self.values.get_mut(at) {
+            if self.words[value.words.clone()] == *msg {
+                value.count += 1;
+                return;
+            }
+            at = value.next;
+        }
+        let start = self.words.len();
+        self.words.extend_from_slice(msg);
+        self.values.push(ArrivedValue {
+            words: start..self.words.len(),
+            count: 1,
+            next: self.head[instance],
+        });
+        self.head[instance] = self.values.len() - 1;
+    }
+
+    /// The most frequent arrival of `instance`, ties to the smallest payload
+    /// — the total order of `interactive_coding::most_frequent`, so neither
+    /// arrival order nor the chain's order can show.
+    fn plurality(&self, instance: usize) -> Option<&[u64]> {
+        let mut best: Option<(usize, &[u64])> = None;
+        let mut at = self.head[instance];
+        while let Some(value) = self.values.get(at) {
+            let words = &self.words[value.words.clone()];
+            if best.is_none_or(|(count, smallest)| {
+                value.count > count || (value.count == count && words < smallest)
+            }) {
+                best = Some((value.count, words));
+            }
+            at = value.next;
+        }
+        best.map(|(_, words)| words)
+    }
+}
+
+/// The recycled buffers of one compiled run.
+#[derive(Debug, Default)]
+struct Flood {
+    /// The protected algorithm's messages of the current payload round.
+    sent: Traffic,
+    /// What its nodes receive for them: the decided value per sent message.
+    corrected: Traffic,
+    /// Per arc of the class in progress: the payload its hop's relay holds
+    /// and forwards every round.
+    held: Traffic,
+    /// The round on the wire: `held`, then what the adversary made of it.
+    wire: Traffic,
+    arrivals: Arrivals,
+}
+
+impl Flood {
+    /// Simulate one payload round: flood every message of `sent`, colour
+    /// class by colour class, and leave the decided values in `corrected`.
+    fn payload_round(&mut self, plan: &FloodPlan, window: usize, net: &mut Network) {
+        let Flood {
+            sent,
+            corrected,
+            held,
+            wire,
+            arrivals,
+        } = self;
+        corrected.begin_round(net.graph());
+        for colour in 0..plan.colors() {
+            // Within a class all path systems are edge-disjoint, so all
+            // their floods share rounds.  An instance is a system with a
+            // message to carry; its relays start out holding nothing but the
+            // sender's copy on every first hop.
+            let instances = || {
+                let class = plan.class(colour).iter();
+                class.filter_map(|system| Some((system, sent.get_arc(system.arc)?)))
+            };
+            let Some(class_dilation) = instances().map(|(system, _)| system.hops).max() else {
+                continue;
+            };
+            held.begin_round(net.graph());
+            for (system, payload) in instances() {
+                for p in system.paths.clone() {
+                    held.set_arc(plan.path(p)[0], Some(payload));
+                }
+            }
+            arrivals.reset(plan.class(colour).len());
+            for _ in 0..class_dilation + window {
+                wire.clone_from(held);
+                net.exchange_in_place(wire);
+                for (i, (system, _)) in instances().enumerate() {
+                    for p in system.paths.clone() {
+                        let path = plan.path(p);
+                        // Last hop first: a value moves one hop per round.
+                        for (hop, &arc) in path.iter().enumerate().rev() {
+                            // A relay that held nothing sent nothing: whatever
+                            // shows up on its arc was fabricated.  A dropped
+                            // message leaves the next relay's value alone.
+                            if held.get_arc(arc).is_none() {
+                                continue;
+                            }
+                            let Some(msg) = wire.get_arc(arc) else {
+                                continue;
+                            };
+                            match path.get(hop + 1) {
+                                Some(&next) => held.set_arc(next, Some(msg)),
+                                None => arrivals.record(i, msg),
+                            }
+                        }
+                    }
+                }
+            }
+            for (i, (system, _)) in instances().enumerate() {
+                if let Some(value) = arrivals.plurality(i) {
+                    corrected.set_arc(system.arc, Some(value));
+                }
+            }
+        }
+    }
+}
+
 /// The Theorem 1.4 compiler.
 #[derive(Debug, Clone)]
 pub struct CycleCoverCompiler {
-    cover: FtCycleCover,
-    coloring: BTreeMap<EdgeId, usize>,
+    plan: FloodPlan,
     f: usize,
 }
 
@@ -46,44 +326,113 @@ impl CycleCoverCompiler {
     /// graph.  Returns `None` if the graph is not sufficiently connected.
     pub fn new(g: &Graph, f: usize) -> Option<Self> {
         let cover = FtCycleCover::build(g, 2 * f + 1)?;
-        let coloring = cover.good_coloring(g);
-        Some(CycleCoverCompiler { cover, coloring, f })
+        let plan = FloodPlan::new(g, &cover, &cover.good_coloring(g));
+        Some(CycleCoverCompiler { plan, f })
     }
 
-    /// The underlying cover.
-    pub fn cover(&self) -> &FtCycleCover {
-        &self.cover
-    }
-
-    /// Run the compiled algorithm on the network.
+    /// Run the compiled algorithm on the network: per payload round, per
+    /// colour class with a message to carry, `longest path + window` network
+    /// rounds of the flood described in the module docs, then the plurality of
+    /// what arrived over the last hops (Lemma 5.6).  Every network round goes
+    /// through [`Network::exchange_in_place`] with the complete traffic, so
+    /// the adversary sees and corrupts exactly what the relays send.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
     ) -> (Vec<Output>, CycleCoverReport) {
-        let g = net.graph().clone();
         let start = net.round();
         let r = alg.rounds();
-        let dilation = self.cover.dilation().max(1);
-        let window = 2 * self.f * dilation + dilation + 1;
-        let num_colors = self
-            .coloring
-            .values()
-            .copied()
-            .max()
-            .map(|c| c + 1)
-            .unwrap_or(0);
+        let window = 2 * self.f * self.plan.dilation + self.plan.dilation + 1;
+        let mut flood = Flood::default();
+        for round in 0..r {
+            alg.send_into(round, &mut flood.sent);
+            flood.payload_round(&self.plan, window, net);
+            alg.receive(round, &flood.corrected);
+        }
+        (
+            alg.outputs(),
+            CycleCoverReport {
+                paths_per_edge: self.plan.paths_per_edge,
+                dilation: self.plan.dilation,
+                congestion: self.plan.congestion,
+                colors: self.plan.colors(),
+                network_rounds: net.round() - start,
+                payload_rounds: r,
+            },
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use congest_algorithms::{FloodBroadcast, LeaderElection};
+    use congest_sim::adversary::{
+        AdaptiveHeaviest, AdversaryRole, AdversaryStrategy, CorruptionBudget, CorruptionMode,
+        EclipseNode, GreedyHeaviest, RandomMobile, SweepMobile,
+    };
+    use congest_sim::run_fault_free;
+    use congest_sim::scenario::matrix::graph_zoo_defs;
+    use congest_sim::traffic::Payload;
+    use netgraph::generators;
+    use proptest::prelude::*;
+
+    fn byz_net(g: Graph, f: usize, seed: u64) -> Network {
+        Network::new(
+            g,
+            AdversaryRole::Byzantine,
+            Box::new(RandomMobile::new(f, seed).with_mode(CorruptionMode::Constant(13))),
+            CorruptionBudget::Mobile { f },
+            seed,
+        )
+    }
+
+    /// The zoo graphs that admit an `f = 1` cover, with cover and colouring.
+    fn covered_zoo() -> Vec<(Graph, FtCycleCover, BTreeMap<EdgeId, usize>)> {
+        let covered: Vec<_> = graph_zoo_defs(2024)
+            .iter()
+            .filter_map(|def| {
+                let g = def.build().expect("zoo graph builds");
+                let cover = FtCycleCover::build(&g, 3)?;
+                let coloring = cover.good_coloring(&g);
+                Some((g, cover, coloring))
+            })
+            .collect();
+        assert_eq!(
+            covered.len(),
+            5,
+            "K12, circulant, torus, expander, small world"
+        );
+        covered
+    }
+
+    /// The pre-plan `run`, kept as the oracle: per colour class it walks the
+    /// cover, orients every path as a node sequence per instance, rebuilds
+    /// each round with `Traffic::send` from per-hop `Option<Payload>` holders
+    /// and votes with `interactive_coding::majority`.
+    fn run_by_send<A: CongestAlgorithm + ?Sized>(
+        cover: &FtCycleCover,
+        coloring: &BTreeMap<EdgeId, usize>,
+        f: usize,
+        alg: &mut A,
+        net: &mut Network,
+    ) -> (Vec<Output>, CycleCoverReport) {
+        let g = net.shared_graph();
+        let start = net.round();
+        let r = alg.rounds();
+        let dilation = cover.dilation().max(1);
+        let window = 2 * f * dilation + dilation + 1;
+        let num_colors = coloring.values().max().map_or(0, |c| c + 1);
 
         let mut sent = Traffic::new(&g);
         for round in 0..r {
             alg.send_into(round, &mut sent);
             let mut corrected = Traffic::new(&g);
-            // Process colour classes one after the other; within a class all
-            // path systems are edge-disjoint, so all their floods share rounds.
             for colour in 0..num_colors {
                 let mut instances: Vec<FloodInstance> = Vec::new();
-                for (&eid, paths) in &self.cover.paths {
-                    if self.coloring.get(&eid) != Some(&colour) {
+                for (&eid, paths) in &cover.paths {
+                    if coloring.get(&eid) != Some(&colour) {
                         continue;
                     }
                     let edge = g.edge(eid);
@@ -124,108 +473,324 @@ impl CycleCoverCompiler {
         (
             alg.outputs(),
             CycleCoverReport {
-                paths_per_edge: self.cover.paths_per_edge(),
+                paths_per_edge: cover.paths_per_edge(),
                 dilation,
-                congestion: self.cover.congestion(&g),
+                congestion: cover.congestion(&g),
                 colors: num_colors,
                 network_rounds: net.round() - start,
                 payload_rounds: r,
             },
         )
     }
-}
 
-struct FloodInstance {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload,
-    paths: Vec<Vec<NodeId>>,
-}
+    struct FloodInstance {
+        from: NodeId,
+        to: NodeId,
+        payload: Payload,
+        paths: Vec<Vec<NodeId>>,
+    }
 
-/// Flood several (edge-disjoint-by-construction) instances simultaneously:
-/// every path keeps forwarding its current value every round for
-/// `dilation + window` rounds; the target takes the majority of everything that
-/// arrived over the last hops.
-fn flood_instances(
-    net: &mut Network,
-    instances: &[FloodInstance],
-    window: usize,
-) -> Vec<Option<Payload>> {
-    let g = net.graph().clone();
-    let dilation = instances
-        .iter()
-        .flat_map(|i| i.paths.iter().map(|p| p.len() - 1))
-        .max()
-        .unwrap_or(0);
-    let total_rounds = dilation + window;
-    // holder[instance][path][hop] = value currently held at that hop.
-    let mut holder: Vec<Vec<Vec<Option<Payload>>>> = instances
-        .iter()
-        .map(|inst| {
-            inst.paths
-                .iter()
-                .map(|p| {
-                    let mut h = vec![None; p.len()];
-                    h[0] = Some(inst.payload.clone());
-                    h
-                })
-                .collect()
-        })
-        .collect();
-    let mut arrived: Vec<Vec<Payload>> = vec![Vec::new(); instances.len()];
+    fn flood_instances(
+        net: &mut Network,
+        instances: &[FloodInstance],
+        window: usize,
+    ) -> Vec<Option<Payload>> {
+        let g = net.shared_graph();
+        let dilation = instances
+            .iter()
+            .flat_map(|i| i.paths.iter().map(|p| p.len() - 1))
+            .max()
+            .unwrap_or(0);
+        let total_rounds = dilation + window;
+        // holder[instance][path][hop] = value currently held at that hop.
+        let mut holder: Vec<Vec<Vec<Option<Payload>>>> = instances
+            .iter()
+            .map(|inst| {
+                inst.paths
+                    .iter()
+                    .map(|p| {
+                        let mut h = vec![None; p.len()];
+                        h[0] = Some(inst.payload.clone());
+                        h
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut arrived: Vec<Vec<Payload>> = vec![Vec::new(); instances.len()];
 
-    let mut traffic = Traffic::new(&g);
-    for _ in 0..total_rounds {
-        traffic.begin_round(&g);
-        for (ii, inst) in instances.iter().enumerate() {
-            for (pi, path) in inst.paths.iter().enumerate() {
-                for hop in 0..path.len() - 1 {
-                    if let Some(val) = &holder[ii][pi][hop] {
-                        traffic.send(&g, path[hop], path[hop + 1], val);
+        let mut traffic = Traffic::new(&g);
+        for _ in 0..total_rounds {
+            traffic.begin_round(&g);
+            for (ii, inst) in instances.iter().enumerate() {
+                for (pi, path) in inst.paths.iter().enumerate() {
+                    for hop in 0..path.len() - 1 {
+                        if let Some(val) = &holder[ii][pi][hop] {
+                            traffic.send(&g, path[hop], path[hop + 1], val);
+                        }
                     }
                 }
             }
-        }
-        net.exchange_in_place(&mut traffic);
-        for (ii, inst) in instances.iter().enumerate() {
-            for (pi, path) in inst.paths.iter().enumerate() {
-                for hop in (0..path.len() - 1).rev() {
-                    if holder[ii][pi][hop].is_some() {
-                        if let Some(msg) = traffic.get(&g, path[hop], path[hop + 1]) {
-                            if hop + 1 == path.len() - 1 {
-                                arrived[ii].push(msg.to_vec());
-                            } else {
-                                holder[ii][pi][hop + 1] = Some(msg.to_vec());
+            net.exchange_in_place(&mut traffic);
+            for (ii, inst) in instances.iter().enumerate() {
+                for (pi, path) in inst.paths.iter().enumerate() {
+                    for hop in (0..path.len() - 1).rev() {
+                        if holder[ii][pi][hop].is_some() {
+                            if let Some(msg) = traffic.get(&g, path[hop], path[hop + 1]) {
+                                if hop + 1 == path.len() - 1 {
+                                    arrived[ii].push(msg.to_vec());
+                                } else {
+                                    holder[ii][pi][hop + 1] = Some(msg.to_vec());
+                                }
                             }
                         }
                     }
                 }
             }
         }
+
+        arrived
+            .iter()
+            .map(|values| interactive_coding::majority(values))
+            .collect()
     }
 
-    arrived
-        .iter()
-        .map(|values| interactive_coding::majority(values))
-        .collect()
-}
+    /// A payload shaped to hit every message kind the flood must carry: per
+    /// arc and round it is silent, sends an empty-but-present message, one
+    /// word or three words; a node's output folds in all it received.
+    struct Ragged {
+        g: Graph,
+        digest: Vec<u64>,
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use congest_algorithms::{FloodBroadcast, LeaderElection};
-    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, CorruptionMode, RandomMobile};
-    use congest_sim::run_fault_free;
-    use netgraph::generators;
+    impl Ragged {
+        fn new(g: Graph) -> Self {
+            let digest = vec![0; g.node_count()];
+            Ragged { g, digest }
+        }
+    }
 
-    fn byz_net(g: Graph, f: usize, seed: u64) -> Network {
-        Network::new(
-            g,
+    impl CongestAlgorithm for Ragged {
+        fn name(&self) -> String {
+            "ragged".into()
+        }
+        fn rounds(&self) -> usize {
+            3
+        }
+        fn send_into(&mut self, round: usize, out: &mut Traffic) {
+            out.begin_round(&self.g);
+            for arc in 0..self.g.arc_count() {
+                let (_, from, _) = self.g.arc_endpoints(arc);
+                let word = self.digest[from] ^ (arc as u64);
+                match (arc + round) % 4 {
+                    0 => {}
+                    1 => out.set_arc(arc, Some(&[])),
+                    2 => out.set_arc(arc, Some(&[word])),
+                    _ => out.set_arc(arc, Some(&[word, round as u64, !word])),
+                }
+            }
+        }
+        fn receive(&mut self, _round: usize, inbox: &Traffic) {
+            for v in self.g.nodes() {
+                for (u, msg) in inbox.inbox(&self.g, v) {
+                    let mut h =
+                        self.digest[v].rotate_left(7) ^ (u as u64) ^ ((msg.len() as u64) << 32);
+                    for &w in msg {
+                        h = h.rotate_left(13).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ w;
+                    }
+                    self.digest[v] = h;
+                }
+            }
+        }
+        fn outputs(&self) -> Vec<Output> {
+            self.digest.iter().map(|&d| vec![d]).collect()
+        }
+    }
+
+    fn strategies(f: usize, mode: CorruptionMode) -> Vec<Box<dyn AdversaryStrategy>> {
+        vec![
+            Box::new(RandomMobile::new(f, 41).with_mode(mode)),
+            Box::new(SweepMobile::new(f).with_mode(mode)),
+            Box::new(GreedyHeaviest::new(f).with_mode(mode)),
+            Box::new(AdaptiveHeaviest::new(f).with_mode(mode)),
+            Box::new(EclipseNode::new(3, f).with_mode(mode)),
+        ]
+    }
+
+    fn payloads(g: &Graph) -> Vec<Box<dyn CongestAlgorithm>> {
+        vec![
+            Box::new(FloodBroadcast::new(g.clone(), 0, 4242)),
+            Box::new(LeaderElection::new(g.clone())),
+            Box::new(Ragged::new(g.clone())),
+        ]
+    }
+
+    #[test]
+    fn planned_flood_equals_the_send_built_flood() {
+        let f = 1;
+        for (g, cover, coloring) in covered_zoo() {
+            let compiler = CycleCoverCompiler::new(&g, f).expect("covered");
+            for mode in [
+                CorruptionMode::ReplaceRandom,
+                CorruptionMode::FlipLowBit,
+                CorruptionMode::Drop,
+                CorruptionMode::Constant(13),
+            ] {
+                for (fast, slow) in strategies(f, mode).into_iter().zip(strategies(f, mode)) {
+                    let name = fast.name();
+                    let net_with = |strategy| {
+                        Network::new(
+                            g.clone(),
+                            AdversaryRole::Byzantine,
+                            strategy,
+                            CorruptionBudget::Mobile { f },
+                            17,
+                        )
+                    };
+                    let (mut fast_net, mut slow_net) = (net_with(fast), net_with(slow));
+                    // Back to back on one network: every run after the first
+                    // starts from a non-zero round and adversary state.
+                    for _ in 0..2 {
+                        for (mut a, mut b) in payloads(&g).into_iter().zip(payloads(&g)) {
+                            let got = compiler.run(&mut *a, &mut fast_net);
+                            let want = run_by_send(&cover, &coloring, f, &mut *b, &mut slow_net);
+                            assert_eq!(got, want, "{name} {mode:?} {}", a.name());
+                        }
+                    }
+                    assert_eq!(fast_net.metrics(), slow_net.metrics(), "{name} {mode:?}");
+                    assert!(
+                        fast_net.metrics().corrupted_edge_rounds > 0,
+                        "{name} {mode:?}"
+                    );
+                    assert_eq!(
+                        fast_net.corruption_history(),
+                        slow_net.corruption_history(),
+                        "{name} {mode:?}"
+                    );
+                    assert_eq!(
+                        fast_net.public_coin(),
+                        slow_net.public_coin(),
+                        "{name} {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_arc_has_one_owner_per_class_and_every_path_is_a_walk() {
+        for (g, cover, coloring) in covered_zoo() {
+            let plan = FloodPlan::new(&g, &cover, &coloring);
+            assert_eq!(plan.systems.len(), g.arc_count());
+            assert_eq!(plan.class_end.last(), Some(&plan.systems.len()));
+            for colour in 0..plan.colors() {
+                let mut owned = vec![false; g.arc_count()];
+                for system in plan.class(colour) {
+                    let (eid, source, target) = g.arc_endpoints(system.arc);
+                    assert_eq!(coloring[&eid], colour);
+                    assert_eq!(system.paths.len(), cover.paths[&eid].len());
+                    for p in system.paths.clone() {
+                        let mut at = source;
+                        for &arc in plan.path(p) {
+                            assert!(!std::mem::replace(&mut owned[arc], true));
+                            let (_, from, to) = g.arc_endpoints(arc);
+                            assert_eq!(from, at);
+                            at = to;
+                        }
+                        assert_eq!(at, target);
+                        assert!(plan.path(p).len() <= system.hops);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flood plan: two hops of colour class 0 share edge")]
+    fn a_bad_colouring_is_rejected_by_name() {
+        // On a cycle every path system uses every edge, so one colour for all
+        // puts every edge under several floods at once.
+        let g = generators::cycle(5);
+        let cover = FtCycleCover::build(&g, 2).unwrap();
+        let bad: BTreeMap<EdgeId, usize> = (0..g.edge_count()).map(|e| (e, 0)).collect();
+        FloodPlan::new(&g, &cover, &bad);
+    }
+
+    #[test]
+    fn unused_colours_are_empty_classes() {
+        let g = generators::cycle(4);
+        let cover = FtCycleCover::build(&g, 2).unwrap();
+        let gappy: BTreeMap<EdgeId, usize> = (0..g.edge_count()).map(|e| (e, 2 * e + 1)).collect();
+        let plan = FloodPlan::new(&g, &cover, &gappy);
+        assert_eq!(plan.colors(), 8);
+        for colour in 0..8 {
+            // Both directions of one edge, or nothing.
+            assert_eq!(
+                plan.class(colour).len(),
+                2 * (colour % 2),
+                "colour {colour}"
+            );
+        }
+    }
+
+    #[test]
+    fn steady_state_flood_rounds_do_not_grow_the_buffers() {
+        let (g, cover, coloring) = covered_zoo().pop().expect("the small world");
+        let plan = FloodPlan::new(&g, &cover, &coloring);
+        let mut net = Network::new(
+            g.clone(),
             AdversaryRole::Byzantine,
-            Box::new(RandomMobile::new(f, seed).with_mode(CorruptionMode::Constant(13))),
-            CorruptionBudget::Mobile { f },
-            seed,
-        )
+            Box::new(RandomMobile::new(1, 5)),
+            CorruptionBudget::Mobile { f: 1 },
+            5,
+        );
+        let mut flood = Flood::default();
+        let payload_round = |flood: &mut Flood, net: &mut Network, round: u64| {
+            flood.sent.begin_round(&g);
+            for arc in 0..g.arc_count() {
+                flood.sent.set_arc(arc, Some(&[arc as u64, round]));
+            }
+            flood.payload_round(&plan, 3 * plan.dilation + 1, net);
+            assert_eq!(flood.corrected, flood.sent, "round {round} not corrected");
+        };
+        payload_round(&mut flood, &mut net, 0);
+        let caps = |flood: &Flood| {
+            [&flood.corrected, &flood.held, &flood.wire].map(Traffic::word_capacity)
+        };
+        let (traffic_caps, engine_cap) = (caps(&flood), net.round_buffer_capacity());
+        for round in 1..4 {
+            payload_round(&mut flood, &mut net, round);
+        }
+        assert_eq!(caps(&flood), traffic_caps, "a traffic arena regrew");
+        assert_eq!(net.round_buffer_capacity(), engine_cap, "engine regrew");
+        assert!(net.metrics().corrupted_messages > 0);
+    }
+
+    proptest! {
+        #[test]
+        fn plurality_of_arrivals_is_the_majority_rule(
+            arrivals in prop::collection::vec(
+                (0usize..3, prop::collection::vec(0u64..3, 0..3)),
+                0..40,
+            )
+        ) {
+            // A small alphabet of mixed lengths: ties, prefixes and the empty
+            // payload all occur.
+            let mut tally = Arrivals::default();
+            tally.reset(1);
+            tally.record(0, &[9, 9, 9]); // stale state the next `reset` must drop
+            tally.reset(3);
+            let mut listed: Vec<Vec<Payload>> = vec![Vec::new(); 3];
+            for (instance, msg) in &arrivals {
+                tally.record(*instance, msg);
+                listed[*instance].push(msg.clone());
+            }
+            for (instance, values) in listed.iter().enumerate() {
+                prop_assert_eq!(
+                    tally.plurality(instance).map(<[u64]>::to_vec),
+                    interactive_coding::majority(values)
+                );
+            }
+        }
     }
 
     #[test]

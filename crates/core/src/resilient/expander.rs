@@ -43,7 +43,7 @@ pub fn weak_packing_under_attack(
     bfs_rounds: usize,
     seed: u64,
 ) -> (TreePacking, WeakPackingReport) {
-    let g = net.graph().clone();
+    let g = net.shared_graph();
     let n = g.node_count();
     let root: NodeId = n - 1;
     let start = net.round();

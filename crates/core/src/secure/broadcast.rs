@@ -61,7 +61,7 @@ pub fn mobile_secure_broadcast(
     seed: u64,
 ) -> (Vec<Option<Vec<u64>>>, SecureBroadcastReport) {
     assert!(!secret.is_empty(), "secret must be non-empty");
-    let g = net.graph().clone();
+    let g = net.shared_graph();
     let n = g.node_count();
     let start = net.round();
 
@@ -230,7 +230,7 @@ impl CongestionSensitiveCompiler {
         net: &mut Network,
         source: NodeId,
     ) -> (Vec<Output>, SecureCompilerReport) {
-        let g = net.graph().clone();
+        let g = net.shared_graph();
         let r = alg.rounds();
         let cong = alg.congestion_bound().unwrap_or(r);
         let start = net.round();

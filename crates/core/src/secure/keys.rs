@@ -73,7 +73,7 @@ impl KeyPool {
             words_per_message > 0,
             "messages must have at least one word"
         );
-        let g = net.graph().clone();
+        let g = net.shared_graph();
         net.tracer_mut().span_open(obs::Phase::KeySchedule);
         let chunks_per_round = words_per_message * CHUNKS_PER_WORD;
         let exchange_rounds = rounds + t;

@@ -79,7 +79,7 @@ impl StaticToMobileCompiler {
         alg: &mut A,
         net: &mut Network,
     ) -> (Vec<Output>, MobileSecureReport) {
-        let g = net.graph().clone();
+        let g = net.shared_graph();
         let r = alg.rounds();
         // Phase 1: establish one-time pads (ℓ = r + t exchange rounds).
         let pool = KeyPool::establish(net, self.seed, r, self.words_per_message, self.t);

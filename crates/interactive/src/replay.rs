@@ -14,7 +14,7 @@
 use congest_sim::network::Network;
 use congest_sim::traffic::{Payload, Traffic};
 use netgraph::spanning::RootedTree;
-use netgraph::{Graph, NodeId};
+use netgraph::NodeId;
 use std::collections::HashMap;
 
 /// The most frequent of `values` (`None` if there are none), ties resolved
@@ -55,7 +55,7 @@ pub fn repeated_tree_broadcast(
     value: &Payload,
     repetitions: usize,
 ) -> Vec<Option<Payload>> {
-    let g = net.graph().clone();
+    let g = net.shared_graph();
     let n = g.node_count();
     let reps = repetitions.max(1);
     let depths = tree.depths();
@@ -114,7 +114,7 @@ pub fn repeated_tree_sum(
     values: &[u64],
     repetitions: usize,
 ) -> Option<u64> {
-    let g = net.graph().clone();
+    let g = net.shared_graph();
     let n = g.node_count();
     assert_eq!(values.len(), n);
     let reps = repetitions.max(1);
@@ -200,7 +200,7 @@ pub fn flood_paths_majority(
     value: &Payload,
     window: usize,
 ) -> Option<Payload> {
-    let g: Graph = net.graph().clone();
+    let g = net.shared_graph();
     if paths.is_empty() {
         return None;
     }

@@ -14,8 +14,95 @@
 //! These routines compute (exactly, at simulation scale) or estimate those
 //! quantities so experiments can report them alongside measured overheads.
 
-use crate::graph::{EdgeId, Graph, NodeId};
-use std::collections::VecDeque;
+use crate::graph::{ArcId, EdgeId, Graph, NodeId};
+
+/// Reusable state of the unit-capacity max-flow on the bidirected version of
+/// the graph (arc `2e` and arc `2e + 1` of every edge, capacity 1 each): which
+/// arcs carry flow, plus the BFS buffers.  One value serves any number of
+/// flow computations on any graph, so a caller that runs `m` or `n − 1` of
+/// them allocates once instead of three vectors per BFS.
+#[derive(Debug, Default)]
+pub(crate) struct MaxFlow {
+    /// Per arc: does it carry a unit of flow?
+    used: Vec<bool>,
+    /// Per node reached by the last BFS: the node it was reached from and the
+    /// arc whose `used` bit augmenting over that step flips.
+    pred: Vec<(NodeId, ArcId)>,
+    /// Per node: reached by the last BFS?
+    seen: Vec<bool>,
+    queue: Vec<NodeId>,
+}
+
+impl MaxFlow {
+    /// Push up to `limit` units of flow from `s` to `t` (`s != t`), starting
+    /// from the empty flow whatever an earlier call left behind; returns the
+    /// number pushed.  When that is below `limit`, the flow is maximum and
+    /// `seen` holds the source side of a minimum `s`–`t` cut.
+    fn run(&mut self, g: &Graph, s: NodeId, t: NodeId, limit: usize) -> usize {
+        self.used.clear();
+        self.used.resize(g.arc_count(), false);
+        self.pred.resize(g.node_count(), (0, 0));
+        let mut value = 0;
+        while value < limit && self.augment(g, s, t) {
+            value += 1;
+        }
+        value
+    }
+
+    /// One BFS from `s` in the residual graph (so shorter augmenting paths are
+    /// found first); if it reaches `t`, push one unit along the path found.
+    fn augment(&mut self, g: &Graph, s: NodeId, t: NodeId) -> bool {
+        self.seen.clear();
+        self.seen.resize(g.node_count(), false);
+        self.seen[s] = true;
+        self.queue.clear();
+        self.queue.push(s);
+        let mut head = 0;
+        'bfs: while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            for &(v, e) in g.neighbors(u) {
+                let (arc, rev) = Graph::arcs_from(u, v, e);
+                // Residual capacity exists if this direction is unused (push
+                // on it), or the opposite direction carries flow to cancel.
+                let can_forward = !self.used[arc];
+                if (can_forward || self.used[rev]) && !self.seen[v] {
+                    self.seen[v] = true;
+                    self.pred[v] = (u, if can_forward { arc } else { rev });
+                    if v == t {
+                        break 'bfs;
+                    }
+                    self.queue.push(v);
+                }
+            }
+        }
+        if !self.seen[t] {
+            return false;
+        }
+        let mut cur = t;
+        while cur != s {
+            let (prev, arc) = self.pred[cur];
+            self.used[arc] = !self.used[arc];
+            cur = prev;
+        }
+        true
+    }
+
+    /// [`edge_disjoint_paths`] on this scratch.
+    pub(crate) fn disjoint_paths(
+        &mut self,
+        g: &Graph,
+        s: NodeId,
+        t: NodeId,
+        limit: usize,
+    ) -> Vec<Vec<NodeId>> {
+        if s == t {
+            return Vec::new();
+        }
+        let count = self.run(g, s, t, limit);
+        decompose_paths(g, s, t, &mut self.used, count)
+    }
+}
 
 /// Maximum number of edge-disjoint `s`–`t` paths (equivalently the minimum
 /// `s`–`t` edge cut), computed with BFS augmenting paths on the unit-capacity
@@ -31,62 +118,7 @@ pub fn edge_disjoint_path_count(g: &Graph, s: NodeId, t: NodeId) -> usize {
 /// first (BFS), which empirically keeps path lengths close to the
 /// `(k, D_TP)`-connectivity profile used by the paper.
 pub fn edge_disjoint_paths(g: &Graph, s: NodeId, t: NodeId, limit: usize) -> Vec<Vec<NodeId>> {
-    if s == t {
-        return Vec::new();
-    }
-    let m = g.edge_count();
-    // capacity per arc: arc 2e = u->v, arc 2e+1 = v->u, both capacity 1.
-    let mut used = vec![false; 2 * m];
-    let mut flow_paths = 0usize;
-    loop {
-        if flow_paths >= limit {
-            break;
-        }
-        // BFS in the residual graph.
-        let n = g.node_count();
-        let mut pred: Vec<Option<(NodeId, EdgeId, bool)>> = vec![None; n]; // (prev node, edge, forward?)
-        let mut seen = vec![false; n];
-        seen[s] = true;
-        let mut q = VecDeque::new();
-        q.push_back(s);
-        'bfs: while let Some(u) = q.pop_front() {
-            for &(v, e) in g.neighbors(u) {
-                let arc = g.arc(e, u, v);
-                let rev = g.arc(e, v, u);
-                // Residual capacity exists if this direction is unused, or the
-                // opposite direction carries flow we can cancel.
-                let can_forward = !used[arc];
-                let can_cancel = used[rev];
-                if (can_forward || can_cancel) && !seen[v] {
-                    seen[v] = true;
-                    pred[v] = Some((u, e, can_forward));
-                    if v == t {
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        if !seen[t] {
-            break;
-        }
-        // Augment along the found path.
-        let mut cur = t;
-        while cur != s {
-            let (p, e, forward) = pred[cur].unwrap();
-            let arc = g.arc(e, p, cur);
-            let rev = g.arc(e, cur, p);
-            if forward {
-                used[arc] = true;
-            } else {
-                used[rev] = false;
-            }
-            cur = p;
-        }
-        flow_paths += 1;
-    }
-    // Decompose the flow into paths.
-    decompose_paths(g, s, t, &mut used, flow_paths)
+    MaxFlow::default().disjoint_paths(g, s, t, limit)
 }
 
 fn decompose_paths(
@@ -108,7 +140,7 @@ fn decompose_paths(
             }
             let mut advanced = false;
             for &(v, e) in g.neighbors(cur) {
-                let arc = g.arc(e, cur, v);
+                let (arc, _) = Graph::arcs_from(cur, v, e);
                 if used[arc] {
                     used[arc] = false;
                     path.push(v);
@@ -143,6 +175,19 @@ pub fn edge_connectivity(g: &Graph) -> usize {
         .unwrap_or(0)
 }
 
+/// Whether `λ(G) ≥ k` — the question the compilers' validation asks, at a
+/// fraction of [`edge_connectivity`]'s price: each of the `n − 1` flows stops
+/// after `k` augmentations, none is decomposed into paths, and the first sink
+/// that falls short ends the sweep.
+pub fn edge_connectivity_at_least(g: &Graph, k: usize) -> bool {
+    if k == 0 {
+        return true;
+    }
+    let mut flow = MaxFlow::default();
+    // A single node has λ = 0 by [`edge_connectivity`]'s convention.
+    g.node_count() > 1 && (1..g.node_count()).all(|v| flow.run(g, 0, v, k) == k)
+}
+
 /// The edge set of one global minimum edge cut (a witness for
 /// [`edge_connectivity`]): one unit-capacity max flow per candidate sink,
 /// keeping the residual source side of the smallest; the cut is the set of
@@ -161,57 +206,14 @@ pub fn min_edge_cut(g: &Graph) -> Vec<EdgeId> {
     if n <= 1 {
         return Vec::new();
     }
-    let m = g.edge_count();
     let mut best_flow = usize::MAX;
     let mut best_side: Vec<bool> = Vec::new();
+    let mut flow = MaxFlow::default();
     for sink in 1..n {
-        let mut used = vec![false; 2 * m];
-        let mut flow = 0usize;
-        let side = loop {
-            if flow >= best_flow {
-                break None; // cannot beat the best cut found so far
-            }
-            let mut pred: Vec<Option<(NodeId, EdgeId, bool)>> = vec![None; n];
-            let mut seen = vec![false; n];
-            seen[0] = true;
-            let mut q = VecDeque::new();
-            q.push_back(0);
-            'bfs: while let Some(u) = q.pop_front() {
-                for &(v, e) in g.neighbors(u) {
-                    let arc = g.arc(e, u, v);
-                    let rev = g.arc(e, v, u);
-                    if (!used[arc] || used[rev]) && !seen[v] {
-                        seen[v] = true;
-                        pred[v] = Some((u, e, !used[arc]));
-                        if v == sink {
-                            break 'bfs;
-                        }
-                        q.push_back(v);
-                    }
-                }
-            }
-            if !seen[sink] {
-                // Max flow reached: `seen` is the source side of a minimum
-                // 0–sink cut.
-                break Some(seen);
-            }
-            let mut cur = sink;
-            while cur != 0 {
-                let (p, e, forward) = pred[cur].unwrap();
-                let arc = g.arc(e, p, cur);
-                let rev = g.arc(e, cur, p);
-                if forward {
-                    used[arc] = true;
-                } else {
-                    used[rev] = false;
-                }
-                cur = p;
-            }
-            flow += 1;
-        };
-        if let Some(seen) = side {
-            best_flow = flow;
-            best_side = seen;
+        let value = flow.run(g, 0, sink, best_flow);
+        if value < best_flow {
+            best_flow = value;
+            best_side.clone_from(&flow.seen);
         }
     }
     g.edges()
@@ -406,6 +408,56 @@ mod tests {
         let disconnected = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert_eq!(edge_connectivity(&disconnected), 0);
         assert_eq!(edge_connectivity(&Graph::new(1)), 0);
+    }
+
+    #[test]
+    fn threshold_connectivity_agrees_with_the_exact_value() {
+        let disconnected = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        for g in [
+            generators::path(5),
+            generators::cycle(7),
+            generators::complete(6),
+            generators::grid(4, 4),
+            generators::ring_of_cliques(4, 5),
+            generators::barbell(5, 2),
+            generators::circulant(11, 3),
+            disconnected,
+            Graph::new(1),
+            Graph::new(0),
+        ] {
+            let lambda = edge_connectivity(&g);
+            for k in 0..=lambda + 2 {
+                assert_eq!(edge_connectivity_at_least(&g, k), lambda >= k, "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn stale_max_flow_scratch_returns_the_same_paths_as_a_fresh_one() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        // One scratch across graphs of different sizes, never cleared by the
+        // caller: whatever flow, BFS marks and queue the last call left
+        // behind must not leak into the next.
+        let mut stale = MaxFlow::default();
+        for g in [
+            generators::expander_d_regular(24, 8, 5),
+            generators::torus(4, 5),
+            generators::ring_of_cliques(4, 5),
+            generators::complete(9),
+            generators::path(6),
+        ] {
+            let n = g.node_count();
+            for _ in 0..40 {
+                let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let limit = rng.gen_range(0..6);
+                assert_eq!(
+                    stale.disjoint_paths(&g, s, t, limit),
+                    edge_disjoint_paths(&g, s, t, limit),
+                    "{s} -> {t}, limit {limit}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! majority at the receiver; the *good cycle colouring* of Lemma 5.2 schedules
 //! path systems so that systems processed together never share an edge.
 
-use crate::connectivity::edge_disjoint_paths;
+use crate::connectivity::MaxFlow;
 use crate::graph::{EdgeId, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,8 +29,9 @@ impl FtCycleCover {
     /// between its endpoints (i.e. the graph is not `k`-edge-connected).
     pub fn build(g: &Graph, k: usize) -> Option<Self> {
         let mut paths = BTreeMap::new();
+        let mut flow = MaxFlow::default();
         for (id, e) in g.edges().iter().enumerate() {
-            let ps = edge_disjoint_paths(g, e.u, e.v, k);
+            let ps = flow.disjoint_paths(g, e.u, e.v, k);
             if ps.len() < k {
                 return None;
             }
@@ -110,36 +111,40 @@ impl FtCycleCover {
 
     /// A *good cycle colouring* (Lemma 5.2): assign every covered edge a colour
     /// such that two edges with the same colour have edge-disjoint path systems.
-    /// Greedy colouring of the path-conflict graph; the number of colours is at
-    /// most `max_conflict_degree + 1 ≤ k·dilation·cong + 1`.
+    /// Greedy colouring of the path-conflict graph in ascending edge id, each
+    /// edge taking the smallest colour no conflicting edge holds yet; the
+    /// number of colours is at most `max_conflict_degree + 1 ≤ k·dilation·cong + 1`.
+    ///
+    /// The conflict graph is never materialised.  Each graph edge keeps the
+    /// colours of the systems coloured so far that traverse it (pairwise
+    /// distinct, since those systems conflict), and two stamp arrays stand in
+    /// for the sets: "seen by this edge" deduplicates an edge's support,
+    /// "colour taken by this edge" collects what its conflicts hold.
     pub fn good_coloring(&self, g: &Graph) -> BTreeMap<EdgeId, usize> {
-        // For every graph edge, which covered edges' path systems traverse it?
-        let mut users: Vec<Vec<EdgeId>> = vec![Vec::new(); g.edge_count()];
-        for &eid in self.paths.keys() {
-            for s in self.support_of(g, eid) {
-                users[s].push(eid);
-            }
-        }
-        // Conflict adjacency.
-        let mut conflicts: BTreeMap<EdgeId, BTreeSet<EdgeId>> = BTreeMap::new();
-        for list in &users {
-            for &a in list {
-                for &b in list {
-                    if a != b {
-                        conflicts.entry(a).or_default().insert(b);
+        let mut colors_on: Vec<Vec<usize>> = vec![Vec::new(); g.edge_count()];
+        let mut seen_by = vec![usize::MAX; g.edge_count()];
+        // One colour per covered edge at most, so one slot more is never taken.
+        let mut taken_by = vec![usize::MAX; self.paths.len() + 1];
+        let mut support: Vec<EdgeId> = Vec::new();
+        let mut coloring = BTreeMap::new();
+        for (i, (&eid, ps)) in self.paths.iter().enumerate() {
+            support.clear();
+            for w in ps.iter().flat_map(|p| p.windows(2)) {
+                let Some(s) = g.edge_between(w[0], w[1]) else {
+                    continue;
+                };
+                if seen_by[s] != i {
+                    seen_by[s] = i;
+                    support.push(s);
+                    for &c in &colors_on[s] {
+                        taken_by[c] = i;
                     }
                 }
             }
-        }
-        let mut coloring: BTreeMap<EdgeId, usize> = BTreeMap::new();
-        for &eid in self.paths.keys() {
-            let taken: BTreeSet<usize> = conflicts
-                .get(&eid)
-                .map(|ns| ns.iter().filter_map(|n| coloring.get(n)).copied().collect())
-                .unwrap_or_default();
-            let mut c = 0;
-            while taken.contains(&c) {
-                c += 1;
+            let free = taken_by.iter().position(|&t| t != i);
+            let c = free.expect("more slots than covered edges");
+            for &s in &support {
+                colors_on[s].push(c);
             }
             coloring.insert(eid, c);
         }
@@ -172,7 +177,76 @@ pub fn verify_good_coloring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::generators::{self, GraphDef};
+
+    /// The colouring as it was computed before the stamp arrays: the
+    /// materialised conflict graph, coloured greedily in ascending edge id.
+    /// Kept as the oracle [`FtCycleCover::good_coloring`] must reproduce —
+    /// the colour count is part of every cycle-cover report.
+    fn good_coloring_oracle(cover: &FtCycleCover, g: &Graph) -> BTreeMap<EdgeId, usize> {
+        let mut users: Vec<Vec<EdgeId>> = vec![Vec::new(); g.edge_count()];
+        for &eid in cover.paths.keys() {
+            for s in cover.support_of(g, eid) {
+                users[s].push(eid);
+            }
+        }
+        let mut conflicts: BTreeMap<EdgeId, BTreeSet<EdgeId>> = BTreeMap::new();
+        for list in &users {
+            for &a in list {
+                for &b in list {
+                    if a != b {
+                        conflicts.entry(a).or_default().insert(b);
+                    }
+                }
+            }
+        }
+        let mut coloring: BTreeMap<EdgeId, usize> = BTreeMap::new();
+        for &eid in cover.paths.keys() {
+            let taken: BTreeSet<usize> = conflicts
+                .get(&eid)
+                .map(|ns| ns.iter().filter_map(|n| coloring.get(n)).copied().collect())
+                .unwrap_or_default();
+            let mut c = 0;
+            while taken.contains(&c) {
+                c += 1;
+            }
+            coloring.insert(eid, c);
+        }
+        coloring
+    }
+
+    #[test]
+    fn good_coloring_matches_the_conflict_graph_oracle_on_the_zoo() {
+        // The campaign zoo (`graph_zoo_defs(2024)`) plus a partial cover.
+        let zoo = [
+            GraphDef::complete(12),
+            GraphDef::circulant(18, 4),
+            GraphDef::grid(4, 4),
+            GraphDef::torus(4, 5),
+            GraphDef::expander(24, 8, 2024),
+            GraphDef::watts_strogatz(24, 6, 0.2, 2024 ^ 0x5A11),
+            GraphDef::ring_of_cliques(4, 5),
+            GraphDef::barbell(5, 2),
+        ];
+        let mut covers = 0;
+        for def in zoo {
+            let g = def.build().expect("zoo defs are valid");
+            for k in 1..=3 {
+                let Some(mut cover) = FtCycleCover::build(&g, k) else {
+                    continue;
+                };
+                let coloring = cover.good_coloring(&g);
+                assert_eq!(coloring, good_coloring_oracle(&cover, &g), "{def:?} k={k}");
+                assert!(verify_good_coloring(&cover, &g, &coloring));
+                // Covered ids need not be dense.
+                cover.paths.retain(|eid, _| eid % 3 != 1);
+                let partial = cover.good_coloring(&g);
+                assert_eq!(partial, good_coloring_oracle(&cover, &g), "{def:?} partial");
+                covers += 1;
+            }
+        }
+        assert!(covers >= 16, "only {covers} covers built");
+    }
 
     #[test]
     fn cycle_cover_on_cycle_graph() {

@@ -308,6 +308,25 @@ impl Graph {
         arc / 2
     }
 
+    /// The arc of the same edge that runs the other way.
+    #[inline]
+    pub fn reverse_arc(arc: ArcId) -> ArcId {
+        arc ^ 1
+    }
+
+    /// The arcs `(a → b, b → a)` of the edge `e = {a, b}`, from the endpoint
+    /// order alone (the forward arc leaves the smaller endpoint) — for scans
+    /// of [`Graph::neighbors`], where `e` is known to join the two nodes.
+    #[inline]
+    pub(crate) fn arcs_from(a: NodeId, b: NodeId, e: EdgeId) -> (ArcId, ArcId) {
+        let (fwd, bwd) = Graph::arcs_of(e);
+        if a < b {
+            (fwd, bwd)
+        } else {
+            (bwd, fwd)
+        }
+    }
+
     /// Decompose an arc id into `(edge, from, to)`.
     pub fn arc_endpoints(&self, arc: ArcId) -> (EdgeId, NodeId, NodeId) {
         let e = arc / 2;
@@ -413,6 +432,10 @@ mod tests {
             assert_ne!(a_uv, a_vu);
             assert_eq!(g.arc_endpoints(a_uv), (e, u, v));
             assert_eq!(g.arc_endpoints(a_vu), (e, v, u));
+            assert_eq!(Graph::reverse_arc(a_uv), a_vu);
+            assert_eq!(Graph::reverse_arc(a_vu), a_uv);
+            assert_eq!(Graph::arcs_from(u, v, e), (a_uv, a_vu));
+            assert_eq!(Graph::arcs_from(v, u, e), (a_vu, a_uv));
         }
         assert_eq!(g.arc_count(), 6);
         assert_eq!(g.arc_between(1, 2), Some(g.arc(1, 1, 2)));

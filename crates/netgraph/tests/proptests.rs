@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use netgraph::connectivity::{edge_connectivity, edge_disjoint_paths};
+use netgraph::connectivity::{edge_connectivity, edge_connectivity_at_least, edge_disjoint_paths};
 use netgraph::cycle_cover::FtCycleCover;
 use netgraph::generators;
 use netgraph::graph::Graph;
@@ -23,6 +23,13 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
             g.add_edge(e.u, e.v);
         }
         g
+    })
+}
+
+fn arb_any_graph() -> impl Strategy<Value = Graph> {
+    // Plain Erdős–Rényi from a single node up: sparse draws are disconnected.
+    (1usize..20, any::<u64>(), 0.0f64..0.9).prop_map(|(n, seed, p)| {
+        generators::erdos_renyi(&mut ChaCha8Rng::seed_from_u64(seed), n, p)
     })
 }
 
@@ -56,6 +63,11 @@ proptest! {
         let lambda = edge_connectivity(&g);
         prop_assert!(lambda >= 1);
         prop_assert!(lambda <= g.min_degree());
+    }
+
+    #[test]
+    fn threshold_connectivity_is_the_exact_value_compared(g in arb_any_graph(), k in 0usize..=6) {
+        prop_assert_eq!(edge_connectivity_at_least(&g, k), edge_connectivity(&g) >= k);
     }
 
     #[test]

@@ -109,16 +109,19 @@ fn secure_gossip_spec_is_golden() {
 }
 
 /// Absolute pins for the other checked-in campaign specs, captured at the
-/// commit before the `Compiler` trait was collapsed to `prepare` + `execute`.
+/// commit before the `Compiler` trait was collapsed to `prepare` + `execute`
+/// (`cycle-cover-small`: at the commit before the Theorem 1.4 compiler moved
+/// onto its flood plan — four zoo graphs × the `f = 1` adversary zoo).
 /// Together with `secure_gossip_spec_is_golden` and
 /// `bench/golden/fingerprints.json` these are what "byte-identical
 /// behaviour" means for a refactor of the execution path.
 #[test]
 fn spec_report_fingerprints_are_golden() {
-    const GOLDEN: [(&str, &str); 3] = [
+    const GOLDEN: [(&str, &str); 4] = [
         ("e16-small", "4d8ec5b8df0ff471"),
         ("frontier-small-world", "8d659f046d26bc4f"),
         ("async-partial-sync", "5f4a3def4ab50c21"),
+        ("cycle-cover-small", "72e55460d58e66fe"),
     ];
     for (name, pinned) in GOLDEN {
         let path = format!("{}/specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
