@@ -1,12 +1,12 @@
 //! The typed HTTP API surface: request/response structs with JSON codecs.
 //!
-//! Every wire document is hand-rolled over [`harness::json`]
-//! (`mobile_congest_harness::json`) like the rest of the workspace — no
-//! serde.  Each struct encodes to one compact `kind:"..."`-tagged JSON
-//! object and parses back exactly, so the [`crate::client::Client`] and the
-//! server can never drift: both sides use these codecs.
+//! Every wire document goes through the workspace codec, [`harness::json`]
+//! (`mobile_congest_harness::json`) — no serde.  Each struct encodes to one
+//! compact `kind:"..."`-tagged JSON object and parses back exactly, so the
+//! [`crate::client::Client`] and the server can never drift: both sides use
+//! these codecs.
 
-use harness::json::{self, JsonValue};
+use harness::json::{self, JsonValue, ObjectWriter, Reader};
 use harness::SpecError;
 
 use mobile_congest_harness as harness;
@@ -68,12 +68,6 @@ impl core::fmt::Display for JobState {
     }
 }
 
-fn missing(field: &str) -> SpecError {
-    SpecError::Missing {
-        field: field.to_string(),
-    }
-}
-
 /// The status document of one job (`POST /jobs`, `GET /jobs/{fp}`,
 /// `DELETE /jobs/{fp}` all return it).
 #[derive(Debug, Clone, PartialEq)]
@@ -103,50 +97,27 @@ pub struct JobStatus {
 }
 
 impl JobStatus {
-    /// Encode as one compact JSON object.
-    pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("kind".to_string(), JsonValue::Str("job-status".into())),
-            (
-                "fingerprint".to_string(),
-                JsonValue::Str(self.fingerprint.clone()),
-            ),
-            (
-                "state".to_string(),
-                JsonValue::Str(self.state.label().into()),
-            ),
-            (
-                "cells_total".to_string(),
-                JsonValue::from_u64(self.cells_total as u64),
-            ),
-            (
-                "cells_done".to_string(),
-                JsonValue::from_u64(self.cells_done as u64),
-            ),
-            (
-                "executed".to_string(),
-                JsonValue::from_u64(self.executed as u64),
-            ),
-            (
-                "skipped".to_string(),
-                JsonValue::from_u64(self.skipped as u64),
-            ),
-            (
-                "failed".to_string(),
-                JsonValue::from_u64(self.failed as u64),
-            ),
-            (
-                "disagreements".to_string(),
-                JsonValue::from_u64(self.disagreements as u64),
-            ),
-        ];
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        w.str("kind", "job-status")
+            .str("fingerprint", &self.fingerprint)
+            .str("state", self.state.label())
+            .u64("cells_total", self.cells_total as u64)
+            .u64("cells_done", self.cells_done as u64)
+            .u64("executed", self.executed as u64)
+            .u64("skipped", self.skipped as u64)
+            .u64("failed", self.failed as u64)
+            .u64("disagreements", self.disagreements as u64);
         if let Some(fp) = &self.report_fingerprint {
-            fields.push(("report_fingerprint".to_string(), JsonValue::Str(fp.clone())));
+            w.str("report_fingerprint", fp);
         }
         if let Some(error) = &self.error {
-            fields.push(("error".to_string(), JsonValue::Str(error.clone())));
+            w.str("error", error);
         }
-        JsonValue::Obj(fields).to_string()
+    }
+
+    /// Encode as one compact JSON object.
+    pub fn to_json(&self) -> String {
+        json::object(|w| self.write_fields(w))
     }
 
     /// Parse from the [`JobStatus::to_json`] form.
@@ -156,43 +127,22 @@ impl JobStatus {
 
     /// Parse from an already-parsed JSON value.
     pub fn from_value(v: &JsonValue) -> Result<JobStatus, SpecError> {
-        if v.get("kind").and_then(JsonValue::as_str) != Some("job-status") {
-            return Err(SpecError::Invalid {
-                reason: "not a job-status document".into(),
-            });
-        }
-        let num = |name: &str| {
-            v.get(name)
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| missing(name))
-        };
-        let state_label = v
-            .get("state")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| missing("state"))?;
+        let r = Reader::new(v, "");
+        r.kind("job-status", "job-status document")?;
+        let state_label = r.str("state")?;
         Ok(JobStatus {
-            fingerprint: v
-                .get("fingerprint")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| missing("fingerprint"))?
-                .to_string(),
+            fingerprint: r.str("fingerprint")?.to_string(),
             state: JobState::from_label(state_label).ok_or_else(|| SpecError::Invalid {
                 reason: format!("unknown job state `{state_label}`"),
             })?,
-            cells_total: num("cells_total")?,
-            cells_done: num("cells_done")?,
-            executed: num("executed")?,
-            skipped: num("skipped")?,
-            failed: num("failed")?,
-            disagreements: num("disagreements")?,
-            report_fingerprint: v
-                .get("report_fingerprint")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
-            error: v
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
+            cells_total: r.usize("cells_total")?,
+            cells_done: r.usize("cells_done")?,
+            executed: r.usize("executed")?,
+            skipped: r.usize("skipped")?,
+            failed: r.usize("failed")?,
+            disagreements: r.usize("disagreements")?,
+            report_fingerprint: r.opt_str("report_fingerprint").map(str::to_string),
+            error: r.opt_str("error").map(str::to_string),
         })
     }
 }
@@ -207,34 +157,23 @@ pub struct JobList {
 impl JobList {
     /// Encode as one compact JSON object.
     pub fn to_json(&self) -> String {
-        JsonValue::Obj(vec![
-            ("kind".to_string(), JsonValue::Str("job-list".into())),
-            (
-                "jobs".to_string(),
-                JsonValue::Arr(
-                    self.jobs
-                        .iter()
-                        .map(|j| json::parse(&j.to_json()).expect("status JSON is valid"))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
+        json::object(|w| {
+            w.str("kind", "job-list").arr("jobs", |jobs| {
+                for job in &self.jobs {
+                    jobs.obj(|w| job.write_fields(w));
+                }
+            });
+        })
     }
 
     /// Parse from the [`JobList::to_json`] form.
     pub fn from_json(text: &str) -> Result<JobList, SpecError> {
         let v = json::parse(text)?;
-        if v.get("kind").and_then(JsonValue::as_str) != Some("job-list") {
-            return Err(SpecError::Invalid {
-                reason: "not a job-list document".into(),
-            });
-        }
+        let r = Reader::new(&v, "");
+        r.kind("job-list", "job-list document")?;
         Ok(JobList {
-            jobs: v
-                .get("jobs")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| missing("jobs"))?
+            jobs: r
+                .array("jobs")?
                 .iter()
                 .map(JobStatus::from_value)
                 .collect::<Result<Vec<_>, _>>()?,
@@ -327,63 +266,43 @@ pub struct QueryResponse {
 impl QueryResponse {
     /// Encode as one compact JSON object.
     pub fn to_json(&self) -> String {
-        JsonValue::Obj(vec![
-            ("kind".to_string(), JsonValue::Str("query".into())),
-            ("facet".to_string(), JsonValue::Str(self.facet.clone())),
-            ("stat".to_string(), JsonValue::Str(self.stat.clone())),
-            (
-                "rows".to_string(),
-                JsonValue::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            JsonValue::Obj(vec![
-                                ("job".to_string(), JsonValue::Str(r.job.clone())),
-                                ("graph".to_string(), JsonValue::Str(r.graph.clone())),
-                                ("adversary".to_string(), JsonValue::Str(r.adversary.clone())),
-                                ("compiler".to_string(), JsonValue::Str(r.compiler.clone())),
-                                ("value".to_string(), JsonValue::from_f64(r.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
+        json::object(|w| {
+            w.str("kind", "query")
+                .str("facet", &self.facet)
+                .str("stat", &self.stat)
+                .arr("rows", |rows| {
+                    for r in &self.rows {
+                        rows.obj(|w| {
+                            w.str("job", &r.job)
+                                .str("graph", &r.graph)
+                                .str("adversary", &r.adversary)
+                                .str("compiler", &r.compiler)
+                                .f64("value", r.value);
+                        });
+                    }
+                });
+        })
     }
 
     /// Parse from the [`QueryResponse::to_json`] form.
     pub fn from_json(text: &str) -> Result<QueryResponse, SpecError> {
         let v = json::parse(text)?;
-        if v.get("kind").and_then(JsonValue::as_str) != Some("query") {
-            return Err(SpecError::Invalid {
-                reason: "not a query document".into(),
-            });
-        }
-        let str_field = |obj: &JsonValue, name: &str| {
-            obj.get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| missing(name))
-        };
+        let r = Reader::new(&v, "");
+        r.kind("query", "query document")?;
         Ok(QueryResponse {
-            facet: str_field(&v, "facet")?,
-            stat: str_field(&v, "stat")?,
-            rows: v
-                .get("rows")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| missing("rows"))?
+            facet: r.str("facet")?.to_string(),
+            stat: r.str("stat")?.to_string(),
+            rows: r
+                .array("rows")?
                 .iter()
-                .map(|r| {
+                .map(|row| {
+                    let row = Reader::new(row, "");
                     Ok(QueryRow {
-                        job: str_field(r, "job")?,
-                        graph: str_field(r, "graph")?,
-                        adversary: str_field(r, "adversary")?,
-                        compiler: str_field(r, "compiler")?,
-                        value: r
-                            .get("value")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| missing("value"))?,
+                        job: row.str("job")?.to_string(),
+                        graph: row.str("graph")?.to_string(),
+                        adversary: row.str("adversary")?.to_string(),
+                        compiler: row.str("compiler")?.to_string(),
+                        value: row.f64("value")?,
                     })
                 })
                 .collect::<Result<Vec<_>, SpecError>>()?,
@@ -401,22 +320,16 @@ pub struct ApiError {
 impl ApiError {
     /// Encode as one compact JSON object.
     pub fn to_json(&self) -> String {
-        JsonValue::Obj(vec![
-            ("kind".to_string(), JsonValue::Str("error".into())),
-            ("error".to_string(), JsonValue::Str(self.error.clone())),
-        ])
-        .to_string()
+        json::object(|w| {
+            w.str("kind", "error").str("error", &self.error);
+        })
     }
 
     /// Parse from the [`ApiError::to_json`] form.
     pub fn from_json(text: &str) -> Result<ApiError, SpecError> {
         let v = json::parse(text)?;
         Ok(ApiError {
-            error: v
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| missing("error"))?
-                .to_string(),
+            error: Reader::new(&v, "").str("error")?.to_string(),
         })
     }
 }

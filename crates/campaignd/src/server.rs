@@ -539,7 +539,12 @@ fn not_found(fingerprint: &str) -> Response {
 fn route(inner: &Arc<Inner>, request: &Request) -> Response {
     let segments = request.segments();
     match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => Response::json(200, "{\"kind\":\"health\",\"ok\":true}"),
+        ("GET", ["healthz"]) => Response::json(
+            200,
+            harness::json::object(|w| {
+                w.str("kind", "health").opt_bool("ok", Some(true));
+            }),
+        ),
         ("POST", ["jobs"]) => submit(inner, &request.body),
         ("GET", ["jobs"]) => {
             let jobs = inner.jobs.lock().expect("jobs lock");

@@ -21,7 +21,8 @@
 //! are written whole to a temp file, fsync'd and renamed into place, so a
 //! crash at any instant leaves either the old version or the new one.
 
-use harness::report::CellRecord;
+use harness::json::{self, Reader};
+use harness::report::{write_atomic, CellRecord};
 use harness::CampaignSpec;
 use mobile_congest_harness as harness;
 use std::fs;
@@ -109,17 +110,9 @@ impl FsStore {
         self.root.join(fingerprint)
     }
 
-    /// Write `text` to `path` crash-safely: temp file in the same directory,
-    /// fsync, rename into place.
+    /// Write `text` to `path` crash-safely (temp file, fsync, rename).
     fn write_atomic(path: &Path, text: &str) -> Result<(), StoreError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp).map_err(|e| StoreError::new(&tmp, e))?;
-            file.write_all(text.as_bytes())
-                .map_err(|e| StoreError::new(&tmp, e))?;
-            file.sync_all().map_err(|e| StoreError::new(&tmp, e))?;
-        }
-        fs::rename(&tmp, path).map_err(|e| StoreError::new(path, e))
+        write_atomic(path, text).map_err(|e| StoreError::new(path, e))
     }
 }
 
@@ -132,13 +125,11 @@ impl Store for FsStore {
 
     fn set_state(&self, fingerprint: &str, state: JobState) -> Result<(), StoreError> {
         let path = self.job_dir(fingerprint).join("state.json");
-        Self::write_atomic(
-            &path,
-            &format!(
-                "{{\"kind\":\"job-state\",\"state\":\"{}\"}}\n",
-                state.label()
-            ),
-        )
+        let mut text = json::object(|w| {
+            w.str("kind", "job-state").str("state", state.label());
+        });
+        text.push('\n');
+        Self::write_atomic(&path, &text)
     }
 
     fn append_cells(&self, fingerprint: &str, lines: &[String]) -> Result<(), StoreError> {
@@ -251,11 +242,10 @@ impl Store for FsStore {
 
 /// Parse the `state.json` document.
 fn parse_state(text: &str) -> Option<JobState> {
-    let v = harness::json::parse(text.trim()).ok()?;
-    if v.get("kind").and_then(harness::json::JsonValue::as_str) != Some("job-state") {
-        return None;
-    }
-    JobState::from_label(v.get("state").and_then(harness::json::JsonValue::as_str)?)
+    let v = json::parse(text.trim()).ok()?;
+    let r = Reader::new(&v, "");
+    r.kind("job-state", "job-state document").ok()?;
+    JobState::from_label(r.str("state").ok()?)
 }
 
 #[cfg(test)]

@@ -24,10 +24,10 @@
 //!
 //! Determinism: prepared artifacts are a pure function of `(graph,
 //! compiler)`, so campaign fingerprints are byte-identical with the cache on
-//! or off at any thread count (regression-tested in this module and measured
-//! by bench E16f).  Traced campaigns bypass the cache — `prepare` emits
-//! packing spans into the cell's event stream, and a cache hit would elide
-//! them from all but the first cell.
+//! or off at any thread count (regression-tested in this module; the bench
+//! package's `harness.cache_*` probes measure it).  Traced campaigns bypass
+//! the cache — `prepare` emits packing spans into the cell's event stream,
+//! and a cache hit would elide them from all but the first cell.
 
 use congest_sim::scenario::{CompileArtifacts, Compiler, ScenarioError};
 use std::collections::HashMap;

@@ -4,7 +4,7 @@
 
 use crate::artifact_cache::ArtifactCache;
 use crate::engine;
-use crate::json::{json_num, json_str};
+use crate::json;
 use crate::spec::{CampaignSpec, SpecError};
 use crate::stats::StatSummary;
 use congest_sim::scenario::matrix::{run_cell, AdversarySpec, CompilerSpec, GraphSpec};
@@ -198,8 +198,8 @@ impl Campaign {
 
     /// Disable the compile-artifact cache: every cell prepares its own
     /// artifacts, exactly as a hand-built campaign does.  Reports are
-    /// byte-identical either way; this exists for measurement (bench E16f)
-    /// and as the CLI `--no-cache` escape hatch.
+    /// byte-identical either way; this exists for measurement (the bench
+    /// package's cache probes) and as the CLI `--no-cache` escape hatch.
     pub fn without_artifact_cache(mut self) -> Self {
         self.cache = None;
         self
@@ -587,101 +587,140 @@ impl CampaignReport {
     }
 }
 
+/// The primitive fields of one `kind:"cell"` trajectory line: what
+/// [`cell_json`] extracts from a live cell and
+/// [`CellRecord::cell_line`](crate::report::CellRecord::cell_line) from a
+/// stored record, so [`encode_cell_line`] is the line's only encoder.
+pub(crate) struct CellLine<'a, N> {
+    pub index: usize,
+    pub graph: &'a str,
+    pub adversary: &'a str,
+    pub compiler: &'a str,
+    pub repetition: usize,
+    pub seed: u64,
+    pub status: &'a str,
+    /// The executed run, or the rendered error of a skipped / failed cell.
+    pub outcome: Result<CellLineRun<'a, N>, &'a str>,
+}
+
+/// The executed half of a [`CellLine`].
+pub(crate) struct CellLineRun<'a, N> {
+    pub payload_rounds: usize,
+    pub network_rounds: usize,
+    pub corrupted_edge_rounds: usize,
+    pub agrees: Option<bool>,
+    pub notes_type: &'a str,
+    /// The typed notes metrics, in their canonical emission order.
+    pub notes: N,
+}
+
+/// Encode one `kind:"cell"` line (no trailing newline).
+pub(crate) fn encode_cell_line<'a, N>(cell: CellLine<'a, N>) -> String
+where
+    N: Iterator<Item = (&'a str, f64)>,
+{
+    json::object(|w| {
+        w.str("kind", "cell")
+            .u64("index", cell.index as u64)
+            .str("graph", cell.graph)
+            .str("adversary", cell.adversary)
+            .str("compiler", cell.compiler)
+            .u64("repetition", cell.repetition as u64)
+            .u64("seed", cell.seed)
+            .str("status", cell.status);
+        match cell.outcome {
+            Ok(run) => {
+                w.u64("payload_rounds", run.payload_rounds as u64)
+                    .u64("network_rounds", run.network_rounds as u64)
+                    .f64(
+                        "overhead",
+                        run.network_rounds as f64 / run.payload_rounds.max(1) as f64,
+                    )
+                    .u64("corrupted_edge_rounds", run.corrupted_edge_rounds as u64)
+                    .opt_bool("agrees", run.agrees)
+                    .obj("notes", |notes| {
+                        notes.str("type", run.notes_type);
+                        for (name, value) in run.notes {
+                            notes.f64(name, value);
+                        }
+                    });
+            }
+            Err(error) => {
+                w.str("error", error);
+            }
+        }
+    })
+}
+
 /// One `kind:"cell"` JSONL line (shared by [`CampaignReport::to_jsonl`] and
 /// the campaign CLI's resumable trajectory files — a cell's line depends
 /// only on the cell, never on which run produced it).
 pub fn cell_json(cell: &CampaignCell) -> String {
-    let mut line = format!(
-        "{{\"kind\":\"cell\",\"index\":{},\"graph\":{},\"adversary\":{},\"compiler\":{},\"repetition\":{},\"seed\":{},\"status\":{}",
-        cell.index,
-        json_str(&cell.graph),
-        json_str(&cell.adversary),
-        json_str(&cell.compiler),
-        cell.repetition,
-        cell.seed,
-        json_str(cell.status()),
-    );
-    match &cell.outcome {
-        Ok(report) => {
-            line.push_str(&format!(
-                ",\"payload_rounds\":{},\"network_rounds\":{},\"overhead\":{},\"corrupted_edge_rounds\":{},\"agrees\":{}",
-                report.payload_rounds,
-                report.network_rounds,
-                json_num(report.overhead()),
-                report.metrics.corrupted_edge_rounds,
-                match report.agrees_with_fault_free() {
-                    Some(true) => "true",
-                    Some(false) => "false",
-                    None => "null",
-                },
-            ));
-            line.push_str(&format!(
-                ",\"notes\":{{\"type\":{}",
-                json_str(report.notes.label())
-            ));
-            for (name, value) in report.notes.metrics() {
-                line.push_str(&format!(",{}:{}", json_str(name), json_num(value)));
+    let error;
+    encode_cell_line(CellLine {
+        index: cell.index,
+        graph: &cell.graph,
+        adversary: &cell.adversary,
+        compiler: &cell.compiler,
+        repetition: cell.repetition,
+        seed: cell.seed,
+        status: cell.status(),
+        outcome: match &cell.outcome {
+            Ok(report) => Ok(CellLineRun {
+                payload_rounds: report.payload_rounds,
+                network_rounds: report.network_rounds,
+                corrupted_edge_rounds: report.metrics.corrupted_edge_rounds,
+                agrees: report.agrees_with_fault_free(),
+                notes_type: report.notes.label(),
+                notes: report.notes.metrics().into_iter(),
+            }),
+            Err(e) => {
+                error = e.to_string();
+                Err(error.as_str())
             }
-            line.push_str("}}");
-        }
-        Err(e) => {
-            line.push_str(&format!(",\"error\":{}}}", json_str(&e.to_string())));
-        }
-    }
-    line
+        },
+    })
 }
 
 /// One `kind:"summary"` JSONL line per grid cell (shared by
 /// [`CampaignReport::to_jsonl`] and the campaign CLI's machine-parseable
 /// stdout).  The `profile` object appears only on traced runs.
 pub fn summary_json(s: &GroupSummary) -> String {
-    let mut line = format!(
-        "{{\"kind\":\"summary\",\"graph\":{},\"adversary\":{},\"compiler\":{},\"executed\":{},\"skipped\":{},\"failed\":{},\"disagreements\":{},\"stats\":{{",
-        json_str(&s.graph),
-        json_str(&s.adversary),
-        json_str(&s.compiler),
-        s.executed,
-        s.skipped,
-        s.failed,
-        s.disagreements,
-    );
-    for (i, (name, stat)) in s.stats.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
+    json::object(|w| {
+        w.str("kind", "summary")
+            .str("graph", &s.graph)
+            .str("adversary", &s.adversary)
+            .str("compiler", &s.compiler)
+            .u64("executed", s.executed as u64)
+            .u64("skipped", s.skipped as u64)
+            .u64("failed", s.failed as u64)
+            .u64("disagreements", s.disagreements as u64)
+            .obj("stats", |stats| {
+                for (name, stat) in &s.stats {
+                    stats.obj(name, |w| {
+                        w.f64("mean", stat.mean)
+                            .f64("stddev", stat.stddev)
+                            .f64("min", stat.min)
+                            .f64("max", stat.max)
+                            .f64("p10", stat.p10)
+                            .f64("p50", stat.p50)
+                            .f64("p90", stat.p90)
+                            .f64("p99", stat.p99);
+                    });
+                }
+            });
+        // Wall-clock profile: present only on traced runs, so untraced
+        // summary lines stay byte-identical to pre-tracing output.
+        if !s.profile.is_empty() {
+            w.obj("profile", |profile| {
+                for (name, spans, ms) in &s.profile {
+                    profile.obj(name, |w| {
+                        w.u64("spans", *spans).f64("ms", *ms);
+                    });
+                }
+            });
         }
-        line.push_str(&format!(
-            "{}:{{\"mean\":{},\"stddev\":{},\"min\":{},\"max\":{},\"p10\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            json_str(name),
-            json_num(stat.mean),
-            json_num(stat.stddev),
-            json_num(stat.min),
-            json_num(stat.max),
-            json_num(stat.p10),
-            json_num(stat.p50),
-            json_num(stat.p90),
-            json_num(stat.p99),
-        ));
-    }
-    line.push('}');
-    // Wall-clock profile: present only on traced runs, so untraced summary
-    // lines stay byte-identical to pre-tracing output.
-    if !s.profile.is_empty() {
-        line.push_str(",\"profile\":{");
-        for (i, (name, spans, ms)) in s.profile.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!(
-                "{}:{{\"spans\":{},\"ms\":{}}}",
-                json_str(name),
-                spans,
-                json_num(*ms),
-            ));
-        }
-        line.push('}');
-    }
-    line.push('}');
-    line
+    })
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@
 //! Campaigns are also first-class **data**: a serializable [`CampaignSpec`]
 //! (the [`spec`] module) describes the whole grid as
 //! `GraphDef` × `AdversaryDef` × `CompilerDef` axes plus a [`PayloadDef`],
-//! with hand-rolled JSON encode/parse in [`json`].
+//! encoded and parsed through [`json`], the workspace's one JSON codec.
 //! [`Campaign::from_spec`] resolves a spec through the same registries the
 //! hand-built zoos use, so the resulting report is byte-identical to the
 //! equivalent hand-built campaign; [`Campaign::shard`] partitions the cell

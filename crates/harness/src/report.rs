@@ -26,11 +26,23 @@
 //! ([`CellRecord::cell_line`]), which is what lets a server-side store answer
 //! `GET /jobs/{fp}/trajectory` with the exact bytes a one-shot CLI run would
 //! have written.
+//!
+//! The trajectory *file* lives here too, once: [`trajectory_header`] keys a
+//! file to its spec, [`read_lines`] reads one back for `--resume` (foreign
+//! fingerprints refused, torn lines skipped), [`assemble`] merges kept and
+//! fresh lines in index order and [`write_atomic`] replaces the file
+//! crash-safely.  The `campaign` and `redteam` CLIs and the server's store
+//! all call these.
 
-use crate::campaign::{summary_json, CampaignCell, CampaignReport, GroupSummary};
-use crate::json::{self, fnv1a_hex, JsonValue};
+use crate::campaign::{
+    encode_cell_line, summary_json, CampaignCell, CampaignReport, CellLine, CellLineRun,
+    GroupSummary,
+};
+use crate::json::{self, fnv1a_hex, JsonValue, Reader};
 use crate::spec::{CampaignSpec, SpecError};
 use crate::stats::StatSummary;
+use std::io::Write as _;
+use std::path::Path;
 
 /// How one recorded cell ended: the executed facets, or the typed reason it
 /// did not run.
@@ -176,75 +188,45 @@ impl CellRecord {
 
     /// Encode as one canonical `kind:"cell-record"` JSON line.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("kind".to_string(), JsonValue::Str("cell-record".into())),
-            ("index".to_string(), JsonValue::from_u64(self.index as u64)),
-            ("graph".to_string(), JsonValue::Str(self.graph.clone())),
-            (
-                "adversary".to_string(),
-                JsonValue::Str(self.adversary.clone()),
-            ),
-            (
-                "compiler".to_string(),
-                JsonValue::Str(self.compiler.clone()),
-            ),
-            (
-                "repetition".to_string(),
-                JsonValue::from_u64(self.repetition as u64),
-            ),
-            ("seed".to_string(), JsonValue::from_u64(self.seed)),
-            ("status".to_string(), JsonValue::Str(self.status().into())),
-        ];
-        match &self.outcome {
-            RecordOutcome::Ok {
-                payload_rounds,
-                network_rounds,
-                corrupted_edge_rounds,
-                cong_p99,
-                cong_topk,
-                agrees,
-                notes_type,
-                notes,
-            } => {
-                fields.push((
-                    "payload_rounds".to_string(),
-                    JsonValue::from_u64(*payload_rounds as u64),
-                ));
-                fields.push((
-                    "network_rounds".to_string(),
-                    JsonValue::from_u64(*network_rounds as u64),
-                ));
-                fields.push((
-                    "corrupted_edge_rounds".to_string(),
-                    JsonValue::from_u64(*corrupted_edge_rounds as u64),
-                ));
-                fields.push(("cong_p99".to_string(), JsonValue::from_f64(*cong_p99)));
-                fields.push(("cong_topk".to_string(), JsonValue::from_f64(*cong_topk)));
-                fields.push((
-                    "agrees".to_string(),
-                    match agrees {
-                        Some(b) => JsonValue::Bool(*b),
-                        None => JsonValue::Null,
-                    },
-                ));
-                let mut notes_fields =
-                    vec![("type".to_string(), JsonValue::Str(notes_type.clone()))];
-                notes_fields.push((
-                    "metrics".to_string(),
-                    JsonValue::Obj(
-                        notes
-                            .iter()
-                            .map(|(name, value)| (name.clone(), JsonValue::from_f64(*value)))
-                            .collect(),
-                    ),
-                ));
-                fields.push(("notes".to_string(), JsonValue::Obj(notes_fields)));
+        json::object(|w| {
+            w.str("kind", "cell-record")
+                .u64("index", self.index as u64)
+                .str("graph", &self.graph)
+                .str("adversary", &self.adversary)
+                .str("compiler", &self.compiler)
+                .u64("repetition", self.repetition as u64)
+                .u64("seed", self.seed)
+                .str("status", self.status());
+            match &self.outcome {
+                RecordOutcome::Ok {
+                    payload_rounds,
+                    network_rounds,
+                    corrupted_edge_rounds,
+                    cong_p99,
+                    cong_topk,
+                    agrees,
+                    notes_type,
+                    notes,
+                } => {
+                    w.u64("payload_rounds", *payload_rounds as u64)
+                        .u64("network_rounds", *network_rounds as u64)
+                        .u64("corrupted_edge_rounds", *corrupted_edge_rounds as u64)
+                        .f64("cong_p99", *cong_p99)
+                        .f64("cong_topk", *cong_topk)
+                        .opt_bool("agrees", *agrees)
+                        .obj("notes", |w| {
+                            w.str("type", notes_type).obj("metrics", |w| {
+                                for (name, value) in notes {
+                                    w.f64(name, *value);
+                                }
+                            });
+                        });
+                }
+                RecordOutcome::Skipped { error } | RecordOutcome::Failed { error } => {
+                    w.str("error", error);
+                }
             }
-            RecordOutcome::Skipped { error } | RecordOutcome::Failed { error } => {
-                fields.push(("error".to_string(), JsonValue::Str(error.clone())));
-            }
-        }
-        JsonValue::Obj(fields).to_string()
+        })
     }
 
     /// Parse one record from its [`CellRecord::to_json`] line.
@@ -255,70 +237,40 @@ impl CellRecord {
 
     /// Parse one record from an already-parsed JSON value.
     pub fn from_value(v: &JsonValue) -> Result<CellRecord, SpecError> {
-        let missing = |field: &str| SpecError::Missing {
-            field: format!("cell-record.{field}"),
-        };
-        if v.get("kind").and_then(JsonValue::as_str) != Some("cell-record") {
-            return Err(SpecError::Invalid {
-                reason: "not a cell-record line".into(),
-            });
-        }
-        let str_field = |name: &str| {
-            v.get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| missing(name))
-        };
-        let num_field = |name: &str| {
-            v.get(name)
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| missing(name))
-        };
-        let status = str_field("status")?;
-        let outcome = match status.as_str() {
+        let r = Reader::new(v, "cell-record");
+        r.kind("cell-record", "cell-record line")?;
+        let outcome = match r.str("status")? {
             "ok" => {
-                let notes_obj = v.get("notes").ok_or_else(|| missing("notes"))?;
-                let notes = notes_obj
-                    .get("metrics")
-                    .and_then(JsonValue::as_object)
-                    .ok_or_else(|| missing("notes.metrics"))?
+                let notes = Reader::new(r.value("notes")?, "cell-record.notes");
+                let metrics = notes
+                    .object("metrics")?
                     .iter()
                     .map(|(name, value)| {
                         value
                             .as_f64()
                             .map(|f| (name.clone(), f))
-                            .ok_or_else(|| missing("notes.metrics[]"))
+                            .ok_or_else(|| notes.missing("metrics[]"))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 RecordOutcome::Ok {
-                    payload_rounds: num_field("payload_rounds")?,
-                    network_rounds: num_field("network_rounds")?,
-                    corrupted_edge_rounds: num_field("corrupted_edge_rounds")?,
-                    cong_p99: v
-                        .get("cong_p99")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| missing("cong_p99"))?,
-                    cong_topk: v
-                        .get("cong_topk")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| missing("cong_topk"))?,
-                    agrees: match v.get("agrees").ok_or_else(|| missing("agrees"))? {
+                    payload_rounds: r.usize("payload_rounds")?,
+                    network_rounds: r.usize("network_rounds")?,
+                    corrupted_edge_rounds: r.usize("corrupted_edge_rounds")?,
+                    cong_p99: r.f64("cong_p99")?,
+                    cong_topk: r.f64("cong_topk")?,
+                    agrees: match r.value("agrees")? {
                         JsonValue::Null => None,
-                        other => Some(other.as_bool().ok_or_else(|| missing("agrees"))?),
+                        other => Some(other.as_bool().ok_or_else(|| r.missing("agrees"))?),
                     },
-                    notes_type: notes_obj
-                        .get("type")
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| missing("notes.type"))?,
-                    notes,
+                    notes_type: notes.str("type")?.to_string(),
+                    notes: metrics,
                 }
             }
             "skipped" => RecordOutcome::Skipped {
-                error: str_field("error")?,
+                error: r.str("error")?.to_string(),
             },
             "failed" => RecordOutcome::Failed {
-                error: str_field("error")?,
+                error: r.str("error")?.to_string(),
             },
             other => {
                 return Err(SpecError::Invalid {
@@ -326,75 +278,62 @@ impl CellRecord {
                 })
             }
         };
-        Ok(CellRecord {
-            index: num_field("index")?,
-            graph: str_field("graph")?,
-            adversary: str_field("adversary")?,
-            compiler: str_field("compiler")?,
-            repetition: num_field("repetition")?,
-            seed: v
-                .get("seed")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| missing("seed"))?,
+        let record = CellRecord {
+            index: r.usize("index")?,
+            graph: r.str("graph")?.to_string(),
+            adversary: r.str("adversary")?.to_string(),
+            compiler: r.str("compiler")?.to_string(),
+            repetition: r.usize("repetition")?,
+            seed: r.u64("seed")?,
             outcome,
-        })
+        };
+        // Repetitions are innermost in the enumeration order, so a cell's
+        // repetition never exceeds its index; `grouped_indices` subtracts
+        // the two, and a log line is outside input.
+        if record.repetition > record.index {
+            return Err(SpecError::Invalid {
+                reason: format!(
+                    "cell-record repetition {} exceeds its index {}",
+                    record.repetition, record.index
+                ),
+            });
+        }
+        Ok(record)
     }
 
     /// The `kind:"cell"` trajectory line this record stands for —
     /// byte-identical to [`cell_json`](crate::campaign::cell_json) on the
-    /// live cell it was flattened from, so a store can serve the exact
-    /// trajectory a CLI run writes.
+    /// live cell it was flattened from (both are extractors over one
+    /// encoder), so a store can serve the exact trajectory a CLI run writes.
     pub fn cell_line(&self) -> String {
-        let mut line = format!(
-            "{{\"kind\":\"cell\",\"index\":{},\"graph\":{},\"adversary\":{},\"compiler\":{},\"repetition\":{},\"seed\":{},\"status\":{}",
-            self.index,
-            json::json_str(&self.graph),
-            json::json_str(&self.adversary),
-            json::json_str(&self.compiler),
-            self.repetition,
-            self.seed,
-            json::json_str(self.status()),
-        );
-        match &self.outcome {
-            RecordOutcome::Ok {
-                payload_rounds,
-                network_rounds,
-                corrupted_edge_rounds,
-                agrees,
-                notes_type,
-                notes,
-                ..
-            } => {
-                line.push_str(&format!(
-                    ",\"payload_rounds\":{},\"network_rounds\":{},\"overhead\":{},\"corrupted_edge_rounds\":{},\"agrees\":{}",
+        encode_cell_line(CellLine {
+            index: self.index,
+            graph: &self.graph,
+            adversary: &self.adversary,
+            compiler: &self.compiler,
+            repetition: self.repetition,
+            seed: self.seed,
+            status: self.status(),
+            outcome: match &self.outcome {
+                RecordOutcome::Ok {
                     payload_rounds,
                     network_rounds,
-                    json::json_num(*network_rounds as f64 / (*payload_rounds).max(1) as f64),
                     corrupted_edge_rounds,
-                    match agrees {
-                        Some(true) => "true",
-                        Some(false) => "false",
-                        None => "null",
-                    },
-                ));
-                line.push_str(&format!(
-                    ",\"notes\":{{\"type\":{}",
-                    json::json_str(notes_type)
-                ));
-                for (name, value) in notes {
-                    line.push_str(&format!(
-                        ",{}:{}",
-                        json::json_str(name),
-                        json::json_num(*value)
-                    ));
-                }
-                line.push_str("}}");
-            }
-            RecordOutcome::Skipped { error } | RecordOutcome::Failed { error } => {
-                line.push_str(&format!(",\"error\":{}}}", json::json_str(error)));
-            }
-        }
-        line
+                    agrees,
+                    notes_type,
+                    notes,
+                    ..
+                } => Ok(CellLineRun {
+                    payload_rounds: *payload_rounds,
+                    network_rounds: *network_rounds,
+                    corrupted_edge_rounds: *corrupted_edge_rounds,
+                    agrees: *agrees,
+                    notes_type,
+                    notes: notes.iter().map(|(name, value)| (name.as_str(), *value)),
+                }),
+                RecordOutcome::Skipped { error } | RecordOutcome::Failed { error } => Err(error),
+            },
+        })
     }
 }
 
@@ -513,13 +452,90 @@ impl ReportRecord {
 /// shared by the campaign CLI's `--out` files and the campaign server's
 /// `GET /jobs/{fp}/trajectory`, so the two artifacts are byte-comparable.
 pub fn trajectory_header(spec: &CampaignSpec) -> String {
-    format!(
-        "{{\"kind\":\"campaign\",\"fingerprint\":\"{}\",\"seed\":{},\"repetitions\":{},\"cells\":{}}}",
-        spec.fingerprint(),
-        spec.seed,
-        spec.repetitions,
-        spec.cell_count(),
-    )
+    json::object(|w| {
+        w.str("kind", "campaign")
+            .str("fingerprint", &spec.fingerprint())
+            .u64("seed", spec.seed)
+            .u64("repetitions", spec.repetitions as u64)
+            .u64("cells", spec.cell_count() as u64);
+    })
+}
+
+/// Read a trajectory file back for `--resume`: check that its first line is
+/// a `header_kind` header written for `fingerprint`, then return the
+/// `(index, line)` pairs of the well-formed `line_kind` lines, verbatim and
+/// in file order.  A foreign fingerprint is an error — resuming must never
+/// mix campaigns; anything after the header that does not parse (a torn
+/// trailing line from an interrupted write, a blank line) is skipped, and
+/// its cell simply runs again.
+pub fn read_lines(
+    text: &str,
+    header_kind: &str,
+    line_kind: &str,
+    fingerprint: &str,
+) -> Result<Vec<(usize, String)>, String> {
+    let mut lines = text.lines();
+    let header = lines.next().ok_or("trajectory file is empty")?;
+    let header = json::parse(header).map_err(|e| format!("trajectory header: {e}"))?;
+    let header = Reader::new(&header, "");
+    if header.opt_str("kind") != Some(header_kind) {
+        return Err(format!("trajectory header is not kind:\"{header_kind}\""));
+    }
+    match header.opt_str("fingerprint") {
+        Some(found) if found == fingerprint => {}
+        Some(found) => {
+            return Err(format!(
+                "trajectory was written for spec {found}, this spec is {fingerprint}"
+            ))
+        }
+        None => return Err("trajectory header has no fingerprint".into()),
+    }
+    let mut kept = Vec::new();
+    for line in lines {
+        let Ok(doc) = json::parse(line) else {
+            continue;
+        };
+        let doc = Reader::new(&doc, "");
+        if doc.opt_str("kind") != Some(line_kind) {
+            continue;
+        }
+        if let Ok(index) = doc.usize("index") {
+            kept.push((index, line.to_string()));
+        }
+    }
+    Ok(kept)
+}
+
+/// Assemble a trajectory file: `header`, then `lines` in index order.  Of
+/// several lines sharing an index the last one wins, so freshly run lines
+/// appended after kept ones supersede them.
+pub fn assemble(header: &str, lines: &[(usize, String)]) -> String {
+    let mut order: Vec<&(usize, String)> = lines.iter().collect();
+    order.sort_by_key(|(index, _)| *index); // stable: ties stay in input order
+    let mut out = String::from(header);
+    out.push('\n');
+    for (at, (index, line)) in order.iter().enumerate() {
+        if order.get(at + 1).is_some_and(|(next, _)| next == index) {
+            continue;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Replace `path` with `text` crash-safely: write a temp file in the same
+/// directory, fsync it, rename it into place.  A crash at any instant
+/// leaves either the old file or the new one, never a truncated mix.
+pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let mut file = std::fs::File::create(tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(tmp, path)
 }
 
 /// Group member indices per grid cell, in enumeration order.  Records are
@@ -676,6 +692,87 @@ mod tests {
             ReportRecord::from_jsonl("\n\n").unwrap(),
             ReportRecord::default()
         );
+    }
+
+    #[test]
+    fn a_repetition_beyond_the_index_is_a_typed_decode_error() {
+        // `grouped_indices` keys groups on `index - repetition`; a log line
+        // claiming repetition 3 of cell 2 used to decode fine and then
+        // overflow that subtraction (a panic in debug, a wrapped garbage
+        // key in release) once summaries were asked for.
+        let line = CellRecord {
+            repetition: 3,
+            ..ok_record(2, 0)
+        }
+        .to_json();
+        assert!(matches!(
+            CellRecord::from_json(&line),
+            Err(SpecError::Invalid { .. })
+        ));
+        assert!(ReportRecord::from_jsonl(&format!("{line}\n")).is_err());
+        // The boundary case is a real cell: repetition == index is cell
+        // `index` of a one-grid-cell campaign.
+        let edge = CellRecord {
+            repetition: 2,
+            ..ok_record(2, 0)
+        };
+        let back = ReportRecord::from_jsonl(&edge.to_json()).unwrap();
+        assert_eq!(back.summaries().len(), 1);
+    }
+
+    #[test]
+    fn trajectory_files_read_back_merge_and_rewrite_atomically() {
+        let lines: Vec<(usize, String)> = [3usize, 0, 2]
+            .iter()
+            .map(|&i| (i, format!("{{\"kind\":\"cell\",\"index\":{i}}}")))
+            .collect();
+        let header = "{\"kind\":\"campaign\",\"fingerprint\":\"ab\"}";
+        let text = assemble(header, &lines);
+        assert_eq!(
+            text.lines().collect::<Vec<_>>(),
+            vec![header, &lines[1].1, &lines[2].1, &lines[0].1]
+        );
+        // Later duplicates win; reading keeps file order and skips what is
+        // torn, blank, of another kind or without an index.
+        let newer = (
+            2usize,
+            "{\"kind\":\"cell\",\"index\":2,\"v\":2}".to_string(),
+        );
+        let merged = assemble(header, &[lines.clone(), vec![newer.clone()]].concat());
+        assert_eq!(merged.lines().nth(2), Some(newer.1.as_str()));
+        let noisy = format!(
+            "{merged}\n{{\"kind\":\"summary\",\"index\":9}}\n{{\"kind\":\"cell\"}}\n{{\"kind\":\"cell\",\"ind"
+        );
+        let kept = read_lines(&noisy, "campaign", "cell", "ab").unwrap();
+        assert_eq!(
+            kept,
+            vec![lines[1].clone(), newer.clone(), lines[0].clone()]
+        );
+        // Refusals name both fingerprints / the expected kind.
+        let foreign = read_lines(&text, "campaign", "cell", "cd").unwrap_err();
+        assert!(
+            foreign.contains("ab") && foreign.contains("cd"),
+            "{foreign}"
+        );
+        assert!(read_lines(&text, "redteam", "unit", "ab")
+            .unwrap_err()
+            .contains("redteam"));
+        assert!(read_lines("", "campaign", "cell", "ab").is_err());
+        assert!(read_lines("{", "campaign", "cell", "ab").is_err());
+        assert!(read_lines("{\"kind\":\"campaign\"}", "campaign", "cell", "ab").is_err());
+
+        let dir = std::env::temp_dir().join(format!("report-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.jsonl");
+        write_atomic(&path, "old\n").unwrap();
+        write_atomic(&path, &text).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "no temp file left"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!
 //! [`Campaign`]: crate::Campaign
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, ObjectWriter, Reader};
 use async_exec::{CrashWindow, DropModel, LatencyModel, PartitionWindow, ScheduleDef};
 use congest_sim::adversary::CorruptionMode;
 use congest_sim::scenario::matrix::AdversaryDef;
@@ -97,12 +97,6 @@ impl From<json::JsonError> for SpecError {
 impl From<GraphDefError> for SpecError {
     fn from(e: GraphDefError) -> Self {
         SpecError::Graph(e)
-    }
-}
-
-fn missing(field: impl Into<String>) -> SpecError {
-    SpecError::Missing {
-        field: field.into(),
     }
 }
 
@@ -224,42 +218,33 @@ impl CampaignSpec {
     /// Encode the spec as multi-line JSON (one grid entry per line — stable,
     /// diffable, and the canonical input to [`CampaignSpec::fingerprint`]).
     pub fn to_json(&self) -> String {
+        fn axis<T>(out: &mut String, name: &str, defs: &[T], encode: fn(&T) -> String) {
+            out.push_str(&format!("    \"{name}\": [\n"));
+            for (i, def) in defs.iter().enumerate() {
+                let sep = if i + 1 < defs.len() { "," } else { "" };
+                out.push_str(&format!("      {}{sep}\n", encode(def)));
+            }
+            out.push_str("    ],\n");
+        }
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"kind\": \"campaign-spec\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"repetitions\": {},\n", self.repetitions));
         out.push_str("  \"grid\": {\n");
-        out.push_str("    \"graphs\": [\n");
-        for (i, def) in self.grid.graphs.iter().enumerate() {
-            let sep = if i + 1 < self.grid.graphs.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("      {}{sep}\n", graph_to_json(def)));
-        }
-        out.push_str("    ],\n");
-        out.push_str("    \"adversaries\": [\n");
-        for (i, def) in self.grid.adversaries.iter().enumerate() {
-            let sep = if i + 1 < self.grid.adversaries.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("      {}{sep}\n", adversary_to_json(def)));
-        }
-        out.push_str("    ],\n");
-        out.push_str("    \"compilers\": [\n");
-        for (i, def) in self.grid.compilers.iter().enumerate() {
-            let sep = if i + 1 < self.grid.compilers.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("      {}{sep}\n", compiler_to_json(def)));
-        }
-        out.push_str("    ],\n");
+        axis(&mut out, "graphs", &self.grid.graphs, graph_to_json);
+        axis(
+            &mut out,
+            "adversaries",
+            &self.grid.adversaries,
+            adversary_to_json,
+        );
+        axis(
+            &mut out,
+            "compilers",
+            &self.grid.compilers,
+            compiler_to_json,
+        );
         out.push_str(&format!(
             "    \"payload\": {}\n",
             payload_to_json(&self.grid.payload)
@@ -271,54 +256,27 @@ impl CampaignSpec {
     /// Parse a spec from JSON (the inverse of [`CampaignSpec::to_json`];
     /// whitespace and field order inside each def are free).
     pub fn from_json(input: &str) -> Result<CampaignSpec, SpecError> {
-        let doc = json::parse(input)?;
-        if let Some(kind) = doc.get("kind").and_then(JsonValue::as_str) {
-            if kind != "campaign-spec" {
-                return Err(SpecError::Invalid {
-                    reason: format!("document kind is `{kind}`, expected `campaign-spec`"),
-                });
-            }
+        fn axis<T>(
+            grid: &Reader<'_>,
+            name: &str,
+            decode: fn(&JsonValue) -> Result<T, SpecError>,
+        ) -> Result<Vec<T>, SpecError> {
+            grid.array(name)?.iter().map(decode).collect()
         }
-        let seed = doc
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing("seed"))?;
-        let repetitions = doc
-            .get("repetitions")
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| missing("repetitions"))?;
-        let grid = doc.get("grid").ok_or_else(|| missing("grid"))?;
-        let graphs = grid
-            .get("graphs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("grid.graphs"))?
-            .iter()
-            .map(graph_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let adversaries = grid
-            .get("adversaries")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("grid.adversaries"))?
-            .iter()
-            .map(adversary_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let compilers = grid
-            .get("compilers")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("grid.compilers"))?
-            .iter()
-            .map(compiler_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let payload =
-            payload_from_json(grid.get("payload").ok_or_else(|| missing("grid.payload"))?)?;
+        let doc = json::parse(input)?;
+        let doc = Reader::new(&doc, "");
+        doc.kind_if_present("campaign-spec")?;
+        let seed = doc.u64("seed")?;
+        let repetitions = doc.usize("repetitions")?;
+        let grid = Reader::new(doc.value("grid")?, "grid");
         let spec = CampaignSpec {
             seed,
             repetitions,
             grid: GridSpec {
-                graphs,
-                adversaries,
-                compilers,
-                payload,
+                graphs: axis(&grid, "graphs", graph_from_json)?,
+                adversaries: axis(&grid, "adversaries", adversary_from_json)?,
+                compilers: axis(&grid, "compilers", compiler_from_json)?,
+                payload: payload_from_json(grid.value("payload")?)?,
             },
         };
         spec.validate()?;
@@ -360,49 +318,35 @@ impl CampaignSpec {
 // ---------------------------------------------------------------------------
 
 /// Encode one [`GraphDef`] as a compact one-line JSON object (the form
-/// [`CampaignSpec::to_json`] embeds; field order is stable).
+/// [`CampaignSpec::to_json`] embeds; field order is stable).  A zero `seed`
+/// is the default and is omitted.
 pub fn graph_to_json(def: &GraphDef) -> String {
-    let mut fields = vec![
-        (
-            "family".to_string(),
-            JsonValue::Str(def.family.label().into()),
-        ),
-        ("n".to_string(), JsonValue::from_u64(def.n as u64)),
-    ];
-    for (name, value) in &def.params {
-        fields.push((name.clone(), JsonValue::from_f64(*value)));
-    }
-    if def.seed != 0 {
-        fields.push(("seed".to_string(), JsonValue::from_u64(def.seed)));
-    }
-    JsonValue::Obj(fields).to_string()
+    json::object(|w| {
+        w.str("family", def.family.label()).u64("n", def.n as u64);
+        for (name, value) in &def.params {
+            w.f64(name, *value);
+        }
+        if def.seed != 0 {
+            w.u64("seed", def.seed);
+        }
+    })
 }
 
 /// Parse one [`GraphDef`] from its JSON object form.
 pub fn graph_from_json(v: &JsonValue) -> Result<GraphDef, SpecError> {
-    let label = v
-        .get("family")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| missing("graphs[].family"))?;
+    let r = Reader::new(v, "graphs[]");
+    let label = r.str("family")?;
     let family = GraphFamily::from_label(label).ok_or_else(|| SpecError::UnknownLabel {
         registry: "graph family",
         label: label.into(),
     })?;
-    let n = v
-        .get("n")
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| missing("graphs[].n"))?;
-    let mut def = GraphDef::new(family, n);
+    let mut def = GraphDef::new(family, r.usize("n")?);
     for (key, value) in v.as_object().into_iter().flatten() {
         match key.as_str() {
             "family" | "n" => {}
-            "seed" => {
-                def.seed = value.as_u64().ok_or_else(|| missing("graphs[].seed"))?;
-            }
+            "seed" => def.seed = value.as_u64().ok_or_else(|| r.missing("seed"))?,
             param => {
-                let value = value
-                    .as_f64()
-                    .ok_or_else(|| missing(format!("graphs[].{param}")))?;
+                let value = value.as_f64().ok_or_else(|| r.missing(param))?;
                 def.params.push((param.to_string(), value));
             }
         }
@@ -411,21 +355,22 @@ pub fn graph_from_json(v: &JsonValue) -> Result<GraphDef, SpecError> {
 }
 
 /// Encode a [`CorruptionMode`] (string label, or `{\"constant\": w}`).
-pub fn mode_to_json(mode: CorruptionMode) -> JsonValue {
+pub fn mode_to_json(mode: CorruptionMode) -> String {
     match mode {
-        CorruptionMode::ReplaceRandom => JsonValue::Str("replace-random".into()),
-        CorruptionMode::FlipLowBit => JsonValue::Str("flip-low-bit".into()),
-        CorruptionMode::Drop => JsonValue::Str("drop".into()),
-        CorruptionMode::Constant(w) => {
-            JsonValue::Obj(vec![("constant".to_string(), JsonValue::from_u64(w))])
-        }
+        CorruptionMode::ReplaceRandom => json::json_str("replace-random"),
+        CorruptionMode::FlipLowBit => json::json_str("flip-low-bit"),
+        CorruptionMode::Drop => json::json_str("drop"),
+        CorruptionMode::Constant(word) => json::object(|w| {
+            w.u64("constant", word);
+        }),
     }
 }
 
 /// Parse a [`CorruptionMode`] from its JSON form.
 pub fn mode_from_json(v: &JsonValue) -> Result<CorruptionMode, SpecError> {
-    if let Some(w) = v.get("constant").and_then(JsonValue::as_u64) {
-        return Ok(CorruptionMode::Constant(w));
+    let r = Reader::new(v, "adversaries[]");
+    if let Ok(word) = r.u64("constant") {
+        return Ok(CorruptionMode::Constant(word));
     }
     match v.as_str() {
         Some("replace-random") => Ok(CorruptionMode::ReplaceRandom),
@@ -435,15 +380,15 @@ pub fn mode_from_json(v: &JsonValue) -> Result<CorruptionMode, SpecError> {
             registry: "corruption mode",
             label: other.into(),
         }),
-        None => Err(missing("adversaries[].mode")),
+        None => Err(r.missing("mode")),
     }
 }
 
 /// Encode one [`AdversaryDef`] as a compact one-line JSON object.
 pub fn adversary_to_json(def: &AdversaryDef) -> String {
-    let mut fields = vec![(
-        "kind".to_string(),
-        JsonValue::Str(
+    json::object(|w| {
+        w.str(
+            "kind",
             match def {
                 AdversaryDef::RandomMobile { .. } => "random-mobile",
                 AdversaryDef::SweepMobile { .. } => "sweep-mobile",
@@ -453,125 +398,86 @@ pub fn adversary_to_json(def: &AdversaryDef) -> String {
                 AdversaryDef::Burst { .. } => "burst",
                 AdversaryDef::Eavesdropper { .. } => "eavesdropper",
                 AdversaryDef::Synthesized { .. } => "synthesized",
+            },
+        );
+        match def {
+            AdversaryDef::RandomMobile { f }
+            | AdversaryDef::SweepMobile { f }
+            | AdversaryDef::AdaptiveHeaviest { f }
+            | AdversaryDef::Eavesdropper { f } => {
+                w.u64("f", *f as u64);
             }
-            .into(),
-        ),
-    )];
-    let mut num = |name: &str, v: u64| fields.push((name.to_string(), JsonValue::from_u64(v)));
-    match def {
-        AdversaryDef::RandomMobile { f }
-        | AdversaryDef::SweepMobile { f }
-        | AdversaryDef::AdaptiveHeaviest { f }
-        | AdversaryDef::Eavesdropper { f } => num("f", *f as u64),
-        AdversaryDef::GreedyHeaviest { f, mode } => {
-            num("f", *f as u64);
-            fields.push(("mode".to_string(), mode_to_json(*mode)));
+            AdversaryDef::GreedyHeaviest { f, mode } => {
+                w.u64("f", *f as u64).raw("mode", &mode_to_json(*mode));
+            }
+            AdversaryDef::Eclipse { node, f, mode } => {
+                w.u64("node", *node as u64)
+                    .u64("f", *f as u64)
+                    .raw("mode", &mode_to_json(*mode));
+            }
+            AdversaryDef::Burst {
+                quiet,
+                burst,
+                per_round,
+                total,
+            } => {
+                w.u64("quiet", *quiet as u64)
+                    .u64("burst", *burst as u64)
+                    .u64("per_round", *per_round as u64)
+                    .u64("total", *total as u64);
+            }
+            AdversaryDef::Synthesized { schedule, mode } => {
+                w.arr("schedule", |rounds| {
+                    for round in schedule {
+                        rounds.usizes(round);
+                    }
+                })
+                .raw("mode", &mode_to_json(*mode));
+            }
         }
-        AdversaryDef::Eclipse { node, f, mode } => {
-            num("node", *node as u64);
-            num("f", *f as u64);
-            fields.push(("mode".to_string(), mode_to_json(*mode)));
-        }
-        AdversaryDef::Burst {
-            quiet,
-            burst,
-            per_round,
-            total,
-        } => {
-            num("quiet", *quiet as u64);
-            num("burst", *burst as u64);
-            num("per_round", *per_round as u64);
-            num("total", *total as u64);
-        }
-        AdversaryDef::Synthesized { schedule, mode } => {
-            fields.push((
-                "schedule".to_string(),
-                JsonValue::Arr(
-                    schedule
-                        .iter()
-                        .map(|round| {
-                            JsonValue::Arr(
-                                round
-                                    .iter()
-                                    .map(|&e| JsonValue::from_u64(e as u64))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
-            fields.push(("mode".to_string(), mode_to_json(*mode)));
-        }
-    }
-    JsonValue::Obj(fields).to_string()
+    })
 }
 
 /// Parse one [`AdversaryDef`] from its JSON object form (omitted optional
 /// fields default to the identically-named zoo adversary's values).
 pub fn adversary_from_json(v: &JsonValue) -> Result<AdversaryDef, SpecError> {
-    let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| missing("adversaries[].kind"))?;
-    let req = |name: &str| {
-        v.get(name)
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| missing(format!("adversaries[].{name}")))
-    };
-    let mode = |default: CorruptionMode| match v.get("mode") {
-        Some(m) => mode_from_json(m),
-        None => Ok(default),
-    };
-    match kind {
-        "random-mobile" => Ok(AdversaryDef::RandomMobile { f: req("f")? }),
-        "sweep-mobile" => Ok(AdversaryDef::SweepMobile { f: req("f")? }),
+    let r = Reader::new(v, "adversaries[]");
+    let mode = |default: CorruptionMode| r.get("mode").map_or(Ok(default), mode_from_json);
+    match r.str("kind")? {
+        "random-mobile" => Ok(AdversaryDef::RandomMobile { f: r.usize("f")? }),
+        "sweep-mobile" => Ok(AdversaryDef::SweepMobile { f: r.usize("f")? }),
         // When `mode` is omitted, default to what the identically-named zoo
         // adversary uses (`adversary_zoo_defs`) — the display name in every
         // report is the same either way, so a silent behavioural divergence
         // from the hand-built zoo would be invisible.
         "greedy-heaviest" => Ok(AdversaryDef::GreedyHeaviest {
-            f: req("f")?,
+            f: r.usize("f")?,
             mode: mode(CorruptionMode::FlipLowBit)?,
         }),
-        "adaptive-heaviest" => Ok(AdversaryDef::AdaptiveHeaviest { f: req("f")? }),
+        "adaptive-heaviest" => Ok(AdversaryDef::AdaptiveHeaviest { f: r.usize("f")? }),
         "eclipse" => Ok(AdversaryDef::Eclipse {
-            node: req("node")?,
-            f: req("f")?,
+            node: r.usize("node")?,
+            f: r.usize("f")?,
             mode: mode(CorruptionMode::Drop)?,
         }),
         "burst" => Ok(AdversaryDef::Burst {
-            quiet: req("quiet")?,
-            burst: req("burst")?,
-            per_round: req("per_round")?,
-            total: req("total")?,
+            quiet: r.usize("quiet")?,
+            burst: r.usize("burst")?,
+            per_round: r.usize("per_round")?,
+            total: r.usize("total")?,
         }),
-        "eavesdropper" => Ok(AdversaryDef::Eavesdropper { f: req("f")? }),
-        "synthesized" => {
-            let schedule = v
-                .get("schedule")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| missing("adversaries[].schedule"))?
+        "eavesdropper" => Ok(AdversaryDef::Eavesdropper { f: r.usize("f")? }),
+        "synthesized" => Ok(AdversaryDef::Synthesized {
+            schedule: r
+                .array("schedule")?
                 .iter()
                 .enumerate()
-                .map(|(i, round)| {
-                    round
-                        .as_array()
-                        .ok_or_else(|| missing(format!("adversaries[].schedule[{i}]")))?
-                        .iter()
-                        .map(|e| {
-                            e.as_usize()
-                                .ok_or_else(|| missing(format!("adversaries[].schedule[{i}][]")))
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(AdversaryDef::Synthesized {
-                schedule,
-                // Omitted mode defaults to the minimal hard-to-detect
-                // corruption the red-team search aims for.
-                mode: mode(CorruptionMode::FlipLowBit)?,
-            })
-        }
+                .map(|(i, round)| r.usizes(&format!("schedule[{i}]"), round))
+                .collect::<Result<Vec<_>, _>>()?,
+            // Omitted mode defaults to the minimal hard-to-detect
+            // corruption the red-team search aims for.
+            mode: mode(CorruptionMode::FlipLowBit)?,
+        }),
         other => Err(SpecError::UnknownLabel {
             registry: "adversary kind",
             label: other.into(),
@@ -581,275 +487,195 @@ pub fn adversary_from_json(v: &JsonValue) -> Result<AdversaryDef, SpecError> {
 
 /// Encode one [`CompilerDef`] as a compact one-line JSON object.
 pub fn compiler_to_json(def: &CompilerDef) -> String {
-    let mut fields = vec![("id".to_string(), JsonValue::Str(def.label().into()))];
-    if let CompilerDef::Async { schedule } = def {
-        schedule_to_fields(schedule, &mut fields);
-        return JsonValue::Obj(fields).to_string();
-    }
-    let mut num = |name: &str, v: u64| fields.push((name.to_string(), JsonValue::from_u64(v)));
-    match *def {
-        CompilerDef::Uncompiled | CompilerDef::FaultFree | CompilerDef::Async { .. } => {}
-        CompilerDef::Clique { f, seed } | CompilerDef::Rewind { f, seed } => {
-            num("f", f as u64);
-            num("seed", seed);
-        }
-        CompilerDef::TreePacking {
-            f,
-            trees,
-            seed,
-            packing,
-        } => {
-            num("f", f as u64);
-            if let Some(k) = trees {
-                num("trees", k as u64);
+    json::object(|w| {
+        w.str("id", def.label());
+        match *def {
+            CompilerDef::Uncompiled | CompilerDef::FaultFree => {}
+            CompilerDef::Async { ref schedule } => schedule_to_fields(schedule, w),
+            CompilerDef::Clique { f, seed } | CompilerDef::Rewind { f, seed } => {
+                w.u64("f", f as u64).u64("seed", seed);
             }
-            num("seed", seed);
-            fields.push((
-                "packing".to_string(),
-                JsonValue::Str(packing.label().into()),
-            ));
+            CompilerDef::TreePacking {
+                f,
+                trees,
+                seed,
+                packing,
+            } => {
+                w.u64("f", f as u64);
+                if let Some(k) = trees {
+                    w.u64("trees", k as u64);
+                }
+                w.u64("seed", seed).str("packing", packing.label());
+            }
+            CompilerDef::CycleCover { f } => {
+                w.u64("f", f as u64);
+            }
+            CompilerDef::Expander {
+                f,
+                k,
+                bfs_rounds,
+                seed,
+            } => {
+                w.u64("f", f as u64)
+                    .u64("k", k as u64)
+                    .u64("bfs_rounds", bfs_rounds as u64)
+                    .u64("seed", seed);
+            }
+            CompilerDef::StaticToMobile { t, words, seed } => {
+                w.u64("t", t as u64)
+                    .u64("words", words as u64)
+                    .u64("seed", seed);
+            }
+            CompilerDef::CongestionSensitive { f, words, seed } => {
+                w.u64("f", f as u64)
+                    .u64("words", words as u64)
+                    .u64("seed", seed);
+            }
         }
-        CompilerDef::CycleCover { f } => num("f", f as u64),
-        CompilerDef::Expander {
-            f,
-            k,
-            bfs_rounds,
-            seed,
-        } => {
-            num("f", f as u64);
-            num("k", k as u64);
-            num("bfs_rounds", bfs_rounds as u64);
-            num("seed", seed);
-        }
-        CompilerDef::StaticToMobile { t, words, seed } => {
-            num("t", t as u64);
-            num("words", words as u64);
-            num("seed", seed);
-        }
-        CompilerDef::CongestionSensitive { f, words, seed } => {
-            num("f", f as u64);
-            num("words", words as u64);
-            num("seed", seed);
-        }
-    }
-    JsonValue::Obj(fields).to_string()
+    })
 }
 
-/// Append a [`ScheduleDef`]'s non-default parts to a compiler object's
-/// fields.  The synchronous default encodes as nothing at all, so
-/// `{"id": "async"}` round-trips to `ScheduleDef::synchronous()`.
-fn schedule_to_fields(schedule: &ScheduleDef, fields: &mut Vec<(String, JsonValue)>) {
+/// Append a [`ScheduleDef`]'s non-default parts to a compiler object.  The
+/// synchronous default encodes as nothing at all, so `{"id": "async"}`
+/// round-trips to `ScheduleDef::synchronous()`.
+fn schedule_to_fields(schedule: &ScheduleDef, w: &mut ObjectWriter<'_>) {
     match schedule.latency {
         LatencyModel::Synchronous => {}
         LatencyModel::Fixed { ticks } => {
-            fields.push(("latency".to_string(), JsonValue::Str("fixed".into())));
-            fields.push(("ticks".to_string(), JsonValue::from_u64(ticks)));
+            w.str("latency", "fixed").u64("ticks", ticks);
         }
         LatencyModel::Uniform { min, max } => {
-            fields.push(("latency".to_string(), JsonValue::Str("uniform".into())));
-            fields.push(("min".to_string(), JsonValue::from_u64(min)));
-            fields.push(("max".to_string(), JsonValue::from_u64(max)));
+            w.str("latency", "uniform").u64("min", min).u64("max", max);
         }
     }
     if schedule.reorder_window > 0 {
-        fields.push((
-            "reorder".to_string(),
-            JsonValue::from_u64(schedule.reorder_window),
-        ));
+        w.u64("reorder", schedule.reorder_window);
     }
     if let DropModel::EveryKth { k } = schedule.drops {
-        fields.push(("drop_every".to_string(), JsonValue::from_u64(k)));
+        w.u64("drop_every", k);
     }
     if !schedule.partitions.is_empty() {
-        let windows = schedule
-            .partitions
-            .iter()
-            .map(|p| {
-                JsonValue::Obj(vec![
-                    ("from".to_string(), JsonValue::from_u64(p.from)),
-                    ("until".to_string(), JsonValue::from_u64(p.until)),
-                    (
-                        "island".to_string(),
-                        JsonValue::Arr(
-                            p.island
-                                .iter()
-                                .map(|&v| JsonValue::from_u64(v as u64))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        fields.push(("partitions".to_string(), JsonValue::Arr(windows)));
+        w.arr("partitions", |windows| {
+            for p in &schedule.partitions {
+                windows.obj(|w| {
+                    w.u64("from", p.from)
+                        .u64("until", p.until)
+                        .usizes("island", &p.island);
+                });
+            }
+        });
     }
     if !schedule.crashes.is_empty() {
-        let windows = schedule
-            .crashes
-            .iter()
-            .map(|c| {
-                JsonValue::Obj(vec![
-                    ("node".to_string(), JsonValue::from_u64(c.node as u64)),
-                    ("from".to_string(), JsonValue::from_u64(c.from)),
-                    ("until".to_string(), JsonValue::from_u64(c.until)),
-                ])
-            })
-            .collect();
-        fields.push(("crashes".to_string(), JsonValue::Arr(windows)));
+        w.arr("crashes", |windows| {
+            for c in &schedule.crashes {
+                windows.obj(|w| {
+                    w.u64("node", c.node as u64)
+                        .u64("from", c.from)
+                        .u64("until", c.until);
+                });
+            }
+        });
     }
 }
 
 /// Parse a [`ScheduleDef`] out of an `{"id": "async", ...}` compiler object;
 /// every field is optional and defaults to the synchronous schedule's value.
-fn schedule_from_json(v: &JsonValue) -> Result<ScheduleDef, SpecError> {
+fn schedule_from_json(r: &Reader<'_>) -> Result<ScheduleDef, SpecError> {
     let mut schedule = ScheduleDef::synchronous();
-    let num = |obj: &JsonValue, name: &str, path: &str| {
-        obj.get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing(format!("{path}.{name}")))
-    };
-    match v.get("latency").map(|l| {
-        l.as_str()
-            .ok_or_else(|| missing("compilers[].latency"))
-            .map(str::to_string)
-    }) {
+    match r.optional("latency", Reader::str)? {
         None => {}
-        Some(label) => match label?.as_str() {
-            "fixed" => {
-                schedule.latency = LatencyModel::Fixed {
-                    ticks: num(v, "ticks", "compilers[]")?,
-                }
+        Some("fixed") => {
+            schedule.latency = LatencyModel::Fixed {
+                ticks: r.u64("ticks")?,
             }
-            "uniform" => {
-                schedule.latency = LatencyModel::Uniform {
-                    min: num(v, "min", "compilers[]")?,
-                    max: num(v, "max", "compilers[]")?,
-                }
+        }
+        Some("uniform") => {
+            schedule.latency = LatencyModel::Uniform {
+                min: r.u64("min")?,
+                max: r.u64("max")?,
             }
-            other => {
-                return Err(SpecError::UnknownLabel {
-                    registry: "latency model",
-                    label: other.into(),
-                })
-            }
-        },
-    }
-    if let Some(w) = v.get("reorder") {
-        schedule.reorder_window = w.as_u64().ok_or_else(|| missing("compilers[].reorder"))?;
-    }
-    if let Some(k) = v.get("drop_every") {
-        schedule.drops = DropModel::EveryKth {
-            k: k.as_u64()
-                .ok_or_else(|| missing("compilers[].drop_every"))?,
-        };
-    }
-    if let Some(parts) = v.get("partitions") {
-        let arr = parts
-            .as_array()
-            .ok_or_else(|| missing("compilers[].partitions"))?;
-        for p in arr {
-            let island = p
-                .get("island")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| missing("compilers[].partitions[].island"))?
-                .iter()
-                .map(|n| {
-                    n.as_usize()
-                        .ok_or_else(|| missing("compilers[].partitions[].island[]"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            schedule.partitions.push(PartitionWindow {
-                from: num(p, "from", "compilers[].partitions[]")?,
-                until: num(p, "until", "compilers[].partitions[]")?,
-                island,
-            });
+        }
+        Some(other) => {
+            return Err(SpecError::UnknownLabel {
+                registry: "latency model",
+                label: other.into(),
+            })
         }
     }
-    if let Some(crashes) = v.get("crashes") {
-        let arr = crashes
-            .as_array()
-            .ok_or_else(|| missing("compilers[].crashes"))?;
-        for c in arr {
-            schedule.crashes.push(CrashWindow {
-                node: c
-                    .get("node")
-                    .and_then(JsonValue::as_usize)
-                    .ok_or_else(|| missing("compilers[].crashes[].node"))?,
-                from: num(c, "from", "compilers[].crashes[]")?,
-                until: num(c, "until", "compilers[].crashes[]")?,
-            });
-        }
+    if let Some(window) = r.optional("reorder", Reader::u64)? {
+        schedule.reorder_window = window;
+    }
+    if let Some(k) = r.optional("drop_every", Reader::u64)? {
+        schedule.drops = DropModel::EveryKth { k };
+    }
+    for p in r.optional("partitions", Reader::array)?.unwrap_or_default() {
+        let p = Reader::new(p, "compilers[].partitions[]");
+        schedule.partitions.push(PartitionWindow {
+            island: p.usizes("island", p.value("island")?)?,
+            from: p.u64("from")?,
+            until: p.u64("until")?,
+        });
+    }
+    for c in r.optional("crashes", Reader::array)?.unwrap_or_default() {
+        let c = Reader::new(c, "compilers[].crashes[]");
+        schedule.crashes.push(CrashWindow {
+            node: c.usize("node")?,
+            from: c.u64("from")?,
+            until: c.u64("until")?,
+        });
     }
     Ok(schedule)
 }
 
 /// Parse one [`CompilerDef`] from its JSON object form.
 pub fn compiler_from_json(v: &JsonValue) -> Result<CompilerDef, SpecError> {
-    let id = v
-        .get("id")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| missing("compilers[].id"))?;
-    let req = |name: &str| {
-        v.get(name)
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| missing(format!("compilers[].{name}")))
-    };
-    let seed = || {
-        v.get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing("compilers[].seed"))
-    };
-    match id {
+    let r = Reader::new(v, "compilers[]");
+    match r.str("id")? {
         "uncompiled" => Ok(CompilerDef::Uncompiled),
         "async" => Ok(CompilerDef::Async {
-            schedule: schedule_from_json(v)?,
+            schedule: schedule_from_json(&r)?,
         }),
         "fault-free" => Ok(CompilerDef::FaultFree),
         "clique" => Ok(CompilerDef::Clique {
-            f: req("f")?,
-            seed: seed()?,
+            f: r.usize("f")?,
+            seed: r.u64("seed")?,
         }),
         "tree-packing" => Ok(CompilerDef::TreePacking {
-            f: req("f")?,
-            trees: match v.get("trees") {
-                Some(t) => Some(t.as_usize().ok_or_else(|| missing("compilers[].trees"))?),
-                None => None,
-            },
-            seed: seed()?,
+            f: r.usize("f")?,
+            trees: r.optional("trees", Reader::usize)?,
+            seed: r.u64("seed")?,
             // Omitted means the adapter default (v2), matching
             // `TreePackingAdapter::new`.
-            packing: match v.get("packing") {
+            packing: match r.optional("packing", Reader::str)? {
                 None => netgraph::PackingVersion::default(),
-                Some(p) => {
-                    let label = p.as_str().ok_or_else(|| missing("compilers[].packing"))?;
-                    netgraph::PackingVersion::from_label(label).ok_or_else(|| {
-                        SpecError::UnknownLabel {
-                            registry: "packing version",
-                            label: label.into(),
-                        }
-                    })?
-                }
+                Some(label) => netgraph::PackingVersion::from_label(label).ok_or_else(|| {
+                    SpecError::UnknownLabel {
+                        registry: "packing version",
+                        label: label.into(),
+                    }
+                })?,
             },
         }),
-        "cycle-cover" => Ok(CompilerDef::CycleCover { f: req("f")? }),
+        "cycle-cover" => Ok(CompilerDef::CycleCover { f: r.usize("f")? }),
         "expander" => Ok(CompilerDef::Expander {
-            f: req("f")?,
-            k: req("k")?,
-            bfs_rounds: req("bfs_rounds")?,
-            seed: seed()?,
+            f: r.usize("f")?,
+            k: r.usize("k")?,
+            bfs_rounds: r.usize("bfs_rounds")?,
+            seed: r.u64("seed")?,
         }),
         "rewind" => Ok(CompilerDef::Rewind {
-            f: req("f")?,
-            seed: seed()?,
+            f: r.usize("f")?,
+            seed: r.u64("seed")?,
         }),
         "static-to-mobile" => Ok(CompilerDef::StaticToMobile {
-            t: req("t")?,
-            words: req("words")?,
-            seed: seed()?,
+            t: r.usize("t")?,
+            words: r.usize("words")?,
+            seed: r.u64("seed")?,
         }),
         "congestion-sensitive" => Ok(CompilerDef::CongestionSensitive {
-            f: req("f")?,
-            words: req("words")?,
-            seed: seed()?,
+            f: r.usize("f")?,
+            words: r.usize("words")?,
+            seed: r.u64("seed")?,
         }),
         other => Err(SpecError::UnknownLabel {
             registry: "compiler id",
@@ -860,44 +686,32 @@ pub fn compiler_from_json(v: &JsonValue) -> Result<CompilerDef, SpecError> {
 
 /// Encode one [`PayloadDef`] as a compact one-line JSON object.
 pub fn payload_to_json(def: &PayloadDef) -> String {
-    let mut fields = vec![("kind".to_string(), JsonValue::Str(def.label().into()))];
-    match *def {
-        PayloadDef::ExchangeIds | PayloadDef::LeaderElection => {}
-        PayloadDef::FloodBroadcast { source, value } => {
-            fields.push(("source".to_string(), JsonValue::from_u64(source as u64)));
-            fields.push(("value".to_string(), JsonValue::from_u64(value)));
+    json::object(|w| {
+        w.str("kind", def.label());
+        match *def {
+            PayloadDef::ExchangeIds | PayloadDef::LeaderElection => {}
+            PayloadDef::FloodBroadcast { source, value } => {
+                w.u64("source", source as u64).u64("value", value);
+            }
+            PayloadDef::TokenDissemination { batch } => {
+                w.u64("batch", batch as u64);
+            }
         }
-        PayloadDef::TokenDissemination { batch } => {
-            fields.push(("batch".to_string(), JsonValue::from_u64(batch as u64)));
-        }
-    }
-    JsonValue::Obj(fields).to_string()
+    })
 }
 
 /// Parse one [`PayloadDef`] from its JSON object form.
 pub fn payload_from_json(v: &JsonValue) -> Result<PayloadDef, SpecError> {
-    let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| missing("grid.payload.kind"))?;
-    match kind {
+    let r = Reader::new(v, "grid.payload");
+    match r.str("kind")? {
         "exchange-ids" => Ok(PayloadDef::ExchangeIds),
         "flood-broadcast" => Ok(PayloadDef::FloodBroadcast {
-            source: v
-                .get("source")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| missing("grid.payload.source"))?,
-            value: v
-                .get("value")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| missing("grid.payload.value"))?,
+            source: r.usize("source")?,
+            value: r.u64("value")?,
         }),
         "leader-election" => Ok(PayloadDef::LeaderElection),
         "token-dissemination" => Ok(PayloadDef::TokenDissemination {
-            batch: v
-                .get("batch")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| missing("grid.payload.batch"))?,
+            batch: r.usize("batch")?,
         }),
         other => Err(SpecError::UnknownLabel {
             registry: "payload kind",

@@ -21,6 +21,5 @@ pub mod scheduler;
 
 pub use replay::{
     flood_paths_majority, majority, most_frequent, repeated_tree_broadcast, repeated_tree_sum,
-    replay_trace_jsonl,
 };
 pub use scheduler::{FamilyRunReport, RsScheduler, SchedulePlan, TreeRunReport, C_RS, T_RS};

@@ -249,93 +249,6 @@ pub fn flood_paths_majority(
     majority(&target_received)
 }
 
-/// Render a **traced** run as a human-auditable replay script: one JSONL
-/// header line, one `kind:"round"` line per network round the adversary
-/// touched (grouping the trace's corruption events by virtual time), and a
-/// closing `kind:"verdict"` line with the correction outcome.
-///
-/// This is the replay artifact the red-team shrinker emits next to each
-/// minimal counterexample spec: the spec replays the failure through the
-/// campaign engine, and this script shows *where* the synthesized schedule
-/// struck and what it broke, round by round.  The run must have been executed
-/// with ring tracing ([`obs::TraceSpec::ring`]) — an untraced report produces
-/// a script with no round lines.
-pub fn replay_trace_jsonl(report: &congest_sim::scenario::RunReport) -> String {
-    use obs::{EventClass, EventKind};
-
-    fn opt_bool(v: Option<bool>) -> &'static str {
-        match v {
-            Some(true) => "true",
-            Some(false) => "false",
-            None => "null",
-        }
-    }
-    let metric = |name: &str| -> u64 {
-        report
-            .notes
-            .metrics()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v as u64)
-            .unwrap_or(0)
-    };
-
-    let mut out = format!(
-        "{{\"kind\":\"replay\",\"adversary\":\"{}\",\"compiler\":\"{}\",\"payload_rounds\":{},\
-         \"network_rounds\":{},\"corruption_events\":{}}}\n",
-        report.adversary,
-        report.compiler,
-        report.payload_rounds,
-        report.network_rounds,
-        report.trace.class_count(EventClass::Corruption),
-    );
-    // Group the trace's corruption points by virtual time (events arrive in
-    // time order, so one forward pass suffices), then run-length collapse
-    // consecutive rounds that hit the same edge set — a cyclic synthesized
-    // schedule corrupts identically for thousands of network rounds, and one
-    // `"to"`-spanned line per streak keeps the script readable.
-    let mut rounds: Vec<(u64, Vec<usize>)> = Vec::new();
-    for ev in &report.trace.events {
-        let EventKind::CorruptionApplied { edge } = ev.kind else {
-            continue;
-        };
-        match rounds.last_mut() {
-            Some((t, edges)) if *t == ev.time => edges.push(edge),
-            _ => rounds.push((ev.time, vec![edge])),
-        }
-    }
-    let mut i = 0;
-    while i < rounds.len() {
-        let (from, edges) = (&rounds[i].0, &rounds[i].1);
-        let mut j = i + 1;
-        while j < rounds.len() && rounds[j].0 == rounds[j - 1].0 + 1 && rounds[j].1 == *edges {
-            j += 1;
-        }
-        let to = rounds[j - 1].0;
-        out.push_str(&format!(
-            "{{\"kind\":\"round\",\"round\":{from},\"to\":{to},\"edges\":["
-        ));
-        for (k, e) in edges.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_string());
-        }
-        out.push_str("]}\n");
-        i = j;
-    }
-    out.push_str(&format!(
-        "{{\"kind\":\"verdict\",\"agrees\":{},\"corrected\":{},\"mismatches_after\":{},\
-         \"failed_trees\":{},\"rewinds\":{}}}\n",
-        opt_bool(report.agrees_with_fault_free()),
-        opt_bool(report.notes.fully_corrected()),
-        metric("mismatches_after"),
-        metric("failed_trees"),
-        report.trace.class_count(EventClass::Rewind),
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,7 @@ use congest_sim::scenario::matrix::{run_cell, CompilerSpec, GraphSpec};
 use congest_sim::scenario::{CompileArtifacts, RunReport, ScenarioError};
 use mobile_congest_core::adapters::CompilerDef;
 use mobile_congest_harness::campaign::cell_seed;
+use mobile_congest_harness::json;
 use mobile_congest_harness::spec::{PayloadDef, SpecError};
 use netgraph::{Graph, GraphDef};
 use std::sync::Arc;
@@ -77,14 +78,13 @@ impl Fitness {
     /// Compact one-line JSON form (stable field order; trajectory lines and
     /// tests embed this).
     pub fn json(&self) -> String {
-        format!(
-            "{{\"failed_decode\":{},\"residual\":{},\"rewinds\":{},\"pressure\":{},\"congestion\":{}}}",
-            self.failed_decode,
-            self.residual_mismatches,
-            self.rewinds,
-            self.attack_pressure,
-            self.max_congestion
-        )
+        json::object(|w| {
+            w.opt_bool("failed_decode", Some(self.failed_decode))
+                .u64("residual", self.residual_mismatches)
+                .u64("rewinds", self.rewinds)
+                .u64("pressure", self.attack_pressure)
+                .u64("congestion", self.max_congestion);
+        })
     }
 }
 

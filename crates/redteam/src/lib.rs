@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod fitness;
+pub mod replay;
 pub mod run;
 pub mod schedule;
 pub mod search;
@@ -39,9 +40,8 @@ pub mod shrink;
 pub mod spec;
 
 pub use fitness::{Fitness, ResolvedTarget};
-pub use run::{
-    header_line, parse_trajectory, trajectory, unit_line, Counterexample, RedTeam, UnitOutcome,
-};
+pub use replay::replay_trace_jsonl;
+pub use run::{header_line, unit_line, Counterexample, RedTeam, UnitOutcome};
 pub use schedule::{ScheduleMove, SynthesizedAdversary};
 pub use search::{run_chain, ChainReport, SearchStrategy};
 pub use shrink::{shrink, ShrinkOutcome};

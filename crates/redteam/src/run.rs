@@ -8,7 +8,7 @@ use crate::search::run_chain;
 use crate::shrink::shrink;
 use crate::spec::{counterexample_spec, RedTeamSpec};
 use mobile_congest_harness::engine;
-use mobile_congest_harness::json::{self, json_str, JsonValue};
+use mobile_congest_harness::json;
 use mobile_congest_harness::spec::SpecError;
 use netgraph::GraphDef;
 
@@ -193,113 +193,51 @@ impl RedTeam {
 
 /// The trajectory header line: `kind:"redteam"` plus the spec fingerprint
 /// that keys `--resume` (a trajectory written for a different spec is
-/// refused, never silently mixed).
+/// refused, never silently mixed).  Files are read back and assembled with
+/// the shared `harness::report::{read_lines, assemble}`.
 pub fn header_line(spec: &RedTeamSpec) -> String {
-    format!(
-        "{{\"kind\":\"redteam\",\"fingerprint\":{},\"targets\":{},\"chains\":{},\"units\":{}}}",
-        json_str(&spec.fingerprint()),
-        spec.targets.len(),
-        spec.search.chains,
-        spec.targets.len() * spec.search.chains
-    )
+    json::object(|w| {
+        w.str("kind", "redteam")
+            .str("fingerprint", &spec.fingerprint())
+            .u64("targets", spec.targets.len() as u64)
+            .u64("chains", spec.search.chains as u64)
+            .u64("units", (spec.targets.len() * spec.search.chains) as u64);
+    })
 }
 
 /// One unit's trajectory line.  Depends only on the unit's outcome (itself a
 /// pure function of spec + unit index), which is what makes shard and resume
 /// accumulation byte-identical to a one-shot run.
 pub fn unit_line(spec: &RedTeamSpec, outcome: &UnitOutcome) -> String {
-    let mut line = format!(
-        "{{\"kind\":\"unit\",\"index\":{},\"target\":{},\"chain\":{},\"evals\":{},\"found_at\":{},\"fitness\":{}",
-        outcome.unit,
-        outcome.target,
-        outcome.chain,
-        outcome.search_evals,
+    json::object(|w| {
+        w.str("kind", "unit")
+            .u64("index", outcome.unit as u64)
+            .u64("target", outcome.target as u64)
+            .u64("chain", outcome.chain as u64)
+            .u64("evals", outcome.search_evals as u64);
         match outcome.found_at {
-            Some(step) => step.to_string(),
-            None => "null".into(),
-        },
-        outcome.best_fitness.json()
-    );
-    match &outcome.counterexample {
-        None => line.push_str(",\"ce\":null}"),
-        Some(ce) => {
-            let ce_spec =
-                counterexample_spec(&spec.targets[outcome.target], &ce.graph, &ce.adversary);
-            let schedule: Vec<String> = ce
-                .adversary
-                .schedule()
-                .iter()
-                .map(|row| {
-                    let edges: Vec<String> = row.iter().map(usize::to_string).collect();
-                    format!("[{}]", edges.join(","))
-                })
-                .collect();
-            line.push_str(&format!(
-                ",\"ce\":{{\"spec_fingerprint\":{},\"graph\":{},\"rounds\":{},\"schedule\":[{}],\"fitness\":{},\"shrink_evals\":{}}}}}",
-                json_str(&ce_spec.fingerprint()),
-                json_str(&ce.graph.display_name()),
-                ce.adversary.rounds(),
-                schedule.join(","),
-                ce.fitness.json(),
-                ce.shrink_evals
-            ));
-        }
-    }
-    line
-}
-
-/// Parse a trajectory file back into `(unit index, line)` pairs, verifying
-/// the header's fingerprint against `fingerprint`.  A torn trailing line
-/// (interrupted write) is tolerated and dropped; a fingerprint mismatch is
-/// an error — resuming must never mix campaigns.
-pub fn parse_trajectory(content: &str, fingerprint: &str) -> Result<Vec<(usize, String)>, String> {
-    let mut lines = content.lines();
-    let header = lines.next().ok_or("trajectory file is empty")?;
-    let doc = json::parse(header).map_err(|e| format!("trajectory header: {e}"))?;
-    if doc.get("kind").and_then(JsonValue::as_str) != Some("redteam") {
-        return Err("trajectory header is not kind:\"redteam\"".into());
-    }
-    match doc.get("fingerprint").and_then(JsonValue::as_str) {
-        Some(found) if found == fingerprint => {}
-        Some(found) => {
-            return Err(format!(
-                "trajectory was written for spec {found}, this spec is {fingerprint}"
-            ))
-        }
-        None => return Err("trajectory header has no fingerprint".into()),
-    }
-    let mut kept = Vec::new();
-    for line in lines {
-        let Ok(doc) = json::parse(line) else {
-            continue; // torn trailing line from an interrupted write
+            Some(step) => w.u64("found_at", step as u64),
+            None => w.raw("found_at", "null"),
         };
-        if doc.get("kind").and_then(JsonValue::as_str) != Some("unit") {
-            continue;
-        }
-        if let Some(index) = doc.get("index").and_then(JsonValue::as_usize) {
-            kept.push((index, line.to_string()));
-        }
-    }
-    Ok(kept)
-}
-
-/// Assemble the full trajectory file: header plus unit lines sorted by index
-/// (later duplicates win, so re-run units supersede kept ones).
-pub fn trajectory(spec: &RedTeamSpec, lines: &[(usize, String)]) -> String {
-    let mut merged: Vec<(usize, String)> = Vec::new();
-    for (index, line) in lines {
-        match merged.binary_search_by_key(index, |(i, _)| *i) {
-            Ok(at) => merged[at] = (*index, line.clone()),
-            Err(at) => merged.insert(at, (*index, line.clone())),
-        }
-    }
-    let mut out = header_line(spec);
-    out.push('\n');
-    for (_, line) in &merged {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+        w.raw("fitness", &outcome.best_fitness.json());
+        let Some(ce) = &outcome.counterexample else {
+            w.raw("ce", "null");
+            return;
+        };
+        let ce_spec = counterexample_spec(&spec.targets[outcome.target], &ce.graph, &ce.adversary);
+        w.obj("ce", |w| {
+            w.str("spec_fingerprint", &ce_spec.fingerprint())
+                .str("graph", &ce.graph.display_name())
+                .u64("rounds", ce.adversary.rounds() as u64)
+                .arr("schedule", |rows| {
+                    for row in ce.adversary.schedule() {
+                        rows.usizes(row);
+                    }
+                })
+                .raw("fitness", &ce.fitness.json())
+                .u64("shrink_evals", ce.shrink_evals as u64);
+        });
+    })
 }
 
 #[cfg(test)]
@@ -309,6 +247,7 @@ mod tests {
     use crate::spec::{BudgetSpec, SearchSpec, TargetSpec};
     use congest_sim::adversary::CorruptionMode;
     use mobile_congest_core::adapters::CompilerDef;
+    use mobile_congest_harness::report::{assemble, read_lines};
     use mobile_congest_harness::spec::PayloadDef;
 
     fn tiny_spec() -> RedTeamSpec {
@@ -359,16 +298,17 @@ mod tests {
             .iter()
             .map(|o| (o.unit, unit_line(&spec, o)))
             .collect();
-        let full = trajectory(&spec, &lines);
-        let parsed = parse_trajectory(&full, &spec.fingerprint()).unwrap();
+        let full = assemble(&header_line(&spec), &lines);
+        let parsed = read_lines(&full, "redteam", "unit", &spec.fingerprint()).unwrap();
         assert_eq!(parsed, lines);
         // Reassembling from an unordered, duplicated line set is identical.
         let mut shuffled = lines.clone();
         shuffled.reverse();
         shuffled.push(lines[0].clone());
-        assert_eq!(trajectory(&spec, &shuffled), full);
-        // A foreign fingerprint is refused.
-        assert!(parse_trajectory(&full, "0000000000000000").is_err());
+        assert_eq!(assemble(&header_line(&spec), &shuffled), full);
+        // A foreign fingerprint is refused, and so is a campaign trajectory.
+        assert!(read_lines(&full, "redteam", "unit", "0000000000000000").is_err());
+        assert!(read_lines(&full, "campaign", "cell", &spec.fingerprint()).is_err());
     }
 
     #[test]

@@ -6,19 +6,13 @@ use crate::schedule::SynthesizedAdversary;
 use crate::search::SearchStrategy;
 use congest_sim::adversary::CorruptionMode;
 use mobile_congest_core::adapters::CompilerDef;
-use mobile_congest_harness::json::{self, JsonValue};
+use mobile_congest_harness::json::{self, Reader};
 use mobile_congest_harness::spec::{
     compiler_from_json, compiler_to_json, graph_from_json, graph_to_json, mode_from_json,
     mode_to_json, payload_from_json, payload_to_json, CampaignSpec, GridSpec, PayloadDef,
     SpecError,
 };
 use netgraph::GraphDef;
-
-fn missing(field: impl Into<String>) -> SpecError {
-    SpecError::Missing {
-        field: field.into(),
-    }
-}
 
 /// The budget envelope candidates must stay inside.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,11 +74,11 @@ impl RedTeamSpec {
         out.push_str("{\n");
         out.push_str("  \"kind\": \"redteam-spec\",\n");
         out.push_str(&format!(
-            "  \"search\": {{\"seed\": {}, \"chains\": {}, \"steps\": {}, \"strategy\": \"{}\"}},\n",
+            "  \"search\": {{\"seed\": {}, \"chains\": {}, \"steps\": {}, \"strategy\": {}}},\n",
             self.search.seed,
             self.search.chains,
             self.search.steps,
-            self.search.strategy.label()
+            json::json_str(self.search.strategy.label())
         ));
         out.push_str(&format!(
             "  \"budget\": {{\"f\": {}, \"rounds\": {}}},\n",
@@ -116,73 +110,42 @@ impl RedTeamSpec {
     /// `flip-low-bit`).
     pub fn from_json(input: &str) -> Result<RedTeamSpec, SpecError> {
         let doc = json::parse(input)?;
-        if let Some(kind) = doc.get("kind").and_then(JsonValue::as_str) {
-            if kind != "redteam-spec" {
-                return Err(SpecError::Invalid {
-                    reason: format!("document kind is `{kind}`, expected `redteam-spec`"),
-                });
-            }
-        }
-        let search = doc.get("search").ok_or_else(|| missing("search"))?;
-        let req = |obj: &JsonValue, path: &str, name: &str| -> Result<u64, SpecError> {
-            obj.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| missing(format!("{path}.{name}")))
-        };
-        let strategy = match search.get("strategy") {
+        let doc = Reader::new(&doc, "");
+        doc.kind_if_present("redteam-spec")?;
+        let search = Reader::new(doc.value("search")?, "search");
+        let strategy = match search.optional("strategy", Reader::str)? {
             None => SearchStrategy::Evolve,
-            Some(v) => {
-                let label = v.as_str().ok_or_else(|| missing("search.strategy"))?;
-                SearchStrategy::parse(label).ok_or_else(|| SpecError::UnknownLabel {
-                    registry: "search strategy",
-                    label: label.into(),
-                })?
-            }
+            Some(label) => SearchStrategy::parse(label).ok_or_else(|| SpecError::UnknownLabel {
+                registry: "search strategy",
+                label: label.into(),
+            })?,
         };
         let search = SearchSpec {
-            seed: req(search, "search", "seed")?,
-            chains: req(search, "search", "chains")? as usize,
-            steps: req(search, "search", "steps")? as usize,
+            seed: search.u64("seed")?,
+            chains: search.usize("chains")?,
+            steps: search.usize("steps")?,
             strategy,
         };
-        let budget = doc.get("budget").ok_or_else(|| missing("budget"))?;
+        let budget = Reader::new(doc.value("budget")?, "budget");
         let budget = BudgetSpec {
-            f: req(budget, "budget", "f")? as usize,
-            rounds: req(budget, "budget", "rounds")? as usize,
+            f: budget.usize("f")?,
+            rounds: budget.usize("rounds")?,
         };
         let targets = doc
-            .get("targets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("targets"))?
+            .array("targets")?
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let graph = graph_from_json(
-                    t.get("graph")
-                        .ok_or_else(|| missing(format!("targets[{i}].graph")))?,
-                )?;
-                let compiler = compiler_from_json(
-                    t.get("compiler")
-                        .ok_or_else(|| missing(format!("targets[{i}].compiler")))?,
-                )?;
-                let payload = payload_from_json(
-                    t.get("payload")
-                        .ok_or_else(|| missing(format!("targets[{i}].payload")))?,
-                )?;
-                let seed = t
-                    .get("seed")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| missing(format!("targets[{i}].seed")))?;
-                let mode = match t.get("mode") {
-                    None => CorruptionMode::FlipLowBit,
-                    Some(m) => mode_from_json(m)?,
-                };
+                let path = format!("targets[{i}]");
+                let t = Reader::new(t, &path);
                 Ok(TargetSpec {
-                    graph,
-                    compiler,
-                    payload,
-                    seed,
-                    mode,
+                    graph: graph_from_json(t.value("graph")?)?,
+                    compiler: compiler_from_json(t.value("compiler")?)?,
+                    payload: payload_from_json(t.value("payload")?)?,
+                    seed: t.u64("seed")?,
+                    mode: t
+                        .get("mode")
+                        .map_or(Ok(CorruptionMode::FlipLowBit), mode_from_json)?,
                 })
             })
             .collect::<Result<Vec<_>, SpecError>>()?;
@@ -229,12 +192,7 @@ impl RedTeamSpec {
     /// construction campaign specs use, and the key trajectory files carry
     /// so `--resume` never mixes campaigns.
     pub fn fingerprint(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        json::fnv1a_hex(self.to_json().bytes())
     }
 }
 

@@ -30,8 +30,7 @@
 
 use mobile_congest::cli;
 use mobile_congest::harness::campaign::{cell_json, summary_json, GroupSummary};
-use mobile_congest::harness::json::{self, JsonValue};
-use mobile_congest::harness::report::trajectory_header;
+use mobile_congest::harness::report::{assemble, read_lines, trajectory_header, write_atomic};
 use mobile_congest::harness::{Campaign, CampaignSpec};
 use mobile_congest::obs;
 use std::path::{Path, PathBuf};
@@ -113,53 +112,6 @@ fn default_out(spec_path: &Path) -> PathBuf {
     Path::new("target").join(format!("{stem}-trajectory.jsonl"))
 }
 
-/// Read an existing trajectory: verify the header belongs to `spec`, return
-/// the kept `(index, line)` pairs of well-formed cell lines.
-fn read_trajectory(path: &Path, spec: &CampaignSpec) -> Result<Vec<(usize, String)>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read trajectory {}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("trajectory {} is empty", path.display()))?;
-    let header = json::parse(header)
-        .map_err(|e| format!("trajectory {} has a malformed header: {e}", path.display()))?;
-    if header.get("kind").and_then(JsonValue::as_str) != Some("campaign") {
-        return Err(format!(
-            "trajectory {} does not start with a campaign header",
-            path.display()
-        ));
-    }
-    let found = header
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("");
-    let expected = spec.fingerprint();
-    if found != expected {
-        return Err(format!(
-            "trajectory {} belongs to a different campaign (fingerprint {found}, spec is {expected}); \
-             delete it or pick another --out",
-            path.display()
-        ));
-    }
-    let mut cells = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(value) = json::parse(line) else {
-            continue; // a torn partial write — the cell will simply re-run
-        };
-        if value.get("kind").and_then(JsonValue::as_str) != Some("cell") {
-            continue;
-        }
-        if let Some(index) = value.get("index").and_then(JsonValue::as_usize) {
-            cells.push((index, line.to_string()));
-        }
-    }
-    Ok(cells)
-}
-
 fn run() -> Result<(), String> {
     let args = match parse_args(std::env::args().skip(1))? {
         Parsed::Run(args) => args,
@@ -216,7 +168,14 @@ fn run() -> Result<(), String> {
 
     // Cell-level resume: keep the lines already on disk, run only the rest.
     let kept: Vec<(usize, String)> = if args.common.resume && out.exists() {
-        read_trajectory(&out, &spec)?
+        let text = std::fs::read_to_string(&out)
+            .map_err(|e| format!("cannot read trajectory {}: {e}", out.display()))?;
+        read_lines(&text, "campaign", "cell", &spec.fingerprint()).map_err(|e| {
+            format!(
+                "trajectory {}: {e}; delete it or pick another --out",
+                out.display()
+            )
+        })?
     } else {
         Vec::new()
     };
@@ -319,32 +278,19 @@ fn run() -> Result<(), String> {
     // cell, so a resumed file is byte-identical to a from-scratch one).
     let mut lines: Vec<(usize, String)> = kept;
     lines.extend(report.cells.iter().map(|c| (c.index, cell_json(c))));
-    lines.sort_by_key(|(i, _)| *i);
-    let mut text = trajectory_header(&spec);
-    text.push('\n');
-    for (_, line) in &lines {
-        text.push_str(line);
-        text.push('\n');
-    }
+    let text = assemble(&trajectory_header(&spec), &lines);
     if let Some(parent) = out.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
     // Crash-safe rewrite: never truncate the file --resume depends on.  A
     // kill mid-write leaves either the old trajectory or the new one, so the
     // completed cells survive and the worst case is re-running this batch.
-    let tmp = out.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, &text)
-        .map_err(|e| format!("cannot write trajectory {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &out).map_err(|e| {
-        format!(
-            "cannot move trajectory into place at {}: {e}",
-            out.display()
-        )
-    })?;
+    write_atomic(&out, &text)
+        .map_err(|e| format!("cannot write trajectory {}: {e}", out.display()))?;
+    let written = text.lines().count();
     diag(format!(
-        "wrote {} trajectory lines ({} cells) to {}",
-        lines.len() + 1,
-        lines.len(),
+        "wrote {written} trajectory lines ({} cells) to {}",
+        written - 1,
         out.display()
     ));
     Ok(())

@@ -14,6 +14,7 @@
 
 use mobile_congest::campaignd::server::{start, Config};
 use mobile_congest::cli;
+use mobile_congest::harness::json;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: campaignd --data-dir DIR [--addr HOST:PORT] [--threads N] [--quiet]
@@ -82,7 +83,11 @@ fn run() -> Result<(), String> {
     }
     let handle = start(config)?;
     // The one stdout line: lets scripts that bound port 0 find the server.
-    println!("{{\"kind\":\"listening\",\"addr\":\"{}\"}}", handle.addr());
+    let listening = json::object(|w| {
+        w.str("kind", "listening")
+            .str("addr", &handle.addr().to_string());
+    });
+    println!("{listening}");
     // The accept loop and workers are daemon threads; park this one forever.
     loop {
         std::thread::park();

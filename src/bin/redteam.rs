@@ -29,9 +29,10 @@
 //! everything narrative goes to stderr, and `--quiet` silences it.
 
 use mobile_congest::cli;
-use mobile_congest::icoding::replay_trace_jsonl;
+use mobile_congest::harness::report::{assemble, read_lines, write_atomic};
 use mobile_congest::redteam::{
-    counterexample_spec, parse_trajectory, trajectory, unit_line, RedTeam, RedTeamSpec, UnitOutcome,
+    counterexample_spec, header_line, replay_trace_jsonl, unit_line, RedTeam, RedTeamSpec,
+    UnitOutcome,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -203,7 +204,7 @@ fn run() -> Result<(), String> {
     let kept: Vec<(usize, String)> = if args.common.resume && out.exists() {
         let text = std::fs::read_to_string(&out)
             .map_err(|e| format!("cannot read trajectory {}: {e}", out.display()))?;
-        parse_trajectory(&text, &spec.fingerprint()).map_err(|e| {
+        read_lines(&text, "redteam", "unit", &spec.fingerprint()).map_err(|e| {
             format!(
                 "trajectory {}: {e}; delete it or pick another --out",
                 out.display()
@@ -281,23 +282,16 @@ fn run() -> Result<(), String> {
     // file or the new one, so completed units always survive.
     let mut lines = kept;
     lines.extend(fresh);
-    let text = trajectory(&spec, &lines);
+    let text = assemble(&header_line(&spec), &lines);
     if let Some(parent) = out.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    let tmp = out.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, &text)
-        .map_err(|e| format!("cannot write trajectory {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &out).map_err(|e| {
-        format!(
-            "cannot move trajectory into place at {}: {e}",
-            out.display()
-        )
-    })?;
+    write_atomic(&out, &text)
+        .map_err(|e| format!("cannot write trajectory {}: {e}", out.display()))?;
+    let written = text.lines().count();
     diag(format!(
-        "wrote {} trajectory lines ({} units) to {}",
-        lines.len() + 1,
-        lines.len(),
+        "wrote {written} trajectory lines ({} units) to {}",
+        written - 1,
         out.display()
     ));
     Ok(())

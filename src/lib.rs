@@ -70,7 +70,7 @@
 //!   (`cargo run --bin redteam`) with sharding and unit-level resume.
 //!
 //! See `README.md` for a guided tour; `benches/experiments.rs` is the
-//! experiment index (E1–E16, one table per theorem).
+//! experiment index (E1–E15, one table per theorem).
 
 /// Compiles every `rust` code block of `README.md` as a doctest, so the
 /// README's quickstart and harness snippets cannot drift from the real API.

@@ -149,6 +149,57 @@ fn killed_server_resumes_without_reexecuting_completed_cells() {
 }
 
 #[test]
+fn a_log_line_with_an_impossible_repetition_is_rerun_not_served() {
+    let text = spec_text();
+    let spec = CampaignSpec::from_json(&text).unwrap();
+    let fingerprint = spec.fingerprint();
+    let campaign = Campaign::from_spec(&spec).unwrap().threads(1);
+    let expected = ReportRecord::of(&campaign.run());
+
+    // Every cell is on disk, but one line claims a repetition beyond its
+    // index — impossible in the enumeration order, and poison for the
+    // summary grouping (`index - repetition`), which used to panic under the
+    // jobs lock in a debug build and group on a wrapped key in release.
+    const BAD: usize = 4;
+    let lines: Vec<String> = expected
+        .cells
+        .iter()
+        .map(|record| {
+            let mut record = record.clone();
+            if record.index == BAD {
+                record.repetition = BAD + 1;
+            }
+            record.to_json()
+        })
+        .collect();
+    let data_dir = temp_data_dir("bad-repetition");
+    let store = FsStore::open(&data_dir).unwrap();
+    store.put_spec(&fingerprint, &spec.to_json()).unwrap();
+    store.set_state(&fingerprint, JobState::Running).unwrap();
+    store.append_cells(&fingerprint, &lines).unwrap();
+    let loaded = store.load_jobs().unwrap();
+    assert_eq!(
+        loaded[0].torn_lines, 1,
+        "the line is refused at the decoder"
+    );
+    assert!(loaded[0].cells.iter().all(|c| c.index != BAD));
+    drop(store);
+
+    // Recovery re-executes exactly that cell and serves the true report.
+    let (handle, client) = server_on(&data_dir, 1);
+    let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
+    assert_eq!(done.state, JobState::Done);
+    assert_eq!(handle.executed(), 1, "only the refused cell re-runs");
+    assert_eq!(done.report_fingerprint, Some(expected.fingerprint()));
+    assert_eq!(
+        client.summary(&fingerprint).unwrap(),
+        expected.summary_jsonl()
+    );
+
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
 fn cancel_parks_a_job_and_resubmitting_resumes_it() {
     let text = spec_text();
     // No workers: submissions queue durably but nothing executes, so the

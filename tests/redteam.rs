@@ -6,11 +6,12 @@
 //! shard/resume accumulation.
 
 use mobile_congest::graphs::{GraphDef, PackingVersion};
+use mobile_congest::harness::report::{assemble, read_lines};
 use mobile_congest::harness::spec::{adversary_from_json, adversary_to_json, PayloadDef};
 use mobile_congest::harness::{json, Campaign, CampaignSpec};
 use mobile_congest::redteam::{
-    counterexample_spec, parse_trajectory, trajectory, unit_line, BudgetSpec, RedTeam, RedTeamSpec,
-    SearchSpec, SearchStrategy, TargetSpec,
+    counterexample_spec, header_line, unit_line, BudgetSpec, RedTeam, RedTeamSpec, SearchSpec,
+    SearchStrategy, TargetSpec,
 };
 use mobile_congest::scenario::matrix::AdversaryDef;
 use mobile_congest::scenario::CompilerDef;
@@ -254,7 +255,7 @@ fn trajectory_at(spec: &RedTeamSpec, threads: usize) -> String {
         .iter()
         .map(|o| (o.unit, unit_line(spec, o)))
         .collect();
-    trajectory(spec, &lines)
+    assemble(&header_line(spec), &lines)
 }
 
 #[test]
@@ -285,8 +286,8 @@ fn trajectories_are_byte_identical_across_threads_and_shard_resume() {
             .map(|o| (o.unit, unit_line(&spec, o)))
             .collect();
         // Round-trip through the file format, as the CLI does between runs.
-        let file = trajectory(&spec, &[kept, fresh].concat());
-        kept = parse_trajectory(&file, &spec.fingerprint()).unwrap();
+        let file = assemble(&header_line(&spec), &[kept, fresh].concat());
+        kept = read_lines(&file, "redteam", "unit", &spec.fingerprint()).unwrap();
     }
-    assert_eq!(trajectory(&spec, &kept), reference);
+    assert_eq!(assemble(&header_line(&spec), &kept), reference);
 }
