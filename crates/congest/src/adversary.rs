@@ -18,10 +18,12 @@
 //! ([`AdversaryStrategy::mark_edges`]) instead of returning a fresh
 //! collection every round, so the per-round engine path is allocation-free;
 //! [`AdversaryStrategy::choose_edges`] remains as the allocating convenience
-//! for tests and diagnostics.
+//! for tests and diagnostics.  What a strategy sees of the round it chooses
+//! edges for is a [`RoundView`] — the traffic's *shape* — whether the round's
+//! traffic was built in a buffer or is only described by a pattern.
 
 use crate::traffic::{Payload, Traffic};
-use netgraph::{EdgeId, Graph, NodeId};
+use netgraph::{ArcId, EdgeId, Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -207,6 +209,86 @@ impl CorruptionMode {
     }
 }
 
+/// Per-arc payload lengths of a round whose traffic is described rather than
+/// built (a pattern round of [`crate::network::PatternRounds`]), type-erased
+/// for [`RoundView`].
+pub(crate) trait ArcLens {
+    /// Length of the message on `arc`, `None` when it carries none.
+    fn arc_len(&self, arc: ArcId) -> Option<usize>;
+}
+
+/// What a strategy observes of the round it is choosing edges for: the
+/// **shape** of the outgoing traffic — which arcs carry a message and how
+/// many words — never the words themselves.
+///
+/// No strategy in the workspace ever chose its edges by payload content, and
+/// this type makes that the contract: it is what lets the engine run a round
+/// whose traffic exists only as a description (see
+/// [`crate::network::Network::pattern_rounds`]) under exactly the strategy
+/// behaviour of a round built in a [`Traffic`].  The *rewrite* of a controlled
+/// message is not limited by it: [`CorruptionMode::apply_into`] always gets
+/// the exact original words.
+pub struct RoundView<'a> {
+    /// Number of edges of the graph the round runs on.
+    edges: usize,
+    shape: Shape<'a>,
+}
+
+enum Shape<'a> {
+    /// A round built in a buffer: lengths are read off its spans.
+    Dense(&'a Traffic),
+    /// A described round: per-arc lengths on request, per-edge word totals
+    /// folded once per pattern by the engine.
+    Pattern {
+        lens: &'a dyn ArcLens,
+        edge_words: &'a [usize],
+    },
+}
+
+impl<'a> RoundView<'a> {
+    /// The view of a round whose outgoing traffic is `traffic`, on `graph`.
+    pub fn of(graph: &Graph, traffic: &'a Traffic) -> Self {
+        RoundView {
+            edges: graph.edge_count(),
+            shape: Shape::Dense(traffic),
+        }
+    }
+
+    /// The view of a pattern round: `edge_words[e]` is the number of words
+    /// the pattern sends over edge `e`, both directions together.
+    pub(crate) fn of_pattern(lens: &'a dyn ArcLens, edge_words: &'a [usize]) -> Self {
+        RoundView {
+            edges: edge_words.len(),
+            shape: Shape::Pattern { lens, edge_words },
+        }
+    }
+
+    /// Length of the message on `arc`, `None` when it carries none.
+    pub fn arc_len(&self, arc: ArcId) -> Option<usize> {
+        match self.shape {
+            Shape::Dense(traffic) => traffic.get_arc(arc).map(<[u64]>::len),
+            Shape::Pattern { lens, .. } => lens.arc_len(arc),
+        }
+    }
+
+    /// Fill `out` with the number of payload words on every edge, both
+    /// directions together (`out.len()` becomes the graph's edge count).
+    /// One walk over the spans for a built round, one copy for a described
+    /// one; `out`'s capacity is reused either way.
+    pub fn edge_words_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        match self.shape {
+            Shape::Dense(traffic) => {
+                out.resize(self.edges, 0);
+                for (arc, len) in traffic.iter_lens() {
+                    out[Graph::edge_of(arc)] += len;
+                }
+            }
+            Shape::Pattern { edge_words, .. } => out.extend_from_slice(edge_words),
+        }
+    }
+}
+
 /// A strategy deciding which edges the adversary *wants* to control each round.
 ///
 /// The network intersects the request with the configured budget, so a strategy
@@ -214,17 +296,21 @@ impl CorruptionMode {
 /// means the surplus is ignored (in request order).
 ///
 /// Implement [`AdversaryStrategy::mark_edges`]; the network calls it with a
-/// recycled [`EdgeSet`] so the hot path never allocates.
+/// recycled [`EdgeSet`] so the hot path never allocates.  It is the one
+/// marking method, for every kind of round: the [`RoundView`] it receives is
+/// backed by the round's [`Traffic`] when there is one and by the round's
+/// pattern when there is not, and answers the same either way.
 pub trait AdversaryStrategy: Send {
     /// Human-readable name for experiment reports.
     fn name(&self) -> String;
 
     /// Mark the edges the adversary wants to control in this round into
     /// `out` (already cleared and sized by the caller).  The strategy sees
-    /// the full outgoing traffic of the round (the adversary is all-powerful
-    /// and rushing), but not the nodes' private randomness.  Insertion order
-    /// is the priority order budget clamping honours.
-    fn mark_edges(&mut self, round: usize, graph: &Graph, traffic: &Traffic, out: &mut EdgeSet);
+    /// the shape of the round's full outgoing traffic through `view` (the
+    /// adversary is all-powerful and rushing: it chooses after the nodes have
+    /// sent), but neither the words nor the nodes' private randomness.
+    /// Insertion order is the priority order budget clamping honours.
+    fn mark_edges(&mut self, round: usize, graph: &Graph, view: &RoundView, out: &mut EdgeSet);
 
     /// Edges the adversary wants to control in this round, as an owned,
     /// deduplicated list (allocating convenience over
@@ -232,7 +318,7 @@ pub trait AdversaryStrategy: Send {
     fn choose_edges(&mut self, round: usize, graph: &Graph, traffic: &Traffic) -> Vec<EdgeId> {
         let mut out = EdgeSet::new();
         out.reset(graph.edge_count());
-        self.mark_edges(round, graph, traffic, &mut out);
+        self.mark_edges(round, graph, &RoundView::of(graph, traffic), &mut out);
         out.as_slice().to_vec()
     }
 
@@ -250,13 +336,7 @@ impl AdversaryStrategy for NoAdversary {
     fn name(&self) -> String {
         "none".into()
     }
-    fn mark_edges(
-        &mut self,
-        _round: usize,
-        _graph: &Graph,
-        _traffic: &Traffic,
-        _out: &mut EdgeSet,
-    ) {
+    fn mark_edges(&mut self, _round: usize, _graph: &Graph, _view: &RoundView, _out: &mut EdgeSet) {
     }
 }
 
@@ -287,7 +367,7 @@ impl AdversaryStrategy for FixedEdges {
     fn name(&self) -> String {
         format!("static({})", self.edges.len())
     }
-    fn mark_edges(&mut self, _round: usize, _graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, _round: usize, _graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         for &e in &self.edges {
             out.insert(e);
         }
@@ -327,7 +407,7 @@ impl AdversaryStrategy for RandomMobile {
     fn name(&self) -> String {
         format!("random-mobile(f={})", self.f)
     }
-    fn mark_edges(&mut self, _round: usize, graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, _round: usize, graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         let m = graph.edge_count();
         if m == 0 {
             return;
@@ -375,7 +455,7 @@ impl AdversaryStrategy for SweepMobile {
     fn name(&self) -> String {
         format!("sweep-mobile(f={})", self.f)
     }
-    fn mark_edges(&mut self, _round: usize, graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, _round: usize, graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         let m = graph.edge_count();
         if m == 0 {
             return;
@@ -451,12 +531,8 @@ impl AdversaryStrategy for GreedyHeaviest {
     fn name(&self) -> String {
         format!("greedy-heaviest(f={})", self.f)
     }
-    fn mark_edges(&mut self, _round: usize, graph: &Graph, traffic: &Traffic, out: &mut EdgeSet) {
-        self.weight.clear();
-        self.weight.resize(graph.edge_count(), 0);
-        for (arc, len) in traffic.iter_lens() {
-            self.weight[Graph::edge_of(arc)] += len;
-        }
+    fn mark_edges(&mut self, _round: usize, _graph: &Graph, view: &RoundView, out: &mut EdgeSet) {
+        view.edge_words_into(&mut self.weight);
         mark_heaviest(&self.weight, &mut self.ranked, self.f, out);
     }
     fn corruption_mode(&self) -> CorruptionMode {
@@ -504,7 +580,7 @@ impl AdversaryStrategy for AdaptiveHeaviest {
     fn name(&self) -> String {
         format!("adaptive-heaviest(f={})", self.f)
     }
-    fn mark_edges(&mut self, _round: usize, graph: &Graph, traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, _round: usize, graph: &Graph, view: &RoundView, out: &mut EdgeSet) {
         let m = graph.edge_count();
         if self.prev.len() != m {
             self.prev.clear();
@@ -513,10 +589,7 @@ impl AdversaryStrategy for AdaptiveHeaviest {
         // Target by last round's observation …
         mark_heaviest(&self.prev, &mut self.ranked, self.f, out);
         // … then observe the current round for the next one.
-        self.prev.fill(0);
-        for (arc, len) in traffic.iter_lens() {
-            self.prev[Graph::edge_of(arc)] += len;
-        }
+        view.edge_words_into(&mut self.prev);
     }
     fn corruption_mode(&self) -> CorruptionMode {
         self.mode
@@ -562,7 +635,7 @@ impl AdversaryStrategy for EclipseNode {
     fn name(&self) -> String {
         format!("eclipse(v={},f={})", self.node, self.f)
     }
-    fn mark_edges(&mut self, _round: usize, graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, _round: usize, graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         if self.node >= graph.node_count() {
             return;
         }
@@ -622,7 +695,7 @@ impl AdversaryStrategy for BurstAdversary {
             self.quiet, self.burst, self.per_burst_round
         )
     }
-    fn mark_edges(&mut self, round: usize, graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, round: usize, graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         let period = self.quiet + self.burst;
         if period == 0 || round % period < self.quiet {
             return;
@@ -661,7 +734,7 @@ impl AdversaryStrategy for ScheduledEdges {
     fn name(&self) -> String {
         format!("scheduled({} rounds)", self.schedule.len())
     }
-    fn mark_edges(&mut self, round: usize, _graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, round: usize, _graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         if let Some(edges) = self.schedule.get(round) {
             for &e in edges {
                 out.insert(e);
@@ -726,7 +799,7 @@ impl AdversaryStrategy for SynthesizedSchedule {
             self.max_edges_per_round()
         )
     }
-    fn mark_edges(&mut self, round: usize, _graph: &Graph, _traffic: &Traffic, out: &mut EdgeSet) {
+    fn mark_edges(&mut self, round: usize, _graph: &Graph, _view: &RoundView, out: &mut EdgeSet) {
         if self.schedule.is_empty() {
             return;
         }

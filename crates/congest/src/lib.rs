@@ -57,9 +57,11 @@ mod reference;
 pub mod scenario;
 pub mod traffic;
 
-pub use adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, CorruptionMode, EdgeSet};
+pub use adversary::{
+    AdversaryRole, AdversaryStrategy, CorruptionBudget, CorruptionMode, EdgeSet, RoundView,
+};
 pub use algorithm::{run_fault_free, run_on_network, CongestAlgorithm};
 pub use metrics::Metrics;
-pub use network::{CorruptionHistory, Network, ViewEntry, ViewLog};
+pub use network::{CorruptionHistory, Network, PatternRounds, RoundPatterns, ViewEntry, ViewLog};
 pub use scenario::{Compiler, CompilerKind, RunReport, Scenario, ScenarioError};
 pub use traffic::{Output, Payload, Traffic};

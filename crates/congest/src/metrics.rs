@@ -5,7 +5,7 @@
 //! against measurements.
 
 use crate::traffic::Traffic;
-use netgraph::{EdgeId, Graph};
+use netgraph::{ArcId, EdgeId, Graph};
 
 /// Counters accumulated over an execution on a [`crate::network::Network`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -77,14 +77,29 @@ impl Metrics {
     pub(crate) fn record_exchange(&mut self, traffic: &Traffic, bandwidth_words: usize) {
         self.rounds += 1;
         // One walk over the spans; the word arena is never touched.
+        self.record_volume(traffic.iter_lens(), bandwidth_words, 1);
+    }
+
+    /// Charge the traffic volume of `times` rounds that each carried the
+    /// messages `lens` lists as `(arc, payload length)`.  Messages, words,
+    /// bandwidth rounds and per-edge counts are all sums over rounds, so
+    /// `times` identical rounds settle in one walk; the round counter is not
+    /// touched (see [`crate::network::PatternRounds`]).
+    #[inline]
+    pub(crate) fn record_volume(
+        &mut self,
+        lens: impl Iterator<Item = (ArcId, usize)>,
+        bandwidth_words: usize,
+        times: usize,
+    ) {
         let mut max_words = 0;
-        for (arc, len) in traffic.iter_lens() {
+        for (arc, len) in lens {
             max_words = max_words.max(len);
-            self.messages += 1;
-            self.words += len;
-            self.edge_messages[Graph::edge_of(arc)] += 1;
+            self.messages += times;
+            self.words += times * len;
+            self.edge_messages[Graph::edge_of(arc)] += times;
         }
-        self.bandwidth_rounds += max_words.div_ceil(bandwidth_words).max(1);
+        self.bandwidth_rounds += times * max_words.div_ceil(bandwidth_words).max(1);
     }
 
     pub(crate) fn record_corruption(&mut self, edges: &[EdgeId], altered_messages: usize) {

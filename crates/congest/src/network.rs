@@ -13,20 +13,39 @@
 //! the adversary saw).  The first feeds the interactive-coding oracle of
 //! Theorem 3.2; the second feeds the perfect-security experiments.
 //!
-//! # The zero-allocation round engine
+//! # The zero-allocation round engine: one round body, two sources
 //!
-//! `exchange_in_place` is the hot path: the adversary marks its wanted edges
-//! into a recycled [`EdgeSet`], the budget clamp writes into a recycled
-//! `controlled` vector, byzantine rewrites go through a recycled scratch
-//! payload buffer straight into the flat [`Traffic`] arena, and the history
-//! appends to a flattened [`CorruptionHistory`].  After warm-up, a round
-//! executes without touching the allocator (covered by a buffer-reuse
-//! regression test).
+//! Every round runs the same body (`Network::run_round`): open the trace span
+//! and count the round, let the strategy mark its wanted edges into a
+//! recycled [`EdgeSet`], clamp them to the budget into a recycled `controlled`
+//! vector, apply the adversary's role to both arcs of every controlled edge
+//! (an eavesdropper copies them into the view log; a byzantine rewrite goes
+//! through a recycled scratch payload and is compared with the original),
+//! record the corruption, append to the flattened [`CorruptionHistory`], close
+//! the span.  After warm-up a round executes without touching the allocator
+//! (covered by buffer-reuse regression tests).  The two kinds of round differ
+//! only in where a controlled arc's original words come from and whether the
+//! rewrite is kept:
+//!
+//! * a **dense** round ([`Network::exchange_in_place`]) reads and rewrites the
+//!   caller's [`Traffic`], whose flat arena the receivers then read, and walks
+//!   its spans once for the traffic-volume metrics;
+//! * a **pattern** round ([`Network::pattern_rounds`]) has no buffer at all.
+//!   The caller describes its recurring rounds as [`RoundPatterns`] — which
+//!   arcs carry how many words, and the words on one arc in one round — and
+//!   promises not to read what is delivered.  The engine materialises only the
+//!   `≤ 2f` controlled arcs into a recycled scratch, applies the corruption to
+//!   the scratch (same RNG draws, same `altered` count, same view entries,
+//!   same trace events), stores nothing and hands the controlled edges back.
+//!   Such a round costs `O(f)`, not `O(m)`; its traffic volume is settled in
+//!   bulk when the [`PatternRounds`] scope ends.
 
-use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, EdgeSet, NoAdversary};
+use crate::adversary::{
+    AdversaryRole, AdversaryStrategy, ArcLens, CorruptionBudget, EdgeSet, NoAdversary, RoundView,
+};
 use crate::metrics::Metrics;
 use crate::traffic::{Payload, Traffic};
-use netgraph::{EdgeId, Graph};
+use netgraph::{ArcId, EdgeId, Graph};
 use obs::{EventKind, Phase, Tracer};
 use rand::Rng;
 use rand::SeedableRng;
@@ -162,6 +181,122 @@ struct RoundBuffers {
     controlled: Vec<EdgeId>,
     /// Replacement-payload scratch for in-place corruption.
     scratch: Vec<u64>,
+    /// Scratch of pattern rounds, lent to the open [`PatternRounds`] scope.
+    pattern: PatternScratch,
+}
+
+/// Recycled scratch of a [`PatternRounds`] scope.
+#[derive(Debug, Default)]
+struct PatternScratch {
+    /// Rounds run on each pattern since the scope opened (not yet settled).
+    uses: Vec<usize>,
+    /// Per-edge word totals, pattern-major: pattern `p`'s are
+    /// `edge_words[p * m..(p + 1) * m]` — what a traffic-weighing strategy
+    /// observes, folded once per pattern per scope instead of once per round.
+    edge_words: Vec<usize>,
+    /// The original words of the controlled arc being looked at.
+    words: Vec<u64>,
+}
+
+/// A family of recurring rounds of traffic, *described* instead of built:
+/// pattern `p ∈ 0..count()` says which arcs carry a message of how many
+/// words, and what the words on one arc are in one round.  Between two rounds
+/// of a pattern only a single word `tag` (the caller's round counter, say) may
+/// change; lengths may not.
+///
+/// The three accessors must agree: `lens(p)` lists exactly the arcs for which
+/// `arc_len(p, ·)` is `Some`, with that length, and `arc_words(p, arc, tag, ·)`
+/// appends that many words for every `tag`.
+pub trait RoundPatterns {
+    /// Number of patterns in the family.
+    fn count(&self) -> usize;
+
+    /// `(arc, payload length)` of every message of pattern `p`, in any order.
+    fn lens(&self, p: usize) -> impl Iterator<Item = (ArcId, usize)> + '_;
+
+    /// Length of the message pattern `p` puts on `arc`, `None` for no message.
+    fn arc_len(&self, p: usize, arc: ArcId) -> Option<usize>;
+
+    /// Append the words pattern `p` puts on `arc` in the round tagged `tag` to
+    /// `out` (which arrives empty) and return `true`, or return `false` when
+    /// the arc carries no message.
+    fn arc_words(&self, p: usize, arc: ArcId, tag: u64, out: &mut Vec<u64>) -> bool;
+}
+
+/// Where a round's outgoing words come from, and where the adversary's
+/// rewrite goes — all that distinguishes the kinds of round (module docs).
+trait RoundSource {
+    /// Count the round and account for its traffic volume.
+    fn record(&mut self, metrics: &mut Metrics, bandwidth_words: usize);
+
+    /// The shape of the round's traffic, for the strategy.
+    fn view<'a>(&'a self, graph: &Graph) -> RoundView<'a>;
+
+    /// The message the sender put on `arc`.
+    fn original(&mut self, arc: ArcId) -> Option<&[u64]>;
+
+    /// Replace the message on `arc` by what the adversary made of it.
+    fn deliver(&mut self, arc: ArcId, payload: Option<&[u64]>);
+}
+
+/// A dense round: the caller's buffer is read, charged and rewritten.
+struct Dense<'a>(&'a mut Traffic);
+
+impl RoundSource for Dense<'_> {
+    fn record(&mut self, metrics: &mut Metrics, bandwidth_words: usize) {
+        metrics.record_exchange(self.0, bandwidth_words);
+    }
+    fn view<'a>(&'a self, graph: &Graph) -> RoundView<'a> {
+        RoundView::of(graph, self.0)
+    }
+    fn original(&mut self, arc: ArcId) -> Option<&[u64]> {
+        self.0.get_arc(arc)
+    }
+    fn deliver(&mut self, arc: ArcId, payload: Option<&[u64]>) {
+        self.0.set_arc(arc, payload);
+    }
+}
+
+/// A pattern round: one pattern of the scope's family under one tag.
+struct Described<'a, P> {
+    patterns: &'a P,
+    pattern: usize,
+    tag: u64,
+    /// This pattern's entry of [`PatternScratch::uses`].
+    uses: &'a mut usize,
+    /// This pattern's row of [`PatternScratch::edge_words`].
+    edge_words: &'a [usize],
+    words: &'a mut Vec<u64>,
+}
+
+impl<P: RoundPatterns> ArcLens for Described<'_, P> {
+    fn arc_len(&self, arc: ArcId) -> Option<usize> {
+        self.patterns.arc_len(self.pattern, arc)
+    }
+}
+
+impl<P: RoundPatterns> RoundSource for Described<'_, P> {
+    fn record(&mut self, metrics: &mut Metrics, _bandwidth_words: usize) {
+        metrics.rounds += 1;
+        *self.uses += 1;
+    }
+    fn view<'a>(&'a self, _graph: &Graph) -> RoundView<'a> {
+        RoundView::of_pattern(self, self.edge_words)
+    }
+    fn original(&mut self, arc: ArcId) -> Option<&[u64]> {
+        self.words.clear();
+        let present = self
+            .patterns
+            .arc_words(self.pattern, arc, self.tag, self.words);
+        debug_assert_eq!(
+            present.then_some(self.words.len()),
+            self.patterns.arc_len(self.pattern, arc),
+            "pattern {} disagrees with itself on arc {arc}",
+            self.pattern
+        );
+        present.then_some(self.words.as_slice())
+    }
+    fn deliver(&mut self, _arc: ArcId, _payload: Option<&[u64]>) {}
 }
 
 /// The round-synchronous network simulator.
@@ -307,12 +442,18 @@ impl Network {
         self.strategy.name()
     }
 
-    /// Allocated capacity of the engine's recycled corruption scratch and
-    /// budget-clamp buffers, in elements.  Exposed (like
-    /// [`Traffic::word_capacity`]) so buffer-reuse tests of round loops in
-    /// other crates can assert that the steady state stops allocating.
+    /// Allocated capacity of the engine's recycled buffers — corruption
+    /// scratch, budget clamp and the pattern-round scratch — in elements.
+    /// Exposed (like [`Traffic::word_capacity`]) so buffer-reuse tests of
+    /// round loops in other crates can assert that the steady state stops
+    /// allocating.
     pub fn round_buffer_capacity(&self) -> usize {
-        self.buffers.scratch.capacity() + self.buffers.controlled.capacity()
+        let (buffers, pattern) = (&self.buffers, &self.buffers.pattern);
+        buffers.scratch.capacity()
+            + buffers.controlled.capacity()
+            + pattern.uses.capacity()
+            + pattern.edge_words.capacity()
+            + pattern.words.capacity()
     }
 
     /// Change the number of words per bandwidth-normalised round (default 2).
@@ -347,20 +488,62 @@ impl Network {
             traffic.arc_slots(),
             self.graph.arc_count()
         );
+        self.run_round(&mut Dense(traffic));
+    }
+
+    /// Open a scope of **pattern rounds** over `patterns`: rounds whose
+    /// outgoing traffic is one of a few recurring, described patterns and
+    /// whose deliveries the caller does not read (see the module docs).  The
+    /// scope borrows the network, so nothing can observe it before the scope
+    /// ends and settles the rounds' traffic volume.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern names an arc the graph does not have.
+    pub fn pattern_rounds<'a, P: RoundPatterns>(
+        &'a mut self,
+        patterns: &'a P,
+    ) -> PatternRounds<'a, P> {
+        let mut scratch = std::mem::take(&mut self.buffers.pattern);
+        let (count, m) = (patterns.count(), self.graph.edge_count());
+        scratch.uses.clear();
+        scratch.uses.resize(count, 0);
+        scratch.edge_words.clear();
+        scratch.edge_words.resize(count * m, 0);
+        for p in 0..count {
+            let edge_words = &mut scratch.edge_words[p * m..(p + 1) * m];
+            for (arc, len) in patterns.lens(p) {
+                edge_words[Graph::edge_of(arc)] += len;
+            }
+        }
+        PatternRounds {
+            net: self,
+            patterns,
+            scratch,
+        }
+    }
+
+    /// The one round body (module docs): `source` is the round's traffic.
+    fn run_round<S: RoundSource>(&mut self, source: &mut S) {
         let round = self.metrics.rounds;
         self.tracer.set_time(round as u64);
         self.tracer.span_open(Phase::RoundExchange);
-        self.metrics.record_exchange(traffic, self.bandwidth_words);
+        source.record(&mut self.metrics, self.bandwidth_words);
 
         // 1. Let the strategy mark edges, then clamp to the budget.
         self.buffers.wanted.reset(self.graph.edge_count());
-        self.strategy
-            .mark_edges(round, &self.graph, traffic, &mut self.buffers.wanted);
+        self.strategy.mark_edges(
+            round,
+            &self.graph,
+            &source.view(&self.graph),
+            &mut self.buffers.wanted,
+        );
         let cap = self.budget.round_cap(self.budget_spent);
         let RoundBuffers {
             wanted,
             controlled,
             scratch,
+            pattern: _,
         } = &mut self.buffers;
         controlled.clear();
         for e in wanted.iter() {
@@ -375,7 +558,7 @@ impl Network {
             self.budget_spent += controlled.len();
         }
 
-        // 2. Apply the adversary's role on the controlled edges, in place.
+        // 2. Apply the adversary's role on the controlled edges.
         let mut altered = 0usize;
         let mode = self.strategy.corruption_mode();
         for &e in controlled.iter() {
@@ -386,18 +569,15 @@ impl Network {
                     self.view_log.entries.push(ViewEntry {
                         round,
                         edge: e,
-                        forward: traffic.get_arc(fwd_arc).map(<[u64]>::to_vec),
-                        backward: traffic.get_arc(bwd_arc).map(<[u64]>::to_vec),
+                        forward: source.original(fwd_arc).map(<[u64]>::to_vec),
+                        backward: source.original(bwd_arc).map(<[u64]>::to_vec),
                     });
                 }
                 AdversaryRole::Byzantine => {
                     for arc in [fwd_arc, bwd_arc] {
-                        let present = mode.apply_into(
-                            traffic.get_arc(arc),
-                            &mut self.corruption_rng,
-                            scratch,
-                        );
-                        let changed = match (present, traffic.get_arc(arc)) {
+                        let original = source.original(arc);
+                        let present = mode.apply_into(original, &mut self.corruption_rng, scratch);
+                        let changed = match (present, original) {
                             (true, Some(original)) => scratch.as_slice() != original,
                             (false, None) => false,
                             _ => true,
@@ -405,7 +585,7 @@ impl Network {
                         if changed {
                             altered += 1;
                         }
-                        traffic.set_arc(arc, present.then_some(scratch.as_slice()));
+                        source.deliver(arc, present.then_some(scratch.as_slice()));
                     }
                 }
             }
@@ -443,10 +623,74 @@ impl Network {
     }
 }
 
+/// An open scope of pattern rounds on a [`Network`]
+/// ([`Network::pattern_rounds`]).
+///
+/// Each [`PatternRounds::exchange`] is a full engine round — round counter,
+/// trace span, strategy, budget, corruption randomness, history, view log —
+/// except that its traffic volume (`messages`, `words`, `bandwidth_rounds`,
+/// `edge_messages`) is only *counted* per pattern.  Dropping the scope charges
+/// it: all four are sums over rounds, so `times ×` one walk over a pattern's
+/// lengths is exactly `times` single-round walks.  The scope holds the
+/// network's only borrow, so [`Network::metrics`] is never observable in
+/// between.
+pub struct PatternRounds<'a, P: RoundPatterns> {
+    net: &'a mut Network,
+    patterns: &'a P,
+    /// The network's pattern scratch, handed back on drop.
+    scratch: PatternScratch,
+}
+
+impl<P: RoundPatterns> PatternRounds<'_, P> {
+    /// Execute one round whose outgoing traffic is pattern `pattern` under
+    /// `tag`; returns the edges the adversary controlled in it (the round's
+    /// entry of the [`CorruptionHistory`]).  What the receivers would have
+    /// observed is not produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` is out of range.
+    pub fn exchange(&mut self, pattern: usize, tag: u64) -> &[EdgeId] {
+        let m = self.net.graph.edge_count();
+        let PatternScratch {
+            uses,
+            edge_words,
+            words,
+        } = &mut self.scratch;
+        self.net.run_round(&mut Described {
+            patterns: self.patterns,
+            pattern,
+            tag,
+            uses: &mut uses[pattern],
+            edge_words: &edge_words[pattern * m..(pattern + 1) * m],
+            words,
+        });
+        &self.net.buffers.controlled
+    }
+}
+
+impl<P: RoundPatterns> Drop for PatternRounds<'_, P> {
+    fn drop(&mut self) {
+        for (p, &times) in self.scratch.uses.iter().enumerate() {
+            if times > 0 {
+                let lens = self.patterns.lens(p);
+                self.net
+                    .metrics
+                    .record_volume(lens, self.net.bandwidth_words, times);
+            }
+        }
+        self.net.buffers.pattern = std::mem::take(&mut self.scratch);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{CorruptionMode, FixedEdges, RandomMobile};
+    use crate::adversary::{
+        AdaptiveHeaviest, BurstAdversary, CorruptionMode, EclipseNode, FixedEdges, GreedyHeaviest,
+        RandomMobile, ScheduledEdges, SweepMobile, SynthesizedSchedule,
+    };
+    use crate::reference::{LegacyTraffic, ReferenceNetwork};
     use netgraph::generators;
 
     fn full_traffic(g: &Graph, value: u64) -> Traffic {
@@ -638,5 +882,248 @@ mod tests {
             controlled_cap,
             "controlled buffer regrew"
         );
+    }
+
+    /// Two recurring rounds over a graph with every kind of arc: edge `e`
+    /// carries, by `e mod 3`, a 3-word payload one way and an
+    /// empty-but-present one back / one word one way and nothing back /
+    /// nothing at all (pattern 0); and one small word on every arc, small
+    /// enough to coincide with `Constant(3)` in some rounds (pattern 1).
+    struct TestPatterns {
+        arcs: usize,
+    }
+
+    impl TestPatterns {
+        fn words(&self, p: usize, arc: ArcId, tag: u64) -> Option<Vec<u64>> {
+            let e = Graph::edge_of(arc);
+            let forward = arc == Graph::arcs_of(e).0;
+            match (p, e % 3, forward) {
+                (0, 0, true) => Some(vec![e as u64, tag, 7]),
+                (0, 0, false) => Some(vec![]),
+                (0, 1, true) => Some(vec![tag]),
+                (0, _, _) => None,
+                _ => Some(vec![(tag + arc as u64) % 5]),
+            }
+        }
+
+        /// The round as a sender would have built it.
+        fn materialise(&self, g: &Graph, p: usize, tag: u64) -> Traffic {
+            let mut t = Traffic::new(g);
+            for arc in 0..self.arcs {
+                t.set_arc(arc, self.words(p, arc, tag).as_deref());
+            }
+            t
+        }
+    }
+
+    impl RoundPatterns for TestPatterns {
+        fn count(&self) -> usize {
+            2
+        }
+        fn lens(&self, p: usize) -> impl Iterator<Item = (ArcId, usize)> + '_ {
+            (0..self.arcs).filter_map(move |arc| Some((arc, self.arc_len(p, arc)?)))
+        }
+        fn arc_len(&self, p: usize, arc: ArcId) -> Option<usize> {
+            self.words(p, arc, 0).map(|w| w.len())
+        }
+        fn arc_words(&self, p: usize, arc: ArcId, tag: u64, out: &mut Vec<u64>) -> bool {
+            self.words(p, arc, tag).map(|w| out.extend(w)).is_some()
+        }
+    }
+
+    /// All ten strategies of `adversary.rs`, in `mode` where they take one.
+    fn all_strategies(g: &Graph, mode: CorruptionMode) -> Vec<Box<dyn AdversaryStrategy>> {
+        let m = g.edge_count();
+        let schedule = vec![vec![1, m - 1], vec![], vec![0, 2, 4], vec![m / 2]];
+        vec![
+            Box::new(NoAdversary),
+            Box::new(FixedEdges::new(vec![0, 3, m - 1]).with_mode(mode)),
+            Box::new(RandomMobile::new(2, 77).with_mode(mode)),
+            Box::new(SweepMobile::new(2).with_mode(mode)),
+            Box::new(GreedyHeaviest::new(2).with_mode(mode)),
+            Box::new(AdaptiveHeaviest::new(2).with_mode(mode)),
+            Box::new(EclipseNode::new(1, 2).with_mode(mode)),
+            Box::new(BurstAdversary::new(1, 2, 3, 78).with_mode(mode)),
+            Box::new(ScheduledEdges::new(schedule.clone())),
+            Box::new(SynthesizedSchedule::new(schedule).with_mode(mode)),
+        ]
+    }
+
+    /// The engine-level differential: a run that mixes pattern rounds with
+    /// ordinary dense rounds against the same rounds all dense (carrying the
+    /// materialised traffic) — and against the kept [`ReferenceNetwork`] —
+    /// must leave every observable of the network identical.
+    #[test]
+    fn pattern_rounds_equal_dense_rounds_carrying_the_materialised_traffic() {
+        let g = generators::complete(6);
+        let m = g.edge_count();
+        let patterns = TestPatterns {
+            arcs: g.arc_count(),
+        };
+        let modes = [
+            CorruptionMode::ReplaceRandom,
+            CorruptionMode::FlipLowBit,
+            CorruptionMode::Drop,
+            CorruptionMode::Constant(3),
+        ];
+        let budgets = [
+            CorruptionBudget::Mobile { f: 2 },
+            // Runs dry a few rounds in, for every strategy that acts at all.
+            CorruptionBudget::RoundErrorRate { total: 7 },
+            CorruptionBudget::Static(vec![0, 3, 4, m - 1]),
+            CorruptionBudget::None,
+        ];
+        // An ordinary round between the pattern rounds: loads unlike either
+        // pattern, so `AdaptiveHeaviest` carries them across the two kinds.
+        let ordinary = |round: usize| {
+            let mut t = Traffic::new(&g);
+            for e in g
+                .edges()
+                .iter()
+                .filter(|e| (e.u + e.v + round).is_multiple_of(2))
+            {
+                t.send(&g, e.u, e.v, vec![round as u64; 1 + e.v % 4]);
+            }
+            t
+        };
+        let mut acted = 0;
+        for role in [AdversaryRole::Byzantine, AdversaryRole::Eavesdropper] {
+            for mode in modes {
+                for budget in &budgets {
+                    for bandwidth_words in [1, 2, 3] {
+                        let strategies = || all_strategies(&g, mode).into_iter();
+                        for ((s0, s1), s2) in strategies().zip(strategies()).zip(strategies()) {
+                            let name = format!(
+                                "{role:?} {mode:?} {budget:?} bw={bandwidth_words} {}",
+                                s0.name()
+                            );
+                            let [mut mixed, mut dense] = [s0, s1].map(|strategy| {
+                                let mut net =
+                                    Network::new(g.clone(), role, strategy, budget.clone(), 31);
+                                net.set_bandwidth_words(bandwidth_words);
+                                net.install_tracer(obs::TraceSpec::ring().build_tracer());
+                                net
+                            });
+                            let mut reference =
+                                ReferenceNetwork::new(g.clone(), role, s2, budget.clone(), 31);
+                            // Rounds 3, 7, 11 are ordinary; the others are
+                            // pattern rounds in scopes of three.
+                            for first in [0, 4, 8] {
+                                let mut scope = mixed.pattern_rounds(&patterns);
+                                for round in first..first + 3 {
+                                    let (p, tag) = (round % 2, round as u64 / 2);
+                                    let controlled = scope.exchange(p, tag).to_vec();
+                                    let mut t = patterns.materialise(&g, p, tag);
+                                    reference.exchange(LegacyTraffic::from_traffic(&g, &t));
+                                    dense.exchange_in_place(&mut t);
+                                    assert_eq!(
+                                        Some(&controlled[..]),
+                                        dense.corruption_history().last(),
+                                        "{name} round {round}"
+                                    );
+                                }
+                                drop(scope);
+                                let mut t = ordinary(first + 3);
+                                reference.exchange(LegacyTraffic::from_traffic(&g, &t));
+                                let delivered = mixed.exchange(t.clone());
+                                dense.exchange_in_place(&mut t);
+                                assert_eq!(delivered, t, "{name} ordinary round");
+                            }
+                            assert_eq!(mixed.metrics(), dense.metrics(), "{name}");
+                            assert_eq!(
+                                mixed.corruption_history(),
+                                dense.corruption_history(),
+                                "{name}"
+                            );
+                            assert_eq!(mixed.view_log(), dense.view_log(), "{name}");
+                            assert_eq!(mixed.public_coin(), dense.public_coin(), "{name}");
+                            let [mixed_trace, dense_trace] =
+                                [&mut mixed, &mut dense].map(|net| net.take_tracer().finish());
+                            assert!(mixed_trace.events.len() >= 2 * 12, "{name}");
+                            assert_eq!(
+                                format!("{mixed_trace:?}"),
+                                format!("{dense_trace:?}"),
+                                "{name}"
+                            );
+                            // The seed engine charges at its fixed bandwidth.
+                            if bandwidth_words == 2 {
+                                assert_eq!(mixed.metrics(), &reference.metrics, "{name}");
+                            }
+                            assert_eq!(mixed.view_log(), &reference.view_log, "{name}");
+                            let history: Vec<&[EdgeId]> =
+                                mixed.corruption_history().iter().collect();
+                            assert_eq!(history, reference.corruption_history, "{name}");
+                            acted += usize::from(mixed.metrics().corrupted_edge_rounds > 0);
+                        }
+                    }
+                }
+            }
+        }
+        // Every strategy but `NoAdversary`, under every budget but `None`.
+        assert_eq!(acted, 2 * 4 * 3 * 3 * 9);
+    }
+
+    #[test]
+    fn a_described_round_shows_the_view_of_its_materialised_traffic() {
+        let g = generators::complete(5);
+        let patterns = TestPatterns {
+            arcs: g.arc_count(),
+        };
+        let mut net = Network::fault_free(g.clone());
+        let mut scope = net.pattern_rounds(&patterns);
+        for p in 0..patterns.count() {
+            let m = g.edge_count();
+            let described = Described {
+                patterns: &patterns,
+                pattern: p,
+                tag: 4,
+                uses: &mut scope.scratch.uses[p],
+                edge_words: &scope.scratch.edge_words[p * m..(p + 1) * m],
+                words: &mut scope.scratch.words,
+            };
+            let built = patterns.materialise(&g, p, 4);
+            let (got, want) = (described.view(&g), RoundView::of(&g, &built));
+            for arc in 0..g.arc_count() {
+                assert_eq!(got.arc_len(arc), want.arc_len(arc), "pattern {p} arc {arc}");
+            }
+            let (mut got_words, mut want_words) = (vec![9; 3], Vec::new());
+            got.edge_words_into(&mut got_words);
+            want.edge_words_into(&mut want_words);
+            assert_eq!(got_words, want_words, "pattern {p}");
+            assert_eq!(want_words.len(), m);
+        }
+    }
+
+    #[test]
+    fn a_pattern_scope_settles_its_volume_on_drop() {
+        let g = generators::complete(5);
+        let patterns = TestPatterns {
+            arcs: g.arc_count(),
+        };
+        for bandwidth_words in [1, 2, 3] {
+            let mut net = Network::fault_free(g.clone());
+            net.set_bandwidth_words(bandwidth_words);
+            // The oracle: one `record_exchange` per round (itself pinned to
+            // the two-pass fold in `metrics.rs`).
+            let mut want = Metrics::new(&g);
+            let mut scope = net.pattern_rounds(&patterns);
+            for (p, times) in [(0, 5), (1, 3)] {
+                for tag in 0..times {
+                    scope.exchange(p, tag);
+                    want.record_exchange(&patterns.materialise(&g, p, tag), bandwidth_words);
+                }
+            }
+            // Inside the scope only the round counter has moved …
+            assert_eq!(scope.net.metrics.rounds, 8);
+            assert_eq!(scope.net.metrics.messages, 0);
+            assert_eq!(scope.net.metrics.bandwidth_rounds, 0);
+            drop(scope);
+            // … and the drop charges all eight rounds at once.
+            assert_eq!(net.metrics(), &want, "bandwidth_words = {bandwidth_words}");
+            assert!(net.metrics().words > 0);
+            // A scope that runs nothing charges nothing.
+            drop(net.pattern_rounds(&patterns));
+            assert_eq!(net.metrics(), &want);
+        }
     }
 }

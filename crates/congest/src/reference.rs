@@ -7,7 +7,7 @@
 //! The module is compiled only under `cfg(test)`; nothing outside this file
 //! can reach it.
 
-use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, EdgeSet};
+use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, EdgeSet, RoundView};
 use crate::metrics::Metrics;
 use crate::network::{ViewEntry, ViewLog};
 use crate::traffic::{Payload, Traffic};
@@ -140,8 +140,12 @@ impl ReferenceNetwork {
         self.metrics.record_exchange(&flat, self.bandwidth_words);
 
         self.wanted.reset(self.graph.edge_count());
-        self.strategy
-            .mark_edges(round, &self.graph, &flat, &mut self.wanted);
+        self.strategy.mark_edges(
+            round,
+            &self.graph,
+            &RoundView::of(&self.graph, &flat),
+            &mut self.wanted,
+        );
         let cap = self.budget.round_cap(self.budget_spent);
         let mut controlled: Vec<EdgeId> = Vec::new();
         for &e in self.wanted.as_slice() {

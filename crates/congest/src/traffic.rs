@@ -82,13 +82,8 @@ impl Clone for Traffic {
 impl Traffic {
     /// Empty traffic for a graph (no messages on any arc).
     pub fn new(g: &Graph) -> Self {
-        Traffic::with_arcs(g.arc_count())
-    }
-
-    /// Empty traffic with `arcs` arc slots.
-    pub fn with_arcs(arcs: usize) -> Self {
         Traffic {
-            spans: vec![Span::default(); arcs],
+            spans: vec![Span::default(); g.arc_count()],
             words: Vec::new(),
         }
     }

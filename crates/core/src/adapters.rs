@@ -24,7 +24,7 @@ use async_exec::ScheduleDef;
 use crate::rate::RewindCompiler;
 use crate::resilient::{
     rs_error_capacity, run_expander_compiled, CliqueCompiler, CorrectionVariant,
-    CycleCoverCompiler, MobileByzantineCompiler,
+    CycleCoverCompiler, MobileByzantineCompiler, MAX_ARCS,
 };
 use crate::secure::{CongestionSensitiveCompiler, StaticToMobileCompiler};
 use congest_sim::network::Network;
@@ -103,6 +103,24 @@ fn validate_connectivity_floor(compiler: &str, g: &Graph, f: usize) -> Result<()
         needed,
         found: edge_connectivity(g),
     })
+}
+
+/// The sketch-based correction packs an arc id into 16 bits of every sketch
+/// element (`pack_element`), so every compiler that runs it — clique,
+/// tree-packing, expander, rewind — is limited to graphs of [`MAX_ARCS`] arcs.
+/// Checked in `validate` and again in `prepare`, which campaign drivers call
+/// on their own (and, for a cached pair, before any cell validates).
+fn validate_arc_ids(compiler: &str, g: &Graph) -> Result<(), ScenarioError> {
+    if g.arc_count() > MAX_ARCS {
+        return Err(ScenarioError::UnsupportedGraph {
+            compiler: compiler.to_string(),
+            reason: format!(
+                "{} arcs exceed the {MAX_ARCS} the correction sketches can address",
+                g.arc_count()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// The information-theoretic floor lambda >= 2f+1, specialised to complete
@@ -219,6 +237,7 @@ impl Compiler for CliqueAdapter {
     }
     fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
         validate_role(self, role)?;
+        validate_arc_ids(&self.name(), graph)?;
         if !is_complete(graph) {
             return Err(ScenarioError::UnsupportedGraph {
                 compiler: self.name(),
@@ -237,7 +256,8 @@ impl Compiler for CliqueAdapter {
         tracer: &mut obs::Tracer,
     ) -> Result<CompileArtifacts, ScenarioError> {
         // `CliqueCompiler::new` asserts completeness; surface the same typed
-        // error `validate` gives so caching over arbitrary grids never panics.
+        // errors `validate` gives so caching over arbitrary grids never panics.
+        validate_arc_ids(&self.name(), graph)?;
         if !is_complete(graph) {
             return Err(ScenarioError::UnsupportedGraph {
                 compiler: self.name(),
@@ -330,6 +350,7 @@ impl Compiler for TreePackingAdapter {
     }
     fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
         validate_role(self, role)?;
+        validate_arc_ids(&self.name(), graph)?;
         if is_complete(graph) {
             // The star packing is always feasible; only the lambda floor applies.
             return validate_clique_floor(&self.name(), graph, self.f);
@@ -345,6 +366,7 @@ impl Compiler for TreePackingAdapter {
         // the adapter's own parameter) is a pure function of the graph, and so
         // is the correction context (schedule plan, spanning flags, broadcast
         // code, quality measurement) prepared alongside it.
+        validate_arc_ids(&self.name(), graph)?;
         let packing = resilient_packing_on(graph, tracer, self.k, self.packing);
         let compiler = MobileByzantineCompiler::new(graph, packing, self.f, self.seed)
             .with_variant(self.variant);
@@ -462,6 +484,7 @@ impl Compiler for ExpanderAdapter {
     }
     fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
         validate_role(self, role)?;
+        validate_arc_ids(&self.name(), graph)?;
         // Every colour class must stay above the spanning threshold: average
         // per-colour degree d/k well clear of ~ln n.
         if graph.min_degree() < 4 * self.k {
@@ -478,7 +501,15 @@ impl Compiler for ExpanderAdapter {
     }
     // Theorem 1.7's whole point is that the weak packing is *built while the
     // adversary attacks* — it depends on the seed and the adversary, so the
-    // default graph-only `prepare` is all that is cacheable.
+    // graph-only artifacts of the default `prepare` are all that is cacheable.
+    fn prepare(
+        &self,
+        graph: &Graph,
+        _tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
+        validate_arc_ids(&self.name(), graph)?;
+        Ok(CompileArtifacts::graph_only(graph))
+    }
     fn execute(
         &self,
         _artifacts: &CompileArtifacts,
@@ -537,6 +568,7 @@ impl Compiler for RewindAdapter {
     }
     fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
         validate_role(self, role)?;
+        validate_arc_ids(&self.name(), graph)?;
         if is_complete(graph) {
             return validate_clique_floor(&self.name(), graph, self.f);
         }
@@ -549,6 +581,7 @@ impl Compiler for RewindAdapter {
     ) -> Result<CompileArtifacts, ScenarioError> {
         // Only the packing is seed-independent (the rewind schedule itself
         // reacts to the adversary), so the artifacts carry the bare packing.
+        validate_arc_ids(&self.name(), graph)?;
         let packing = resilient_packing_on(
             graph,
             tracer,
@@ -891,6 +924,44 @@ mod tests {
             Err(ScenarioError::RoleMismatch { .. })
         ));
         assert!(adapter.validate(&clique, AdversaryRole::Byzantine).is_ok());
+    }
+
+    #[test]
+    fn graphs_beyond_the_16_bit_arc_ids_are_rejected_by_every_sketching_adapter() {
+        // `pack_element` has 16 bits for the arc id: K256 (65 280 arcs) is the
+        // largest clique the correction can address, K257 (65 792) is not.
+        let fits = generators::complete(256);
+        let too_large = generators::complete(257);
+        assert!(fits.arc_count() <= MAX_ARCS && too_large.arc_count() > MAX_ARCS);
+        let adapters: [Box<dyn Compiler>; 5] = [
+            Box::new(CliqueAdapter::new(1, 7)),
+            Box::new(TreePackingAdapter::new(1, 7).with_packing(PackingVersion::V1Greedy)),
+            Box::new(TreePackingAdapter::new(1, 7)),
+            Box::new(ExpanderAdapter::new(1, 4, 6, 7)),
+            Box::new(RewindAdapter::new(1, 7)),
+        ];
+        for adapter in adapters {
+            let name = adapter.name();
+            assert_eq!(adapter.validate(&fits, AdversaryRole::Byzantine), Ok(()));
+            let rejected = [
+                adapter.validate(&too_large, AdversaryRole::Byzantine),
+                adapter
+                    .prepare(&too_large, &mut obs::Tracer::disabled())
+                    .map(|_| ()),
+            ];
+            for result in rejected {
+                match result {
+                    Err(ScenarioError::UnsupportedGraph { compiler, reason }) => {
+                        assert_eq!(compiler, name);
+                        assert!(
+                            reason.contains("65792") && reason.contains("65536"),
+                            "{reason}"
+                        );
+                    }
+                    other => panic!("{name}: expected UnsupportedGraph, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,10 @@ use sketches::{L0SamplerBank, SketchRandomness, SparseRecovery};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Maximum number of directed arcs of a graph the correction machinery can
+/// run on (arc ids are packed into 16 bits).  The adapters' `validate` turns
+/// a larger graph into a typed error before anything reaches [`pack_element`].
+pub const MAX_ARCS: usize = 1 << 16;
 /// Maximum number of payload words per message the correction machinery can
 /// track (word indices are packed into 8 bits; index 255 is the length record).
 pub const MAX_WORDS: usize = 254;
@@ -51,7 +55,7 @@ const LEN_INDEX: u64 = 255;
 /// exceeds 40 bits — the CONGEST model's `O(log n)`-bit messages always fit;
 /// payloads with wider words cannot be protected by this compiler.
 pub fn pack_element(arc: ArcId, index: u64, value: u64) -> u64 {
-    assert!(arc < (1 << 16), "arc id {arc} exceeds 16 bits");
+    assert!(arc < MAX_ARCS, "arc id {arc} exceeds 16 bits");
     assert!(index < 256, "word index {index} exceeds 8 bits");
     assert!(
         value <= MAX_WORD_VALUE,

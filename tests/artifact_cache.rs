@@ -84,6 +84,42 @@ fn distinct_packing_versions_are_distinct_cache_entries() {
 }
 
 #[test]
+fn a_graph_beyond_the_16_bit_arc_ids_is_a_skipped_cell_cache_or_not() {
+    // K258 has 66 306 arcs; the correction sketches address 65 536.  Specs
+    // carry no size cap, so this used to pass `build()` and panic in the
+    // worker (`arc id 66304 exceeds 16 bits`) once the adversary touched a
+    // high arc.  Now both `validate` and `prepare` answer with a typed error.
+    let spec = spec_of(
+        r#"{
+  "kind": "campaign-spec",
+  "seed": 3,
+  "repetitions": 1,
+  "grid": {
+    "graphs": [{"family":"complete","n":258}],
+    "adversaries": [{"kind":"random-mobile","f":1}],
+    "compilers": [{"id":"clique","f":1,"seed":5}],
+    "payload": {"kind":"flood-broadcast","source":0,"value":7}
+  }
+}"#,
+    );
+    let cached = Campaign::from_spec(&spec).unwrap().threads(1).run();
+    let uncached = Campaign::from_spec(&spec)
+        .unwrap()
+        .without_artifact_cache()
+        .threads(1)
+        .run();
+    for report in [&cached, &uncached] {
+        assert_eq!(report.cells.len(), 1);
+        assert_eq!(report.skipped_count(), 1);
+        assert!(matches!(
+            &report.cells[0].outcome,
+            Err(ScenarioError::UnsupportedGraph { reason, .. }) if reason.contains("66306")
+        ));
+    }
+    assert_eq!(cached.fingerprint(), uncached.fingerprint());
+}
+
+#[test]
 fn shared_cache_carries_across_campaign_runs() {
     // The campaignd usage: one cache attached to several spec-built
     // campaigns (daemon batches) — the second run's preparations are all

@@ -8,6 +8,7 @@
 
 use mobile_congest::graphs::generators;
 use mobile_congest::harness::campaign::CampaignReport;
+use mobile_congest::harness::json::fnv1a_hex;
 use mobile_congest::harness::Campaign;
 use mobile_congest::obs;
 use mobile_congest::payloads::FloodBroadcast;
@@ -84,6 +85,31 @@ fn traced_campaign_is_byte_identical_across_thread_counts() {
     assert!(!bytes.is_empty());
     assert_eq!(bytes, event_bytes(&double));
     assert_eq!(bytes, event_bytes(&eight));
+}
+
+/// The tests around this one compare traces with themselves (thread counts,
+/// reruns); this one compares with the past.  Both literals were captured at
+/// the commit before scheduled rounds became pattern rounds (the parent of
+/// PR 19), so a round that drops a `RoundExchange` span, a
+/// `CorruptionApplied` point or a clock tick — in a clique or tree-packing
+/// cell's scheduler rounds, say — is a diff here, not a silent change.
+#[test]
+fn traced_campaign_report_is_golden() {
+    let report = traced_campaign(1);
+    // Every cell's outcome, trace digest and trace stats.
+    assert_eq!(
+        fnv1a_hex(report.fingerprint().bytes()),
+        "1fe1553d03311995",
+        "traced campaign report drifted"
+    );
+    // The raw event streams, as `--trace-dir` would write them.
+    let bytes = event_bytes(&report);
+    assert_eq!(bytes.len(), 373_566);
+    assert_eq!(
+        fnv1a_hex(bytes.bytes()),
+        "4e7b628cd869b160",
+        "traced event streams drifted"
+    );
 }
 
 #[test]
