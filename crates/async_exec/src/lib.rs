@@ -520,14 +520,29 @@ impl Compiler for AsyncExecutor {
     }
 
     // The executor derives everything per run from the schedule and the run
-    // seed, so the default graph-only `prepare` is all there is to cache.
+    // seed, so past the schedule check graph-only artifacts are all there is
+    // to cache.
+    fn prepare(
+        &self,
+        graph: &Graph,
+        _tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
+        self.schedule
+            .validate(graph.node_count())
+            .map_err(|reason| ScenarioError::InvalidParameter {
+                compiler: self.name(),
+                reason,
+            })?;
+        Ok(CompileArtifacts::graph_only(graph))
+    }
+
     fn execute(
         &self,
         _artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        self.validate(net.graph(), net.role())?;
+        validate_role(self, net.role())?;
         let g = net.graph().clone();
         let n = g.node_count();
         if n == 0 {
@@ -828,20 +843,6 @@ impl Compiler for AsyncExecutor {
         });
         Ok(outcome.expect("scheduler scope always produces an outcome"))
     }
-
-    fn validate(
-        &self,
-        graph: &Graph,
-        role: congest_sim::adversary::AdversaryRole,
-    ) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
-        self.schedule
-            .validate(graph.node_count())
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                compiler: self.name(),
-                reason,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -1028,20 +1029,25 @@ mod tests {
             from: 0,
             until: 1,
         }));
+        let prepare = |executor: &AsyncExecutor| executor.prepare(&g, &mut obs::Tracer::disabled());
         assert!(matches!(
-            bad_crash.validate(&g, AdversaryRole::Byzantine),
+            prepare(&bad_crash),
             Err(ScenarioError::InvalidParameter { .. })
         ));
         let bad_latency = AsyncExecutor::new(
             ScheduleDef::synchronous().with_latency(LatencyModel::Uniform { min: 3, max: 1 }),
         );
         assert!(matches!(
-            bad_latency.validate(&g, AdversaryRole::Eavesdropper),
+            prepare(&bad_latency),
             Err(ScenarioError::InvalidParameter { .. })
         ));
-        assert!(AsyncExecutor::new(ScheduleDef::synchronous())
-            .validate(&g, AdversaryRole::Eavesdropper)
-            .is_ok());
+        // A baseline runs under either role, and a well-formed schedule
+        // prepares.
+        let sync = AsyncExecutor::new(ScheduleDef::synchronous());
+        assert!(prepare(&sync).is_ok());
+        for role in [AdversaryRole::Byzantine, AdversaryRole::Eavesdropper] {
+            assert_eq!(validate_role(&sync, role), Ok(()));
+        }
     }
 
     #[test]

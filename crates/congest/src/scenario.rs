@@ -31,19 +31,20 @@
 //! * [`Compiler`] — the object-safe interface every compiler implements
 //!   (thin adapters in `mobile-congest-core` wrap the paper's seven
 //!   compilers; [`Uncompiled`] and [`FaultFree`] live here);
-//! * [`ScenarioBuilder`] — fluent configuration, validated when
+//! * [`ScenarioBuilder`] — fluent configuration, judged when
 //!   [`ScenarioBuilder::build`] (or `run`) is called: an eavesdropper paired
-//!   with a resilience compiler is a typed [`ScenarioError`], not a silent
-//!   misrun;
+//!   with a resilience compiler, or a graph the compiler's
+//!   [`Compiler::prepare`] rejects, is a typed [`ScenarioError`], not a
+//!   silent misrun;
 //! * [`RunReport`] — outputs plus round/bandwidth/corruption metrics, the
 //!   compiler's typed [`CompilerNotes`], the eavesdropper's [`ViewLog`] and
 //!   the fault-free-agreement verdict;
 //! * [`CompilerNotes`] — the typed diagnostics channel (rewind counts,
 //!   correction verdicts, key rounds, packing quality) threaded from every
 //!   compiler through [`Compiler::execute`] onto the report;
-//! * [`matrix`] — sweeps graph-family × adversary-strategy × compiler grids
-//!   in one call (single-threaded facade over the cells the parallel
-//!   `harness::Campaign` engine drives).
+//! * [`matrix`] — the grid vocabulary (graph / adversary / compiler specs,
+//!   the zoos) and [`matrix::run_cell`], the one per-cell entry point the
+//!   `harness::Campaign` engine drives.
 
 use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, NoAdversary};
 use crate::algorithm::{run_fault_free, run_on_network, CongestAlgorithm};
@@ -170,9 +171,8 @@ impl core::fmt::Display for ScenarioError {
 impl ScenarioError {
     /// Whether this error is a *configuration-time* rejection (role mismatch,
     /// unsupported graph, connectivity shortfall, bad parameter) as opposed
-    /// to a runtime failure.  Grid drivers (`matrix::sweep`, the harness
-    /// campaign engine) record validation errors as skipped cells, not
-    /// failures — keep the classification here so both stay in sync.
+    /// to a runtime failure.  The harness campaign engine records validation
+    /// errors as skipped cells, not failures.
     pub fn is_validation_error(&self) -> bool {
         matches!(
             self,
@@ -628,20 +628,32 @@ impl core::fmt::Debug for CompileArtifacts {
     }
 }
 
+/// What one `(graph, compiler)` pair comes to: the shared artifacts of a
+/// [`Compiler::prepare`] that accepted the graph, or the typed reason it did
+/// not.  A pure function of the pair — never of the seed or the adversary —
+/// so a campaign computes it once and hands every cell of the pair a clone
+/// (the harness `ArtifactCache` stores exactly this type).
+pub type Verdict = Result<std::sync::Arc<CompileArtifacts>, ScenarioError>;
+
 /// The uniform compiler interface of the scenario pipeline.
 ///
 /// A compiler takes an arbitrary round-by-round CONGEST algorithm and
 /// simulates it on the (adversarial) network, returning the payload outputs.
 /// Implementations are cheap parameter holders.
 ///
-/// The interface is **two-phase**: [`Compiler::prepare`] builds everything
-/// that depends only on the graph and the compiler's parameters (tree
-/// packings, covers, prebuilt correction state) into [`CompileArtifacts`],
-/// and [`Compiler::execute`] runs the seed/adversary-dependent simulation
-/// against those artifacts.  `execute` is the one required run method;
-/// compilers with no seed-independent prefix inherit the graph-only `prepare`
-/// default, while compilers with an expensive one override it so campaign
-/// drivers can cache the artifacts across cells.
+/// The interface is **two-phase**: [`Compiler::prepare`] judges the graph
+/// and builds everything that depends only on it and the compiler's
+/// parameters (tree packings, covers, prebuilt correction state) into
+/// [`CompileArtifacts`], and [`Compiler::execute`] runs the
+/// seed/adversary-dependent simulation against those artifacts.  `execute`
+/// is the one required run method; compilers that accept every graph and
+/// have no seed-independent prefix inherit the graph-only `prepare` default.
+///
+/// `prepare` is the **only** place a compiler states a precondition on the
+/// graph or on its own parameters (connectivity, completeness, degree and
+/// size floors, parameter ranges); the adversary role is the one
+/// precondition that is not a property of the pair, and [`validate_role`]
+/// checks it from [`CompilerKind`] alone.
 pub trait Compiler {
     /// Display name for reports and error messages.
     fn name(&self) -> String;
@@ -649,16 +661,23 @@ pub trait Compiler {
     /// What the compiler defends against.
     fn kind(&self) -> CompilerKind;
 
-    /// Phase one: build the seed-independent artifacts for `graph`.
+    /// Phase one: judge `graph` and build its seed-independent artifacts.
     ///
-    /// The default returns graph-only artifacts (warm CSR, no payload) —
-    /// correct for every compiler whose derived state is seed- or
-    /// adversary-dependent.  Overrides must produce a pure function
-    /// of `(graph, self)`: campaign drivers key cached artifacts by
-    /// `(GraphDef, CompilerDef)` only, and campaign fingerprints must stay
-    /// byte-identical whether artifacts are cached or rebuilt per cell.
-    /// `tracer` carries phase spans (e.g. [`obs::Phase::Packing`]) when the
-    /// scenario traces; cached preparation passes a disabled tracer.
+    /// Every graph or parameter rule comes first — before any span opens or
+    /// any structure is built — and fails with a configuration-time
+    /// [`ScenarioError`] ([`ScenarioError::is_validation_error`]), so a
+    /// rejected pair costs its checks and nothing else, emits no events and
+    /// never panics on hostile input.
+    ///
+    /// The default accepts every graph and returns graph-only artifacts
+    /// (warm CSR, no payload) — correct for every compiler whose derived
+    /// state is seed- or adversary-dependent.  Overrides must be a pure
+    /// function of `(graph, self)`, errors included: campaign drivers key the
+    /// cached [`Verdict`] by `(GraphDef, CompilerDef)` only, and campaign
+    /// fingerprints must stay byte-identical whether it is cached or
+    /// recomputed per cell.  `tracer` carries phase spans (e.g.
+    /// [`obs::Phase::Packing`]) when the scenario traces; cached preparation
+    /// passes a disabled tracer.
     fn prepare(
         &self,
         graph: &Graph,
@@ -676,30 +695,23 @@ pub trait Compiler {
     /// re-simulate from a committed prefix (the rewind compiler) or host one
     /// instance per node (the async executor) simply call it again.
     ///
-    /// Implementations re-check the adversary role against [`Network::role`],
-    /// but full graph validation runs once in [`Compiler::validate`] (the
-    /// `Scenario` pipeline calls it at build time).  When invoking a compiler
-    /// directly, call `validate(net.graph(), net.role())` first to get the
-    /// typed graph errors.  Artifacts whose payload is not the one `prepare`
-    /// builds are a [`ScenarioError::ArtifactMismatch`].
+    /// Implementations re-check the adversary role against [`Network::role`]
+    /// ([`validate_role`], the cheap guard for direct callers) and nothing
+    /// else: the graph was judged by the `prepare` that produced `artifacts`.
+    /// Artifacts whose payload is not the one `prepare` builds are a
+    /// [`ScenarioError::ArtifactMismatch`].
     fn execute(
         &self,
         artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError>;
-
-    /// Check the configuration before anything runs.  Overrides should call
-    /// [`validate_role`] (or repeat its check) in addition to their own
-    /// graph/parameter validation.
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        let _ = graph;
-        validate_role(self, role)
-    }
 }
 
 /// The role check every compiler shares: its [`CompilerKind`] must support
-/// the configured adversary role.
+/// the configured adversary role.  [`ScenarioBuilder::build`] runs it once,
+/// ahead of the pair's [`Verdict`]; adapters repeat it at the top of
+/// `execute`.
 pub fn validate_role<C: Compiler + ?Sized>(
     compiler: &C,
     role: AdversaryRole,
@@ -776,7 +788,7 @@ impl Scenario {
             bandwidth_words: None,
             check_fault_free: true,
             trace: obs::TraceSpec::off(),
-            artifacts: None,
+            verdict: None,
         }
     }
 }
@@ -784,8 +796,8 @@ impl Scenario {
 /// Fluent configuration for one scenario run.
 ///
 /// Built by [`Scenario::on`]; every setter returns `self`, and
-/// [`ScenarioBuilder::build`] / [`ScenarioBuilder::run`] perform the typed
-/// validation.
+/// [`ScenarioBuilder::build`] / [`ScenarioBuilder::run`] return every
+/// configuration error.
 ///
 /// ```
 /// use congest_sim::adversary::{AdversaryRole, CorruptionBudget, EclipseNode};
@@ -819,7 +831,7 @@ pub struct ScenarioBuilder {
     bandwidth_words: Option<usize>,
     check_fault_free: bool,
     trace: obs::TraceSpec,
-    artifacts: Option<std::sync::Arc<CompileArtifacts>>,
+    verdict: Option<Verdict>,
 }
 
 impl ScenarioBuilder {
@@ -834,7 +846,7 @@ impl ScenarioBuilder {
     }
 
     /// The payload as a pre-boxed factory (used by generic drivers such as
-    /// [`matrix::sweep`]).
+    /// [`matrix::run_cell`]).
     pub fn payload_boxed<F>(mut self, make: F) -> Self
     where
         F: Fn() -> BoxedAlgorithm + 'static,
@@ -906,23 +918,24 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Supply pre-built [`CompileArtifacts`] (typically from a campaign
-    /// artifact cache) instead of letting the run call
-    /// [`Compiler::prepare`] itself.  The artifacts must have been prepared
-    /// by an identically-parameterised compiler on an equal graph — the
-    /// contract a `(GraphDef, CompilerDef)`-keyed cache provides by
-    /// construction.  The run then uses the artifacts' CSR-warmed graph and
-    /// skips the prepare phase entirely.
-    pub fn artifacts(mut self, artifacts: std::sync::Arc<CompileArtifacts>) -> Self {
-        self.artifacts = Some(artifacts);
+    /// Supply the `(graph, compiler)` pair's [`Verdict`] (typically from a
+    /// campaign artifact cache) instead of letting [`ScenarioBuilder::build`]
+    /// call [`Compiler::prepare`] itself.  It must come from an
+    /// identically-parameterised compiler on an equal graph — the contract a
+    /// `(GraphDef, CompilerDef)`-keyed cache provides by construction.  An
+    /// `Ok` runs on the artifacts' CSR-warmed graph; an `Err` is the cell's
+    /// outcome unless the role check rejects it first.
+    pub fn verdict(mut self, verdict: Verdict) -> Self {
+        self.verdict = Some(verdict);
         self
     }
 
-    /// Validate the configuration into a runnable [`BuiltScenario`].
+    /// Judge the configuration into a runnable [`BuiltScenario`].
     ///
-    /// All *configuration* errors surface here (missing payload, role /
-    /// compiler mismatch, unsupported graph), so an invalid grid cell fails
-    /// before any round executes.
+    /// All *configuration* errors surface here, in this order — empty graph,
+    /// missing payload, role / compiler mismatch, then the pair's [`Verdict`]
+    /// (the supplied one, or [`Compiler::prepare`] called now) — so an invalid
+    /// grid cell fails before any round executes.
     pub fn build(self) -> Result<BuiltScenario, ScenarioError> {
         if self.graph.node_count() == 0 {
             return Err(ScenarioError::EmptyGraph);
@@ -931,19 +944,41 @@ impl ScenarioBuilder {
         let compiler = self
             .compiler
             .unwrap_or_else(|| Box::new(Uncompiled) as Box<dyn Compiler>);
-        compiler.validate(&self.graph, self.role)?;
+        validate_role(&*compiler, self.role)?;
+        let supplied = self.verdict.transpose()?;
+
+        let mut tracer = self.trace.build_tracer();
+        tracer.span_open(obs::Phase::GraphBuild);
+        let mut net = Network::new(
+            self.graph,
+            self.role,
+            self.strategy.unwrap_or_else(|| Box::new(NoAdversary)),
+            self.budget.clone(),
+            self.seed,
+        );
+        tracer.span_close(obs::Phase::GraphBuild);
+        // Force the lazy CSR adjacency index under its own span, so compilers
+        // downstream see a warm index and the build cost is attributed here.
+        tracer.span_open(obs::Phase::CsrIndex);
+        let _ = net.graph().csr();
+        tracer.span_close(obs::Phase::CsrIndex);
+        // Phase one: take the supplied artifacts, or prepare them now on the
+        // same tracer so packing spans land in the cell's own trace.
+        let artifacts = match supplied {
+            Some(artifacts) => artifacts,
+            None => std::sync::Arc::new(compiler.prepare(net.graph(), &mut tracer)?),
+        };
+        net.install_tracer(tracer);
+        if let Some(words) = self.bandwidth_words {
+            net.set_bandwidth_words(words);
+        }
         Ok(BuiltScenario {
-            graph: self.graph,
+            net,
             payload,
-            role: self.role,
-            strategy: self.strategy.unwrap_or_else(|| Box::new(NoAdversary)),
             budget: self.budget,
-            seed: self.seed,
             compiler,
-            bandwidth_words: self.bandwidth_words,
             check_fault_free: self.check_fault_free,
-            trace: self.trace,
-            artifacts: self.artifacts,
+            artifacts,
         })
     }
 
@@ -974,24 +1009,21 @@ impl ScenarioBuilder {
     }
 }
 
-/// A validated scenario, ready to execute once.
+/// A scenario whose configuration was accepted — network built, artifacts
+/// prepared — ready to execute once.
 pub struct BuiltScenario {
-    graph: Graph,
+    net: Network,
     payload: PayloadFactory,
-    role: AdversaryRole,
-    strategy: Box<dyn AdversaryStrategy>,
     budget: CorruptionBudget,
-    seed: u64,
     compiler: Box<dyn Compiler>,
-    bandwidth_words: Option<usize>,
     check_fault_free: bool,
-    trace: obs::TraceSpec,
-    artifacts: Option<std::sync::Arc<CompileArtifacts>>,
+    artifacts: std::sync::Arc<CompileArtifacts>,
 }
 
 impl BuiltScenario {
     /// Execute the scenario and gather the [`RunReport`].
     pub fn run(self) -> Result<RunReport, ScenarioError> {
+        let mut net = self.net;
         // The probe instance doubles as the fault-free reference run, so a
         // scenario costs at most one payload construction beyond the
         // compiled execution itself.
@@ -1008,33 +1040,10 @@ impl BuiltScenario {
         };
         drop(probe);
 
-        let mut tracer = self.trace.build_tracer();
-        tracer.span_open(obs::Phase::GraphBuild);
-        let mut net = Network::new(
-            self.graph,
-            self.role,
-            self.strategy,
-            self.budget.clone(),
-            self.seed,
-        );
-        tracer.span_close(obs::Phase::GraphBuild);
-        // Force the lazy CSR adjacency index under its own span, so compilers
-        // downstream see a warm index and the build cost is attributed here.
-        tracer.span_open(obs::Phase::CsrIndex);
-        let _ = net.graph().csr();
-        tracer.span_close(obs::Phase::CsrIndex);
-        // Phase one: reuse supplied artifacts, or prepare them now on the same
-        // tracer so packing spans land in the cell's own trace.
-        let artifacts = match self.artifacts {
-            Some(artifacts) => artifacts,
-            None => std::sync::Arc::new(self.compiler.prepare(net.graph(), &mut tracer)?),
-        };
-        net.install_tracer(tracer);
-        if let Some(words) = self.bandwidth_words {
-            net.set_bandwidth_words(words);
-        }
         let adversary = net.adversary_name();
-        let result = self.compiler.execute(&artifacts, &self.payload, &mut net);
+        let result = self
+            .compiler
+            .execute(&self.artifacts, &self.payload, &mut net);
         let trace = net.take_tracer().finish();
         let (outputs, notes) = result?;
         let fault_free = if self.check_fault_free && is_reference {
@@ -1048,9 +1057,9 @@ impl BuiltScenario {
             compiler: self.compiler.name(),
             compiler_kind: self.compiler.kind(),
             adversary,
-            role: self.role,
+            role: net.role(),
             budget: self.budget,
-            seed: self.seed,
+            seed: net.run_seed(),
             payload_rounds,
             network_rounds: net.round(),
             outputs,
@@ -1127,8 +1136,7 @@ impl RunReport {
     /// Whether this run counts as correct for grid verdicts: baseline-kind
     /// compilers are exempt (an uncompiled run is *supposed* to be
     /// corruptible); everything else must not diverge from the fault-free
-    /// reference.  Shared by `matrix::MatrixReport` and the harness
-    /// campaign report.
+    /// reference.  The harness campaign report's per-cell verdict.
     pub fn protected_cell_ok(&self) -> bool {
         self.compiler_kind == CompilerKind::Baseline || self.agrees_with_fault_free() != Some(false)
     }
@@ -1249,18 +1257,17 @@ pub fn doctest_payload(graph: Graph) -> impl CongestAlgorithm {
 }
 
 pub mod matrix {
-    //! Grid sweeps: every graph family × adversary strategy × compiler in one
-    //! call, with incompatible cells recorded as typed skips instead of
-    //! panics.
+    //! The grid vocabulary: graph family × adversary strategy × compiler axes
+    //! as named specs, the standard zoos, and the per-cell entry point.
     //!
     //! The specs here are `Send + Sync` factories, so a grid description can
-    //! be shared across worker threads.  [`sweep`] is the single-threaded
-    //! facade over the per-cell engine entry point [`run_cell`]; the
-    //! `mobile-congest-harness` crate drives the same entry point from a
-    //! deterministic parallel worker pool (`harness::Campaign`) for
-    //! multi-core sweeps with repetitions and aggregation.
+    //! be shared across worker threads.  [`run_cell`] runs one cell; the one
+    //! grid engine is `harness::Campaign` in the `mobile-congest-harness`
+    //! crate, which drives it from a deterministic worker pool (seed
+    //! repetitions, aggregation, incompatible cells recorded as typed skips
+    //! instead of panics) — `.threads(1)` for a plain sequential sweep.
 
-    use super::{BoxedAlgorithm, CompileArtifacts, Compiler, RunReport, Scenario, ScenarioError};
+    use super::{BoxedAlgorithm, Compiler, RunReport, Scenario, ScenarioError, Verdict};
     use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget};
     use netgraph::Graph;
 
@@ -1342,92 +1349,6 @@ pub mod matrix {
         /// cache) can drive [`Compiler::prepare`] outside a cell.
         pub fn instantiate(&self) -> Box<dyn Compiler> {
             (self.make)()
-        }
-    }
-
-    /// One cell of the sweep.
-    pub struct MatrixCell {
-        /// Graph name.
-        pub graph: String,
-        /// Adversary name.
-        pub adversary: String,
-        /// Compiler name.
-        pub compiler: String,
-        /// The run report, or the typed reason the cell could not run.
-        pub outcome: Result<RunReport, ScenarioError>,
-    }
-
-    impl MatrixCell {
-        /// Whether the cell was skipped because the configuration is
-        /// *structurally* incompatible (role mismatch, unsupported graph,
-        /// per-graph parameter rejection) as opposed to having failed at
-        /// runtime.
-        pub fn skipped(&self) -> bool {
-            matches!(&self.outcome, Err(e) if e.is_validation_error())
-        }
-    }
-
-    /// All cells of a sweep.
-    pub struct MatrixReport {
-        /// Cells in graph-major, adversary-second, compiler-minor order.
-        pub cells: Vec<MatrixCell>,
-    }
-
-    impl MatrixReport {
-        /// Cells that executed (successfully or not) rather than being
-        /// skipped by validation.
-        pub fn executed(&self) -> impl Iterator<Item = &MatrixCell> {
-            self.cells.iter().filter(|c| !c.skipped())
-        }
-
-        /// Number of validation-skipped cells.
-        pub fn skipped_count(&self) -> usize {
-            self.cells.iter().filter(|c| c.skipped()).count()
-        }
-
-        /// Whether every executed cell produced outputs that agree with the
-        /// fault-free reference.  Baseline-kind compilers are exempt — an
-        /// uncompiled run is *supposed* to be corruptible.
-        pub fn all_protected_cells_agree(&self) -> bool {
-            self.executed().all(|cell| match &cell.outcome {
-                Ok(report) => report.protected_cell_ok(),
-                Err(_) => false,
-            })
-        }
-
-        /// A formatted results table (one row per cell).
-        pub fn to_table(&self) -> String {
-            let mut out = String::new();
-            out.push_str(&format!(
-                "{:<12} {:<22} {:<20} {:>9} {:>9} {:>8}\n",
-                "graph", "adversary", "compiler", "net rnds", "overhead", "agrees"
-            ));
-            for cell in &self.cells {
-                match &cell.outcome {
-                    Ok(report) => out.push_str(&format!(
-                        "{:<12} {:<22} {:<20} {:>9} {:>9.1} {:>8}\n",
-                        cell.graph,
-                        cell.adversary,
-                        cell.compiler,
-                        report.network_rounds,
-                        report.overhead(),
-                        match report.agrees_with_fault_free() {
-                            Some(true) => "yes",
-                            Some(false) => "NO",
-                            None => "-",
-                        }
-                    )),
-                    Err(e) if cell.skipped() => out.push_str(&format!(
-                        "{:<12} {:<22} {:<20} skipped: {}\n",
-                        cell.graph, cell.adversary, cell.compiler, e
-                    )),
-                    Err(e) => out.push_str(&format!(
-                        "{:<12} {:<22} {:<20} FAILED: {}\n",
-                        cell.graph, cell.adversary, cell.compiler, e
-                    )),
-                }
-            }
-            out
         }
     }
 
@@ -1687,33 +1608,24 @@ pub mod matrix {
             .collect()
     }
 
-    /// Mix a stable per-cell seed out of the base seed and cell coordinates.
-    fn cell_seed(base: u64, gi: usize, ai: usize, ci: usize) -> u64 {
-        let mut h = base ^ 0x9E37_79B9_7F4A_7C15;
-        for x in [gi as u64, ai as u64, ci as u64] {
-            h ^= x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            h = h.rotate_left(23).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        }
-        h
-    }
-
     /// Execute one grid cell: build the scenario for `gspec` × `aspec` ×
     /// `cspec` with the given seed and trace spec and run it.
     ///
-    /// This is the single per-cell engine entry point: [`sweep`] calls it
-    /// sequentially, and the `harness` campaign engine calls it from worker
-    /// threads (everything a cell needs is constructed inside the call, so
-    /// nothing non-`Send` ever crosses a thread boundary).  The outcome —
-    /// the event stream on [`RunReport::trace`] included — is a pure
-    /// function of the specs and the seed, which is what makes parallel
-    /// campaigns byte-identical at any thread count.
+    /// This is the single per-cell engine entry point: the `harness` campaign
+    /// engine calls it from worker threads (everything a cell needs is
+    /// constructed inside the call, so nothing non-`Send` ever crosses a
+    /// thread boundary).  The outcome — the event stream on
+    /// [`RunReport::trace`] included — is a pure function of the specs and
+    /// the seed, which is what makes parallel campaigns byte-identical at any
+    /// thread count.
     ///
-    /// `artifacts` optionally supplies pre-built [`CompileArtifacts`] for the
-    /// cell's `(graph, compiler)` pair (the campaign artifact cache does).
-    /// With `Some`, the scenario runs on the artifacts' CSR-warmed graph and
-    /// skips [`Compiler::prepare`]; with `None` it prepares inside the cell.
-    /// Because prepared artifacts are a pure function of `(graph, compiler)`,
-    /// both produce byte-identical reports.
+    /// `verdict` optionally supplies the `(graph, compiler)` pair's [`Verdict`]
+    /// (the campaign artifact cache does).  With `Some(Ok(..))` the scenario
+    /// runs on the artifacts' CSR-warmed graph, with `Some(Err(..))` the cell
+    /// is that error (a role mismatch still takes precedence), and with
+    /// `None` [`Compiler::prepare`] runs inside the cell.  Because a verdict
+    /// is a pure function of `(graph, compiler)`, all three produce
+    /// byte-identical outcomes.
     pub fn run_cell<P>(
         gspec: &GraphSpec,
         aspec: &AdversarySpec,
@@ -1721,14 +1633,14 @@ pub mod matrix {
         payload: &P,
         seed: u64,
         trace: obs::TraceSpec,
-        artifacts: Option<std::sync::Arc<CompileArtifacts>>,
+        verdict: Option<Verdict>,
     ) -> Result<RunReport, ScenarioError>
     where
         P: Fn(&Graph) -> BoxedAlgorithm + Clone + 'static,
     {
-        let graph = match &artifacts {
-            Some(a) => a.graph().clone(),
-            None => gspec.graph.clone(),
+        let graph = match &verdict {
+            Some(Ok(artifacts)) => artifacts.graph().clone(),
+            _ => gspec.graph.clone(),
         };
         let payload_graph = gspec.graph.clone();
         let make_payload = payload.clone();
@@ -1738,60 +1650,10 @@ pub mod matrix {
             .seed(seed)
             .compiled_with_boxed((cspec.make)())
             .trace(trace);
-        if let Some(artifacts) = artifacts {
-            builder = builder.artifacts(artifacts);
+        if let Some(verdict) = verdict {
+            builder = builder.verdict(verdict);
         }
         builder.run()
-    }
-
-    /// Run `payload` through every graph × adversary × compiler combination.
-    ///
-    /// `payload` receives the cell's graph and must return a fresh boxed
-    /// instance every call.  Cells whose configuration fails validation are
-    /// recorded as skipped, not errors — a sweep mixing secrecy and
-    /// resilience compilers across both roles is the intended usage.
-    ///
-    /// This is the thin single-threaded facade over [`run_cell`]; for
-    /// multi-core grids with seed repetitions and statistical aggregation use
-    /// `mobile_congest::harness::Campaign`, which drives the same per-cell
-    /// pipeline in parallel, byte-identical at any thread count.  (The two
-    /// derive per-cell seeds differently — `sweep` mixes grid coordinates,
-    /// a campaign mixes its flat cell index — so a 1-repetition campaign is
-    /// deterministic but not seed-compatible with a `sweep` of the same base
-    /// seed.)
-    pub fn sweep<P>(
-        graphs: &[GraphSpec],
-        adversaries: &[AdversarySpec],
-        compilers: &[CompilerSpec],
-        payload: P,
-        base_seed: u64,
-    ) -> MatrixReport
-    where
-        P: Fn(&Graph) -> BoxedAlgorithm + Clone + 'static,
-    {
-        let mut cells = Vec::with_capacity(graphs.len() * adversaries.len() * compilers.len());
-        for (gi, gspec) in graphs.iter().enumerate() {
-            for (ai, aspec) in adversaries.iter().enumerate() {
-                for (ci, cspec) in compilers.iter().enumerate() {
-                    let seed = cell_seed(base_seed, gi, ai, ci);
-                    cells.push(MatrixCell {
-                        graph: gspec.name.clone(),
-                        adversary: aspec.name.clone(),
-                        compiler: cspec.name.clone(),
-                        outcome: run_cell(
-                            gspec,
-                            aspec,
-                            cspec,
-                            &payload,
-                            seed,
-                            obs::TraceSpec::off(),
-                            None,
-                        ),
-                    });
-                }
-            }
-        }
-        MatrixReport { cells }
     }
 }
 
@@ -1920,64 +1782,87 @@ mod tests {
         assert!(!format!("{report}").is_empty());
     }
 
-    #[test]
-    fn matrix_sweep_covers_the_grid_and_skips_mismatches() {
-        use matrix::{sweep, AdversarySpec, CompilerSpec, GraphSpec};
-        let graphs = vec![
-            GraphSpec::new("cycle6", generators::cycle(6)),
-            GraphSpec::new("K5", generators::complete(5)),
-        ];
-        let adversaries = vec![
-            AdversarySpec::new(
-                "random-mobile",
-                AdversaryRole::Byzantine,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            ),
-            AdversarySpec::new(
-                "eavesdropper",
-                AdversaryRole::Eavesdropper,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            ),
-        ];
-        // A dummy "secure" compiler that just runs uncompiled, to exercise
-        // role-based skipping without the core adapters.
-        #[derive(Clone)]
-        struct SecureShim;
-        impl Compiler for SecureShim {
-            fn name(&self) -> String {
-                "secure-shim".into()
-            }
-            fn kind(&self) -> CompilerKind {
-                CompilerKind::Secure
-            }
-            fn execute(
-                &self,
-                artifacts: &CompileArtifacts,
-                make: &dyn Fn() -> BoxedAlgorithm,
-                net: &mut Network,
-            ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-                Uncompiled.execute(artifacts, make, net)
-            }
+    /// A resilient-kind shim whose `prepare` counts its calls and rejects
+    /// graphs under five nodes — role and verdict precedence without the
+    /// core adapters.
+    struct Picky(std::rc::Rc<std::cell::Cell<usize>>);
+    impl Compiler for Picky {
+        fn name(&self) -> String {
+            "picky".into()
         }
-        let compilers = vec![CompilerSpec::of(FaultFree), CompilerSpec::of(SecureShim)];
-        let report = sweep(
-            &graphs,
-            &adversaries,
-            &compilers,
-            |g| Box::new(doctest_payload(g.clone())) as BoxedAlgorithm,
-            42,
-        );
-        assert_eq!(report.cells.len(), 2 * 2 * 2);
-        // The secure shim is skipped under the byzantine adversary on every graph.
-        assert_eq!(report.skipped_count(), 2);
-        assert!(report
-            .cells
-            .iter()
-            .filter(|c| c.skipped())
-            .all(|c| matches!(c.outcome, Err(ScenarioError::RoleMismatch { .. }))));
-        assert!(report.all_protected_cells_agree());
-        assert!(report.to_table().contains("skipped"));
+        fn kind(&self) -> CompilerKind {
+            CompilerKind::Resilient
+        }
+        fn prepare(
+            &self,
+            graph: &Graph,
+            _tracer: &mut obs::Tracer,
+        ) -> Result<CompileArtifacts, ScenarioError> {
+            self.0.set(self.0.get() + 1);
+            if graph.node_count() < 5 {
+                return Err(ScenarioError::UnsupportedGraph {
+                    compiler: self.name(),
+                    reason: "fewer than five nodes".into(),
+                });
+            }
+            Ok(CompileArtifacts::graph_only(graph))
+        }
+        fn execute(
+            &self,
+            artifacts: &CompileArtifacts,
+            make: &dyn Fn() -> BoxedAlgorithm,
+            net: &mut Network,
+        ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
+            Uncompiled.execute(artifacts, make, net)
+        }
+    }
+
+    #[test]
+    fn build_ranks_the_role_above_the_verdict_and_prepares_only_without_one() {
+        let prepares = std::rc::Rc::new(std::cell::Cell::new(0));
+        let on = |g: &Graph, role| {
+            let gg = g.clone();
+            Scenario::on(g.clone())
+                .payload(move || exchange(&gg))
+                .adversary(
+                    role,
+                    RandomMobile::new(1, 3),
+                    CorruptionBudget::Mobile { f: 1 },
+                )
+                .compiled_with(Picky(prepares.clone()))
+        };
+        let (small, large) = (generators::cycle(4), generators::cycle(6));
+        let rejected = ScenarioError::UnsupportedGraph {
+            compiler: "picky".into(),
+            reason: "fewer than five nodes".into(),
+        };
+        use AdversaryRole::{Byzantine, Eavesdropper};
+
+        // No verdict supplied: `build` asks `prepare`, once, after the role.
+        assert_eq!(on(&small, Byzantine).build().err(), Some(rejected.clone()));
+        assert_eq!(prepares.get(), 1);
+        assert!(matches!(
+            on(&small, Eavesdropper).build().err(),
+            Some(ScenarioError::RoleMismatch { .. })
+        ));
+        assert_eq!(prepares.get(), 1, "a role mismatch never reaches prepare");
+        assert!(on(&large, Byzantine).run().is_ok());
+        assert_eq!(prepares.get(), 2);
+
+        // A supplied verdict is the outcome — `prepare` is not called again.
+        let foreign = ScenarioError::InvalidParameter {
+            compiler: "picky".into(),
+            reason: "supplied".into(),
+        };
+        let supplied = on(&large, Byzantine).verdict(Err(foreign.clone()));
+        assert_eq!(supplied.build().err(), Some(foreign.clone()));
+        assert!(matches!(
+            on(&large, Eavesdropper).verdict(Err(foreign)).build().err(),
+            Some(ScenarioError::RoleMismatch { .. })
+        ));
+        let artifacts = std::sync::Arc::new(CompileArtifacts::graph_only(&large));
+        let report = on(&large, Byzantine).verdict(Ok(artifacts)).run().unwrap();
+        assert_eq!(report.compiler, "picky");
+        assert_eq!(prepares.get(), 2);
     }
 }

@@ -1,13 +1,16 @@
 //! Thin [`Compiler`] adapters: the paper's seven compilers behind the unified
 //! `scenario` execution API.
 //!
-//! Each adapter is a cheap, `Clone` parameter holder; everything derived from
-//! the graph alone (star packings, greedy tree packings, cycle covers) is
-//! built in `prepare`, everything seed- or adversary-dependent (key pools,
-//! under-attack packings) inside `execute` from `net.graph()`.  That makes one
-//! adapter value reusable across a whole [`congest_sim::scenario::matrix`]
-//! sweep, and turns the constructors' former panics and `Option` returns into
-//! typed [`ScenarioError`]s at validation time:
+//! Each adapter is a cheap, `Clone` parameter holder.  Its `prepare` opens
+//! with the theorem's preconditions on the graph and on the adapter's own
+//! parameters — the only place they are stated — so the wrapped
+//! constructors' panics and `Option` returns become typed
+//! [`ScenarioError`]s; then everything derived from the graph alone (star
+//! packings, greedy tree packings, cycle covers) is built there, and
+//! everything seed- or adversary-dependent (key pools, under-attack
+//! packings) inside `execute` from `net.graph()`.  That makes one adapter
+//! value, and one `prepare` outcome per graph, reusable across a whole
+//! campaign grid:
 //!
 //! | Adapter | Wraps | Paper result |
 //! |---|---|---|
@@ -34,7 +37,6 @@ use congest_sim::scenario::{
     ScenarioError,
 };
 use congest_sim::traffic::Output;
-use congest_sim::AdversaryRole;
 use netgraph::connectivity::{edge_connectivity, edge_connectivity_at_least};
 use netgraph::tree_packing::{
     augmented_low_depth_packing_traced, greedy_low_depth_packing, load_floor, star_packing,
@@ -48,7 +50,7 @@ fn is_complete(g: &Graph) -> bool {
     g.edge_count() == n * n.saturating_sub(1) / 2
 }
 
-/// Shared sizing for greedy packings.  Validation certifies exactly what the
+/// Shared sizing for greedy packings.  The check certifies exactly what the
 /// v2 packing delivers, so passing it *predicts* correction strength:
 ///
 /// * edge connectivity `λ ≥ 2f + 1` (the information-theoretic floor),
@@ -90,26 +92,31 @@ fn validate_packing_feasible(
     Ok(())
 }
 
-/// The information-theoretic floor lambda >= 2f+1.  Validation runs per cell
-/// and only needs the threshold; the exact lambda — `n - 1` uncapped max-flows
-/// — is computed for the error of a cell that fails it.
+/// The information-theoretic floor lambda >= 2f+1.  Accepting a graph only
+/// needs the threshold (`n - 1` capped max-flows, once per pair); the exact
+/// lambda — `n - 1` uncapped ones — is computed for the error of a pair that
+/// fails it.
 fn validate_connectivity_floor(compiler: &str, g: &Graph, f: usize) -> Result<(), ScenarioError> {
-    let needed = 2 * f + 1;
-    if edge_connectivity_at_least(g, needed) {
+    if edge_connectivity_at_least(g, 2 * f + 1) {
         return Ok(());
     }
-    Err(ScenarioError::InsufficientConnectivity {
+    Err(insufficient_connectivity(compiler, g, f))
+}
+
+/// The typed error of a graph below the lambda >= 2f+1 floor, exact lambda
+/// included.
+fn insufficient_connectivity(compiler: &str, g: &Graph, f: usize) -> ScenarioError {
+    ScenarioError::InsufficientConnectivity {
         compiler: compiler.to_string(),
-        needed,
+        needed: 2 * f + 1,
         found: edge_connectivity(g),
-    })
+    }
 }
 
 /// The sketch-based correction packs an arc id into 16 bits of every sketch
 /// element (`pack_element`), so every compiler that runs it — clique,
-/// tree-packing, expander, rewind — is limited to graphs of [`MAX_ARCS`] arcs.
-/// Checked in `validate` and again in `prepare`, which campaign drivers call
-/// on their own (and, for a cached pair, before any cell validates).
+/// tree-packing, expander, rewind — is limited to graphs of [`MAX_ARCS`] arcs
+/// and opens its `prepare` with this check.
 fn validate_arc_ids(compiler: &str, g: &Graph) -> Result<(), ScenarioError> {
     if g.arc_count() > MAX_ARCS {
         return Err(ScenarioError::UnsupportedGraph {
@@ -118,6 +125,19 @@ fn validate_arc_ids(compiler: &str, g: &Graph) -> Result<(), ScenarioError> {
                 "{} arcs exceed the {MAX_ARCS} the correction sketches can address",
                 g.arc_count()
             ),
+        });
+    }
+    Ok(())
+}
+
+/// A count the compiler cannot run with at zero: a packing of no trees or
+/// colour classes leaves the majority argument nothing to vote over (and the
+/// packing constructors assert on it), a zero-word frame holds no message.
+fn validate_at_least_one(compiler: &str, what: &str, value: usize) -> Result<(), ScenarioError> {
+    if value == 0 {
+        return Err(ScenarioError::InvalidParameter {
+            compiler: compiler.to_string(),
+            reason: format!("{what} must be at least 1"),
         });
     }
     Ok(())
@@ -135,6 +155,19 @@ fn validate_clique_floor(compiler: &str, g: &Graph, f: usize) -> Result<(), Scen
         });
     }
     Ok(())
+}
+
+/// What the tree-packing and rewind adapters ask of a graph before packing
+/// `k` trees for `f` faults: addressable arcs, then the lambda floor alone on
+/// a clique (its star packing is always feasible) or the full packing
+/// feasibility elsewhere — the same split [`resilient_packing_on`] makes.
+fn validate_packable(compiler: &str, g: &Graph, k: usize, f: usize) -> Result<(), ScenarioError> {
+    validate_arc_ids(compiler, g)?;
+    if is_complete(g) {
+        validate_clique_floor(compiler, g, f)
+    } else {
+        validate_packing_feasible(compiler, g, k, 2, f)
+    }
 }
 
 /// Build the packing the byzantine-resilient adapters share: the `(n, 2, 2)`
@@ -235,9 +268,13 @@ impl Compiler for CliqueAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Resilient
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
+    fn prepare(
+        &self,
+        graph: &Graph,
+        tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
         validate_arc_ids(&self.name(), graph)?;
+        // `CliqueCompiler::new` asserts completeness.
         if !is_complete(graph) {
             return Err(ScenarioError::UnsupportedGraph {
                 compiler: self.name(),
@@ -248,22 +285,7 @@ impl Compiler for CliqueAdapter {
         // *worst-case* majority envelope; runs beyond it can still succeed
         // against non-adversarial strategies, so it is reported in
         // experiments rather than enforced.
-        validate_clique_floor(&self.name(), graph, self.f)
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        // `CliqueCompiler::new` asserts completeness; surface the same typed
-        // errors `validate` gives so caching over arbitrary grids never panics.
-        validate_arc_ids(&self.name(), graph)?;
-        if !is_complete(graph) {
-            return Err(ScenarioError::UnsupportedGraph {
-                compiler: self.name(),
-                reason: "the clique compiler requires the complete graph".into(),
-            });
-        }
+        validate_clique_floor(&self.name(), graph, self.f)?;
         // The wrapped compiler, star packing and all, under a packing span.
         tracer.span_open(obs::Phase::Packing);
         let compiler = CliqueCompiler::new(graph, self.f, self.seed).with_variant(self.variant);
@@ -276,8 +298,8 @@ impl Compiler for CliqueAdapter {
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        // Full graph validation runs once at `ScenarioBuilder::build`; here
-        // only the cheap role check guards direct trait callers.
+        // The graph was judged by the `prepare` behind `artifacts`; here only
+        // the cheap role check guards direct trait callers.
         validate_role(self, net.role())?;
         let compiler: &CliqueCompiler = prepared(self, artifacts)?;
         let (out, report) = compiler.run(&mut *make(), net);
@@ -348,25 +370,17 @@ impl Compiler for TreePackingAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Resilient
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
-        validate_arc_ids(&self.name(), graph)?;
-        if is_complete(graph) {
-            // The star packing is always feasible; only the lambda floor applies.
-            return validate_clique_floor(&self.name(), graph, self.f);
-        }
-        validate_packing_feasible(&self.name(), graph, self.k, 2, self.f)
-    }
     fn prepare(
         &self,
         graph: &Graph,
         tracer: &mut obs::Tracer,
     ) -> Result<CompileArtifacts, ScenarioError> {
+        validate_at_least_one(&self.name(), "trees", self.k)?;
+        validate_packable(&self.name(), graph, self.k, self.f)?;
         // The packing (and therefore the whole wrapped compiler — its seed is
         // the adapter's own parameter) is a pure function of the graph, and so
         // is the correction context (schedule plan, spanning flags, broadcast
         // code, quality measurement) prepared alongside it.
-        validate_arc_ids(&self.name(), graph)?;
         let packing = resilient_packing_on(graph, tracer, self.k, self.packing);
         let compiler = MobileByzantineCompiler::new(graph, packing, self.f, self.seed)
             .with_variant(self.variant);
@@ -407,26 +421,18 @@ impl Compiler for CycleCoverAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Resilient
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
-        validate_connectivity_floor(&self.name(), graph, self.f)
-    }
     fn prepare(
         &self,
         graph: &Graph,
         tracer: &mut obs::Tracer,
     ) -> Result<CompileArtifacts, ScenarioError> {
-        // The FT cycle cover is deterministic in the graph; the wrapped
-        // compiler carries no seed at all.  Insufficient connectivity
-        // surfaces as the same typed error `validate` gives.
         let _ = tracer;
-        let compiler = CycleCoverCompiler::new(graph, self.f).ok_or_else(|| {
-            ScenarioError::InsufficientConnectivity {
-                compiler: self.name(),
-                needed: 2 * self.f + 1,
-                found: edge_connectivity(graph),
-            }
-        })?;
+        validate_connectivity_floor(&self.name(), graph, self.f)?;
+        // The FT cycle cover is deterministic in the graph; the wrapped
+        // compiler carries no seed at all.  Past the floor every edge has its
+        // `2f + 1` disjoint paths (Menger), so `None` is the same shortfall.
+        let compiler = CycleCoverCompiler::new(graph, self.f)
+            .ok_or_else(|| insufficient_connectivity(&self.name(), graph, self.f))?;
         Ok(CompileArtifacts::with_payload(graph, compiler))
     }
     fn execute(
@@ -482,8 +488,15 @@ impl Compiler for ExpanderAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Resilient
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
+    // Theorem 1.7's whole point is that the weak packing is *built while the
+    // adversary attacks* — it depends on the seed and the adversary, so past
+    // the checks graph-only artifacts are all that is cacheable.
+    fn prepare(
+        &self,
+        graph: &Graph,
+        _tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
+        validate_at_least_one(&self.name(), "k", self.k)?;
         validate_arc_ids(&self.name(), graph)?;
         // Every colour class must stay above the spanning threshold: average
         // per-colour degree d/k well clear of ~ln n.
@@ -497,17 +510,6 @@ impl Compiler for ExpanderAdapter {
                 ),
             });
         }
-        Ok(())
-    }
-    // Theorem 1.7's whole point is that the weak packing is *built while the
-    // adversary attacks* — it depends on the seed and the adversary, so the
-    // graph-only artifacts of the default `prepare` are all that is cacheable.
-    fn prepare(
-        &self,
-        graph: &Graph,
-        _tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        validate_arc_ids(&self.name(), graph)?;
         Ok(CompileArtifacts::graph_only(graph))
     }
     fn execute(
@@ -566,28 +568,16 @@ impl Compiler for RewindAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::RateResilient
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
-        validate_arc_ids(&self.name(), graph)?;
-        if is_complete(graph) {
-            return validate_clique_floor(&self.name(), graph, self.f);
-        }
-        validate_packing_feasible(&self.name(), graph, default_tree_count(self.f), 2, self.f)
-    }
     fn prepare(
         &self,
         graph: &Graph,
         tracer: &mut obs::Tracer,
     ) -> Result<CompileArtifacts, ScenarioError> {
+        let k = default_tree_count(self.f);
+        validate_packable(&self.name(), graph, k, self.f)?;
         // Only the packing is seed-independent (the rewind schedule itself
         // reacts to the adversary), so the artifacts carry the bare packing.
-        validate_arc_ids(&self.name(), graph)?;
-        let packing = resilient_packing_on(
-            graph,
-            tracer,
-            default_tree_count(self.f),
-            PackingVersion::default(),
-        );
+        let packing = resilient_packing_on(graph, tracer, k, PackingVersion::default());
         Ok(CompileArtifacts::with_payload(graph, packing))
     }
     fn execute(
@@ -650,26 +640,24 @@ impl Compiler for StaticToMobileAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Secure
     }
-    fn validate(&self, _graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
-        if self.words_per_message == 0 {
-            return Err(ScenarioError::InvalidParameter {
-                compiler: self.name(),
-                reason: "words_per_message must be at least 1".into(),
-            });
-        }
-        Ok(())
-    }
     // Key schedules are exchanged *over the network* per run (the pads depend
-    // on node randomness the eavesdropper races against), so the default
-    // graph-only `prepare` is all that is cacheable.
+    // on node randomness the eavesdropper races against), so past the check
+    // graph-only artifacts are all that is cacheable.
+    fn prepare(
+        &self,
+        graph: &Graph,
+        _tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
+        validate_at_least_one(&self.name(), "words_per_message", self.words_per_message)?;
+        Ok(CompileArtifacts::graph_only(graph))
+    }
     fn execute(
         &self,
         _artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        self.validate(net.graph(), net.role())?;
+        validate_role(self, net.role())?;
         let compiler = StaticToMobileCompiler::new(self.t, self.words_per_message, self.seed);
         let (out, report) = compiler.run(&mut *make(), net);
         let notes = CompilerNotes::Secure {
@@ -720,8 +708,14 @@ impl Compiler for CongestionSensitiveAdapter {
     fn kind(&self) -> CompilerKind {
         CompilerKind::Secure
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        validate_role(self, role)?;
+    // Both the local and the global key exchanges run over the live
+    // (eavesdropped) network, so past the checks nothing beyond the warmed
+    // graph is seed-independent.
+    fn prepare(
+        &self,
+        graph: &Graph,
+        _tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
         if self.source >= graph.node_count() {
             return Err(ScenarioError::InvalidParameter {
                 compiler: self.name(),
@@ -732,24 +726,16 @@ impl Compiler for CongestionSensitiveAdapter {
                 ),
             });
         }
-        if self.words_per_message == 0 {
-            return Err(ScenarioError::InvalidParameter {
-                compiler: self.name(),
-                reason: "words_per_message must be at least 1".into(),
-            });
-        }
-        Ok(())
+        validate_at_least_one(&self.name(), "words_per_message", self.words_per_message)?;
+        Ok(CompileArtifacts::graph_only(graph))
     }
-    // Both the local and the global key exchanges run over the live
-    // (eavesdropped) network, so nothing beyond the default graph-only
-    // `prepare` is seed-independent.
     fn execute(
         &self,
         _artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        self.validate(net.graph(), net.role())?;
+        validate_role(self, net.role())?;
         let compiler = CongestionSensitiveCompiler::new(self.f, self.words_per_message, self.seed);
         let (out, report) = compiler.run(&mut *make(), net, self.source);
         let notes = CompilerNotes::CongestionSensitive {
@@ -906,24 +892,39 @@ impl CompilerDef {
 mod tests {
     use super::*;
     use congest_algorithms::{FloodBroadcast, LeaderElection};
-    use congest_sim::adversary::{CorruptionBudget, RandomMobile};
+    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
     use congest_sim::scenario::Scenario;
     use netgraph::generators;
+
+    /// The verdict alone: `prepare` under a disabled tracer, artifacts dropped.
+    fn verdict(adapter: &dyn Compiler, g: &Graph) -> Result<(), ScenarioError> {
+        adapter.prepare(g, &mut obs::Tracer::disabled()).map(|_| ())
+    }
 
     #[test]
     fn clique_adapter_rejects_non_cliques_and_eavesdroppers() {
         let adapter = CliqueAdapter::new(1, 7);
         let cycle = generators::cycle(6);
         assert!(matches!(
-            adapter.validate(&cycle, AdversaryRole::Byzantine),
+            verdict(&adapter, &cycle),
             Err(ScenarioError::UnsupportedGraph { .. })
         ));
         let clique = generators::complete(8);
         assert!(matches!(
-            adapter.validate(&clique, AdversaryRole::Eavesdropper),
+            validate_role(&adapter, AdversaryRole::Eavesdropper),
             Err(ScenarioError::RoleMismatch { .. })
         ));
-        assert!(adapter.validate(&clique, AdversaryRole::Byzantine).is_ok());
+        assert_eq!(validate_role(&adapter, AdversaryRole::Byzantine), Ok(()));
+        assert_eq!(verdict(&adapter, &clique), Ok(()));
+        // K3 is complete but lambda = 2 < 2f + 1.
+        assert_eq!(
+            verdict(&adapter, &generators::complete(3)),
+            Err(ScenarioError::InsufficientConnectivity {
+                compiler: adapter.name(),
+                needed: 3,
+                found: 2,
+            })
+        );
     }
 
     #[test]
@@ -942,34 +943,75 @@ mod tests {
         ];
         for adapter in adapters {
             let name = adapter.name();
-            assert_eq!(adapter.validate(&fits, AdversaryRole::Byzantine), Ok(()));
-            let rejected = [
-                adapter.validate(&too_large, AdversaryRole::Byzantine),
-                adapter
-                    .prepare(&too_large, &mut obs::Tracer::disabled())
-                    .map(|_| ()),
-            ];
-            for result in rejected {
-                match result {
-                    Err(ScenarioError::UnsupportedGraph { compiler, reason }) => {
-                        assert_eq!(compiler, name);
-                        assert!(
-                            reason.contains("65792") && reason.contains("65536"),
-                            "{reason}"
-                        );
+            assert_eq!(verdict(&*adapter, &fits), Ok(()));
+            match verdict(&*adapter, &too_large) {
+                Err(ScenarioError::UnsupportedGraph { compiler, reason }) => {
+                    assert_eq!(compiler, name);
+                    assert!(
+                        reason.contains("65792") && reason.contains("65536"),
+                        "{reason}"
+                    );
+                }
+                other => panic!("{name}: expected UnsupportedGraph, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn parameter_floors_are_typed_errors_not_constructor_panics() {
+        // `trees: 0` used to reach `greedy_low_depth_packing`'s `k > 0`
+        // assert, `k: 0` the expander's `gen_range(0..0)`; zero-width
+        // messages and an off-graph source were already typed.
+        let g = generators::circulant(18, 4);
+        let adapters: [Box<dyn Compiler>; 5] = [
+            Box::new(TreePackingAdapter::new(1, 5).with_trees(0)),
+            Box::new(ExpanderAdapter::new(1, 0, 6, 5)),
+            Box::new(StaticToMobileAdapter::new(4, 0, 5)),
+            Box::new(CongestionSensitiveAdapter::new(1, 0, 5)),
+            Box::new(CongestionSensitiveAdapter::new(1, 2, 5).with_source(18)),
+        ];
+        for adapter in adapters {
+            for graph in [&g, &generators::complete(12)] {
+                match verdict(&*adapter, graph) {
+                    Err(ScenarioError::InvalidParameter { compiler, .. }) => {
+                        assert_eq!(compiler, adapter.name())
                     }
-                    other => panic!("{name}: expected UnsupportedGraph, got {other:?}"),
+                    other => panic!("{}: got {other:?}", adapter.name()),
                 }
             }
         }
     }
 
     #[test]
+    fn disconnected_graphs_are_rejected_before_any_packing_is_attempted() {
+        // `greedy_low_depth_packing` asserts connectivity; the lambda floor
+        // in front of it answers with lambda = 0 instead.
+        let two_cycles: Vec<(NodeId, NodeId)> = (0..6)
+            .flat_map(|i| [(i, (i + 1) % 6), (6 + i, 6 + (i + 1) % 6)])
+            .collect();
+        let g = Graph::from_edges(12, &two_cycles);
+        let adapters: [Box<dyn Compiler>; 4] = [
+            Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V1Greedy)),
+            Box::new(TreePackingAdapter::new(1, 5)),
+            Box::new(RewindAdapter::new(1, 5)),
+            Box::new(CycleCoverAdapter::new(1)),
+        ];
+        for adapter in adapters {
+            assert_eq!(
+                verdict(&*adapter, &g),
+                Err(ScenarioError::InsufficientConnectivity {
+                    compiler: adapter.name(),
+                    needed: 3,
+                    found: 0,
+                })
+            );
+        }
+    }
+
+    #[test]
     fn cycle_cover_adapter_reports_connectivity() {
         let adapter = CycleCoverAdapter::new(1);
-        let err = adapter
-            .validate(&generators::cycle(6), AdversaryRole::Byzantine)
-            .unwrap_err();
+        let err = verdict(&adapter, &generators::cycle(6)).unwrap_err();
         assert_eq!(
             err,
             ScenarioError::InsufficientConnectivity {
@@ -978,14 +1020,12 @@ mod tests {
                 found: 2,
             }
         );
-        assert!(adapter
-            .validate(&generators::circulant(9, 2), AdversaryRole::Byzantine)
-            .is_ok());
+        assert_eq!(verdict(&adapter, &generators::circulant(9, 2)), Ok(()));
     }
 
     #[test]
     fn threshold_validation_reports_the_exact_connectivity_found() {
-        // Validation only asks `λ ≥ 2f+1`; a cell that fails it must still
+        // `prepare` only asks `λ ≥ 2f+1`; a pair that fails it must still
         // carry the exact λ in its typed error.
         let adapters: [Box<dyn Compiler>; 3] = [
             Box::new(CycleCoverAdapter::new(1)),
@@ -999,7 +1039,7 @@ mod tests {
         ] {
             for adapter in &adapters {
                 assert_eq!(
-                    adapter.validate(&g, AdversaryRole::Byzantine),
+                    verdict(&**adapter, &g),
                     Err(ScenarioError::InsufficientConnectivity {
                         compiler: adapter.name(),
                         needed: 3,

@@ -17,7 +17,8 @@
 //!   packing's trees (majority of RS-compiled instances); on `GoodState = 0`
 //!   the last committed round is popped.
 //!
-//! > **Substitution note** (see DESIGN.md): the paper lets different nodes sit
+//! > **Substitution note** (see "Deviations from the paper" in
+//! > `docs/ARCHITECTURE.md`): the paper lets different nodes sit
 //! > at different local rounds; this reproduction keeps the network
 //! > synchronised (the rewind decision is global), which preserves the
 //! > potential-function behaviour — good global rounds add progress, bursty

@@ -20,7 +20,6 @@ use congest_sim::scenario::{
     ScenarioError, Uncompiled,
 };
 use congest_sim::traffic::Output;
-use congest_sim::AdversaryRole;
 use netgraph::Graph;
 
 /// Resolve `def` into one boxed compiler instance.
@@ -91,16 +90,13 @@ impl Compiler for CompilerDef {
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         instantiate(self).execute(artifacts, make, net)
     }
-    fn validate(&self, graph: &Graph, role: AdversaryRole) -> Result<(), ScenarioError> {
-        instantiate(self).validate(graph, role)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use congest_algorithms::FloodBroadcast;
-    use congest_sim::adversary::{CorruptionBudget, RandomMobile};
+    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
     use congest_sim::scenario::Scenario;
     use netgraph::generators;
 

@@ -10,7 +10,8 @@
 //! contains no "bad" edge (an edge whose pad the adversary pinned down), which
 //! the parameter choice `k > η·f_bad` guarantees.
 //!
-//! > **Substitution note** (see DESIGN.md): the paper's Θ(√(f·b·n)) landmark /
+//! > **Substitution note** (see "Deviations from the paper" in
+//! > `docs/ARCHITECTURE.md`): the paper's Θ(√(f·b·n)) landmark /
 //! > fractional-tree-packing machinery is replaced by an integral greedy tree
 //! > packing, so the round complexity here is `Õ(f·D + b)` rather than
 //! > `Õ(D + √(f·b·n) + b)`; the security structure (share-per-tree + one-time

@@ -6,7 +6,8 @@
 //! edge, and an eavesdropper that misses at least one path entirely learns
 //! nothing (information-theoretically).
 //!
-//! > **Substitution note** (see DESIGN.md): the paper uses Jain's
+//! > **Substitution note** (see "Deviations from the paper" in
+//! > `docs/ARCHITECTURE.md`): the paper uses Jain's
 //! > network-coding unicast, whose security condition is "`F` does not
 //! > disconnect `s` from `t`".  The share-per-disjoint-path scheme used here
 //! > preserves the properties the mobile compilation relies on — exactly one

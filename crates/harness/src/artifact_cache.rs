@@ -1,14 +1,15 @@
-//! The campaign compile-artifact cache: one [`CompileArtifacts`] per
+//! The campaign compile-artifact cache: one [`Verdict`] per
 //! `(GraphDef, CompilerDef)` pair, shared across the worker pool and across
 //! `campaignd` batches.
 //!
 //! A campaign grid runs every compiler against every graph under several
-//! adversaries and seed repetitions, but [`Compiler::prepare`] — the graph
-//! clone, CSR index, tree packings, wrapped compiler instances — is keyed by
-//! the `(graph, compiler)` pair alone.  The cache computes each pair's
-//! artifacts **exactly once** (the preparing worker holds the pair's shard
-//! lock, so concurrent workers block rather than duplicate the work) and
-//! hands every other cell of the pair an `Arc` share.
+//! adversaries and seed repetitions, but [`Compiler::prepare`] — the
+//! compiler's judgement of the graph, then the graph clone, CSR index, tree
+//! packings, wrapped compiler instances — is keyed by the `(graph,
+//! compiler)` pair alone.  The cache computes each pair's verdict **exactly
+//! once** (the preparing worker holds the pair's shard lock, so concurrent
+//! workers block rather than duplicate the work) and hands every other cell
+//! of the pair a clone: an `Arc` share of the artifacts, or the typed error.
 //!
 //! Keys are the **spec-layer canonical JSON** of the two defs
 //! ([`crate::spec::graph_to_json`] / [`crate::spec::compiler_to_json`]), not
@@ -17,10 +18,12 @@
 //! [`Campaign::from_spec`](crate::Campaign::from_spec) know their defs;
 //! hand-built campaigns run uncached, bit-for-bit as before.
 //!
-//! Failed preparations are cached too ([`ScenarioError`] is `Clone`): a
+//! Rejections are verdicts like any other ([`ScenarioError`] is `Clone`): a
 //! structurally incompatible pair — the clique compiler on a torus, say —
-//! costs one `prepare` for the whole campaign, and every cell of the pair
-//! reproduces the identical typed error the uncached path would surface.
+//! costs one `prepare` for the whole campaign, and the cached error *is* the
+//! outcome of every cell of the pair (a role mismatch aside, which
+//! `ScenarioBuilder::build` ranks first), exactly what the uncached path's
+//! own `prepare` returns.
 //!
 //! Determinism: prepared artifacts are a pure function of `(graph,
 //! compiler)`, so campaign fingerprints are byte-identical with the cache on
@@ -29,7 +32,7 @@
 //! the cache — `prepare` emits packing spans into the cell's event stream,
 //! and a cache hit would elide them from all but the first cell.
 
-use congest_sim::scenario::{CompileArtifacts, Compiler, ScenarioError};
+use congest_sim::scenario::{CompileArtifacts, Compiler, ScenarioError, Verdict};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,18 +41,14 @@ use std::sync::{Arc, Mutex};
 /// negligible at any realistic worker count while staying cheap to allocate.
 const SHARDS: usize = 16;
 
-/// One cached preparation outcome: the shared artifacts, or the typed error
-/// every cell of the pair will reproduce.
-type CachedPrepare = Result<Arc<CompileArtifacts>, ScenarioError>;
-
 /// A sharded, insert-once map from `(GraphDef, CompilerDef)` canonical JSON
-/// keys to prepared [`CompileArtifacts`], with hit/miss counters.
+/// keys to [`Verdict`]s, with hit/miss counters.
 ///
 /// Entries are never evicted or replaced — once a key is populated it is
 /// read-only, which is what makes handing `Arc` shares to a worker pool
 /// sound without any further synchronisation.
 pub struct ArtifactCache {
-    shards: Vec<Mutex<HashMap<String, CachedPrepare>>>,
+    shards: Vec<Mutex<HashMap<String, Verdict>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -87,7 +86,7 @@ impl ArtifactCache {
         format!("{graph_json}\n{compiler_json}")
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, CachedPrepare>> {
+    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Verdict>> {
         // FNV-1a over the key bytes picks the shard; any stable spread works.
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
         for &b in key.as_bytes() {
@@ -104,7 +103,7 @@ impl ArtifactCache {
         &self,
         key: &str,
         prepare: impl FnOnce() -> Result<CompileArtifacts, ScenarioError>,
-    ) -> CachedPrepare {
+    ) -> Verdict {
         let mut shard = self.shard(key).lock().expect("artifact-cache shard lock");
         if let Some(cached) = shard.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -124,7 +123,7 @@ impl ArtifactCache {
         key: &str,
         compiler: &dyn Compiler,
         graph: &netgraph::Graph,
-    ) -> CachedPrepare {
+    ) -> Verdict {
         self.get_or_prepare(key, || {
             let mut tracer = obs::TraceSpec::off().build_tracer();
             compiler.prepare(graph, &mut tracer)

@@ -196,8 +196,8 @@ impl Campaign {
         self
     }
 
-    /// Disable the compile-artifact cache: every cell prepares its own
-    /// artifacts, exactly as a hand-built campaign does.  Reports are
+    /// Disable the compile-artifact cache: every cell calls `prepare`
+    /// itself, exactly as a hand-built campaign does.  Reports are
     /// byte-identical either way; this exists for measurement (the bench
     /// package's cache probes) and as the CLI `--no-cache` escape hatch.
     pub fn without_artifact_cache(mut self) -> Self {
@@ -311,17 +311,13 @@ impl Campaign {
                 let p = Arc::clone(&payload);
                 move |g: &Graph| p(g)
             };
-            // A failed `prepare` is cached as the typed error and surfaces
-            // here as `None`: the cell then runs the uncached path, whose
-            // validation reproduces the identical error inline.
-            let artifacts = cache.and_then(|(cache, keys)| {
-                cache
-                    .get_or_prepare(&keys[gi * n_c + ci], || {
-                        let compiler = cspec.instantiate();
-                        let mut tracer = obs::TraceSpec::off().build_tracer();
-                        compiler.prepare(&gspec.graph, &mut tracer)
-                    })
-                    .ok()
+            // The pair's verdict, rejection included, goes to the cell as is.
+            let verdict = cache.map(|(cache, keys)| {
+                cache.get_or_prepare(&keys[gi * n_c + ci], || {
+                    cspec
+                        .instantiate()
+                        .prepare(&gspec.graph, &mut obs::Tracer::disabled())
+                })
             });
             CampaignCell {
                 index,
@@ -337,7 +333,7 @@ impl Campaign {
                     &cell_payload,
                     seed,
                     self.trace,
-                    artifacts,
+                    verdict,
                 ),
             }
         });
@@ -454,8 +450,7 @@ impl CampaignReport {
     }
 
     /// Whether every executed non-baseline cell produced outputs that agree
-    /// with the fault-free reference (mirrors
-    /// `matrix::MatrixReport::all_protected_cells_agree`).
+    /// with the fault-free reference.
     pub fn all_protected_cells_agree(&self) -> bool {
         self.executed().all(|cell| match &cell.outcome {
             Ok(report) => report.protected_cell_ok(),
@@ -797,5 +792,69 @@ mod tests {
             "one summary per grid cell, not per name"
         );
         assert!(summaries.iter().all(|s| s.executed == 2));
+    }
+
+    #[test]
+    fn a_hand_built_grid_covers_every_cell_and_skips_role_mismatches() {
+        use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
+        use congest_sim::network::Network;
+        use congest_sim::scenario::{
+            doctest_payload, CompileArtifacts, Compiler, CompilerKind, CompilerNotes, FaultFree,
+            Uncompiled,
+        };
+        use congest_sim::traffic::Output;
+        use netgraph::generators;
+
+        // A dummy "secure" compiler that just runs uncompiled, to exercise
+        // role-based skipping without the core adapters.
+        #[derive(Clone)]
+        struct SecureShim;
+        impl Compiler for SecureShim {
+            fn name(&self) -> String {
+                "secure-shim".into()
+            }
+            fn kind(&self) -> CompilerKind {
+                CompilerKind::Secure
+            }
+            fn execute(
+                &self,
+                artifacts: &CompileArtifacts,
+                make: &dyn Fn() -> BoxedAlgorithm,
+                net: &mut Network,
+            ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
+                Uncompiled.execute(artifacts, make, net)
+            }
+        }
+        let mobile = |name: &str, role| {
+            AdversarySpec::new(name, role, CorruptionBudget::Mobile { f: 1 }, |seed| {
+                Box::new(RandomMobile::new(1, seed))
+            })
+        };
+        let report = Campaign::new(42)
+            .graphs(vec![
+                GraphSpec::new("cycle6", generators::cycle(6)),
+                GraphSpec::new("K5", generators::complete(5)),
+            ])
+            .adversaries(vec![
+                mobile("random-mobile", AdversaryRole::Byzantine),
+                mobile("eavesdropper", AdversaryRole::Eavesdropper),
+            ])
+            .compilers(vec![
+                CompilerSpec::of(FaultFree),
+                CompilerSpec::of(SecureShim),
+            ])
+            .payload(|g| Box::new(doctest_payload(g.clone())) as BoxedAlgorithm)
+            .threads(1)
+            .run();
+        assert_eq!(report.cells.len(), 2 * 2 * 2);
+        // The secure shim is skipped under the byzantine adversary on every graph.
+        assert_eq!(report.skipped_count(), 2);
+        assert!(report
+            .cells
+            .iter()
+            .filter(|c| c.skipped())
+            .all(|c| matches!(c.outcome, Err(ScenarioError::RoleMismatch { .. }))));
+        assert!(report.all_protected_cells_agree());
+        assert!(report.to_table().contains("skipped"));
     }
 }

@@ -9,11 +9,12 @@
 //! campaign's report is **byte-identical at any thread count** (covered by a
 //! regression test that compares 1-, 2- and 8-worker fingerprints).
 //!
-//! Each cell runs through the same `Scenario` pipeline as
-//! `congest_sim::scenario::matrix::sweep` (the single-threaded facade over
-//! the shared [`run_cell`](congest_sim::scenario::matrix::run_cell) entry
-//! point), so typed validation skips, [`RunReport`]s and the per-compiler
-//! [`CompilerNotes`] diagnostics all flow through unchanged.  On top, the
+//! Each cell runs through the `Scenario` pipeline by way of the one per-cell
+//! entry point, [`run_cell`](congest_sim::scenario::matrix::run_cell) — this
+//! is the only grid engine, `.threads(1)` included — so typed skips (a role
+//! mismatch, or the `(graph, compiler)` verdict of `Compiler::prepare`),
+//! [`RunReport`]s and the per-compiler [`CompilerNotes`] diagnostics all
+//! flow through unchanged.  On top, the
 //! report aggregates every numeric facet — run metrics plus the typed notes
 //! (rewinds, correction verdicts, key rounds, packing quality) — into
 //! mean/min/max/p50/p99 summaries per grid cell, and exports the whole

@@ -14,7 +14,9 @@
 //!   majority along trees and path systems), used by the cycle-cover compiler
 //!   of Theorem 1.4 and as a non-oracle demonstration of the same pipeline.
 //!
-//! See DESIGN.md for the substitution note on tree codes.
+//! Substitution note: no tree code is executed — the Theorem 3.2 guarantee is
+//! a corruption-counting oracle.  See "Deviations from the paper" in
+//! `docs/ARCHITECTURE.md`.
 
 pub mod replay;
 pub mod scheduler;

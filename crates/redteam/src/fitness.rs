@@ -5,7 +5,7 @@ use crate::schedule::SynthesizedAdversary;
 use crate::spec::TargetSpec;
 use congest_sim::adversary::CorruptionMode;
 use congest_sim::scenario::matrix::{run_cell, CompilerSpec, GraphSpec};
-use congest_sim::scenario::{CompileArtifacts, RunReport, ScenarioError};
+use congest_sim::scenario::{RunReport, ScenarioError, Verdict};
 use mobile_congest_core::adapters::CompilerDef;
 use mobile_congest_harness::campaign::cell_seed;
 use mobile_congest_harness::json;
@@ -110,11 +110,11 @@ pub struct ResolvedTarget {
     /// `target.seed` gets — which is why an exported counterexample spec
     /// replays the search's evaluation bit-for-bit.
     pub eval_seed: u64,
-    /// The `(graph, compiler)` artifacts, prepared once when the target is
-    /// resolved and shared by every candidate evaluation.  `None` when
-    /// `prepare` failed: evaluations then prepare inline and reproduce the
-    /// identical typed error.
-    artifacts: Option<Arc<CompileArtifacts>>,
+    /// The `(graph, compiler)` verdict, computed once when the target is
+    /// resolved and shared by every candidate evaluation — a rejection
+    /// included, so a graph the compiler refuses (the shrinker proposes
+    /// graphs nobody judged) scores no damage without running anything.
+    verdict: Verdict,
 }
 
 impl ResolvedTarget {
@@ -154,10 +154,9 @@ impl ResolvedTarget {
         let gspec = GraphSpec::from_def(graph_def)?;
         payload.validate(&gspec.name, &gspec.graph)?;
         let cspec = compiler.to_spec();
-        let artifacts = cspec
+        let verdict = cspec
             .instantiate()
             .prepare(&gspec.graph, &mut obs::Tracer::disabled())
-            .ok()
             .map(Arc::new);
         Ok(ResolvedTarget {
             graph_def: graph_def.clone(),
@@ -167,7 +166,7 @@ impl ResolvedTarget {
             payload: payload.clone(),
             mode,
             eval_seed,
-            artifacts,
+            verdict,
         })
     }
 
@@ -190,7 +189,7 @@ impl ResolvedTarget {
             &move |g: &Graph| payload.build(g),
             self.eval_seed,
             obs::TraceSpec::off(),
-            self.artifacts.clone(),
+            Some(self.verdict.clone()),
         ) {
             Ok(report) => Fitness::from_report(&report),
             Err(_) => Fitness::default(),

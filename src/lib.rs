@@ -93,8 +93,8 @@ pub use obs;
 pub use sketches as sketch;
 
 /// The unified execution API: `Scenario` builder, `Compiler` trait, typed
-/// errors, run reports, grid sweeps, and the adapters for all seven of the
-/// paper's compilers.
+/// errors, run reports, the grid vocabulary, and the adapters for all seven
+/// of the paper's compilers.
 ///
 /// The pipeline pieces live in [`congest_sim::scenario`]; the per-compiler
 /// adapters live in [`mobile_congest_core::adapters`].  This module is the
@@ -106,7 +106,7 @@ pub mod scenario {
     pub use congest_sim::scenario::{
         doctest_payload, matrix, validate_role, BoxedAlgorithm, BuiltScenario, CompileArtifacts,
         Compiler, CompilerKind, CompilerNotes, FaultFree, PayloadFactory, RunReport, Scenario,
-        ScenarioBuilder, ScenarioError, Uncompiled,
+        ScenarioBuilder, ScenarioError, Uncompiled, Verdict,
     };
     pub use mobile_congest_core::adapters::{
         CliqueAdapter, CompilerDef, CongestionSensitiveAdapter, CycleCoverAdapter, ExpanderAdapter,

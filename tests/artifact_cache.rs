@@ -5,9 +5,10 @@
 //! thread count.
 
 use mobile_congest::graphs::generators;
-use mobile_congest::harness::{ArtifactCache, Campaign, CampaignSpec};
+use mobile_congest::harness::campaign::cell_json;
+use mobile_congest::harness::{ArtifactCache, Campaign, CampaignReport, CampaignSpec};
 use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::matrix::CompilerSpec;
+use mobile_congest::scenario::matrix::{CompilerSpec, GraphSpec};
 use mobile_congest::scenario::{
     BoxedAlgorithm, CompileArtifacts, Compiler, CompilerDef, CompilerKind, CompilerNotes, Scenario,
     ScenarioError,
@@ -16,6 +17,8 @@ use mobile_congest::sim::network::Network;
 use mobile_congest::sim::run_on_network;
 use mobile_congest::sim::traffic::Output;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn e16_small_spec() -> CampaignSpec {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/e16-small.json");
@@ -83,40 +86,199 @@ fn distinct_packing_versions_are_distinct_cache_entries() {
     assert_eq!(cache.hits(), 2);
 }
 
+/// A def-built compiler that counts its `prepare` calls.
+struct Counted {
+    inner: CompilerDef,
+    prepares: Arc<AtomicUsize>,
+}
+
+impl Compiler for Counted {
+    fn name(&self) -> String {
+        Compiler::name(&self.inner)
+    }
+    fn kind(&self) -> CompilerKind {
+        Compiler::kind(&self.inner)
+    }
+    fn prepare(
+        &self,
+        graph: &mobile_congest::graphs::Graph,
+        tracer: &mut mobile_congest::obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
+        self.prepares.fetch_add(1, Ordering::Relaxed);
+        self.inner.prepare(graph, tracer)
+    }
+    fn execute(
+        &self,
+        artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
+        net: &mut Network,
+    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
+        self.inner.execute(artifacts, make, net)
+    }
+}
+
+/// One row of the inadmissible-input table: every `(graph, compiler)` pair of
+/// the grid is one `prepare` must reject with an error `rejection` accepts.
+/// However the campaign runs — cached, `without_artifact_cache()`, traced
+/// (which bypasses the cache) or hand-built from the resolved defs — every
+/// cell is the same typed skip with a byte-identical `cell_json` line, an
+/// eavesdropper cell is the role mismatch and not the pair's rejection, each
+/// cached cell moves exactly one cache counter, and each failing pair calls
+/// `prepare` exactly once per campaign.
+fn assert_inadmissible(graphs: &str, compilers: &str, rejection: impl Fn(&ScenarioError) -> bool) {
+    let spec = spec_of(&format!(
+        r#"{{
+  "kind": "campaign-spec",
+  "seed": 3,
+  "repetitions": 2,
+  "grid": {{
+    "graphs": [{graphs}],
+    "adversaries": [{{"kind":"random-mobile","f":1}}, {{"kind":"eavesdropper","f":2}}],
+    "compilers": [{compilers}],
+    "payload": {{"kind":"flood-broadcast","source":0,"value":7}}
+  }}
+}}"#
+    ));
+    let pairs = spec.grid.graphs.len() * spec.grid.compilers.len();
+    let prepares = Arc::new(AtomicUsize::new(0));
+    let counted = || -> Vec<CompilerSpec> {
+        let counted_spec = |def: &CompilerDef| {
+            let (def, prepares) = (def.clone(), Arc::clone(&prepares));
+            CompilerSpec::new(Compiler::name(&def), move || {
+                Box::new(Counted {
+                    inner: def.clone(),
+                    prepares: Arc::clone(&prepares),
+                })
+            })
+        };
+        spec.grid.compilers.iter().map(counted_spec).collect()
+    };
+    let lines =
+        |report: &CampaignReport| -> Vec<String> { report.cells.iter().map(cell_json).collect() };
+
+    // Cached, one cell per call (how the bench replays a campaign).
+    let campaign = Campaign::from_spec(&spec)
+        .unwrap()
+        .compilers(counted())
+        .threads(1);
+    let cache = Arc::clone(campaign.artifact_cache_handle().unwrap());
+    let cached = CampaignReport::merged((0..spec.cell_count()).map(|index| {
+        let before = cache.hits() + cache.misses();
+        let report = campaign.run_cells(&[index]);
+        assert_eq!(cache.hits() + cache.misses(), before + 1, "cell {index}");
+        report
+    }));
+    assert_eq!(cache.misses(), pairs as u64);
+    assert_eq!(prepares.swap(0, Ordering::Relaxed), pairs);
+
+    assert_eq!(cached.cells.len(), spec.cell_count());
+    assert_eq!(cached.skipped_count(), spec.cell_count());
+    for cell in &cached.cells {
+        let error = cell.outcome.as_ref().unwrap_err();
+        if cell.adversary == "eavesdropper" {
+            assert!(
+                matches!(error, ScenarioError::RoleMismatch { .. }),
+                "{}/{}: {error:?}",
+                cell.graph,
+                cell.compiler
+            );
+        } else {
+            assert!(
+                rejection(error),
+                "{}/{}: {error:?}",
+                cell.graph,
+                cell.compiler
+            );
+        }
+    }
+
+    // Uncached: `prepare` per cell, and never for a role mismatch.
+    let uncached = Campaign::from_spec(&spec)
+        .unwrap()
+        .without_artifact_cache()
+        .compilers(counted())
+        .threads(2)
+        .run();
+    assert_eq!(prepares.load(Ordering::Relaxed), spec.cell_count() / 2);
+    let traced = Campaign::from_spec(&spec)
+        .unwrap()
+        .trace(mobile_congest::obs::TraceSpec::ring())
+        .threads(2)
+        .run();
+    let grid = &spec.grid;
+    let payload = grid.payload.clone();
+    let hand_built = Campaign::new(spec.seed)
+        .graphs(
+            grid.graphs
+                .iter()
+                .map(|def| GraphSpec::from_def(def).unwrap())
+                .collect(),
+        )
+        .adversaries(grid.adversaries.iter().map(|def| def.to_spec()).collect())
+        .compilers(grid.compilers.iter().map(|def| def.to_spec()).collect())
+        .payload(move |g| payload.build(g))
+        .repetitions(spec.repetitions)
+        .threads(2)
+        .run();
+    for (how, report) in [
+        ("uncached", &uncached),
+        ("traced", &traced),
+        ("hand-built", &hand_built),
+    ] {
+        assert_eq!(lines(report), lines(&cached), "{how} run diverged");
+        assert_eq!(report.fingerprint(), cached.fingerprint(), "{how} run");
+    }
+}
+
 #[test]
 fn a_graph_beyond_the_16_bit_arc_ids_is_a_skipped_cell_cache_or_not() {
     // K258 has 66 306 arcs; the correction sketches address 65 536.  Specs
     // carry no size cap, so this used to pass `build()` and panic in the
     // worker (`arc id 66304 exceeds 16 bits`) once the adversary touched a
-    // high arc.  Now both `validate` and `prepare` answer with a typed error.
-    let spec = spec_of(
-        r#"{
-  "kind": "campaign-spec",
-  "seed": 3,
-  "repetitions": 1,
-  "grid": {
-    "graphs": [{"family":"complete","n":258}],
-    "adversaries": [{"kind":"random-mobile","f":1}],
-    "compilers": [{"id":"clique","f":1,"seed":5}],
-    "payload": {"kind":"flood-broadcast","source":0,"value":7}
-  }
-}"#,
+    // high arc.
+    assert_inadmissible(
+        r#"{"family":"complete","n":258}"#,
+        r#"{"id":"clique","f":1,"seed":5}"#,
+        |e| matches!(e, ScenarioError::UnsupportedGraph { reason, .. } if reason.contains("66306")),
     );
-    let cached = Campaign::from_spec(&spec).unwrap().threads(1).run();
-    let uncached = Campaign::from_spec(&spec)
-        .unwrap()
-        .without_artifact_cache()
-        .threads(1)
-        .run();
-    for report in [&cached, &uncached] {
-        assert_eq!(report.cells.len(), 1);
-        assert_eq!(report.skipped_count(), 1);
-        assert!(matches!(
-            &report.cells[0].outcome,
-            Err(ScenarioError::UnsupportedGraph { reason, .. }) if reason.contains("66306")
-        ));
-    }
-    assert_eq!(cached.fingerprint(), uncached.fingerprint());
+}
+
+#[test]
+fn disconnected_graphs_are_skipped_cells_not_a_packing_panic_under_the_shard_lock() {
+    // Both generators give a disconnected graph at this seed.  The cached
+    // path used to call `prepare` — `greedy_low_depth_packing` asserts
+    // connectivity — before anything judged the graph, while `--no-cache`
+    // gave the typed skip.
+    assert_inadmissible(
+        r#"{"family":"expander-d-regular","n":24,"d":2,"seed":2},
+           {"family":"watts-strogatz","n":24,"k":2,"beta":0.9,"seed":2}"#,
+        r#"{"id":"tree-packing","f":1,"seed":5,"packing":"v1"},
+           {"id":"tree-packing","f":1,"seed":5,"packing":"v2"},
+           {"id":"rewind","f":1,"seed":5},
+           {"id":"cycle-cover","f":1}"#,
+        |e| {
+            matches!(
+                e,
+                ScenarioError::InsufficientConnectivity {
+                    needed: 3,
+                    found: 0,
+                    ..
+                }
+            )
+        },
+    );
+}
+
+#[test]
+fn parameter_floors_are_skipped_cells_not_constructor_panics() {
+    // `trees: 0` hit `k must be positive` in the packing constructor and
+    // `k: 0` an empty `gen_range` in the under-attack packing, cache on or off.
+    assert_inadmissible(
+        r#"{"family":"circulant","n":18,"k":4}, {"family":"complete","n":12}"#,
+        r#"{"id":"tree-packing","f":1,"trees":0,"seed":5},
+           {"id":"expander","f":1,"k":0,"bfs_rounds":6,"seed":5}"#,
+        |e| matches!(e, ScenarioError::InvalidParameter { .. }),
+    );
 }
 
 #[test]
@@ -167,7 +329,7 @@ fn traced_campaigns_bypass_the_cache() {
 }
 
 /// A compiler written against the public trait alone: `name`, `kind` and the
-/// one required run method (`prepare` and `validate` are the defaults).
+/// one required run method (`prepare` is the accept-everything default).
 #[derive(Clone)]
 struct ThirdParty;
 

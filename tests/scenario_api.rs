@@ -1,9 +1,10 @@
 //! Contract tests for the unified `Scenario` execution API: build-time
 //! validation of role/compiler pairings, byte-for-byte parity of the
 //! `Uncompiled`/`FaultFree` compilers with the low-level entry points, and
-//! the graph × adversary × compiler matrix sweep.
+//! the graph × adversary × compiler grid swept by a one-thread `Campaign`.
 
 use mobile_congest::graphs::generators;
+use mobile_congest::harness::Campaign;
 use mobile_congest::payloads::{ConvergecastSum, FloodBroadcast, LeaderElection};
 use mobile_congest::scenario::{
     matrix, CliqueAdapter, Compiler, CompilerKind, CompilerNotes, CongestionSensitiveAdapter,
@@ -314,7 +315,7 @@ fn fault_free_scenario_reproduces_run_fault_free_byte_for_byte() {
 }
 
 /// The acceptance-grade sweep: 3 graph families × 4 adversary strategies ×
-/// 6 compilers through `scenario::matrix` in one call.  Structurally
+/// 6 compilers through a hand-built one-thread `Campaign`.  Structurally
 /// impossible cells must be skipped with typed errors; every executed
 /// protected cell must agree with the fault-free reference.
 #[test]
@@ -359,13 +360,14 @@ fn matrix_sweep_graphs_by_adversaries_by_compilers() {
         matrix::CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
     ];
 
-    let report = matrix::sweep(
-        &graphs,
-        &adversaries,
-        &compilers,
-        |g| Box::new(FloodBroadcast::new(g.clone(), 0, 4242)),
-        2024,
-    );
+    let graph_names: Vec<String> = graphs.iter().map(|g| g.name.clone()).collect();
+    let report = Campaign::new(2024)
+        .graphs(graphs)
+        .adversaries(adversaries)
+        .compilers(compilers)
+        .payload(|g| Box::new(FloodBroadcast::new(g.clone(), 0, 4242)))
+        .threads(1)
+        .run();
 
     assert_eq!(report.cells.len(), 3 * 4 * 6, "full grid must be covered");
 
@@ -420,8 +422,8 @@ fn matrix_sweep_graphs_by_adversaries_by_compilers() {
 
     // The formatted table mentions every graph family.
     let table = report.to_table();
-    for gspec in &graphs {
-        assert!(table.contains(&gspec.name));
+    for name in &graph_names {
+        assert!(table.contains(name));
     }
 }
 

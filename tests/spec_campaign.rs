@@ -164,8 +164,8 @@ fn spec_built_campaign_matches_hand_built_at_any_thread_count() {
 /// A/Bs tree-packing v1 vs v2 on the PR-3 frontier cell (sparse small world ×
 /// targeted heaviest-edge adversaries).  v1's failure stays pinned as the
 /// baseline; v2 must fully correct every cell.  The CI pipeline runs the same
-/// spec through the campaign CLI and greps the trajectory, so this test is
-/// the local twin of the quality-gate step.
+/// spec through the campaign CLI, but this test is the gate: the step's
+/// negated greps could not fail it and were removed.
 #[test]
 fn frontier_spec_pins_v1_failure_and_v2_full_correction() {
     let path = concat!(
@@ -212,7 +212,7 @@ fn frontier_spec_pins_v1_failure_and_v2_full_correction() {
         "the v1 frontier baseline disappeared — update the spec and ROADMAP.md"
     );
 
-    // The summary groups the CI gate greps: v2 groups report zero
+    // The summary groups say the same: v2 groups report zero
     // disagreements and a fully_corrected mean of 1.
     for s in report.summaries() {
         if s.compiler.ends_with("v2)") {
@@ -227,9 +227,9 @@ fn frontier_spec_pins_v1_failure_and_v2_full_correction() {
 /// runs the flood-broadcast payload through the asynchronous execution
 /// runtime under delay, reorder and crash-recovery schedules on a small grid
 /// and a circulant ring.  The CI pipeline runs the same spec through the
-/// campaign CLI and greps the trajectory, so this test is the local twin of
-/// the quality-gate step: every async cell completes (no node starves under
-/// any schedule), and crash-recovery cells under the eavesdropper still
+/// campaign CLI, but this test is the gate (the step's negated greps could
+/// not fail it and were removed): every async cell completes (no node starves
+/// under any schedule), and crash-recovery cells under the eavesdropper still
 /// reach full agreement with the fault-free reference.
 #[test]
 fn async_spec_pins_completion_and_crash_recovery() {
