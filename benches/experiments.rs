@@ -14,7 +14,8 @@ use mobile_congest::compilers::resilient::{
     l0_threshold_correction, sparse_majority_correction, CorrectionContext,
 };
 use mobile_congest::compilers::secure::{
-    mobile_secure_broadcast, mobile_secure_multicast, mobile_secure_unicast, UnicastInstance,
+    broadcast_packing, mobile_secure_broadcast, mobile_secure_multicast, mobile_secure_unicast,
+    UnicastInstance,
 };
 use mobile_congest::graphs::connectivity::{edge_connectivity, estimate_dtp, sweep_conductance};
 use mobile_congest::graphs::generators;
@@ -208,7 +209,8 @@ fn e4_secure_broadcast() {
             let g = generators::complete(14);
             let secret: Vec<u64> = (0..b as u64).map(|i| 0xA000 + i).collect();
             let mut net = primitive_net(&g, AdversaryRole::Eavesdropper, f, 3 + f as u64);
-            let (_, rep) = mobile_secure_broadcast(&mut net, 0, &secret, f, 21);
+            let packing = broadcast_packing(&g, 0, f);
+            let (_, rep) = mobile_secure_broadcast(&mut net, 0, &secret, f, 21, &packing);
             println!(
                 "{:>10} {:>4} {:>4} {:>10} {:>12} {:>8}",
                 "K14", f, b, rep.key_rounds, rep.dissemination_rounds, rep.all_recovered

@@ -55,6 +55,29 @@ impl Fp61 {
     pub fn value(self) -> u64 {
         self.0
     }
+
+    /// One Horner step `acc·x + c` on a *lazily reduced* accumulator: a raw
+    /// word congruent to the field element, below `2^62` but not canonical.
+    ///
+    /// With `acc < 2^62` and canonical `x, c < 2^61` the product is below
+    /// `2^123`, so its low 61 bits `lo < 2^61` and the rest `hi < 2^62` sum
+    /// with `c` to `s < 2^63`; one Mersenne fold `(s & p) + (s >> 61)` is
+    /// then below `2^61 + 4`, back inside the invariant.  That is one fold
+    /// per step where `acc * x + c` on [`Fp61`] canonicalises four times.
+    /// Start a chain from `0` and finish it with [`Fp61::from_lazy`].
+    #[inline(always)]
+    pub(crate) fn mul_add_lazy(acc: u64, x: Fp61, c: Fp61) -> u64 {
+        debug_assert!(acc < 1 << 62);
+        let prod = (acc as u128) * (x.0 as u128);
+        let s = (prod as u64 & P61) + ((prod >> 61) as u64) + c.0;
+        (s & P61) + (s >> 61)
+    }
+
+    /// Canonicalise the accumulator of a [`Fp61::mul_add_lazy`] chain.
+    #[inline]
+    pub(crate) fn from_lazy(acc: u64) -> Self {
+        Fp61(reduce(acc))
+    }
 }
 
 impl Add for Fp61 {

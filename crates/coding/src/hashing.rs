@@ -66,14 +66,15 @@ impl KWiseHash {
         self.range
     }
 
-    /// Evaluate the hash on `x`.
+    /// Evaluate the hash on `x`: Horner's rule on a lazily reduced
+    /// accumulator (one Mersenne fold per step), canonical only at the end.
     pub fn hash(&self, x: u64) -> u64 {
         let x = Fp61::from_u64(x);
-        let mut acc = Fp61::ZERO;
+        let mut acc = 0u64;
         for &c in self.coeffs.iter().rev() {
-            acc = acc * x + c;
+            acc = Fp61::mul_add_lazy(acc, x, c);
         }
-        acc.to_u64() % self.range
+        Fp61::from_lazy(acc).to_u64() % self.range
     }
 
     /// Evaluate the hash on every input in place: `xs[i]` becomes
@@ -81,21 +82,22 @@ impl KWiseHash {
     ///
     /// One evaluation is a chain of `c` dependent multiply–adds, so a single
     /// [`KWiseHash::hash`] call is bound by multiplier latency; this walks
-    /// four inputs' Horner chains in lockstep so the multiplies overlap.
+    /// four inputs' lazily reduced Horner chains in lockstep so the
+    /// multiplies overlap.
     /// Callers that tag a whole round of messages (Theorem 1.3) batch them
     /// through here.
     pub fn hash_many(&self, xs: &mut [u64]) {
         let mut quads = xs.chunks_exact_mut(4);
         for quad in &mut quads {
             let x: [Fp61; 4] = std::array::from_fn(|lane| Fp61::from_u64(quad[lane]));
-            let mut acc = [Fp61::ZERO; 4];
+            let mut acc = [0u64; 4];
             for &c in self.coeffs.iter().rev() {
                 for lane in 0..4 {
-                    acc[lane] = acc[lane] * x[lane] + c;
+                    acc[lane] = Fp61::mul_add_lazy(acc[lane], x[lane], c);
                 }
             }
             for lane in 0..4 {
-                quad[lane] = acc[lane].to_u64() % self.range;
+                quad[lane] = Fp61::from_lazy(acc[lane]).to_u64() % self.range;
             }
         }
         for x in quads.into_remainder() {
@@ -175,7 +177,85 @@ impl TranscriptHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp::P61;
+    use proptest::prelude::*;
     use std::collections::HashMap;
+
+    /// The textbook evaluation the lazy chain replaced: Horner's rule on
+    /// canonical [`Fp61`] elements, every step fully reduced.
+    fn hash_oracle(h: &KWiseHash, x: u64) -> u64 {
+        let x = Fp61::from_u64(x);
+        let mut acc = Fp61::ZERO;
+        for &c in h.coeffs.iter().rev() {
+            acc = acc * x + c;
+        }
+        acc.to_u64() % h.range
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Coefficients mix random field elements with the extremes `0` and
+        // `p - 1`; inputs mix random words with the ones around the modulus;
+        // every length `0..=9` runs so both the quad body and the remainder
+        // do.
+        #[test]
+        fn lazy_horner_chain_matches_the_canonical_oracle(
+            coeffs in prop::collection::vec((any::<u64>(), 0..4u8), 1..=1024usize),
+            random in prop::collection::vec(any::<u64>(), 9),
+            edge_mask in any::<u16>(),
+        ) {
+            let coeffs: Vec<Fp61> = coeffs
+                .iter()
+                .map(|&(word, kind)| match kind {
+                    0 => Fp61::ZERO,
+                    1 => Fp61::new(P61 - 1),
+                    _ => Fp61::from_u64(word),
+                })
+                .collect();
+            const EDGES: [u64; 6] = [0, 1, P61 - 1, P61, P61 + 1, u64::MAX];
+            let inputs: Vec<u64> = random
+                .iter()
+                .enumerate()
+                .map(|(i, &word)| match (edge_mask >> i) & 1 {
+                    1 => EDGES[word as usize % EDGES.len()],
+                    _ => word,
+                })
+                .collect();
+            for range in [1, 2, 1000, u64::MAX] {
+                let h = KWiseHash { coeffs: coeffs.clone(), range };
+                let expect: Vec<u64> = inputs.iter().map(|&x| hash_oracle(&h, x)).collect();
+                for (&x, &want) in inputs.iter().zip(&expect) {
+                    prop_assert_eq!(h.hash(x), want, "hash({}) c={} range={}", x, coeffs.len(), range);
+                }
+                for len in 0..=inputs.len() {
+                    let mut out = inputs[..len].to_vec();
+                    h.hash_many(&mut out);
+                    prop_assert_eq!(&out[..], &expect[..len], "hash_many len={} range={}", len, range);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_horner_chain_at_the_extremes_of_every_operand() {
+        // Every coefficient `p - 1` or `0`, every edge input, long and short.
+        for fill in [Fp61::new(P61 - 1), Fp61::ZERO] {
+            for c in [1usize, 2, 3, 384, 1024] {
+                let h = KWiseHash {
+                    coeffs: vec![fill; c],
+                    range: u64::MAX,
+                };
+                let mut xs = vec![0, 1, P61 - 1, P61, P61 + 1, u64::MAX, 2, P61 - 2, 7];
+                let expect: Vec<u64> = xs.iter().map(|&x| hash_oracle(&h, x)).collect();
+                for (&x, &want) in xs.iter().zip(&expect) {
+                    assert_eq!(h.hash(x), want, "c={c} x={x}");
+                }
+                h.hash_many(&mut xs);
+                assert_eq!(xs, expect, "c={c}");
+            }
+        }
+    }
 
     #[test]
     #[should_panic]

@@ -29,7 +29,9 @@ use crate::resilient::{
     rs_error_capacity, run_expander_compiled, CliqueCompiler, CorrectionVariant,
     CycleCoverCompiler, MobileByzantineCompiler, MAX_ARCS,
 };
-use crate::secure::{CongestionSensitiveCompiler, StaticToMobileCompiler};
+use crate::secure::{
+    broadcast_packing, CongestionSensitiveCompiler, PayloadTooWide, StaticToMobileCompiler,
+};
 use congest_sim::network::Network;
 use congest_sim::scenario::matrix::CompilerSpec;
 use congest_sim::scenario::{
@@ -38,6 +40,7 @@ use congest_sim::scenario::{
 };
 use congest_sim::traffic::Output;
 use netgraph::connectivity::{edge_connectivity, edge_connectivity_at_least};
+use netgraph::traversal::is_connected;
 use netgraph::tree_packing::{
     augmented_low_depth_packing_traced, greedy_low_depth_packing, load_floor, star_packing,
     TreePacking,
@@ -208,6 +211,16 @@ fn prepared<'a, T: std::any::Any + Send + Sync>(
         .ok_or_else(|| ScenarioError::ArtifactMismatch {
             compiler: compiler.name(),
         })
+}
+
+/// A secrecy compiler's run stopped at a payload message wider than its
+/// `words` parameter: a parameter rejection like any other, only one the
+/// payload has to start sending before anything can see it.
+fn payload_too_wide(compiler: &impl Compiler, error: PayloadTooWide) -> ScenarioError {
+    ScenarioError::InvalidParameter {
+        compiler: compiler.name(),
+        reason: error.to_string(),
+    }
 }
 
 /// The number of trees the majority argument needs against `f` mobile faults
@@ -659,7 +672,9 @@ impl Compiler for StaticToMobileAdapter {
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         validate_role(self, net.role())?;
         let compiler = StaticToMobileCompiler::new(self.t, self.words_per_message, self.seed);
-        let (out, report) = compiler.run(&mut *make(), net);
+        let (out, report) = compiler
+            .run(&mut *make(), net)
+            .map_err(|e| payload_too_wide(self, e))?;
         let notes = CompilerNotes::Secure {
             key_rounds: report.key_rounds,
             simulation_rounds: report.simulation_rounds,
@@ -709,8 +724,8 @@ impl Compiler for CongestionSensitiveAdapter {
         CompilerKind::Secure
     }
     // Both the local and the global key exchanges run over the live
-    // (eavesdropped) network, so past the checks nothing beyond the warmed
-    // graph is seed-independent.
+    // (eavesdropped) network; what is seed-independent is the tree packing
+    // the global exchange shares the hash seed over.
     fn prepare(
         &self,
         graph: &Graph,
@@ -727,17 +742,28 @@ impl Compiler for CongestionSensitiveAdapter {
             });
         }
         validate_at_least_one(&self.name(), "words_per_message", self.words_per_message)?;
-        Ok(CompileArtifacts::graph_only(graph))
+        // The secure broadcast reaches every node over spanning trees.
+        if !is_connected(graph) {
+            return Err(ScenarioError::UnsupportedGraph {
+                compiler: self.name(),
+                reason: "the global secret exchange needs a connected graph".to_string(),
+            });
+        }
+        let packing = broadcast_packing(graph, self.source, self.f);
+        Ok(CompileArtifacts::with_payload(graph, packing))
     }
     fn execute(
         &self,
-        _artifacts: &CompileArtifacts,
+        artifacts: &CompileArtifacts,
         make: &dyn Fn() -> BoxedAlgorithm,
         net: &mut Network,
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         validate_role(self, net.role())?;
+        let packing: &TreePacking = prepared(self, artifacts)?;
         let compiler = CongestionSensitiveCompiler::new(self.f, self.words_per_message, self.seed);
-        let (out, report) = compiler.run(&mut *make(), net, self.source);
+        let (out, report) = compiler
+            .run(&mut *make(), net, self.source, packing)
+            .map_err(|e| payload_too_wide(self, e))?;
         let notes = CompilerNotes::CongestionSensitive {
             local_key_rounds: report.local_key_rounds,
             global_key_rounds: report.global_key_rounds,
@@ -1006,6 +1032,38 @@ mod tests {
                 })
             );
         }
+        // The congestion-sensitive compiler packs too (its secure broadcast),
+        // but asks for a connected graph only.
+        let adapter = CongestionSensitiveAdapter::new(1, 2, 5);
+        assert!(matches!(
+            verdict(&adapter, &g),
+            Err(ScenarioError::UnsupportedGraph { compiler, .. }) if compiler == adapter.name()
+        ));
+    }
+
+    #[test]
+    fn congestion_sensitive_prepare_holds_the_secure_broadcasts_packing() {
+        let g = generators::circulant(18, 4);
+        let adapter = CongestionSensitiveAdapter::new(2, 2, 5).with_source(7);
+        let artifacts = adapter.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+        let packing: &TreePacking = artifacts.payload().expect("the prepared packing");
+        assert_eq!(packing.trees, broadcast_packing(&g, 7, 2).trees);
+        assert_eq!((packing.len(), packing.trees[0].root), (5, 7));
+        // `execute` takes it from there and builds none of its own.
+        let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
+        let mut net = Network::new(
+            g.clone(),
+            AdversaryRole::Eavesdropper,
+            Box::new(RandomMobile::new(2, 3)),
+            CorruptionBudget::Mobile { f: 2 },
+            2,
+        );
+        assert!(matches!(
+            adapter.execute(&CompileArtifacts::graph_only(&g), &make, &mut net),
+            Err(ScenarioError::ArtifactMismatch { .. })
+        ));
+        assert_eq!(net.round(), 0, "nothing ran");
+        assert!(adapter.execute(&artifacts, &make, &mut net).is_ok());
     }
 
     #[test]

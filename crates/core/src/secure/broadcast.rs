@@ -24,13 +24,13 @@
 //! real messages are sent as `(payload ‖ h*(payload)) ⊕ key` and silent edges
 //! send fresh randomness, making real and dummy traffic indistinguishable.
 
-use crate::secure::keys::KeyPool;
+use crate::secure::keys::{KeyPool, PayloadTooWide};
 use coding::KWiseHash;
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
 use netgraph::tree_packing::{greedy_low_depth_packing, TreePacking};
-use netgraph::{ArcId, NodeId};
+use netgraph::{ArcId, Graph, NodeId};
 use rand::Rng;
 
 /// Report of a secure broadcast run.
@@ -46,30 +46,42 @@ pub struct SecureBroadcastReport {
     pub all_recovered: bool,
 }
 
+/// The tree packing [`mobile_secure_broadcast`] shares its secret over: rooted
+/// at `source`, with enough trees (`2f + 1`, at least 2, at most `n`) that `f`
+/// bad edges cannot touch all of them.  A pure function of the graph, so a
+/// caller running many broadcasts on one graph builds it once.
+///
+/// # Panics
+///
+/// Panics if the graph is disconnected.
+pub fn broadcast_packing(g: &Graph, source: NodeId, f: usize) -> TreePacking {
+    let eta_hint = 2;
+    let k = (eta_hint * f + 1).max(2).min(g.node_count().max(2));
+    greedy_low_depth_packing(g, source, k, eta_hint)
+}
+
 /// Mobile-secure broadcast of `secret` (a vector of words) from `source` to all
-/// nodes, tolerating an `f`-mobile eavesdropper.
+/// nodes, tolerating an `f`-mobile eavesdropper, over `packing` — the
+/// [`broadcast_packing`] of the network's graph for this `source` and `f`.
 ///
 /// Returns each node's recovered secret and a report.
 ///
 /// # Panics
 ///
-/// Panics if the secret is empty or the graph is disconnected.
+/// Panics if the secret is empty.
 pub fn mobile_secure_broadcast(
     net: &mut Network,
     source: NodeId,
     secret: &[u64],
     f: usize,
     seed: u64,
+    packing: &TreePacking,
 ) -> (Vec<Option<Vec<u64>>>, SecureBroadcastReport) {
     assert!(!secret.is_empty(), "secret must be non-empty");
     let g = net.shared_graph();
     let n = g.node_count();
     let start = net.round();
 
-    // Tree packing with enough trees that f bad edges cannot touch all of them.
-    let eta_hint = 2;
-    let k = (eta_hint * f + 1).max(2).min(n.max(2));
-    let packing = greedy_low_depth_packing(&g, source, k, eta_hint);
     let eta = packing.load(&g).max(1);
     let k = packing.len();
 
@@ -225,12 +237,34 @@ impl CongestionSensitiveCompiler {
     /// eavesdropper.  Every round of `A`, *every* edge carries a fixed-width
     /// message (real ones carry `(payload ‖ tag) ⊕ key`, silent ones carry fresh
     /// randomness), so the traffic pattern is input-independent.
+    ///
+    /// `packing` is the [`broadcast_packing`] of the network's graph for this
+    /// `source` and `f`; the global secret exchange runs over it.
+    ///
+    /// # Errors
+    ///
+    /// [`PayloadTooWide`] as soon as `alg` sends a message of more than
+    /// `words_per_message` words.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
         source: NodeId,
-    ) -> (Vec<Output>, SecureCompilerReport) {
+        packing: &TreePacking,
+    ) -> Result<(Vec<Output>, SecureCompilerReport), PayloadTooWide> {
+        self.simulate(alg, net, source, packing, true)
+    }
+
+    /// [`CongestionSensitiveCompiler::run`]; with `memo` off (tests only) the
+    /// receive side re-hashes every arc, as it did before the memo existed.
+    fn simulate<A: CongestAlgorithm + ?Sized>(
+        &self,
+        alg: &mut A,
+        net: &mut Network,
+        source: NodeId,
+        packing: &TreePacking,
+        memo: bool,
+    ) -> Result<(Vec<Output>, SecureCompilerReport), PayloadTooWide> {
         let g = net.shared_graph();
         let r = alg.rounds();
         let cong = alg.congestion_bound().unwrap_or(r);
@@ -246,7 +280,7 @@ impl CongestionSensitiveCompiler {
         let global_start = net.round();
         let hash_seed: u64 = Network::node_rng(self.seed ^ 0x917E, source).gen();
         let (_, bcast_report) =
-            mobile_secure_broadcast(net, source, &[hash_seed], self.f, self.seed ^ 0x22);
+            mobile_secure_broadcast(net, source, &[hash_seed], self.f, self.seed ^ 0x22, packing);
         debug_assert!(bcast_report.all_recovered);
         let c = (4 * self.f * cong).max(2);
         let tagger = KWiseHash::from_seed(hash_seed, c, u64::MAX);
@@ -266,14 +300,23 @@ impl CongestionSensitiveCompiler {
         let mut decrypted = Traffic::new(&g);
         let mut frame = vec![0u64; width];
         let mut tagged: Vec<ArcId> = Vec::with_capacity(arcs);
-        // Per tagged arc: the mixed frame going into the tagger, its tag
-        // coming out.
+        // Per tagged arc: the mixed frame going into the tagger, and its tag.
+        let mut mixes: Vec<u64> = Vec::with_capacity(arcs);
         let mut tags: Vec<u64> = Vec::with_capacity(arcs);
+        // The tag memo.  The tagger is a pure function of the mixed frame, so
+        // the send side leaves `(mixed frame, tag)` on every arc it tagged
+        // this round, and the receive side hashes only the arcs whose
+        // decrypted frame mixes to something else: dummy arcs, and whatever
+        // an adversary touched (`misses` are their slots in `tags`).  Every
+        // arc is still verified against its expected tag.
+        let mut sent: Vec<Option<(u64, u64)>> = vec![None; arcs];
+        let mut misses: Vec<usize> = Vec::with_capacity(arcs);
         for round in 0..r {
             alg.send_into(round, &mut plain);
             wire.begin_round(&g);
             tagged.clear();
-            tags.clear();
+            mixes.clear();
+            sent.fill(None);
             // Arcs are visited in this order because silent ones draw from
             // the dummy stream as they come.
             for v in g.nodes() {
@@ -281,14 +324,16 @@ impl CongestionSensitiveCompiler {
                     let arc = g.arc(e, v, u);
                     match plain.get_arc(arc) {
                         Some(p) => {
-                            assert!(
-                                p.len() <= self.words_per_message,
-                                "payload wider than the compiler's configured width"
-                            );
+                            if p.len() > self.words_per_message {
+                                return Err(PayloadTooWide {
+                                    observed: p.len(),
+                                    configured: self.words_per_message,
+                                });
+                            }
                             frame[0] = p.len() as u64;
                             frame[1..=p.len()].copy_from_slice(p);
                             frame[1 + p.len()..].fill(0);
-                            tags.push(mix_words(&frame[..framed], arc as u64, round as u64));
+                            mixes.push(mix_words(&frame[..framed], arc as u64, round as u64));
                             tagged.push(arc);
                         }
                         None => frame.fill_with(|| dummy_rng.gen()),
@@ -296,26 +341,43 @@ impl CongestionSensitiveCompiler {
                     wire.set_arc(arc, Some(&frame));
                 }
             }
+            tags.clone_from(&mixes);
             tagger.hash_many(&mut tags);
-            for (&arc, &tag) in tagged.iter().zip(&tags) {
+            for ((&arc, &mix), &tag) in tagged.iter().zip(&mixes).zip(&tags) {
                 let body = wire.arc_mut(arc).expect("framed above");
                 body[framed] = tag;
                 pool.apply(arc, round, body);
+                if memo {
+                    sent[arc] = Some((mix, tag));
+                }
             }
             net.exchange_in_place(&mut wire);
 
             tagged.clear();
+            mixes.clear();
             tags.clear();
-            for arc in 0..arcs {
+            misses.clear();
+            for (arc, &left) in sent.iter().enumerate() {
                 if let Some(msg) = wire.arc_mut(arc) {
                     pool.apply(arc, round, msg);
                     if msg.len() == width {
-                        tags.push(mix_words(&msg[..framed], arc as u64, round as u64));
+                        let mix = mix_words(&msg[..framed], arc as u64, round as u64);
+                        match left {
+                            Some((sent_mix, tag)) if sent_mix == mix => tags.push(tag),
+                            _ => {
+                                misses.push(tags.len());
+                                mixes.push(mix);
+                                tags.push(0);
+                            }
+                        }
                         tagged.push(arc);
                     }
                 }
             }
-            tagger.hash_many(&mut tags);
+            tagger.hash_many(&mut mixes);
+            for (&slot, &tag) in misses.iter().zip(&mixes) {
+                tags[slot] = tag;
+            }
             decrypted.begin_round(&g);
             for (&arc, &expect) in tagged.iter().zip(&tags) {
                 let msg = wire.get_arc(arc).expect("decrypted above");
@@ -328,7 +390,7 @@ impl CongestionSensitiveCompiler {
         }
         let simulation_rounds = net.round() - sim_start;
 
-        (
+        Ok((
             alg.outputs(),
             SecureCompilerReport {
                 local_key_rounds,
@@ -336,7 +398,7 @@ impl CongestionSensitiveCompiler {
                 simulation_rounds,
                 congestion: cong,
             },
-        )
+        ))
     }
 }
 
@@ -363,8 +425,10 @@ pub fn broadcast_packing_is_sufficient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_algorithms::{ConvergecastSum, FloodBroadcast};
-    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
+    use congest_algorithms::{ConvergecastSum, FloodBroadcast, TokenDissemination};
+    use congest_sim::adversary::{
+        AdversaryRole, CorruptionBudget, CorruptionMode, RandomMobile, SynthesizedSchedule,
+    };
     use congest_sim::run_fault_free;
     use netgraph::generators;
 
@@ -383,7 +447,8 @@ mod tests {
         let g = generators::complete(8);
         let mut net = eaves_net(g.clone(), 2, 3);
         let secret = vec![0xAAAA_BBBB, 0x1234];
-        let (recovered, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 17);
+        let packing = broadcast_packing(&g, 0, 2);
+        let (recovered, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 17, &packing);
         assert!(report.all_recovered, "not all nodes recovered the secret");
         for r in recovered {
             assert_eq!(r, Some(secret.clone()));
@@ -396,7 +461,8 @@ mod tests {
         let g = generators::circulant(12, 3);
         let mut net = eaves_net(g.clone(), 1, 4);
         let secret = vec![7u64];
-        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 1, 5);
+        let packing = broadcast_packing(&g, 0, 1);
+        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 1, 5, &packing);
         assert!(report.all_recovered);
     }
 
@@ -405,7 +471,8 @@ mod tests {
         let g = generators::complete(7);
         let mut net = eaves_net(g.clone(), 2, 8);
         let secret = vec![0x5EC2_E700_0042u64];
-        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 23);
+        let packing = broadcast_packing(&g, 0, 2);
+        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 23, &packing);
         assert!(report.all_recovered);
         for entry in &net.view_log().entries {
             for p in [&entry.forward, &entry.backward].into_iter().flatten() {
@@ -418,8 +485,9 @@ mod tests {
     #[should_panic]
     fn broadcast_rejects_empty_secret() {
         let g = generators::complete(4);
+        let packing = broadcast_packing(&g, 0, 1);
         let mut net = eaves_net(g, 1, 1);
-        let _ = mobile_secure_broadcast(&mut net, 0, &[], 1, 1);
+        let _ = mobile_secure_broadcast(&mut net, 0, &[], 1, 1, &packing);
     }
 
     #[test]
@@ -436,7 +504,14 @@ mod tests {
         let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 777));
         let compiler = CongestionSensitiveCompiler::new(1, 2, 31);
         let mut net = eaves_net(g.clone(), 1, 6);
-        let (out, report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 777), &mut net, 0);
+        let (out, report) = compiler
+            .run(
+                &mut FloodBroadcast::new(g.clone(), 0, 777),
+                &mut net,
+                0,
+                &broadcast_packing(&g, 0, 1),
+            )
+            .unwrap();
         assert_eq!(out, expected);
         assert!(report.simulation_rounds >= FloodBroadcast::new(g, 0, 777).rounds());
     }
@@ -449,7 +524,14 @@ mod tests {
         let value = 0x0BAD_CAFE_u64;
         let compiler = CongestionSensitiveCompiler::new(1, 2, 5);
         let mut net = eaves_net(g.clone(), 1, 2);
-        let (out, _) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, value), &mut net, 0);
+        let (out, _) = compiler
+            .run(
+                &mut FloodBroadcast::new(g.clone(), 0, value),
+                &mut net,
+                0,
+                &broadcast_packing(&g, 0, 1),
+            )
+            .unwrap();
         assert!(out.iter().all(|o| o == &vec![value]));
         for entry in &net.view_log().entries {
             for p in [&entry.forward, &entry.backward].into_iter().flatten() {
@@ -465,7 +547,139 @@ mod tests {
         let expected = run_fault_free(&mut ConvergecastSum::new(g.clone(), 0, inputs.clone()));
         let compiler = CongestionSensitiveCompiler::new(1, 2, 77);
         let mut net = eaves_net(g.clone(), 1, 9);
-        let (out, _) = compiler.run(&mut ConvergecastSum::new(g.clone(), 0, inputs), &mut net, 0);
+        let (out, _) = compiler
+            .run(
+                &mut ConvergecastSum::new(g.clone(), 0, inputs),
+                &mut net,
+                0,
+                &broadcast_packing(&g, 0, 1),
+            )
+            .unwrap();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn a_too_wide_payload_message_is_a_typed_error() {
+        // Token dissemination at batch 2 sends 2-word messages from round 1.
+        let g = generators::complete(5);
+        let mut alg = TokenDissemination::new(g.clone(), (0..5).collect(), 2);
+        let mut net = eaves_net(g.clone(), 1, 3);
+        let error = CongestionSensitiveCompiler::new(1, 1, 9).run(
+            &mut alg,
+            &mut net,
+            0,
+            &broadcast_packing(&g, 0, 1),
+        );
+        assert_eq!(
+            error.unwrap_err(),
+            PayloadTooWide {
+                observed: 2,
+                configured: 1
+            }
+        );
+    }
+
+    /// A payload wrapper that records which arcs each round delivered.
+    struct Recorded<A> {
+        inner: A,
+        delivered: Vec<Vec<ArcId>>,
+    }
+
+    impl<A: CongestAlgorithm> CongestAlgorithm for Recorded<A> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn rounds(&self) -> usize {
+            self.inner.rounds()
+        }
+        fn send_into(&mut self, round: usize, out: &mut Traffic) {
+            self.inner.send_into(round, out)
+        }
+        fn receive(&mut self, round: usize, inbox: &Traffic) {
+            self.delivered
+                .push(inbox.iter_present().map(|(arc, _)| arc).collect());
+            self.inner.receive(round, inbox)
+        }
+        fn outputs(&self) -> Vec<Output> {
+            self.inner.outputs()
+        }
+        fn congestion_bound(&self) -> Option<usize> {
+            self.inner.congestion_bound()
+        }
+    }
+
+    /// The memo's contract, under adversaries that *tamper* with the
+    /// simulation rounds: serving the send side's tag to an arc whose frame
+    /// arrived unchanged, and hashing only the rest, is observably the run
+    /// that re-hashes every arc — same outputs, same arcs delivered in every
+    /// round, same adversary view — and no frame the adversary altered is
+    /// ever delivered.
+    #[test]
+    fn tag_memo_equals_rehashing_every_arc_under_a_corrupting_adversary() {
+        let g = generators::complete(6);
+        let compiler = CongestionSensitiveCompiler::new(1, 2, 0xB0B);
+        let packing = broadcast_packing(&g, 0, 1);
+        let payload = || {
+            let tokens = (0..6u64).map(|v| 1000 + 7 * v).collect();
+            TokenDissemination::new(g.clone(), tokens, 2)
+        };
+        // Leave the key exchanges alone (a corrupted share fails the seed
+        // broadcast, which is not what is under test), then control three
+        // edges in every simulation round, sweeping over all of them.
+        let (_, quiet) = compiler
+            .run(&mut payload(), &mut eaves_net(g.clone(), 0, 1), 0, &packing)
+            .unwrap();
+        let mut schedule = vec![vec![]; quiet.local_key_rounds + quiet.global_key_rounds];
+        schedule.extend((0..quiet.simulation_rounds).map(|round| {
+            (0..3)
+                .map(|i| (3 * round + i) % g.edge_count())
+                .collect::<Vec<_>>()
+        }));
+        for role in [AdversaryRole::Byzantine, AdversaryRole::Eavesdropper] {
+            for mode in [
+                CorruptionMode::FlipLowBit,
+                CorruptionMode::ReplaceRandom,
+                CorruptionMode::Drop,
+                CorruptionMode::Constant(0),
+            ] {
+                let run = |memo: bool| {
+                    let strategy = SynthesizedSchedule::new(schedule.clone()).with_mode(mode);
+                    let budget = CorruptionBudget::Mobile { f: 3 };
+                    let mut net = Network::new(g.clone(), role, Box::new(strategy), budget, 7);
+                    let mut alg = Recorded {
+                        inner: payload(),
+                        delivered: Vec::new(),
+                    };
+                    let (out, report) = compiler
+                        .simulate(&mut alg, &mut net, 0, &packing, memo)
+                        .unwrap();
+                    assert_eq!(report, quiet);
+                    (out, alg.delivered, net)
+                };
+                let (out, delivered, net) = run(true);
+                let (out_plain, delivered_plain, net_plain) = run(false);
+                assert_eq!(out, out_plain, "{role:?} {mode:?}");
+                assert_eq!(delivered, delivered_plain, "{role:?} {mode:?}");
+                assert_eq!(net.view_log().canonical(), net_plain.view_log().canonical());
+                assert_eq!(net.metrics(), net_plain.metrics());
+
+                let tampers = role == AdversaryRole::Byzantine;
+                assert_eq!(net.view_log().is_empty(), tampers);
+                let first = net.round() - quiet.simulation_rounds;
+                for (round, arcs) in delivered.iter().enumerate() {
+                    let controlled = net.corruption_history().round(first + round);
+                    assert_eq!(controlled.len(), 3);
+                    let touched = controlled.iter().flat_map(|&e| {
+                        let (forward, backward) = Graph::arcs_of(e);
+                        [forward, backward]
+                    });
+                    for arc in touched.filter(|_| tampers) {
+                        assert!(!arcs.contains(&arc), "{mode:?}: round {round}, arc {arc}");
+                    }
+                }
+                // Not vacuous: the untouched arcs do deliver.
+                assert!(delivered.iter().map(Vec::len).sum::<usize>() > 60);
+            }
+        }
     }
 }

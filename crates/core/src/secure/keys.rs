@@ -30,6 +30,29 @@ use rand::Rng;
 /// Number of 16-bit chunks in one 64-bit payload word.
 const CHUNKS_PER_WORD: usize = 4;
 
+/// A payload message wider than a secure compiler was configured to protect:
+/// what the compilers' `run` report where [`KeyPool::apply`], handed the
+/// message, could only assert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PayloadTooWide {
+    /// Width of the offending message, in words.
+    pub observed: usize,
+    /// The compiler's configured `words_per_message`.
+    pub configured: usize,
+}
+
+impl std::fmt::Display for PayloadTooWide {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the payload sent a {}-word message, wider than the configured words_per_message = {}",
+            self.observed, self.configured
+        )
+    }
+}
+
+impl std::error::Error for PayloadTooWide {}
+
 /// A per-arc one-time-pad keystream established by the two-phase exchange.
 #[derive(Debug, Clone)]
 pub struct KeyPool {
@@ -92,7 +115,7 @@ impl KeyPool {
         let mut traffic = Traffic::new(&g);
         for round in 0..exchange_rounds {
             traffic.begin_round(&g);
-            for v in g.nodes() {
+            for (v, rng) in node_rngs.iter_mut().enumerate() {
                 for &(u, e) in g.neighbors(v) {
                     let arc = g.arc(e, v, u);
                     let lanes = &mut pads[arc * chunks_per_round..][..chunks_per_round];
@@ -102,7 +125,7 @@ impl KeyPool {
                     {
                         *word = 0;
                         for (c, pad) in group.iter_mut().enumerate() {
-                            *pad = Gf2_16::from_u64(node_rngs[v].gen());
+                            *pad = Gf2_16::from_u64(rng.gen());
                             *word |= pad.to_u64() << (16 * c);
                         }
                     }

@@ -6,10 +6,10 @@ pub mod static_to_mobile;
 pub mod unicast;
 
 pub use broadcast::{
-    mobile_secure_broadcast, CongestionSensitiveCompiler, SecureBroadcastReport,
+    broadcast_packing, mobile_secure_broadcast, CongestionSensitiveCompiler, SecureBroadcastReport,
     SecureCompilerReport,
 };
-pub use keys::KeyPool;
+pub use keys::{KeyPool, PayloadTooWide};
 pub use static_to_mobile::{MobileSecureReport, StaticToMobileCompiler};
 pub use unicast::{
     mobile_secure_multicast, mobile_secure_unicast, plain_unicast_baseline, UnicastInstance,

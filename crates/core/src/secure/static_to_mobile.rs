@@ -18,7 +18,7 @@
 //! eavesdropper of `A` would have seen, which is where the `f`-static security
 //! of `A` is consumed.
 
-use crate::secure::keys::KeyPool;
+use crate::secure::keys::{KeyPool, PayloadTooWide};
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
@@ -74,11 +74,16 @@ impl StaticToMobileCompiler {
     ///
     /// Returns the algorithm outputs (identical to a fault-free run, since the
     /// eavesdropper does not modify traffic) and a report of the parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`PayloadTooWide`] as soon as `alg` sends a message of more than
+    /// `words_per_message` words.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
-    ) -> (Vec<Output>, MobileSecureReport) {
+    ) -> Result<(Vec<Output>, MobileSecureReport), PayloadTooWide> {
         let g = net.shared_graph();
         let r = alg.rounds();
         // Phase 1: establish one-time pads (ℓ = r + t exchange rounds).
@@ -92,6 +97,13 @@ impl StaticToMobileCompiler {
         let mut wire = Traffic::new(&g);
         for round in 0..r {
             alg.send_into(round, &mut wire);
+            let observed = wire.max_words();
+            if observed > self.words_per_message {
+                return Err(PayloadTooWide {
+                    observed,
+                    configured: self.words_per_message,
+                });
+            }
             pad_in_place(&pool, round, &mut wire);
             net.exchange_in_place(&mut wire);
             pad_in_place(&pool, round, &mut wire);
@@ -103,7 +115,7 @@ impl StaticToMobileCompiler {
             simulation_rounds: r,
             f_mobile_for: (1..=4).map(|f| (f, self.mobile_tolerance(f, r))).collect(),
         };
-        (alg.outputs(), report)
+        Ok((alg.outputs(), report))
     }
 }
 
@@ -119,7 +131,7 @@ fn pad_in_place(pool: &KeyPool, round: usize, wire: &mut Traffic) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_algorithms::{ConvergecastSum, FloodBroadcast, LeaderElection};
+    use congest_algorithms::{ConvergecastSum, FloodBroadcast, LeaderElection, TokenDissemination};
     use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile, ScheduledEdges};
     use congest_sim::run_fault_free;
     use netgraph::generators;
@@ -140,13 +152,31 @@ mod tests {
         let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 321));
         let compiler = StaticToMobileCompiler::new(4, 2, 99);
         let mut net = eaves_net(g.clone(), 2, 7);
-        let (out, report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 321), &mut net);
+        let (out, report) = compiler
+            .run(&mut FloodBroadcast::new(g.clone(), 0, 321), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
         assert_eq!(
             report.simulation_rounds,
             FloodBroadcast::new(g, 0, 321).rounds()
         );
         assert_eq!(net.round(), report.key_rounds + report.simulation_rounds);
+    }
+
+    #[test]
+    fn a_too_wide_payload_message_is_a_typed_error() {
+        // Token dissemination at batch 2 sends 2-word messages from round 1.
+        let g = generators::complete(5);
+        let mut alg = TokenDissemination::new(g.clone(), (0..5).collect(), 2);
+        let mut net = eaves_net(g, 1, 3);
+        let error = StaticToMobileCompiler::new(4, 1, 9).run(&mut alg, &mut net);
+        assert_eq!(
+            error.unwrap_err(),
+            PayloadTooWide {
+                observed: 2,
+                configured: 1
+            }
+        );
     }
 
     #[test]
@@ -167,13 +197,17 @@ mod tests {
 
         let expected = run_fault_free(&mut LeaderElection::new(g.clone()));
         let mut net = eaves_net(g.clone(), 1, 3);
-        let (out, _) = compiler.run(&mut LeaderElection::new(g.clone()), &mut net);
+        let (out, _) = compiler
+            .run(&mut LeaderElection::new(g.clone()), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
 
         let inputs: Vec<u64> = (0..7).collect();
         let expected = run_fault_free(&mut ConvergecastSum::new(g.clone(), 0, inputs.clone()));
         let mut net = eaves_net(g.clone(), 1, 4);
-        let (out, _) = compiler.run(&mut ConvergecastSum::new(g.clone(), 0, inputs), &mut net);
+        let (out, _) = compiler
+            .run(&mut ConvergecastSum::new(g.clone(), 0, inputs), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
     }
 
@@ -211,9 +245,13 @@ mod tests {
         let compiler_a = StaticToMobileCompiler::new(t, 1, 1000);
         let compiler_b = StaticToMobileCompiler::new(t, 1, 2000);
         let mut net1 = make_net(1);
-        let (_, _) = compiler_a.run(&mut FloodBroadcast::new(g.clone(), 0, 5), &mut net1);
+        compiler_a
+            .run(&mut FloodBroadcast::new(g.clone(), 0, 5), &mut net1)
+            .unwrap();
         let mut net2 = make_net(1);
-        let (_, _) = compiler_b.run(&mut FloodBroadcast::new(g.clone(), 0, 5), &mut net2);
+        compiler_b
+            .run(&mut FloodBroadcast::new(g.clone(), 0, 5), &mut net2)
+            .unwrap();
         // Same input, different hidden randomness → different views: the view is
         // determined by the pads, not by the payload.
         assert_ne!(

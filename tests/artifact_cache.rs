@@ -117,15 +117,25 @@ impl Compiler for Counted {
     }
 }
 
+const FLOOD: &str = r#"{"kind":"flood-broadcast","source":0,"value":7}"#;
+
 /// One row of the inadmissible-input table: every `(graph, compiler)` pair of
-/// the grid is one `prepare` must reject with an error `rejection` accepts.
-/// However the campaign runs — cached, `without_artifact_cache()`, traced
-/// (which bypasses the cache) or hand-built from the resolved defs — every
-/// cell is the same typed skip with a byte-identical `cell_json` line, an
-/// eavesdropper cell is the role mismatch and not the pair's rejection, each
-/// cached cell moves exactly one cache counter, and each failing pair calls
-/// `prepare` exactly once per campaign.
-fn assert_inadmissible(graphs: &str, compilers: &str, rejection: impl Fn(&ScenarioError) -> bool) {
+/// the grid is one the compiler must reject — in `prepare`, or in `execute`
+/// once the payload shows a width it was not configured for — with an error
+/// `rejection` accepts.  However the campaign runs — cached,
+/// `without_artifact_cache()`, traced (which bypasses the cache) or
+/// hand-built from the resolved defs — every cell is the same typed skip with
+/// a byte-identical `cell_json` line, a cell under the adversary role the
+/// compilers do not defend against (the eavesdropper for the Byzantine ones,
+/// the corrupting adversary for the secrecy ones) is the role mismatch and
+/// not the pair's rejection, each cached cell moves exactly one cache
+/// counter, and each pair calls `prepare` exactly once per campaign.
+fn assert_inadmissible(
+    graphs: &str,
+    compilers: &str,
+    payload: &str,
+    rejection: impl Fn(&ScenarioError) -> bool,
+) {
     let spec = spec_of(&format!(
         r#"{{
   "kind": "campaign-spec",
@@ -135,10 +145,13 @@ fn assert_inadmissible(graphs: &str, compilers: &str, rejection: impl Fn(&Scenar
     "graphs": [{graphs}],
     "adversaries": [{{"kind":"random-mobile","f":1}}, {{"kind":"eavesdropper","f":2}}],
     "compilers": [{compilers}],
-    "payload": {{"kind":"flood-broadcast","source":0,"value":7}}
+    "payload": {payload}
   }}
 }}"#
     ));
+    let secrecy = |def: &CompilerDef| Compiler::kind(def) == CompilerKind::Secure;
+    let secrecy_row = spec.grid.compilers.iter().all(secrecy);
+    assert!(secrecy_row || !spec.grid.compilers.iter().any(secrecy));
     let pairs = spec.grid.graphs.len() * spec.grid.compilers.len();
     let prepares = Arc::new(AtomicUsize::new(0));
     let counted = || -> Vec<CompilerSpec> {
@@ -175,7 +188,7 @@ fn assert_inadmissible(graphs: &str, compilers: &str, rejection: impl Fn(&Scenar
     assert_eq!(cached.skipped_count(), spec.cell_count());
     for cell in &cached.cells {
         let error = cell.outcome.as_ref().unwrap_err();
-        if cell.adversary == "eavesdropper" {
+        if (cell.adversary == "eavesdropper") != secrecy_row {
             assert!(
                 matches!(error, ScenarioError::RoleMismatch { .. }),
                 "{}/{}: {error:?}",
@@ -239,6 +252,7 @@ fn a_graph_beyond_the_16_bit_arc_ids_is_a_skipped_cell_cache_or_not() {
     assert_inadmissible(
         r#"{"family":"complete","n":258}"#,
         r#"{"id":"clique","f":1,"seed":5}"#,
+        FLOOD,
         |e| matches!(e, ScenarioError::UnsupportedGraph { reason, .. } if reason.contains("66306")),
     );
 }
@@ -256,6 +270,7 @@ fn disconnected_graphs_are_skipped_cells_not_a_packing_panic_under_the_shard_loc
            {"id":"tree-packing","f":1,"seed":5,"packing":"v2"},
            {"id":"rewind","f":1,"seed":5},
            {"id":"cycle-cover","f":1}"#,
+        FLOOD,
         |e| {
             matches!(
                 e,
@@ -277,7 +292,39 @@ fn parameter_floors_are_skipped_cells_not_constructor_panics() {
         r#"{"family":"circulant","n":18,"k":4}, {"family":"complete","n":12}"#,
         r#"{"id":"tree-packing","f":1,"trees":0,"seed":5},
            {"id":"expander","f":1,"k":0,"bfs_rounds":6,"seed":5}"#,
+        FLOOD,
         |e| matches!(e, ScenarioError::InvalidParameter { .. }),
+    );
+}
+
+#[test]
+fn a_payload_wider_than_a_secrecy_compilers_words_is_a_skipped_cell_not_a_width_assert() {
+    // Token dissemination at batch 2 sends 2-word messages; `words: 1`
+    // provisions keystream for one.  `prepare` cannot see the payload, so
+    // the rejection comes out of `execute` — it used to be the assert in
+    // `CongestionSensitiveCompiler::run` / `KeyPool::apply`, exit 101.
+    assert_inadmissible(
+        r#"{"family":"complete","n":8}"#,
+        r#"{"id":"congestion-sensitive","f":1,"words":1,"seed":5},
+           {"id":"static-to-mobile","t":4,"words":1,"seed":5}"#,
+        r#"{"kind":"token-dissemination","batch":2}"#,
+        |e| {
+            matches!(e, ScenarioError::InvalidParameter { reason, .. }
+                if reason.contains("2-word") && reason.contains("words_per_message = 1"))
+        },
+    );
+}
+
+#[test]
+fn congestion_sensitive_on_a_disconnected_graph_is_a_skipped_cell_not_a_packing_panic() {
+    // The secure broadcast's tree packing asserts a connected graph; it was
+    // built inside `execute`, past every check.  (`exchange-ids` is a payload
+    // that itself accepts a disconnected graph.)
+    assert_inadmissible(
+        r#"{"family":"expander-d-regular","n":24,"d":2,"seed":2}"#,
+        r#"{"id":"congestion-sensitive","f":1,"words":2,"seed":5}"#,
+        r#"{"kind":"exchange-ids"}"#,
+        |e| matches!(e, ScenarioError::UnsupportedGraph { reason, .. } if reason.contains("connected")),
     );
 }
 

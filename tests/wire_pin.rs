@@ -9,7 +9,9 @@
 //! extraction arithmetic, keystream layout, tagging or dummy traffic moves
 //! them.
 
-use mobile_congest::compilers::secure::{CongestionSensitiveCompiler, StaticToMobileCompiler};
+use mobile_congest::compilers::secure::{
+    broadcast_packing, CongestionSensitiveCompiler, StaticToMobileCompiler,
+};
 use mobile_congest::graphs::{generators, Graph};
 use mobile_congest::harness::json::fnv1a_hex;
 use mobile_congest::payloads::TokenDissemination;
@@ -53,7 +55,9 @@ fn static_to_mobile_wire_bytes_are_pinned() {
     let mut net = wiretapped(&g);
     let mut alg = tokens(&g);
     let expected = alg.expected_outputs();
-    let (out, report) = StaticToMobileCompiler::new(3, 2, 0xA11CE).run(&mut alg, &mut net);
+    let (out, report) = StaticToMobileCompiler::new(3, 2, 0xA11CE)
+        .run(&mut alg, &mut net)
+        .expect("2-word batches fit");
     assert_eq!(out, expected);
     assert_eq!(net.view_log().len(), net.round() * g.edge_count());
     assert_eq!(report.key_rounds, report.simulation_rounds + 3);
@@ -68,7 +72,9 @@ fn congestion_sensitive_wire_bytes_are_pinned() {
     let mut net = wiretapped(&g);
     let mut alg = tokens(&g);
     let expected = alg.expected_outputs();
-    let (out, report) = CongestionSensitiveCompiler::new(1, 2, 0xB0B).run(&mut alg, &mut net, 0);
+    let (out, report) = CongestionSensitiveCompiler::new(1, 2, 0xB0B)
+        .run(&mut alg, &mut net, 0, &broadcast_packing(&g, 0, 1))
+        .expect("2-word batches fit");
     assert_eq!(out, expected);
     assert_eq!(net.view_log().len(), net.round() * g.edge_count());
     assert!(report.global_key_rounds > 0);
