@@ -42,9 +42,9 @@
 //! * [`CompilerNotes`] — the typed diagnostics channel (rewind counts,
 //!   correction verdicts, key rounds, packing quality) threaded from every
 //!   compiler through [`Compiler::execute`] onto the report;
-//! * [`matrix`] — the grid vocabulary (graph / adversary / compiler specs,
-//!   the zoos) and [`matrix::run_cell`], the one per-cell entry point the
-//!   `harness::Campaign` engine drives.
+//! * [`matrix`] — the adversary half of the grid vocabulary
+//!   ([`matrix::AdversaryDef`]), the zoo defs and [`matrix::run_cell`], the
+//!   one per-cell entry point the `harness::Campaign` engine drives.
 
 use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget, NoAdversary};
 use crate::algorithm::{run_fault_free, run_on_network, CongestAlgorithm};
@@ -1257,13 +1257,14 @@ pub fn doctest_payload(graph: Graph) -> impl CongestAlgorithm {
 }
 
 pub mod matrix {
-    //! The grid vocabulary: graph family × adversary strategy × compiler axes
-    //! as named specs, the standard zoos, and the per-cell entry point.
+    //! The adversary half of the grid vocabulary ([`AdversaryDef`]; graphs
+    //! are `netgraph::GraphDef`, compilers `mobile_congest_core`'s
+    //! `CompilerDef`), the standard zoos as defs, and the per-cell entry
+    //! point.
     //!
-    //! The specs here are `Send + Sync` factories, so a grid description can
-    //! be shared across worker threads.  [`run_cell`] runs one cell; the one
-    //! grid engine is `harness::Campaign` in the `mobile-congest-harness`
-    //! crate, which drives it from a deterministic worker pool (seed
+    //! [`run_cell`] runs one cell from plain parts; the one grid engine is
+    //! `harness::Campaign` in the `mobile-congest-harness` crate, a resolved
+    //! `CampaignSpec` that drives it from a deterministic worker pool (seed
     //! repetitions, aggregation, incompatible cells recorded as typed skips
     //! instead of panics) — `.threads(1)` for a plain sequential sweep.
 
@@ -1271,94 +1272,10 @@ pub mod matrix {
     use crate::adversary::{AdversaryRole, AdversaryStrategy, CorruptionBudget};
     use netgraph::Graph;
 
-    /// A named graph in the sweep.
-    pub struct GraphSpec {
-        /// Display name (e.g. `"K16"`).
-        pub name: String,
-        /// The graph itself.
-        pub graph: Graph,
-    }
-
-    impl GraphSpec {
-        /// A named graph.
-        pub fn new(name: impl Into<String>, graph: Graph) -> Self {
-            GraphSpec {
-                name: name.into(),
-                graph,
-            }
-        }
-    }
-
-    /// A named adversary configuration in the sweep.
-    pub struct AdversarySpec {
-        /// Display name (e.g. `"random-mobile"`).
-        pub name: String,
-        /// Eavesdropper or byzantine.
-        pub role: AdversaryRole,
-        /// The corruption budget.
-        pub budget: CorruptionBudget,
-        make: Box<dyn Fn(u64) -> Box<dyn AdversaryStrategy> + Send + Sync>,
-    }
-
-    impl AdversarySpec {
-        /// A named adversary; `make` receives the cell seed so strategies
-        /// with internal randomness stay reproducible per cell.
-        pub fn new(
-            name: impl Into<String>,
-            role: AdversaryRole,
-            budget: CorruptionBudget,
-            make: impl Fn(u64) -> Box<dyn AdversaryStrategy> + Send + Sync + 'static,
-        ) -> Self {
-            AdversarySpec {
-                name: name.into(),
-                role,
-                budget,
-                make: Box::new(make),
-            }
-        }
-    }
-
-    /// A named compiler in the sweep (a factory, so each cell gets a fresh
-    /// boxed instance).
-    pub struct CompilerSpec {
-        /// Display name.
-        pub name: String,
-        make: Box<dyn Fn() -> Box<dyn Compiler> + Send + Sync>,
-    }
-
-    impl CompilerSpec {
-        /// A named compiler factory.
-        pub fn new(
-            name: impl Into<String>,
-            make: impl Fn() -> Box<dyn Compiler> + Send + Sync + 'static,
-        ) -> Self {
-            CompilerSpec {
-                name: name.into(),
-                make: Box::new(make),
-            }
-        }
-
-        /// Shorthand for compilers that are `Clone`.
-        pub fn of<C: Compiler + Clone + Send + Sync + 'static>(compiler: C) -> Self {
-            let name = compiler.name();
-            CompilerSpec::new(name, move || Box::new(compiler.clone()))
-        }
-
-        /// A fresh compiler instance from the factory — what the per-cell
-        /// engine calls, exposed so campaign-level machinery (the artifact
-        /// cache) can drive [`Compiler::prepare`] outside a cell.
-        pub fn instantiate(&self) -> Box<dyn Compiler> {
-            (self.make)()
-        }
-    }
-
     /// A serializable description of one adversary configuration: the
-    /// strategy family as *data* (kind + parameters), resolvable into a
-    /// runtime [`AdversarySpec`] via [`AdversaryDef::to_spec`].
-    ///
-    /// The [`adversary_zoo`] is defined in terms of these defs
-    /// ([`adversary_zoo_defs`]), so the data form and the hand-built zoo
-    /// cannot drift; the `harness` spec layer serializes them to JSON.
+    /// strategy family as *data* (kind + parameters); a cell draws its
+    /// strategy with [`AdversaryDef::strategy`].  The `harness` spec layer
+    /// serializes these to JSON.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum AdversaryDef {
         /// [`RandomMobile`](crate::adversary::RandomMobile): `f` uniformly
@@ -1474,40 +1391,34 @@ pub mod matrix {
             }
         }
 
-        /// Resolve the def into a runtime [`AdversarySpec`] (name, role,
-        /// budget and a seed-taking strategy factory).
-        pub fn to_spec(&self) -> AdversarySpec {
+        /// A fresh strategy for one cell; `seed` is the cell seed, so
+        /// strategies with internal randomness stay reproducible per cell.
+        pub fn strategy(&self, seed: u64) -> Box<dyn AdversaryStrategy> {
             use crate::adversary::{
                 AdaptiveHeaviest, BurstAdversary, EclipseNode, GreedyHeaviest, RandomMobile,
                 SweepMobile, SynthesizedSchedule,
             };
-            let def = self.clone();
-            AdversarySpec::new(
-                self.display_name(),
-                self.role(),
-                self.budget(),
-                move |seed| match &def {
-                    AdversaryDef::RandomMobile { f } => Box::new(RandomMobile::new(*f, seed)),
-                    AdversaryDef::SweepMobile { f } => Box::new(SweepMobile::new(*f)),
-                    AdversaryDef::GreedyHeaviest { f, mode } => {
-                        Box::new(GreedyHeaviest::new(*f).with_mode(*mode))
-                    }
-                    AdversaryDef::AdaptiveHeaviest { f } => Box::new(AdaptiveHeaviest::new(*f)),
-                    AdversaryDef::Eclipse { node, f, mode } => {
-                        Box::new(EclipseNode::new(*node, *f).with_mode(*mode))
-                    }
-                    AdversaryDef::Burst {
-                        quiet,
-                        burst,
-                        per_round,
-                        ..
-                    } => Box::new(BurstAdversary::new(*quiet, *burst, *per_round, seed)),
-                    AdversaryDef::Eavesdropper { f } => Box::new(RandomMobile::new(*f, seed)),
-                    AdversaryDef::Synthesized { schedule, mode } => {
-                        Box::new(SynthesizedSchedule::new(schedule.clone()).with_mode(*mode))
-                    }
-                },
-            )
+            match self {
+                AdversaryDef::RandomMobile { f } => Box::new(RandomMobile::new(*f, seed)),
+                AdversaryDef::SweepMobile { f } => Box::new(SweepMobile::new(*f)),
+                AdversaryDef::GreedyHeaviest { f, mode } => {
+                    Box::new(GreedyHeaviest::new(*f).with_mode(*mode))
+                }
+                AdversaryDef::AdaptiveHeaviest { f } => Box::new(AdaptiveHeaviest::new(*f)),
+                AdversaryDef::Eclipse { node, f, mode } => {
+                    Box::new(EclipseNode::new(*node, *f).with_mode(*mode))
+                }
+                AdversaryDef::Burst {
+                    quiet,
+                    burst,
+                    per_round,
+                    ..
+                } => Box::new(BurstAdversary::new(*quiet, *burst, *per_round, seed)),
+                AdversaryDef::Eavesdropper { f } => Box::new(RandomMobile::new(*f, seed)),
+                AdversaryDef::Synthesized { schedule, mode } => {
+                    Box::new(SynthesizedSchedule::new(schedule.clone()).with_mode(*mode))
+                }
+            }
         }
     }
 
@@ -1523,19 +1434,13 @@ pub mod matrix {
             .max(1)
     }
 
-    /// A named graph spec resolved from a serializable [`netgraph::GraphDef`]: the
-    /// display name is the def's canonical one, so spec-built and hand-built
-    /// grids agree.
-    impl GraphSpec {
-        /// Resolve a [`netgraph::GraphDef`] into a named spec.
-        pub fn from_def(def: &netgraph::GraphDef) -> Result<GraphSpec, netgraph::GraphDefError> {
-            Ok(GraphSpec::new(def.display_name(), def.build()?))
-        }
-    }
-
-    /// The standard topology zoo as *data*: the defs behind [`graph_zoo`].
-    /// `seed` drives the randomized generators, so two zoos with the same
-    /// seed are identical.
+    /// The standard topology zoo for campaign grids: the classic families the
+    /// compilers target (clique, circulant, grid) plus the expanded set —
+    /// 2-D torus, seeded random-regular expander, Watts–Strogatz small
+    /// world, ring of cliques and barbell.  `seed` drives the randomized
+    /// generators, so two zoos with the same seed are identical.  Sizes are
+    /// chosen so a full zoo × [`adversary_zoo_defs`] × compiler grid stays
+    /// fast enough for tests while still exercising every generator.
     pub fn graph_zoo_defs(seed: u64) -> Vec<netgraph::GraphDef> {
         use netgraph::GraphDef;
         vec![
@@ -1550,25 +1455,10 @@ pub mod matrix {
         ]
     }
 
-    /// The standard topology zoo for campaign grids: the classic families the
-    /// compilers target (clique, circulant, grid) plus the expanded set —
-    /// 2-D torus, seeded random-regular expander, Watts–Strogatz small
-    /// world, ring of cliques and barbell.  `seed` drives the randomized
-    /// generators, so two zoos with the same seed are identical.
-    ///
-    /// Delegates to [`graph_zoo_defs`] — the zoo *is* its data form — so
-    /// serialized campaign specs and hand-built grids cannot drift.  Sizes
-    /// are chosen so a full zoo × [`adversary_zoo`] × compiler grid stays
-    /// fast enough for tests while still exercising every generator.
-    pub fn graph_zoo(seed: u64) -> Vec<GraphSpec> {
-        graph_zoo_defs(seed)
-            .iter()
-            .map(|def| GraphSpec::from_def(def).expect("zoo defs are always valid"))
-            .collect()
-    }
-
-    /// The standard adversary zoo as *data*: the defs behind
-    /// [`adversary_zoo`].  `f` is the per-round edge budget.
+    /// The standard adversary zoo for campaign grids: every strategy family
+    /// (random / sweeping / greedy / adaptive / eclipse / bursty) under the
+    /// budgets that make them meaningful, plus an eavesdropper so secrecy
+    /// compilers run too.  `f` is the per-round edge budget.
     pub fn adversary_zoo_defs(f: usize) -> Vec<AdversaryDef> {
         use crate::adversary::CorruptionMode;
         let f = f.max(1);
@@ -1595,27 +1485,15 @@ pub mod matrix {
         ]
     }
 
-    /// The standard adversary zoo for campaign grids: every strategy family
-    /// (random / sweeping / greedy / adaptive / eclipse / bursty) under the
-    /// budgets that make them meaningful, plus an eavesdropper so secrecy
-    /// compilers run too.  `f` is the per-round edge budget.
-    ///
-    /// Delegates to [`adversary_zoo_defs`] — the zoo *is* its data form.
-    pub fn adversary_zoo(f: usize) -> Vec<AdversarySpec> {
-        adversary_zoo_defs(f)
-            .iter()
-            .map(AdversaryDef::to_spec)
-            .collect()
-    }
-
-    /// Execute one grid cell: build the scenario for `gspec` × `aspec` ×
-    /// `cspec` with the given seed and trace spec and run it.
+    /// Execute one grid cell: `payload` on `graph` under `adversary` through
+    /// `compiler`, with the given seed and trace spec.  `payload` receives
+    /// `graph` and returns a fresh instance on every call.
     ///
     /// This is the single per-cell engine entry point: the `harness` campaign
     /// engine calls it from worker threads (everything a cell needs is
     /// constructed inside the call, so nothing non-`Send` ever crosses a
     /// thread boundary).  The outcome — the event stream on
-    /// [`RunReport::trace`] included — is a pure function of the specs and
+    /// [`RunReport::trace`] included — is a pure function of the parts and
     /// the seed, which is what makes parallel campaigns byte-identical at any
     /// thread count.
     ///
@@ -1626,29 +1504,29 @@ pub mod matrix {
     /// `None` [`Compiler::prepare`] runs inside the cell.  Because a verdict
     /// is a pure function of `(graph, compiler)`, all three produce
     /// byte-identical outcomes.
-    pub fn run_cell<P>(
-        gspec: &GraphSpec,
-        aspec: &AdversarySpec,
-        cspec: &CompilerSpec,
-        payload: &P,
+    pub fn run_cell(
+        graph: &Graph,
+        adversary: &AdversaryDef,
+        compiler: Box<dyn Compiler>,
+        payload: impl Fn(&Graph) -> BoxedAlgorithm + 'static,
         seed: u64,
         trace: obs::TraceSpec,
         verdict: Option<Verdict>,
-    ) -> Result<RunReport, ScenarioError>
-    where
-        P: Fn(&Graph) -> BoxedAlgorithm + Clone + 'static,
-    {
+    ) -> Result<RunReport, ScenarioError> {
+        let payload_graph = graph.clone();
         let graph = match &verdict {
             Some(Ok(artifacts)) => artifacts.graph().clone(),
-            _ => gspec.graph.clone(),
+            _ => payload_graph.clone(),
         };
-        let payload_graph = gspec.graph.clone();
-        let make_payload = payload.clone();
         let mut builder = Scenario::on(graph)
-            .payload_boxed(move || make_payload(&payload_graph))
-            .adversary_boxed(aspec.role, (aspec.make)(seed), aspec.budget.clone())
+            .payload_boxed(move || payload(&payload_graph))
+            .adversary_boxed(
+                adversary.role(),
+                adversary.strategy(seed),
+                adversary.budget(),
+            )
             .seed(seed)
-            .compiled_with_boxed((cspec.make)())
+            .compiled_with_boxed(compiler)
             .trace(trace);
         if let Some(verdict) = verdict {
             builder = builder.verdict(verdict);

@@ -29,11 +29,8 @@ use crate::resilient::{
     rs_error_capacity, run_expander_compiled, CliqueCompiler, CorrectionVariant,
     CycleCoverCompiler, MobileByzantineCompiler, MAX_ARCS,
 };
-use crate::secure::{
-    broadcast_packing, CongestionSensitiveCompiler, PayloadTooWide, StaticToMobileCompiler,
-};
+use crate::secure::{broadcast_packing, CongestionSensitiveCompiler, StaticToMobileCompiler};
 use congest_sim::network::Network;
-use congest_sim::scenario::matrix::CompilerSpec;
 use congest_sim::scenario::{
     validate_role, BoxedAlgorithm, CompileArtifacts, Compiler, CompilerKind, CompilerNotes,
     ScenarioError,
@@ -213,10 +210,12 @@ fn prepared<'a, T: std::any::Any + Send + Sync>(
         })
 }
 
-/// A secrecy compiler's run stopped at a payload message wider than its
-/// `words` parameter: a parameter rejection like any other, only one the
-/// payload has to start sending before anything can see it.
-fn payload_too_wide(compiler: &impl Compiler, error: PayloadTooWide) -> ScenarioError {
+/// A compiler's run stopped at a payload message it cannot protect — wider
+/// than a secrecy compiler's `words` parameter (`PayloadTooWide`), or past
+/// the correction sketches' element layout (`UnpackableMessage`): a
+/// parameter rejection like any other, only one the payload has to start
+/// sending before anything can see it.
+fn payload_too_wide(compiler: &impl Compiler, error: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::InvalidParameter {
         compiler: compiler.name(),
         reason: error.to_string(),
@@ -315,7 +314,9 @@ impl Compiler for CliqueAdapter {
         // the cheap role check guards direct trait callers.
         validate_role(self, net.role())?;
         let compiler: &CliqueCompiler = prepared(self, artifacts)?;
-        let (out, report) = compiler.run(&mut *make(), net);
+        let (out, report) = compiler
+            .run(&mut *make(), net)
+            .map_err(|e| payload_too_wide(self, e))?;
         Ok((out, resilient_notes(&report)))
     }
 }
@@ -407,7 +408,9 @@ impl Compiler for TreePackingAdapter {
     ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
         validate_role(self, net.role())?;
         let compiler: &MobileByzantineCompiler = prepared(self, artifacts)?;
-        let (out, report) = compiler.run(&mut *make(), net);
+        let (out, report) = compiler
+            .run(&mut *make(), net)
+            .map_err(|e| payload_too_wide(self, e))?;
         Ok((out, resilient_notes(&report)))
     }
 }
@@ -539,7 +542,8 @@ impl Compiler for ExpanderAdapter {
             self.k,
             self.bfs_rounds,
             self.seed,
-        );
+        )
+        .map_err(|e| payload_too_wide(self, e))?;
         let notes = CompilerNotes::Expander {
             trees: report.packing.k,
             good_trees: report.packing.good_trees,
@@ -602,7 +606,9 @@ impl Compiler for RewindAdapter {
         validate_role(self, net.role())?;
         let packing: &TreePacking = prepared(self, artifacts)?;
         let compiler = RewindCompiler::new(packing.clone(), self.f, self.seed);
-        let (out, report) = compiler.run(make, net);
+        let (out, report) = compiler
+            .run(make, net)
+            .map_err(|e| payload_too_wide(self, e))?;
         if !report.completed {
             return Err(ScenarioError::IncompleteRun {
                 compiler: self.name(),
@@ -777,8 +783,7 @@ impl Compiler for CongestionSensitiveAdapter {
 /// A serializable description of one compiler configuration — the adapter
 /// registry as *data*.  Each variant names one adapter (or the built-in
 /// baseline/reference compilers) together with its parameters; resolve it
-/// with [`CompilerDef::build`] (one boxed instance) or
-/// [`CompilerDef::to_spec`] (a grid-ready factory).
+/// with [`CompilerDef::build`] (one boxed instance per cell).
 ///
 /// | Def | Adapter | Kind |
 /// |---|---|---|
@@ -903,14 +908,6 @@ impl CompilerDef {
     /// [`crate::registry::instantiate`], the single def → adapter path).
     pub fn build(&self) -> Box<dyn Compiler> {
         crate::registry::instantiate(self)
-    }
-
-    /// Resolve the def into a grid-ready [`CompilerSpec`] whose display name
-    /// matches the adapter's own (`clique(f=1)`, `tree-packing(f=1,k=41)`,
-    /// …), so spec-built and hand-built campaigns agree byte-for-byte.
-    pub fn to_spec(&self) -> CompilerSpec {
-        let def = self.clone();
-        CompilerSpec::new(self.build().name(), move || def.build())
     }
 }
 
@@ -1298,7 +1295,6 @@ mod tests {
             assert_eq!(built.name(), adapter.name(), "registry name drift");
             assert_eq!(built.kind(), adapter.kind(), "registry kind drift");
             assert_eq!(def.kind(), adapter.kind());
-            assert_eq!(def.to_spec().name, adapter.name());
         }
     }
 

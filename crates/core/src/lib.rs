@@ -40,7 +40,9 @@
 //!     42,
 //! );
 //! let compiler = CliqueCompiler::new(&g, f, 1);
-//! let (out, report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 7), &mut net);
+//! let (out, report) = compiler
+//!     .run(&mut FloodBroadcast::new(g.clone(), 0, 7), &mut net)
+//!     .expect("every word fits a sketch element");
 //! assert_eq!(out, expected);
 //! assert!(report.fully_corrected);
 //! ```

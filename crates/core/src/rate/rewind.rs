@@ -28,7 +28,9 @@
 //! The protected algorithm is supplied as a *factory* because rewinding means
 //! re-simulating it from the committed transcript prefix.
 
-use crate::resilient::correction::{sparse_majority_correction, CorrectionContext};
+use crate::resilient::correction::{
+    check_packable, sparse_majority_correction, CorrectionContext, UnpackableMessage,
+};
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
@@ -79,8 +81,13 @@ impl RewindCompiler {
 
     /// Run the compiled algorithm.  `make_alg` must return a fresh instance of
     /// the payload algorithm each time it is called (rewinding re-simulates the
-    /// committed prefix).
-    pub fn run<A, F>(&self, make_alg: F, net: &mut Network) -> (Vec<Output>, RewindReport)
+    /// committed prefix).  Fails with [`UnpackableMessage`] as soon as a
+    /// round's intended messages cannot go through the correction sketches.
+    pub fn run<A, F>(
+        &self,
+        make_alg: F,
+        net: &mut Network,
+    ) -> Result<(Vec<Output>, RewindReport), UnpackableMessage>
     where
         A: CongestAlgorithm,
         F: Fn() -> A,
@@ -109,13 +116,25 @@ impl RewindCompiler {
             }
             let sim_round = committed.len();
 
-            // Recompute the intended messages of `sim_round` from the committed prefix.
+            // Recompute the intended messages of `sim_round` from the committed
+            // prefix, checking on the way that every committed round is what
+            // the payload intended (the transcript-hash check of the rewind
+            // phase, evaluated on the ground truth).
             let mut replay = make_alg();
+            let mut consistent = true;
             for (j, delivered) in committed.iter().enumerate() {
                 replay.send_into(j, &mut intended);
+                consistent &= intended == *delivered;
                 replay.receive(j, delivered);
             }
             replay.send_into(sim_round, &mut intended);
+            // A consistent prefix leaves the payload in its fault-free state,
+            // so a word the sketches cannot carry is its own: refuse the run.
+            // Past a lying verdict's commit, adversarial garbage may come back
+            // as intended words; it is masked like received garbage.
+            if consistent {
+                check_packable(&intended)?;
+            }
 
             // Phase A: round-initialisation — repeat the exchange and take the
             // per-arc majority.
@@ -148,8 +167,7 @@ impl RewindCompiler {
 
             // Phase C: rewind-if-error — verify the whole committed prefix plus
             // the new round, with the verdict aggregated over the packing's trees.
-            let honest_good =
-                corrected.agrees_with(&intended) && prefix_consistent(&committed, &make_alg);
+            let honest_good = consistent && corrected.agrees_with(&intended);
             let sched = RsScheduler.run_planned(net, &self.packing, &plan, dtp + 2);
             let verdict_trustworthy = 2 * sched.success_count() > self.packing.len();
             let good_state = if verdict_trustworthy {
@@ -194,40 +212,8 @@ impl RewindCompiler {
             network_rounds: net.round() - start,
             completed,
         };
-        (final_alg.outputs(), report)
+        Ok((final_alg.outputs(), report))
     }
-}
-
-/// Whether every committed round's traffic equals what the payload would have
-/// sent given the preceding committed rounds (the transcript-hash check of the
-/// rewind phase, evaluated on the ground truth).
-fn prefix_consistent<A, F>(committed: &[Traffic], make_alg: &F) -> bool
-where
-    A: CongestAlgorithm,
-    F: Fn() -> A,
-{
-    let mut replay = make_alg();
-    let mut intended = Traffic::default();
-    for (j, delivered) in committed.iter().enumerate() {
-        replay.send_into(j, &mut intended);
-        // The committed traffic may legitimately differ from `intended` only by
-        // having *no more* information (e.g. dropped empty slots); any arc whose
-        // committed value is present but different from the intended one marks
-        // an inconsistent prefix.
-        for (arc, payload) in delivered.iter_present() {
-            if intended.get_arc(arc) != Some(payload) {
-                return false;
-            }
-        }
-        for (arc, payload) in intended.iter_present() {
-            if delivered.get_arc(arc) != Some(payload) {
-                let _ = payload;
-                return false;
-            }
-        }
-        replay.receive(j, delivered);
-    }
-    true
 }
 
 #[cfg(test)]
@@ -246,7 +232,9 @@ mod tests {
         let compiler = RewindCompiler::new(packing, 1, 3);
         let expected = run_fault_free(&mut LeaderElection::new(g.clone()));
         let mut net = Network::fault_free(g.clone());
-        let (out, report) = compiler.run(|| LeaderElection::new(g.clone()), &mut net);
+        let (out, report) = compiler
+            .run(|| LeaderElection::new(g.clone()), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
         assert!(report.completed);
         assert_eq!(report.rewinds, 0);
@@ -272,7 +260,9 @@ mod tests {
             3,
         );
         let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 7));
-        let (out, report) = compiler.run(|| FloodBroadcast::new(g.clone(), 0, 7), &mut net);
+        let (out, report) = compiler
+            .run(|| FloodBroadcast::new(g.clone(), 0, 7), &mut net)
+            .unwrap();
         assert!(
             report.completed,
             "progress trace: {:?}",
@@ -296,7 +286,9 @@ mod tests {
             11,
         );
         let expected = run_fault_free(&mut LeaderElection::new(g.clone()));
-        let (out, report) = compiler.run(|| LeaderElection::new(g.clone()), &mut net);
+        let (out, report) = compiler
+            .run(|| LeaderElection::new(g.clone()), &mut net)
+            .unwrap();
         assert!(report.completed);
         assert_eq!(out, expected);
     }
@@ -307,7 +299,9 @@ mod tests {
         let packing = star_packing(&g, 0);
         let compiler = RewindCompiler::new(packing, 1, 1);
         let mut net = Network::fault_free(g.clone());
-        let (_, report) = compiler.run(|| LeaderElection::new(g.clone()), &mut net);
+        let (_, report) = compiler
+            .run(|| LeaderElection::new(g.clone()), &mut net)
+            .unwrap();
         for w in report.progress_trace.windows(2) {
             assert!(
                 w[1] + 1 >= w[0],

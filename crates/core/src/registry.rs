@@ -2,9 +2,9 @@
 //! [`CompilerDef`] into a live [`Compiler`] instance.
 //!
 //! Before this module, the def → instance glue was spread over
-//! `CompilerDef::build`, `CompilerDef::to_spec` and per-call-site adapter
-//! constructors.  [`instantiate`] is now the single resolution path — `build`
-//! and `to_spec` delegate here — and the [`Compiler`] impl on `CompilerDef`
+//! `CompilerDef::build` and per-call-site adapter constructors.
+//! [`instantiate`] is now the single resolution path — `build` delegates
+//! here — and the [`Compiler`] impl on `CompilerDef`
 //! itself lets builder code pass a def straight to
 //! `ScenarioBuilder::compiled_with(def)` without ever naming an adapter type.
 
@@ -25,9 +25,8 @@ use netgraph::Graph;
 /// Resolve `def` into one boxed compiler instance.
 ///
 /// This is the only place in the workspace that maps def variants onto
-/// adapter constructors; everything else (`CompilerDef::build`,
-/// `CompilerDef::to_spec`, the spec layer, the `Compiler` impl on
-/// `CompilerDef`) routes through it.
+/// adapter constructors; everything else (`CompilerDef::build`, the spec
+/// layer, the `Compiler` impl on `CompilerDef`) routes through it.
 pub fn instantiate(def: &CompilerDef) -> Box<dyn Compiler> {
     match *def {
         CompilerDef::Uncompiled => Box::new(Uncompiled),

@@ -64,6 +64,50 @@ pub fn pack_element(arc: ArcId, index: u64, value: u64) -> u64 {
     ((arc as u64) << 48) | (index << 40) | value
 }
 
+/// A sent message the correction sketches cannot carry: what the compilers'
+/// `run` report where the sketch stream would silently truncate it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnpackableMessage {
+    /// More than [`MAX_WORDS`] words.
+    TooManyWords(usize),
+    /// A word wider than the [`MAX_WORD_VALUE`] content lane.
+    WordTooWide(u64),
+}
+
+impl std::fmt::Display for UnpackableMessage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UnpackableMessage::TooManyWords(words) => write!(
+                f,
+                "the payload sent a {words}-word message; the correction sketches track at \
+                 most {MAX_WORDS} words"
+            ),
+            UnpackableMessage::WordTooWide(word) => write!(
+                f,
+                "the payload sent the word {word:#x}, wider than the 40-bit lane of the \
+                 correction sketches"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for UnpackableMessage {}
+
+/// Check one *sent* round against the element layout of [`pack_element`].
+/// Received rounds are never checked: their words may be adversarial garbage,
+/// which the sketch stream masks instead of aborting the run.
+pub fn check_packable(sent: &Traffic) -> Result<(), UnpackableMessage> {
+    for (_, words) in sent.iter_present() {
+        if words.len() > MAX_WORDS {
+            return Err(UnpackableMessage::TooManyWords(words.len()));
+        }
+        if let Some(&word) = words.iter().find(|&&w| w > MAX_WORD_VALUE) {
+            return Err(UnpackableMessage::WordTooWide(word));
+        }
+    }
+    Ok(())
+}
+
 /// Inverse of [`pack_element`].
 pub fn unpack_element(element: u64) -> (ArcId, u64, u64) {
     (
@@ -76,8 +120,9 @@ pub fn unpack_element(element: u64) -> (ArcId, u64, u64) {
 /// Feed one message (or its absence) into a sketch-updating closure as
 /// `(element, ±1)` pairs.
 ///
-/// Sent messages (`sign > 0`) must obey the compiler's packing limits (their
-/// words come from the protected algorithm).  Received messages (`sign < 0`)
+/// Sent messages (`sign > 0`) obey the compiler's packing limits: their words
+/// come from the protected algorithm, which [`check_packable`] refuses while
+/// its state is still fault-free.  Received messages (`sign < 0`)
 /// may contain arbitrary adversarial garbage; their words are truncated to the
 /// 40-bit content lane, which is sound because negative records are only used
 /// to *remove* a receiver's word at a given index, never to set a value.
@@ -541,6 +586,24 @@ mod tests {
     #[should_panic]
     fn oversized_word_rejected() {
         let _ = pack_element(0, 0, 1 << 40);
+    }
+
+    #[test]
+    fn sent_rounds_are_checked_against_the_element_layout() {
+        let g = generators::path(2);
+        let round = |words: Vec<u64>| traffic_with(&g, &[(0, 1, vec![1]), (1, 0, words)]);
+        assert_eq!(
+            check_packable(&round(vec![MAX_WORD_VALUE; MAX_WORDS])),
+            Ok(())
+        );
+        assert_eq!(
+            check_packable(&round(vec![7; MAX_WORDS + 1])),
+            Err(UnpackableMessage::TooManyWords(MAX_WORDS + 1))
+        );
+        assert_eq!(
+            check_packable(&round(vec![3, 1 << 40])),
+            Err(UnpackableMessage::WordTooWide(1 << 40))
+        );
     }
 
     fn traffic_with(g: &Graph, entries: &[(usize, usize, Vec<u64>)]) -> Traffic {

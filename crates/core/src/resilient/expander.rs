@@ -9,6 +9,7 @@
 //! with `k = Θ(f·log n/φ)` colours at least `0.9k` trees survive — a weak
 //! packing (Definition 7) over which the Theorem 3.5 compiler runs.
 
+use crate::resilient::correction::UnpackableMessage;
 use crate::resilient::tree_compiler::{ByzantineCompilerReport, MobileByzantineCompiler};
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
@@ -148,7 +149,8 @@ pub struct ExpanderCompilerReport {
 
 /// The Theorem 1.7 compiler: build the weak packing under attack, then run the
 /// Theorem 3.5 compiler over it.  `k` and `bfs_rounds` should be chosen as
-/// `k = Θ(f log n / φ)` and `bfs_rounds = Θ(log n / φ)`.
+/// `k = Θ(f log n / φ)` and `bfs_rounds = Θ(log n / φ)`.  Fails like
+/// [`MobileByzantineCompiler::run`].
 pub fn run_expander_compiled<A: CongestAlgorithm + ?Sized>(
     alg: &mut A,
     net: &mut Network,
@@ -156,17 +158,17 @@ pub fn run_expander_compiled<A: CongestAlgorithm + ?Sized>(
     k: usize,
     bfs_rounds: usize,
     seed: u64,
-) -> (Vec<Output>, ExpanderCompilerReport) {
+) -> Result<(Vec<Output>, ExpanderCompilerReport), UnpackableMessage> {
     let (packing, packing_report) = weak_packing_under_attack(net, k, bfs_rounds, seed);
     let compiler = MobileByzantineCompiler::new(net.graph(), packing, f, seed ^ 0xE0);
-    let (out, compilation) = compiler.run(alg, net);
-    (
+    let (out, compilation) = compiler.run(alg, net)?;
+    Ok((
         out,
         ExpanderCompilerReport {
             packing: packing_report,
             compilation,
         },
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -236,7 +238,8 @@ mod tests {
         let expected = run_fault_free(&mut LeaderElection::new(g.clone()));
         let mut net = byz_net(g.clone(), f, 9);
         let (out, report) =
-            run_expander_compiled(&mut LeaderElection::new(g.clone()), &mut net, f, 6, 6, 11);
+            run_expander_compiled(&mut LeaderElection::new(g.clone()), &mut net, f, 6, 6, 11)
+                .unwrap();
         assert_eq!(out, expected);
         assert!(report.compilation.fully_corrected);
     }
@@ -254,7 +257,8 @@ mod tests {
             6,
             6,
             13,
-        );
+        )
+        .unwrap();
         assert_eq!(out, expected);
     }
 }

@@ -9,7 +9,7 @@ pub mod tree_compiler;
 pub use correction::{
     apply_corrections, l0_threshold_correction, mismatched_arc_count, pack_element,
     sparse_majority_correction, true_mismatch_elements, unpack_element, CorrectionContext,
-    CorrectionReport, MAX_ARCS,
+    CorrectionReport, UnpackableMessage, MAX_ARCS,
 };
 pub use cycle_cover::{CycleCoverCompiler, CycleCoverReport};
 pub use expander::{

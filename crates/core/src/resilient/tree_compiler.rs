@@ -16,7 +16,8 @@
 //! regimes; both are selectable via [`CorrectionVariant`].
 
 use crate::resilient::correction::{
-    l0_threshold_correction, sparse_majority_correction, CorrectionContext, CorrectionReport,
+    check_packable, l0_threshold_correction, sparse_majority_correction, CorrectionContext,
+    CorrectionReport, UnpackableMessage,
 };
 use congest_sim::network::Network;
 use congest_sim::traffic::Output;
@@ -117,20 +118,31 @@ impl MobileByzantineCompiler {
     }
 
     /// Run the compiled algorithm on the network (whose adversary should be
-    /// byzantine).  Returns the payload outputs and a report.
+    /// byzantine).  Returns the payload outputs and a report, or
+    /// [`UnpackableMessage`] as soon as `alg` sends a message the correction
+    /// sketches cannot carry.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
-    ) -> (Vec<Output>, ByzantineCompilerReport) {
+    ) -> Result<(Vec<Output>, ByzantineCompilerReport), UnpackableMessage> {
         let start = net.round();
         let r = alg.rounds();
         let mut per_round = Vec::with_capacity(r);
         // Round buffers, reused across all simulated rounds.
         let mut sent = congest_sim::traffic::Traffic::new(net.graph());
         let mut received = congest_sim::traffic::Traffic::new(net.graph());
+        let mut fully_corrected = true;
         for round in 0..r {
             alg.send_into(round, &mut sent);
+            // While every round so far was corrected, `alg` is in its
+            // fault-free state and a word the sketches cannot carry is its
+            // own: refuse the run.  Past a failed correction, adversarial
+            // garbage may come back as sent words; it is masked like
+            // received garbage, and the report says the run failed.
+            if fully_corrected {
+                check_packable(&sent)?;
+            }
             received.clone_from(&sent);
             net.exchange_in_place(&mut received);
             // The sparse-recovery sparsity must cover every word of every message
@@ -161,10 +173,10 @@ impl MobileByzantineCompiler {
             };
             net.tracer_mut().span_close(obs::Phase::Correction);
             alg.receive(round, &corrected);
+            fully_corrected &= report.mismatches_after == 0;
             per_round.push(report);
         }
-        let fully_corrected = per_round.iter().all(|r| r.mismatches_after == 0);
-        (
+        Ok((
             alg.outputs(),
             ByzantineCompilerReport {
                 payload_rounds: r,
@@ -173,7 +185,7 @@ impl MobileByzantineCompiler {
                 fully_corrected,
                 packing_quality: self.quality,
             },
-        )
+        ))
     }
 }
 
@@ -213,12 +225,12 @@ impl CliqueCompiler {
         (n.saturating_sub(1)) / denom
     }
 
-    /// Run the compiled clique algorithm.
+    /// Run the compiled clique algorithm (see [`MobileByzantineCompiler::run`]).
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
-    ) -> (Vec<Output>, ByzantineCompilerReport) {
+    ) -> Result<(Vec<Output>, ByzantineCompilerReport), UnpackableMessage> {
         self.inner.run(alg, net)
     }
 }
@@ -251,7 +263,9 @@ mod tests {
         let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 4242));
         let compiler = CliqueCompiler::new(&g, f, 7);
         let mut net = byz_net(g.clone(), f, 13);
-        let (out, report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 4242), &mut net);
+        let (out, report) = compiler
+            .run(&mut FloodBroadcast::new(g.clone(), 0, 4242), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
         assert!(report.fully_corrected);
         assert!(report.network_rounds > report.payload_rounds);
@@ -265,10 +279,12 @@ mod tests {
         let expected = run_fault_free(&mut TokenDissemination::new(g.clone(), tokens.clone(), 12));
         let compiler = CliqueCompiler::new(&g, f, 3);
         let mut net = byz_net(g.clone(), f, 5);
-        let (out, report) = compiler.run(
-            &mut TokenDissemination::new(g.clone(), tokens, 12),
-            &mut net,
-        );
+        let (out, report) = compiler
+            .run(
+                &mut TokenDissemination::new(g.clone(), tokens, 12),
+                &mut net,
+            )
+            .unwrap();
         assert_eq!(out, expected);
         assert!(report.fully_corrected);
     }
@@ -296,7 +312,9 @@ mod tests {
             CorruptionBudget::Mobile { f },
             1,
         );
-        let (out, report) = compiler.run(&mut LeaderElection::new(g.clone()), &mut net);
+        let (out, report) = compiler
+            .run(&mut LeaderElection::new(g.clone()), &mut net)
+            .unwrap();
         assert_eq!(out, expected, "compiled run must be correct");
         assert!(report.fully_corrected);
         // The uncompiled run saw corrupted values (it may still luck into the right
@@ -313,7 +331,9 @@ mod tests {
         let expected = run_fault_free(&mut LeaderElection::new(g.clone()));
         let compiler = MobileByzantineCompiler::new(&g, packing, f, 11);
         let mut net = byz_net(g.clone(), f, 21);
-        let (out, report) = compiler.run(&mut LeaderElection::new(g.clone()), &mut net);
+        let (out, report) = compiler
+            .run(&mut LeaderElection::new(g.clone()), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
         assert!(report.fully_corrected);
     }
@@ -326,7 +346,9 @@ mod tests {
         let compiler = MobileByzantineCompiler::new(&g, star_packing(&g, 0), f, 3)
             .with_variant(CorrectionVariant::L0Threshold);
         let mut net = byz_net(g.clone(), f, 9);
-        let (out, _report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 99), &mut net);
+        let (out, _report) = compiler
+            .run(&mut FloodBroadcast::new(g.clone(), 0, 99), &mut net)
+            .unwrap();
         assert_eq!(out, expected);
     }
 

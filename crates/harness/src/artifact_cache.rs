@@ -14,9 +14,10 @@
 //! Keys are the **spec-layer canonical JSON** of the two defs
 //! ([`crate::spec::graph_to_json`] / [`crate::spec::compiler_to_json`]), not
 //! a hash — collisions are impossible by construction, so a hit can never
-//! hand a cell the wrong artifacts.  Only campaigns built by
-//! [`Campaign::from_spec`](crate::Campaign::from_spec) know their defs;
-//! hand-built campaigns run uncached, bit-for-bit as before.
+//! hand a cell the wrong artifacts.  [`Campaign::from_spec`](crate::Campaign::from_spec),
+//! the only way to make a campaign, computes the keys from the very defs its
+//! cells run, so campaigns sharing one cache (as `campaignd` shares it) can
+//! never be served another grid's verdict.
 //!
 //! Rejections are verdicts like any other ([`ScenarioError`] is `Clone`): a
 //! structurally incompatible pair — the clique compiler on a torus, say —
@@ -125,8 +126,7 @@ impl ArtifactCache {
         graph: &netgraph::Graph,
     ) -> Verdict {
         self.get_or_prepare(key, || {
-            let mut tracer = obs::TraceSpec::off().build_tracer();
-            compiler.prepare(graph, &mut tracer)
+            compiler.prepare(graph, &mut obs::Tracer::disabled())
         })
     }
 

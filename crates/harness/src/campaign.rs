@@ -5,16 +5,12 @@
 use crate::artifact_cache::ArtifactCache;
 use crate::engine;
 use crate::json;
-use crate::spec::{CampaignSpec, SpecError};
+use crate::spec::{compiler_to_json, graph_to_json, CampaignSpec, SpecError};
 use crate::stats::StatSummary;
-use congest_sim::scenario::matrix::{run_cell, AdversarySpec, CompilerSpec, GraphSpec};
-use congest_sim::scenario::{BoxedAlgorithm, RunReport, ScenarioError};
-use netgraph::Graph;
+use congest_sim::scenario::matrix::run_cell;
+use congest_sim::scenario::{RunReport, ScenarioError};
+use netgraph::{Graph, GraphDef};
 use std::sync::Arc;
-
-/// A shareable payload factory: receives the cell's graph, returns a fresh
-/// boxed payload instance.
-pub type SharedPayload = Arc<dyn Fn(&Graph) -> BoxedAlgorithm + Send + Sync>;
 
 /// Mix a per-cell seed out of the campaign seed and the cell index: the
 /// SplitMix64 finalizer applied to
@@ -33,138 +29,75 @@ pub fn cell_seed(campaign_seed: u64, cell_index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A batched experiment grid: every graph × adversary × compiler cell of the
-/// campaign runs `repetitions` times with per-repetition seeds, fanned across
-/// worker threads by the deterministic engine.
+/// A resolved [`CampaignSpec`]: every graph × adversary × compiler cell of
+/// the spec's grid runs `repetitions` times with per-repetition seeds, fanned
+/// across worker threads by the deterministic engine.
 ///
-/// See the crate docs for a runnable end-to-end example.
+/// [`Campaign::from_spec`] is the only constructor, so the grid a campaign
+/// runs and the artifact-cache keys it computed from the same defs can never
+/// drift apart.  See the crate docs for a runnable end-to-end example.
 pub struct Campaign {
-    graphs: Vec<GraphSpec>,
-    adversaries: Vec<AdversarySpec>,
-    compilers: Vec<CompilerSpec>,
-    payload: Option<SharedPayload>,
-    repetitions: usize,
-    seed: u64,
+    /// The spec this campaign resolves: seed, repetitions and the def axes.
+    spec: CampaignSpec,
+    /// Every graph of the grid, built once from its def.
+    graphs: Vec<Graph>,
+    /// Canonical cache keys per `(graph, compiler)` pair, `gi * n_c + ci`
+    /// order.
+    pair_keys: Vec<String>,
     threads: usize,
     shard: Option<(usize, usize)>,
     trace: obs::TraceSpec,
-    /// The shared compile-artifact cache, if this campaign runs cached.
+    /// The shared compile-artifact cache, unless disabled.
     cache: Option<Arc<ArtifactCache>>,
-    /// Canonical cache keys per `(graph, compiler)` pair, `gi * n_c + ci`
-    /// order.  Only spec-built campaigns know their defs and get keys;
-    /// hand-built campaigns run uncached.
-    pair_keys: Option<Vec<String>>,
 }
 
 impl Campaign {
-    /// Start a campaign with the given base seed.
-    pub fn new(seed: u64) -> Self {
-        Campaign {
-            graphs: Vec::new(),
-            adversaries: Vec::new(),
-            compilers: Vec::new(),
-            payload: None,
-            repetitions: 1,
-            seed,
+    /// Resolve a campaign from its serializable data form: every
+    /// [`GraphDef`] is built through `netgraph::generators` (once, for the
+    /// whole campaign), every
+    /// [`AdversaryDef`](congest_sim::scenario::matrix::AdversaryDef) and
+    /// [`CompilerDef`](mobile_congest_core::adapters::CompilerDef) is resolved
+    /// per cell through its registry, and the payload through
+    /// [`PayloadDef`](crate::spec::PayloadDef).  The payload is validated
+    /// against every graph here, so a spec that would panic inside a worker
+    /// is a typed [`SpecError`] before anything runs.
+    ///
+    /// The campaign gets a fresh [`ArtifactCache`]; share one with
+    /// [`Campaign::artifact_cache`] or disable it with
+    /// [`Campaign::without_artifact_cache`].
+    pub fn from_spec(spec: &CampaignSpec) -> Result<Campaign, SpecError> {
+        spec.validate()?;
+        let grid = &spec.grid;
+        let graphs = grid
+            .graphs
+            .iter()
+            .map(GraphDef::build)
+            .collect::<Result<Vec<_>, _>>()?;
+        for (def, graph) in grid.graphs.iter().zip(&graphs) {
+            grid.payload.validate(&def.display_name(), graph)?;
+        }
+        // Cache keys are the canonical def JSON of each pair — collision
+        // free, so a hit can never hand a cell another pair's verdict.
+        let compiler_jsons: Vec<String> = grid.compilers.iter().map(compiler_to_json).collect();
+        let pair_keys = grid
+            .graphs
+            .iter()
+            .flat_map(|def| {
+                let graph_json = graph_to_json(def);
+                compiler_jsons
+                    .iter()
+                    .map(move |compiler_json| ArtifactCache::pair_key(&graph_json, compiler_json))
+            })
+            .collect();
+        Ok(Campaign {
+            spec: spec.clone(),
+            graphs,
+            pair_keys,
             threads: 0,
             shard: None,
             trace: obs::TraceSpec::off(),
-            cache: None,
-            pair_keys: None,
-        }
-    }
-
-    /// Reconstruct a campaign from its serializable data form: every
-    /// [`GraphDef`](netgraph::GraphDef) is resolved through
-    /// `netgraph::generators`, every
-    /// [`AdversaryDef`](congest_sim::scenario::matrix::AdversaryDef) and
-    /// [`CompilerDef`](mobile_congest_core::adapters::CompilerDef) through
-    /// its registry, and the payload through
-    /// [`PayloadDef`](crate::spec::PayloadDef) — the same entry points the
-    /// hand-built zoos use, so the resulting report is **byte-identical** to
-    /// the equivalent hand-built campaign at any thread count.
-    pub fn from_spec(spec: &CampaignSpec) -> Result<Campaign, SpecError> {
-        spec.validate()?;
-        let graphs = spec
-            .grid
-            .graphs
-            .iter()
-            .map(GraphSpec::from_def)
-            .collect::<Result<Vec<_>, _>>()?;
-        // Front-load payload × graph validation too: a flood source beyond
-        // some grid graph's node count must be a typed error here, not a
-        // panic inside a worker thread.
-        for gspec in &graphs {
-            spec.grid.payload.validate(&gspec.name, &gspec.graph)?;
-        }
-        let payload = spec.grid.payload.clone();
-        // The spec layer knows the defs behind every axis, so spec-built
-        // campaigns get artifact-cache keys (canonical def JSON — collision
-        // free) and a per-campaign cache, shared or disabled via
-        // [`Campaign::artifact_cache`] / [`Campaign::without_artifact_cache`].
-        let graph_jsons: Vec<String> = spec
-            .grid
-            .graphs
-            .iter()
-            .map(crate::spec::graph_to_json)
-            .collect();
-        let compiler_jsons: Vec<String> = spec
-            .grid
-            .compilers
-            .iter()
-            .map(crate::spec::compiler_to_json)
-            .collect();
-        let mut pair_keys = Vec::with_capacity(graph_jsons.len() * compiler_jsons.len());
-        for gj in &graph_jsons {
-            for cj in &compiler_jsons {
-                pair_keys.push(ArtifactCache::pair_key(gj, cj));
-            }
-        }
-        let mut campaign = Campaign::new(spec.seed)
-            .graphs(graphs)
-            .adversaries(spec.grid.adversaries.iter().map(|d| d.to_spec()).collect())
-            .compilers(spec.grid.compilers.iter().map(|d| d.to_spec()).collect())
-            .payload(move |g: &Graph| payload.build(g))
-            .repetitions(spec.repetitions);
-        campaign.pair_keys = Some(pair_keys);
-        campaign.cache = Some(Arc::new(ArtifactCache::new()));
-        Ok(campaign)
-    }
-
-    /// The graph axis of the grid.
-    pub fn graphs(mut self, graphs: Vec<GraphSpec>) -> Self {
-        self.graphs = graphs;
-        self
-    }
-
-    /// The adversary axis of the grid.
-    pub fn adversaries(mut self, adversaries: Vec<AdversarySpec>) -> Self {
-        self.adversaries = adversaries;
-        self
-    }
-
-    /// The compiler axis of the grid.
-    pub fn compilers(mut self, compilers: Vec<CompilerSpec>) -> Self {
-        self.compilers = compilers;
-        self
-    }
-
-    /// The payload factory: receives the cell's graph, returns a fresh boxed
-    /// instance on every call.
-    pub fn payload<P>(mut self, payload: P) -> Self
-    where
-        P: Fn(&Graph) -> BoxedAlgorithm + Send + Sync + 'static,
-    {
-        self.payload = Some(Arc::new(payload));
-        self
-    }
-
-    /// Seed repetitions per grid cell (clamped to at least 1; default 1).
-    /// Each repetition gets its own derived seed, so the aggregated summaries
-    /// measure seed-to-seed spread.
-    pub fn repetitions(mut self, repetitions: usize) -> Self {
-        self.repetitions = repetitions.max(1);
-        self
+            cache: Some(Arc::new(ArtifactCache::new())),
+        })
     }
 
     /// Worker threads to fan the cells across (`0`, the default, uses the
@@ -187,19 +120,18 @@ impl Campaign {
     }
 
     /// Share an existing [`ArtifactCache`] — the form `campaignd` uses so
-    /// every batch and job of a daemon reuses one cache.  Only campaigns
-    /// built by [`Campaign::from_spec`] consult it (hand-built campaigns
-    /// have no def-derived keys), and traced runs always bypass it so every
-    /// cell's event stream still carries its packing spans.
+    /// every batch and job of a daemon reuses one cache.  Traced runs always
+    /// bypass it so every cell's event stream still carries its packing
+    /// spans.
     pub fn artifact_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
         self.cache = Some(cache);
         self
     }
 
     /// Disable the compile-artifact cache: every cell calls `prepare`
-    /// itself, exactly as a hand-built campaign does.  Reports are
-    /// byte-identical either way; this exists for measurement (the bench
-    /// package's cache probes) and as the CLI `--no-cache` escape hatch.
+    /// itself.  Reports are byte-identical either way; this exists for
+    /// measurement (the bench package's cache probes) and as the CLI
+    /// `--no-cache` escape hatch.
     pub fn without_artifact_cache(mut self) -> Self {
         self.cache = None;
         self
@@ -232,7 +164,7 @@ impl Campaign {
 
     /// Total number of cells in the full (unsharded) grid.
     pub fn cell_count(&self) -> usize {
-        self.graphs.len() * self.adversaries.len() * self.compilers.len() * self.repetitions
+        self.spec.cell_count()
     }
 
     /// The global cell indices this campaign will run: the full enumeration,
@@ -253,10 +185,6 @@ impl Campaign {
     /// seed, cell index)` and the whole cell is built and run inside the
     /// worker via [`matrix::run_cell`](congest_sim::scenario::matrix::run_cell),
     /// so the report is byte-identical at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no payload factory was configured.
     pub fn run(&self) -> CampaignReport {
         self.run_cells(&self.cell_indices())
     }
@@ -265,18 +193,10 @@ impl Campaign {
     /// are ignored) — the entry point [`Campaign::run`], sharded runs and
     /// cell-level resume share.  Each cell's seed depends only on its global
     /// index, so any subset reproduces the same cells the full run would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no payload factory was configured.
     pub fn run_cells(&self, indices: &[usize]) -> CampaignReport {
-        let payload = Arc::clone(
-            self.payload
-                .as_ref()
-                .expect("Campaign::payload must be configured before run()"),
-        );
-        let reps = self.repetitions;
-        let (n_a, n_c) = (self.adversaries.len(), self.compilers.len());
+        let grid = &self.spec.grid;
+        let reps = self.spec.repetitions;
+        let (n_a, n_c) = (grid.adversaries.len(), grid.compilers.len());
         let indices: Vec<usize> = indices
             .iter()
             .copied()
@@ -287,15 +207,10 @@ impl Campaign {
         } else {
             self.threads
         };
-        // The cache is consulted only when (a) this campaign has one, (b) it
-        // was spec-built and therefore knows its def-derived keys, and (c)
-        // tracing is off — `prepare` emits packing spans into the cell's
-        // event stream, and a cache hit would elide them from every cell but
-        // the first, changing traced fingerprints.
-        let cache = match (&self.cache, &self.pair_keys) {
-            (Some(cache), Some(keys)) if !self.trace.enabled => Some((cache, keys)),
-            _ => None,
-        };
+        // Tracing bypasses the cache: `prepare` emits packing spans into the
+        // cell's event stream, and a cache hit would elide them from every
+        // cell but the first, changing traced fingerprints.
+        let cache = self.cache.as_ref().filter(|_| !self.trace.enabled);
 
         let cells = engine::run_indexed(threads, indices.len(), |slot| {
             let index = indices[slot];
@@ -304,33 +219,25 @@ impl Campaign {
             let ci = (index / reps) % n_c;
             let ai = (index / (reps * n_c)) % n_a;
             let gi = index / (reps * n_c * n_a);
-            let (gspec, aspec, cspec) =
-                (&self.graphs[gi], &self.adversaries[ai], &self.compilers[ci]);
-            let seed = cell_seed(self.seed, index);
-            let cell_payload = {
-                let p = Arc::clone(&payload);
-                move |g: &Graph| p(g)
-            };
+            let (graph, adversary) = (&self.graphs[gi], &grid.adversaries[ai]);
+            let compiler = grid.compilers[ci].build();
+            let seed = cell_seed(self.spec.seed, index);
             // The pair's verdict, rejection included, goes to the cell as is.
-            let verdict = cache.map(|(cache, keys)| {
-                cache.get_or_prepare(&keys[gi * n_c + ci], || {
-                    cspec
-                        .instantiate()
-                        .prepare(&gspec.graph, &mut obs::Tracer::disabled())
-                })
-            });
+            let verdict = cache
+                .map(|cache| cache.prepare_with(&self.pair_keys[gi * n_c + ci], &*compiler, graph));
+            let payload = grid.payload.clone();
             CampaignCell {
                 index,
-                graph: gspec.name.clone(),
-                adversary: aspec.name.clone(),
-                compiler: cspec.name.clone(),
+                graph: grid.graphs[gi].display_name(),
+                adversary: adversary.display_name(),
+                compiler: compiler.name(),
                 repetition: rep,
                 seed,
                 outcome: run_cell(
-                    gspec,
-                    aspec,
-                    cspec,
-                    &cell_payload,
+                    graph,
+                    adversary,
+                    compiler,
+                    move |g: &Graph| payload.build(g),
                     seed,
                     self.trace,
                     verdict,
@@ -721,6 +628,29 @@ pub fn summary_json(s: &GroupSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{GridSpec, PayloadDef};
+    use congest_sim::scenario::matrix::AdversaryDef;
+    use mobile_congest_core::adapters::CompilerDef;
+
+    /// A campaign of `reps` repetitions running the id-exchange payload.
+    fn spec(
+        seed: u64,
+        reps: usize,
+        graphs: Vec<GraphDef>,
+        adversaries: Vec<AdversaryDef>,
+        compilers: Vec<CompilerDef>,
+    ) -> CampaignSpec {
+        CampaignSpec {
+            seed,
+            repetitions: reps,
+            grid: GridSpec {
+                graphs,
+                adversaries,
+                compilers,
+                payload: PayloadDef::ExchangeIds,
+            },
+        }
+    }
 
     #[test]
     fn cell_seed_is_a_pure_function_of_campaign_seed_and_index() {
@@ -731,25 +661,14 @@ mod tests {
 
     #[test]
     fn shard_indices_partition_the_cell_space() {
-        use congest_sim::scenario::matrix::{CompilerSpec, GraphSpec};
-        use congest_sim::scenario::Uncompiled;
-        use netgraph::generators;
-
-        let make = || {
-            Campaign::new(1)
-                .graphs(vec![
-                    GraphSpec::new("K4", generators::complete(4)),
-                    GraphSpec::new("K5", generators::complete(5)),
-                ])
-                .adversaries(vec![AdversarySpec::new(
-                    "none",
-                    congest_sim::adversary::AdversaryRole::Byzantine,
-                    congest_sim::adversary::CorruptionBudget::None,
-                    |_| Box::new(congest_sim::adversary::NoAdversary),
-                )])
-                .compilers(vec![CompilerSpec::of(Uncompiled)])
-                .repetitions(3)
-        };
+        let spec = spec(
+            1,
+            3,
+            vec![GraphDef::complete(4), GraphDef::complete(5)],
+            vec![AdversaryDef::RandomMobile { f: 1 }],
+            vec![CompilerDef::Uncompiled],
+        );
+        let make = || Campaign::from_spec(&spec).unwrap();
         let full = make().cell_indices();
         assert_eq!(full, (0..6).collect::<Vec<_>>());
         let mut union: Vec<usize> = (0..3)
@@ -761,29 +680,17 @@ mod tests {
 
     #[test]
     fn same_named_compiler_specs_are_summarised_separately() {
-        use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
-        use congest_sim::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
-        use congest_sim::scenario::{doctest_payload, Uncompiled};
-        use netgraph::generators;
-
-        // Two specs rendering to the identical display name ("uncompiled"):
-        // grouping must follow the grid structure, not the names.
-        let report = Campaign::new(5)
-            .graphs(vec![GraphSpec::new("K5", generators::complete(5))])
-            .adversaries(vec![AdversarySpec::new(
-                "random-mobile",
-                AdversaryRole::Byzantine,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            )])
-            .compilers(vec![
-                CompilerSpec::of(Uncompiled),
-                CompilerSpec::of(Uncompiled),
-            ])
-            .payload(|g| Box::new(doctest_payload(g.clone())) as BoxedAlgorithm)
-            .repetitions(2)
-            .threads(1)
-            .run();
+        // Two compiler entries rendering to the identical display name
+        // ("uncompiled"): grouping must follow the grid structure, not the
+        // names.
+        let spec = spec(
+            5,
+            2,
+            vec![GraphDef::complete(5)],
+            vec![AdversaryDef::RandomMobile { f: 1 }],
+            vec![CompilerDef::Uncompiled, CompilerDef::Uncompiled],
+        );
+        let report = Campaign::from_spec(&spec).unwrap().threads(1).run();
 
         let summaries = report.summaries();
         assert_eq!(
@@ -796,58 +703,30 @@ mod tests {
 
     #[test]
     fn a_hand_built_grid_covers_every_cell_and_skips_role_mismatches() {
-        use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
-        use congest_sim::network::Network;
-        use congest_sim::scenario::{
-            doctest_payload, CompileArtifacts, Compiler, CompilerKind, CompilerNotes, FaultFree,
-            Uncompiled,
-        };
-        use congest_sim::traffic::Output;
-        use netgraph::generators;
-
-        // A dummy "secure" compiler that just runs uncompiled, to exercise
-        // role-based skipping without the core adapters.
-        #[derive(Clone)]
-        struct SecureShim;
-        impl Compiler for SecureShim {
-            fn name(&self) -> String {
-                "secure-shim".into()
-            }
-            fn kind(&self) -> CompilerKind {
-                CompilerKind::Secure
-            }
-            fn execute(
-                &self,
-                artifacts: &CompileArtifacts,
-                make: &dyn Fn() -> BoxedAlgorithm,
-                net: &mut Network,
-            ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-                Uncompiled.execute(artifacts, make, net)
-            }
-        }
-        let mobile = |name: &str, role| {
-            AdversarySpec::new(name, role, CorruptionBudget::Mobile { f: 1 }, |seed| {
-                Box::new(RandomMobile::new(1, seed))
-            })
-        };
-        let report = Campaign::new(42)
-            .graphs(vec![
-                GraphSpec::new("cycle6", generators::cycle(6)),
-                GraphSpec::new("K5", generators::complete(5)),
-            ])
-            .adversaries(vec![
-                mobile("random-mobile", AdversaryRole::Byzantine),
-                mobile("eavesdropper", AdversaryRole::Eavesdropper),
-            ])
-            .compilers(vec![
-                CompilerSpec::of(FaultFree),
-                CompilerSpec::of(SecureShim),
-            ])
-            .payload(|g| Box::new(doctest_payload(g.clone())) as BoxedAlgorithm)
-            .threads(1)
-            .run();
+        let spec = spec(
+            42,
+            1,
+            vec![
+                GraphDef::new(netgraph::GraphFamily::Cycle, 6),
+                GraphDef::complete(5),
+            ],
+            vec![
+                AdversaryDef::RandomMobile { f: 1 },
+                AdversaryDef::Eavesdropper { f: 1 },
+            ],
+            vec![
+                CompilerDef::FaultFree,
+                CompilerDef::StaticToMobile {
+                    t: 4,
+                    words: 2,
+                    seed: 5,
+                },
+            ],
+        );
+        let report = Campaign::from_spec(&spec).unwrap().threads(1).run();
         assert_eq!(report.cells.len(), 2 * 2 * 2);
-        // The secure shim is skipped under the byzantine adversary on every graph.
+        // The secrecy compiler is skipped under the byzantine adversary on
+        // every graph.
         assert_eq!(report.skipped_count(), 2);
         assert!(report
             .cells

@@ -1,13 +1,20 @@
 //! `mobile-congest-harness` — the deterministic parallel experiment engine
 //! (re-exported as `mobile_congest::harness`).
 //!
-//! A [`Campaign`] is a batched grid of graph × adversary × compiler ×
-//! seed-repetition cells.  The engine fans the cells across a self-scheduling
-//! worker pool built on `std::thread` + channels ([`engine::run_indexed`]),
-//! derives every cell's RNG seed from `(campaign_seed, cell_index)`
-//! ([`cell_seed`]), and collects the results in enumeration order — so a
-//! campaign's report is **byte-identical at any thread count** (covered by a
-//! regression test that compares 1-, 2- and 8-worker fingerprints).
+//! A [`Campaign`] is a resolved [`CampaignSpec`]: a batched grid of graph ×
+//! adversary × compiler × seed-repetition cells described as plain data —
+//! `GraphDef` × `AdversaryDef` × `CompilerDef` axes plus a [`PayloadDef`]
+//! (the [`spec`] module), encoded and parsed through [`json`], the
+//! workspace's one JSON codec.  [`Campaign::from_spec`] is the only
+//! constructor: it builds every graph once, validates the payload against
+//! each, and keys the [`ArtifactCache`] by the same defs the cells run.
+//!
+//! The engine fans the cells across a self-scheduling worker pool built on
+//! `std::thread` + channels ([`engine::run_indexed`]), derives every cell's
+//! RNG seed from `(campaign_seed, cell_index)` ([`cell_seed`]), and collects
+//! the results in enumeration order — so a campaign's report is
+//! **byte-identical at any thread count** (covered by a regression test that
+//! compares 1-, 2- and 8-worker fingerprints).
 //!
 //! Each cell runs through the `Scenario` pipeline by way of the one per-cell
 //! entry point, [`run_cell`](congest_sim::scenario::matrix::run_cell) — this
@@ -23,25 +30,22 @@
 //! A small two-worker campaign on a clique:
 //!
 //! ```
-//! use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
-//! use congest_sim::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
-//! use congest_sim::scenario::{doctest_payload, BoxedAlgorithm, Uncompiled};
-//! use mobile_congest_harness::Campaign;
-//! use netgraph::generators;
+//! use congest_sim::scenario::matrix::AdversaryDef;
+//! use mobile_congest_core::adapters::CompilerDef;
+//! use mobile_congest_harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
+//! use netgraph::GraphDef;
 //!
-//! let report = Campaign::new(7)
-//!     .graphs(vec![GraphSpec::new("K6", generators::complete(6))])
-//!     .adversaries(vec![AdversarySpec::new(
-//!         "random-mobile",
-//!         AdversaryRole::Byzantine,
-//!         CorruptionBudget::Mobile { f: 1 },
-//!         |seed| Box::new(RandomMobile::new(1, seed)),
-//!     )])
-//!     .compilers(vec![CompilerSpec::of(Uncompiled)])
-//!     .payload(|g| Box::new(doctest_payload(g.clone())) as BoxedAlgorithm)
-//!     .repetitions(2)
-//!     .threads(2)
-//!     .run();
+//! let spec = CampaignSpec {
+//!     seed: 7,
+//!     repetitions: 2,
+//!     grid: GridSpec {
+//!         graphs: vec![GraphDef::complete(6)],
+//!         adversaries: vec![AdversaryDef::RandomMobile { f: 1 }],
+//!         compilers: vec![CompilerDef::Uncompiled],
+//!         payload: PayloadDef::ExchangeIds,
+//!     },
+//! };
+//! let report = Campaign::from_spec(&spec).unwrap().threads(2).run();
 //!
 //! assert_eq!(report.cells.len(), 2);
 //! assert!(report.cells.iter().all(|cell| cell.outcome.is_ok()));
@@ -51,15 +55,9 @@
 //! assert!(report.to_jsonl().lines().count() >= 3); // 2 cells + 1 summary
 //! ```
 //!
-//! Campaigns are also first-class **data**: a serializable [`CampaignSpec`]
-//! (the [`spec`] module) describes the whole grid as
-//! `GraphDef` × `AdversaryDef` × `CompilerDef` axes plus a [`PayloadDef`],
-//! encoded and parsed through [`json`], the workspace's one JSON codec.
-//! [`Campaign::from_spec`] resolves a spec through the same registries the
-//! hand-built zoos use, so the resulting report is byte-identical to the
-//! equivalent hand-built campaign; [`Campaign::shard`] partitions the cell
-//! index space for multi-machine runs, and the `campaign` CLI binary of the
-//! umbrella crate drives spec files with cell-level resume.
+//! [`Campaign::shard`] partitions the cell index space for multi-machine
+//! runs, and the `campaign` CLI binary of the umbrella crate drives spec
+//! files with cell-level resume.
 //!
 //! [`RunReport`]: congest_sim::scenario::RunReport
 //! [`CompilerNotes`]: congest_sim::scenario::CompilerNotes
@@ -75,9 +73,7 @@ pub mod spec;
 pub mod stats;
 
 pub use artifact_cache::ArtifactCache;
-pub use campaign::{
-    cell_seed, Campaign, CampaignCell, CampaignReport, GroupSummary, SharedPayload,
-};
+pub use campaign::{cell_seed, Campaign, CampaignCell, CampaignReport, GroupSummary};
 pub use engine::{default_threads, run_indexed};
 pub use report::{CellRecord, RecordOutcome, ReportRecord};
 pub use spec::{CampaignSpec, GridSpec, PayloadDef, SpecError};

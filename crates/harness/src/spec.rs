@@ -6,11 +6,10 @@
 //! [`CompilerDef`] axes plus one [`PayloadDef`].  Specs encode to and parse
 //! from JSON through the shared [`crate::json`] implementation (hand-rolled;
 //! the workspace is offline), so a campaign can be saved, diffed, sharded
-//! across machines and resumed.  Resolution goes through the registries the
-//! zoos themselves are built on — `netgraph::generators` for graphs, the
+//! across machines and resumed.  [`Campaign::from_spec`] resolves a spec
+//! through the registries — `netgraph::generators` for graphs, the
 //! `scenario::matrix` defs for adversaries, `mobile_congest_core::adapters`
-//! for compilers — so a spec-built campaign is byte-identical to the
-//! equivalent hand-built one.
+//! for compilers — and is the only way to build a campaign.
 //!
 //! ```
 //! use mobile_congest_harness::{Campaign, CampaignSpec};
@@ -36,6 +35,7 @@
 //! ```
 //!
 //! [`Campaign`]: crate::Campaign
+//! [`Campaign::from_spec`]: crate::Campaign::from_spec
 
 use crate::json::{self, JsonValue, ObjectWriter, Reader};
 use async_exec::{CrashWindow, DropModel, LatencyModel, PartitionWindow, ScheduleDef};
@@ -144,20 +144,23 @@ impl PayloadDef {
     /// half of the contract: [`Campaign::from_spec`](crate::Campaign::from_spec)
     /// validates the payload against **every** graph of the grid, so a spec
     /// that would panic inside a worker (a flood source beyond the smallest
-    /// graph's node count) is a typed [`SpecError`] before anything runs.
+    /// graph's node count, or a flooding payload on a disconnected graph,
+    /// which could never finish) is a typed [`SpecError`] before anything
+    /// runs.  Only `exchange-ids` runs on a disconnected graph.
     pub fn validate(&self, graph_name: &str, graph: &Graph) -> Result<(), SpecError> {
-        match *self {
-            PayloadDef::FloodBroadcast { source, .. } if source >= graph.node_count() => {
-                Err(SpecError::Invalid {
-                    reason: format!(
-                        "payload flood-broadcast source {source} is not a node of `{graph_name}` \
-                         ({} nodes)",
-                        graph.node_count()
-                    ),
-                })
-            }
-            _ => Ok(()),
-        }
+        let reason = match *self {
+            PayloadDef::FloodBroadcast { source, .. } if source >= graph.node_count() => format!(
+                "payload flood-broadcast source {source} is not a node of `{graph_name}` ({} nodes)",
+                graph.node_count()
+            ),
+            PayloadDef::ExchangeIds => return Ok(()),
+            _ if !netgraph::traversal::is_connected(graph) => format!(
+                "payload {} needs a connected graph, and `{graph_name}` is disconnected",
+                self.label()
+            ),
+            _ => return Ok(()),
+        };
+        Err(SpecError::Invalid { reason })
     }
 
     /// Build a fresh payload instance for one cell's graph.
@@ -449,7 +452,7 @@ pub fn adversary_from_json(v: &JsonValue) -> Result<AdversaryDef, SpecError> {
         // When `mode` is omitted, default to what the identically-named zoo
         // adversary uses (`adversary_zoo_defs`) — the display name in every
         // report is the same either way, so a silent behavioural divergence
-        // from the hand-built zoo would be invisible.
+        // from the zoo would be invisible.
         "greedy-heaviest" => Ok(AdversaryDef::GreedyHeaviest {
             f: r.usize("f")?,
             mode: mode(CorruptionMode::FlipLowBit)?,

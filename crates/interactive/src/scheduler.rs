@@ -326,55 +326,8 @@ mod tests {
     };
     use netgraph::{generators, GraphDef};
 
-    /// The PR 16 `run_planned`, kept as the second oracle: one template
-    /// `Traffic` per slot, and a round is a `clone_from` of its slot's
-    /// template with the round word patched on every scheduled arc.
-    fn run_by_template(
-        net: &mut Network,
-        packing: &TreePacking,
-        plan: &SchedulePlan,
-        rounds_per_protocol: usize,
-    ) -> FamilyRunReport {
-        let g = net.shared_graph();
-        let templates: Vec<Traffic> = (0..plan.eta())
-            .map(|slot| {
-                let mut template = Traffic::new(&g);
-                for &(e, tree) in plan.slot(slot) {
-                    let (fwd, bwd) = Graph::arcs_of(e as EdgeId);
-                    for arc in [fwd, bwd] {
-                        template.set_arc(arc, Some(&[tree as u64, 0]));
-                    }
-                }
-                template
-            })
-            .collect();
-        let r = rounds_per_protocol.max(1);
-        let total_rounds = T_RS * r * plan.eta();
-        let mut corrupted = vec![0usize; packing.len()];
-        let mut traffic = Traffic::new(&g);
-        for round in 0..total_rounds {
-            let slot = round % plan.eta();
-            traffic.clone_from(&templates[slot]);
-            for &(e, _) in plan.slot(slot) {
-                let (fwd, bwd) = Graph::arcs_of(e as EdgeId);
-                for arc in [fwd, bwd] {
-                    traffic.arc_mut(arc).expect("template fills the arc")[1] = round as u64;
-                }
-            }
-            net.exchange_in_place(&mut traffic);
-            if let Some(edges) = net.corruption_history().last() {
-                for &e in edges {
-                    if let Some(tree) = plan.owner(e, slot) {
-                        corrupted[tree] += 1;
-                    }
-                }
-            }
-        }
-        FamilyRunReport::of(&corrupted, r, total_rounds)
-    }
-
-    /// The pre-template `run_planned`, kept as the first oracle: every round
-    /// is rebuilt with `Traffic::send` from the packing's own occupancy lists.
+    /// The pre-template `run_planned`, kept as the oracle: every round is
+    /// rebuilt with `Traffic::send` from the packing's own occupancy lists.
     fn run_by_send(
         net: &mut Network,
         packing: &TreePacking,
@@ -495,11 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn pattern_rounds_equal_the_template_and_send_built_rounds() {
+    fn pattern_rounds_equal_the_send_built_rounds() {
         for (g, packing) in packings() {
             let plan = SchedulePlan::new(&g, &packing);
             let build = || cases(packing.len(), g.edge_count());
-            for ((pattern, template), send) in build().into_iter().zip(build()).zip(build()) {
+            for (pattern, send) in build().into_iter().zip(build()) {
                 let name = format!(
                     "{} {:?} {:?} {:?}",
                     pattern.strategy.name(),
@@ -507,29 +460,24 @@ mod tests {
                     pattern.budget,
                     pattern.role
                 );
-                let [mut pattern_net, mut template_net, mut send_net] = [pattern, template, send]
+                let [mut pattern_net, mut send_net] = [pattern, send]
                     .map(|case| Network::new(g.clone(), case.role, case.strategy, case.budget, 17));
                 // Two calls back to back: the second starts from a non-zero
                 // network round and adversary state.
                 for r in [7, 3] {
                     let got = RsScheduler.run_planned(&mut pattern_net, &packing, &plan, r);
-                    let by_template = run_by_template(&mut template_net, &packing, &plan, r);
                     let by_send = run_by_send(&mut send_net, &packing, r);
-                    assert_eq!(got, by_template, "{name} r={r}");
                     assert_eq!(got, by_send, "{name} r={r}");
                 }
                 assert!(pattern_net.metrics().corrupted_edge_rounds > 0, "{name}");
-                let coin = pattern_net.public_coin();
-                for mut oracle in [template_net, send_net] {
-                    assert_eq!(pattern_net.metrics(), oracle.metrics(), "{name}");
-                    assert_eq!(
-                        pattern_net.corruption_history(),
-                        oracle.corruption_history(),
-                        "{name}"
-                    );
-                    assert_eq!(pattern_net.view_log(), oracle.view_log(), "{name}");
-                    assert_eq!(coin, oracle.public_coin(), "{name}");
-                }
+                assert_eq!(pattern_net.metrics(), send_net.metrics(), "{name}");
+                assert_eq!(
+                    pattern_net.corruption_history(),
+                    send_net.corruption_history(),
+                    "{name}"
+                );
+                assert_eq!(pattern_net.view_log(), send_net.view_log(), "{name}");
+                assert_eq!(pattern_net.public_coin(), send_net.public_coin(), "{name}");
             }
         }
     }

@@ -4,7 +4,7 @@
 use crate::schedule::SynthesizedAdversary;
 use crate::spec::TargetSpec;
 use congest_sim::adversary::CorruptionMode;
-use congest_sim::scenario::matrix::{run_cell, CompilerSpec, GraphSpec};
+use congest_sim::scenario::matrix::run_cell;
 use congest_sim::scenario::{RunReport, ScenarioError, Verdict};
 use mobile_congest_core::adapters::CompilerDef;
 use mobile_congest_harness::campaign::cell_seed;
@@ -88,19 +88,17 @@ impl Fitness {
     }
 }
 
-/// A [`TargetSpec`] resolved into runnable form: built graph, compiler
-/// factory, payload def and the evaluation seed.  Everything inside is
+/// A [`TargetSpec`] resolved into runnable form: built graph, compiler and
+/// payload defs and the evaluation seed.  Everything inside is
 /// `Send + Sync`, so the engine shares one resolved target across worker
 /// threads.
 pub struct ResolvedTarget {
     /// The graph def the target runs on (the shrinker descends this).
     pub graph_def: GraphDef,
-    /// The built, named graph.
-    pub gspec: GraphSpec,
-    /// The compiler under attack, as data.
+    /// The graph built from `graph_def`.
+    pub graph: Graph,
+    /// The compiler under attack, as data (each evaluation builds it).
     pub compiler: CompilerDef,
-    /// The compiler factory cells run through.
-    pub cspec: CompilerSpec,
     /// The payload every evaluation runs.
     pub payload: PayloadDef,
     /// How the synthesized adversary rewrites controlled messages.
@@ -131,9 +129,9 @@ impl ResolvedTarget {
     }
 
     /// The same target on a different graph — the shrinker's graph-descent
-    /// step.  Fails when the smaller graph no longer fits the payload (e.g.
-    /// the flood source fell off the node range), which simply rejects that
-    /// shrink candidate.
+    /// step.  Fails when the smaller graph no longer fits the payload (the
+    /// flood source fell off the node range, or a flooding payload lost its
+    /// connected graph), which simply rejects that shrink candidate.
     pub fn with_graph(&self, def: &GraphDef) -> Result<ResolvedTarget, SpecError> {
         Self::on_graph(
             def,
@@ -151,18 +149,16 @@ impl ResolvedTarget {
         mode: CorruptionMode,
         eval_seed: u64,
     ) -> Result<ResolvedTarget, SpecError> {
-        let gspec = GraphSpec::from_def(graph_def)?;
-        payload.validate(&gspec.name, &gspec.graph)?;
-        let cspec = compiler.to_spec();
-        let verdict = cspec
-            .instantiate()
-            .prepare(&gspec.graph, &mut obs::Tracer::disabled())
+        let graph = graph_def.build()?;
+        payload.validate(&graph_def.display_name(), &graph)?;
+        let verdict = compiler
+            .build()
+            .prepare(&graph, &mut obs::Tracer::disabled())
             .map(Arc::new);
         Ok(ResolvedTarget {
             graph_def: graph_def.clone(),
-            gspec,
+            graph,
             compiler: compiler.clone(),
-            cspec,
             payload: payload.clone(),
             mode,
             eval_seed,
@@ -170,27 +166,12 @@ impl ResolvedTarget {
         })
     }
 
-    /// The graph the target runs on.
-    pub fn graph(&self) -> &Graph {
-        &self.gspec.graph
-    }
-
-    /// Score one candidate: run the cell (pure function of specs + seed) and
+    /// Score one candidate: run the cell (pure function of defs + seed) and
     /// fold the report into the [`Fitness`] lattice.  A run that errors at
     /// scenario level scores [`Fitness::default`] — no damage, never a
     /// failure.
     pub fn evaluate(&self, adv: &SynthesizedAdversary) -> Fitness {
-        let aspec = adv.def().to_spec();
-        let payload = self.payload.clone();
-        match run_cell(
-            &self.gspec,
-            &aspec,
-            &self.cspec,
-            &move |g: &Graph| payload.build(g),
-            self.eval_seed,
-            obs::TraceSpec::off(),
-            Some(self.verdict.clone()),
-        ) {
+        match self.run(adv, obs::TraceSpec::off(), Some(self.verdict.clone())) {
             Ok(report) => Fitness::from_report(&report),
             Err(_) => Fitness::default(),
         }
@@ -200,16 +181,24 @@ impl ResolvedTarget {
     /// export the replay trace of a minimized counterexample.  Prepares
     /// inside the cell so the packing spans land in the replay trace.
     pub fn run_traced(&self, adv: &SynthesizedAdversary) -> Result<RunReport, ScenarioError> {
-        let aspec = adv.def().to_spec();
+        self.run(adv, obs::TraceSpec::ring(), None)
+    }
+
+    fn run(
+        &self,
+        adv: &SynthesizedAdversary,
+        trace: obs::TraceSpec,
+        verdict: Option<Verdict>,
+    ) -> Result<RunReport, ScenarioError> {
         let payload = self.payload.clone();
         run_cell(
-            &self.gspec,
-            &aspec,
-            &self.cspec,
-            &move |g: &Graph| payload.build(g),
+            &self.graph,
+            &adv.def(),
+            self.compiler.build(),
+            move |g: &Graph| payload.build(g),
             self.eval_seed,
-            obs::TraceSpec::ring(),
-            None,
+            trace,
+            verdict,
         )
     }
 }

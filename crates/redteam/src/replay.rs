@@ -94,7 +94,7 @@ mod tests {
     use crate::spec::TargetSpec;
     use congest_sim::adversary::CorruptionMode;
     use congest_sim::network::Network;
-    use congest_sim::scenario::matrix::{run_cell, CompilerSpec};
+    use congest_sim::scenario::matrix::run_cell;
     use congest_sim::scenario::{
         BoxedAlgorithm, CompileArtifacts, Compiler, CompilerKind, CompilerNotes, ScenarioError,
         Uncompiled,
@@ -149,7 +149,6 @@ mod tests {
     }
 
     /// The uncompiled baseline under a name no built-in compiler would pick.
-    #[derive(Clone)]
     struct Weird;
 
     impl Compiler for Weird {
@@ -174,10 +173,10 @@ mod tests {
         let target = target();
         let payload = target.payload.clone();
         let report = run_cell(
-            &target.gspec,
-            &attack().def().to_spec(),
-            &CompilerSpec::of(Weird),
-            &move |g: &Graph| payload.build(g),
+            &target.graph,
+            &attack().def(),
+            Box::new(Weird),
+            move |g: &Graph| payload.build(g),
             7,
             obs::TraceSpec::ring(),
             None,

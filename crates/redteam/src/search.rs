@@ -73,7 +73,7 @@ pub fn run_chain(
     steps: usize,
 ) -> ChainReport {
     let chain_seed = cell_seed(search_seed, chain);
-    let graph = target.graph();
+    let graph = &target.graph;
     let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(chain_seed, 0));
     let mut current =
         SynthesizedAdversary::random(&mut rng, graph.edge_count(), rounds, f, target.mode);

@@ -1,50 +1,50 @@
 //! A deterministic parallel campaign: the clique and a sparse circulant under
-//! byzantine and eavesdropping adversaries, through three compilers, four
+//! byzantine and eavesdropping adversaries, through four compilers, four
 //! seed repetitions per cell, fanned across worker threads — with the typed
 //! `CompilerNotes` diagnostics aggregated per grid cell and the JSONL
-//! trajectory printed at the end.  The finale rebuilds the same campaign
-//! from its serializable `CampaignSpec` form (scenario-as-data) and shows
-//! the reports are byte-identical.
+//! trajectory printed at the end.  The whole experiment is one serializable
+//! `CampaignSpec` (scenario-as-data); the finale re-runs it from its JSON
+//! form and shows the report is byte-identical.
 //!
 //! Run with `cargo run --example campaign`.
 
-use mobile_congest::graphs::generators;
-use mobile_congest::harness::Campaign;
-use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
-use mobile_congest::scenario::{
-    BoxedAlgorithm, CliqueAdapter, StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
-};
-use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
+use mobile_congest::graphs::GraphDef;
+use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
+use mobile_congest::scenario::matrix::AdversaryDef;
+use mobile_congest::scenario::CompilerDef;
 
 fn main() {
-    let campaign = Campaign::new(0xC0FFEE)
-        .graphs(vec![
-            GraphSpec::new("K12", generators::complete(12)),
-            GraphSpec::new("circ(18,4)", generators::circulant(18, 4)),
-        ])
-        .adversaries(vec![
-            AdversarySpec::new(
-                "random-mobile",
-                AdversaryRole::Byzantine,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            ),
-            AdversarySpec::new(
-                "eavesdropper",
-                AdversaryRole::Eavesdropper,
-                CorruptionBudget::Mobile { f: 2 },
-                |seed| Box::new(RandomMobile::new(2, seed)),
-            ),
-        ])
-        .compilers(vec![
-            CompilerSpec::of(Uncompiled),
-            CompilerSpec::of(CliqueAdapter::new(1, 5)),
-            CompilerSpec::of(TreePackingAdapter::new(1, 5)),
-            CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-        ])
-        .payload(|g| Box::new(FloodBroadcast::new(g.clone(), 0, 777)) as BoxedAlgorithm)
-        .repetitions(4);
+    let spec = CampaignSpec {
+        seed: 0xC0FFEE,
+        repetitions: 4,
+        grid: GridSpec {
+            graphs: vec![GraphDef::complete(12), GraphDef::circulant(18, 4)],
+            adversaries: vec![
+                AdversaryDef::RandomMobile { f: 1 },
+                AdversaryDef::Eavesdropper { f: 2 },
+            ],
+            compilers: vec![
+                CompilerDef::Uncompiled,
+                CompilerDef::Clique { f: 1, seed: 5 },
+                CompilerDef::TreePacking {
+                    f: 1,
+                    trees: None,
+                    seed: 5,
+                    packing: Default::default(),
+                },
+                CompilerDef::StaticToMobile {
+                    t: 4,
+                    words: 2,
+                    seed: 5,
+                },
+            ],
+            payload: PayloadDef::FloodBroadcast {
+                source: 0,
+                value: 777,
+            },
+        },
+    };
+    let campaign = Campaign::from_spec(&spec).expect("the spec resolves through the registries");
 
     println!(
         "running {} cells on {} workers ...\n",
@@ -87,57 +87,24 @@ fn main() {
 
     assert!(report.all_protected_cells_agree());
 
-    // Scenario-as-data: the same campaign as a serializable spec.  The defs
-    // resolve through the exact registries the hand-built grid above used,
-    // so the spec-built report is byte-identical — and the JSON form can be
-    // checked in, diffed, sharded across machines and resumed (see
-    // `cargo run --bin campaign -- --spec specs/e16-small.json`).
-    use mobile_congest::graphs::GraphDef;
-    use mobile_congest::harness::{CampaignSpec, GridSpec, PayloadDef};
-    use mobile_congest::scenario::matrix::AdversaryDef;
-    use mobile_congest::scenario::CompilerDef;
-
-    let spec = CampaignSpec {
-        seed: 0xC0FFEE,
-        repetitions: 4,
-        grid: GridSpec {
-            graphs: vec![GraphDef::complete(12), GraphDef::circulant(18, 4)],
-            adversaries: vec![
-                AdversaryDef::RandomMobile { f: 1 },
-                AdversaryDef::Eavesdropper { f: 2 },
-            ],
-            compilers: vec![
-                CompilerDef::Uncompiled,
-                CompilerDef::Clique { f: 1, seed: 5 },
-                CompilerDef::TreePacking {
-                    f: 1,
-                    trees: None,
-                    seed: 5,
-                    packing: Default::default(),
-                },
-                CompilerDef::StaticToMobile {
-                    t: 4,
-                    words: 2,
-                    seed: 5,
-                },
-            ],
-            payload: PayloadDef::FloodBroadcast {
-                source: 0,
-                value: 777,
-            },
-        },
-    };
-    let from_spec = Campaign::from_spec(&spec)
-        .expect("the spec resolves through the registries")
+    // Scenario-as-data: the JSON form of the spec is the experiment — it can
+    // be checked in, diffed, sharded across machines and resumed (see
+    // `cargo run --bin campaign -- --spec specs/e16-small.json`), and running
+    // it again reproduces every cell byte for byte.
+    let reparsed = CampaignSpec::from_json(&spec.to_json()).expect("the JSON form parses");
+    let rerun = Campaign::from_spec(&reparsed)
+        .expect("the reparsed spec resolves")
+        .threads(1)
         .run();
     assert_eq!(
-        from_spec.fingerprint(),
+        rerun.fingerprint(),
         report.fingerprint(),
-        "spec-built and hand-built campaigns are byte-identical"
+        "a campaign is a pure function of its spec"
     );
     println!(
-        "\nscenario-as-data: Campaign::from_spec reproduced all {} cells byte-identically",
-        from_spec.cells.len()
+        "\nscenario-as-data: the spec's JSON form reproduced all {} cells byte-identically \
+         on one worker",
+        rerun.cells.len()
     );
     println!(
         "spec fingerprint {} — the first lines of its JSON form:",

@@ -1,23 +1,23 @@
 //! Acceptance tests for the campaign compile-artifact cache: cells sharing a
 //! `(GraphDef, CompilerDef)` pair hit the cache across seeds and
-//! adversaries, distinct defs (down to the packing version) miss, and
-//! campaign reports are byte-identical with the cache on or off at any
-//! thread count.
+//! adversaries, distinct defs (down to the packing version) miss, campaigns
+//! of different specs share one cache without ever being served each
+//! other's verdicts, and campaign reports are byte-identical with the cache
+//! on or off at any thread count.
 
-use mobile_congest::graphs::generators;
+use mobile_congest::graphs::{generators, GraphDef};
 use mobile_congest::harness::campaign::cell_json;
 use mobile_congest::harness::{ArtifactCache, Campaign, CampaignReport, CampaignSpec};
 use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::matrix::{CompilerSpec, GraphSpec};
+use mobile_congest::scenario::matrix::{run_cell, AdversaryDef};
 use mobile_congest::scenario::{
     BoxedAlgorithm, CompileArtifacts, Compiler, CompilerDef, CompilerKind, CompilerNotes, Scenario,
-    ScenarioError,
+    ScenarioError, Uncompiled,
 };
 use mobile_congest::sim::network::Network;
 use mobile_congest::sim::run_on_network;
 use mobile_congest::sim::traffic::Output;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn e16_small_spec() -> CampaignSpec {
@@ -86,50 +86,19 @@ fn distinct_packing_versions_are_distinct_cache_entries() {
     assert_eq!(cache.hits(), 2);
 }
 
-/// A def-built compiler that counts its `prepare` calls.
-struct Counted {
-    inner: CompilerDef,
-    prepares: Arc<AtomicUsize>,
-}
-
-impl Compiler for Counted {
-    fn name(&self) -> String {
-        Compiler::name(&self.inner)
-    }
-    fn kind(&self) -> CompilerKind {
-        Compiler::kind(&self.inner)
-    }
-    fn prepare(
-        &self,
-        graph: &mobile_congest::graphs::Graph,
-        tracer: &mut mobile_congest::obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        self.prepares.fetch_add(1, Ordering::Relaxed);
-        self.inner.prepare(graph, tracer)
-    }
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        self.inner.execute(artifacts, make, net)
-    }
-}
-
 const FLOOD: &str = r#"{"kind":"flood-broadcast","source":0,"value":7}"#;
 
 /// One row of the inadmissible-input table: every `(graph, compiler)` pair of
 /// the grid is one the compiler must reject — in `prepare`, or in `execute`
 /// once the payload shows a width it was not configured for — with an error
 /// `rejection` accepts.  However the campaign runs — cached,
-/// `without_artifact_cache()`, traced (which bypasses the cache) or
-/// hand-built from the resolved defs — every cell is the same typed skip with
-/// a byte-identical `cell_json` line, a cell under the adversary role the
-/// compilers do not defend against (the eavesdropper for the Byzantine ones,
-/// the corrupting adversary for the secrecy ones) is the role mismatch and
-/// not the pair's rejection, each cached cell moves exactly one cache
-/// counter, and each pair calls `prepare` exactly once per campaign.
+/// `without_artifact_cache()` or traced (which bypasses the cache) — every
+/// cell is the same typed skip with a byte-identical `cell_json` line, a cell
+/// under the adversary role the compilers do not defend against (the
+/// eavesdropper for the Byzantine ones, the corrupting adversary for the
+/// secrecy ones) is the role mismatch and not the pair's rejection, each
+/// cached cell moves exactly one cache counter, and each pair prepares
+/// exactly once per cached campaign.
 fn assert_inadmissible(
     graphs: &str,
     compilers: &str,
@@ -153,27 +122,11 @@ fn assert_inadmissible(
     let secrecy_row = spec.grid.compilers.iter().all(secrecy);
     assert!(secrecy_row || !spec.grid.compilers.iter().any(secrecy));
     let pairs = spec.grid.graphs.len() * spec.grid.compilers.len();
-    let prepares = Arc::new(AtomicUsize::new(0));
-    let counted = || -> Vec<CompilerSpec> {
-        let counted_spec = |def: &CompilerDef| {
-            let (def, prepares) = (def.clone(), Arc::clone(&prepares));
-            CompilerSpec::new(Compiler::name(&def), move || {
-                Box::new(Counted {
-                    inner: def.clone(),
-                    prepares: Arc::clone(&prepares),
-                })
-            })
-        };
-        spec.grid.compilers.iter().map(counted_spec).collect()
-    };
     let lines =
         |report: &CampaignReport| -> Vec<String> { report.cells.iter().map(cell_json).collect() };
 
     // Cached, one cell per call (how the bench replays a campaign).
-    let campaign = Campaign::from_spec(&spec)
-        .unwrap()
-        .compilers(counted())
-        .threads(1);
+    let campaign = Campaign::from_spec(&spec).unwrap().threads(1);
     let cache = Arc::clone(campaign.artifact_cache_handle().unwrap());
     let cached = CampaignReport::merged((0..spec.cell_count()).map(|index| {
         let before = cache.hits() + cache.misses();
@@ -182,7 +135,6 @@ fn assert_inadmissible(
         report
     }));
     assert_eq!(cache.misses(), pairs as u64);
-    assert_eq!(prepares.swap(0, Ordering::Relaxed), pairs);
 
     assert_eq!(cached.cells.len(), spec.cell_count());
     assert_eq!(cached.skipped_count(), spec.cell_count());
@@ -205,39 +157,17 @@ fn assert_inadmissible(
         }
     }
 
-    // Uncached: `prepare` per cell, and never for a role mismatch.
     let uncached = Campaign::from_spec(&spec)
         .unwrap()
         .without_artifact_cache()
-        .compilers(counted())
         .threads(2)
         .run();
-    assert_eq!(prepares.load(Ordering::Relaxed), spec.cell_count() / 2);
     let traced = Campaign::from_spec(&spec)
         .unwrap()
         .trace(mobile_congest::obs::TraceSpec::ring())
         .threads(2)
         .run();
-    let grid = &spec.grid;
-    let payload = grid.payload.clone();
-    let hand_built = Campaign::new(spec.seed)
-        .graphs(
-            grid.graphs
-                .iter()
-                .map(|def| GraphSpec::from_def(def).unwrap())
-                .collect(),
-        )
-        .adversaries(grid.adversaries.iter().map(|def| def.to_spec()).collect())
-        .compilers(grid.compilers.iter().map(|def| def.to_spec()).collect())
-        .payload(move |g| payload.build(g))
-        .repetitions(spec.repetitions)
-        .threads(2)
-        .run();
-    for (how, report) in [
-        ("uncached", &uncached),
-        ("traced", &traced),
-        ("hand-built", &hand_built),
-    ] {
+    for (how, report) in [("uncached", &uncached), ("traced", &traced)] {
         assert_eq!(lines(report), lines(&cached), "{how} run diverged");
         assert_eq!(report.fingerprint(), cached.fingerprint(), "{how} run");
     }
@@ -262,7 +192,8 @@ fn disconnected_graphs_are_skipped_cells_not_a_packing_panic_under_the_shard_loc
     // Both generators give a disconnected graph at this seed.  The cached
     // path used to call `prepare` — `greedy_low_depth_packing` asserts
     // connectivity — before anything judged the graph, while `--no-cache`
-    // gave the typed skip.
+    // gave the typed skip.  (The payload is `exchange-ids`: a flooding one is
+    // refused on a disconnected graph by `from_spec` already.)
     assert_inadmissible(
         r#"{"family":"expander-d-regular","n":24,"d":2,"seed":2},
            {"family":"watts-strogatz","n":24,"k":2,"beta":0.9,"seed":2}"#,
@@ -270,7 +201,7 @@ fn disconnected_graphs_are_skipped_cells_not_a_packing_panic_under_the_shard_loc
            {"id":"tree-packing","f":1,"seed":5,"packing":"v2"},
            {"id":"rewind","f":1,"seed":5},
            {"id":"cycle-cover","f":1}"#,
-        FLOOD,
+        r#"{"kind":"exchange-ids"}"#,
         |e| {
             matches!(
                 e,
@@ -294,6 +225,24 @@ fn parameter_floors_are_skipped_cells_not_constructor_panics() {
            {"id":"expander","f":1,"k":0,"bfs_rounds":6,"seed":5}"#,
         FLOOD,
         |e| matches!(e, ScenarioError::InvalidParameter { .. }),
+    );
+}
+
+#[test]
+fn a_payload_word_past_the_sketch_lane_is_a_skipped_cell_not_a_silent_truncation() {
+    // 2^41 + 5 does not fit the 40-bit content lane of a sketch element.  The
+    // correction used to mask the sent word to `5` and "correct" receivers
+    // to the wrong value: half the executed cells read `"agrees":false` with
+    // nothing saying why.  `prepare` cannot see the payload, so the rejection
+    // comes out of `execute`, at the first sent round.
+    assert_inadmissible(
+        r#"{"family":"complete","n":12}"#,
+        r#"{"id":"clique","f":1,"seed":5}, {"id":"tree-packing","f":1,"seed":5}"#,
+        r#"{"kind":"flood-broadcast","source":0,"value":2199023255557}"#,
+        |e| {
+            matches!(e, ScenarioError::InvalidParameter { reason, .. }
+                if reason.contains("0x20000000005") && reason.contains("40-bit lane"))
+        },
     );
 }
 
@@ -352,6 +301,35 @@ fn shared_cache_carries_across_campaign_runs() {
 }
 
 #[test]
+fn campaigns_of_different_specs_share_one_cache_without_crosstalk() {
+    // The daemon shares one cache across jobs.  Keys come from the defs each
+    // campaign runs, so two grids over different graphs get their own
+    // verdicts: back to back on one cache, in either order, the bytes equal
+    // each spec run alone.  (With the old axis setters, a campaign could run
+    // K6 under circ(10,2)'s key and the next job read K6's artifacts there.)
+    let e16 = e16_small_spec();
+    let mut other = e16.clone();
+    other.seed = 7;
+    other.grid.graphs = vec![GraphDef::torus(3, 4), GraphDef::complete(6)];
+    let alone = |spec: &CampaignSpec| Campaign::from_spec(spec).unwrap().threads(2).run();
+    let expected = [alone(&e16).to_jsonl(), alone(&other).to_jsonl()];
+    for order in [[0, 1], [1, 0]] {
+        let shared = Arc::new(ArtifactCache::new());
+        for i in order {
+            let spec = [&e16, &other][i];
+            let report = Campaign::from_spec(spec)
+                .unwrap()
+                .artifact_cache(Arc::clone(&shared))
+                .threads(2)
+                .run();
+            assert_eq!(report.to_jsonl(), expected[i], "spec {i} after {order:?}");
+        }
+        // torus3x4 is in both grids: 4 distinct graphs × 3 compilers.
+        assert_eq!(shared.len(), 12);
+    }
+}
+
+#[test]
 fn traced_campaigns_bypass_the_cache() {
     // `prepare` emits packing spans into the cell event stream; a cache hit
     // would elide them from all but the first cell, so traced runs must not
@@ -377,7 +355,6 @@ fn traced_campaigns_bypass_the_cache() {
 
 /// A compiler written against the public trait alone: `name`, `kind` and the
 /// one required run method (`prepare` is the accept-everything default).
-#[derive(Clone)]
 struct ThirdParty;
 
 impl Compiler for ThirdParty {
@@ -398,10 +375,10 @@ impl Compiler for ThirdParty {
 }
 
 #[test]
-fn a_compiler_implementing_only_execute_runs_through_scenario_and_a_cached_campaign() {
+fn a_compiler_implementing_only_execute_runs_through_scenario_and_the_cache() {
     let g = generators::torus(3, 4);
     let gg = g.clone();
-    let report = Scenario::on(g)
+    let report = Scenario::on(g.clone())
         .payload(move || FloodBroadcast::new(gg.clone(), 0, 9))
         .compiled_with(ThirdParty)
         .run()
@@ -409,30 +386,32 @@ fn a_compiler_implementing_only_execute_runs_through_scenario_and_a_cached_campa
     assert_eq!(report.compiler, "third-party");
     assert_eq!(report.agrees_with_fault_free(), Some(true));
 
-    // Through a campaign with the cache on: the e16-small grid with its
-    // compiler axis narrowed to the baseline, then that one slot handed to
-    // the third-party compiler.  Its default `prepare` is what the cache
-    // stores, and every cell must come out exactly as the baseline's does.
-    let mut spec = e16_small_spec();
-    spec.grid.compilers = vec![CompilerDef::Uncompiled];
-    let baseline = Campaign::from_spec(&spec).unwrap().threads(2).run();
-    let campaign = Campaign::from_spec(&spec)
-        .unwrap()
-        .compilers(vec![CompilerSpec::of(ThirdParty)])
-        .threads(2);
-    let report = campaign.run();
-    let cache = campaign.artifact_cache_handle().unwrap();
-    assert_eq!(cache.misses(), 3, "one default prepare per graph");
-    assert_eq!(cache.hits(), 3 * 3 * 2 - 3);
-    for (cell, twin) in report.cells.iter().zip(&baseline.cells) {
-        assert_eq!(cell.compiler, "third-party");
-        let (run, base) = (
-            cell.outcome.as_ref().unwrap(),
-            twin.outcome.as_ref().unwrap(),
+    // Its default `prepare` is a verdict like any other: cached once, handed
+    // to every cell of the pair, and each cell comes out exactly as the
+    // baseline's does.
+    let cache = ArtifactCache::new();
+    let adversary = AdversaryDef::RandomMobile { f: 1 };
+    let flood = |g: &mobile_congest::graphs::Graph| {
+        Box::new(FloodBroadcast::new(g.clone(), 0, 9)) as BoxedAlgorithm
+    };
+    let off = mobile_congest::obs::TraceSpec::off();
+    for seed in 0..3 {
+        let verdict = cache.prepare_with("torus3x4\nthird-party", &ThirdParty, &g);
+        let run = run_cell(
+            &g,
+            &adversary,
+            Box::new(ThirdParty),
+            flood,
+            seed,
+            off,
+            Some(verdict),
         );
+        let base = run_cell(&g, &adversary, Box::new(Uncompiled), flood, seed, off, None);
+        let (run, base) = (run.unwrap(), base.unwrap());
         assert_eq!(run.outputs, base.outputs);
         assert_eq!(run.metrics, base.metrics);
     }
+    assert_eq!((cache.misses(), cache.hits()), (1, 2));
 }
 
 /// The determinism contract of the tentpole, checked for one campaign seed:

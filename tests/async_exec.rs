@@ -8,7 +8,7 @@
 use mobile_congest::graphs::Graph;
 use mobile_congest::obs::TraceSpec;
 use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::matrix::{self, run_cell, CompilerSpec};
+use mobile_congest::scenario::matrix::{self, run_cell};
 use mobile_congest::scenario::{
     AsyncExecutor, BoxedAlgorithm, CrashWindow, LatencyModel, ScheduleDef, Uncompiled,
 };
@@ -31,34 +31,35 @@ fn zoo_seed(gi: usize, ai: usize) -> u64 {
 /// every topology in the zoo under every adversary in the zoo.
 #[test]
 fn synchronous_async_matches_lockstep_across_the_zoo_grid() {
-    let graphs = matrix::graph_zoo(42);
-    let adversaries = matrix::adversary_zoo(1);
+    let graphs = matrix::graph_zoo_defs(42);
+    let adversaries = matrix::adversary_zoo_defs(1);
     let mut compared = 0usize;
-    for (gi, gspec) in graphs.iter().enumerate() {
-        for (ai, aspec) in adversaries.iter().enumerate() {
+    for (gi, gdef) in graphs.iter().enumerate() {
+        let graph = gdef.build().expect("zoo defs are valid");
+        for (ai, adversary) in adversaries.iter().enumerate() {
             let seed = zoo_seed(gi, ai);
             let lockstep = run_cell(
-                gspec,
-                aspec,
-                &CompilerSpec::of(Uncompiled),
-                &payload,
+                &graph,
+                adversary,
+                Box::new(Uncompiled),
+                payload,
                 seed,
                 TraceSpec::off(),
                 None,
             )
             .expect("uncompiled zoo cells always validate");
             let asynchronous = run_cell(
-                gspec,
-                aspec,
-                &CompilerSpec::of(AsyncExecutor::new(ScheduleDef::synchronous())),
-                &payload,
+                &graph,
+                adversary,
+                Box::new(AsyncExecutor::new(ScheduleDef::synchronous())),
+                payload,
                 seed,
                 TraceSpec::off(),
                 None,
             )
             .expect("the synchronous schedule validates everywhere");
 
-            let at = format!("{} x {}", gspec.name, aspec.name);
+            let at = format!("{} x {}", gdef.display_name(), adversary.display_name());
             assert_eq!(asynchronous.outputs, lockstep.outputs, "outputs at {at}");
             assert_eq!(
                 format!("{:?}", asynchronous.metrics),
@@ -93,8 +94,7 @@ proptest! {
         crash in any::<bool>(),
     ) {
         let g = mobile_congest::graphs::generators::grid(3, 3);
-        let gspec = matrix::GraphSpec::new("grid3x3", g);
-        let aspec = matrix::AdversaryDef::RandomMobile { f: 1 }.to_spec();
+        let adversary = matrix::AdversaryDef::RandomMobile { f: 1 };
         let mut schedule = ScheduleDef::synchronous()
             .with_latency(LatencyModel::Fixed { ticks })
             .with_reorder_window(reorder);
@@ -104,10 +104,10 @@ proptest! {
 
         let run = |hosts: usize| {
             let report = run_cell(
-                &gspec,
-                &aspec,
-                &CompilerSpec::of(AsyncExecutor::new(schedule.clone()).with_hosts(hosts)),
-                &payload,
+                &g,
+                &adversary,
+                Box::new(AsyncExecutor::new(schedule.clone()).with_hosts(hosts)),
+                payload,
                 seed,
                 TraceSpec::off(),
                 None,

@@ -3,69 +3,80 @@
 //! 3 × 4 × 6 × 4 acceptance grid, and typed `CompilerNotes` assertions
 //! through the whole stack.
 
-use mobile_congest::graphs::generators;
-use mobile_congest::harness::Campaign;
-use mobile_congest::payloads::{FloodBroadcast, LeaderElection};
-use mobile_congest::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
-use mobile_congest::scenario::{
-    BoxedAlgorithm, CliqueAdapter, CompilerNotes, CycleCoverAdapter, FaultFree, RewindAdapter,
-    StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
+use mobile_congest::graphs::{GraphDef, PackingVersion};
+use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
+use mobile_congest::scenario::matrix::AdversaryDef;
+use mobile_congest::scenario::{CompilerDef, CompilerNotes};
+use mobile_congest::sim::adversary::CorruptionMode;
+
+/// A grid flooding 4242 from node 0.
+fn spec(
+    seed: u64,
+    repetitions: usize,
+    graphs: Vec<GraphDef>,
+    adversaries: Vec<AdversaryDef>,
+    compilers: Vec<CompilerDef>,
+) -> CampaignSpec {
+    CampaignSpec {
+        seed,
+        repetitions,
+        grid: GridSpec {
+            graphs,
+            adversaries,
+            compilers,
+            payload: PayloadDef::FloodBroadcast {
+                source: 0,
+                value: 4242,
+            },
+        },
+    }
+}
+
+fn graphs() -> Vec<GraphDef> {
+    vec![
+        GraphDef::complete(12),
+        GraphDef::circulant(18, 4),
+        GraphDef::circulant(10, 2),
+    ]
+}
+
+fn adversaries() -> Vec<AdversaryDef> {
+    vec![
+        AdversaryDef::RandomMobile { f: 1 },
+        AdversaryDef::SweepMobile { f: 1 },
+        AdversaryDef::GreedyHeaviest {
+            f: 1,
+            mode: CorruptionMode::FlipLowBit,
+        },
+        AdversaryDef::Eavesdropper { f: 2 },
+    ]
+}
+
+const CLIQUE: CompilerDef = CompilerDef::Clique { f: 1, seed: 5 };
+const STATIC_TO_MOBILE: CompilerDef = CompilerDef::StaticToMobile {
+    t: 4,
+    words: 2,
+    seed: 5,
 };
-use mobile_congest::sim::adversary::{
-    AdversaryRole, BurstAdversary, CorruptionBudget, CorruptionMode, GreedyHeaviest, RandomMobile,
-    SweepMobile,
-};
 
-fn graphs() -> Vec<GraphSpec> {
-    vec![
-        GraphSpec::new("K12", generators::complete(12)),
-        GraphSpec::new("circ(18,4)", generators::circulant(18, 4)),
-        GraphSpec::new("circ(10,2)", generators::circulant(10, 2)),
-    ]
+fn tree_packing(packing: PackingVersion) -> CompilerDef {
+    CompilerDef::TreePacking {
+        f: 1,
+        trees: None,
+        seed: 5,
+        packing,
+    }
 }
 
-fn adversaries() -> Vec<AdversarySpec> {
+fn compilers() -> Vec<CompilerDef> {
     vec![
-        AdversarySpec::new(
-            "random-mobile",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::Mobile { f: 1 },
-            |seed| Box::new(RandomMobile::new(1, seed)),
-        ),
-        AdversarySpec::new(
-            "sweep-mobile",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::Mobile { f: 1 },
-            |_| Box::new(SweepMobile::new(1)),
-        ),
-        AdversarySpec::new(
-            "greedy-heaviest",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::Mobile { f: 1 },
-            |_| Box::new(GreedyHeaviest::new(1).with_mode(CorruptionMode::FlipLowBit)),
-        ),
-        AdversarySpec::new(
-            "eavesdropper",
-            AdversaryRole::Eavesdropper,
-            CorruptionBudget::Mobile { f: 2 },
-            |seed| Box::new(RandomMobile::new(2, seed)),
-        ),
+        CompilerDef::FaultFree,
+        CompilerDef::Uncompiled,
+        CLIQUE,
+        tree_packing(PackingVersion::default()),
+        CompilerDef::CycleCover { f: 1 },
+        STATIC_TO_MOBILE,
     ]
-}
-
-fn compilers() -> Vec<CompilerSpec> {
-    vec![
-        CompilerSpec::of(FaultFree),
-        CompilerSpec::of(Uncompiled),
-        CompilerSpec::of(CliqueAdapter::new(1, 5)),
-        CompilerSpec::of(TreePackingAdapter::new(1, 5)),
-        CompilerSpec::of(CycleCoverAdapter::new(1)),
-        CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-    ]
-}
-
-fn flood_payload(g: &mobile_congest::graphs::Graph) -> BoxedAlgorithm {
-    Box::new(FloodBroadcast::new(g.clone(), 0, 4242))
 }
 
 /// Same campaign seed, 1 vs 2 vs 8 worker threads: the serialized reports
@@ -73,36 +84,17 @@ fn flood_payload(g: &mobile_congest::graphs::Graph) -> BoxedAlgorithm {
 /// notes) must be byte-identical.
 #[test]
 fn campaign_results_are_byte_identical_across_thread_counts() {
-    let run_with = |threads: usize| {
-        Campaign::new(2024)
-            .graphs(vec![
-                GraphSpec::new("K10", generators::complete(10)),
-                GraphSpec::new("circ(10,2)", generators::circulant(10, 2)),
-            ])
-            .adversaries(vec![
-                AdversarySpec::new(
-                    "random-mobile",
-                    AdversaryRole::Byzantine,
-                    CorruptionBudget::Mobile { f: 1 },
-                    |seed| Box::new(RandomMobile::new(1, seed)),
-                ),
-                AdversarySpec::new(
-                    "eavesdropper",
-                    AdversaryRole::Eavesdropper,
-                    CorruptionBudget::Mobile { f: 1 },
-                    |seed| Box::new(RandomMobile::new(1, seed)),
-                ),
-            ])
-            .compilers(vec![
-                CompilerSpec::of(Uncompiled),
-                CompilerSpec::of(CliqueAdapter::new(1, 5)),
-                CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-            ])
-            .payload(flood_payload)
-            .repetitions(3)
-            .threads(threads)
-            .run()
-    };
+    let spec = spec(
+        2024,
+        3,
+        vec![GraphDef::complete(10), GraphDef::circulant(10, 2)],
+        vec![
+            AdversaryDef::RandomMobile { f: 1 },
+            AdversaryDef::Eavesdropper { f: 1 },
+        ],
+        vec![CompilerDef::Uncompiled, CLIQUE, STATIC_TO_MOBILE],
+    );
+    let run_with = |threads: usize| Campaign::from_spec(&spec).unwrap().threads(threads).run();
 
     let single = run_with(1);
     let double = run_with(2);
@@ -120,13 +112,8 @@ fn campaign_results_are_byte_identical_across_thread_counts() {
 /// into summaries and exported as JSONL.
 #[test]
 fn full_grid_campaign_with_repetitions_through_the_parallel_engine() {
-    let report = Campaign::new(77)
-        .graphs(graphs())
-        .adversaries(adversaries())
-        .compilers(compilers())
-        .payload(flood_payload)
-        .repetitions(4)
-        .run();
+    let spec = spec(77, 4, graphs(), adversaries(), compilers());
+    let report = Campaign::from_spec(&spec).unwrap().run();
 
     assert_eq!(report.cells.len(), 3 * 4 * 6 * 4, "full grid × repetitions");
     assert!(report.skipped_count() > 0, "expected typed skips");
@@ -207,27 +194,22 @@ fn full_grid_campaign_with_repetitions_through_the_parallel_engine() {
 /// report is byte-identical at 1 and 4 workers.
 #[test]
 fn zoo_campaign_covers_new_generators_and_adversaries_deterministically() {
-    use mobile_congest::graphs::PackingVersion;
-    use mobile_congest::scenario::matrix::{adversary_zoo, graph_zoo};
+    use mobile_congest::scenario::matrix::{adversary_zoo_defs, graph_zoo_defs};
 
-    let run_with = |threads: usize| {
-        Campaign::new(31337)
-            .graphs(graph_zoo(7))
-            .adversaries(adversary_zoo(1))
-            .compilers(vec![
-                CompilerSpec::of(Uncompiled),
-                CompilerSpec::of(
-                    TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V1Greedy),
-                ),
-                CompilerSpec::of(TreePackingAdapter::new(1, 5)), // v2 default
-                CompilerSpec::of(CycleCoverAdapter::new(1)),
-                CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-            ])
-            .payload(flood_payload)
-            .repetitions(2)
-            .threads(threads)
-            .run()
-    };
+    let spec = spec(
+        31337,
+        2,
+        graph_zoo_defs(7),
+        adversary_zoo_defs(1),
+        vec![
+            CompilerDef::Uncompiled,
+            tree_packing(PackingVersion::V1Greedy),
+            tree_packing(PackingVersion::V2Augmented),
+            CompilerDef::CycleCover { f: 1 },
+            STATIC_TO_MOBILE,
+        ],
+    );
+    let run_with = |threads: usize| Campaign::from_spec(&spec).unwrap().threads(threads).run();
     let single = run_with(1);
     let parallel = run_with(4);
     assert_eq!(single.cells.len(), 8 * 7 * 5 * 2, "full zoo grid");
@@ -358,19 +340,20 @@ fn zoo_campaign_covers_new_generators_and_adversaries_deterministically() {
 /// a bursty adversary forces rewinds, and the campaign can assert on them.
 #[test]
 fn rewind_notes_are_assertable_through_the_campaign() {
-    let report = Campaign::new(9)
-        .graphs(vec![GraphSpec::new("K14", generators::complete(14))])
-        .adversaries(vec![AdversarySpec::new(
-            "burst",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::RoundErrorRate { total: 200 },
-            |_| Box::new(BurstAdversary::new(40, 4, 12, 9)),
-        )])
-        .compilers(vec![CompilerSpec::of(RewindAdapter::new(1, 3))])
-        .payload(|g| Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm)
-        .repetitions(2)
-        .threads(2)
-        .run();
+    let mut spec = spec(
+        9,
+        2,
+        vec![GraphDef::complete(14)],
+        vec![AdversaryDef::Burst {
+            quiet: 40,
+            burst: 4,
+            per_round: 12,
+            total: 200,
+        }],
+        vec![CompilerDef::Rewind { f: 1, seed: 3 }],
+    );
+    spec.grid.payload = PayloadDef::LeaderElection;
+    let report = Campaign::from_spec(&spec).unwrap().threads(2).run();
 
     assert_eq!(report.cells.len(), 2);
     for cell in &report.cells {

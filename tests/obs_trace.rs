@@ -6,53 +6,53 @@
 //! Wall-clock durations are out-of-band by design — these tests compare
 //! event streams, digests and span counts, never nanoseconds.
 
-use mobile_congest::graphs::generators;
+use mobile_congest::graphs::{generators, GraphDef};
 use mobile_congest::harness::campaign::CampaignReport;
 use mobile_congest::harness::json::fnv1a_hex;
-use mobile_congest::harness::Campaign;
+use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::obs;
 use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
+use mobile_congest::scenario::matrix::AdversaryDef;
 use mobile_congest::scenario::{
-    AsyncExecutor, BoxedAlgorithm, CliqueAdapter, LatencyModel, RewindAdapter, Scenario,
-    ScheduleDef, StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
+    AsyncExecutor, CliqueAdapter, CompilerDef, LatencyModel, Scenario, ScheduleDef,
 };
 use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
 
-fn flood_payload(g: &mobile_congest::graphs::Graph) -> BoxedAlgorithm {
-    Box::new(FloodBroadcast::new(g.clone(), 0, 4242))
-}
-
 /// A small traced campaign crossing all span-emitting compiler families.
 fn traced_campaign(threads: usize) -> CampaignReport {
-    Campaign::new(99)
-        .graphs(vec![
-            GraphSpec::new("K8", generators::complete(8)),
-            GraphSpec::new("circ(10,2)", generators::circulant(10, 2)),
-        ])
-        .adversaries(vec![
-            AdversarySpec::new(
-                "random-mobile",
-                AdversaryRole::Byzantine,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            ),
-            AdversarySpec::new(
-                "eavesdropper",
-                AdversaryRole::Eavesdropper,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            ),
-        ])
-        .compilers(vec![
-            CompilerSpec::of(Uncompiled),
-            CompilerSpec::of(CliqueAdapter::new(1, 5)),
-            CompilerSpec::of(TreePackingAdapter::new(1, 5)),
-            CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-            CompilerSpec::of(RewindAdapter::new(1, 5)),
-        ])
-        .payload(flood_payload)
-        .repetitions(2)
+    let spec = CampaignSpec {
+        seed: 99,
+        repetitions: 2,
+        grid: GridSpec {
+            graphs: vec![GraphDef::complete(8), GraphDef::circulant(10, 2)],
+            adversaries: vec![
+                AdversaryDef::RandomMobile { f: 1 },
+                AdversaryDef::Eavesdropper { f: 1 },
+            ],
+            compilers: vec![
+                CompilerDef::Uncompiled,
+                CompilerDef::Clique { f: 1, seed: 5 },
+                CompilerDef::TreePacking {
+                    f: 1,
+                    trees: None,
+                    seed: 5,
+                    packing: Default::default(),
+                },
+                CompilerDef::StaticToMobile {
+                    t: 4,
+                    words: 2,
+                    seed: 5,
+                },
+                CompilerDef::Rewind { f: 1, seed: 5 },
+            ],
+            payload: PayloadDef::FloodBroadcast {
+                source: 0,
+                value: 4242,
+            },
+        },
+    };
+    Campaign::from_spec(&spec)
+        .unwrap()
         .threads(threads)
         .trace(obs::TraceSpec::ring())
         .run()

@@ -8,10 +8,10 @@
 use mobile_congest::graphs::{GraphDef, PackingVersion};
 use mobile_congest::harness::report::{assemble, read_lines};
 use mobile_congest::harness::spec::{adversary_from_json, adversary_to_json, PayloadDef};
-use mobile_congest::harness::{json, Campaign, CampaignSpec};
+use mobile_congest::harness::{json, Campaign, CampaignSpec, SpecError};
 use mobile_congest::redteam::{
-    counterexample_spec, header_line, unit_line, BudgetSpec, RedTeam, RedTeamSpec, SearchSpec,
-    SearchStrategy, TargetSpec,
+    counterexample_spec, header_line, unit_line, BudgetSpec, RedTeam, RedTeamSpec, ResolvedTarget,
+    SearchSpec, SearchStrategy, TargetSpec,
 };
 use mobile_congest::scenario::matrix::AdversaryDef;
 use mobile_congest::scenario::CompilerDef;
@@ -59,6 +59,23 @@ fn frontier_spec() -> RedTeamSpec {
         budget: BudgetSpec { f: 2, rounds: 4 },
         targets: vec![frontier_target(PackingVersion::V1Greedy)],
     }
+}
+
+/// The shrinker's graph descent resolves every candidate graph through
+/// `with_graph`; one the flooding payload cannot run on (a disconnected
+/// graph) is a typed rejection there, so it is dropped instead of panicking
+/// the payload constructor.
+#[test]
+fn with_graph_rejects_a_disconnected_shrink_candidate() {
+    let target = ResolvedTarget::resolve(&frontier_target(PackingVersion::V1Greedy)).unwrap();
+    match target.with_graph(&GraphDef::expander(24, 2, 2)).err() {
+        Some(SpecError::Invalid { reason }) => assert!(
+            reason.contains("flood-broadcast needs a connected graph"),
+            "{reason}"
+        ),
+        other => panic!("a disconnected candidate was not rejected: {other:?}"),
+    }
+    assert!(target.with_graph(&GraphDef::circulant(12, 3)).is_ok());
 }
 
 #[test]

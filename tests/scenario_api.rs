@@ -3,16 +3,16 @@
 //! `Uncompiled`/`FaultFree` compilers with the low-level entry points, and
 //! the graph × adversary × compiler grid swept by a one-thread `Campaign`.
 
-use mobile_congest::graphs::generators;
-use mobile_congest::harness::Campaign;
+use mobile_congest::graphs::{generators, GraphDef};
+use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::payloads::{ConvergecastSum, FloodBroadcast, LeaderElection};
 use mobile_congest::scenario::{
-    matrix, CliqueAdapter, Compiler, CompilerKind, CompilerNotes, CongestionSensitiveAdapter,
-    CycleCoverAdapter, ExpanderAdapter, FaultFree, RewindAdapter, Scenario, ScenarioError,
-    StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
+    matrix, CliqueAdapter, Compiler, CompilerDef, CompilerKind, CompilerNotes,
+    CongestionSensitiveAdapter, CycleCoverAdapter, ExpanderAdapter, FaultFree, RewindAdapter,
+    Scenario, ScenarioError, StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
 };
 use mobile_congest::sim::adversary::{
-    AdversaryRole, CorruptionBudget, CorruptionMode, GreedyHeaviest, RandomMobile, SweepMobile,
+    AdversaryRole, CorruptionBudget, CorruptionMode, RandomMobile,
 };
 use mobile_congest::sim::network::Network;
 use mobile_congest::sim::{run_fault_free, run_on_network};
@@ -315,59 +315,54 @@ fn fault_free_scenario_reproduces_run_fault_free_byte_for_byte() {
 }
 
 /// The acceptance-grade sweep: 3 graph families × 4 adversary strategies ×
-/// 6 compilers through a hand-built one-thread `Campaign`.  Structurally
+/// 6 compilers through a one-thread `Campaign`.  Structurally
 /// impossible cells must be skipped with typed errors; every executed
 /// protected cell must agree with the fault-free reference.
 #[test]
 fn matrix_sweep_graphs_by_adversaries_by_compilers() {
-    let graphs = vec![
-        matrix::GraphSpec::new("K12", generators::complete(12)),
-        matrix::GraphSpec::new("circ(18,4)", generators::circulant(18, 4)),
-        matrix::GraphSpec::new("circ(10,2)", generators::circulant(10, 2)),
-    ];
-    let adversaries = vec![
-        matrix::AdversarySpec::new(
-            "random-mobile",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::Mobile { f: 1 },
-            |seed| Box::new(RandomMobile::new(1, seed)),
-        ),
-        matrix::AdversarySpec::new(
-            "sweep-mobile",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::Mobile { f: 1 },
-            |_| Box::new(SweepMobile::new(1)),
-        ),
-        matrix::AdversarySpec::new(
-            "greedy-heaviest",
-            AdversaryRole::Byzantine,
-            CorruptionBudget::Mobile { f: 1 },
-            |_| Box::new(GreedyHeaviest::new(1).with_mode(CorruptionMode::FlipLowBit)),
-        ),
-        matrix::AdversarySpec::new(
-            "eavesdropper",
-            AdversaryRole::Eavesdropper,
-            CorruptionBudget::Mobile { f: 2 },
-            |seed| Box::new(RandomMobile::new(2, seed)),
-        ),
-    ];
-    let compilers = vec![
-        matrix::CompilerSpec::of(FaultFree),
-        matrix::CompilerSpec::of(Uncompiled),
-        matrix::CompilerSpec::of(CliqueAdapter::new(1, 5)),
-        matrix::CompilerSpec::of(TreePackingAdapter::new(1, 5)),
-        matrix::CompilerSpec::of(CycleCoverAdapter::new(1)),
-        matrix::CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-    ];
+    let spec = CampaignSpec {
+        seed: 2024,
+        repetitions: 1,
+        grid: GridSpec {
+            graphs: vec![
+                GraphDef::complete(12),
+                GraphDef::circulant(18, 4),
+                GraphDef::circulant(10, 2),
+            ],
+            adversaries: vec![
+                matrix::AdversaryDef::RandomMobile { f: 1 },
+                matrix::AdversaryDef::SweepMobile { f: 1 },
+                matrix::AdversaryDef::GreedyHeaviest {
+                    f: 1,
+                    mode: CorruptionMode::FlipLowBit,
+                },
+                matrix::AdversaryDef::Eavesdropper { f: 2 },
+            ],
+            compilers: vec![
+                CompilerDef::FaultFree,
+                CompilerDef::Uncompiled,
+                CompilerDef::Clique { f: 1, seed: 5 },
+                CompilerDef::TreePacking {
+                    f: 1,
+                    trees: None,
+                    seed: 5,
+                    packing: Default::default(),
+                },
+                CompilerDef::CycleCover { f: 1 },
+                CompilerDef::StaticToMobile {
+                    t: 4,
+                    words: 2,
+                    seed: 5,
+                },
+            ],
+            payload: PayloadDef::FloodBroadcast {
+                source: 0,
+                value: 4242,
+            },
+        },
+    };
 
-    let graph_names: Vec<String> = graphs.iter().map(|g| g.name.clone()).collect();
-    let report = Campaign::new(2024)
-        .graphs(graphs)
-        .adversaries(adversaries)
-        .compilers(compilers)
-        .payload(|g| Box::new(FloodBroadcast::new(g.clone(), 0, 4242)))
-        .threads(1)
-        .run();
+    let report = Campaign::from_spec(&spec).unwrap().threads(1).run();
 
     assert_eq!(report.cells.len(), 3 * 4 * 6, "full grid must be covered");
 
@@ -422,8 +417,8 @@ fn matrix_sweep_graphs_by_adversaries_by_compilers() {
 
     // The formatted table mentions every graph family.
     let table = report.to_table();
-    for name in &graph_names {
-        assert!(table.contains(name));
+    for def in &spec.grid.graphs {
+        assert!(table.contains(&def.display_name()));
     }
 }
 
@@ -434,19 +429,26 @@ fn matrix_sweep_graphs_by_adversaries_by_compilers() {
 /// one process must give ten identical reports.
 #[test]
 fn rewind_cell_is_deterministic_run_to_run() {
-    use mobile_congest::graphs::{Graph, GraphDef};
+    use mobile_congest::graphs::Graph;
     use mobile_congest::obs::TraceSpec;
-    use mobile_congest::scenario::{BoxedAlgorithm, CompilerDef};
+    use mobile_congest::scenario::BoxedAlgorithm;
 
-    let gspec = matrix::GraphSpec::from_def(&GraphDef::expander(32, 8, 2024)).unwrap();
-    let aspec = matrix::AdversaryDef::RandomMobile { f: 1 }.to_spec();
-    let cspec = CompilerDef::Rewind { f: 1, seed: 5 }.to_spec();
+    let graph = GraphDef::expander(32, 8, 2024).build().unwrap();
+    let adversary = matrix::AdversaryDef::RandomMobile { f: 1 };
+    let compiler = CompilerDef::Rewind { f: 1, seed: 5 };
     let payload = |g: &Graph| Box::new(FloodBroadcast::new(g.clone(), 0, 4242)) as BoxedAlgorithm;
     let fingerprints: Vec<String> = (0..10)
         .map(|_| {
-            let report =
-                matrix::run_cell(&gspec, &aspec, &cspec, &payload, 3, TraceSpec::off(), None)
-                    .expect("the rewind cell validates and completes");
+            let report = matrix::run_cell(
+                &graph,
+                &adversary,
+                compiler.build(),
+                payload,
+                3,
+                TraceSpec::off(),
+                None,
+            )
+            .expect("the rewind cell validates and completes");
             format!("{report:?}")
         })
         .collect();

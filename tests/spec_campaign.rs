@@ -1,60 +1,14 @@
-//! Scenario-as-data acceptance tests: the checked-in spec round-trips
-//! through the hand-rolled JSON layer, a spec-built campaign is
-//! byte-identical to the equivalent hand-built one at any thread count, and
-//! the union of all shards equals the unsharded run.
+//! Scenario-as-data acceptance tests: the checked-in specs round-trip
+//! through the hand-rolled JSON layer and run to pinned fingerprints, the
+//! union of all shards equals the unsharded run, and a payload a grid graph
+//! cannot run is a typed error before anything runs.
 
-use mobile_congest::graphs::generators;
 use mobile_congest::harness::json::fnv1a_hex;
-use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec};
-use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::matrix::{AdversarySpec, CompilerSpec, GraphSpec};
-use mobile_congest::scenario::{BoxedAlgorithm, CliqueAdapter, StaticToMobileAdapter, Uncompiled};
-use mobile_congest::sim::adversary::{
-    AdversaryRole, CorruptionBudget, CorruptionMode, GreedyHeaviest, RandomMobile,
-};
+use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec, PayloadDef, SpecError};
 
 fn checked_in_spec_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/e16-small.json");
     std::fs::read_to_string(path).expect("specs/e16-small.json is checked in")
-}
-
-/// The hand-built twin of `specs/e16-small.json`: the same grid constructed
-/// through the pre-spec API (direct generators, adapter values, zoo-style
-/// adversary closures).
-fn hand_built() -> Campaign {
-    Campaign::new(2024)
-        .graphs(vec![
-            GraphSpec::new("K8", generators::complete(8)),
-            GraphSpec::new("circ(10,2)", generators::circulant(10, 2)),
-            GraphSpec::new("torus3x4", generators::torus(3, 4)),
-        ])
-        .adversaries(vec![
-            AdversarySpec::new(
-                "random-mobile",
-                AdversaryRole::Byzantine,
-                CorruptionBudget::Mobile { f: 1 },
-                |seed| Box::new(RandomMobile::new(1, seed)),
-            ),
-            AdversarySpec::new(
-                "greedy-heaviest",
-                AdversaryRole::Byzantine,
-                CorruptionBudget::Mobile { f: 1 },
-                |_| Box::new(GreedyHeaviest::new(1).with_mode(CorruptionMode::FlipLowBit)),
-            ),
-            AdversarySpec::new(
-                "eavesdropper",
-                AdversaryRole::Eavesdropper,
-                CorruptionBudget::Mobile { f: 2 },
-                |seed| Box::new(RandomMobile::new(2, seed)),
-            ),
-        ])
-        .compilers(vec![
-            CompilerSpec::of(Uncompiled),
-            CompilerSpec::of(CliqueAdapter::new(1, 5)),
-            CompilerSpec::of(StaticToMobileAdapter::new(4, 2, 5)),
-        ])
-        .payload(|g| Box::new(FloodBroadcast::new(g.clone(), 0, 4242)) as BoxedAlgorithm)
-        .repetitions(2)
 }
 
 #[test]
@@ -134,30 +88,6 @@ fn spec_report_fingerprints_are_golden() {
             "specs/{name}.json report drifted"
         );
     }
-}
-
-#[test]
-fn spec_built_campaign_matches_hand_built_at_any_thread_count() {
-    let spec = CampaignSpec::from_json(&checked_in_spec_text()).unwrap();
-    let reference = hand_built().threads(1).run();
-
-    for threads in [1, 8] {
-        let from_spec = Campaign::from_spec(&spec)
-            .expect("checked-in spec resolves")
-            .threads(threads)
-            .run();
-        assert_eq!(
-            from_spec.fingerprint(),
-            reference.fingerprint(),
-            "spec path diverged from the hand-built campaign at {threads} threads"
-        );
-        assert_eq!(from_spec.to_jsonl(), reference.to_jsonl());
-    }
-
-    // The grid actually exercises all three outcomes.
-    assert!(reference.skipped_count() > 0, "expected typed skips");
-    assert!(reference.executed().count() > 0);
-    assert!(reference.all_protected_cells_agree());
 }
 
 /// The CI quality gate's spec, pinned as a test: `specs/frontier-small-world.json`
@@ -357,4 +287,45 @@ fn run_cells_reproduces_exactly_the_requested_subset() {
     // Out-of-range indices are ignored, not run.
     let clipped = campaign.run_cells(&[0, spec.cell_count() + 100]);
     assert_eq!(clipped.cells.len(), 1);
+}
+
+/// `flood-broadcast`, `leader-election` and `token-dissemination` can never
+/// finish on a disconnected graph (their constructors assert a diameter), so
+/// such a spec is refused by `from_spec`, naming the graph and the payload —
+/// it used to resolve and then panic a worker.  `exchange-ids` runs anywhere.
+#[test]
+fn connected_only_payloads_on_a_disconnected_graph_are_a_typed_spec_error() {
+    let spec_with = |payload: &str| {
+        CampaignSpec::from_json(&format!(
+            r#"{{"kind":"campaign-spec","seed":9,"repetitions":1,"grid":{{
+             "graphs":[{{"family":"complete","n":6}},
+                       {{"family":"expander-d-regular","n":24,"d":2,"seed":2}}],
+             "adversaries":[{{"kind":"random-mobile","f":1}}],
+             "compilers":[{{"id":"uncompiled"}}],
+             "payload":{payload}}}}}"#
+        ))
+        .expect("the spec parses: connectivity is a resolution matter")
+    };
+    for payload in [
+        r#"{"kind":"flood-broadcast","source":0,"value":7}"#,
+        r#"{"kind":"leader-election"}"#,
+        r#"{"kind":"token-dissemination","batch":2}"#,
+    ] {
+        let spec = spec_with(payload);
+        let label = spec.grid.payload.label();
+        match Campaign::from_spec(&spec) {
+            Err(SpecError::Invalid { reason }) => assert_eq!(
+                reason,
+                format!(
+                    "payload {label} needs a connected graph, and `expander(24,2)` is disconnected"
+                )
+            ),
+            Err(other) => panic!("{label}: wrong error {other:?}"),
+            Ok(_) => panic!("{label} resolved on a disconnected graph"),
+        }
+    }
+    let spec = spec_with(r#"{"kind":"exchange-ids"}"#);
+    assert_eq!(spec.grid.payload, PayloadDef::ExchangeIds);
+    let report = Campaign::from_spec(&spec).unwrap().threads(1).run();
+    assert_eq!(report.executed().count(), 2);
 }
