@@ -210,7 +210,8 @@ fn e4_secure_broadcast() {
             let secret: Vec<u64> = (0..b as u64).map(|i| 0xA000 + i).collect();
             let mut net = primitive_net(&g, AdversaryRole::Eavesdropper, f, 3 + f as u64);
             let packing = broadcast_packing(&g, 0, f);
-            let (_, rep) = mobile_secure_broadcast(&mut net, 0, &secret, f, 21, &packing);
+            let (_, rep) = mobile_secure_broadcast(&mut net, 0, &secret, f, 21, &packing)
+                .expect("the pad exchange fits GF(2^16)");
             println!(
                 "{:>10} {:>4} {:>4} {:>10} {:>12} {:>8}",
                 "K14", f, b, rep.key_rounds, rep.dissemination_rounds, rep.all_recovered

@@ -100,6 +100,33 @@ pub trait Field:
         }
     }
 
+    /// Multi-row fused multiply–accumulate over one source: row `j` of the
+    /// `consts.len() × src.len()` block `acc` (row-major) gains
+    /// `consts[j] · src`.
+    ///
+    /// This is the streamed Vandermonde extraction's step
+    /// ([`crate::vandermonde::Vandermonde::absorb_row`]).  The default is one
+    /// [`Field::addmul_slice`] per row; a field whose kernel can share work
+    /// across rows overrides it (GF(2^16) splits `src` once for all rows —
+    /// see [`crate::kernels`]).  Overriding never changes results.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `acc.len() != consts.len() · src.len()`.
+    fn addmul_rows(acc: &mut [Self], src: &[Self], consts: &[Self]) {
+        assert_eq!(
+            consts.len().checked_mul(src.len()),
+            Some(acc.len()),
+            "addmul_rows block size mismatch"
+        );
+        if src.is_empty() {
+            return;
+        }
+        for (row, &c) in acc.chunks_exact_mut(src.len()).zip(consts) {
+            Self::addmul_slice(row, src, c);
+        }
+    }
+
     /// Sample a uniformly random field element.
     fn random<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
         // Rejection-free for power-of-two orders; for prime orders the modulo

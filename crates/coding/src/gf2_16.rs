@@ -143,6 +143,16 @@ impl Field for Gf2_16 {
             }
         }
     }
+
+    fn addmul_rows(acc: &mut [Self], src: &[Self], consts: &[Self]) {
+        // One split-table multiplier per row; the multi-row kernel splits
+        // `src` once for all of them.
+        let muls: Vec<_> = consts
+            .iter()
+            .map(|&c| crate::kernels::NibbleMul::new(c))
+            .collect();
+        crate::kernels::gf2_16_addmul_rows(acc, src, &muls);
+    }
 }
 
 impl From<u16> for Gf2_16 {

@@ -1,11 +1,14 @@
 //! Vectorized finite-field kernels behind the Reed–Solomon and key-schedule
 //! hot loops.
 //!
-//! The coding crate's encode/syndrome/interpolation paths and the streamed
-//! Vandermonde bit extraction all reduce to fused multiply–accumulate over
-//! slices: `dst[i] += c · src[i]` for one constant `c` and long `src`/`dst`.
-//! This module provides that kernel at three speeds for GF(2^8) and two for
-//! GF(2^16):
+//! The coding crate's encode/syndrome/interpolation paths reduce to fused
+//! multiply–accumulate over slices: `dst[i] += c · src[i]` for one constant
+//! `c` and long `src`/`dst`.  The streamed Vandermonde bit extraction of the
+//! key schedule is the multi-row form of the same thing: one source row (an
+//! exchange round's pads) and `r` constants (the powers `α_i^j`), row `j` of
+//! an `r × w` block gaining `c_j · src` ([`gf2_16_addmul_rows`]).
+//!
+//! Backends, resolved once per process into function pointers:
 //!
 //! * **scalar** — for GF(2^8) the log/antilog table walk, for GF(2^16) the
 //!   [`NibbleMul`] split-table walk; both are kept as the property-test
@@ -16,25 +19,41 @@
 //!   a branch-free eight-byte-wide `xtime` (shift plus masked reduction by
 //!   the field polynomial), processing eight field elements per iteration on
 //!   any architecture;
-//! * **SIMD** — nibble-table products through the byte-shuffle instruction:
-//!   `pshufb` on x86-64 (SSSE3, runtime-detected) and `vqtbl1q_u8` on AArch64
-//!   (NEON is baseline there), sixteen elements per iteration.  GF(2^8) needs
-//!   two shuffles per sixteen elements; GF(2^16) splits each element into
-//!   four nibbles and each table entry into its low and high byte, so eight
-//!   shuffles per sixteen elements.
+//! * **SSSE3** (x86-64, runtime-detected) — nibble-table products through
+//!   `pshufb`, sixteen elements per shuffle.  GF(2^8) needs two shuffles per
+//!   sixteen elements; GF(2^16) splits each element into four nibbles and
+//!   each table entry into its low and high byte, so eight;
+//! * **AVX2** (x86-64, runtime-detected) — the GF(2^16) kernel at 32 lanes
+//!   per `vpshufb`, one SSSE3 step and the scalar walk finishing the tail;
+//!   GF(2^8) keeps the SSSE3 bodies;
+//! * **NEON** (AArch64 baseline) — the SSSE3 scheme through `vqtbl1q_u8`,
+//!   with `vld2q_u8` / `vst2q_u8` doing the GF(2^16) byte (de-)interleave.
 //!
-//! Dispatch is resolved once per process into function pointers; all paths
-//! compute the exact same field arithmetic, so results are bit-identical
-//! regardless of which backend runs — the determinism contract of the
-//! campaign layer does not depend on the host CPU.
+//! **One GF(2^16) kernel per backend: the rows kernel.**  Absorbing a pad
+//! row into `r` key rows as `r` one-row calls repeats the byte de-interleave
+//! and nibble split of the same source `r` times, and the split is a third
+//! of a one-row step.  The x86 kernels split `src` once per tile of 512
+//! elements — the four nibble planes, 2 KiB, stay on the stack —
+//! and then walk every row over the tile: eight shuffles, the re-interleave
+//! and a load–XOR–store per step.  [`gf2_16_addmul`] (and so
+//! [`crate::field::Field::addmul_slice`]) is the same kernel with one
+//! constant.  NEON loops its one-row body per row.
+//!
+//! All paths compute the exact same field arithmetic, so results are
+//! bit-identical regardless of which backend runs — the determinism contract
+//! of the campaign layer does not depend on the host CPU.  The backend table
+//! the dispatcher picks from is also what the forced-backend test runs: every
+//! backend the CPU supports, against the scalar oracles, on one machine.
 //!
 //! For GF(2^16) a 65536-entry table per constant would blow the cache, so
 //! [`NibbleMul`] splits the operand into four 4-bit nibbles and XORs four
 //! 16-entry table lookups — 128 bytes of table per constant, built with
-//! sixteen carryless doublings.  [`crate::field::Field::addmul_slice`] uses
-//! it whenever a constant is reused across a long enough slice.  Measured on
-//! one 4 KiB cache-resident slice (`bench` probe `coding.gf2_16_addmul_mb_s`,
-//! 2.1 GHz Xeon): scalar ≈ 2.0 GB/s, SSSE3 ≈ 9.0 GB/s.
+//! sixteen carryless doublings.  Measured on one 4 KiB cache-resident slice
+//! (`bench` probe `coding.gf2_16_addmul_mb_s`, the one-row call, 2.1 GHz
+//! Xeon): scalar ≈ 2.0 GB/s, SSSE3 ≈ 8.4–9.0 GB/s, AVX2 ≈ 13 GB/s.  On the
+//! key schedule's shape — 20 rows over 23 808 elements — a multiply–
+//! accumulate costs ≈ 0.22 ns as twenty SSSE3 one-row calls and ≈ 0.08 ns
+//! through the AVX2 rows kernel.
 
 use crate::gf256::Gf256;
 use crate::gf2_16::Gf2_16;
@@ -139,10 +158,16 @@ fn nibble_tables8(c: u8) -> ([u8; 16], [u8; 16]) {
     (lo, hi)
 }
 
+/// Source elements the x86 GF(2^16) rows kernels split per tile: sixteen
+/// 32-lane or thirty-two 16-lane steps, whose four nibble planes (2 KiB)
+/// stay on the stack while every row walks the tile.
+#[cfg(target_arch = "x86_64")]
+const TILE: usize = 512;
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gf256_addmul_scalar, gf256_mul_slice_scalar, nibble_tables8};
-    use super::{gf2_16_addmul_tables, Gf2_16, NibbleMul};
+    use super::{assert_rows_block, gf256_addmul_scalar, gf256_mul_slice_scalar, nibble_tables8};
+    use super::{gf2_16_addmul_rows_tables, Gf2_16, NibbleMul, TILE};
     use std::arch::x86_64::*;
 
     /// 16-lane nibble-table product: `lo⊔hi` shuffled by the low/high
@@ -196,76 +221,224 @@ mod x86 {
         unsafe { mul_slice(dst, c) }
     }
 
-    /// `dst[i] ^= c · src[i]` over GF(2^16) for the constant `m` was built
-    /// for, sixteen elements per iteration.  Each element is split into its
-    /// low and high byte (`packus`), each byte into two nibbles; the product's
-    /// low byte is the XOR of four shuffles of the low-byte tables, its high
-    /// byte likewise, and `unpack` re-interleaves them.
+    /// Columns `from..` of the GF(2^16) rows block `acc` (`consts.len()`
+    /// rows of `src.len()`, row-major), in whole 16-element steps; returns
+    /// the first column it left to the caller.
+    ///
+    /// Per tile of `src`, each element is split into its low and high byte
+    /// (`packus`) and each byte into two nibbles, once.  Every row `j` then
+    /// walks the tile: the product's low byte is the XOR of four shuffles of
+    /// the low-byte tables of `consts[j]`, its high byte likewise, and
+    /// `unpack` — the inverse of `packus` — re-interleaves them.
     ///
     /// # Safety
     ///
-    /// The CPU must support SSSE3 and the slices must have equal lengths.
+    /// The CPU must support SSSE3, `acc.len() == consts.len() · src.len()`
+    /// and `from <= src.len()`.
     #[target_feature(enable = "ssse3")]
-    unsafe fn addmul16(dst: &mut [Gf2_16], src: &[Gf2_16], m: &NibbleMul) {
-        let tables = m.byte_tables();
-        // SAFETY: every table is a 16-byte array; unaligned loads are allowed.
-        let t: [__m128i; 8] =
-            std::array::from_fn(|n| unsafe { _mm_loadu_si128(tables[n].as_ptr().cast()) });
+    unsafe fn addmul16_rows_128(
+        acc: &mut [Gf2_16],
+        src: &[Gf2_16],
+        consts: &[NibbleMul],
+        from: usize,
+    ) -> usize {
+        const LANES: usize = 16;
+        let w = src.len();
+        let end = from + (w - from) / LANES * LANES;
         let nibble = _mm_set1_epi8(0x0F);
         let low_byte = _mm_set1_epi16(0x00FF);
-        let whole = dst.len() / 16 * 16;
         // `Gf2_16` is `repr(transparent)` over `u16`, so both slices are
-        // `2 · len` plain bytes.
+        // plain bytes, two per element.
         let sp = src.as_ptr().cast::<u8>();
-        let dp = dst.as_mut_ptr().cast::<u8>();
-        for i in (0..whole).step_by(16) {
-            // SAFETY: `i + 16 <= whole <= len` of both slices (equal lengths
-            // are the caller's contract), so the two 16-byte loads per slice
-            // at byte offsets `2i` and `2i + 16` end at byte `2(i + 16)` at
-            // most; `dst` is exclusively borrowed, and unaligned access is
-            // what `loadu`/`storeu` are for.
-            unsafe {
-                let a = _mm_loadu_si128(sp.add(2 * i).cast());
-                let b = _mm_loadu_si128(sp.add(2 * i + 16).cast());
+        let ap = acc.as_mut_ptr().cast::<u8>();
+        let mut planes = [[_mm_setzero_si128(); 4]; TILE / LANES];
+        let mut start = from;
+        while start < end {
+            let steps = ((end - start) / LANES).min(TILE / LANES);
+            for (k, plane) in planes[..steps].iter_mut().enumerate() {
+                let i = start + k * LANES;
+                // SAFETY: `i + LANES <= end <= w`, so the 16-byte loads at
+                // byte offsets `2i` and `2i + 16` end at byte `2(i + 16) <=
+                // 2w`; unaligned loads are what `loadu` is for.
+                let (a, b) = unsafe {
+                    (
+                        _mm_loadu_si128(sp.add(2 * i).cast()),
+                        _mm_loadu_si128(sp.add(2 * i + 16).cast()),
+                    )
+                };
                 let lo = _mm_packus_epi16(_mm_and_si128(a, low_byte), _mm_and_si128(b, low_byte));
-                let hi = _mm_packus_epi16(_mm_srli_epi16(a, 8), _mm_srli_epi16(b, 8));
-                let n0 = _mm_and_si128(lo, nibble);
-                let n1 = _mm_and_si128(_mm_srli_epi64(lo, 4), nibble);
-                let n2 = _mm_and_si128(hi, nibble);
-                let n3 = _mm_and_si128(_mm_srli_epi64(hi, 4), nibble);
-                let product_lo = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi8(t[0], n0), _mm_shuffle_epi8(t[1], n1)),
-                    _mm_xor_si128(_mm_shuffle_epi8(t[2], n2), _mm_shuffle_epi8(t[3], n3)),
-                );
-                let product_hi = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi8(t[4], n0), _mm_shuffle_epi8(t[5], n1)),
-                    _mm_xor_si128(_mm_shuffle_epi8(t[6], n2), _mm_shuffle_epi8(t[7], n3)),
-                );
-                let da = dp.add(2 * i).cast::<__m128i>();
-                let db = dp.add(2 * i + 16).cast::<__m128i>();
-                let pa = _mm_unpacklo_epi8(product_lo, product_hi);
-                let pb = _mm_unpackhi_epi8(product_lo, product_hi);
-                _mm_storeu_si128(da, _mm_xor_si128(_mm_loadu_si128(da), pa));
-                _mm_storeu_si128(db, _mm_xor_si128(_mm_loadu_si128(db), pb));
+                let hi = _mm_packus_epi16(_mm_srli_epi16::<8>(a), _mm_srli_epi16::<8>(b));
+                *plane = [
+                    _mm_and_si128(lo, nibble),
+                    _mm_and_si128(_mm_srli_epi16::<4>(lo), nibble),
+                    _mm_and_si128(hi, nibble),
+                    _mm_and_si128(_mm_srli_epi16::<4>(hi), nibble),
+                ];
             }
+            for (j, m) in consts.iter().enumerate() {
+                let mut t = [_mm_setzero_si128(); 8];
+                for (table, bytes) in t.iter_mut().zip(&m.bytes) {
+                    // SAFETY: every table is a 16-byte array.
+                    *table = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
+                }
+                for (k, &[n0, n1, n2, n3]) in planes[..steps].iter().enumerate() {
+                    let product_lo = _mm_xor_si128(
+                        _mm_xor_si128(_mm_shuffle_epi8(t[0], n0), _mm_shuffle_epi8(t[1], n1)),
+                        _mm_xor_si128(_mm_shuffle_epi8(t[2], n2), _mm_shuffle_epi8(t[3], n3)),
+                    );
+                    let product_hi = _mm_xor_si128(
+                        _mm_xor_si128(_mm_shuffle_epi8(t[4], n0), _mm_shuffle_epi8(t[5], n1)),
+                        _mm_xor_si128(_mm_shuffle_epi8(t[6], n2), _mm_shuffle_epi8(t[7], n3)),
+                    );
+                    let at = 2 * (j * w + start + k * LANES);
+                    // SAFETY: row `j` is bytes `2jw .. 2(j + 1)w` of `acc`
+                    // (`j < consts.len()` and the block-size contract), and
+                    // `start + k·LANES + LANES <= end <= w`, so both 16-byte
+                    // accesses stay inside the row; `acc` is exclusively
+                    // borrowed.
+                    unsafe {
+                        let da = ap.add(at).cast::<__m128i>();
+                        let db = ap.add(at + 16).cast::<__m128i>();
+                        let pa = _mm_unpacklo_epi8(product_lo, product_hi);
+                        let pb = _mm_unpackhi_epi8(product_lo, product_hi);
+                        _mm_storeu_si128(da, _mm_xor_si128(_mm_loadu_si128(da), pa));
+                        _mm_storeu_si128(db, _mm_xor_si128(_mm_loadu_si128(db), pb));
+                    }
+                }
+            }
+            start += steps * LANES;
         }
-        gf2_16_addmul_tables(&mut dst[whole..], &src[whole..], m);
+        end
     }
 
-    /// Safe entry point, registered by the dispatcher only after
+    /// [`addmul16_rows_128`] at 32 lanes.  `vpshufb`, `vpackuswb` and
+    /// `vpunpck*bw` all work within 128-bit halves, so the pack/unpack pair
+    /// still cancels and each half of a register is one 16-element group.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `acc.len() == consts.len() · src.len()`
+    /// and `from <= src.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn addmul16_rows_256(
+        acc: &mut [Gf2_16],
+        src: &[Gf2_16],
+        consts: &[NibbleMul],
+        from: usize,
+    ) -> usize {
+        const LANES: usize = 32;
+        let w = src.len();
+        let end = from + (w - from) / LANES * LANES;
+        let nibble = _mm256_set1_epi8(0x0F);
+        let low_byte = _mm256_set1_epi16(0x00FF);
+        let sp = src.as_ptr().cast::<u8>();
+        let ap = acc.as_mut_ptr().cast::<u8>();
+        let mut planes = [[_mm256_setzero_si256(); 4]; TILE / LANES];
+        let mut start = from;
+        while start < end {
+            let steps = ((end - start) / LANES).min(TILE / LANES);
+            for (k, plane) in planes[..steps].iter_mut().enumerate() {
+                let i = start + k * LANES;
+                // SAFETY: `i + LANES <= end <= w`, so the 32-byte loads at
+                // byte offsets `2i` and `2i + 32` end at byte `2(i + 32) <=
+                // 2w`; unaligned loads are what `loadu` is for.
+                let (a, b) = unsafe {
+                    (
+                        _mm256_loadu_si256(sp.add(2 * i).cast()),
+                        _mm256_loadu_si256(sp.add(2 * i + 32).cast()),
+                    )
+                };
+                let lo = _mm256_packus_epi16(
+                    _mm256_and_si256(a, low_byte),
+                    _mm256_and_si256(b, low_byte),
+                );
+                let hi = _mm256_packus_epi16(_mm256_srli_epi16::<8>(a), _mm256_srli_epi16::<8>(b));
+                *plane = [
+                    _mm256_and_si256(lo, nibble),
+                    _mm256_and_si256(_mm256_srli_epi16::<4>(lo), nibble),
+                    _mm256_and_si256(hi, nibble),
+                    _mm256_and_si256(_mm256_srli_epi16::<4>(hi), nibble),
+                ];
+            }
+            for (j, m) in consts.iter().enumerate() {
+                let mut t = [_mm256_setzero_si256(); 8];
+                for (table, bytes) in t.iter_mut().zip(&m.bytes) {
+                    // SAFETY: every table is a 16-byte array, broadcast to
+                    // both halves.
+                    *table = _mm256_broadcastsi128_si256(unsafe {
+                        _mm_loadu_si128(bytes.as_ptr().cast())
+                    });
+                }
+                for (k, &[n0, n1, n2, n3]) in planes[..steps].iter().enumerate() {
+                    let product_lo = _mm256_xor_si256(
+                        _mm256_xor_si256(
+                            _mm256_shuffle_epi8(t[0], n0),
+                            _mm256_shuffle_epi8(t[1], n1),
+                        ),
+                        _mm256_xor_si256(
+                            _mm256_shuffle_epi8(t[2], n2),
+                            _mm256_shuffle_epi8(t[3], n3),
+                        ),
+                    );
+                    let product_hi = _mm256_xor_si256(
+                        _mm256_xor_si256(
+                            _mm256_shuffle_epi8(t[4], n0),
+                            _mm256_shuffle_epi8(t[5], n1),
+                        ),
+                        _mm256_xor_si256(
+                            _mm256_shuffle_epi8(t[6], n2),
+                            _mm256_shuffle_epi8(t[7], n3),
+                        ),
+                    );
+                    let at = 2 * (j * w + start + k * LANES);
+                    // SAFETY: as in `addmul16_rows_128`, with 32-byte
+                    // accesses at `2(start + k·LANES)` and 32 bytes on, both
+                    // inside row `j` because `start + k·LANES + LANES <= w`.
+                    unsafe {
+                        let da = ap.add(at).cast::<__m256i>();
+                        let db = ap.add(at + 32).cast::<__m256i>();
+                        let pa = _mm256_unpacklo_epi8(product_lo, product_hi);
+                        let pb = _mm256_unpackhi_epi8(product_lo, product_hi);
+                        _mm256_storeu_si256(da, _mm256_xor_si256(_mm256_loadu_si256(da), pa));
+                        _mm256_storeu_si256(db, _mm256_xor_si256(_mm256_loadu_si256(db), pb));
+                    }
+                }
+            }
+            start += steps * LANES;
+        }
+        end
+    }
+
+    /// The SSSE3 backend's GF(2^16) kernel: 16-lane steps, then the scalar
+    /// walk.  Registered by the dispatcher only after
     /// `is_x86_feature_detected!("ssse3")` succeeded.
-    pub fn addmul16_entry(dst: &mut [Gf2_16], src: &[Gf2_16], m: &NibbleMul) {
-        assert_eq!(dst.len(), src.len(), "gf2_16_addmul length mismatch");
-        // SAFETY: lengths were just checked, and the dispatcher hands this
-        // function out only on CPUs that reported SSSE3.
-        unsafe { addmul16(dst, src, m) }
+    pub fn addmul16_rows_ssse3(acc: &mut [Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+        assert_rows_block(acc, src, consts);
+        // SAFETY: the block shape was just checked, `0 <= src.len()`, and
+        // the dispatcher hands this function out only on CPUs that reported
+        // SSSE3.
+        let done = unsafe { addmul16_rows_128(acc, src, consts, 0) };
+        gf2_16_addmul_rows_tables(acc, src, consts, done);
+    }
+
+    /// The AVX2 backend's GF(2^16) kernel: 32-lane steps, one 16-lane step,
+    /// then the scalar walk.  Registered by the dispatcher only after both
+    /// `is_x86_feature_detected!("ssse3")` and `("avx2")` succeeded.
+    pub fn addmul16_rows_avx2(acc: &mut [Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+        assert_rows_block(acc, src, consts);
+        // SAFETY: the block shape was just checked, each call returns a
+        // column `<= src.len()` for the next, and the dispatcher hands this
+        // function out only on CPUs that reported AVX2 and SSSE3.
+        let done = unsafe { addmul16_rows_256(acc, src, consts, 0) };
+        let done = unsafe { addmul16_rows_128(acc, src, consts, done) };
+        gf2_16_addmul_rows_tables(acc, src, consts, done);
     }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod aarch64 {
-    use super::{gf256_addmul_scalar, gf256_mul_slice_scalar, nibble_tables8};
-    use super::{gf2_16_addmul_tables, Gf2_16, NibbleMul};
+    use super::{assert_rows_block, gf256_addmul_scalar, gf256_mul_slice_scalar, nibble_tables8};
+    use super::{gf2_16_addmul_rows_tables, Gf2_16, NibbleMul};
     use std::arch::aarch64::*;
 
     /// 16-lane nibble-table product via `vqtbl1q_u8`.  NEON is part of the
@@ -307,26 +480,22 @@ mod aarch64 {
     }
 
     /// `dst[i] ^= c · src[i]` over GF(2^16) for the constant `m` was built
-    /// for, sixteen elements per iteration: `vld2q_u8` de-interleaves the low
-    /// and high bytes of sixteen elements, four `vqtbl1q_u8` lookups per
-    /// product byte do the multiplication, `vst2q_u8` re-interleaves.
-    pub fn addmul16_entry(dst: &mut [Gf2_16], src: &[Gf2_16], m: &NibbleMul) {
-        assert_eq!(dst.len(), src.len(), "gf2_16_addmul length mismatch");
-        if cfg!(target_endian = "big") {
-            // The byte de-interleave below assumes the low byte comes first.
-            return gf2_16_addmul_tables(dst, src, m);
-        }
-        let tables = m.byte_tables();
-        let whole = dst.len() / 16 * 16;
+    /// for, on the first `whole` elements (a multiple of sixteen), sixteen
+    /// per iteration: `vld2q_u8` de-interleaves the low and high bytes of
+    /// sixteen elements, four `vqtbl1q_u8` lookups per product byte do the
+    /// multiplication, `vst2q_u8` re-interleaves.
+    fn addmul16_row(dst: &mut [Gf2_16], src: &[Gf2_16], m: &NibbleMul, whole: usize) {
+        assert!(whole.is_multiple_of(16) && whole <= dst.len() && whole <= src.len());
+        let tables = &m.bytes;
         // `Gf2_16` is `repr(transparent)` over `u16`, so both slices are
         // `2 · len` plain bytes.
         let sp = src.as_ptr().cast::<u8>();
         let dp = dst.as_mut_ptr().cast::<u8>();
         // SAFETY: NEON is part of the AArch64 baseline.  Every table is a
-        // 16-byte array.  `i + 16 <= whole <= len` of both slices (lengths
-        // checked above), so each 32-byte `vld2q_u8`/`vst2q_u8` at byte
-        // offset `2i` ends at byte `2(i + 16)` at most; `dst` is exclusively
-        // borrowed and the instructions take unaligned addresses.
+        // 16-byte array.  `i + 16 <= whole <= len` of both slices (checked
+        // above), so each 32-byte `vld2q_u8`/`vst2q_u8` at byte offset `2i`
+        // ends at byte `2(i + 16)` at most; `dst` is exclusively borrowed and
+        // the instructions take unaligned addresses.
         unsafe {
             let t: [uint8x16_t; 8] = std::array::from_fn(|n| vld1q_u8(tables[n].as_ptr()));
             let nibble = vdupq_n_u8(0x0F);
@@ -349,55 +518,86 @@ mod aarch64 {
                 vst2q_u8(dp.add(2 * i), merged);
             }
         }
-        gf2_16_addmul_tables(&mut dst[whole..], &src[whole..], m);
+    }
+
+    /// The NEON backend's GF(2^16) kernel: the one-row body per row, then
+    /// the scalar walk for the columns past the last whole 16-element step.
+    pub fn addmul16_rows_entry(acc: &mut [Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+        assert_rows_block(acc, src, consts);
+        // The byte de-interleave assumes the low byte comes first.
+        let whole = if cfg!(target_endian = "big") {
+            0
+        } else {
+            src.len() / 16 * 16
+        };
+        if whole > 0 {
+            for (row, m) in acc.chunks_exact_mut(src.len()).zip(consts) {
+                addmul16_row(row, src, m, whole);
+            }
+        }
+        gf2_16_addmul_rows_tables(acc, src, consts, whole);
     }
 }
 
 type AddmulFn = fn(&mut [u8], &[u8], u8);
 type MulSliceFn = fn(&mut [u8], u8);
-type Addmul16Fn = fn(&mut [Gf2_16], &[Gf2_16], &NibbleMul);
+type Addmul16RowsFn = fn(&mut [Gf2_16], &[Gf2_16], &[NibbleMul]);
 
-/// The resolved backend: name plus the kernel entry points.
+/// A kernel backend: name plus the kernel entry points.
 #[derive(Clone, Copy)]
 struct Backend {
     name: &'static str,
     addmul: AddmulFn,
     mul_slice: MulSliceFn,
-    addmul16: Addmul16Fn,
+    addmul16_rows: Addmul16RowsFn,
+}
+
+/// Every backend this CPU can run, fastest first: the dispatcher takes the
+/// first, the forced-backend test runs them all.
+fn available_backends() -> Vec<Backend> {
+    let mut backends = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("ssse3") {
+        if is_x86_feature_detected!("avx2") {
+            backends.push(Backend {
+                name: "avx2",
+                addmul: x86::addmul_entry,
+                mul_slice: x86::mul_slice_entry,
+                addmul16_rows: x86::addmul16_rows_avx2,
+            });
+        }
+        backends.push(Backend {
+            name: "ssse3",
+            addmul: x86::addmul_entry,
+            mul_slice: x86::mul_slice_entry,
+            addmul16_rows: x86::addmul16_rows_ssse3,
+        });
+    }
+    #[cfg(target_arch = "aarch64")]
+    backends.push(Backend {
+        name: "neon",
+        addmul: aarch64::addmul_entry,
+        mul_slice: aarch64::mul_slice_entry,
+        addmul16_rows: aarch64::addmul16_rows_entry,
+    });
+    backends.push(Backend {
+        name: "swar",
+        addmul: gf256_addmul_swar,
+        mul_slice: gf256_mul_slice_swar,
+        addmul16_rows: gf2_16_addmul_rows_scalar,
+    });
+    backends
 }
 
 fn backend() -> Backend {
     static CHOSEN: OnceLock<Backend> = OnceLock::new();
-    *CHOSEN.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("ssse3") {
-            return Backend {
-                name: "ssse3",
-                addmul: x86::addmul_entry,
-                mul_slice: x86::mul_slice_entry,
-                addmul16: x86::addmul16_entry,
-            };
-        }
-        #[cfg(target_arch = "aarch64")]
-        return Backend {
-            name: "neon",
-            addmul: aarch64::addmul_entry,
-            mul_slice: aarch64::mul_slice_entry,
-            addmul16: aarch64::addmul16_entry,
-        };
-        #[allow(unreachable_code)]
-        Backend {
-            name: "swar",
-            addmul: gf256_addmul_swar,
-            mul_slice: gf256_mul_slice_swar,
-            addmul16: gf2_16_addmul_tables,
-        }
-    })
+    *CHOSEN.get_or_init(|| available_backends()[0])
 }
 
-/// The name of the kernel backend this process dispatched to: `"ssse3"`,
-/// `"neon"`, or `"swar"` (which pairs the GF(2^8) SWAR kernel with the scalar
-/// GF(2^16) one).
+/// The name of the kernel backend this process dispatched to: `"avx2"`
+/// (which keeps the SSSE3 GF(2^8) kernels), `"ssse3"`, `"neon"`, or
+/// `"swar"` (which pairs the GF(2^8) SWAR kernel with the scalar GF(2^16)
+/// one).
 pub fn gf256_backend() -> &'static str {
     backend().name
 }
@@ -434,7 +634,9 @@ pub fn gf256_mul_slice(dst: &mut [u8], c: u8) {
 /// every subsequent row–vector product from L1.
 #[derive(Debug, Clone)]
 pub struct NibbleMul {
-    tables: [[u16; 16]; 4],
+    /// The tables split by product byte, as the SIMD backends shuffle them:
+    /// entry `n` holds the low bytes of `Tₙ`, entry `4 + n` its high bytes.
+    bytes: [[u8; 16]; 8],
 }
 
 impl NibbleMul {
@@ -452,49 +654,67 @@ impl NibbleMul {
         }
         // Entry `d` extends the entry without `d`'s lowest set bit by that
         // bit's power, so each table costs fifteen XORs.
-        let mut tables = [[0u16; 16]; 4];
-        for (n, table) in tables.iter_mut().enumerate() {
+        let mut bytes = [[0u8; 16]; 8];
+        for n in 0..4 {
+            let mut table = [0u16; 16];
             for d in 1..16usize {
                 table[d] = table[d & (d - 1)] ^ powers[4 * n + d.trailing_zeros() as usize];
             }
+            for (d, [lo, hi]) in table.iter().map(|entry| entry.to_le_bytes()).enumerate() {
+                bytes[n][d] = lo;
+                bytes[4 + n][d] = hi;
+            }
         }
-        NibbleMul { tables }
+        NibbleMul { bytes }
     }
 
     /// `c · x` for the constant this table was built for.
     #[inline]
     pub fn mul(&self, x: Gf2_16) -> Gf2_16 {
         let x = x.0 as usize;
-        Gf2_16(
-            self.tables[0][x & 0xF]
-                ^ self.tables[1][(x >> 4) & 0xF]
-                ^ self.tables[2][(x >> 8) & 0xF]
-                ^ self.tables[3][x >> 12],
-        )
-    }
-
-    /// The tables split by product byte, as the SIMD backends shuffle them:
-    /// entry `n` holds the low bytes of nibble table `n`, entry `4 + n` its
-    /// high bytes.
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    fn byte_tables(&self) -> [[u8; 16]; 8] {
-        let mut out = [[0u8; 16]; 8];
-        for (n, table) in self.tables.iter().enumerate() {
-            for (d, entry) in table.iter().enumerate() {
-                out[n][d] = *entry as u8;
-                out[4 + n][d] = (*entry >> 8) as u8;
-            }
+        let nibbles = [x & 0xF, (x >> 4) & 0xF, (x >> 8) & 0xF, x >> 12];
+        let mut product = [0u8; 2];
+        for (n, &nibble) in nibbles.iter().enumerate() {
+            product[0] ^= self.bytes[n][nibble];
+            product[1] ^= self.bytes[4 + n][nibble];
         }
-        out
+        Gf2_16(u16::from_le_bytes(product))
     }
 }
 
-/// `dst[i] ^= m · src[i]` through the split tables, one element at a time:
-/// the scalar GF(2^16) kernel, and the tail of the SIMD ones.
-fn gf2_16_addmul_tables(dst: &mut [Gf2_16], src: &[Gf2_16], m: &NibbleMul) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        d.0 ^= m.mul(s).0;
+/// The block-shape contract of every GF(2^16) rows kernel — `acc` is
+/// `consts.len()` rows of `src.len()` — which the SIMD kernels' memory
+/// accesses rely on, so it is checked without overflow.
+fn assert_rows_block(acc: &[Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+    assert_eq!(
+        consts.len().checked_mul(src.len()),
+        Some(acc.len()),
+        "gf2_16_addmul_rows block size mismatch"
+    );
+}
+
+/// Columns `from..` of the rows block through the split tables, one element
+/// at a time: the scalar GF(2^16) kernel, and the tail of the SIMD ones.
+fn gf2_16_addmul_rows_tables(
+    acc: &mut [Gf2_16],
+    src: &[Gf2_16],
+    consts: &[NibbleMul],
+    from: usize,
+) {
+    if from == src.len() {
+        return;
     }
+    for (row, m) in acc.chunks_exact_mut(src.len()).zip(consts) {
+        for (d, &s) in row[from..].iter_mut().zip(&src[from..]) {
+            d.0 ^= m.mul(s).0;
+        }
+    }
+}
+
+/// The scalar backend's GF(2^16) kernel.
+fn gf2_16_addmul_rows_scalar(acc: &mut [Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+    assert_rows_block(acc, src, consts);
+    gf2_16_addmul_rows_tables(acc, src, consts, 0);
 }
 
 /// `dst[i] ^= c · src[i]` over GF(2^16), scalar path.
@@ -508,10 +728,11 @@ fn gf2_16_addmul_tables(dst: &mut [Gf2_16], src: &[Gf2_16], m: &NibbleMul) {
 /// Panics when the slices have different lengths.
 pub fn gf2_16_addmul_scalar(dst: &mut [Gf2_16], src: &[Gf2_16], c: Gf2_16) {
     assert_eq!(dst.len(), src.len(), "gf2_16_addmul length mismatch");
-    gf2_16_addmul_tables(dst, src, &NibbleMul::new(c));
+    gf2_16_addmul_rows_tables(dst, src, std::slice::from_ref(&NibbleMul::new(c)), 0);
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2^16), via the fastest available backend.
+/// `dst[i] ^= c · src[i]` over GF(2^16), via the fastest available backend:
+/// the one-row call of [`gf2_16_addmul_rows`].
 ///
 /// All backends compute identical field arithmetic; see the module docs.
 ///
@@ -523,7 +744,21 @@ pub fn gf2_16_addmul(dst: &mut [Gf2_16], src: &[Gf2_16], c: Gf2_16) {
     if c.0 == 0 {
         return;
     }
-    (backend().addmul16)(dst, src, &NibbleMul::new(c))
+    (backend().addmul16_rows)(dst, src, std::slice::from_ref(&NibbleMul::new(c)))
+}
+
+/// Row `j` of the `consts.len() × src.len()` block `acc` (row-major) gains
+/// `consts[j] · src` over GF(2^16), via the fastest available backend: the
+/// fused multi-row kernel of the module docs, which splits `src` once for
+/// all rows.
+///
+/// All backends compute identical field arithmetic; see the module docs.
+///
+/// # Panics
+///
+/// Panics when `acc.len() != consts.len() · src.len()`.
+pub fn gf2_16_addmul_rows(acc: &mut [Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+    (backend().addmul16_rows)(acc, src, consts)
 }
 
 #[cfg(test)]
@@ -569,12 +804,11 @@ mod tests {
     fn known_aes_product_through_every_backend() {
         // 0x57 · 0x83 = 0xC1 (FIPS-197): long enough to hit the vector body.
         let src = [0x57u8; 24];
-        let mut dispatched = [0u8; 24];
-        gf256_addmul(&mut dispatched, &src, 0x83);
-        assert_eq!(dispatched, [0xC1; 24]);
-        let mut swar = [0u8; 24];
-        gf256_addmul_swar(&mut swar, &src, 0x83);
-        assert_eq!(swar, [0xC1; 24]);
+        for backend in available_backends() {
+            let mut dst = [0u8; 24];
+            (backend.addmul)(&mut dst, &src, 0x83);
+            assert_eq!(dst, [0xC1; 24], "{}", backend.name);
+        }
     }
 
     #[test]
@@ -624,12 +858,117 @@ mod tests {
         }
     }
 
+    /// The forced-backend test.  The table is the dispatcher's own, so a
+    /// backend this CPU offers cannot go unchecked: every entry runs against
+    /// plain field arithmetic (GF(2^16)) or the scalar kernels (GF(2^8)).
+    /// GF(2^16) rows: 1..=40 rows, widths on both sides of the 16- and
+    /// 32-lane steps, and one past three tiles plus a tail in every row
+    /// count; GF(2^8) `addmul` / `mul_slice` from empty to several vector
+    /// bodies.  Each on sub-slices 0, 1 and 2 elements into their
+    /// allocation, with the constants 0 and 1 among random ones.
+    #[test]
+    fn every_backend_this_cpu_supports_matches_the_scalar_oracles() {
+        use rand::{Rng, SeedableRng};
+        let backends = available_backends();
+        let names: Vec<&str> = backends.iter().map(|b| b.name).collect();
+        assert_eq!(
+            names[0],
+            gf256_backend(),
+            "the dispatcher runs the first entry"
+        );
+        assert_eq!(names.last(), Some(&"swar"));
+        #[cfg(target_arch = "x86_64")]
+        {
+            let ssse3 = is_x86_feature_detected!("ssse3");
+            let avx2 = ssse3 && is_x86_feature_detected!("avx2");
+            assert_eq!(names.contains(&"ssse3"), ssse3, "{names:?}");
+            assert_eq!(names.contains(&"avx2"), avx2, "{names:?}");
+        }
+        #[cfg(target_arch = "aarch64")]
+        assert_eq!(names[0], "neon");
+
+        const WIDTHS: [usize; 13] = [0, 1, 15, 16, 17, 31, 32, 33, 63, 97, 511, 513, 1060];
+        // Past three 512-element tiles, with a 32-lane step and a tail left.
+        let long = 3 * 512 + 47;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBAC6);
+        for backend in &backends {
+            for rows in 1..=40usize {
+                let picks = [WIDTHS[rows % 13], WIDTHS[(5 * rows + 2) % 13], long];
+                for (width, offset) in
+                    picks
+                        .into_iter()
+                        .zip([rows % 3, (rows + 1) % 3, (rows + 2) % 3])
+                {
+                    let consts: Vec<Gf2_16> = (0..rows)
+                        .map(|j| {
+                            Gf2_16(match j {
+                                0 => 1,
+                                1 => 0,
+                                _ => rng.gen(),
+                            })
+                        })
+                        .collect();
+                    let src: Vec<Gf2_16> = (0..offset + width).map(|_| Gf2_16(rng.gen())).collect();
+                    let acc: Vec<Gf2_16> = (0..offset + rows * width)
+                        .map(|_| Gf2_16(rng.gen()))
+                        .collect();
+                    let mut expect = acc.clone();
+                    for (row, &c) in expect[offset..].chunks_exact_mut(width.max(1)).zip(&consts) {
+                        for (d, &s) in row.iter_mut().zip(&src[offset..]) {
+                            *d = *d + c * s;
+                        }
+                    }
+                    let muls: Vec<NibbleMul> = consts.iter().map(|&c| NibbleMul::new(c)).collect();
+                    let mut got = acc;
+                    (backend.addmul16_rows)(&mut got[offset..], &src[offset..], &muls);
+                    assert_eq!(
+                        got, expect,
+                        "{} GF(2^16) rows: {rows} × {width}, offset {offset}",
+                        backend.name
+                    );
+                }
+            }
+            for len in (0..=70usize).chain([255, 256, 257, 1000]) {
+                for offset in 0..3usize {
+                    for c in [0u8, 1, rng.gen(), rng.gen()] {
+                        let src: Vec<u8> = (0..offset + len).map(|_| rng.gen()).collect();
+                        let dst: Vec<u8> = (0..offset + len).map(|_| rng.gen()).collect();
+                        let case =
+                            format!("{} GF(2^8), len {len} offset {offset} c {c}", backend.name);
+                        let mut expect = dst.clone();
+                        gf256_addmul_scalar(&mut expect[offset..], &src[offset..], c);
+                        let mut got = dst.clone();
+                        (backend.addmul)(&mut got[offset..], &src[offset..], c);
+                        assert_eq!(got, expect, "addmul, {case}");
+                        let mut expect = dst.clone();
+                        gf256_mul_slice_scalar(&mut expect[offset..], c);
+                        let mut got = dst;
+                        (backend.mul_slice)(&mut got[offset..], c);
+                        assert_eq!(got, expect, "mul_slice, {case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn gf2_16_addmul_rejects_unequal_lengths() {
         let src = [Gf2_16(1); 32];
         let mut dst = [Gf2_16(0); 33];
         gf2_16_addmul(&mut dst, &src, Gf2_16(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "block size mismatch")]
+    fn gf2_16_addmul_rows_rejects_a_misshapen_block() {
+        let src = [Gf2_16(1); 32];
+        let mut acc = [Gf2_16(0); 63];
+        gf2_16_addmul_rows(
+            &mut acc,
+            &src,
+            &[NibbleMul::new(Gf2_16(3)), NibbleMul::new(Gf2_16(5))],
+        );
     }
 
     proptest! {

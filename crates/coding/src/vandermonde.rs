@@ -97,8 +97,8 @@ impl<F: Field> Vandermonde<F> {
     ///
     /// `acc` holds the `cols × w` outputs row-major by output index
     /// (`acc[j·w + k]` is output `j` of column `k`) and gains
-    /// `alpha_i^j · row[k]` there, as `cols` long-slice
-    /// [`Field::addmul_slice`] calls.  Starting from zeros and absorbing rows
+    /// `alpha_i^j · row[k]` there, as one [`Field::addmul_rows`] call with
+    /// the powers of `alpha_i`.  Starting from zeros and absorbing rows
     /// `0..rows` (in any order) leaves `acc[j·w + k] == apply(column k)[j]`
     /// without ever holding a whole column.
     ///
@@ -123,11 +123,10 @@ impl<F: Field> Vandermonde<F> {
             return Ok(());
         }
         let alpha = self.points[i];
-        let mut p = F::ONE;
-        for out in acc.chunks_exact_mut(row.len()) {
-            F::addmul_slice(out, row, p);
-            p = p * alpha;
-        }
+        let powers: Vec<F> = std::iter::successors(Some(F::ONE), |&p| Some(p * alpha))
+            .take(self.cols)
+            .collect();
+        F::addmul_rows(acc, row, &powers);
         Ok(())
     }
 }
@@ -225,16 +224,21 @@ mod tests {
         ));
     }
 
-    /// The streamed form against the per-column oracle: random shapes, widths
-    /// on both sides of the long-slice kernel threshold, rows absorbed out of
-    /// order.
+    /// The streamed form against the per-column oracle: random shapes of up
+    /// to 40 rows, widths on both sides of the 16- and 32-lane kernel steps
+    /// and up to three 512-element kernel tiles plus a 32-lane step and a
+    /// tail, rows absorbed out of order.
     #[test]
     fn absorbing_every_row_equals_per_column_apply() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..12usize);
+        for case in 0..48 {
+            let n = rng.gen_range(1..=40usize);
             let t = rng.gen_range(0..n);
-            let width = rng.gen_range(0..40usize);
+            let width = match case % 3 {
+                0 => rng.gen_range(0..40usize),
+                1 => rng.gen_range(40..600usize),
+                _ => rng.gen_range(3 * 512 + 32..3 * 512 + 64),
+            };
             let ex = BitExtractor::<F>::new(n, t).unwrap();
             let rows: Vec<Vec<F>> = (0..n)
                 .map(|_| (0..width).map(|_| F::from_u64(rng.gen())).collect())

@@ -210,12 +210,13 @@ fn prepared<'a, T: std::any::Any + Send + Sync>(
         })
 }
 
-/// A compiler's run stopped at a payload message it cannot protect — wider
-/// than a secrecy compiler's `words` parameter (`PayloadTooWide`), or past
-/// the correction sketches' element layout (`UnpackableMessage`): a
-/// parameter rejection like any other, only one the payload has to start
-/// sending before anything can see it.
-fn payload_too_wide(compiler: &impl Compiler, error: impl std::fmt::Display) -> ScenarioError {
+/// A compiler's run stopped at a payload it cannot protect — a round count
+/// whose secrecy key schedule `ℓ = r + t` outgrows GF(2^16) or a message
+/// wider than a secrecy compiler's `words` parameter (`KeyScheduleError`),
+/// or a message past the correction sketches' element layout
+/// (`UnpackableMessage`): a parameter rejection like any other, only one the
+/// payload has to be known, or start sending, before anything can see it.
+fn payload_rejection(compiler: &impl Compiler, error: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::InvalidParameter {
         compiler: compiler.name(),
         reason: error.to_string(),
@@ -316,7 +317,7 @@ impl Compiler for CliqueAdapter {
         let compiler: &CliqueCompiler = prepared(self, artifacts)?;
         let (out, report) = compiler
             .run(&mut *make(), net)
-            .map_err(|e| payload_too_wide(self, e))?;
+            .map_err(|e| payload_rejection(self, e))?;
         Ok((out, resilient_notes(&report)))
     }
 }
@@ -410,7 +411,7 @@ impl Compiler for TreePackingAdapter {
         let compiler: &MobileByzantineCompiler = prepared(self, artifacts)?;
         let (out, report) = compiler
             .run(&mut *make(), net)
-            .map_err(|e| payload_too_wide(self, e))?;
+            .map_err(|e| payload_rejection(self, e))?;
         Ok((out, resilient_notes(&report)))
     }
 }
@@ -543,7 +544,7 @@ impl Compiler for ExpanderAdapter {
             self.bfs_rounds,
             self.seed,
         )
-        .map_err(|e| payload_too_wide(self, e))?;
+        .map_err(|e| payload_rejection(self, e))?;
         let notes = CompilerNotes::Expander {
             trees: report.packing.k,
             good_trees: report.packing.good_trees,
@@ -608,7 +609,7 @@ impl Compiler for RewindAdapter {
         let compiler = RewindCompiler::new(packing.clone(), self.f, self.seed);
         let (out, report) = compiler
             .run(make, net)
-            .map_err(|e| payload_too_wide(self, e))?;
+            .map_err(|e| payload_rejection(self, e))?;
         if !report.completed {
             return Err(ScenarioError::IncompleteRun {
                 compiler: self.name(),
@@ -680,7 +681,7 @@ impl Compiler for StaticToMobileAdapter {
         let compiler = StaticToMobileCompiler::new(self.t, self.words_per_message, self.seed);
         let (out, report) = compiler
             .run(&mut *make(), net)
-            .map_err(|e| payload_too_wide(self, e))?;
+            .map_err(|e| payload_rejection(self, e))?;
         let notes = CompilerNotes::Secure {
             key_rounds: report.key_rounds,
             simulation_rounds: report.simulation_rounds,
@@ -769,7 +770,7 @@ impl Compiler for CongestionSensitiveAdapter {
         let compiler = CongestionSensitiveCompiler::new(self.f, self.words_per_message, self.seed);
         let (out, report) = compiler
             .run(&mut *make(), net, self.source, packing)
-            .map_err(|e| payload_too_wide(self, e))?;
+            .map_err(|e| payload_rejection(self, e))?;
         let notes = CompilerNotes::CongestionSensitive {
             local_key_rounds: report.local_key_rounds,
             global_key_rounds: report.global_key_rounds,

@@ -24,7 +24,7 @@
 //! real messages are sent as `(payload ‖ h*(payload)) ⊕ key` and silent edges
 //! send fresh randomness, making real and dummy traffic indistinguishable.
 
-use crate::secure::keys::{KeyPool, PayloadTooWide};
+use crate::secure::keys::{KeyPool, KeyScheduleError, PayloadTooWide};
 use coding::KWiseHash;
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
@@ -56,7 +56,11 @@ pub struct SecureBroadcastReport {
 /// Panics if the graph is disconnected.
 pub fn broadcast_packing(g: &Graph, source: NodeId, f: usize) -> TreePacking {
     let eta_hint = 2;
-    let k = (eta_hint * f + 1).max(2).min(g.node_count().max(2));
+    let k = f
+        .saturating_mul(eta_hint)
+        .saturating_add(1)
+        .max(2)
+        .min(g.node_count().max(2));
     greedy_low_depth_packing(g, source, k, eta_hint)
 }
 
@@ -66,9 +70,16 @@ pub fn broadcast_packing(g: &Graph, source: NodeId, f: usize) -> TreePacking {
 ///
 /// Returns each node's recovered secret and a report.
 ///
+/// # Errors
+///
+/// [`KeyScheduleError::TooManyExchangeRounds`], before any round, when the
+/// pad exchange's `ℓ = k + 2·f·k` for the packing's `k` trees exceeds the
+/// field.
+///
 /// # Panics
 ///
 /// Panics if the secret is empty.
+#[allow(clippy::type_complexity)]
 pub fn mobile_secure_broadcast(
     net: &mut Network,
     source: NodeId,
@@ -76,7 +87,7 @@ pub fn mobile_secure_broadcast(
     f: usize,
     seed: u64,
     packing: &TreePacking,
-) -> (Vec<Option<Vec<u64>>>, SecureBroadcastReport) {
+) -> Result<(Vec<Option<Vec<u64>>>, SecureBroadcastReport), KeyScheduleError> {
     assert!(!secret.is_empty(), "secret must be non-empty");
     let g = net.shared_graph();
     let n = g.node_count();
@@ -88,9 +99,10 @@ pub fn mobile_secure_broadcast(
     // Local secret exchange: enough pads for every tree edge to carry its share
     // of up to `secret.len()` words plus the share index, once per tree.
     let words = secret.len() + 1;
-    let pad_rounds = k; // one keystream "round" per tree
-    let t_threshold = 2 * f * pad_rounds; // t ≥ 2fr keeps all but f edges clean
-    let pool = KeyPool::establish(net, seed, pad_rounds, words, t_threshold);
+    // One keystream "round" per tree; t ≥ 2fr keeps all but f edges clean.
+    let pad_rounds = k;
+    let t_threshold = f.saturating_mul(2).saturating_mul(pad_rounds);
+    let pool = KeyPool::establish(net, seed, pad_rounds, words, t_threshold)?;
     let key_rounds = net.round() - start;
 
     // Source splits the secret into k XOR shares (per word).
@@ -188,7 +200,7 @@ pub fn mobile_secure_broadcast(
         })
         .collect();
     let all_recovered = recovered.iter().all(|r| r.as_deref() == Some(secret));
-    (
+    Ok((
         recovered,
         SecureBroadcastReport {
             key_rounds,
@@ -196,7 +208,7 @@ pub fn mobile_secure_broadcast(
             shares: k,
             all_recovered,
         },
-    )
+    ))
 }
 
 /// Report of a congestion-sensitive secure compilation (Theorem 1.3).
@@ -243,15 +255,17 @@ impl CongestionSensitiveCompiler {
     ///
     /// # Errors
     ///
-    /// [`PayloadTooWide`] as soon as `alg` sends a message of more than
-    /// `words_per_message` words.
+    /// [`KeyScheduleError::TooManyExchangeRounds`] when the local (`t = 2·f·r`)
+    /// or the global (`t = 2·f·k`) secret exchange outgrows the field, before
+    /// that exchange runs; [`KeyScheduleError::PayloadTooWide`] as soon as
+    /// `alg` sends a message of more than `words_per_message` words.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
         source: NodeId,
         packing: &TreePacking,
-    ) -> Result<(Vec<Output>, SecureCompilerReport), PayloadTooWide> {
+    ) -> Result<(Vec<Output>, SecureCompilerReport), KeyScheduleError> {
         self.simulate(alg, net, source, packing, true)
     }
 
@@ -264,7 +278,7 @@ impl CongestionSensitiveCompiler {
         source: NodeId,
         packing: &TreePacking,
         memo: bool,
-    ) -> Result<(Vec<Output>, SecureCompilerReport), PayloadTooWide> {
+    ) -> Result<(Vec<Output>, SecureCompilerReport), KeyScheduleError> {
         let g = net.shared_graph();
         let r = alg.rounds();
         let cong = alg.congestion_bound().unwrap_or(r);
@@ -272,7 +286,8 @@ impl CongestionSensitiveCompiler {
 
         // Step 1: local secret exchange — r keystream rounds, width = length + payload + tag.
         let width = self.words_per_message + 2;
-        let pool = KeyPool::establish(net, self.seed, r, width, 2 * self.f * r);
+        let t = self.f.saturating_mul(2).saturating_mul(r);
+        let pool = KeyPool::establish(net, self.seed, r, width, t)?;
         let local_key_rounds = net.round() - start;
 
         // Step 2: global secret exchange — share the seed of a c-wise independent
@@ -280,7 +295,7 @@ impl CongestionSensitiveCompiler {
         let global_start = net.round();
         let hash_seed: u64 = Network::node_rng(self.seed ^ 0x917E, source).gen();
         let (_, bcast_report) =
-            mobile_secure_broadcast(net, source, &[hash_seed], self.f, self.seed ^ 0x22, packing);
+            mobile_secure_broadcast(net, source, &[hash_seed], self.f, self.seed ^ 0x22, packing)?;
         debug_assert!(bcast_report.all_recovered);
         let c = (4 * self.f * cong).max(2);
         let tagger = KWiseHash::from_seed(hash_seed, c, u64::MAX);
@@ -328,7 +343,8 @@ impl CongestionSensitiveCompiler {
                                 return Err(PayloadTooWide {
                                     observed: p.len(),
                                     configured: self.words_per_message,
-                                });
+                                }
+                                .into());
                             }
                             frame[0] = p.len() as u64;
                             frame[1..=p.len()].copy_from_slice(p);
@@ -448,7 +464,8 @@ mod tests {
         let mut net = eaves_net(g.clone(), 2, 3);
         let secret = vec![0xAAAA_BBBB, 0x1234];
         let packing = broadcast_packing(&g, 0, 2);
-        let (recovered, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 17, &packing);
+        let (recovered, report) =
+            mobile_secure_broadcast(&mut net, 0, &secret, 2, 17, &packing).unwrap();
         assert!(report.all_recovered, "not all nodes recovered the secret");
         for r in recovered {
             assert_eq!(r, Some(secret.clone()));
@@ -462,7 +479,7 @@ mod tests {
         let mut net = eaves_net(g.clone(), 1, 4);
         let secret = vec![7u64];
         let packing = broadcast_packing(&g, 0, 1);
-        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 1, 5, &packing);
+        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 1, 5, &packing).unwrap();
         assert!(report.all_recovered);
     }
 
@@ -472,7 +489,7 @@ mod tests {
         let mut net = eaves_net(g.clone(), 2, 8);
         let secret = vec![0x5EC2_E700_0042u64];
         let packing = broadcast_packing(&g, 0, 2);
-        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 23, &packing);
+        let (_, report) = mobile_secure_broadcast(&mut net, 0, &secret, 2, 23, &packing).unwrap();
         assert!(report.all_recovered);
         for entry in &net.view_log().entries {
             for p in [&entry.forward, &entry.backward].into_iter().flatten() {
@@ -572,11 +589,75 @@ mod tests {
         );
         assert_eq!(
             error.unwrap_err(),
-            PayloadTooWide {
+            KeyScheduleError::PayloadTooWide(PayloadTooWide {
                 observed: 2,
                 configured: 1
+            })
+        );
+    }
+
+    /// `t = 2·f·k` for the broadcast's `k` trees: an `f` whose pad exchange
+    /// outgrows GF(2^16) is a typed error before any round, not the `expect`
+    /// in `KeyPool::establish`.
+    #[test]
+    fn a_broadcast_pad_exchange_past_the_field_is_a_typed_error() {
+        let g = generators::complete(5);
+        let f = 6554; // k = 5 trees: ℓ = 5 + 2·6554·5 = 65 545
+        let packing = broadcast_packing(&g, 0, f);
+        assert_eq!(packing.len(), 5);
+        let mut net = eaves_net(g, 1, 4);
+        let error = mobile_secure_broadcast(&mut net, 0, &[7], f, 5, &packing).unwrap_err();
+        assert_eq!(
+            error,
+            KeyScheduleError::TooManyExchangeRounds {
+                rounds: 5,
+                threshold: 2 * f * 5
             }
         );
+        assert_eq!(net.round(), 0);
+    }
+
+    /// Both of Theorem 1.3's exchanges can outgrow the field: the local one
+    /// (`t = 2·f·r`) at a large `f`, and — for a one-round payload on a graph
+    /// with more broadcast trees than rounds — the global one alone, after
+    /// the local exchange ran.  Each is a typed error, not an `expect`.
+    #[test]
+    fn congestion_sensitive_exchanges_past_the_field_are_typed_errors() {
+        let g = generators::complete(5);
+        let run = |f: usize| {
+            let mut alg = congest_sim::scenario::doctest_payload(g.clone());
+            let r = alg.rounds();
+            let mut net = eaves_net(g.clone(), 1, 2);
+            let result = CongestionSensitiveCompiler::new(f, 1, 9).run(
+                &mut alg,
+                &mut net,
+                0,
+                &broadcast_packing(&g, 0, f),
+            );
+            (r, result.unwrap_err(), net.round())
+        };
+        let (r, error, rounds_run) = run(1 << 20);
+        assert_eq!(
+            error,
+            KeyScheduleError::TooManyExchangeRounds {
+                rounds: r,
+                threshold: (2 * r) << 20
+            }
+        );
+        assert_eq!(rounds_run, 0);
+        // r = 1 and k = 5 trees: the local ℓ = 1 + 2·f fits, the global
+        // ℓ = 5 + 10·f does not.
+        let f = 6554;
+        let (r, error, rounds_run) = run(f);
+        assert_eq!(r, 1);
+        assert_eq!(
+            error,
+            KeyScheduleError::TooManyExchangeRounds {
+                rounds: 5,
+                threshold: 2 * f * 5
+            }
+        );
+        assert_eq!(rounds_run, 1 + 2 * f);
     }
 
     /// A payload wrapper that records which arcs each round delivered.

@@ -14,8 +14,8 @@
 //! a keystream "round" consists of enough chunks to pad one full payload.
 //!
 //! Extraction is *streamed*: each exchange round's pads — one flat arc-major
-//! row of `arcs · lanes` chunks — are sent and immediately folded into the
-//! keystream with one long-slice multiply–accumulate per protected round
+//! row of `arcs · lanes` chunks — are sent and immediately folded into all
+//! `r` protected rounds of the keystream by one multi-row multiply–accumulate
 //! ([`BitExtractor::absorb`]), so the accumulator *is* the keystream and no
 //! exchanged pad outlives its round: memory is `O(r · arcs · lanes)`, never
 //! `O(ℓ · arcs · lanes)`.
@@ -29,6 +29,10 @@ use rand::Rng;
 
 /// Number of 16-bit chunks in one 64-bit payload word.
 const CHUNKS_PER_WORD: usize = 4;
+
+/// The most exchange rounds one key schedule can condense: the number of
+/// distinct non-zero evaluation points of GF(2^16).
+const MAX_EXCHANGE_ROUNDS: usize = (1 << 16) - 1;
 
 /// A payload message wider than a secure compiler was configured to protect:
 /// what the compilers' `run` report where [`KeyPool::apply`], handed the
@@ -52,6 +56,48 @@ impl std::fmt::Display for PayloadTooWide {
 }
 
 impl std::error::Error for PayloadTooWide {}
+
+/// Why a secrecy compiler's key schedule cannot serve its payload: the
+/// parameter rules that depend on the payload — its round count `r`, the
+/// width of what it sends — so only the run can check them.  The compilers'
+/// `run` return it; the adapters map it to `ScenarioError::InvalidParameter`,
+/// a skipped cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyScheduleError {
+    /// `ℓ = r + t` exchange rounds need `ℓ` distinct non-zero evaluation
+    /// points for the Theorem 2.1 extraction, and GF(2^16) has `2^16 − 1`.
+    TooManyExchangeRounds {
+        /// The protected rounds `r`.
+        rounds: usize,
+        /// The observation threshold `t`.
+        threshold: usize,
+    },
+    /// The payload sent a message wider than the keystream provisioned per
+    /// round.
+    PayloadTooWide(PayloadTooWide),
+}
+
+impl From<PayloadTooWide> for KeyScheduleError {
+    fn from(error: PayloadTooWide) -> Self {
+        KeyScheduleError::PayloadTooWide(error)
+    }
+}
+
+impl std::fmt::Display for KeyScheduleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KeyScheduleError::TooManyExchangeRounds { rounds, threshold } => write!(
+                f,
+                "the key schedule needs r + t = {rounds} + {threshold} exchange rounds, \
+                 past the {} distinct non-zero points of GF(2^16)",
+                MAX_EXCHANGE_ROUNDS
+            ),
+            KeyScheduleError::PayloadTooWide(error) => error.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for KeyScheduleError {}
 
 /// A per-arc one-time-pad keystream established by the two-phase exchange.
 #[derive(Debug, Clone)]
@@ -81,6 +127,11 @@ impl KeyPool {
     /// adversary would additionally desynchronise the endpoints' keys, which is
     /// outside the threat model of the secure compilers.
     ///
+    /// # Errors
+    ///
+    /// [`KeyScheduleError::TooManyExchangeRounds`] when `ℓ` exceeds the
+    /// field's distinct evaluation points; no round has run then.
+    ///
     /// # Panics
     ///
     /// Panics if `rounds == 0` or `words_per_message == 0`.
@@ -90,21 +141,27 @@ impl KeyPool {
         rounds: usize,
         words_per_message: usize,
         t: usize,
-    ) -> Self {
+    ) -> Result<Self, KeyScheduleError> {
         assert!(rounds > 0, "need at least one protected round");
         assert!(
             words_per_message > 0,
             "messages must have at least one word"
         );
+        let exchange_rounds = rounds
+            .checked_add(t)
+            .filter(|&ell| ell <= MAX_EXCHANGE_ROUNDS)
+            .ok_or(KeyScheduleError::TooManyExchangeRounds {
+                rounds,
+                threshold: t,
+            })?;
         let g = net.shared_graph();
         net.tracer_mut().span_open(obs::Phase::KeySchedule);
         let chunks_per_round = words_per_message * CHUNKS_PER_WORD;
-        let exchange_rounds = rounds + t;
         let arcs = g.arc_count();
         let width = arcs * chunks_per_round;
 
         let extractor = BitExtractor::<Gf2_16>::new(exchange_rounds, t)
-            .expect("exchange parameters must fit the field");
+            .expect("ℓ = r + t was checked against the field above");
         let mut node_rngs: Vec<_> = g.nodes().map(|v| Network::node_rng(seed, v)).collect();
         let mut keystream = vec![Gf2_16::ZERO; rounds * width];
         // This round's pads, arc-major, as known to BOTH endpoints (the sender
@@ -140,14 +197,14 @@ impl KeyPool {
                 .expect("the keystream block is sized for the extractor");
         }
         net.tracer_mut().span_close(obs::Phase::KeySchedule);
-        KeyPool {
+        Ok(KeyPool {
             keystream,
             rounds,
             arcs,
             chunks_per_round,
             exchange_rounds,
             threshold: t,
-        }
+        })
     }
 
     /// Number of phase-1 exchange rounds that were executed (`ℓ = r + t`).
@@ -223,7 +280,7 @@ mod tests {
             CorruptionBudget::Mobile { f: 1 },
             5,
         );
-        let pool = KeyPool::establish(&mut net, 42, rounds, words, t);
+        let pool = KeyPool::establish(&mut net, 42, rounds, words, t).unwrap();
         (pool, net)
     }
 
@@ -293,6 +350,34 @@ mod tests {
     }
 
     #[test]
+    fn a_key_schedule_past_the_field_is_a_typed_error_before_any_round() {
+        let mut net = Network::new(
+            generators::complete(4),
+            AdversaryRole::Eavesdropper,
+            Box::new(RandomMobile::new(1, 5)),
+            CorruptionBudget::Mobile { f: 1 },
+            5,
+        );
+        for (rounds, t) in [(4, (1 << 16) - 4), (1, usize::MAX)] {
+            let error = KeyPool::establish(&mut net, 42, rounds, 1, t).unwrap_err();
+            assert_eq!(
+                error,
+                KeyScheduleError::TooManyExchangeRounds {
+                    rounds,
+                    threshold: t
+                }
+            );
+            assert!(error.to_string().contains("GF(2^16)"), "{error}");
+        }
+        assert_eq!(net.round(), 0);
+        // One round fewer is the largest schedule the field holds (on an
+        // arcless graph, so its 65 535 rounds stay cheap).
+        let (pool, net) = pool_on(Graph::new(2), 1, 1, MAX_EXCHANGE_ROUNDS - 1);
+        assert_eq!(pool.exchange_rounds(), MAX_EXCHANGE_ROUNDS);
+        assert_eq!(net.round(), MAX_EXCHANGE_ROUNDS);
+    }
+
+    #[test]
     fn an_arcless_graph_still_reports_its_protected_rounds() {
         let (pool, net) = pool_on(Graph::new(3), 4, 2, 1);
         assert_eq!(pool.protected_rounds(), 4);
@@ -303,19 +388,26 @@ mod tests {
     /// eavesdropper on every edge records every exchanged pad; condensing
     /// each arc's lanes with one `BitExtractor::extract` call per lane — the
     /// textbook form the streamed schedule replaced — must reproduce the
-    /// pool's keystream chunk for chunk, for random graphs and parameters.
+    /// pool's keystream chunk for chunk, for random graphs and parameters,
+    /// and for one graph whose rows of `arcs · lanes` pads (K12 at four
+    /// words: 2 112) span several tiles of the GF(2^16) rows kernel.
     #[test]
     fn streamed_keystream_equals_per_lane_extraction_of_the_recorded_pads() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED);
-        for case in 0..24 {
+        for case in 0..25 {
             let n = rng.gen_range(2..9usize);
             let g = match case % 3 {
+                _ if case == 24 => generators::complete(12),
                 0 => generators::erdos_renyi(&mut rng, n, 0.6),
                 1 => generators::cycle(n.max(3)),
                 _ => generators::complete(n),
             };
             let rounds = rng.gen_range(1..6usize);
-            let words = rng.gen_range(1..6usize);
+            let words = if case == 24 {
+                4
+            } else {
+                rng.gen_range(1..6usize)
+            };
             let t = rng.gen_range(0..7usize);
             let all: Vec<usize> = (0..g.edge_count()).collect();
             let mut net = Network::new(
@@ -325,7 +417,7 @@ mod tests {
                 CorruptionBudget::Static(all),
                 case,
             );
-            let pool = KeyPool::establish(&mut net, rng.gen(), rounds, words, t);
+            let pool = KeyPool::establish(&mut net, rng.gen(), rounds, words, t).unwrap();
             assert_eq!(net.view_log().len(), (rounds + t) * g.edge_count());
 
             let lanes = words * CHUNKS_PER_WORD;
@@ -376,7 +468,7 @@ mod tests {
             CorruptionBudget::Mobile { f: 1 },
             9,
         );
-        let pool1 = KeyPool::establish(&mut net, 1, rounds, 1, t);
+        let pool1 = KeyPool::establish(&mut net, 1, rounds, 1, t).unwrap();
         // Count observations per edge.
         let mut obs = vec![0usize; g.edge_count()];
         for entry in &net.view_log().entries {
@@ -393,7 +485,7 @@ mod tests {
             CorruptionBudget::Mobile { f: 1 },
             9,
         );
-        let pool2 = KeyPool::establish(&mut net2, 2, rounds, 1, t);
+        let pool2 = KeyPool::establish(&mut net2, 2, rounds, 1, t).unwrap();
         let arc = g.arc_between(0, 1).unwrap();
         let p = vec![0u64];
         assert_ne!(

@@ -9,7 +9,7 @@ pub use broadcast::{
     broadcast_packing, mobile_secure_broadcast, CongestionSensitiveCompiler, SecureBroadcastReport,
     SecureCompilerReport,
 };
-pub use keys::{KeyPool, PayloadTooWide};
+pub use keys::{KeyPool, KeyScheduleError, PayloadTooWide};
 pub use static_to_mobile::{MobileSecureReport, StaticToMobileCompiler};
 pub use unicast::{
     mobile_secure_multicast, mobile_secure_unicast, plain_unicast_baseline, UnicastInstance,

@@ -18,7 +18,7 @@
 //! eavesdropper of `A` would have seen, which is where the `f`-static security
 //! of `A` is consumed.
 
-use crate::secure::keys::{KeyPool, PayloadTooWide};
+use crate::secure::keys::{KeyPool, KeyScheduleError, PayloadTooWide};
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
@@ -77,17 +77,18 @@ impl StaticToMobileCompiler {
     ///
     /// # Errors
     ///
-    /// [`PayloadTooWide`] as soon as `alg` sends a message of more than
-    /// `words_per_message` words.
+    /// [`KeyScheduleError::TooManyExchangeRounds`] before any round when
+    /// `r + t` exceeds the field, and [`KeyScheduleError::PayloadTooWide`] as
+    /// soon as `alg` sends a message of more than `words_per_message` words.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
         net: &mut Network,
-    ) -> Result<(Vec<Output>, MobileSecureReport), PayloadTooWide> {
+    ) -> Result<(Vec<Output>, MobileSecureReport), KeyScheduleError> {
         let g = net.shared_graph();
         let r = alg.rounds();
         // Phase 1: establish one-time pads (ℓ = r + t exchange rounds).
-        let pool = KeyPool::establish(net, self.seed, r, self.words_per_message, self.t);
+        let pool = KeyPool::establish(net, self.seed, r, self.words_per_message, self.t)?;
         let key_rounds = pool.exchange_rounds();
 
         // Phase 2: round-by-round OTP simulation of A.  One traffic buffer
@@ -102,7 +103,8 @@ impl StaticToMobileCompiler {
                 return Err(PayloadTooWide {
                     observed,
                     configured: self.words_per_message,
-                });
+                }
+                .into());
             }
             pad_in_place(&pool, round, &mut wire);
             net.exchange_in_place(&mut wire);
@@ -172,11 +174,30 @@ mod tests {
         let error = StaticToMobileCompiler::new(4, 1, 9).run(&mut alg, &mut net);
         assert_eq!(
             error.unwrap_err(),
-            PayloadTooWide {
+            KeyScheduleError::PayloadTooWide(PayloadTooWide {
                 observed: 2,
                 configured: 1
+            })
+        );
+    }
+
+    #[test]
+    fn a_slack_past_the_field_is_a_typed_error_before_any_round() {
+        // `t = 2^16` gives ℓ = r + t > 2^16 − 1 evaluation points; this
+        // used to be the `expect` in `KeyPool::establish`, exit 101.
+        let g = generators::complete(4);
+        let mut alg = FloodBroadcast::new(g.clone(), 0, 7);
+        let r = alg.rounds();
+        let mut net = eaves_net(g, 1, 3);
+        let error = StaticToMobileCompiler::new(1 << 16, 1, 5).run(&mut alg, &mut net);
+        assert_eq!(
+            error.unwrap_err(),
+            KeyScheduleError::TooManyExchangeRounds {
+                rounds: r,
+                threshold: 1 << 16
             }
         );
+        assert_eq!(net.round(), 0);
     }
 
     #[test]

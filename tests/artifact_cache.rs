@@ -265,6 +265,24 @@ fn a_payload_wider_than_a_secrecy_compilers_words_is_a_skipped_cell_not_a_width_
 }
 
 #[test]
+fn a_key_schedule_past_gf_2_16_is_a_skipped_cell_not_a_field_expect() {
+    // `ℓ = r + t` exchange rounds need `ℓ` distinct non-zero points of
+    // GF(2^16): `t: 65536`, or `f: 40000` under congestion-sensitive
+    // (`t = 2·f·r`), used to hit the `expect` in `KeyPool::establish`, exit
+    // 101.  `r` is the payload's round count, so only `execute` can tell.
+    assert_inadmissible(
+        r#"{"family":"complete","n":4}"#,
+        r#"{"id":"static-to-mobile","t":65536,"words":1,"seed":5},
+           {"id":"congestion-sensitive","f":40000,"words":1,"seed":5}"#,
+        FLOOD,
+        |e| {
+            matches!(e, ScenarioError::InvalidParameter { reason, .. }
+                if reason.contains("exchange rounds") && reason.contains("GF(2^16)"))
+        },
+    );
+}
+
+#[test]
 fn congestion_sensitive_on_a_disconnected_graph_is_a_skipped_cell_not_a_packing_panic() {
     // The secure broadcast's tree packing asserts a connected graph; it was
     // built inside `execute`, past every check.  (`exchange-ids` is a payload
