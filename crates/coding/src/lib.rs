@@ -9,8 +9,8 @@
 //! * [`vandermonde`]: Vandermonde matrices and the Chor et al. bit-extraction
 //!   procedure (Theorem 2.1 of the paper) that turns partially-observed random
 //!   exchanges into perfectly hidden one-time-pad keys,
-//! * [`reed_solomon`]: Reed–Solomon encoding with Berlekamp–Welch error decoding
-//!   (Theorem 1.8), used by the `ECCSafeBroadcast` procedure,
+//! * [`reed_solomon`]: Reed–Solomon encoding with syndrome (Berlekamp–Massey)
+//!   error decoding (Theorem 1.8), used by the `ECCSafeBroadcast` procedure,
 //! * [`hashing`]: `c`-wise independent hash families (Lemma 1.11) and polynomial
 //!   transcript fingerprints used by the rewind-if-error compiler,
 //! * [`kernels`]: bit-sliced/SWAR and SIMD multiply–accumulate kernels behind

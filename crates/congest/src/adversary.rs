@@ -209,17 +209,39 @@ impl CorruptionMode {
     }
 }
 
-/// Per-arc payload lengths of a round whose traffic is described rather than
-/// built (a pattern round of [`crate::network::PatternRounds`]), type-erased
-/// for [`RoundView`].
+/// The shape of a round whose traffic is described rather than built (a
+/// pattern round of [`crate::network::PatternRounds`]), type-erased for
+/// [`RoundView`].
 pub(crate) trait ArcLens {
     /// Length of the message on `arc`, `None` when it carries none.
     fn arc_len(&self, arc: ArcId) -> Option<usize>;
+
+    /// Add the number of words on every edge, both directions together, into
+    /// `out` (one slot per edge).
+    fn add_edge_words(&self, out: &mut [usize]);
+}
+
+/// Which recurring pattern a pattern round runs: the
+/// [`crate::network::PatternRounds`] scope and the pattern's index in that
+/// scope's family.
+///
+/// A pattern's shape is fixed for its whole scope, so whatever a strategy
+/// derives from the shape alone it may compute once per `PatternId`.  `scope`
+/// comes from a process-wide counter when the scope opens: two scopes — over
+/// different families, on different networks, or after a strategy was cloned
+/// — never share one, and no scope is `0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PatternId {
+    /// Serial of the scope the round runs in.
+    pub scope: u64,
+    /// Index of the pattern in the scope's family.
+    pub index: usize,
 }
 
 /// What a strategy observes of the round it is choosing edges for: the
 /// **shape** of the outgoing traffic — which arcs carry a message and how
-/// many words — never the words themselves.
+/// many words, and in a pattern round which pattern ([`RoundView::pattern`])
+/// — never the words themselves.
 ///
 /// No strategy in the workspace ever chose its edges by payload content, and
 /// this type makes that the contract: it is what lets the engine run a round
@@ -237,11 +259,10 @@ pub struct RoundView<'a> {
 enum Shape<'a> {
     /// A round built in a buffer: lengths are read off its spans.
     Dense(&'a Traffic),
-    /// A described round: per-arc lengths on request, per-edge word totals
-    /// folded once per pattern by the engine.
+    /// A described round: lengths and per-edge totals from the pattern.
     Pattern {
         lens: &'a dyn ArcLens,
-        edge_words: &'a [usize],
+        id: PatternId,
     },
 }
 
@@ -254,12 +275,20 @@ impl<'a> RoundView<'a> {
         }
     }
 
-    /// The view of a pattern round: `edge_words[e]` is the number of words
-    /// the pattern sends over edge `e`, both directions together.
-    pub(crate) fn of_pattern(lens: &'a dyn ArcLens, edge_words: &'a [usize]) -> Self {
+    /// The view of pattern round `id` on a graph of `edges` edges.
+    pub(crate) fn of_pattern(lens: &'a dyn ArcLens, edges: usize, id: PatternId) -> Self {
         RoundView {
-            edges: edge_words.len(),
-            shape: Shape::Pattern { lens, edge_words },
+            edges,
+            shape: Shape::Pattern { lens, id },
+        }
+    }
+
+    /// Which pattern the round runs, `None` for a round built in a buffer.
+    /// Two rounds with the same `PatternId` have the same shape.
+    pub fn pattern(&self) -> Option<PatternId> {
+        match self.shape {
+            Shape::Dense(_) => None,
+            Shape::Pattern { id, .. } => Some(id),
         }
     }
 
@@ -273,18 +302,18 @@ impl<'a> RoundView<'a> {
 
     /// Fill `out` with the number of payload words on every edge, both
     /// directions together (`out.len()` becomes the graph's edge count).
-    /// One walk over the spans for a built round, one copy for a described
-    /// one; `out`'s capacity is reused either way.
+    /// One walk over the spans of a built round or the messages of a
+    /// described one; `out`'s capacity is reused either way.
     pub fn edge_words_into(&self, out: &mut Vec<usize>) {
         out.clear();
+        out.resize(self.edges, 0);
         match self.shape {
             Shape::Dense(traffic) => {
-                out.resize(self.edges, 0);
                 for (arc, len) in traffic.iter_lens() {
                     out[Graph::edge_of(arc)] += len;
                 }
             }
-            Shape::Pattern { edge_words, .. } => out.extend_from_slice(edge_words),
+            Shape::Pattern { lens, .. } => lens.add_edge_words(out),
         }
     }
 }
@@ -477,10 +506,7 @@ impl AdversaryStrategy for SweepMobile {
 pub struct GreedyHeaviest {
     f: usize,
     mode: CorruptionMode,
-    /// Reused per-edge weight accumulator.
-    weight: Vec<usize>,
-    /// Reused ranking scratch.
-    ranked: Vec<EdgeId>,
+    ranking: HeaviestRanking,
 }
 
 impl GreedyHeaviest {
@@ -489,8 +515,7 @@ impl GreedyHeaviest {
         GreedyHeaviest {
             f,
             mode: CorruptionMode::ReplaceRandom,
-            weight: Vec::new(),
-            ranked: Vec::new(),
+            ranking: HeaviestRanking::default(),
         }
     }
 
@@ -501,15 +526,15 @@ impl GreedyHeaviest {
     }
 }
 
-/// Mark the `f` heaviest edges of a weight vector, heaviest first (ties by
-/// edge id) — the shared core of [`GreedyHeaviest`] and [`AdaptiveHeaviest`].
+/// The `f` heaviest edges of a weight vector into `ranked`, heaviest first
+/// (ties by edge id).
 ///
 /// Streaming top-`f`: `ranked` holds the best `min(f, m)` edges seen so far in
 /// final order, so with the usual small `f` an edge costs one comparison
 /// against the current `f`-th heaviest instead of a share of a full sort.
 /// Edges arrive in increasing id, so a newcomer ranks after every kept edge
 /// of equal weight.
-fn mark_heaviest(weight: &[usize], ranked: &mut Vec<EdgeId>, f: usize, out: &mut EdgeSet) {
+fn top_heaviest(weight: &[usize], f: usize, ranked: &mut Vec<EdgeId>) {
     ranked.clear();
     let keep = f.min(weight.len());
     for (e, &w) in weight.iter().enumerate() {
@@ -522,8 +547,44 @@ fn mark_heaviest(weight: &[usize], ranked: &mut Vec<EdgeId>, f: usize, out: &mut
         let at = ranked.partition_point(|&x| weight[x] >= w);
         ranked.insert(at, e);
     }
-    for &e in ranked.iter() {
-        out.insert(e);
+}
+
+/// The heaviest-first ranking of the rounds a weighing strategy sees — the
+/// shared core of [`GreedyHeaviest`] and [`AdaptiveHeaviest`].
+///
+/// A dense round is ranked afresh: one fold of its lengths, one
+/// [`top_heaviest`].  A pattern round's per-edge totals are fixed for its
+/// whole scope, so each [`PatternId`] is ranked the first time it is seen and
+/// replayed from the memo after that: `O(f)` per round instead of `O(m)`.
+#[derive(Debug, Clone, Default)]
+struct HeaviestRanking {
+    /// Per-edge weight scratch.
+    weight: Vec<usize>,
+    /// The last dense round's ranking.
+    dense: Vec<EdgeId>,
+    /// Per pattern index: the scope it was last ranked in (`0`: never) and
+    /// its ranking there.
+    memo: Vec<(u64, Vec<EdgeId>)>,
+}
+
+impl HeaviestRanking {
+    /// The `f` heaviest edges of the round `view` shows, heaviest first.
+    fn top(&mut self, view: &RoundView, f: usize) -> &[EdgeId] {
+        let Some(id) = view.pattern() else {
+            view.edge_words_into(&mut self.weight);
+            top_heaviest(&self.weight, f, &mut self.dense);
+            return &self.dense;
+        };
+        if self.memo.len() <= id.index {
+            self.memo.resize_with(id.index + 1, Default::default);
+        }
+        let (scope, ranked) = &mut self.memo[id.index];
+        if *scope != id.scope {
+            view.edge_words_into(&mut self.weight);
+            top_heaviest(&self.weight, f, ranked);
+            *scope = id.scope;
+        }
+        ranked
     }
 }
 
@@ -532,8 +593,9 @@ impl AdversaryStrategy for GreedyHeaviest {
         format!("greedy-heaviest(f={})", self.f)
     }
     fn mark_edges(&mut self, _round: usize, _graph: &Graph, view: &RoundView, out: &mut EdgeSet) {
-        view.edge_words_into(&mut self.weight);
-        mark_heaviest(&self.weight, &mut self.ranked, self.f, out);
+        for &e in self.ranking.top(view, self.f) {
+            out.insert(e);
+        }
     }
     fn corruption_mode(&self) -> CorruptionMode {
         self.mode
@@ -551,10 +613,11 @@ impl AdversaryStrategy for GreedyHeaviest {
 pub struct AdaptiveHeaviest {
     f: usize,
     mode: CorruptionMode,
-    /// Loads observed in the previous round.
-    prev: Vec<usize>,
-    /// Reused ranking scratch.
-    ranked: Vec<EdgeId>,
+    /// The previous round's `f` heaviest edges, heaviest first.
+    prev: Vec<EdgeId>,
+    /// Edge count of the graph `prev` was observed on (`None`: nothing yet).
+    observed: Option<usize>,
+    ranking: HeaviestRanking,
 }
 
 impl AdaptiveHeaviest {
@@ -565,7 +628,8 @@ impl AdaptiveHeaviest {
             f,
             mode: CorruptionMode::ReplaceRandom,
             prev: Vec::new(),
-            ranked: Vec::new(),
+            observed: None,
+            ranking: HeaviestRanking::default(),
         }
     }
 
@@ -582,14 +646,21 @@ impl AdversaryStrategy for AdaptiveHeaviest {
     }
     fn mark_edges(&mut self, _round: usize, graph: &Graph, view: &RoundView, out: &mut EdgeSet) {
         let m = graph.edge_count();
-        if self.prev.len() != m {
+        if self.observed != Some(m) {
+            // Nothing observed on this graph: all loads are zero, and the
+            // ranking breaks the tie by edge id.
             self.prev.clear();
-            self.prev.resize(m, 0);
+            self.prev.extend(0..self.f.min(m));
         }
         // Target by last round's observation …
-        mark_heaviest(&self.prev, &mut self.ranked, self.f, out);
+        for &e in &self.prev {
+            out.insert(e);
+        }
         // … then observe the current round for the next one.
-        view.edge_words_into(&mut self.prev);
+        let top = self.ranking.top(view, self.f);
+        self.prev.clear();
+        self.prev.extend_from_slice(top);
+        self.observed = Some(m);
     }
     fn corruption_mode(&self) -> CorruptionMode {
         self.mode
@@ -934,8 +1005,8 @@ mod tests {
         assert_eq!(chosen, vec![g.edge_between(1, 2).unwrap()]);
     }
 
-    /// The pre-streaming `mark_heaviest`: rank all edges, take the top `f`.
-    fn mark_heaviest_by_full_sort(weight: &[usize], f: usize) -> Vec<EdgeId> {
+    /// The pre-streaming ranking: sort all edges, take the top `f`.
+    fn top_heaviest_by_full_sort(weight: &[usize], f: usize) -> Vec<EdgeId> {
         let mut ranked: Vec<EdgeId> = (0..weight.len()).collect();
         ranked.sort_unstable_by_key(|&e| (std::cmp::Reverse(weight[e]), e));
         ranked.truncate(f);
@@ -952,12 +1023,10 @@ mod tests {
             let m = weight.len();
             let mut ranked = vec![99; 3]; // stale scratch must not leak through
             for f in [0, 1, 3, f_small, m, m + 5] {
-                let mut out = EdgeSet::new();
-                out.reset(m);
-                mark_heaviest(&weight, &mut ranked, f, &mut out);
+                top_heaviest(&weight, f, &mut ranked);
                 proptest::prop_assert_eq!(
-                    out.as_slice(),
-                    &mark_heaviest_by_full_sort(&weight, f)[..],
+                    &ranked[..],
+                    &top_heaviest_by_full_sort(&weight, f)[..],
                     "f = {}, weights {:?}", f, weight
                 );
             }

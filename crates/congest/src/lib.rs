@@ -58,7 +58,8 @@ pub mod scenario;
 pub mod traffic;
 
 pub use adversary::{
-    AdversaryRole, AdversaryStrategy, CorruptionBudget, CorruptionMode, EdgeSet, RoundView,
+    AdversaryRole, AdversaryStrategy, CorruptionBudget, CorruptionMode, EdgeSet, PatternId,
+    RoundView,
 };
 pub use algorithm::{run_fault_free, run_on_network, CongestAlgorithm};
 pub use metrics::Metrics;

@@ -41,7 +41,8 @@
 //!   bulk when the [`PatternRounds`] scope ends.
 
 use crate::adversary::{
-    AdversaryRole, AdversaryStrategy, ArcLens, CorruptionBudget, EdgeSet, NoAdversary, RoundView,
+    AdversaryRole, AdversaryStrategy, ArcLens, CorruptionBudget, EdgeSet, NoAdversary, PatternId,
+    RoundView,
 };
 use crate::metrics::Metrics;
 use crate::traffic::{Payload, Traffic};
@@ -50,7 +51,12 @@ use obs::{EventKind, Phase, Tracer};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The next [`PatternId::scope`]: process-wide, so a serial never repeats for
+/// any strategy, whichever network it ends up in.
+static NEXT_PATTERN_SCOPE: AtomicU64 = AtomicU64::new(1);
 
 /// One observation made by an eavesdropper: both directions of one edge in one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,10 +196,6 @@ struct RoundBuffers {
 struct PatternScratch {
     /// Rounds run on each pattern since the scope opened (not yet settled).
     uses: Vec<usize>,
-    /// Per-edge word totals, pattern-major: pattern `p`'s are
-    /// `edge_words[p * m..(p + 1) * m]` — what a traffic-weighing strategy
-    /// observes, folded once per pattern per scope instead of once per round.
-    edge_words: Vec<usize>,
     /// The original words of the controlled arc being looked at.
     words: Vec<u64>,
 }
@@ -260,18 +262,21 @@ impl RoundSource for Dense<'_> {
 /// A pattern round: one pattern of the scope's family under one tag.
 struct Described<'a, P> {
     patterns: &'a P,
-    pattern: usize,
+    id: PatternId,
     tag: u64,
     /// This pattern's entry of [`PatternScratch::uses`].
     uses: &'a mut usize,
-    /// This pattern's row of [`PatternScratch::edge_words`].
-    edge_words: &'a [usize],
     words: &'a mut Vec<u64>,
 }
 
 impl<P: RoundPatterns> ArcLens for Described<'_, P> {
     fn arc_len(&self, arc: ArcId) -> Option<usize> {
-        self.patterns.arc_len(self.pattern, arc)
+        self.patterns.arc_len(self.id.index, arc)
+    }
+    fn add_edge_words(&self, out: &mut [usize]) {
+        for (arc, len) in self.patterns.lens(self.id.index) {
+            out[Graph::edge_of(arc)] += len;
+        }
     }
 }
 
@@ -280,19 +285,19 @@ impl<P: RoundPatterns> RoundSource for Described<'_, P> {
         metrics.rounds += 1;
         *self.uses += 1;
     }
-    fn view<'a>(&'a self, _graph: &Graph) -> RoundView<'a> {
-        RoundView::of_pattern(self, self.edge_words)
+    fn view<'a>(&'a self, graph: &Graph) -> RoundView<'a> {
+        RoundView::of_pattern(self, graph.edge_count(), self.id)
     }
     fn original(&mut self, arc: ArcId) -> Option<&[u64]> {
         self.words.clear();
         let present = self
             .patterns
-            .arc_words(self.pattern, arc, self.tag, self.words);
+            .arc_words(self.id.index, arc, self.tag, self.words);
         debug_assert_eq!(
             present.then_some(self.words.len()),
-            self.patterns.arc_len(self.pattern, arc),
+            self.patterns.arc_len(self.id.index, arc),
             "pattern {} disagrees with itself on arc {arc}",
-            self.pattern
+            self.id.index
         );
         present.then_some(self.words.as_slice())
     }
@@ -452,7 +457,6 @@ impl Network {
         buffers.scratch.capacity()
             + buffers.controlled.capacity()
             + pattern.uses.capacity()
-            + pattern.edge_words.capacity()
             + pattern.words.capacity()
     }
 
@@ -495,7 +499,8 @@ impl Network {
     /// outgoing traffic is one of a few recurring, described patterns and
     /// whose deliveries the caller does not read (see the module docs).  The
     /// scope borrows the network, so nothing can observe it before the scope
-    /// ends and settles the rounds' traffic volume.
+    /// ends and settles the rounds' traffic volume.  The scope's rounds show
+    /// strategies a fresh [`PatternId::scope`].
     ///
     /// # Panics
     ///
@@ -505,20 +510,12 @@ impl Network {
         patterns: &'a P,
     ) -> PatternRounds<'a, P> {
         let mut scratch = std::mem::take(&mut self.buffers.pattern);
-        let (count, m) = (patterns.count(), self.graph.edge_count());
         scratch.uses.clear();
-        scratch.uses.resize(count, 0);
-        scratch.edge_words.clear();
-        scratch.edge_words.resize(count * m, 0);
-        for p in 0..count {
-            let edge_words = &mut scratch.edge_words[p * m..(p + 1) * m];
-            for (arc, len) in patterns.lens(p) {
-                edge_words[Graph::edge_of(arc)] += len;
-            }
-        }
+        scratch.uses.resize(patterns.count(), 0);
         PatternRounds {
             net: self,
             patterns,
+            scope: NEXT_PATTERN_SCOPE.fetch_add(1, Ordering::Relaxed),
             scratch,
         }
     }
@@ -637,6 +634,8 @@ impl Network {
 pub struct PatternRounds<'a, P: RoundPatterns> {
     net: &'a mut Network,
     patterns: &'a P,
+    /// This scope's [`PatternId::scope`].
+    scope: u64,
     /// The network's pattern scratch, handed back on drop.
     scratch: PatternScratch,
 }
@@ -651,18 +650,15 @@ impl<P: RoundPatterns> PatternRounds<'_, P> {
     ///
     /// Panics if `pattern` is out of range.
     pub fn exchange(&mut self, pattern: usize, tag: u64) -> &[EdgeId] {
-        let m = self.net.graph.edge_count();
-        let PatternScratch {
-            uses,
-            edge_words,
-            words,
-        } = &mut self.scratch;
+        let PatternScratch { uses, words } = &mut self.scratch;
         self.net.run_round(&mut Described {
             patterns: self.patterns,
-            pattern,
+            id: PatternId {
+                scope: self.scope,
+                index: pattern,
+            },
             tag,
             uses: &mut uses[pattern],
-            edge_words: &edge_words[pattern * m..(pattern + 1) * m],
             words,
         });
         &self.net.buffers.controlled
@@ -889,15 +885,25 @@ mod tests {
     /// empty-but-present one back / one word one way and nothing back /
     /// nothing at all (pattern 0); and one small word on every arc, small
     /// enough to coincide with `Constant(3)` in some rounds (pattern 1).
+    /// A non-zero `shift` moves pattern 0's classes to `(e + shift) mod 3`: a
+    /// different family of the same size.
     struct TestPatterns {
         arcs: usize,
+        shift: usize,
     }
 
     impl TestPatterns {
+        fn on(g: &Graph, shift: usize) -> Self {
+            TestPatterns {
+                arcs: g.arc_count(),
+                shift,
+            }
+        }
+
         fn words(&self, p: usize, arc: ArcId, tag: u64) -> Option<Vec<u64>> {
             let e = Graph::edge_of(arc);
             let forward = arc == Graph::arcs_of(e).0;
-            match (p, e % 3, forward) {
+            match (p, (e + self.shift) % 3, forward) {
                 (0, 0, true) => Some(vec![e as u64, tag, 7]),
                 (0, 0, false) => Some(vec![]),
                 (0, 1, true) => Some(vec![tag]),
@@ -957,9 +963,7 @@ mod tests {
     fn pattern_rounds_equal_dense_rounds_carrying_the_materialised_traffic() {
         let g = generators::complete(6);
         let m = g.edge_count();
-        let patterns = TestPatterns {
-            arcs: g.arc_count(),
-        };
+        let patterns = TestPatterns::on(&g, 0);
         let modes = [
             CorruptionMode::ReplaceRandom,
             CorruptionMode::FlipLowBit,
@@ -1066,19 +1070,19 @@ mod tests {
     #[test]
     fn a_described_round_shows_the_view_of_its_materialised_traffic() {
         let g = generators::complete(5);
-        let patterns = TestPatterns {
-            arcs: g.arc_count(),
-        };
+        let patterns = TestPatterns::on(&g, 0);
         let mut net = Network::fault_free(g.clone());
         let mut scope = net.pattern_rounds(&patterns);
         for p in 0..patterns.count() {
-            let m = g.edge_count();
+            let id = PatternId {
+                scope: scope.scope,
+                index: p,
+            };
             let described = Described {
                 patterns: &patterns,
-                pattern: p,
+                id,
                 tag: 4,
                 uses: &mut scope.scratch.uses[p],
-                edge_words: &scope.scratch.edge_words[p * m..(p + 1) * m],
                 words: &mut scope.scratch.words,
             };
             let built = patterns.materialise(&g, p, 4);
@@ -1090,16 +1094,15 @@ mod tests {
             got.edge_words_into(&mut got_words);
             want.edge_words_into(&mut want_words);
             assert_eq!(got_words, want_words, "pattern {p}");
-            assert_eq!(want_words.len(), m);
+            assert_eq!(want_words.len(), g.edge_count());
+            assert_eq!((got.pattern(), want.pattern()), (Some(id), None));
         }
     }
 
     #[test]
     fn a_pattern_scope_settles_its_volume_on_drop() {
         let g = generators::complete(5);
-        let patterns = TestPatterns {
-            arcs: g.arc_count(),
-        };
+        let patterns = TestPatterns::on(&g, 0);
         for bandwidth_words in [1, 2, 3] {
             let mut net = Network::fault_free(g.clone());
             net.set_bandwidth_words(bandwidth_words);
@@ -1124,6 +1127,66 @@ mod tests {
             // A scope that runs nothing charges nothing.
             drop(net.pattern_rounds(&patterns));
             assert_eq!(net.metrics(), &want);
+        }
+    }
+
+    /// The weighing strategies rank a pattern once per scope.  Scopes over
+    /// two *different* families of the same size, back to back with dense
+    /// rounds in between, must act as the same rounds all dense: a ranking
+    /// memoised by pattern index alone would replay the first family's
+    /// heaviest edges in the second family's rounds.
+    #[test]
+    fn weighing_strategies_rank_each_pattern_scope_afresh() {
+        let g = generators::complete(6);
+        let families = [TestPatterns::on(&g, 0), TestPatterns::on(&g, 1)];
+        let ordinary = |round: usize| {
+            let mut t = Traffic::new(&g);
+            for e in g.edges().iter().filter(|e| (e.u + round).is_multiple_of(3)) {
+                t.send(&g, e.v, e.u, vec![round as u64; 1 + e.v % 3]);
+            }
+            t
+        };
+        type Make = fn(usize) -> Box<dyn AdversaryStrategy>;
+        let strategies: [Make; 2] = [
+            |f| Box::new(GreedyHeaviest::new(f)),
+            |f| Box::new(AdaptiveHeaviest::new(f)),
+        ];
+        for f in [1, 2, 3] {
+            for budget in [f - 1, f + 1] {
+                for make in strategies {
+                    let [mut mixed, mut dense] = [make(f), make(f)].map(|strategy| {
+                        let budget = CorruptionBudget::Mobile { f: budget };
+                        Network::new(g.clone(), AdversaryRole::Byzantine, strategy, budget, 5)
+                    });
+                    let name = format!("{} budget {budget}", mixed.adversary_name());
+                    let mut round = 0;
+                    for family in [&families[0], &families[1], &families[0], &families[1]] {
+                        let mut scope = mixed.pattern_rounds(family);
+                        for _ in 0..4 {
+                            let (p, tag) = (round % 2, round as u64);
+                            let controlled = scope.exchange(p, tag).to_vec();
+                            dense.exchange_in_place(&mut family.materialise(&g, p, tag));
+                            assert_eq!(
+                                Some(&controlled[..]),
+                                dense.corruption_history().last(),
+                                "{name} round {round}"
+                            );
+                            round += 1;
+                        }
+                        drop(scope);
+                        let t = ordinary(round);
+                        assert_eq!(mixed.exchange(t.clone()), dense.exchange(t), "{name}");
+                        round += 1;
+                    }
+                    assert_eq!(mixed.metrics(), dense.metrics(), "{name}");
+                    assert_eq!(
+                        mixed.corruption_history(),
+                        dense.corruption_history(),
+                        "{name}"
+                    );
+                    assert_eq!(mixed.public_coin(), dense.public_coin(), "{name}");
+                }
+            }
         }
     }
 }

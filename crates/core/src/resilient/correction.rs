@@ -472,16 +472,9 @@ pub fn l0_threshold_correction(
             continue;
         }
         // Per-tree fault-free result: t independent ℓ0 samples of the current
-        // mismatch multiset.
+        // mismatch multiset, from randomness derived per tree below.
         let randomness =
             SketchRandomness::from_seed(seed ^ ((j as u64) << 32) ^ net.round() as u64);
-        let mut bank = L0SamplerBank::new(randomness, t);
-        for (&el, &fq) in &truth {
-            bank.update(el, fq);
-        }
-        net.tracer_mut().span_open(obs::Phase::Decode);
-        let true_samples = bank.query_all();
-        net.tracer_mut().span_close(obs::Phase::Decode);
 
         let sched = RsScheduler.run_planned(net, packing, &ctx.plan, dtp + 2);
         let failed = k - sched.success_count();
@@ -514,7 +507,6 @@ pub fn l0_threshold_correction(
                 *support.entry(fake_element).or_insert(0) += t;
             }
         }
-        let _ = &true_samples;
 
         // Threshold Δ_j: fabricated mismatches can muster at most
         // `t · failure_bound` support; honest mismatches gather support from the

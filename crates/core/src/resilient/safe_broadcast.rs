@@ -131,7 +131,7 @@ impl BroadcastContext {
 /// input by construction.  (That is the Lemma 3.6 worst case — the adversary
 /// coordinates the garbage across nodes — and has been this module's
 /// semantics from the start; a per-node decode would be `n−1` redundant
-/// Berlekamp–Welch solves.)
+/// syndrome decodes.)
 ///
 /// # Panics
 ///
