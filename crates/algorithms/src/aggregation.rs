@@ -8,7 +8,6 @@
 
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
-use netgraph::traversal::diameter;
 use netgraph::{Graph, NodeId};
 
 /// Distributed BFS tree construction.
@@ -32,7 +31,9 @@ impl BfsTreeAlgorithm {
     ///
     /// Panics if the graph is disconnected.
     pub fn new(graph: Graph, root: NodeId) -> Self {
-        let d = diameter(&graph).expect("BfsTreeAlgorithm requires a connected graph");
+        let d = graph
+            .diameter()
+            .expect("BfsTreeAlgorithm requires a connected graph");
         let n = graph.node_count();
         let mut depth = vec![None; n];
         depth[root] = Some(0);
@@ -154,7 +155,9 @@ impl ConvergecastSum {
     ///
     /// Panics if the graph is disconnected or `inputs.len() != n`.
     pub fn new(graph: Graph, root: NodeId, inputs: Vec<u64>) -> Self {
-        let d = diameter(&graph).expect("ConvergecastSum requires a connected graph");
+        let d = graph
+            .diameter()
+            .expect("ConvergecastSum requires a connected graph");
         let n = graph.node_count();
         assert_eq!(inputs.len(), n, "one input per node required");
         let mut depth = vec![None; n];

@@ -8,7 +8,6 @@
 
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
-use netgraph::traversal::diameter;
 use netgraph::{Graph, NodeId};
 
 /// Flooding broadcast of a single value from a source node.
@@ -34,7 +33,9 @@ impl FloodBroadcast {
     ///
     /// Panics if the graph is disconnected (the broadcast could never complete).
     pub fn new(graph: Graph, source: NodeId, value: u64) -> Self {
-        let d = diameter(&graph).expect("FloodBroadcast requires a connected graph");
+        let d = graph
+            .diameter()
+            .expect("FloodBroadcast requires a connected graph");
         let n = graph.node_count();
         let mut known = vec![None; n];
         known[source] = Some(value);
@@ -130,7 +131,9 @@ impl LeaderElection {
     ///
     /// Panics if the graph is disconnected.
     pub fn new(graph: Graph) -> Self {
-        let d = diameter(&graph).expect("LeaderElection requires a connected graph");
+        let d = graph
+            .diameter()
+            .expect("LeaderElection requires a connected graph");
         let best = graph.nodes().map(|v| v as u64).collect();
         LeaderElection {
             graph,

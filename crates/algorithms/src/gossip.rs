@@ -13,7 +13,6 @@
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
-use netgraph::traversal::diameter;
 use netgraph::Graph;
 use rand::Rng;
 
@@ -43,7 +42,9 @@ impl TokenDissemination {
     pub fn new(graph: Graph, tokens: Vec<u64>, batch: usize) -> Self {
         let n = graph.node_count();
         assert_eq!(tokens.len(), n, "one token per node");
-        let d = diameter(&graph).expect("TokenDissemination requires a connected graph");
+        let d = graph
+            .diameter()
+            .expect("TokenDissemination requires a connected graph");
         let batch = batch.max(1);
         // Every node must receive n-1 foreign tokens over each incident edge in
         // the worst case; D + ceil(n/batch) rounds suffice for flooding.

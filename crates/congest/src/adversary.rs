@@ -209,8 +209,9 @@ impl CorruptionMode {
     }
 }
 
-/// The shape of a round whose traffic is described rather than built (a
-/// pattern round of [`crate::network::PatternRounds`]), type-erased for
+/// The shape of a round whose traffic is not the dense round's own buffer —
+/// a pattern round's description ([`crate::network::PatternRounds`]) or a
+/// held round's buffer ([`crate::network::HeldRounds`]) — type-erased for
 /// [`RoundView`].
 pub(crate) trait ArcLens {
     /// Length of the message on `arc`, `None` when it carries none.
@@ -221,18 +222,32 @@ pub(crate) trait ArcLens {
     fn add_edge_words(&self, out: &mut [usize]);
 }
 
-/// Which recurring pattern a pattern round runs: the
-/// [`crate::network::PatternRounds`] scope and the pattern's index in that
-/// scope's family.
+/// A held round's buffer is its own shape: lengths are read off its spans.
+impl ArcLens for Traffic {
+    fn arc_len(&self, arc: ArcId) -> Option<usize> {
+        self.get_arc(arc).map(<[u64]>::len)
+    }
+    fn add_edge_words(&self, out: &mut [usize]) {
+        for (arc, len) in self.iter_lens() {
+            out[Graph::edge_of(arc)] += len;
+        }
+    }
+}
+
+/// Which recurring shape a pattern or held round runs: the scope's serial
+/// and the pattern's index in that scope's family.
 ///
-/// A pattern's shape is fixed for its whole scope, so whatever a strategy
-/// derives from the shape alone it may compute once per `PatternId`.  `scope`
-/// comes from a process-wide counter when the scope opens: two scopes — over
-/// different families, on different networks, or after a strategy was cloned
-/// — never share one, and no scope is `0`.
+/// A [`crate::network::PatternRounds`] scope numbers its family's patterns;
+/// a [`crate::network::HeldRounds`] scope takes a fresh serial (index 0) each
+/// time a write changes its buffer's shape.  Either way every round shown
+/// under one `PatternId` has the same shape, so whatever a strategy derives
+/// from the shape alone it may compute once per `PatternId`.  `scope` comes
+/// from a process-wide counter: two scopes — over different families, on
+/// different networks, or after a strategy was cloned — never share one, and
+/// no scope is `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternId {
-    /// Serial of the scope the round runs in.
+    /// Serial of the scope (or of the held shape) the round runs in.
     pub scope: u64,
     /// Index of the pattern in the scope's family.
     pub index: usize,
@@ -240,8 +255,8 @@ pub struct PatternId {
 
 /// What a strategy observes of the round it is choosing edges for: the
 /// **shape** of the outgoing traffic — which arcs carry a message and how
-/// many words, and in a pattern round which pattern ([`RoundView::pattern`])
-/// — never the words themselves.
+/// many words, and in a pattern or held round which shape
+/// ([`RoundView::pattern`]) — never the words themselves.
 ///
 /// No strategy in the workspace ever chose its edges by payload content, and
 /// this type makes that the contract: it is what lets the engine run a round
@@ -259,7 +274,7 @@ pub struct RoundView<'a> {
 enum Shape<'a> {
     /// A round built in a buffer: lengths are read off its spans.
     Dense(&'a Traffic),
-    /// A described round: lengths and per-edge totals from the pattern.
+    /// A pattern or held round: lengths and per-edge totals from its lens.
     Pattern {
         lens: &'a dyn ArcLens,
         id: PatternId,
@@ -275,7 +290,8 @@ impl<'a> RoundView<'a> {
         }
     }
 
-    /// The view of pattern round `id` on a graph of `edges` edges.
+    /// The view of the pattern or held round of shape `id` on a graph of
+    /// `edges` edges.
     pub(crate) fn of_pattern(lens: &'a dyn ArcLens, edges: usize, id: PatternId) -> Self {
         RoundView {
             edges,
@@ -283,8 +299,8 @@ impl<'a> RoundView<'a> {
         }
     }
 
-    /// Which pattern the round runs, `None` for a round built in a buffer.
-    /// Two rounds with the same `PatternId` have the same shape.
+    /// Which shape the round runs, `None` for a dense round.  Two rounds with
+    /// the same `PatternId` have the same shape.
     pub fn pattern(&self) -> Option<PatternId> {
         match self.shape {
             Shape::Dense(_) => None,
@@ -553,8 +569,8 @@ fn top_heaviest(weight: &[usize], f: usize, ranked: &mut Vec<EdgeId>) {
 /// shared core of [`GreedyHeaviest`] and [`AdaptiveHeaviest`].
 ///
 /// A dense round is ranked afresh: one fold of its lengths, one
-/// [`top_heaviest`].  A pattern round's per-edge totals are fixed for its
-/// whole scope, so each [`PatternId`] is ranked the first time it is seen and
+/// [`top_heaviest`].  A pattern or held round's per-edge totals are fixed for
+/// its [`PatternId`], so each id is ranked the first time it is seen and
 /// replayed from the memo after that: `O(f)` per round instead of `O(m)`.
 #[derive(Debug, Clone, Default)]
 struct HeaviestRanking {

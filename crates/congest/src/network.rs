@@ -13,7 +13,7 @@
 //! the adversary saw).  The first feeds the interactive-coding oracle of
 //! Theorem 3.2; the second feeds the perfect-security experiments.
 //!
-//! # The zero-allocation round engine: one round body, two sources
+//! # The zero-allocation round engine: one round body, three sources
 //!
 //! Every round runs the same body (`Network::run_round`): open the trace span
 //! and count the round, let the strategy mark its wanted edges into a
@@ -23,9 +23,9 @@
 //! through a recycled scratch payload and is compared with the original),
 //! record the corruption, append to the flattened [`CorruptionHistory`], close
 //! the span.  After warm-up a round executes without touching the allocator
-//! (covered by buffer-reuse regression tests).  The two kinds of round differ
-//! only in where a controlled arc's original words come from and whether the
-//! rewrite is kept:
+//! (covered by buffer-reuse regression tests).  The three kinds of round
+//! differ only in where a controlled arc's original words come from and where
+//! the rewrite goes:
 //!
 //! * a **dense** round ([`Network::exchange_in_place`]) reads and rewrites the
 //!   caller's [`Traffic`], whose flat arena the receivers then read, and walks
@@ -38,7 +38,18 @@
 //!   the scratch (same RNG draws, same `altered` count, same view entries,
 //!   same trace events), stores nothing and hands the controlled edges back.
 //!   Such a round costs `O(f)`, not `O(m)`; its traffic volume is settled in
-//!   bulk when the [`PatternRounds`] scope ends.
+//!   bulk when the [`PatternRounds`] scope ends;
+//! * a **held** round ([`Network::held_rounds`]) runs on a buffer the caller
+//!   keeps across rounds — what every sender currently holds and sends again
+//!   each round, like the relays of a flood.  The engine reads that buffer and
+//!   never rewrites it: the `≤ 2f` rewritten arcs go to a recycled
+//!   [`Deliveries`] list, and a receiver reads its arc through
+//!   [`HeldRounds::received`] (the delivery if the adversary controlled the
+//!   arc, the held message otherwise).  The scope owns every write to the
+//!   buffer; a write that changes an arc's presence or length first settles
+//!   the rounds run on the old shape through the bulk volume charge of pattern
+//!   rounds and then opens a fresh [`PatternId`], so the weighing strategies
+//!   rank each shape once.  A round whose shape did not change costs `O(f)`.
 
 use crate::adversary::{
     AdversaryRole, AdversaryStrategy, ArcLens, CorruptionBudget, EdgeSet, NoAdversary, PatternId,
@@ -51,12 +62,18 @@ use obs::{EventKind, Phase, Tracer};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The next [`PatternId::scope`]: process-wide, so a serial never repeats for
 /// any strategy, whichever network it ends up in.
 static NEXT_PATTERN_SCOPE: AtomicU64 = AtomicU64::new(1);
+
+/// A [`PatternId::scope`] no round has shown yet.
+fn fresh_pattern_scope() -> u64 {
+    NEXT_PATTERN_SCOPE.fetch_add(1, Ordering::Relaxed)
+}
 
 /// One observation made by an eavesdropper: both directions of one edge in one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,6 +206,51 @@ struct RoundBuffers {
     scratch: Vec<u64>,
     /// Scratch of pattern rounds, lent to the open [`PatternRounds`] scope.
     pattern: PatternScratch,
+    /// Deliveries of held rounds, lent to the open [`HeldRounds`] scope.
+    delivered: Deliveries,
+}
+
+/// What the adversary delivered in place of the held messages on the arcs it
+/// rewrote in the last round of a [`HeldRounds`] scope — at most two per
+/// controlled edge, none under an eavesdropper.
+#[derive(Debug, Default)]
+pub struct Deliveries {
+    /// Per rewritten arc, in the order the adversary rewrote them: its words
+    /// in `words`, or `None` for a dropped message.
+    arcs: Vec<(ArcId, Option<Range<usize>>)>,
+    words: Vec<u64>,
+}
+
+impl Deliveries {
+    fn clear(&mut self) {
+        self.arcs.clear();
+        self.words.clear();
+    }
+
+    fn push(&mut self, arc: ArcId, payload: Option<&[u64]>) {
+        let span = payload.map(|words| {
+            let start = self.words.len();
+            self.words.extend_from_slice(words);
+            start..self.words.len()
+        });
+        self.arcs.push((arc, span));
+    }
+
+    /// The rewritten arcs, in the order the adversary rewrote them.
+    pub fn arcs(&self) -> impl Iterator<Item = ArcId> + '_ {
+        self.arcs.iter().map(|&(arc, _)| arc)
+    }
+
+    /// What was delivered on `arc`: `None` if the adversary did not rewrite
+    /// it, `Some(None)` if it dropped the message.
+    fn get(&self, arc: ArcId) -> Option<Option<&[u64]>> {
+        let (_, span) = self.arcs.iter().find(|&&(a, _)| a == arc)?;
+        Some(span.clone().map(|span| &self.words[span]))
+    }
+
+    fn capacity(&self) -> usize {
+        self.arcs.capacity() + self.words.capacity()
+    }
 }
 
 /// Recycled scratch of a [`PatternRounds`] scope.
@@ -302,6 +364,29 @@ impl<P: RoundPatterns> RoundSource for Described<'_, P> {
         present.then_some(self.words.as_slice())
     }
     fn deliver(&mut self, _arc: ArcId, _payload: Option<&[u64]>) {}
+}
+
+/// A held round: the scope's buffer under its current shape's pattern id,
+/// read and never rewritten; rewrites go to the deliveries.
+struct Held<'a> {
+    traffic: &'a Traffic,
+    id: PatternId,
+    delivered: &'a mut Deliveries,
+}
+
+impl RoundSource for Held<'_> {
+    fn record(&mut self, metrics: &mut Metrics, _bandwidth_words: usize) {
+        metrics.rounds += 1;
+    }
+    fn view<'a>(&'a self, graph: &Graph) -> RoundView<'a> {
+        RoundView::of_pattern(self.traffic, graph.edge_count(), self.id)
+    }
+    fn original(&mut self, arc: ArcId) -> Option<&[u64]> {
+        self.traffic.get_arc(arc)
+    }
+    fn deliver(&mut self, arc: ArcId, payload: Option<&[u64]>) {
+        self.delivered.push(arc, payload);
+    }
 }
 
 /// The round-synchronous network simulator.
@@ -458,6 +543,7 @@ impl Network {
             + buffers.controlled.capacity()
             + pattern.uses.capacity()
             + pattern.words.capacity()
+            + buffers.delivered.capacity()
     }
 
     /// Change the number of words per bandwidth-normalised round (default 2).
@@ -515,8 +601,30 @@ impl Network {
         PatternRounds {
             net: self,
             patterns,
-            scope: NEXT_PATTERN_SCOPE.fetch_add(1, Ordering::Relaxed),
+            scope: fresh_pattern_scope(),
             scratch,
+        }
+    }
+
+    /// Open a scope of **held rounds** on `held` (see the module docs): the
+    /// buffer starts out silent on every arc of the graph, the scope's
+    /// [`HeldRounds::set_arc`] and [`HeldRounds::relay`] are the only writes
+    /// to it while it is open, and each [`HeldRounds::exchange`] sends what it
+    /// holds.  The scope borrows the network, so nothing can observe it before
+    /// the scope ends and settles the rounds' traffic volume.
+    pub fn held_rounds<'a>(&'a mut self, held: &'a mut Traffic) -> HeldRounds<'a> {
+        held.begin_round(&self.graph);
+        let mut delivered = std::mem::take(&mut self.buffers.delivered);
+        delivered.clear();
+        HeldRounds {
+            net: self,
+            held,
+            id: PatternId {
+                scope: fresh_pattern_scope(),
+                index: 0,
+            },
+            uses: 0,
+            delivered,
         }
     }
 
@@ -540,7 +648,7 @@ impl Network {
             wanted,
             controlled,
             scratch,
-            pattern: _,
+            ..
         } = &mut self.buffers;
         controlled.clear();
         for e in wanted.iter() {
@@ -676,6 +784,128 @@ impl<P: RoundPatterns> Drop for PatternRounds<'_, P> {
             }
         }
         self.net.buffers.pattern = std::mem::take(&mut self.scratch);
+    }
+}
+
+/// An open scope of held rounds on a [`Network`] ([`Network::held_rounds`]).
+///
+/// Each [`HeldRounds::exchange`] is a full engine round on the held buffer —
+/// round counter, trace span, strategy, budget, corruption randomness,
+/// history, view log — whose traffic volume is only counted while the
+/// buffer's *shape* (which arcs carry a message, of what length) stays the
+/// same.  The first write that changes the shape after such rounds charges
+/// them ([`crate::metrics::Metrics`]'s volume counters are sums over rounds)
+/// and opens a fresh [`PatternId`], so a strategy that ranks a shape once per
+/// id never sees a stale ranking; dropping the scope charges the rest.
+pub struct HeldRounds<'a> {
+    net: &'a mut Network,
+    held: &'a mut Traffic,
+    /// The pattern id strategies see for the current shape.
+    id: PatternId,
+    /// Rounds run on the current shape, not yet charged.
+    uses: usize,
+    /// The network's deliveries list, handed back on drop.
+    delivered: Deliveries,
+}
+
+impl HeldRounds<'_> {
+    /// What every sender currently holds: the message each arc carries in
+    /// the next round.
+    pub fn held(&self) -> &Traffic {
+        self.held
+    }
+
+    /// Execute one round sending the held messages; returns the edges the
+    /// adversary controlled in it (the round's entry of the
+    /// [`CorruptionHistory`]).  The held buffer is left as it was; what the
+    /// adversary made of the controlled arcs is [`HeldRounds::delivered`].
+    pub fn exchange(&mut self) -> &[EdgeId] {
+        self.uses += 1;
+        self.delivered.clear();
+        self.net.run_round(&mut Held {
+            traffic: self.held,
+            id: self.id,
+            delivered: &mut self.delivered,
+        });
+        &self.net.buffers.controlled
+    }
+
+    /// The arcs the adversary rewrote in the last round, with what it
+    /// delivered on them.
+    pub fn delivered(&self) -> &Deliveries {
+        &self.delivered
+    }
+
+    /// What the receiver of `arc` got in the last round: the adversary's
+    /// delivery if it rewrote the arc, the held message otherwise — so read
+    /// it before writing to `arc` (a flood relays its hops last to first).
+    pub fn received(&self, arc: ArcId) -> Option<&[u64]> {
+        match self.delivered.get(arc) {
+            Some(delivery) => delivery,
+            None => self.held.get_arc(arc),
+        }
+    }
+
+    /// Set the message held on `arc` (sent from the next round on).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arc` is out of range.
+    pub fn set_arc(&mut self, arc: ArcId, payload: Option<&[u64]>) {
+        self.reshape_if(arc, payload.map(<[u64]>::len));
+        self.held.set_arc(arc, payload);
+    }
+
+    /// The receiver of `from` passes on what it got there in the last round
+    /// ([`HeldRounds::received`]): `to` holds it from the next round on.  If
+    /// nothing arrived on `from`, `to` keeps what it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either arc is out of range.
+    pub fn relay(&mut self, from: ArcId, to: ArcId) {
+        let Some(len) = self.received(from).map(<[u64]>::len) else {
+            return;
+        };
+        self.reshape_if(to, Some(len));
+        let HeldRounds {
+            held, delivered, ..
+        } = self;
+        match delivered.get(from) {
+            Some(words) => held.set_arc(to, words),
+            None => held.copy_arc(from, to),
+        }
+    }
+
+    /// Before `arc` changes to a message of length `len` (`None`: no message):
+    /// if that changes the shape, charge the rounds run on the old one and
+    /// open a fresh pattern id for the new one.
+    fn reshape_if(&mut self, arc: ArcId, len: Option<usize>) {
+        if self.uses == 0 || self.held.get_arc(arc).map(<[u64]>::len) == len {
+            return;
+        }
+        self.settle();
+        self.id = PatternId {
+            scope: fresh_pattern_scope(),
+            index: 0,
+        };
+    }
+
+    /// Charge the traffic volume of the rounds run on the current shape.
+    fn settle(&mut self) {
+        let net = &mut *self.net;
+        net.metrics
+            .record_volume(self.held.iter_lens(), net.bandwidth_words, self.uses);
+        self.uses = 0;
+    }
+}
+
+impl Drop for HeldRounds<'_> {
+    fn drop(&mut self) {
+        if self.uses > 0 {
+            self.settle();
+        }
+        self.net.buffers.delivered = std::mem::take(&mut self.delivered);
     }
 }
 
@@ -1188,5 +1418,194 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One write of [`held_script`].
+    enum Write {
+        Relay(ArcId, ArcId),
+        Set(ArcId, Option<Vec<u64>>),
+    }
+
+    /// The writes before round `round` of a held scope on a graph of `arcs`
+    /// arcs.  Relays come first and read only forward arcs, which no write
+    /// of the round touched yet; they move what was delivered onto the
+    /// backward arc of the same edge.  Then sets that add arcs, lengthen,
+    /// shorten or drop them, or rewrite them at the same length — so the
+    /// shape grows and changes mid-scope, and sometimes only the words do.
+    fn held_script(arcs: usize, round: usize) -> Vec<Write> {
+        let mut writes = Vec::new();
+        if round == 0 {
+            for e in (0..arcs / 2).step_by(2) {
+                writes.push(Write::Set(2 * e, Some(vec![e as u64; 1 + e % 3])));
+            }
+        } else {
+            for e in (round % 3..arcs / 2).step_by(3) {
+                writes.push(Write::Relay(2 * e, 2 * e + 1));
+            }
+        }
+        for k in 0..3 {
+            let x = (round * 7 + k * 13 + 5) * 2_654_435_761 % 1_000_003;
+            let arc = x % arcs;
+            let words = match x / arcs % 6 {
+                0 => None,
+                1 => Some(vec![]),
+                // Same length as the relayed ones, new words.
+                2 => Some(vec![round as u64; 1 + Graph::edge_of(arc) % 3]),
+                n => Some(vec![(round + k) as u64; n - 2]),
+            };
+            writes.push(Write::Set(arc, words));
+        }
+        writes
+    }
+
+    /// The held-round differential: a run that mixes held scopes with
+    /// ordinary dense rounds against the same rounds all dense — each round
+    /// the mirrored held buffer copied and exchanged in place, a relay reading
+    /// the exchanged copy — must leave every observable of the network
+    /// identical: what every receiver got, `Metrics`, `CorruptionHistory`,
+    /// `ViewLog`, the event streams and the next public coin.  The script's
+    /// shapes grow mid-scope, so a write that does not settle the rounds of
+    /// the old shape, or keeps its `PatternId`, is a diff here.
+    #[test]
+    fn held_rounds_equal_dense_rounds() {
+        let g = generators::complete(6);
+        let (m, arcs) = (g.edge_count(), g.arc_count());
+        let modes = [
+            CorruptionMode::ReplaceRandom,
+            CorruptionMode::FlipLowBit,
+            CorruptionMode::Drop,
+            CorruptionMode::Constant(3),
+        ];
+        let budgets = [
+            CorruptionBudget::Mobile { f: 2 },
+            CorruptionBudget::RoundErrorRate { total: 7 },
+            CorruptionBudget::Static(vec![0, 3, 4, m - 1]),
+            CorruptionBudget::None,
+        ];
+        let ordinary = |round: usize| {
+            let mut t = Traffic::new(&g);
+            for e in g.edges().iter().filter(|e| (e.v + round).is_multiple_of(3)) {
+                t.send(&g, e.u, e.v, vec![round as u64; 1 + e.u % 4]);
+            }
+            t
+        };
+        let mut acted = 0;
+        for role in [AdversaryRole::Byzantine, AdversaryRole::Eavesdropper] {
+            for mode in modes {
+                for budget in &budgets {
+                    for bandwidth_words in [1, 2, 3] {
+                        let strategies = || all_strategies(&g, mode).into_iter();
+                        for (s0, s1) in strategies().zip(strategies()) {
+                            let name = format!(
+                                "{role:?} {mode:?} {budget:?} bw={bandwidth_words} {}",
+                                s0.name()
+                            );
+                            let [mut mixed, mut dense] = [s0, s1].map(|strategy| {
+                                let mut net =
+                                    Network::new(g.clone(), role, strategy, budget.clone(), 31);
+                                net.set_bandwidth_words(bandwidth_words);
+                                net.install_tracer(obs::TraceSpec::ring().build_tracer());
+                                net
+                            });
+                            let (mut held, mut mirror) = (Traffic::new(&g), Traffic::new(&g));
+                            // Rounds 5, 11, 17 are ordinary; the others are
+                            // held rounds in scopes of five.
+                            for first in [0, 6, 12] {
+                                let mut scope = mixed.held_rounds(&mut held);
+                                mirror.begin_round(&g);
+                                let mut wire = mirror.clone();
+                                for round in 0..5 {
+                                    for write in held_script(arcs, round) {
+                                        match write {
+                                            Write::Relay(from, to) => {
+                                                scope.relay(from, to);
+                                                if let Some(words) = wire.get_arc(from) {
+                                                    mirror.set_arc(to, Some(words));
+                                                }
+                                            }
+                                            Write::Set(arc, words) => {
+                                                scope.set_arc(arc, words.as_deref());
+                                                mirror.set_arc(arc, words.as_deref());
+                                            }
+                                        }
+                                    }
+                                    assert_eq!(scope.held(), &mirror, "{name} round {round}");
+                                    let controlled = scope.exchange().to_vec();
+                                    wire.clone_from(&mirror);
+                                    dense.exchange_in_place(&mut wire);
+                                    let at = format!("{name} round {}", first + round);
+                                    assert_eq!(
+                                        Some(&controlled[..]),
+                                        dense.corruption_history().last(),
+                                        "{at}"
+                                    );
+                                    for arc in 0..arcs {
+                                        assert_eq!(
+                                            scope.received(arc),
+                                            wire.get_arc(arc),
+                                            "{at} arc {arc}"
+                                        );
+                                    }
+                                    // The engine never rewrites the buffer.
+                                    assert_eq!(scope.held(), &mirror, "{at}");
+                                }
+                                drop(scope);
+                                let mut t = ordinary(first + 5);
+                                let delivered = mixed.exchange(t.clone());
+                                dense.exchange_in_place(&mut t);
+                                assert_eq!(delivered, t, "{name} ordinary round");
+                            }
+                            assert_eq!(mixed.metrics(), dense.metrics(), "{name}");
+                            assert_eq!(
+                                mixed.corruption_history(),
+                                dense.corruption_history(),
+                                "{name}"
+                            );
+                            assert_eq!(mixed.view_log(), dense.view_log(), "{name}");
+                            assert_eq!(mixed.public_coin(), dense.public_coin(), "{name}");
+                            let [mixed_trace, dense_trace] =
+                                [&mut mixed, &mut dense].map(|net| net.take_tracer().finish());
+                            assert!(mixed_trace.events.len() >= 2 * 18, "{name}");
+                            assert_eq!(
+                                format!("{mixed_trace:?}"),
+                                format!("{dense_trace:?}"),
+                                "{name}"
+                            );
+                            acted += usize::from(mixed.metrics().corrupted_edge_rounds > 0);
+                        }
+                    }
+                }
+            }
+        }
+        // Every strategy but `NoAdversary`, under every budget but `None`.
+        assert_eq!(acted, 2 * 4 * 3 * 3 * 9);
+    }
+
+    #[test]
+    fn a_held_scope_charges_each_shape_at_its_own_volume() {
+        let g = generators::complete(5);
+        let mut held = Traffic::new(&g);
+        let mut net = Network::fault_free(g.clone());
+        net.set_bandwidth_words(1);
+        let mut scope = net.held_rounds(&mut held);
+        scope.set_arc(0, Some(&[1, 2, 3]));
+        scope.exchange();
+        scope.exchange();
+        // Same length, new words: still the same shape.
+        scope.set_arc(0, Some(&[4, 5, 6]));
+        let id = scope.id;
+        scope.exchange();
+        assert_eq!(scope.id, id);
+        assert_eq!(scope.net.metrics.words, 0, "nothing charged yet");
+        // A new arc: the three rounds so far are charged at three words each.
+        scope.relay(0, 1);
+        assert_eq!(scope.net.metrics.words, 9);
+        assert_ne!(scope.id, id, "a new shape is a new pattern");
+        scope.exchange();
+        drop(scope);
+        let m = net.metrics();
+        assert_eq!((m.rounds, m.messages, m.words), (4, 5, 15));
+        assert_eq!(m.bandwidth_rounds, 4 * 3);
+        assert_eq!(held.get_arc(1), Some(&[4u64, 5, 6][..]));
     }
 }

@@ -209,6 +209,34 @@ impl Traffic {
         }
     }
 
+    /// Copy the message on `from` (or its absence) onto `to`, within the
+    /// arena: in place when it fits `to`'s span, appended otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either arc is out of range.
+    pub(crate) fn copy_arc(&mut self, from: ArcId, to: ArcId) {
+        let (src, dst) = (self.spans[from], self.spans[to]);
+        if src.len_plus_one == 0 {
+            self.spans[to] = Span::default();
+            return;
+        }
+        let (start, len) = (src.off as usize, src.len());
+        let off = if dst.len_plus_one != 0 && len <= dst.len() {
+            self.words.copy_within(start..start + len, dst.off as usize);
+            dst.off
+        } else {
+            let off = self.words.len();
+            assert!(off + len < u32::MAX as usize, "traffic word arena overflow");
+            self.words.extend_from_within(start..start + len);
+            off as u32
+        };
+        self.spans[to] = Span {
+            off,
+            len_plus_one: src.len_plus_one,
+        };
+    }
+
     /// Iterate over all present messages as `(arc, payload)`.
     pub fn iter_present(&self) -> impl Iterator<Item = (ArcId, &[u64])> {
         self.spans.iter().enumerate().filter_map(|(a, span)| {

@@ -36,7 +36,7 @@ use congest_sim::scenario::{
     ScenarioError,
 };
 use congest_sim::traffic::Output;
-use netgraph::connectivity::{edge_connectivity, edge_connectivity_at_least};
+use netgraph::connectivity::edge_connectivity;
 use netgraph::traversal::is_connected;
 use netgraph::tree_packing::{
     augmented_low_depth_packing_traced, greedy_low_depth_packing, load_floor, star_packing,
@@ -92,12 +92,11 @@ fn validate_packing_feasible(
     Ok(())
 }
 
-/// The information-theoretic floor lambda >= 2f+1.  Accepting a graph only
-/// needs the threshold (`n - 1` capped max-flows, once per pair); the exact
-/// lambda — `n - 1` uncapped ones — is computed for the error of a pair that
-/// fails it.
+/// The information-theoretic floor lambda >= 2f+1, read off the graph's
+/// memoised minimum cut ([`Graph::min_cut`]): every compiler that judges or
+/// measures one graph shares its single max-flow sweep.
 fn validate_connectivity_floor(compiler: &str, g: &Graph, f: usize) -> Result<(), ScenarioError> {
-    if edge_connectivity_at_least(g, 2 * f + 1) {
+    if edge_connectivity(g) > 2 * f {
         return Ok(());
     }
     Err(insufficient_connectivity(compiler, g, f))
@@ -1081,8 +1080,8 @@ mod tests {
 
     #[test]
     fn threshold_validation_reports_the_exact_connectivity_found() {
-        // `prepare` only asks `λ ≥ 2f+1`; a pair that fails it must still
-        // carry the exact λ in its typed error.
+        // `prepare` asks `λ ≥ 2f+1` of the graph's memoised cut; a pair that
+        // fails it must carry the exact λ in its typed error.
         let adapters: [Box<dyn Compiler>; 3] = [
             Box::new(CycleCoverAdapter::new(1)),
             Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V1Greedy)),

@@ -17,12 +17,23 @@
 //! of its edges, and every path as the sequence of *arcs* it travels from the
 //! message's sender to its receiver.  Within a class each arc then belongs to
 //! at most one hop of one path of one flooded message — the plan asserts it —
-//! so "what every relay currently holds" is itself a [`Traffic`] (`held`): a
-//! flood round is `wire.clone_from(&held)`, one [`Network::exchange_in_place`]
-//! on the complete real traffic, and a walk over the hops that moves each
-//! delivered message one hop on.  No path, payload or graph is allocated or
-//! searched in that loop, and the cover and the colouring map are dropped
-//! once the plan is built.
+//! so "what every relay currently holds" is itself a [`Traffic`] (`held`).
+//! The cover and the colouring map are dropped once the plan is built.
+//!
+//! # Flood rounds over the held traffic
+//!
+//! A flood round sends exactly what the relays hold, so it is a *held* round
+//! of the network ([`Network::held_rounds`]): the engine runs its one round
+//! body on `held` without copying or rewriting it and reports the `≤ 2f` arcs
+//! the adversary rewrote; every write to `held` goes through the scope, which
+//! charges the traffic volume whenever the set of carrying arcs changes.  After
+//! a path's first hops have filled, it changes only where the adversary
+//! struck, so the flood keeps a front and a clean flag per path: a clean path
+//! the adversary did not touch advances its front in `O(1)`, a complete clean
+//! path is parked and its arrivals (one copy of the sender's value per round)
+//! are added in bulk, and only a path with a rewritten arc — or a foreign
+//! value still on it — gets the hop-by-hop walk.  No path, payload or graph is
+//! allocated or searched in that loop.
 
 use congest_sim::network::Network;
 use congest_sim::traffic::{Output, Traffic};
@@ -197,10 +208,18 @@ impl Arrivals {
     }
 
     fn record(&mut self, instance: usize, msg: &[u64]) {
+        self.record_n(instance, msg, 1);
+    }
+
+    /// `n` arrivals of `msg` at once; none at all for `n = 0`.
+    fn record_n(&mut self, instance: usize, msg: &[u64], n: usize) {
+        if n == 0 {
+            return;
+        }
         let mut at = self.head[instance];
         while let Some(value) = self.values.get_mut(at) {
             if self.words[value.words.clone()] == *msg {
-                value.count += 1;
+                value.count += n;
                 return;
             }
             at = value.next;
@@ -209,7 +228,7 @@ impl Arrivals {
         self.words.extend_from_slice(msg);
         self.values.push(ArrivedValue {
             words: start..self.words.len(),
-            count: 1,
+            count: n,
             next: self.head[instance],
         });
         self.head[instance] = self.values.len() - 1;
@@ -234,6 +253,26 @@ impl Arrivals {
     }
 }
 
+/// Where one path of the class in progress stands (see
+/// [`Flood::payload_round`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct PathFront {
+    /// The instance whose message the path carries.
+    instance: usize,
+    /// The arc that message was sent on (its value is `sent` there).
+    source: ArcId,
+    /// The relays of the first `front` hops hold a value; the others hold
+    /// nothing yet.
+    front: usize,
+    /// Every value held along the path is the sender's.
+    clean: bool,
+    /// The adversary rewrote one of its held arcs this round.
+    touched: bool,
+    /// Complete and clean: until touched, it delivers the sender's value
+    /// every round, counted in bulk.
+    parked: bool,
+}
+
 /// The recycled buffers of one compiled run.
 #[derive(Debug, Default)]
 struct Flood {
@@ -242,25 +281,47 @@ struct Flood {
     /// What its nodes receive for them: the decided value per sent message.
     corrected: Traffic,
     /// Per arc of the class in progress: the payload its hop's relay holds
-    /// and forwards every round.
+    /// and forwards every round (the network's held-round buffer).
     held: Traffic,
-    /// The round on the wire: `held`, then what the adversary made of it.
-    wire: Traffic,
     arrivals: Arrivals,
+    /// Per arc: the plan path whose hop of the class in progress travels it.
+    /// Read only for arcs `held` carries, all of which that class wrote.
+    owner: Vec<usize>,
+    /// Per plan path: where it stands in the class in progress.
+    paths: Vec<PathFront>,
+    /// The class's paths that are not parked, in no particular order.
+    active: Vec<usize>,
+    /// Per instance: arrivals its parked paths still owe the tally.
+    owed: Vec<usize>,
 }
 
 impl Flood {
     /// Simulate one payload round: flood every message of `sent`, colour
     /// class by colour class, and leave the decided values in `corrected`.
+    ///
+    /// The relays' values live in `held`, which the network sends every round
+    /// as it is and never rewrites ([`Network::held_rounds`]); a path only
+    /// changes where a value advances or where the adversary struck.  So a
+    /// path is walked hop by hop only in a round where the adversary rewrote
+    /// one of its held arcs, or while a foreign value is still on it; a clean
+    /// path moves its front one hop in `O(1)`, and once complete it is parked:
+    /// the sender's value arrives once per round, and those arrivals are
+    /// added in bulk ([`Arrivals::record_n`] — the plurality depends only on
+    /// the per-value counts) until a rewrite touches the path again.
     fn payload_round(&mut self, plan: &FloodPlan, window: usize, net: &mut Network) {
         let Flood {
             sent,
             corrected,
             held,
-            wire,
             arrivals,
+            owner,
+            paths,
+            active,
+            owed,
         } = self;
         corrected.begin_round(net.graph());
+        owner.resize(net.graph().arc_count(), usize::MAX);
+        paths.resize(plan.path_end.len(), PathFront::default());
         for colour in 0..plan.colors() {
             // Within a class all path systems are edge-disjoint, so all
             // their floods share rounds.  An instance is a system with a
@@ -273,39 +334,98 @@ impl Flood {
             let Some(class_dilation) = instances().map(|(system, _)| system.hops).max() else {
                 continue;
             };
-            held.begin_round(net.graph());
-            for (system, payload) in instances() {
-                for p in system.paths.clone() {
-                    held.set_arc(plan.path(p)[0], Some(payload));
-                }
-            }
+            let rounds = class_dilation + window;
             arrivals.reset(plan.class(colour).len());
-            for _ in 0..class_dilation + window {
-                wire.clone_from(held);
-                net.exchange_in_place(wire);
-                for (i, (system, _)) in instances().enumerate() {
-                    for p in system.paths.clone() {
-                        let path = plan.path(p);
-                        // Last hop first: a value moves one hop per round.
-                        for (hop, &arc) in path.iter().enumerate().rev() {
-                            // A relay that held nothing sent nothing: whatever
-                            // shows up on its arc was fabricated.  A dropped
-                            // message leaves the next relay's value alone.
-                            if held.get_arc(arc).is_none() {
-                                continue;
-                            }
-                            let Some(msg) = wire.get_arc(arc) else {
-                                continue;
-                            };
-                            match path.get(hop + 1) {
-                                Some(&next) => held.set_arc(next, Some(msg)),
-                                None => arrivals.record(i, msg),
-                            }
-                        }
+            owed.clear();
+            owed.resize(plan.class(colour).len(), 0);
+            active.clear();
+            let mut scope = net.held_rounds(held);
+            for (i, (system, payload)) in instances().enumerate() {
+                for p in system.paths.clone() {
+                    let path = plan.path(p);
+                    scope.set_arc(path[0], Some(payload));
+                    for &arc in path {
+                        owner[arc] = p;
+                    }
+                    // A one-hop path is complete from the start.
+                    let parked = path.len() == 1;
+                    paths[p] = PathFront {
+                        instance: i,
+                        source: system.arc,
+                        front: 1,
+                        clean: true,
+                        touched: false,
+                        parked,
+                    };
+                    if parked {
+                        owed[i] += rounds;
+                    } else {
+                        active.push(p);
                     }
                 }
             }
-            for (i, (system, _)) in instances().enumerate() {
+            for round in 0..rounds {
+                scope.exchange();
+                for arc in scope.delivered().arcs() {
+                    // A relay that held nothing sent nothing: whatever shows
+                    // up on its arc was fabricated, and nobody takes it.
+                    if scope.held().get_arc(arc).is_none() {
+                        continue;
+                    }
+                    let state = &mut paths[owner[arc]];
+                    state.touched = true;
+                    if state.parked {
+                        // It owes no arrival from this round on.
+                        state.parked = false;
+                        owed[state.instance] -= rounds - round;
+                        active.push(owner[arc]);
+                    }
+                }
+                active.retain(|&p| {
+                    let (state, path) = (&mut paths[p], plan.path(p));
+                    let payload = sent
+                        .get_arc(state.source)
+                        .expect("instances carry a message");
+                    if state.touched || !state.clean {
+                        // Last hop first: a value moves one hop per round.
+                        // A dropped message leaves the next relay's value
+                        // alone.
+                        for hop in (0..state.front).rev() {
+                            match path.get(hop + 1) {
+                                Some(&next) => scope.relay(path[hop], next),
+                                None => {
+                                    if let Some(msg) = scope.received(path[hop]) {
+                                        arrivals.record(state.instance, msg);
+                                    }
+                                }
+                            }
+                        }
+                        let held = scope.held();
+                        if path
+                            .get(state.front)
+                            .is_some_and(|&arc| held.get_arc(arc).is_some())
+                        {
+                            state.front += 1;
+                        }
+                        state.clean = path[1..state.front]
+                            .iter()
+                            .all(|&arc| held.get_arc(arc) == Some(payload));
+                        state.touched = false;
+                    } else {
+                        // Clean and incomplete (complete ones are parked).
+                        scope.set_arc(path[state.front], Some(payload));
+                        state.front += 1;
+                    }
+                    state.parked = state.clean && state.front == path.len();
+                    if state.parked {
+                        owed[state.instance] += rounds - 1 - round;
+                    }
+                    !state.parked
+                });
+            }
+            drop(scope);
+            for (i, (system, payload)) in instances().enumerate() {
+                arrivals.record_n(i, payload, owed[i]);
                 if let Some(value) = arrivals.plurality(i) {
                     corrected.set_arc(system.arc, Some(value));
                 }
@@ -333,9 +453,9 @@ impl CycleCoverCompiler {
     /// Run the compiled algorithm on the network: per payload round, per
     /// colour class with a message to carry, `longest path + window` network
     /// rounds of the flood described in the module docs, then the plurality of
-    /// what arrived over the last hops (Lemma 5.6).  Every network round goes
-    /// through [`Network::exchange_in_place`] with the complete traffic, so
-    /// the adversary sees and corrupts exactly what the relays send.
+    /// what arrived over the last hops (Lemma 5.6).  Every network round is a
+    /// held round on the complete traffic the relays send, so the adversary
+    /// sees and corrupts exactly that.
     pub fn run<A: CongestAlgorithm + ?Sized>(
         &self,
         alg: &mut A,
@@ -754,7 +874,14 @@ mod tests {
         };
         payload_round(&mut flood, &mut net, 0);
         let caps = |flood: &Flood| {
-            [&flood.corrected, &flood.held, &flood.wire].map(Traffic::word_capacity)
+            [
+                flood.corrected.word_capacity(),
+                flood.held.word_capacity(),
+                flood.owner.capacity(),
+                flood.paths.capacity(),
+                flood.active.capacity(),
+                flood.owed.capacity(),
+            ]
         };
         let (traffic_caps, engine_cap) = (caps(&flood), net.round_buffer_capacity());
         for round in 1..4 {

@@ -161,47 +161,27 @@ fn decompose_paths(
 }
 
 /// Global edge connectivity `λ(G)`: the minimum over all pairs of the maximum
-/// number of edge-disjoint paths.  Computed as `min_v maxflow(0, v)`, which is
-/// correct because a global minimum cut separates node 0 from some node.
-/// Returns 0 for disconnected or single-node graphs.
+/// number of edge-disjoint paths — the size of the graph's memoised minimum
+/// cut ([`Graph::min_cut`]).  Returns 0 for disconnected or single-node
+/// graphs.
 pub fn edge_connectivity(g: &Graph) -> usize {
-    let n = g.node_count();
-    if n <= 1 {
-        return 0;
-    }
-    (1..n)
-        .map(|v| edge_disjoint_path_count(g, 0, v))
-        .min()
-        .unwrap_or(0)
+    g.min_cut().len()
 }
 
-/// Whether `λ(G) ≥ k` — the question the compilers' validation asks, at a
-/// fraction of [`edge_connectivity`]'s price: each of the `n − 1` flows stops
-/// after `k` augmentations, none is decomposed into paths, and the first sink
-/// that falls short ends the sweep.
-pub fn edge_connectivity_at_least(g: &Graph, k: usize) -> bool {
-    if k == 0 {
-        return true;
-    }
-    let mut flow = MaxFlow::default();
-    // A single node has λ = 0 by [`edge_connectivity`]'s convention.
-    g.node_count() > 1 && (1..g.node_count()).all(|v| flow.run(g, 0, v, k) == k)
-}
-
-/// The edge set of one global minimum edge cut (a witness for
-/// [`edge_connectivity`]): one unit-capacity max flow per candidate sink,
-/// keeping the residual source side of the smallest; the cut is the set of
-/// edges leaving that side.  A sink's flow computation aborts as soon as it
-/// reaches the best cut found so far (it cannot yield a smaller one), so the
-/// sweep costs about as much as [`edge_connectivity`] itself.  Returns edge
-/// ids in increasing order; empty for disconnected or single-node graphs
-/// (where the cut is trivial).
+/// The edge set of one global minimum edge cut — the computation behind
+/// [`Graph::min_cut`]: one unit-capacity max flow per candidate sink `v` from
+/// node 0 (a global minimum cut separates node 0 from some node), keeping the
+/// residual source side of the smallest; the cut is the set of edges leaving
+/// that side.  A sink's flow computation aborts as soon as it reaches the best
+/// cut found so far (it cannot yield a smaller one), and no flow is decomposed
+/// into paths.  Returns edge ids in increasing order; empty for disconnected
+/// or single-node graphs (where the cut is trivial).
 ///
 /// Tree packings are bounded by such cuts — every spanning tree crosses every
 /// cut at least once, so `k` trees at per-edge load `η` need `η·|cut| ≥ k` —
 /// which makes the *usage* of a minimum cut the tightest structural measure of
 /// packing quality ([`crate::tree_packing::PackingQuality`]).
-pub fn min_edge_cut(g: &Graph) -> Vec<EdgeId> {
+pub(crate) fn min_edge_cut(g: &Graph) -> Vec<EdgeId> {
     let n = g.node_count();
     if n <= 1 {
         return Vec::new();
@@ -410,24 +390,53 @@ mod tests {
         assert_eq!(edge_connectivity(&Graph::new(1)), 0);
     }
 
-    #[test]
-    fn threshold_connectivity_agrees_with_the_exact_value() {
-        let disconnected = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        for g in [
+    /// The exact sweep `edge_connectivity` was before the memo, kept as an
+    /// oracle: `min_v` of the number of decomposed edge-disjoint `0 → v`
+    /// paths, 0 for `n ≤ 1`.
+    fn exact_sweep(g: &Graph) -> usize {
+        (1..g.node_count())
+            .map(|v| edge_disjoint_path_count(g, 0, v))
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The capped sweep the compilers' `λ ≥ 2f + 1` check ran before the
+    /// memo, kept as an oracle: each of the `n − 1` flows stops after `k`
+    /// augmentations and the first sink that falls short ends the sweep.
+    fn at_least(g: &Graph, k: usize) -> bool {
+        if k == 0 {
+            return true;
+        }
+        let mut flow = MaxFlow::default();
+        g.node_count() > 1 && (1..g.node_count()).all(|v| flow.run(g, 0, v, k) == k)
+    }
+
+    /// The graphs the memo is checked on: the zoo, classic families, two
+    /// disconnected graphs (one with an isolated node), a single node and the
+    /// empty graph.
+    fn memo_cases() -> Vec<Graph> {
+        let mut graphs = generators::test_zoo();
+        graphs.extend([
             generators::path(5),
             generators::cycle(7),
             generators::complete(6),
-            generators::grid(4, 4),
-            generators::ring_of_cliques(4, 5),
-            generators::barbell(5, 2),
             generators::circulant(11, 3),
-            disconnected,
+            Graph::from_edges(4, &[(0, 1), (2, 3)]),
+            Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]),
             Graph::new(1),
             Graph::new(0),
-        ] {
+        ]);
+        graphs
+    }
+
+    #[test]
+    fn threshold_connectivity_agrees_with_the_exact_value() {
+        for g in memo_cases() {
             let lambda = edge_connectivity(&g);
+            assert_eq!(lambda, exact_sweep(&g));
+            assert_eq!(lambda, g.min_cut().len());
             for k in 0..=lambda + 2 {
-                assert_eq!(edge_connectivity_at_least(&g, k), lambda >= k, "k = {k}");
+                assert_eq!(at_least(&g, k), lambda >= k, "k = {k}");
             }
         }
     }

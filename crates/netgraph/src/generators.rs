@@ -418,6 +418,25 @@ impl GraphDef {
     }
 }
 
+/// The campaign graph zoo (`scenario::matrix::graph_zoo_defs(2024)`, which
+/// lives above this crate) for this crate's own oracle tests.
+#[cfg(test)]
+pub(crate) fn test_zoo() -> Vec<Graph> {
+    [
+        GraphDef::complete(12),
+        GraphDef::circulant(18, 4),
+        GraphDef::grid(4, 4),
+        GraphDef::torus(4, 5),
+        GraphDef::expander(24, 8, 2024),
+        GraphDef::watts_strogatz(24, 6, 0.2, 2024 ^ 0x5A11),
+        GraphDef::ring_of_cliques(4, 5),
+        GraphDef::barbell(5, 2),
+    ]
+    .iter()
+    .map(|def| def.build().expect("zoo graph builds"))
+    .collect()
+}
+
 /// A path `0 - 1 - … - (n-1)`.
 pub fn path(n: usize) -> Graph {
     let mut g = Graph::new(n);
@@ -918,7 +937,7 @@ mod tests {
             assert!(g.edge_count() <= 30 * 3);
             assert!(g.edge_count() >= 30 * 3 - 4);
             assert!(
-                crate::traversal::diameter(&g).is_some(),
+                g.diameter().is_some(),
                 "seed {seed}: rewired graph must stay connected"
             );
         }
@@ -933,7 +952,7 @@ mod tests {
         assert_ne!(format!("{:?}", a.edges()), format!("{:?}", c.edges()));
         assert!(a.min_degree() >= 5);
         assert!(a.max_degree() <= 6);
-        assert!(crate::traversal::diameter(&a).is_some());
+        assert!(a.diameter().is_some());
     }
 
     #[test]
@@ -945,7 +964,7 @@ mod tests {
         assert_eq!(g.min_degree(), 4);
         assert_eq!(g.max_degree(), 5); // bridge endpoints
         assert_eq!(crate::connectivity::edge_connectivity(&g), 2);
-        assert!(crate::traversal::diameter(&g).is_some());
+        assert!(g.diameter().is_some());
     }
 
     #[test]

@@ -150,6 +150,10 @@ pub struct Graph {
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
     /// Lazily built CSR view of `adjacency`; reset on mutation.
     csr: OnceLock<CsrIndex>,
+    /// Lazily computed [`Graph::min_cut`]; reset on mutation.
+    min_cut: OnceLock<Vec<EdgeId>>,
+    /// Lazily computed [`Graph::diameter`]; reset on mutation.
+    diameter: OnceLock<Option<usize>>,
 }
 
 impl Graph {
@@ -159,7 +163,7 @@ impl Graph {
             n,
             edges: Vec::new(),
             adjacency: vec![Vec::new(); n],
-            csr: OnceLock::new(),
+            ..Graph::default()
         }
     }
 
@@ -219,6 +223,8 @@ impl Graph {
         self.adjacency[a].push((b, id));
         self.adjacency[b].push((a, id));
         self.csr = OnceLock::new();
+        self.min_cut = OnceLock::new();
+        self.diameter = OnceLock::new();
         id
     }
 
@@ -227,6 +233,27 @@ impl Graph {
     /// this instead of the per-node adjacency vectors.
     pub fn csr(&self) -> &CsrIndex {
         self.csr.get_or_init(|| CsrIndex::build(self))
+    }
+
+    /// The edge ids of one global minimum edge cut, in increasing order (the
+    /// edges leaving the residual source side of the smallest unit-capacity
+    /// max flow from node 0 to any other node), computed on first use and
+    /// cached until the graph is mutated.  Its length is the edge
+    /// connectivity `λ` (0 for disconnected graphs and `n ≤ 1`), so every
+    /// compiler that asks for `λ` or for the witness on one graph shares one
+    /// `n − 1`-sink max-flow sweep.
+    pub fn min_cut(&self) -> &[EdgeId] {
+        self.min_cut
+            .get_or_init(|| crate::connectivity::min_edge_cut(self))
+    }
+
+    /// The exact diameter (maximum eccentricity, by BFS from every node):
+    /// `None` for disconnected or empty graphs.  Computed on first use and
+    /// cached until the graph is mutated.
+    pub fn diameter(&self) -> Option<usize> {
+        *self
+            .diameter
+            .get_or_init(|| crate::traversal::all_pairs_diameter(self))
     }
 
     /// Neighbours of `u` together with the connecting edge ids.
@@ -471,6 +498,24 @@ mod tests {
         // A clone keeps its own (consistent) index.
         let h = g.clone();
         assert_eq!(h.csr().entries().len(), 4);
+    }
+
+    #[test]
+    fn structural_memos_are_invalidated_by_mutation() {
+        let mut g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!((g.min_cut().len(), g.diameter()), (1, Some(3)));
+        g.add_edge(3, 0);
+        assert_eq!((g.min_cut().len(), g.diameter()), (2, Some(2)));
+        // Re-adding an edge that exists changes nothing.
+        g.add_edge(0, 3);
+        assert_eq!((g.min_cut().len(), g.diameter()), (2, Some(2)));
+        // A clone carries the memo of the graph it copies, no more.
+        let mut h = Graph::from_edges(3, &[(0, 1)]);
+        assert_eq!((h.min_cut(), h.diameter()), (&[][..], None));
+        let frozen = h.clone();
+        h.add_edge(1, 2);
+        assert_eq!((h.min_cut().len(), h.diameter()), (1, Some(2)));
+        assert_eq!((frozen.min_cut().len(), frozen.diameter()), (0, None));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::traversal::bfs;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A rooted spanning tree (or forest fragment) of a host graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,13 +215,23 @@ pub fn weighted_shallow_tree(
 
 /// Build an approximate minimum-cost depth-bounded spanning tree by Prim-style
 /// growth: repeatedly attach the out-of-tree node whose cheapest connection to
-/// an in-tree node of depth `< max_depth` is minimal.
+/// an in-tree node of depth `< max_depth` is minimal — ties to the smaller
+/// in-tree node, then to the earlier entry of its neighbour list.
 ///
 /// This is the "min-cost `d`-depth spanning tree" primitive of the paper's
 /// Appendix C (there solved with the O(log n)-approximation of Ghaffari'15; a
 /// greedy Prim variant reproduces the same qualitative trade-off: low total
 /// load at bounded depth).  Nodes unreachable within the depth budget are left
 /// out of the tree.
+///
+/// The candidate edges wait in a binary heap keyed by exactly that order —
+/// (weight, in-tree node, position in its neighbour list), packed into one
+/// `u128` — with lazy deletion: an out-of-tree node keeps the smallest key
+/// offered to it so far, an edge is pushed only when it improves on that, and
+/// an entry that no longer is its node's best surfaces and is discarded.  One
+/// tree costs `O(m log m)`.  Weights are expected finite and positive (the
+/// packings' `a^{load/η}`); they are ordered by [`f64::total_cmp`], which
+/// agrees with `<` on such values.
 ///
 /// # Panics
 ///
@@ -235,30 +246,51 @@ pub fn min_cost_depth_bounded_tree(
     let n = g.node_count();
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
     let mut depth: Vec<Option<usize>> = vec![None; n];
+    // Per node: the tree edge to its parent.
+    let mut up_edge: Vec<Option<EdgeId>> = vec![None; n];
+    // Per out-of-tree node: the smallest candidate key offered to it so far.
+    let mut best = vec![u128::MAX; n];
+    let mut heap = BinaryHeap::new();
     depth[root] = Some(0);
-    for _ in 1..n {
-        // Find the cheapest edge from an eligible in-tree node to an out node.
-        let mut best: Option<(f64, NodeId, NodeId)> = None; // (cost, from, to)
-        for u in 0..n {
-            let Some(du) = depth[u] else { continue };
-            if du >= max_depth {
-                continue;
-            }
-            for &(v, e) in g.neighbors(u) {
-                if depth[v].is_some() {
-                    continue;
-                }
-                let c = weight[e];
-                if best.is_none_or(|(bc, _, _)| c < bc) {
-                    best = Some((c, u, v));
+    let mut attached = Some(root);
+    while let Some(u) = attached {
+        let du = depth[u].expect("attached nodes have a depth");
+        if du < max_depth {
+            for (pos, &(v, e)) in g.neighbors(u).iter().enumerate() {
+                let key = candidate_key(weight[e], u, pos);
+                if depth[v].is_none() && key < best[v] {
+                    best[v] = key;
+                    heap.push(Reverse((key, v)));
                 }
             }
         }
-        let Some((_, u, v)) = best else { break };
-        parent[v] = Some(u);
-        depth[v] = Some(depth[u].unwrap() + 1);
+        attached = std::iter::from_fn(|| heap.pop())
+            .find(|&Reverse((key, v))| depth[v].is_none() && best[v] == key)
+            .map(|Reverse((key, v))| {
+                let (u, pos) = ((key >> 32) as u32 as usize, key as u32 as usize);
+                let dv = depth[u].expect("only in-tree nodes offer edges") + 1;
+                (parent[v], depth[v], up_edge[v]) =
+                    (Some(u), Some(dv), Some(g.neighbors(u)[pos].1));
+                v
+            });
     }
-    RootedTree::from_parents(g, root, parent)
+    RootedTree {
+        root,
+        in_tree: depth.iter().map(Option::is_some).collect(),
+        edges: up_edge.into_iter().flatten().collect(),
+        parent,
+    }
+}
+
+/// The heap key of the edge at position `pos` of in-tree node `u`'s
+/// neighbour list, of weight `w`: `w`'s place in [`f64::total_cmp`] order
+/// (the transformation `total_cmp` itself applies, shifted to unsigned), then
+/// `u`, then `pos`.
+fn candidate_key(w: f64, u: NodeId, pos: usize) -> u128 {
+    let bits = w.to_bits() as i64;
+    let order = (bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64 ^ (1 << 63);
+    debug_assert!(u <= u32::MAX as usize && pos <= u32::MAX as usize);
+    (u128::from(order) << 64) | ((u as u128) << 32) | pos as u128
 }
 
 /// Build the BFS tree of a *subgraph* described by a set of edges, rooted at
@@ -353,6 +385,81 @@ mod tests {
     fn weighted_shallow_tree_rejects_nonpositive_weights() {
         let g = generators::path(3);
         let _ = weighted_shallow_tree(&g, 0, &[0.0, 1.0], 3);
+    }
+
+    /// The Prim scan the heap replaced, kept as the oracle: per attached node,
+    /// reread every in-tree adjacency list for the cheapest edge out (strict
+    /// `<`, so the first minimum in node order, then neighbour order, wins).
+    fn min_cost_tree_by_scan(
+        g: &Graph,
+        root: NodeId,
+        weight: &[f64],
+        max_depth: usize,
+    ) -> RootedTree {
+        let n = g.node_count();
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut depth: Vec<Option<usize>> = vec![None; n];
+        depth[root] = Some(0);
+        for _ in 1..n {
+            let mut best: Option<(f64, NodeId, NodeId)> = None;
+            for u in 0..n {
+                let Some(du) = depth[u] else { continue };
+                if du >= max_depth {
+                    continue;
+                }
+                for &(v, e) in g.neighbors(u) {
+                    if depth[v].is_some() {
+                        continue;
+                    }
+                    if best.is_none_or(|(bc, _, _)| weight[e] < bc) {
+                        best = Some((weight[e], u, v));
+                    }
+                }
+            }
+            let Some((_, u, v)) = best else { break };
+            parent[v] = Some(u);
+            depth[v] = Some(depth[u].unwrap() + 1);
+        }
+        RootedTree::from_parents(g, root, parent)
+    }
+
+    #[test]
+    fn the_heap_tree_is_the_scan_tree() {
+        let mut graphs = generators::test_zoo();
+        graphs.extend([
+            Graph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]),
+            Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]),
+            Graph::new(1),
+            generators::path(2),
+            generators::complete(3),
+        ]);
+        let mut compared = 0;
+        for g in &graphs {
+            let n = g.node_count();
+            let diam = g.diameter().unwrap_or(n);
+            // Loads as a greedy packing accumulates them, so the integer-load
+            // weights `8^(l/2)` tie on most edges; then a scrambled load.
+            let mut load = vec![0usize; g.edge_count()];
+            for trees in 0..8 {
+                if trees == 7 {
+                    load = (0..g.edge_count()).map(|e| (e * 7 + 3) % 5).collect();
+                }
+                let weight: Vec<f64> = load.iter().map(|&l| 8f64.powf(l as f64 / 2.0)).collect();
+                for root in [0, n / 2] {
+                    for budget in [1, 2, diam, 2 * diam + 2, n] {
+                        let heap = min_cost_depth_bounded_tree(g, root, &weight, budget);
+                        let scan = min_cost_tree_by_scan(g, root, &weight, budget);
+                        assert_eq!(heap, scan, "n = {n}, root {root}, budget {budget}");
+                        compared += 1;
+                    }
+                }
+                let tree = min_cost_depth_bounded_tree(g, 0, &weight, 2 * diam + 2);
+                for &e in &tree.edges {
+                    load[e] += 1;
+                }
+            }
+        }
+        assert_eq!(compared, graphs.len() * 8 * 2 * 5);
     }
 
     #[test]

@@ -100,8 +100,9 @@ pub fn component_count(g: &Graph) -> usize {
 }
 
 /// The exact diameter (maximum eccentricity) of a connected graph, computed by
-/// all-sources BFS, or `None` if the graph is disconnected or empty.
-pub fn diameter(g: &Graph) -> Option<usize> {
+/// all-sources BFS, or `None` if the graph is disconnected or empty — the
+/// computation behind the graph's memo, [`Graph::diameter`].
+pub(crate) fn all_pairs_diameter(g: &Graph) -> Option<usize> {
     if g.node_count() == 0 || !is_connected(g) {
         return None;
     }
@@ -145,12 +146,22 @@ mod tests {
 
     #[test]
     fn diameter_of_known_graphs() {
-        assert_eq!(diameter(&generators::path(6)), Some(5));
-        assert_eq!(diameter(&generators::cycle(6)), Some(3));
-        assert_eq!(diameter(&generators::complete(6)), Some(1));
-        assert_eq!(diameter(&generators::grid(3, 3)), Some(4));
-        assert_eq!(diameter(&generators::hypercube(4)), Some(4));
-        assert_eq!(diameter(&Graph::from_edges(3, &[(0, 1)])), None);
+        assert_eq!(generators::path(6).diameter(), Some(5));
+        assert_eq!(generators::cycle(6).diameter(), Some(3));
+        assert_eq!(generators::complete(6).diameter(), Some(1));
+        assert_eq!(generators::grid(3, 3).diameter(), Some(4));
+        assert_eq!(generators::hypercube(4).diameter(), Some(4));
+        assert_eq!(Graph::from_edges(3, &[(0, 1)]).diameter(), None);
+    }
+
+    #[test]
+    fn the_memo_is_the_all_pairs_diameter() {
+        for g in generators::test_zoo()
+            .into_iter()
+            .chain([Graph::from_edges(4, &[(0, 1), (2, 3)]), Graph::new(1)])
+        {
+            assert_eq!(g.diameter(), all_pairs_diameter(&g));
+        }
     }
 
     #[test]
@@ -167,7 +178,7 @@ mod tests {
     fn empty_graph_edge_cases() {
         let g = Graph::new(0);
         assert!(is_connected(&g));
-        assert_eq!(diameter(&g), None);
+        assert_eq!(g.diameter(), None);
         assert_eq!(component_count(&g), 0);
     }
 }

@@ -137,14 +137,19 @@ pub fn greedy_low_depth_packing_with_budget(
         crate::traversal::is_connected(g),
         "greedy packing requires a connected graph"
     );
-    let diam = crate::traversal::diameter(g).unwrap_or(g.node_count());
-    let budget = hop_budget.unwrap_or(2 * diam + 2);
+    let budget = hop_budget.unwrap_or_else(|| 2 * g.diameter().unwrap_or(g.node_count()) + 2);
     let eta = eta_hint.max(1) as f64;
     let a: f64 = 8.0; // base of the multiplicative weights
+
+    // A load is at most the number of trees built so far: one power per load.
+    let weight_of_load: Vec<f64> = (0..k).map(|l| a.powf(l as f64 / eta)).collect();
     let mut load = vec![0usize; g.edge_count()];
+    let mut weights = vec![0.0; g.edge_count()];
     let mut trees = Vec::with_capacity(k);
     for _ in 0..k {
-        let weights: Vec<f64> = load.iter().map(|&l| a.powf(l as f64 / eta)).collect();
+        for (w, &l) in weights.iter_mut().zip(&load) {
+            *w = weight_of_load[l];
+        }
         let tree = min_cost_depth_bounded_tree(g, root, &weights, budget);
         for &e in &tree.edges {
             load[e] += 1;
@@ -201,9 +206,9 @@ pub struct PackingQuality {
     /// The smallest max-edge-load any `k`-tree packing of this graph can have:
     /// `⌈k(n−1)/m⌉` (see [`load_floor`]).
     pub load_floor: usize,
-    /// Tree-edge slots crossing one minimum edge cut
-    /// ([`crate::connectivity::min_edge_cut`]).  Every spanning tree crosses
-    /// every cut, so `good_trees ≤ min_cut_usage ≤ max_edge_load · λ`.
+    /// Tree-edge slots crossing one minimum edge cut ([`Graph::min_cut`]).
+    /// Every spanning tree crosses every cut, so
+    /// `good_trees ≤ min_cut_usage ≤ max_edge_load · λ`.
     pub min_cut_usage: usize,
     /// Maximum tree height.
     pub max_height: usize,
@@ -212,7 +217,7 @@ pub struct PackingQuality {
 impl PackingQuality {
     /// Measure `packing` against root `root` and height budget `max_height`.
     pub fn measure(g: &Graph, packing: &TreePacking, root: NodeId, max_height: usize) -> Self {
-        let cut = crate::connectivity::min_edge_cut(g);
+        let cut = g.min_cut();
         let min_cut_usage = packing
             .trees
             .iter()
@@ -303,7 +308,7 @@ pub fn augmented_low_depth_packing_traced(
     hop_budget: Option<usize>,
     tracer: &mut obs::Tracer,
 ) -> TreePacking {
-    let diam = crate::traversal::diameter(g).unwrap_or(g.node_count());
+    let diam = g.diameter().unwrap_or(g.node_count());
     let budget = hop_budget.unwrap_or(2 * diam + 2);
     let greedy = greedy_low_depth_packing_with_budget(g, root, k, eta_hint, Some(budget));
     let eta_star = load_floor(g, k).max(eta_hint);
@@ -826,7 +831,7 @@ mod tests {
                 "v2 must be deterministic (campaign reproducibility)"
             );
             assert!(v2a.load(&g) <= v1.load(&g), "v2 must never raise the load");
-            let diam = crate::traversal::diameter(&g).unwrap();
+            let diam = g.diameter().unwrap();
             let budget = 2 * diam + 2 + diam;
             assert!(
                 v2a.count_good(&g, 0, budget) >= v1.count_good(&g, 0, budget),

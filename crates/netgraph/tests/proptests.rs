@@ -1,11 +1,11 @@
 //! Property-based tests for the graph substrate.
 
-use netgraph::connectivity::{edge_connectivity, edge_connectivity_at_least, edge_disjoint_paths};
+use netgraph::connectivity::{edge_connectivity, edge_disjoint_path_count, edge_disjoint_paths};
 use netgraph::cycle_cover::FtCycleCover;
 use netgraph::generators;
 use netgraph::graph::Graph;
 use netgraph::spanning::bfs_tree;
-use netgraph::traversal::{bfs, diameter, is_connected};
+use netgraph::traversal::{bfs, is_connected};
 use netgraph::tree_packing::{
     augmented_low_depth_packing, greedy_low_depth_packing, load_floor, star_packing, PackingQuality,
 };
@@ -67,7 +67,13 @@ proptest! {
 
     #[test]
     fn threshold_connectivity_is_the_exact_value_compared(g in arb_any_graph(), k in 0usize..=6) {
-        prop_assert_eq!(edge_connectivity_at_least(&g, k), edge_connectivity(&g) >= k);
+        // The memoised cut against `min_v` of the decomposed `0 → v` flows.
+        let exact = (1..g.node_count())
+            .map(|v| edge_disjoint_path_count(&g, 0, v))
+            .min()
+            .unwrap_or(0);
+        prop_assert_eq!(edge_connectivity(&g), exact);
+        prop_assert_eq!(g.min_cut().len() >= k, exact >= k);
     }
 
     #[test]
@@ -91,7 +97,7 @@ proptest! {
     #[test]
     fn greedy_packing_trees_span_and_height_bounded(g in arb_connected_graph(), k in 1usize..5) {
         let p = greedy_low_depth_packing(&g, 0, k, 2);
-        let diam = diameter(&g).unwrap();
+        let diam = g.diameter().unwrap();
         for t in &p.trees {
             prop_assert!(t.is_spanning(&g));
             prop_assert!(t.height() <= g.node_count().max(diam));
@@ -114,7 +120,7 @@ proptest! {
             prop_assert!(t.is_spanning(&g), "v2 lost a spanning tree");
             prop_assert_eq!(t.root, 0);
         }
-        let diam = diameter(&g).unwrap();
+        let diam = g.diameter().unwrap();
         let budget = 3 * diam + 2; // the v2 construction budget incl. slack
         let q1 = PackingQuality::measure(&g, &v1, 0, budget);
         let q2 = PackingQuality::measure(&g, &v2, 0, budget);

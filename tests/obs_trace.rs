@@ -112,6 +112,51 @@ fn traced_campaign_report_is_golden() {
     );
 }
 
+/// The cycle-cover compiler's flood rounds, traced: every adversary family of
+/// the zoo against `cycle-cover(f=1)` on three covered graphs.  The
+/// trajectory lines do not carry `messages`, `words` or `edge_messages`, but
+/// the report fingerprint does (it is the cells' `Debug` form, `Metrics`
+/// included), so a flood round that charges its traffic volume differently is
+/// a diff here.  Both literals were captured at the commit before flood rounds
+/// stopped copying the relays' held traffic into a second buffer every round.
+#[test]
+fn traced_cycle_cover_campaign_is_golden() {
+    let spec = CampaignSpec {
+        seed: 41,
+        repetitions: 2,
+        grid: GridSpec {
+            graphs: vec![
+                GraphDef::complete(8),
+                GraphDef::circulant(10, 2),
+                GraphDef::torus(3, 4),
+            ],
+            adversaries: mobile_congest::scenario::matrix::adversary_zoo_defs(1),
+            compilers: vec![CompilerDef::CycleCover { f: 1 }],
+            payload: PayloadDef::FloodBroadcast {
+                source: 0,
+                value: 4242,
+            },
+        },
+    };
+    let report = Campaign::from_spec(&spec)
+        .unwrap()
+        .threads(1)
+        .trace(obs::TraceSpec::ring())
+        .run();
+    assert_eq!(
+        fnv1a_hex(report.fingerprint().bytes()),
+        "ba3ee687da1aee99",
+        "traced cycle-cover report drifted"
+    );
+    let bytes = event_bytes(&report);
+    assert_eq!(bytes.len(), 1_255_510);
+    assert_eq!(
+        fnv1a_hex(bytes.bytes()),
+        "73ce1e89f13f33da",
+        "traced cycle-cover event streams drifted"
+    );
+}
+
 #[test]
 fn same_seed_rerun_reproduces_the_trace_exactly() {
     let a = traced_campaign(4);
