@@ -24,9 +24,7 @@ use mobile_congest::graphs::Graph;
 use mobile_congest::icoding::{RsScheduler, SchedulePlan};
 use mobile_congest::payloads::{FloodBroadcast, LeaderElection, TokenDissemination};
 use mobile_congest::scenario::{
-    BoxedAlgorithm, CliqueAdapter, Compiler, CongestionSensitiveAdapter, CycleCoverAdapter,
-    ExpanderAdapter, RewindAdapter, RunReport, Scenario, StaticToMobileAdapter, TreePackingAdapter,
-    Uncompiled,
+    BoxedAlgorithm, Compiler, CompilerDef, RunReport, Scenario, Uncompiled,
 };
 use mobile_congest::sim::adversary::{
     AdversaryRole, BurstAdversary, CorruptionBudget, CorruptionMode, GreedyHeaviest, RandomMobile,
@@ -133,9 +131,17 @@ fn e2_static_to_mobile() {
         ("K12", generators::complete(12)),
     ] {
         for &t in &[2usize, 8, 32] {
-            let report = eaves_scenario(&g, 2, 3, StaticToMobileAdapter::new(t, 2, 7), |g| {
-                FloodBroadcast::new(g.clone(), 0, 99)
-            });
+            let report = eaves_scenario(
+                &g,
+                2,
+                3,
+                CompilerDef::StaticToMobile {
+                    t,
+                    words: 2,
+                    seed: 7,
+                },
+                |g| FloodBroadcast::new(g.clone(), 0, 99),
+            );
             let compiler = mobile_congest::compilers::secure::StaticToMobileCompiler::new(t, 2, 7);
             println!(
                 "{}   [{name}, t={t}: key rounds {}, f'(f_static=4) = {}]",
@@ -229,10 +235,17 @@ fn e5_congestion_compiler() {
             ("K10", generators::complete(10)),
             ("grid3x4", generators::grid(3, 4)),
         ] {
-            let report =
-                eaves_scenario(&g, f, 19, CongestionSensitiveAdapter::new(f, 2, 17), |g| {
-                    FloodBroadcast::new(g.clone(), 0, 5)
-                });
+            let report = eaves_scenario(
+                &g,
+                f,
+                19,
+                CompilerDef::CongestionSensitive {
+                    f,
+                    words: 2,
+                    seed: 17,
+                },
+                |g| FloodBroadcast::new(g.clone(), 0, 5),
+            );
             println!("{}   [{name}]", report.table_row());
         }
     }
@@ -282,7 +295,12 @@ fn e7_tree_compiler() {
                 g,
                 f,
                 100 + f as u64,
-                TreePackingAdapter::new(f, 7).with_trees(*k),
+                CompilerDef::TreePacking {
+                    f,
+                    trees: Some(*k),
+                    seed: 7,
+                    packing: Default::default(),
+                },
                 |g| LeaderElection::new(g.clone()),
             );
             println!("{}   [{name}]", report.table_row());
@@ -298,9 +316,13 @@ fn e8_clique_scaling() {
         let g = generators::complete(n);
         let f = mobile_congest::compilers::resilient::CliqueCompiler::max_tolerable_f(n).max(1);
         let tokens: Vec<u64> = (0..n as u64).collect();
-        let report = byz_scenario(&g, f, n as u64, CliqueAdapter::new(f, 7), move |g| {
-            TokenDissemination::new(g.clone(), tokens.clone(), g.node_count())
-        });
+        let report = byz_scenario(
+            &g,
+            f,
+            n as u64,
+            CompilerDef::Clique { f, seed: 7 },
+            move |g| TokenDissemination::new(g.clone(), tokens.clone(), g.node_count()),
+        );
         println!("{}   [n={n}]", report.table_row());
     }
 }
@@ -317,7 +339,12 @@ fn e9_expander() {
             &g,
             1,
             77 + n as u64,
-            ExpanderAdapter::new(1, k, 6, 13),
+            CompilerDef::Expander {
+                f: 1,
+                k,
+                bfs_rounds: 6,
+                seed: 13,
+            },
             |g| LeaderElection::new(g.clone()),
         );
         println!("{}   [n={n} deg={d} phi={phi:.3}]", report.table_row());
@@ -342,7 +369,7 @@ fn e10_cycle_cover() {
                 CorruptionBudget::Mobile { f },
             )
             .seed(5)
-            .compiled_with(CycleCoverAdapter::new(f))
+            .compiled_with(CompilerDef::CycleCover { f })
             .run();
         match outcome {
             Ok(report) => println!("{}   [{name}]", report.table_row()),
@@ -367,7 +394,7 @@ fn e11_rewind() {
                 CorruptionBudget::RoundErrorRate { total: budget },
             )
             .seed(7)
-            .compiled_with(RewindAdapter::new(1, 5))
+            .compiled_with(CompilerDef::Rewind { f: 1, seed: 5 })
             .run()
             .expect("rewind scenario failed");
         println!("{}   [n={n}, budget={budget}]", report.table_row());
@@ -515,7 +542,7 @@ fn e15_baselines() {
             .collect::<Vec<_>>()
             == expected;
         // Mobile compiler.
-        let compiled = run_cell(3, Box::new(CliqueAdapter::new(f, 9)));
+        let compiled = run_cell(3, Box::new(CompilerDef::Clique { f, seed: 9 }));
         println!(
             "{:>6} {:>4} {:>12} {:>12} {:>12}",
             n,

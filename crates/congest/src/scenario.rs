@@ -29,8 +29,8 @@
 //! The pieces:
 //!
 //! * [`Compiler`] — the object-safe interface every compiler implements
-//!   (thin adapters in `mobile-congest-core` wrap the paper's seven
-//!   compilers; [`Uncompiled`] and [`FaultFree`] live here);
+//!   (`mobile-congest-core`'s `CompilerDef` names and runs the paper's
+//!   seven compilers; [`Uncompiled`] and [`FaultFree`] live here);
 //! * [`ScenarioBuilder`] — fluent configuration, judged when
 //!   [`ScenarioBuilder::build`] (or `run`) is called: an eavesdropper paired
 //!   with a resilience compiler, or a graph the compiler's
@@ -221,7 +221,7 @@ impl CompilerKind {
 /// Every compiler of the paper produces a structured report of *how* the run
 /// went — how many rewinds, whether every round was fully corrected, how many
 /// rounds were spent exchanging keys, how good the packing built under attack
-/// was.  Before this enum the adapters discarded those reports; now the whole
+/// was.  Before this enum the pipeline discarded those reports; now the whole
 /// channel is typed end to end, so scenario callers (and the `harness`
 /// campaign engine) can assert on and aggregate over them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -710,7 +710,7 @@ pub trait Compiler {
 
 /// The role check every compiler shares: its [`CompilerKind`] must support
 /// the configured adversary role.  [`ScenarioBuilder::build`] runs it once,
-/// ahead of the pair's [`Verdict`]; adapters repeat it at the top of
+/// ahead of the pair's [`Verdict`]; compilers repeat it at the top of
 /// `execute`.
 pub fn validate_role<C: Compiler + ?Sized>(
     compiler: &C,
@@ -1662,7 +1662,7 @@ mod tests {
 
     /// A resilient-kind shim whose `prepare` counts its calls and rejects
     /// graphs under five nodes — role and verdict precedence without the
-    /// core adapters.
+    /// core compilers.
     struct Picky(std::rc::Rc<std::cell::Cell<usize>>);
     impl Compiler for Picky {
         fn name(&self) -> String {

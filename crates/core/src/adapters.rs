@@ -1,39 +1,43 @@
-//! Thin [`Compiler`] adapters: the paper's seven compilers behind the unified
-//! `scenario` execution API.
+//! [`CompilerDef`]: the paper's seven compilers — and the three pipeline
+//! compilers beside them — as one serializable value that *is* the unified
+//! `scenario` [`Compiler`].
 //!
-//! Each adapter is a cheap, `Clone` parameter holder.  Its `prepare` opens
-//! with the theorem's preconditions on the graph and on the adapter's own
-//! parameters — the only place they are stated — so the wrapped
-//! constructors' panics and `Option` returns become typed
-//! [`ScenarioError`]s; then everything derived from the graph alone (star
-//! packings, greedy tree packings, cycle covers) is built there, and
-//! everything seed- or adversary-dependent (key pools, under-attack
-//! packings) inside `execute` from `net.graph()`.  That makes one adapter
-//! value, and one `prepare` outcome per graph, reusable across a whole
-//! campaign grid:
+//! A def is a cheap, `Clone` parameter holder.  Its `prepare` opens with the
+//! theorem's preconditions on the graph and on the def's own parameters — the
+//! only place they are stated — so the wrapped constructors' panics and
+//! `Option` returns become typed [`ScenarioError`]s; then everything derived
+//! from the graph alone (star packings, greedy tree packings, cycle covers)
+//! is built there, and everything seed- or adversary-dependent (key pools,
+//! under-attack packings) inside `execute` from `net.graph()`.  That makes
+//! one def, and one `prepare` outcome per graph, reusable across a whole
+//! campaign grid — and the same value a spec parses into, a cache keys on
+//! and a scenario runs:
 //!
-//! | Adapter | Wraps | Paper result |
-//! |---|---|---|
-//! | [`CliqueAdapter`] | `CliqueCompiler` | Theorem 1.6 |
-//! | [`TreePackingAdapter`] | `MobileByzantineCompiler` | Theorem 3.5 |
-//! | [`CycleCoverAdapter`] | `CycleCoverCompiler` | Theorems 1.4 / 5.5 |
-//! | [`ExpanderAdapter`] | `run_expander_compiled` | Theorem 1.7 |
-//! | [`RewindAdapter`] | `RewindCompiler` | Theorem 4.1 |
-//! | [`StaticToMobileAdapter`] | `StaticToMobileCompiler` | Theorem 1.2 |
-//! | [`CongestionSensitiveAdapter`] | `CongestionSensitiveCompiler` | Theorem 1.3 |
+//! | Def | Wraps | Paper result | Kind |
+//! |---|---|---|---|
+//! | `Uncompiled` | [`congest_sim::scenario::Uncompiled`] | — | `Baseline` |
+//! | `Async` | [`async_exec::AsyncExecutor`] | — | `Baseline` |
+//! | `FaultFree` | [`congest_sim::scenario::FaultFree`] | — | `Reference` |
+//! | `Clique` | `CliqueCompiler` | Theorem 1.6 | `Resilient` |
+//! | `TreePacking` | `MobileByzantineCompiler` | Theorem 3.5 | `Resilient` |
+//! | `CycleCover` | `CycleCoverCompiler` | Theorems 1.4 / 5.5 | `Resilient` |
+//! | `Expander` | `run_expander_compiled` | Theorem 1.7 | `Resilient` |
+//! | `Rewind` | `RewindCompiler` | Theorem 4.1 | `RateResilient` |
+//! | `StaticToMobile` | `StaticToMobileCompiler` | Theorem 1.2 | `Secure` |
+//! | `CongestionSensitive` | `CongestionSensitiveCompiler` | Theorem 1.3 | `Secure` |
 
-use async_exec::ScheduleDef;
+use async_exec::{AsyncExecutor, ScheduleDef};
 
 use crate::rate::RewindCompiler;
 use crate::resilient::{
-    rs_error_capacity, run_expander_compiled, CliqueCompiler, CorrectionVariant,
-    CycleCoverCompiler, MobileByzantineCompiler, MAX_ARCS,
+    rs_error_capacity, run_expander_compiled, CliqueCompiler, CycleCoverCompiler,
+    MobileByzantineCompiler, MAX_ARCS,
 };
 use crate::secure::{broadcast_packing, CongestionSensitiveCompiler, StaticToMobileCompiler};
 use congest_sim::network::Network;
 use congest_sim::scenario::{
     validate_role, BoxedAlgorithm, CompileArtifacts, Compiler, CompilerKind, CompilerNotes,
-    ScenarioError,
+    FaultFree, ScenarioError, Uncompiled,
 };
 use congest_sim::traffic::Output;
 use netgraph::connectivity::edge_connectivity;
@@ -156,7 +160,7 @@ fn validate_clique_floor(compiler: &str, g: &Graph, f: usize) -> Result<(), Scen
     Ok(())
 }
 
-/// What the tree-packing and rewind adapters ask of a graph before packing
+/// What the tree-packing and rewind compilers ask of a graph before packing
 /// `k` trees for `f` faults: addressable arcs, then the lambda floor alone on
 /// a clique (its star packing is always feasible) or the full packing
 /// feasibility elsewhere — the same split [`resilient_packing_on`] makes.
@@ -169,7 +173,7 @@ fn validate_packable(compiler: &str, g: &Graph, k: usize, f: usize) -> Result<()
     }
 }
 
-/// Build the packing the byzantine-resilient adapters share: the `(n, 2, 2)`
+/// Build the packing the byzantine-resilient compilers share: the `(n, 2, 2)`
 /// star packing on cliques; elsewhere the Appendix-C greedy packing (v1) or
 /// its augmenting-path repaired successor (v2) per the selected
 /// [`PackingVersion`].  A pure function of `(g, k, version)` — the tracer
@@ -199,7 +203,7 @@ fn resilient_packing_on(
 /// The payload `compiler`'s own `prepare` stored in `artifacts`, or the typed
 /// error for artifacts some other compiler prepared.
 fn prepared<'a, T: std::any::Any + Send + Sync>(
-    compiler: &impl Compiler,
+    compiler: &CompilerDef,
     artifacts: &'a CompileArtifacts,
 ) -> Result<&'a T, ScenarioError> {
     artifacts
@@ -215,7 +219,7 @@ fn prepared<'a, T: std::any::Any + Send + Sync>(
 /// or a message past the correction sketches' element layout
 /// (`UnpackableMessage`): a parameter rejection like any other, only one the
 /// payload has to be known, or start sending, before anything can see it.
-fn payload_rejection(compiler: &impl Compiler, error: impl std::fmt::Display) -> ScenarioError {
+fn payload_rejection(compiler: &CompilerDef, error: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::InvalidParameter {
         compiler: compiler.name(),
         reason: error.to_string(),
@@ -229,7 +233,7 @@ fn default_tree_count(f: usize) -> usize {
 }
 
 /// Fold a [`ByzantineCompilerReport`] correction trace into the typed notes
-/// channel (shared by the clique, tree-packing and expander adapters).
+/// channel (shared by the clique, tree-packing and expander compilers).
 fn resilient_notes(report: &crate::resilient::ByzantineCompilerReport) -> CompilerNotes {
     let q = &report.packing_quality;
     CompilerNotes::Resilient {
@@ -245,558 +249,13 @@ fn resilient_notes(report: &crate::resilient::ByzantineCompilerReport) -> Compil
     }
 }
 
-/// Theorem 1.6: the CONGESTED CLIQUE compiler (star packing over `K_n`).
-#[derive(Debug, Clone, Copy)]
-pub struct CliqueAdapter {
-    /// The mobile fault bound to withstand.
-    pub f: usize,
-    /// Compiler randomness seed.
-    pub seed: u64,
-    /// Correction procedure.
-    pub variant: CorrectionVariant,
-}
+/// The node the congestion-sensitive compiler's global secret exchange is
+/// rooted at.
+const BROADCAST_SOURCE: NodeId = 0;
 
-impl CliqueAdapter {
-    /// Adapter for an `f`-mobile byzantine adversary.
-    pub fn new(f: usize, seed: u64) -> Self {
-        CliqueAdapter {
-            f,
-            seed,
-            variant: CorrectionVariant::SparseMajority,
-        }
-    }
-
-    /// Select the correction variant (default: sparse majority).
-    pub fn with_variant(mut self, variant: CorrectionVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-}
-
-impl Compiler for CliqueAdapter {
-    fn name(&self) -> String {
-        format!("clique(f={})", self.f)
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::Resilient
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        validate_arc_ids(&self.name(), graph)?;
-        // `CliqueCompiler::new` asserts completeness.
-        if !is_complete(graph) {
-            return Err(ScenarioError::UnsupportedGraph {
-                compiler: self.name(),
-                reason: "the clique compiler requires the complete graph".into(),
-            });
-        }
-        // Note: `CliqueCompiler::max_tolerable_f` is the far stricter
-        // *worst-case* majority envelope; runs beyond it can still succeed
-        // against non-adversarial strategies, so it is reported in
-        // experiments rather than enforced.
-        validate_clique_floor(&self.name(), graph, self.f)?;
-        // The wrapped compiler, star packing and all, under a packing span.
-        tracer.span_open(obs::Phase::Packing);
-        let compiler = CliqueCompiler::new(graph, self.f, self.seed).with_variant(self.variant);
-        tracer.span_close(obs::Phase::Packing);
-        Ok(CompileArtifacts::with_payload(graph, compiler))
-    }
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        // The graph was judged by the `prepare` behind `artifacts`; here only
-        // the cheap role check guards direct trait callers.
-        validate_role(self, net.role())?;
-        let compiler: &CliqueCompiler = prepared(self, artifacts)?;
-        let (out, report) = compiler
-            .run(&mut *make(), net)
-            .map_err(|e| payload_rejection(self, e))?;
-        Ok((out, resilient_notes(&report)))
-    }
-}
-
-/// Theorem 3.5: the general-graph compiler over a low-depth tree packing —
-/// the greedy construction (v1) or its augmenting-path repaired successor
-/// (v2, the default; see `netgraph::tree_packing::improve_packing`).
-#[derive(Debug, Clone, Copy)]
-pub struct TreePackingAdapter {
-    /// The mobile fault bound to withstand.
-    pub f: usize,
-    /// Number of trees to pack (default: the majority-argument minimum).
-    pub k: usize,
-    /// Compiler randomness seed.
-    pub seed: u64,
-    /// Correction procedure.
-    pub variant: CorrectionVariant,
-    /// Which packing construction to use (default: v2).
-    pub packing: PackingVersion,
-}
-
-impl TreePackingAdapter {
-    /// Adapter for an `f`-mobile byzantine adversary with the default tree
-    /// count `k = 2·t_RS·c_RS·f·η + 1` and the v2 augmented packing.
-    pub fn new(f: usize, seed: u64) -> Self {
-        TreePackingAdapter {
-            f,
-            k: default_tree_count(f),
-            seed,
-            variant: CorrectionVariant::SparseMajority,
-            packing: PackingVersion::default(),
-        }
-    }
-
-    /// Override the number of packed trees.  On complete graphs the
-    /// `(n, 2, 2)` star packing is used instead and `k` has no effect.
-    pub fn with_trees(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Select the correction variant (default: sparse majority).
-    pub fn with_variant(mut self, variant: CorrectionVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Select the packing construction (default: v2 augmented) — the knob
-    /// campaign grids use to A/B the two packings on identical cells.
-    pub fn with_packing(mut self, packing: PackingVersion) -> Self {
-        self.packing = packing;
-        self
-    }
-}
-
-impl Compiler for TreePackingAdapter {
-    fn name(&self) -> String {
-        format!(
-            "tree-packing(f={},k={},{})",
-            self.f,
-            self.k,
-            self.packing.label()
-        )
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::Resilient
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        validate_at_least_one(&self.name(), "trees", self.k)?;
-        validate_packable(&self.name(), graph, self.k, self.f)?;
-        // The packing (and therefore the whole wrapped compiler — its seed is
-        // the adapter's own parameter) is a pure function of the graph, and so
-        // is the correction context (schedule plan, spanning flags, broadcast
-        // code, quality measurement) prepared alongside it.
-        let packing = resilient_packing_on(graph, tracer, self.k, self.packing);
-        let compiler = MobileByzantineCompiler::new(graph, packing, self.f, self.seed)
-            .with_variant(self.variant);
-        Ok(CompileArtifacts::with_payload(graph, compiler))
-    }
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let compiler: &MobileByzantineCompiler = prepared(self, artifacts)?;
-        let (out, report) = compiler
-            .run(&mut *make(), net)
-            .map_err(|e| payload_rejection(self, e))?;
-        Ok((out, resilient_notes(&report)))
-    }
-}
-
-/// Theorems 1.4 / 5.5: the FT-cycle-cover compiler for `(2f+1)`-edge-connected
-/// graphs.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleCoverAdapter {
-    /// The mobile fault bound to withstand.
-    pub f: usize,
-}
-
-impl CycleCoverAdapter {
-    /// Adapter for an `f`-mobile byzantine adversary.
-    pub fn new(f: usize) -> Self {
-        CycleCoverAdapter { f }
-    }
-}
-
-impl Compiler for CycleCoverAdapter {
-    fn name(&self) -> String {
-        format!("cycle-cover(f={})", self.f)
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::Resilient
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        let _ = tracer;
-        validate_connectivity_floor(&self.name(), graph, self.f)?;
-        // The FT cycle cover is deterministic in the graph; the wrapped
-        // compiler carries no seed at all.  Past the floor every edge has its
-        // `2f + 1` disjoint paths (Menger), so `None` is the same shortfall.
-        let compiler = CycleCoverCompiler::new(graph, self.f)
-            .ok_or_else(|| insufficient_connectivity(&self.name(), graph, self.f))?;
-        Ok(CompileArtifacts::with_payload(graph, compiler))
-    }
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let compiler: &CycleCoverCompiler = prepared(self, artifacts)?;
-        let (out, report) = compiler.run(&mut *make(), net);
-        let notes = CompilerNotes::CycleCover {
-            paths_per_edge: report.paths_per_edge,
-            dilation: report.dilation,
-            congestion: report.congestion,
-            colors: report.colors,
-        };
-        Ok((out, notes))
-    }
-}
-
-/// Theorem 1.7: the expander compiler — the weak packing is built while the
-/// adversary is already attacking.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpanderAdapter {
-    /// The mobile fault bound to withstand.
-    pub f: usize,
-    /// Number of edge colours / candidate trees.
-    pub k: usize,
-    /// BFS propagation rounds (use `Θ(log n / φ)`).
-    pub bfs_rounds: usize,
-    /// Compiler randomness seed.
-    pub seed: u64,
-}
-
-impl ExpanderAdapter {
-    /// Adapter for an `f`-mobile byzantine adversary, with `k` colour classes
-    /// and `bfs_rounds` propagation rounds.
-    pub fn new(f: usize, k: usize, bfs_rounds: usize, seed: u64) -> Self {
-        ExpanderAdapter {
-            f,
-            k,
-            bfs_rounds,
-            seed,
-        }
-    }
-}
-
-impl Compiler for ExpanderAdapter {
-    fn name(&self) -> String {
-        format!("expander(f={},k={})", self.f, self.k)
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::Resilient
-    }
-    // Theorem 1.7's whole point is that the weak packing is *built while the
-    // adversary attacks* — it depends on the seed and the adversary, so past
-    // the checks graph-only artifacts are all that is cacheable.
-    fn prepare(
-        &self,
-        graph: &Graph,
-        _tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        validate_at_least_one(&self.name(), "k", self.k)?;
-        validate_arc_ids(&self.name(), graph)?;
-        // Every colour class must stay above the spanning threshold: average
-        // per-colour degree d/k well clear of ~ln n.
-        if graph.min_degree() < 4 * self.k {
-            return Err(ScenarioError::UnsupportedGraph {
-                compiler: self.name(),
-                reason: format!(
-                    "min degree {} is too small for {} colour classes",
-                    graph.min_degree(),
-                    self.k
-                ),
-            });
-        }
-        Ok(CompileArtifacts::graph_only(graph))
-    }
-    fn execute(
-        &self,
-        _artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let (out, report) = run_expander_compiled(
-            &mut *make(),
-            net,
-            self.f,
-            self.k,
-            self.bfs_rounds,
-            self.seed,
-        )
-        .map_err(|e| payload_rejection(self, e))?;
-        let notes = CompilerNotes::Expander {
-            trees: report.packing.k,
-            good_trees: report.packing.good_trees,
-            packing_rounds: report.packing.rounds,
-            fully_corrected: report.compilation.fully_corrected,
-            mismatches_after: report
-                .compilation
-                .per_round
-                .iter()
-                .map(|r| r.mismatches_after)
-                .sum(),
-        };
-        Ok((out, notes))
-    }
-}
-
-/// Theorem 4.1: the round-error-rate rewind compiler.  Rewinding re-simulates
-/// the payload from the committed prefix, so `execute` calls its payload
-/// factory once per global round.
-#[derive(Debug, Clone, Copy)]
-pub struct RewindAdapter {
-    /// The average per-round corruption bound to withstand.
-    pub f: usize,
-    /// Compiler randomness seed.
-    pub seed: u64,
-}
-
-impl RewindAdapter {
-    /// Adapter for an `f`-average-rate byzantine adversary.
-    pub fn new(f: usize, seed: u64) -> Self {
-        RewindAdapter { f, seed }
-    }
-}
-
-impl Compiler for RewindAdapter {
-    fn name(&self) -> String {
-        format!("rewind(f={})", self.f)
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::RateResilient
-    }
-    fn prepare(
-        &self,
-        graph: &Graph,
-        tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        let k = default_tree_count(self.f);
-        validate_packable(&self.name(), graph, k, self.f)?;
-        // Only the packing is seed-independent (the rewind schedule itself
-        // reacts to the adversary), so the artifacts carry the bare packing.
-        let packing = resilient_packing_on(graph, tracer, k, PackingVersion::default());
-        Ok(CompileArtifacts::with_payload(graph, packing))
-    }
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let packing: &TreePacking = prepared(self, artifacts)?;
-        let compiler = RewindCompiler::new(packing.clone(), self.f, self.seed);
-        let (out, report) = compiler
-            .run(make, net)
-            .map_err(|e| payload_rejection(self, e))?;
-        if !report.completed {
-            return Err(ScenarioError::IncompleteRun {
-                compiler: self.name(),
-                detail: format!(
-                    "committed only {} rounds after {} rewinds in {} global rounds",
-                    report.committed_rounds, report.rewinds, report.global_rounds
-                ),
-            });
-        }
-        let notes = CompilerNotes::Rewind {
-            rewinds: report.rewinds,
-            committed_rounds: report.committed_rounds,
-            global_rounds: report.global_rounds,
-            completed: report.completed,
-        };
-        Ok((out, notes))
-    }
-}
-
-/// Theorem 1.2: the static→mobile secrecy compiler (one-time pads from
-/// Vandermonde bit extraction).
-#[derive(Debug, Clone, Copy)]
-pub struct StaticToMobileAdapter {
-    /// Slack parameter `t` (more key rounds, more tolerated mobility).
-    pub t: usize,
-    /// Maximum payload width in words.
-    pub words_per_message: usize,
-    /// Node-randomness seed.
-    pub seed: u64,
-}
-
-impl StaticToMobileAdapter {
-    /// Adapter with slack `t` protecting messages of up to
-    /// `words_per_message` words.
-    pub fn new(t: usize, words_per_message: usize, seed: u64) -> Self {
-        StaticToMobileAdapter {
-            t,
-            words_per_message,
-            seed,
-        }
-    }
-}
-
-impl Compiler for StaticToMobileAdapter {
-    fn name(&self) -> String {
-        format!("static-to-mobile(t={})", self.t)
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::Secure
-    }
-    // Key schedules are exchanged *over the network* per run (the pads depend
-    // on node randomness the eavesdropper races against), so past the check
-    // graph-only artifacts are all that is cacheable.
-    fn prepare(
-        &self,
-        graph: &Graph,
-        _tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        validate_at_least_one(&self.name(), "words_per_message", self.words_per_message)?;
-        Ok(CompileArtifacts::graph_only(graph))
-    }
-    fn execute(
-        &self,
-        _artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let compiler = StaticToMobileCompiler::new(self.t, self.words_per_message, self.seed);
-        let (out, report) = compiler
-            .run(&mut *make(), net)
-            .map_err(|e| payload_rejection(self, e))?;
-        let notes = CompilerNotes::Secure {
-            key_rounds: report.key_rounds,
-            simulation_rounds: report.simulation_rounds,
-        };
-        Ok((out, notes))
-    }
-}
-
-/// Theorem 1.3: the congestion-sensitive secrecy compiler (dummy traffic on
-/// silent edges, tagged and padded real traffic elsewhere).
-#[derive(Debug, Clone, Copy)]
-pub struct CongestionSensitiveAdapter {
-    /// The mobile eavesdropping bound to defend against.
-    pub f: usize,
-    /// Maximum payload width in words.
-    pub words_per_message: usize,
-    /// Node-randomness seed.
-    pub seed: u64,
-    /// Source node for the global secret exchange.
-    pub source: NodeId,
-}
-
-impl CongestionSensitiveAdapter {
-    /// Adapter for an `f`-mobile eavesdropper, global exchange rooted at
-    /// node 0.
-    pub fn new(f: usize, words_per_message: usize, seed: u64) -> Self {
-        CongestionSensitiveAdapter {
-            f,
-            words_per_message,
-            seed,
-            source: 0,
-        }
-    }
-
-    /// Root the global secret exchange elsewhere.
-    pub fn with_source(mut self, source: NodeId) -> Self {
-        self.source = source;
-        self
-    }
-}
-
-impl Compiler for CongestionSensitiveAdapter {
-    fn name(&self) -> String {
-        format!("congestion-sensitive(f={})", self.f)
-    }
-    fn kind(&self) -> CompilerKind {
-        CompilerKind::Secure
-    }
-    // Both the local and the global key exchanges run over the live
-    // (eavesdropped) network; what is seed-independent is the tree packing
-    // the global exchange shares the hash seed over.
-    fn prepare(
-        &self,
-        graph: &Graph,
-        _tracer: &mut obs::Tracer,
-    ) -> Result<CompileArtifacts, ScenarioError> {
-        if self.source >= graph.node_count() {
-            return Err(ScenarioError::InvalidParameter {
-                compiler: self.name(),
-                reason: format!(
-                    "source {} is not a node of the {}-node graph",
-                    self.source,
-                    graph.node_count()
-                ),
-            });
-        }
-        validate_at_least_one(&self.name(), "words_per_message", self.words_per_message)?;
-        // The secure broadcast reaches every node over spanning trees.
-        if !is_connected(graph) {
-            return Err(ScenarioError::UnsupportedGraph {
-                compiler: self.name(),
-                reason: "the global secret exchange needs a connected graph".to_string(),
-            });
-        }
-        let packing = broadcast_packing(graph, self.source, self.f);
-        Ok(CompileArtifacts::with_payload(graph, packing))
-    }
-    fn execute(
-        &self,
-        artifacts: &CompileArtifacts,
-        make: &dyn Fn() -> BoxedAlgorithm,
-        net: &mut Network,
-    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
-        validate_role(self, net.role())?;
-        let packing: &TreePacking = prepared(self, artifacts)?;
-        let compiler = CongestionSensitiveCompiler::new(self.f, self.words_per_message, self.seed);
-        let (out, report) = compiler
-            .run(&mut *make(), net, self.source, packing)
-            .map_err(|e| payload_rejection(self, e))?;
-        let notes = CompilerNotes::CongestionSensitive {
-            local_key_rounds: report.local_key_rounds,
-            global_key_rounds: report.global_key_rounds,
-            simulation_rounds: report.simulation_rounds,
-            congestion: report.congestion,
-        };
-        Ok((out, notes))
-    }
-}
-
-/// A serializable description of one compiler configuration — the adapter
-/// registry as *data*.  Each variant names one adapter (or the built-in
-/// baseline/reference compilers) together with its parameters; resolve it
-/// with [`CompilerDef::build`] (one boxed instance per cell).
-///
-/// | Def | Adapter | Kind |
-/// |---|---|---|
-/// | `Uncompiled` | [`congest_sim::scenario::Uncompiled`] | `Baseline` |
-/// | `FaultFree` | [`congest_sim::scenario::FaultFree`] | `Reference` |
-/// | `Clique` | [`CliqueAdapter`] | `Resilient` |
-/// | `TreePacking` | [`TreePackingAdapter`] | `Resilient` |
-/// | `CycleCover` | [`CycleCoverAdapter`] | `Resilient` |
-/// | `Expander` | [`ExpanderAdapter`] | `Resilient` |
-/// | `Rewind` | [`RewindAdapter`] | `RateResilient` |
-/// | `StaticToMobile` | [`StaticToMobileAdapter`] | `Secure` |
-/// | `CongestionSensitive` | [`CongestionSensitiveAdapter`] | `Secure` |
-/// | `Async` | [`async_exec::AsyncExecutor`] | `Baseline` |
+/// One compiler configuration, serializable and runnable: each variant names
+/// one compiler together with its parameters, and the [`Compiler`] impl runs
+/// it (see the module docs for the table).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompilerDef {
     /// The no-defence baseline.
@@ -809,48 +268,59 @@ pub enum CompilerDef {
     },
     /// The network-less reference run.
     FaultFree,
-    /// Theorem 1.6 ([`CliqueAdapter`]).
+    /// Theorem 1.6: the CONGESTED CLIQUE compiler (star packing over `K_n`).
     Clique {
         /// Mobile fault bound.
         f: usize,
         /// Compiler randomness seed.
         seed: u64,
     },
-    /// Theorem 3.5 ([`TreePackingAdapter`]).
+    /// Theorem 3.5: the general-graph compiler over a low-depth tree
+    /// packing — the greedy construction (v1) or its augmenting-path
+    /// repaired successor (v2, the default; see
+    /// `netgraph::tree_packing::improve_packing`).
     TreePacking {
         /// Mobile fault bound.
         f: usize,
-        /// Packed tree count; `None` uses the majority-argument default.
+        /// Packed tree count; `None` uses the majority-argument default
+        /// `k = 2·t_RS·c_RS·f·η + 1`.  On complete graphs the `(n, 2, 2)`
+        /// star packing is used instead and the count has no effect.
         trees: Option<usize>,
         /// Compiler randomness seed.
         seed: u64,
-        /// Packing construction (v1 greedy / v2 augmented).
+        /// Packing construction (v1 greedy / v2 augmented) — the knob
+        /// campaign grids use to A/B the two packings on identical cells.
         packing: PackingVersion,
     },
-    /// Theorems 1.4 / 5.5 ([`CycleCoverAdapter`]).
+    /// Theorems 1.4 / 5.5: the FT-cycle-cover compiler for
+    /// `(2f+1)`-edge-connected graphs.
     CycleCover {
         /// Mobile fault bound.
         f: usize,
     },
-    /// Theorem 1.7 ([`ExpanderAdapter`]).
+    /// Theorem 1.7: the expander compiler — the weak packing is built while
+    /// the adversary is already attacking.
     Expander {
         /// Mobile fault bound.
         f: usize,
         /// Colour classes / candidate trees.
         k: usize,
-        /// BFS propagation rounds.
+        /// BFS propagation rounds (use `Θ(log n / φ)`).
         bfs_rounds: usize,
         /// Compiler randomness seed.
         seed: u64,
     },
-    /// Theorem 4.1 ([`RewindAdapter`]).
+    /// Theorem 4.1: the round-error-rate rewind compiler.  Rewinding
+    /// re-simulates the payload from the committed prefix, so `execute`
+    /// calls its payload factory once per global round.
     Rewind {
         /// Average per-round corruption bound.
         f: usize,
         /// Compiler randomness seed.
         seed: u64,
     },
-    /// Theorem 1.2 ([`StaticToMobileAdapter`]).
+    /// Theorem 1.2: the static→mobile secrecy compiler (one-time pads from
+    /// Vandermonde bit extraction).
     StaticToMobile {
         /// Slack parameter (more key rounds, more tolerated mobility).
         t: usize,
@@ -859,7 +329,9 @@ pub enum CompilerDef {
         /// Node-randomness seed.
         seed: u64,
     },
-    /// Theorem 1.3 ([`CongestionSensitiveAdapter`]).
+    /// Theorem 1.3: the congestion-sensitive secrecy compiler (dummy traffic
+    /// on silent edges, tagged and padded real traffic elsewhere), its global
+    /// secret exchange rooted at node 0.
     CongestionSensitive {
         /// Mobile eavesdropping bound.
         f: usize,
@@ -871,8 +343,8 @@ pub enum CompilerDef {
 }
 
 impl CompilerDef {
-    /// The stable lowercase label used by serialized specs (the registry
-    /// key, together with the per-variant parameters).
+    /// The stable lowercase label used by serialized specs (the spec's `id`,
+    /// together with the per-variant parameters).
     pub fn label(&self) -> &'static str {
         match self {
             CompilerDef::Uncompiled => "uncompiled",
@@ -888,8 +360,36 @@ impl CompilerDef {
         }
     }
 
-    /// What the described compiler defends against.
-    pub fn kind(&self) -> CompilerKind {
+    /// The def as a boxed compiler, for drivers that take one
+    /// (`matrix::run_cell`, `ScenarioBuilder::compiled_with_boxed`).
+    pub fn build(&self) -> Box<dyn Compiler> {
+        Box::new(self.clone())
+    }
+}
+
+impl Compiler for CompilerDef {
+    fn name(&self) -> String {
+        match *self {
+            CompilerDef::Uncompiled => Uncompiled.name(),
+            CompilerDef::Async { ref schedule } => AsyncExecutor::new(schedule.clone()).name(),
+            CompilerDef::FaultFree => FaultFree.name(),
+            CompilerDef::Clique { f, .. } => format!("clique(f={f})"),
+            CompilerDef::TreePacking {
+                f, trees, packing, ..
+            } => format!(
+                "tree-packing(f={f},k={},{})",
+                trees.unwrap_or_else(|| default_tree_count(f)),
+                packing.label()
+            ),
+            CompilerDef::CycleCover { f } => format!("cycle-cover(f={f})"),
+            CompilerDef::Expander { f, k, .. } => format!("expander(f={f},k={k})"),
+            CompilerDef::Rewind { f, .. } => format!("rewind(f={f})"),
+            CompilerDef::StaticToMobile { t, .. } => format!("static-to-mobile(t={t})"),
+            CompilerDef::CongestionSensitive { f, .. } => format!("congestion-sensitive(f={f})"),
+        }
+    }
+
+    fn kind(&self) -> CompilerKind {
         match self {
             CompilerDef::Uncompiled | CompilerDef::Async { .. } => CompilerKind::Baseline,
             CompilerDef::FaultFree => CompilerKind::Reference,
@@ -904,10 +404,247 @@ impl CompilerDef {
         }
     }
 
-    /// Resolve the def into one boxed compiler instance (delegates to
-    /// [`crate::registry::instantiate`], the single def → adapter path).
-    pub fn build(&self) -> Box<dyn Compiler> {
-        crate::registry::instantiate(self)
+    fn prepare(
+        &self,
+        graph: &Graph,
+        tracer: &mut obs::Tracer,
+    ) -> Result<CompileArtifacts, ScenarioError> {
+        match *self {
+            CompilerDef::Uncompiled => Uncompiled.prepare(graph, tracer),
+            CompilerDef::Async { ref schedule } => {
+                AsyncExecutor::new(schedule.clone()).prepare(graph, tracer)
+            }
+            CompilerDef::FaultFree => FaultFree.prepare(graph, tracer),
+            CompilerDef::Clique { f, seed } => {
+                let name = self.name();
+                validate_arc_ids(&name, graph)?;
+                // `CliqueCompiler::new` asserts completeness.
+                if !is_complete(graph) {
+                    return Err(ScenarioError::UnsupportedGraph {
+                        compiler: name,
+                        reason: "the clique compiler requires the complete graph".into(),
+                    });
+                }
+                // Note: `CliqueCompiler::max_tolerable_f` is the far stricter
+                // *worst-case* majority envelope; runs beyond it can still
+                // succeed against non-adversarial strategies, so it is
+                // reported in experiments rather than enforced.
+                validate_clique_floor(&name, graph, f)?;
+                // The wrapped compiler, star packing and all, under a packing
+                // span.
+                tracer.span_open(obs::Phase::Packing);
+                let compiler = CliqueCompiler::new(graph, f, seed);
+                tracer.span_close(obs::Phase::Packing);
+                Ok(CompileArtifacts::with_payload(graph, compiler))
+            }
+            CompilerDef::TreePacking {
+                f,
+                trees,
+                seed,
+                packing,
+            } => {
+                let name = self.name();
+                let k = trees.unwrap_or_else(|| default_tree_count(f));
+                validate_at_least_one(&name, "trees", k)?;
+                validate_packable(&name, graph, k, f)?;
+                // The packing (and therefore the whole wrapped compiler — its
+                // seed is the def's own parameter) is a pure function of the
+                // graph, and so is the correction context (schedule plan,
+                // spanning flags, broadcast code, quality measurement)
+                // prepared alongside it.
+                let packing = resilient_packing_on(graph, tracer, k, packing);
+                let compiler = MobileByzantineCompiler::new(graph, packing, f, seed);
+                Ok(CompileArtifacts::with_payload(graph, compiler))
+            }
+            CompilerDef::CycleCover { f } => {
+                let name = self.name();
+                validate_connectivity_floor(&name, graph, f)?;
+                // The FT cycle cover is deterministic in the graph; the
+                // wrapped compiler carries no seed at all.  Past the floor
+                // every edge has its `2f + 1` disjoint paths (Menger), so
+                // `None` is the same shortfall.
+                let compiler = CycleCoverCompiler::new(graph, f)
+                    .ok_or_else(|| insufficient_connectivity(&name, graph, f))?;
+                Ok(CompileArtifacts::with_payload(graph, compiler))
+            }
+            // Theorem 1.7's whole point is that the weak packing is *built
+            // while the adversary attacks* — it depends on the seed and the
+            // adversary, so past the checks graph-only artifacts are all that
+            // is cacheable.
+            CompilerDef::Expander { k, .. } => {
+                let name = self.name();
+                validate_at_least_one(&name, "k", k)?;
+                validate_arc_ids(&name, graph)?;
+                // Every colour class must stay above the spanning threshold:
+                // average per-colour degree d/k well clear of ~ln n.
+                if graph.min_degree() < 4 * k {
+                    return Err(ScenarioError::UnsupportedGraph {
+                        compiler: name,
+                        reason: format!(
+                            "min degree {} is too small for {k} colour classes",
+                            graph.min_degree(),
+                        ),
+                    });
+                }
+                Ok(CompileArtifacts::graph_only(graph))
+            }
+            CompilerDef::Rewind { f, .. } => {
+                let k = default_tree_count(f);
+                validate_packable(&self.name(), graph, k, f)?;
+                // Only the packing is seed-independent (the rewind schedule
+                // itself reacts to the adversary), so the artifacts carry the
+                // bare packing.
+                let packing = resilient_packing_on(graph, tracer, k, PackingVersion::default());
+                Ok(CompileArtifacts::with_payload(graph, packing))
+            }
+            // Key schedules are exchanged *over the network* per run (the
+            // pads depend on node randomness the eavesdropper races against),
+            // so past the check graph-only artifacts are all that is
+            // cacheable.
+            CompilerDef::StaticToMobile { words, .. } => {
+                validate_at_least_one(&self.name(), "words_per_message", words)?;
+                Ok(CompileArtifacts::graph_only(graph))
+            }
+            // Both the local and the global key exchanges run over the live
+            // (eavesdropped) network; what is seed-independent is the tree
+            // packing the global exchange shares the hash seed over.
+            CompilerDef::CongestionSensitive { f, words, .. } => {
+                let name = self.name();
+                // Node 0 is the source; only the empty graph lacks it.
+                if graph.node_count() == 0 {
+                    return Err(ScenarioError::InvalidParameter {
+                        compiler: name,
+                        reason: format!(
+                            "source {BROADCAST_SOURCE} is not a node of the 0-node graph"
+                        ),
+                    });
+                }
+                validate_at_least_one(&name, "words_per_message", words)?;
+                // The secure broadcast reaches every node over spanning trees.
+                if !is_connected(graph) {
+                    return Err(ScenarioError::UnsupportedGraph {
+                        compiler: name,
+                        reason: "the global secret exchange needs a connected graph".to_string(),
+                    });
+                }
+                let packing = broadcast_packing(graph, BROADCAST_SOURCE, f);
+                Ok(CompileArtifacts::with_payload(graph, packing))
+            }
+        }
+    }
+
+    fn execute(
+        &self,
+        artifacts: &CompileArtifacts,
+        make: &dyn Fn() -> BoxedAlgorithm,
+        net: &mut Network,
+    ) -> Result<(Vec<Output>, CompilerNotes), ScenarioError> {
+        // The graph was judged by the `prepare` behind `artifacts`; here only
+        // the cheap role check guards direct trait callers.
+        validate_role(self, net.role())?;
+        match *self {
+            CompilerDef::Uncompiled => Uncompiled.execute(artifacts, make, net),
+            CompilerDef::Async { ref schedule } => {
+                AsyncExecutor::new(schedule.clone()).execute(artifacts, make, net)
+            }
+            CompilerDef::FaultFree => FaultFree.execute(artifacts, make, net),
+            CompilerDef::Clique { .. } => {
+                let compiler: &CliqueCompiler = prepared(self, artifacts)?;
+                let (out, report) = compiler
+                    .run(&mut *make(), net)
+                    .map_err(|e| payload_rejection(self, e))?;
+                Ok((out, resilient_notes(&report)))
+            }
+            CompilerDef::TreePacking { .. } => {
+                let compiler: &MobileByzantineCompiler = prepared(self, artifacts)?;
+                let (out, report) = compiler
+                    .run(&mut *make(), net)
+                    .map_err(|e| payload_rejection(self, e))?;
+                Ok((out, resilient_notes(&report)))
+            }
+            CompilerDef::CycleCover { .. } => {
+                let compiler: &CycleCoverCompiler = prepared(self, artifacts)?;
+                let (out, report) = compiler.run(&mut *make(), net);
+                let notes = CompilerNotes::CycleCover {
+                    paths_per_edge: report.paths_per_edge,
+                    dilation: report.dilation,
+                    congestion: report.congestion,
+                    colors: report.colors,
+                };
+                Ok((out, notes))
+            }
+            CompilerDef::Expander {
+                f,
+                k,
+                bfs_rounds,
+                seed,
+            } => {
+                let (out, report) =
+                    run_expander_compiled(&mut *make(), net, f, k, bfs_rounds, seed)
+                        .map_err(|e| payload_rejection(self, e))?;
+                let notes = CompilerNotes::Expander {
+                    trees: report.packing.k,
+                    good_trees: report.packing.good_trees,
+                    packing_rounds: report.packing.rounds,
+                    fully_corrected: report.compilation.fully_corrected,
+                    mismatches_after: report
+                        .compilation
+                        .per_round
+                        .iter()
+                        .map(|r| r.mismatches_after)
+                        .sum(),
+                };
+                Ok((out, notes))
+            }
+            CompilerDef::Rewind { f, seed } => {
+                let packing: &TreePacking = prepared(self, artifacts)?;
+                let compiler = RewindCompiler::new(packing.clone(), f, seed);
+                let (out, report) = compiler
+                    .run(make, net)
+                    .map_err(|e| payload_rejection(self, e))?;
+                if !report.completed {
+                    return Err(ScenarioError::IncompleteRun {
+                        compiler: self.name(),
+                        detail: format!(
+                            "committed only {} rounds after {} rewinds in {} global rounds",
+                            report.committed_rounds, report.rewinds, report.global_rounds
+                        ),
+                    });
+                }
+                let notes = CompilerNotes::Rewind {
+                    rewinds: report.rewinds,
+                    committed_rounds: report.committed_rounds,
+                    global_rounds: report.global_rounds,
+                    completed: report.completed,
+                };
+                Ok((out, notes))
+            }
+            CompilerDef::StaticToMobile { t, words, seed } => {
+                let compiler = StaticToMobileCompiler::new(t, words, seed);
+                let (out, report) = compiler
+                    .run(&mut *make(), net)
+                    .map_err(|e| payload_rejection(self, e))?;
+                let notes = CompilerNotes::Secure {
+                    key_rounds: report.key_rounds,
+                    simulation_rounds: report.simulation_rounds,
+                };
+                Ok((out, notes))
+            }
+            CompilerDef::CongestionSensitive { f, words, seed } => {
+                let packing: &TreePacking = prepared(self, artifacts)?;
+                let compiler = CongestionSensitiveCompiler::new(f, words, seed);
+                let (out, report) = compiler
+                    .run(&mut *make(), net, BROADCAST_SOURCE, packing)
+                    .map_err(|e| payload_rejection(self, e))?;
+                let notes = CompilerNotes::CongestionSensitive {
+                    local_key_rounds: report.local_key_rounds,
+                    global_key_rounds: report.global_key_rounds,
+                    simulation_rounds: report.simulation_rounds,
+                    congestion: report.congestion,
+                };
+                Ok((out, notes))
+            }
+        }
     }
 }
 
@@ -920,30 +657,39 @@ mod tests {
     use netgraph::generators;
 
     /// The verdict alone: `prepare` under a disabled tracer, artifacts dropped.
-    fn verdict(adapter: &dyn Compiler, g: &Graph) -> Result<(), ScenarioError> {
-        adapter.prepare(g, &mut obs::Tracer::disabled()).map(|_| ())
+    fn verdict(def: &CompilerDef, g: &Graph) -> Result<(), ScenarioError> {
+        def.prepare(g, &mut obs::Tracer::disabled()).map(|_| ())
+    }
+
+    fn tree_packing(f: usize, seed: u64, packing: PackingVersion) -> CompilerDef {
+        CompilerDef::TreePacking {
+            f,
+            trees: None,
+            seed,
+            packing,
+        }
     }
 
     #[test]
     fn clique_adapter_rejects_non_cliques_and_eavesdroppers() {
-        let adapter = CliqueAdapter::new(1, 7);
+        let def = CompilerDef::Clique { f: 1, seed: 7 };
         let cycle = generators::cycle(6);
         assert!(matches!(
-            verdict(&adapter, &cycle),
+            verdict(&def, &cycle),
             Err(ScenarioError::UnsupportedGraph { .. })
         ));
         let clique = generators::complete(8);
         assert!(matches!(
-            validate_role(&adapter, AdversaryRole::Eavesdropper),
+            validate_role(&def, AdversaryRole::Eavesdropper),
             Err(ScenarioError::RoleMismatch { .. })
         ));
-        assert_eq!(validate_role(&adapter, AdversaryRole::Byzantine), Ok(()));
-        assert_eq!(verdict(&adapter, &clique), Ok(()));
+        assert_eq!(validate_role(&def, AdversaryRole::Byzantine), Ok(()));
+        assert_eq!(verdict(&def, &clique), Ok(()));
         // K3 is complete but lambda = 2 < 2f + 1.
         assert_eq!(
-            verdict(&adapter, &generators::complete(3)),
+            verdict(&def, &generators::complete(3)),
             Err(ScenarioError::InsufficientConnectivity {
-                compiler: adapter.name(),
+                compiler: def.name(),
                 needed: 3,
                 found: 2,
             })
@@ -957,17 +703,21 @@ mod tests {
         let fits = generators::complete(256);
         let too_large = generators::complete(257);
         assert!(fits.arc_count() <= MAX_ARCS && too_large.arc_count() > MAX_ARCS);
-        let adapters: [Box<dyn Compiler>; 5] = [
-            Box::new(CliqueAdapter::new(1, 7)),
-            Box::new(TreePackingAdapter::new(1, 7).with_packing(PackingVersion::V1Greedy)),
-            Box::new(TreePackingAdapter::new(1, 7)),
-            Box::new(ExpanderAdapter::new(1, 4, 6, 7)),
-            Box::new(RewindAdapter::new(1, 7)),
-        ];
-        for adapter in adapters {
-            let name = adapter.name();
-            assert_eq!(verdict(&*adapter, &fits), Ok(()));
-            match verdict(&*adapter, &too_large) {
+        for def in [
+            CompilerDef::Clique { f: 1, seed: 7 },
+            tree_packing(1, 7, PackingVersion::V1Greedy),
+            tree_packing(1, 7, PackingVersion::V2Augmented),
+            CompilerDef::Expander {
+                f: 1,
+                k: 4,
+                bfs_rounds: 6,
+                seed: 7,
+            },
+            CompilerDef::Rewind { f: 1, seed: 7 },
+        ] {
+            let name = def.name();
+            assert_eq!(verdict(&def, &fits), Ok(()));
+            match verdict(&def, &too_large) {
                 Err(ScenarioError::UnsupportedGraph { compiler, reason }) => {
                     assert_eq!(compiler, name);
                     assert!(
@@ -984,25 +734,51 @@ mod tests {
     fn parameter_floors_are_typed_errors_not_constructor_panics() {
         // `trees: 0` used to reach `greedy_low_depth_packing`'s `k > 0`
         // assert, `k: 0` the expander's `gen_range(0..0)`; zero-width
-        // messages and an off-graph source were already typed.
+        // messages were already typed.
         let g = generators::circulant(18, 4);
-        let adapters: [Box<dyn Compiler>; 5] = [
-            Box::new(TreePackingAdapter::new(1, 5).with_trees(0)),
-            Box::new(ExpanderAdapter::new(1, 0, 6, 5)),
-            Box::new(StaticToMobileAdapter::new(4, 0, 5)),
-            Box::new(CongestionSensitiveAdapter::new(1, 0, 5)),
-            Box::new(CongestionSensitiveAdapter::new(1, 2, 5).with_source(18)),
-        ];
-        for adapter in adapters {
+        for def in [
+            CompilerDef::TreePacking {
+                f: 1,
+                trees: Some(0),
+                seed: 5,
+                packing: PackingVersion::default(),
+            },
+            CompilerDef::Expander {
+                f: 1,
+                k: 0,
+                bfs_rounds: 6,
+                seed: 5,
+            },
+            CompilerDef::StaticToMobile {
+                t: 4,
+                words: 0,
+                seed: 5,
+            },
+            CompilerDef::CongestionSensitive {
+                f: 1,
+                words: 0,
+                seed: 5,
+            },
+        ] {
             for graph in [&g, &generators::complete(12)] {
-                match verdict(&*adapter, graph) {
+                match verdict(&def, graph) {
                     Err(ScenarioError::InvalidParameter { compiler, .. }) => {
-                        assert_eq!(compiler, adapter.name())
+                        assert_eq!(compiler, def.name())
                     }
-                    other => panic!("{}: got {other:?}", adapter.name()),
+                    other => panic!("{}: got {other:?}", def.name()),
                 }
             }
         }
+        // The secret exchange's source must be a node of the graph.
+        let def = CompilerDef::CongestionSensitive {
+            f: 1,
+            words: 2,
+            seed: 5,
+        };
+        assert!(matches!(
+            verdict(&def, &Graph::new(0)),
+            Err(ScenarioError::InvalidParameter { .. })
+        ));
     }
 
     #[test]
@@ -1013,17 +789,16 @@ mod tests {
             .flat_map(|i| [(i, (i + 1) % 6), (6 + i, 6 + (i + 1) % 6)])
             .collect();
         let g = Graph::from_edges(12, &two_cycles);
-        let adapters: [Box<dyn Compiler>; 4] = [
-            Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V1Greedy)),
-            Box::new(TreePackingAdapter::new(1, 5)),
-            Box::new(RewindAdapter::new(1, 5)),
-            Box::new(CycleCoverAdapter::new(1)),
-        ];
-        for adapter in adapters {
+        for def in [
+            tree_packing(1, 5, PackingVersion::V1Greedy),
+            tree_packing(1, 5, PackingVersion::V2Augmented),
+            CompilerDef::Rewind { f: 1, seed: 5 },
+            CompilerDef::CycleCover { f: 1 },
+        ] {
             assert_eq!(
-                verdict(&*adapter, &g),
+                verdict(&def, &g),
                 Err(ScenarioError::InsufficientConnectivity {
-                    compiler: adapter.name(),
+                    compiler: def.name(),
                     needed: 3,
                     found: 0,
                 })
@@ -1031,21 +806,29 @@ mod tests {
         }
         // The congestion-sensitive compiler packs too (its secure broadcast),
         // but asks for a connected graph only.
-        let adapter = CongestionSensitiveAdapter::new(1, 2, 5);
+        let def = CompilerDef::CongestionSensitive {
+            f: 1,
+            words: 2,
+            seed: 5,
+        };
         assert!(matches!(
-            verdict(&adapter, &g),
-            Err(ScenarioError::UnsupportedGraph { compiler, .. }) if compiler == adapter.name()
+            verdict(&def, &g),
+            Err(ScenarioError::UnsupportedGraph { compiler, .. }) if compiler == def.name()
         ));
     }
 
     #[test]
     fn congestion_sensitive_prepare_holds_the_secure_broadcasts_packing() {
         let g = generators::circulant(18, 4);
-        let adapter = CongestionSensitiveAdapter::new(2, 2, 5).with_source(7);
-        let artifacts = adapter.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+        let def = CompilerDef::CongestionSensitive {
+            f: 2,
+            words: 2,
+            seed: 5,
+        };
+        let artifacts = def.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
         let packing: &TreePacking = artifacts.payload().expect("the prepared packing");
-        assert_eq!(packing.trees, broadcast_packing(&g, 7, 2).trees);
-        assert_eq!((packing.len(), packing.trees[0].root), (5, 7));
+        assert_eq!(packing.trees, broadcast_packing(&g, 0, 2).trees);
+        assert_eq!((packing.len(), packing.trees[0].root), (5, 0));
         // `execute` takes it from there and builds none of its own.
         let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
         let mut net = Network::new(
@@ -1056,47 +839,47 @@ mod tests {
             2,
         );
         assert!(matches!(
-            adapter.execute(&CompileArtifacts::graph_only(&g), &make, &mut net),
+            def.execute(&CompileArtifacts::graph_only(&g), &make, &mut net),
             Err(ScenarioError::ArtifactMismatch { .. })
         ));
         assert_eq!(net.round(), 0, "nothing ran");
-        assert!(adapter.execute(&artifacts, &make, &mut net).is_ok());
+        assert!(def.execute(&artifacts, &make, &mut net).is_ok());
     }
 
     #[test]
     fn cycle_cover_adapter_reports_connectivity() {
-        let adapter = CycleCoverAdapter::new(1);
-        let err = verdict(&adapter, &generators::cycle(6)).unwrap_err();
+        let def = CompilerDef::CycleCover { f: 1 };
+        let err = verdict(&def, &generators::cycle(6)).unwrap_err();
         assert_eq!(
             err,
             ScenarioError::InsufficientConnectivity {
-                compiler: adapter.name(),
+                compiler: def.name(),
                 needed: 3,
                 found: 2,
             }
         );
-        assert_eq!(verdict(&adapter, &generators::circulant(9, 2)), Ok(()));
+        assert_eq!(verdict(&def, &generators::circulant(9, 2)), Ok(()));
     }
 
     #[test]
     fn threshold_validation_reports_the_exact_connectivity_found() {
         // `prepare` asks `λ ≥ 2f+1` of the graph's memoised cut; a pair that
         // fails it must carry the exact λ in its typed error.
-        let adapters: [Box<dyn Compiler>; 3] = [
-            Box::new(CycleCoverAdapter::new(1)),
-            Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V1Greedy)),
-            Box::new(TreePackingAdapter::new(1, 5).with_packing(PackingVersion::V2Augmented)),
+        let defs = [
+            CompilerDef::CycleCover { f: 1 },
+            tree_packing(1, 5, PackingVersion::V1Greedy),
+            tree_packing(1, 5, PackingVersion::V2Augmented),
         ];
         for (g, lambda) in [
             (generators::grid(4, 4), 2),
             (generators::ring_of_cliques(4, 5), 2),
             (generators::barbell(5, 2), 1),
         ] {
-            for adapter in &adapters {
+            for def in &defs {
                 assert_eq!(
-                    verdict(&**adapter, &g),
+                    verdict(def, &g),
                     Err(ScenarioError::InsufficientConnectivity {
-                        compiler: adapter.name(),
+                        compiler: def.name(),
                         needed: 3,
                         found: lambda,
                     })
@@ -1108,7 +891,7 @@ mod tests {
     #[test]
     fn direct_compile_checks_the_networks_real_role() {
         // Bypassing the builder must not bypass role validation: the network
-        // knows its role and the adapter consults it.
+        // knows its role and the compiler consults it.
         let g = generators::complete(8);
         let mut eaves = Network::new(
             g.clone(),
@@ -1117,10 +900,10 @@ mod tests {
             CorruptionBudget::Mobile { f: 1 },
             2,
         );
-        let adapter = CliqueAdapter::new(1, 3);
-        let artifacts = adapter.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+        let def = CompilerDef::Clique { f: 1, seed: 3 };
+        let artifacts = def.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
         let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
-        let err = adapter.execute(&artifacts, &make, &mut eaves).unwrap_err();
+        let err = def.execute(&artifacts, &make, &mut eaves).unwrap_err();
         assert!(matches!(
             err,
             ScenarioError::RoleMismatch {
@@ -1134,22 +917,22 @@ mod tests {
     fn foreign_artifacts_are_a_typed_mismatch_not_a_silent_rebuild() {
         let g = generators::complete(8);
         let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
-        let foreign = CliqueAdapter::new(1, 3)
+        let foreign = CompilerDef::Clique { f: 1, seed: 3 }
             .prepare(&g, &mut obs::Tracer::disabled())
             .unwrap();
-        let adapter = TreePackingAdapter::new(1, 3);
+        let def = tree_packing(1, 3, PackingVersion::default());
         let mut net = Network::fault_free(g.clone());
         assert_eq!(
-            adapter.execute(&foreign, &make, &mut net).unwrap_err(),
+            def.execute(&foreign, &make, &mut net).unwrap_err(),
             ScenarioError::ArtifactMismatch {
-                compiler: adapter.name()
+                compiler: def.name()
             }
         );
         assert_eq!(net.round(), 0, "nothing ran");
         // Graph-only artifacts (no payload at all) are a mismatch too.
         let bare = CompileArtifacts::graph_only(&g);
         assert!(matches!(
-            RewindAdapter::new(1, 3).execute(&bare, &make, &mut net),
+            CompilerDef::Rewind { f: 1, seed: 3 }.execute(&bare, &make, &mut net),
             Err(ScenarioError::ArtifactMismatch { .. })
         ));
     }
@@ -1157,11 +940,11 @@ mod tests {
     #[test]
     fn rewind_adapter_runs_through_plain_execute() {
         let g = generators::complete(8);
-        let adapter = RewindAdapter::new(1, 3);
-        let artifacts = adapter.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
+        let def = CompilerDef::Rewind { f: 1, seed: 3 };
+        let artifacts = def.prepare(&g, &mut obs::Tracer::disabled()).unwrap();
         let make = || Box::new(LeaderElection::new(g.clone())) as BoxedAlgorithm;
         let mut net = Network::fault_free(g.clone());
-        let (out, notes) = adapter.execute(&artifacts, &make, &mut net).unwrap();
+        let (out, notes) = def.execute(&artifacts, &make, &mut net).unwrap();
         assert_eq!(out, congest_sim::run_fault_free(&mut *make()));
         assert_eq!(notes.rewinds(), Some(0));
     }
@@ -1178,70 +961,44 @@ mod tests {
                 CorruptionBudget::Mobile { f: 2 },
             )
             .seed(13)
-            .compiled_with(CliqueAdapter::new(2, 7))
+            .compiled_with(CompilerDef::Clique { f: 2, seed: 7 })
             .run()
             .unwrap();
+        assert_eq!(report.compiler, "clique(f=2)");
         assert_eq!(report.agrees_with_fault_free(), Some(true));
         assert!(report.network_rounds > report.payload_rounds);
     }
 
     #[test]
-    fn clique_adapter_honours_the_correction_variant() {
-        let g = generators::complete(20);
-        let gg = g.clone();
-        let report = Scenario::on(g.clone())
-            .payload(move || FloodBroadcast::new(gg.clone(), 0, 99))
-            .adversary(
-                AdversaryRole::Byzantine,
-                RandomMobile::new(1, 9),
-                CorruptionBudget::Mobile { f: 1 },
-            )
-            .seed(9)
-            .compiled_with(CliqueAdapter::new(1, 3).with_variant(CorrectionVariant::L0Threshold))
-            .run()
-            .unwrap();
-        assert_eq!(report.agrees_with_fault_free(), Some(true));
-        // The l0-threshold variant iterates sampling phases, so its round
-        // footprint differs from the single-shot sparse-majority default —
-        // proof the variant actually reached the compiler.
-        let gg = g.clone();
-        let default_report = Scenario::on(g)
-            .payload(move || FloodBroadcast::new(gg.clone(), 0, 99))
-            .adversary(
-                AdversaryRole::Byzantine,
-                RandomMobile::new(1, 9),
-                CorruptionBudget::Mobile { f: 1 },
-            )
-            .seed(9)
-            .compiled_with(CliqueAdapter::new(1, 3))
-            .run()
-            .unwrap();
-        assert_ne!(report.network_rounds, default_report.network_rounds);
-    }
-
-    #[test]
     fn compiler_defs_resolve_to_the_same_names_kinds_and_parameters() {
-        let defs: Vec<(CompilerDef, Box<dyn Compiler>)> = vec![
+        // The names are what reports, trajectories and fingerprints carry.
+        let defs = [
             (
                 CompilerDef::Uncompiled,
-                Box::new(congest_sim::scenario::Uncompiled),
+                "uncompiled",
+                CompilerKind::Baseline,
             ),
             (
                 CompilerDef::FaultFree,
-                Box::new(congest_sim::scenario::FaultFree),
+                "fault-free",
+                CompilerKind::Reference,
+            ),
+            (
+                CompilerDef::Async {
+                    schedule: ScheduleDef::synchronous(),
+                },
+                "async(sync)",
+                CompilerKind::Baseline,
             ),
             (
                 CompilerDef::Clique { f: 2, seed: 7 },
-                Box::new(CliqueAdapter::new(2, 7)),
+                "clique(f=2)",
+                CompilerKind::Resilient,
             ),
             (
-                CompilerDef::TreePacking {
-                    f: 1,
-                    trees: None,
-                    seed: 5,
-                    packing: PackingVersion::V2Augmented,
-                },
-                Box::new(TreePackingAdapter::new(1, 5)),
+                tree_packing(1, 5, PackingVersion::V2Augmented),
+                "tree-packing(f=1,k=9,v2)",
+                CompilerKind::Resilient,
             ),
             (
                 CompilerDef::TreePacking {
@@ -1250,15 +1007,18 @@ mod tests {
                     seed: 5,
                     packing: PackingVersion::V1Greedy,
                 },
-                Box::new(
-                    TreePackingAdapter::new(1, 5)
-                        .with_trees(9)
-                        .with_packing(PackingVersion::V1Greedy),
-                ),
+                "tree-packing(f=1,k=9,v1)",
+                CompilerKind::Resilient,
+            ),
+            (
+                tree_packing(2, 5, PackingVersion::V2Augmented),
+                "tree-packing(f=2,k=17,v2)",
+                CompilerKind::Resilient,
             ),
             (
                 CompilerDef::CycleCover { f: 1 },
-                Box::new(CycleCoverAdapter::new(1)),
+                "cycle-cover(f=1)",
+                CompilerKind::Resilient,
             ),
             (
                 CompilerDef::Expander {
@@ -1267,11 +1027,13 @@ mod tests {
                     bfs_rounds: 6,
                     seed: 13,
                 },
-                Box::new(ExpanderAdapter::new(1, 5, 6, 13)),
+                "expander(f=1,k=5)",
+                CompilerKind::Resilient,
             ),
             (
                 CompilerDef::Rewind { f: 1, seed: 3 },
-                Box::new(RewindAdapter::new(1, 3)),
+                "rewind(f=1)",
+                CompilerKind::RateResilient,
             ),
             (
                 CompilerDef::StaticToMobile {
@@ -1279,7 +1041,8 @@ mod tests {
                     words: 2,
                     seed: 5,
                 },
-                Box::new(StaticToMobileAdapter::new(4, 2, 5)),
+                "static-to-mobile(t=4)",
+                CompilerKind::Secure,
             ),
             (
                 CompilerDef::CongestionSensitive {
@@ -1287,14 +1050,14 @@ mod tests {
                     words: 2,
                     seed: 17,
                 },
-                Box::new(CongestionSensitiveAdapter::new(1, 2, 17)),
+                "congestion-sensitive(f=1)",
+                CompilerKind::Secure,
             ),
         ];
-        for (def, adapter) in defs {
+        for (def, name, kind) in defs {
+            assert_eq!((def.name(), def.kind()), (name.to_string(), kind));
             let built = def.build();
-            assert_eq!(built.name(), adapter.name(), "registry name drift");
-            assert_eq!(built.kind(), adapter.kind(), "registry kind drift");
-            assert_eq!(def.kind(), adapter.kind());
+            assert_eq!((built.name(), built.kind()), (name.to_string(), kind));
         }
     }
 
@@ -1310,7 +1073,11 @@ mod tests {
                 CorruptionBudget::Mobile { f: 2 },
             )
             .seed(7)
-            .compiled_with(StaticToMobileAdapter::new(4, 2, 99))
+            .compiled_with(CompilerDef::StaticToMobile {
+                t: 4,
+                words: 2,
+                seed: 99,
+            })
             .run()
             .unwrap();
         assert_eq!(report.agrees_with_fault_free(), Some(true));

@@ -49,11 +49,7 @@
 
 pub mod adapters;
 pub mod rate;
-pub mod registry;
 pub mod resilient;
 pub mod secure;
 
-pub use adapters::{
-    CliqueAdapter, CompilerDef, CongestionSensitiveAdapter, CycleCoverAdapter, ExpanderAdapter,
-    RewindAdapter, StaticToMobileAdapter, TreePackingAdapter,
-};
+pub use adapters::CompilerDef;

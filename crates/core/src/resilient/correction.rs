@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Maximum number of directed arcs of a graph the correction machinery can
-/// run on (arc ids are packed into 16 bits).  The adapters' `prepare` turns
+/// run on (arc ids are packed into 16 bits).  `CompilerDef::prepare` turns
 /// a larger graph into a typed error before anything reaches [`pack_element`].
 pub const MAX_ARCS: usize = 1 << 16;
 /// Maximum number of payload words per message the correction machinery can

@@ -84,8 +84,8 @@ impl MobileByzantineCompiler {
     ///
     /// This precomputes the per-graph correction state (schedule plan,
     /// spanning flags, broadcast code, packing quality) — the expensive,
-    /// adversary-independent half of a compiled run.  Adapters build the
-    /// compiler in `Compiler::prepare`, so the artifact cache pays for it
+    /// adversary-independent half of a compiled run.  `CompilerDef` builds
+    /// the compiler in `Compiler::prepare`, so the artifact cache pays for it
     /// once per `(graph, compiler)` pair instead of once per cell.
     pub fn new(g: &Graph, packing: TreePacking, f: usize, seed: u64) -> Self {
         // Measured at the packing's own height: `good_trees` counts the

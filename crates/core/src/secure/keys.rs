@@ -60,7 +60,7 @@ impl std::error::Error for PayloadTooWide {}
 /// Why a secrecy compiler's key schedule cannot serve its payload: the
 /// parameter rules that depend on the payload — its round count `r`, the
 /// width of what it sends — so only the run can check them.  The compilers'
-/// `run` return it; the adapters map it to `ScenarioError::InvalidParameter`,
+/// `run` return it; `CompilerDef` maps it to `ScenarioError::InvalidParameter`,
 /// a skipped cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyScheduleError {

@@ -55,9 +55,10 @@ impl Campaign {
     /// Resolve a campaign from its serializable data form: every
     /// [`GraphDef`] is built through `netgraph::generators` (once, for the
     /// whole campaign), every
-    /// [`AdversaryDef`](congest_sim::scenario::matrix::AdversaryDef) and
-    /// [`CompilerDef`](mobile_congest_core::adapters::CompilerDef) is resolved
-    /// per cell through its registry, and the payload through
+    /// [`AdversaryDef`](congest_sim::scenario::matrix::AdversaryDef) is
+    /// resolved per cell, every
+    /// [`CompilerDef`](mobile_congest_core::adapters::CompilerDef) runs as
+    /// the cell's compiler itself, and the payload is built through
     /// [`PayloadDef`](crate::spec::PayloadDef).  The payload is validated
     /// against every graph here, so a spec that would panic inside a worker
     /// is a typed [`SpecError`] before anything runs.

@@ -647,8 +647,7 @@ pub fn compiler_from_json(v: &JsonValue) -> Result<CompilerDef, SpecError> {
             f: r.usize("f")?,
             trees: r.optional("trees", Reader::usize)?,
             seed: r.u64("seed")?,
-            // Omitted means the adapter default (v2), matching
-            // `TreePackingAdapter::new`.
+            // Omitted means the default construction (v2).
             packing: match r.optional("packing", Reader::str)? {
                 None => netgraph::PackingVersion::default(),
                 Some(label) => netgraph::PackingVersion::from_label(label).ok_or_else(|| {

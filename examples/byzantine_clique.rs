@@ -7,7 +7,7 @@
 use mobile_congest::compilers::resilient::CliqueCompiler;
 use mobile_congest::graphs::generators;
 use mobile_congest::payloads::TokenDissemination;
-use mobile_congest::scenario::{CliqueAdapter, Scenario, Uncompiled};
+use mobile_congest::scenario::{CompilerDef, Scenario, Uncompiled};
 use mobile_congest::sim::adversary::{
     AdversaryRole, CorruptionBudget, CorruptionMode, GreedyHeaviest,
 };
@@ -48,7 +48,7 @@ fn main() {
             CorruptionBudget::Mobile { f },
         )
         .seed(3)
-        .compiled_with(CliqueAdapter::new(f, 11))
+        .compiled_with(CompilerDef::Clique { f, seed: 11 })
         .run()
         .unwrap();
     println!(

@@ -7,7 +7,7 @@
 use mobile_congest::graphs::connectivity::sweep_conductance;
 use mobile_congest::graphs::generators;
 use mobile_congest::payloads::LeaderElection;
-use mobile_congest::scenario::{ExpanderAdapter, Scenario};
+use mobile_congest::scenario::{CompilerDef, Scenario};
 use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -30,7 +30,12 @@ fn main() {
             CorruptionBudget::Mobile { f },
         )
         .seed(17)
-        .compiled_with(ExpanderAdapter::new(f, 6, 6, 23))
+        .compiled_with(CompilerDef::Expander {
+            f,
+            k: 6,
+            bfs_rounds: 6,
+            seed: 23,
+        })
         .run()
         .unwrap();
     println!(

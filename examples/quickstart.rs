@@ -5,7 +5,7 @@
 
 use mobile_congest::graphs::generators;
 use mobile_congest::payloads::FloodBroadcast;
-use mobile_congest::scenario::{CliqueAdapter, FaultFree, RunReport, Scenario, Uncompiled};
+use mobile_congest::scenario::{CompilerDef, FaultFree, RunReport, Scenario, Uncompiled};
 use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
             CorruptionBudget::Mobile { f },
         )
         .seed(7)
-        .compiled_with(CliqueAdapter::new(f, 1))
+        .compiled_with(CompilerDef::Clique { f, seed: 1 })
         .run()
         .unwrap();
     println!("{}", RunReport::table_header());

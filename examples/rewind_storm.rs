@@ -5,7 +5,7 @@
 
 use mobile_congest::graphs::generators;
 use mobile_congest::payloads::LeaderElection;
-use mobile_congest::scenario::{RewindAdapter, Scenario};
+use mobile_congest::scenario::{CompilerDef, Scenario};
 use mobile_congest::sim::adversary::{AdversaryRole, BurstAdversary, CorruptionBudget};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
             CorruptionBudget::RoundErrorRate { total: 200 },
         )
         .seed(9)
-        .compiled_with(RewindAdapter::new(f, 3))
+        .compiled_with(CompilerDef::Rewind { f, seed: 3 })
         .run()
         .unwrap();
     println!(

@@ -9,7 +9,7 @@
 
 use mobile_congest::graphs::generators;
 use mobile_congest::payloads::ConvergecastSum;
-use mobile_congest::scenario::{CongestionSensitiveAdapter, Scenario, StaticToMobileAdapter};
+use mobile_congest::scenario::{CompilerDef, Scenario};
 use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
 
 fn main() {
@@ -31,7 +31,11 @@ fn main() {
             CorruptionBudget::Mobile { f },
         )
         .seed(3)
-        .compiled_with(StaticToMobileAdapter::new(6, 2, 42))
+        .compiled_with(CompilerDef::StaticToMobile {
+            t: 6,
+            words: 2,
+            seed: 42,
+        })
         .run()
         .unwrap();
     println!(
@@ -56,7 +60,11 @@ fn main() {
             CorruptionBudget::Mobile { f },
         )
         .seed(5)
-        .compiled_with(CongestionSensitiveAdapter::new(f, 2, 9))
+        .compiled_with(CompilerDef::CongestionSensitive {
+            f,
+            words: 2,
+            seed: 9,
+        })
         .run()
         .unwrap();
     println!(

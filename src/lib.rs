@@ -7,7 +7,7 @@
 //!
 //! ```
 //! use mobile_congest::payloads::FloodBroadcast;
-//! use mobile_congest::scenario::{CliqueAdapter, Scenario};
+//! use mobile_congest::scenario::{CompilerDef, Scenario};
 //! use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
 //! use mobile_congest::graphs::generators;
 //!
@@ -21,7 +21,7 @@
 //!         CorruptionBudget::Mobile { f: 2 },
 //!     )
 //!     .seed(7)
-//!     .compiled_with(CliqueAdapter::new(2, 1))
+//!     .compiled_with(CompilerDef::Clique { f: 2, seed: 1 })
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(report.agrees_with_fault_free(), Some(true));
@@ -40,7 +40,7 @@
 //! * [`icoding`] — the RS-compiler oracle and the Lemma 3.3 scheduler,
 //! * [`payloads`] — fault-free payload algorithms,
 //! * [`compilers`] — the paper's mobile-secure and mobile-resilient compilers
-//!   (wrapped for the pipeline by the adapters re-exported from [`scenario`]),
+//!   (each named for the pipeline by a [`scenario::CompilerDef`] variant),
 //! * [`scenario::AsyncExecutor`] — the deterministic asynchronous execution
 //!   runtime: per-node concurrent processes under a virtual-time
 //!   discrete-event scheduler, with delivery behaviour
@@ -93,12 +93,12 @@ pub use obs;
 pub use sketches as sketch;
 
 /// The unified execution API: `Scenario` builder, `Compiler` trait, typed
-/// errors, run reports, the grid vocabulary, and the adapters for all seven
-/// of the paper's compilers.
+/// errors, run reports, and the grid vocabulary — `CompilerDef` among it, the
+/// one value that names and runs each of the paper's seven compilers.
 ///
-/// The pipeline pieces live in [`congest_sim::scenario`]; the per-compiler
-/// adapters live in [`mobile_congest_core::adapters`].  This module is the
-/// single import surface for both.
+/// The pipeline pieces live in [`congest_sim::scenario`]; `CompilerDef` lives
+/// in [`mobile_congest_core::adapters`].  This module is the single import
+/// surface for both.
 pub mod scenario {
     pub use async_exec::{
         AsyncExecutor, CrashWindow, DropModel, LatencyModel, PartitionWindow, ScheduleDef,
@@ -108,8 +108,5 @@ pub mod scenario {
         Compiler, CompilerKind, CompilerNotes, FaultFree, PayloadFactory, RunReport, Scenario,
         ScenarioBuilder, ScenarioError, Uncompiled, Verdict,
     };
-    pub use mobile_congest_core::adapters::{
-        CliqueAdapter, CompilerDef, CongestionSensitiveAdapter, CycleCoverAdapter, ExpanderAdapter,
-        RewindAdapter, StaticToMobileAdapter, TreePackingAdapter,
-    };
+    pub use mobile_congest_core::adapters::CompilerDef;
 }

@@ -537,7 +537,7 @@ fn an_omitted_optional_field_reads_as_its_documented_default() {
             false,
         ),
         (
-            "tree-packing packing = v2 (the adapter's)",
+            "tree-packing packing = v2 (the default)",
             compiler(),
             r#"{"id":"tree-packing","f":1,"seed":5}"#.into(),
             r#"{"id":"tree-packing","f":1,"seed":5,"packing":"v2"}"#.into(),

@@ -9,10 +9,7 @@ use mobile_congest::payloads::{
     BfsTreeAlgorithm, ConvergecastSum, FloodBroadcast, LeaderElection, RandomizedColoring,
     TokenDissemination,
 };
-use mobile_congest::scenario::{
-    CliqueAdapter, CongestionSensitiveAdapter, CycleCoverAdapter, RewindAdapter, Scenario,
-    StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
-};
+use mobile_congest::scenario::{CompilerDef, Scenario, Uncompiled};
 use mobile_congest::sim::adversary::{
     AdversaryRole, AdversaryStrategy, BurstAdversary, CorruptionBudget, CorruptionMode,
     GreedyHeaviest, RandomMobile, ScheduledEdges, SweepMobile,
@@ -44,7 +41,7 @@ fn clique_compiler_across_payloads_and_adversaries() {
                 CorruptionBudget::Mobile { f },
             )
             .seed(7)
-            .compiled_with(CliqueAdapter::new(f, 42))
+            .compiled_with(CompilerDef::Clique { f, seed: 42 })
             .run()
             .unwrap();
         assert_eq!(
@@ -63,7 +60,7 @@ fn clique_compiler_across_payloads_and_adversaries() {
                 CorruptionBudget::Mobile { f },
             )
             .seed(9)
-            .compiled_with(CliqueAdapter::new(f, 42))
+            .compiled_with(CompilerDef::Clique { f, seed: 42 })
             .run()
             .unwrap();
         assert_eq!(
@@ -89,7 +86,7 @@ fn clique_compiler_protects_aggregation_and_coloring() {
             CorruptionBudget::Mobile { f },
         )
         .seed(3)
-        .compiled_with(CliqueAdapter::new(f, 5))
+        .compiled_with(CompilerDef::Clique { f, seed: 5 })
         .run()
         .unwrap();
     assert_eq!(report.agrees_with_fault_free(), Some(true));
@@ -104,7 +101,7 @@ fn clique_compiler_protects_aggregation_and_coloring() {
             CorruptionBudget::Mobile { f },
         )
         .seed(4)
-        .compiled_with(CliqueAdapter::new(f, 5))
+        .compiled_with(CompilerDef::Clique { f, seed: 5 })
         .check_against_fault_free(false)
         .run()
         .unwrap();
@@ -135,7 +132,12 @@ fn general_graph_compiler_on_circulants() {
                 CorruptionBudget::Mobile { f },
             )
             .seed(8)
-            .compiled_with(TreePackingAdapter::new(f, 13).with_trees(k))
+            .compiled_with(CompilerDef::TreePacking {
+                f,
+                trees: Some(k),
+                seed: 13,
+                packing: Default::default(),
+            })
             .run()
             .unwrap();
         // BFS parents may legitimately differ; depths must match.
@@ -161,7 +163,7 @@ fn cycle_cover_compiler_small_f() {
             CorruptionBudget::Mobile { f: 1 },
         )
         .seed(6)
-        .compiled_with(CycleCoverAdapter::new(1))
+        .compiled_with(CompilerDef::CycleCover { f: 1 })
         .run()
         .unwrap();
     assert_eq!(report.agrees_with_fault_free(), Some(true));
@@ -203,7 +205,7 @@ fn rewind_compiler_under_burst_and_uncompiled_failure_control() {
             CorruptionBudget::RoundErrorRate { total: 120 },
         )
         .seed(3)
-        .compiled_with(RewindAdapter::new(1, 17))
+        .compiled_with(CompilerDef::Rewind { f: 1, seed: 17 })
         .run()
         .unwrap();
     assert_eq!(report.agrees_with_fault_free(), Some(true));
@@ -225,7 +227,11 @@ fn secure_compilers_preserve_outputs_and_hide_inputs() {
             CorruptionBudget::Mobile { f: 2 },
         )
         .seed(5)
-        .compiled_with(StaticToMobileAdapter::new(5, 2, 77))
+        .compiled_with(CompilerDef::StaticToMobile {
+            t: 5,
+            words: 2,
+            seed: 77,
+        })
         .run()
         .unwrap();
     assert_eq!(report.agrees_with_fault_free(), Some(true));
@@ -248,7 +254,11 @@ fn secure_compilers_preserve_outputs_and_hide_inputs() {
             CorruptionBudget::Mobile { f: 1 },
         )
         .seed(9)
-        .compiled_with(CongestionSensitiveAdapter::new(1, 10, 23))
+        .compiled_with(CompilerDef::CongestionSensitive {
+            f: 1,
+            words: 10,
+            seed: 23,
+        })
         .run()
         .unwrap();
     assert_eq!(report.agrees_with_fault_free(), Some(true));
@@ -331,7 +341,7 @@ fn compiled_runs_cost_more_rounds_but_bounded_overhead() {
             CorruptionBudget::Mobile { f },
         )
         .seed(11)
-        .compiled_with(CliqueAdapter::new(f, 3))
+        .compiled_with(CompilerDef::Clique { f, seed: 3 })
         .run()
         .unwrap();
     assert_eq!(report.agrees_with_fault_free(), Some(true));

@@ -13,9 +13,7 @@ use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::obs;
 use mobile_congest::payloads::FloodBroadcast;
 use mobile_congest::scenario::matrix::AdversaryDef;
-use mobile_congest::scenario::{
-    AsyncExecutor, CliqueAdapter, CompilerDef, LatencyModel, Scenario, ScheduleDef,
-};
+use mobile_congest::scenario::{AsyncExecutor, CompilerDef, LatencyModel, Scenario, ScheduleDef};
 use mobile_congest::sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile};
 
 /// A small traced campaign crossing all span-emitting compiler families.
@@ -317,7 +315,7 @@ fn untraced_runs_carry_no_events_and_empty_profiles() {
             CorruptionBudget::Mobile { f: 1 },
         )
         .seed(2)
-        .compiled_with(CliqueAdapter::new(1, 5))
+        .compiled_with(CompilerDef::Clique { f: 1, seed: 5 })
         .run()
         .unwrap();
     assert!(report.trace.events.is_empty());

@@ -7,9 +7,8 @@ use mobile_congest::graphs::{generators, GraphDef};
 use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::payloads::{ConvergecastSum, FloodBroadcast, LeaderElection};
 use mobile_congest::scenario::{
-    matrix, CliqueAdapter, Compiler, CompilerDef, CompilerKind, CompilerNotes,
-    CongestionSensitiveAdapter, CycleCoverAdapter, ExpanderAdapter, FaultFree, RewindAdapter,
-    Scenario, ScenarioError, StaticToMobileAdapter, TreePackingAdapter, Uncompiled,
+    matrix, Compiler, CompilerDef, CompilerKind, CompilerNotes, FaultFree, Scenario, ScenarioError,
+    Uncompiled,
 };
 use mobile_congest::sim::adversary::{
     AdversaryRole, CorruptionBudget, CorruptionMode, RandomMobile,
@@ -23,11 +22,19 @@ fn builder_rejects_eavesdropper_with_resilient_compilers() {
     for (name, compiler) in [
         (
             "clique",
-            Box::new(CliqueAdapter::new(1, 3)) as Box<dyn Compiler>,
+            Box::new(CompilerDef::Clique { f: 1, seed: 3 }) as Box<dyn Compiler>,
         ),
-        ("tree-packing", Box::new(TreePackingAdapter::new(1, 3))),
-        ("cycle-cover", Box::new(CycleCoverAdapter::new(1))),
-        ("rewind", Box::new(RewindAdapter::new(1, 3))),
+        (
+            "tree-packing",
+            Box::new(CompilerDef::TreePacking {
+                f: 1,
+                trees: None,
+                seed: 3,
+                packing: Default::default(),
+            }),
+        ),
+        ("cycle-cover", Box::new(CompilerDef::CycleCover { f: 1 })),
+        ("rewind", Box::new(CompilerDef::Rewind { f: 1, seed: 3 })),
     ] {
         let gg = g.clone();
         let err = Scenario::on(g.clone())
@@ -57,8 +64,16 @@ fn builder_rejects_eavesdropper_with_resilient_compilers() {
 fn builder_rejects_byzantine_with_secure_compilers() {
     let g = generators::complete(10);
     for compiler in [
-        Box::new(StaticToMobileAdapter::new(4, 2, 1)) as Box<dyn Compiler>,
-        Box::new(CongestionSensitiveAdapter::new(1, 2, 1)),
+        Box::new(CompilerDef::StaticToMobile {
+            t: 4,
+            words: 2,
+            seed: 1,
+        }) as Box<dyn Compiler>,
+        Box::new(CompilerDef::CongestionSensitive {
+            f: 1,
+            words: 2,
+            seed: 1,
+        }),
     ] {
         let kind = compiler.kind();
         assert_eq!(kind, CompilerKind::Secure);
@@ -88,7 +103,7 @@ fn builder_rejects_structurally_impossible_graphs() {
             RandomMobile::new(1, 5),
             CorruptionBudget::Mobile { f: 1 },
         )
-        .compiled_with(CliqueAdapter::new(1, 3))
+        .compiled_with(CompilerDef::Clique { f: 1, seed: 3 })
         .run()
         .unwrap_err();
     assert!(matches!(err, ScenarioError::UnsupportedGraph { .. }));
@@ -102,13 +117,13 @@ fn builder_rejects_structurally_impossible_graphs() {
             RandomMobile::new(1, 5),
             CorruptionBudget::Mobile { f: 1 },
         )
-        .compiled_with(CycleCoverAdapter::new(1))
+        .compiled_with(CompilerDef::CycleCover { f: 1 })
         .run()
         .unwrap_err();
     assert_eq!(
         err,
         ScenarioError::InsufficientConnectivity {
-            compiler: CycleCoverAdapter::new(1).name(),
+            compiler: CompilerDef::CycleCover { f: 1 }.name(),
             needed: 3,
             found: 2,
         }
@@ -140,13 +155,39 @@ fn every_compiler_kind_role_pairing_matches_builder_behavior() {
     let all_compilers: Vec<MakeCompiler> = vec![
         Box::new(|| Box::new(Uncompiled)),
         Box::new(|| Box::new(FaultFree)),
-        Box::new(|| Box::new(CliqueAdapter::new(1, 3))),
-        Box::new(|| Box::new(TreePackingAdapter::new(1, 3))),
-        Box::new(|| Box::new(CycleCoverAdapter::new(1))),
-        Box::new(|| Box::new(ExpanderAdapter::new(1, 2, 6, 3))),
-        Box::new(|| Box::new(RewindAdapter::new(1, 3))),
-        Box::new(|| Box::new(StaticToMobileAdapter::new(4, 2, 3))),
-        Box::new(|| Box::new(CongestionSensitiveAdapter::new(1, 2, 3))),
+        Box::new(|| Box::new(CompilerDef::Clique { f: 1, seed: 3 })),
+        Box::new(|| {
+            Box::new(CompilerDef::TreePacking {
+                f: 1,
+                trees: None,
+                seed: 3,
+                packing: Default::default(),
+            })
+        }),
+        Box::new(|| Box::new(CompilerDef::CycleCover { f: 1 })),
+        Box::new(|| {
+            Box::new(CompilerDef::Expander {
+                f: 1,
+                k: 2,
+                bfs_rounds: 6,
+                seed: 3,
+            })
+        }),
+        Box::new(|| Box::new(CompilerDef::Rewind { f: 1, seed: 3 })),
+        Box::new(|| {
+            Box::new(CompilerDef::StaticToMobile {
+                t: 4,
+                words: 2,
+                seed: 3,
+            })
+        }),
+        Box::new(|| {
+            Box::new(CompilerDef::CongestionSensitive {
+                f: 1,
+                words: 2,
+                seed: 3,
+            })
+        }),
     ];
     // Every CompilerKind is represented, so the table below really is the
     // full supports() matrix.
@@ -210,7 +251,7 @@ fn compiler_notes_reach_the_run_report() {
             CorruptionBudget::Mobile { f: 1 },
         )
         .seed(7)
-        .compiled_with(CliqueAdapter::new(1, 3))
+        .compiled_with(CompilerDef::Clique { f: 1, seed: 3 })
         .run()
         .unwrap();
     assert_eq!(resilient.notes.fully_corrected(), Some(true));
@@ -232,7 +273,11 @@ fn compiler_notes_reach_the_run_report() {
             CorruptionBudget::Mobile { f: 1 },
         )
         .seed(7)
-        .compiled_with(StaticToMobileAdapter::new(4, 2, 3))
+        .compiled_with(CompilerDef::StaticToMobile {
+            t: 4,
+            words: 2,
+            seed: 3,
+        })
         .run()
         .unwrap();
     let key_rounds = secure.notes.key_rounds().expect("secure notes present");
@@ -419,6 +464,120 @@ fn matrix_sweep_graphs_by_adversaries_by_compilers() {
     let table = report.to_table();
     for def in &spec.grid.graphs {
         assert!(table.contains(&def.display_name()));
+    }
+}
+
+/// Every `CompilerDef` variant, pinned end to end: its name and kind, and an
+/// FNV-1a of the `Debug` of its cells — verdicts, outputs, metrics, notes —
+/// on a clique, a sparse circulant, a cycle and two disjoint cycles, under a
+/// byzantine and an eavesdropping adversary.  The defs are written as spec
+/// JSON; the literals were captured before the per-compiler adapter types
+/// were folded into the def, so the fold is checked to change no byte a def
+/// produces.
+#[test]
+fn every_compiler_def_is_pinned_by_name_kind_and_outcome() {
+    use mobile_congest::graphs::Graph;
+    use mobile_congest::harness::json::{self, fnv1a_hex};
+    use mobile_congest::harness::spec::compiler_from_json;
+    use mobile_congest::obs::{TraceSpec, Tracer};
+    use mobile_congest::scenario::BoxedAlgorithm;
+
+    let two_cycles: Vec<(usize, usize)> = (0..5)
+        .flat_map(|i| [(i, (i + 1) % 5), (5 + i, 5 + (i + 1) % 5)])
+        .collect();
+    let graphs = [
+        generators::complete(8),
+        generators::circulant(12, 3),
+        generators::cycle(6),
+        Graph::from_edges(10, &two_cycles),
+    ];
+    let adversaries = [
+        matrix::AdversaryDef::RandomMobile { f: 1 },
+        matrix::AdversaryDef::Eavesdropper { f: 1 },
+    ];
+    let pins = [
+        (
+            r#"{"id":"uncompiled"}"#,
+            "uncompiled Baseline d06ec7f5c8c905b3",
+        ),
+        (r#"{"id":"async"}"#, "async(sync) Baseline f55ea05add5b0749"),
+        (
+            r#"{"id":"fault-free"}"#,
+            "fault-free Reference c5b6a27f73c05fdd",
+        ),
+        (
+            r#"{"id":"clique","f":1,"seed":5}"#,
+            "clique(f=1) Resilient 390c2a1806c14fc5",
+        ),
+        (
+            r#"{"id":"tree-packing","f":1,"seed":5}"#,
+            "tree-packing(f=1,k=9,v2) Resilient d6047a2b9614ae75",
+        ),
+        (
+            r#"{"id":"tree-packing","f":1,"trees":9,"seed":5,"packing":"v1"}"#,
+            "tree-packing(f=1,k=9,v1) Resilient 10dc2e40e4e46b2d",
+        ),
+        (
+            r#"{"id":"tree-packing","f":1,"trees":0,"seed":5}"#,
+            "tree-packing(f=1,k=0,v2) Resilient 7c3a09d9aad0b0cd",
+        ),
+        (
+            r#"{"id":"cycle-cover","f":1}"#,
+            "cycle-cover(f=1) Resilient a15ea4c72900336e",
+        ),
+        (
+            r#"{"id":"expander","f":1,"k":1,"bfs_rounds":4,"seed":5}"#,
+            "expander(f=1,k=1) Resilient 56fa5985820aaac2",
+        ),
+        (
+            r#"{"id":"rewind","f":1,"seed":5}"#,
+            "rewind(f=1) RateResilient 7dd39151e84ef110",
+        ),
+        (
+            r#"{"id":"static-to-mobile","t":4,"words":2,"seed":5}"#,
+            "static-to-mobile(t=4) Secure 423951ce05615fc9",
+        ),
+        (
+            r#"{"id":"congestion-sensitive","f":1,"words":2,"seed":5}"#,
+            "congestion-sensitive(f=1) Secure c83d88d5b766df37",
+        ),
+    ];
+    // The flood needs a connected graph; the disjoint cycles exchange ids.
+    let payload = |g: &Graph| -> BoxedAlgorithm {
+        if mobile_congest::graphs::traversal::is_connected(g) {
+            Box::new(FloodBroadcast::new(g.clone(), 0, 4242))
+        } else {
+            Box::new(mobile_congest::scenario::doctest_payload(g.clone()))
+        }
+    };
+    for (spec, pin) in pins {
+        let def = compiler_from_json(&json::parse(spec).unwrap()).unwrap();
+        let mut cells = String::new();
+        for graph in &graphs {
+            let verdict = def
+                .prepare(graph, &mut Tracer::disabled())
+                .map(std::sync::Arc::new);
+            cells.push_str(&format!("{:?}\n", verdict.as_ref().map(|_| ())));
+            for adversary in &adversaries {
+                let outcome = matrix::run_cell(
+                    graph,
+                    adversary,
+                    def.build(),
+                    payload,
+                    7,
+                    TraceSpec::off(),
+                    Some(verdict.clone()),
+                );
+                cells.push_str(&format!("{outcome:?}\n"));
+            }
+        }
+        let found = format!(
+            "{} {:?} {}",
+            def.name(),
+            def.kind(),
+            fnv1a_hex(cells.bytes())
+        );
+        assert_eq!(found, pin, "{spec}");
     }
 }
 
