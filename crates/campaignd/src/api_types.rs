@@ -88,9 +88,11 @@ pub struct JobStatus {
     pub failed: usize,
     /// Executed cells disagreeing with the fault-free reference.
     pub disagreements: usize,
-    /// The merged [`ReportRecord`](harness::ReportRecord) fingerprint —
-    /// present once the job is done; equals the record fingerprint of the
-    /// one-shot CLI run of the same spec.
+    /// The report fingerprint — FNV-1a over the job's
+    /// [`CellRecord::to_json`](harness::CellRecord::to_json) lines in index
+    /// order, each followed by a newline; present once the job is done, and
+    /// equal to the same hash over the cells of the one-shot CLI run of the
+    /// same spec.
     pub report_fingerprint: Option<String>,
     /// Why the job failed (only on [`JobState::Failed`]).
     pub error: Option<String>,

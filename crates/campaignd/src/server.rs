@@ -15,22 +15,28 @@
 //! # Determinism contract
 //!
 //! A cell's seed (and therefore its entire execution) depends only on its
-//! global index, so the merged record report of a server-run job is
-//! **byte-identical** — same [`ReportRecord::fingerprint`] — to the one-shot
-//! CLI run of the same spec, regardless of batch size, worker count,
-//! restarts, or the order batches happened to complete in.
+//! global index, so a server-run job is **byte-identical** to the one-shot
+//! CLI run of the same spec — same summary and trajectory bytes, same report
+//! fingerprint (FNV-1a over the records' `to_json` lines in index order) —
+//! regardless of batch size, worker count, restarts, or the order batches
+//! happened to complete in.  Every read walks the job's done records in
+//! place: summaries through [`summaries_of`], trajectory lines through
+//! [`CellRecord::cell_line`], the encoders the CLI writes with.
 //!
 //! # Crash recovery
 //!
 //! On startup the store is replayed ([`crate::store`] documents the
 //! protocol): fully persisted cells count as done and are **never
-//! re-executed**; a torn trailing line re-runs its cell; non-terminal jobs
-//! are requeued with exactly their missing cells.
+//! re-executed**; a torn trailing line re-runs its cell, and so does a
+//! record that decodes but does not sit at its grid position (an index past
+//! the grid, or a repetition other than `index % repetitions`); non-terminal
+//! jobs are requeued with exactly their missing cells.
 
 use crate::api_types::{ApiError, JobList, JobState, JobStatus, QueryResponse, QueryRow};
 use crate::http::{self, Request, Response};
 use crate::store::{FsStore, Store};
-use harness::report::{CellRecord, ReportRecord};
+use harness::campaign::summary_json;
+use harness::report::{summaries_of, trajectory_header, CellRecord};
 use harness::{Campaign, CampaignSpec, StatSummary};
 use mobile_congest_harness as harness;
 use std::collections::{BTreeMap, VecDeque};
@@ -97,8 +103,8 @@ struct Job {
     error: Option<String>,
 }
 
-/// Fold one record into a job's outcome tallies (the same classification as
-/// [`ReportRecord::outcome_counts`]).
+/// Fold one record into a job's executed / skipped / failed / disagreement
+/// tallies.
 fn tally(counts: &mut (usize, usize, usize, usize), record: &CellRecord) {
     match &record.outcome {
         harness::RecordOutcome::Ok { agrees, .. } => {
@@ -270,19 +276,26 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
         let total = campaign.cell_count();
         let mut done = BTreeMap::new();
         let mut counts = (0, 0, 0, 0);
+        let mut torn = job.torn_lines;
         for record in job.cells {
-            if record.index < total {
-                if let std::collections::btree_map::Entry::Vacant(slot) = done.entry(record.index) {
-                    tally(&mut counts, &record);
-                    let line = record.to_json();
-                    slot.insert(DoneCell { record, line });
-                }
+            // A record that decodes but does not sit at its grid position
+            // (past the grid, or at another repetition than the enumeration
+            // gives its index) would split or invent a summary group: it is
+            // as good as torn, and its cell re-runs.
+            if record.index >= total || record.repetition != record.index % job.spec.repetitions {
+                torn += 1;
+                continue;
+            }
+            if let std::collections::btree_map::Entry::Vacant(slot) = done.entry(record.index) {
+                tally(&mut counts, &record);
+                let line = record.to_json();
+                slot.insert(DoneCell { record, line });
             }
         }
-        if job.torn_lines > 0 {
+        if torn > 0 {
             inner.log(format!(
-                "job {}: skipped {} torn log line(s); their cells will re-run",
-                job.fingerprint, job.torn_lines
+                "job {}: skipped {torn} torn log line(s); their cells will re-run",
+                job.fingerprint
             ));
         }
         let mut entry = Job {
@@ -353,17 +366,18 @@ fn enqueue_pending(inner: &Inner, fingerprint: &str, pending: &[usize]) -> usize
     count
 }
 
-/// The job's current records as a merged [`ReportRecord`].
-fn record_of(job: &Job) -> ReportRecord {
-    ReportRecord {
-        cells: job.done.values().map(|d| d.record.clone()).collect(),
-    }
+/// The job's summary block (one `kind:"summary"` line per grid cell) over
+/// its done records in index order — the CLI's stdout for the same cells.
+fn summary_jsonl(job: &Job) -> String {
+    summaries_of(job.done.values().map(|d| &d.record))
+        .iter()
+        .map(|summary| summary_json(summary) + "\n")
+        .collect()
 }
 
-/// The report fingerprint of a job's done cells, streamed over the cached
-/// encoded lines — byte-for-byte the same FNV-1a input as
-/// [`ReportRecord::fingerprint`] (one `to_json` line per cell, in index
-/// order), without re-serializing any record.
+/// The report fingerprint of a job's done cells: FNV-1a over one `to_json`
+/// line per cell, each followed by a newline, in index order — streamed
+/// over the cached encoded lines, without re-serializing any record.
 fn fingerprint_of(job: &Job) -> String {
     harness::json::fnv1a_hex(
         job.done
@@ -377,7 +391,7 @@ fn fingerprint_of(job: &Job) -> String {
 fn finalize(inner: &Inner, fingerprint: &str, job: &mut Job) {
     if let Err(e) = inner
         .store
-        .put_summary(fingerprint, &record_of(job).summary_jsonl())
+        .put_summary(fingerprint, &summary_jsonl(job))
         .and_then(|()| inner.store.set_state(fingerprint, JobState::Done))
     {
         fail_job(inner, fingerprint, job, e.to_string());
@@ -582,7 +596,7 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
         ("GET", ["jobs", fp, "summary"]) => {
             let jobs = inner.jobs.lock().expect("jobs lock");
             match jobs.get(*fp) {
-                Some(job) => Response::text(200, record_of(job).summary_jsonl()),
+                Some(job) => Response::text(200, summary_jsonl(job)),
                 None => not_found(fp),
             }
         }
@@ -590,9 +604,12 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
             let jobs = inner.jobs.lock().expect("jobs lock");
             match jobs.get(*fp) {
                 Some(job) => {
-                    let mut text = harness::report::trajectory_header(&job.spec);
+                    let mut text = trajectory_header(&job.spec);
                     text.push('\n');
-                    text.push_str(&record_of(job).cell_lines());
+                    for done in job.done.values() {
+                        text.push_str(&done.record.cell_line());
+                        text.push('\n');
+                    }
                     Response::text(200, text)
                 }
                 None => not_found(fp),
@@ -737,7 +754,7 @@ fn query(inner: &Arc<Inner>, request: &Request) -> Response {
         if !wanted_jobs.is_empty() && !wanted_jobs.iter().any(|fp| fp == fingerprint) {
             continue;
         }
-        for group in record_of(job).summaries() {
+        for group in summaries_of(job.done.values().map(|d| &d.record)) {
             if !matches(request.query_param("graph"), &group.graph)
                 || !matches(request.query_param("adversary"), &group.adversary)
                 || !matches(request.query_param("compiler"), &group.compiler)

@@ -1,10 +1,17 @@
 //! Campaigns: batched grids of graph × adversary × compiler × seed-repetition
 //! cells, executed deterministically in parallel and aggregated into
 //! campaign-level summaries with a JSONL export.
+//!
+//! A finished [`CampaignCell`] reaches every output through its flat
+//! [`CellRecord`]: [`cell_json`] is the record's `kind:"cell"` line and
+//! [`CampaignReport::summaries`] aggregates the records with
+//! [`summaries_of`], so the live report writes the same bytes a store of
+//! records would.
 
 use crate::artifact_cache::ArtifactCache;
 use crate::engine;
 use crate::json;
+use crate::report::{summaries_of, CellRecord};
 use crate::spec::{compiler_to_json, graph_to_json, CampaignSpec, SpecError};
 use crate::stats::StatSummary;
 use congest_sim::scenario::matrix::run_cell;
@@ -367,30 +374,30 @@ impl CampaignReport {
     }
 
     /// Aggregate the repetitions of every grid cell into summaries
-    /// (mean/stddev plus the order statistics), in enumeration order.
-    ///
-    /// The aggregation itself (grouping on the grid-cell key
-    /// `index - repetition`, facet extraction, the stats) is shared with the
-    /// serializable record form ([`crate::report::summaries_of`]) — a summary
-    /// recomputed from stored [`CellRecord`](crate::report::CellRecord)s is
-    /// byte-identical to this one.  On top, the live path overlays the
-    /// per-group wall-clock [`GroupSummary::profile`] harvested from the
-    /// in-memory reports of traced runs; wall times are measurement, not
-    /// data, and never enter the record form.
+    /// (mean/stddev plus the order statistics), in enumeration order: the
+    /// cells flattened to [`CellRecord`]s and handed to
+    /// [`CampaignReport::summaries_with`].
     pub fn summaries(&self) -> Vec<GroupSummary> {
-        let records: Vec<crate::report::CellRecord> = self
+        let records: Vec<CellRecord> = self.cells.iter().map(CellRecord::of).collect();
+        self.summaries_with(&records)
+    }
+
+    /// [`CampaignReport::summaries`] over this report's cells already
+    /// flattened — `records` is [`CellRecord::of`] of every cell, in order —
+    /// for callers that also write the records.  The aggregation is
+    /// [`summaries_of`], so a summary recomputed from stored records is
+    /// byte-identical to this one; on top, the per-group wall-clock
+    /// [`GroupSummary::profile`] of traced runs is laid over the same groups.
+    /// Wall times are measurement, not data, and never enter the record form.
+    pub fn summaries_with(&self, records: &[CellRecord]) -> Vec<GroupSummary> {
+        let mut summaries = summaries_of(records);
+        let groups = self
             .cells
-            .iter()
-            .map(crate::report::CellRecord::of)
-            .collect();
-        let mut summaries = crate::report::summaries_of(&records);
-        for (summary, members) in summaries
-            .iter_mut()
-            .zip(crate::report::grouped_indices(&records))
-        {
+            .chunk_by(|a, b| a.index - a.repetition == b.index - b.repetition);
+        for (summary, group) in summaries.iter_mut().zip(groups) {
             let mut profile = obs::PhaseProfile::default();
-            for &i in &members {
-                if let Ok(report) = &self.cells[i].outcome {
+            for cell in group {
+                if let Ok(report) = &cell.outcome {
                     profile.merge(&report.trace.profile);
                 }
             }
@@ -408,21 +415,14 @@ impl CampaignReport {
     /// `kind:"summary"` line per grid cell (the mean/min/max/p50/p99
     /// aggregates).  Deterministic byte-for-byte at any thread count.
     pub fn to_jsonl(&self) -> String {
-        self.to_jsonl_with(&self.summaries())
-    }
-
-    /// [`CampaignReport::to_jsonl`] with a precomputed [`summaries`] result,
-    /// so callers that also print the summaries aggregate only once.
-    ///
-    /// [`summaries`]: CampaignReport::summaries
-    pub fn to_jsonl_with(&self, summaries: &[GroupSummary]) -> String {
+        let records: Vec<CellRecord> = self.cells.iter().map(CellRecord::of).collect();
         let mut out = String::new();
-        for cell in &self.cells {
-            out.push_str(&cell_json(cell));
+        for record in &records {
+            out.push_str(&record.cell_line());
             out.push('\n');
         }
-        for summary in summaries {
-            out.push_str(&summary_json(summary));
+        for summary in self.summaries_with(&records) {
+            out.push_str(&summary_json(&summary));
             out.push('\n');
         }
         out
@@ -490,99 +490,10 @@ impl CampaignReport {
     }
 }
 
-/// The primitive fields of one `kind:"cell"` trajectory line: what
-/// [`cell_json`] extracts from a live cell and
-/// [`CellRecord::cell_line`](crate::report::CellRecord::cell_line) from a
-/// stored record, so [`encode_cell_line`] is the line's only encoder.
-pub(crate) struct CellLine<'a, N> {
-    pub index: usize,
-    pub graph: &'a str,
-    pub adversary: &'a str,
-    pub compiler: &'a str,
-    pub repetition: usize,
-    pub seed: u64,
-    pub status: &'a str,
-    /// The executed run, or the rendered error of a skipped / failed cell.
-    pub outcome: Result<CellLineRun<'a, N>, &'a str>,
-}
-
-/// The executed half of a [`CellLine`].
-pub(crate) struct CellLineRun<'a, N> {
-    pub payload_rounds: usize,
-    pub network_rounds: usize,
-    pub corrupted_edge_rounds: usize,
-    pub agrees: Option<bool>,
-    pub notes_type: &'a str,
-    /// The typed notes metrics, in their canonical emission order.
-    pub notes: N,
-}
-
-/// Encode one `kind:"cell"` line (no trailing newline).
-pub(crate) fn encode_cell_line<'a, N>(cell: CellLine<'a, N>) -> String
-where
-    N: Iterator<Item = (&'a str, f64)>,
-{
-    json::object(|w| {
-        w.str("kind", "cell")
-            .u64("index", cell.index as u64)
-            .str("graph", cell.graph)
-            .str("adversary", cell.adversary)
-            .str("compiler", cell.compiler)
-            .u64("repetition", cell.repetition as u64)
-            .u64("seed", cell.seed)
-            .str("status", cell.status);
-        match cell.outcome {
-            Ok(run) => {
-                w.u64("payload_rounds", run.payload_rounds as u64)
-                    .u64("network_rounds", run.network_rounds as u64)
-                    .f64(
-                        "overhead",
-                        run.network_rounds as f64 / run.payload_rounds.max(1) as f64,
-                    )
-                    .u64("corrupted_edge_rounds", run.corrupted_edge_rounds as u64)
-                    .opt_bool("agrees", run.agrees)
-                    .obj("notes", |notes| {
-                        notes.str("type", run.notes_type);
-                        for (name, value) in run.notes {
-                            notes.f64(name, value);
-                        }
-                    });
-            }
-            Err(error) => {
-                w.str("error", error);
-            }
-        }
-    })
-}
-
-/// One `kind:"cell"` JSONL line (shared by [`CampaignReport::to_jsonl`] and
-/// the campaign CLI's resumable trajectory files — a cell's line depends
-/// only on the cell, never on which run produced it).
+/// One `kind:"cell"` JSONL line: the cell's [`CellRecord::cell_line`].  A
+/// cell's line depends only on the cell, never on which run produced it.
 pub fn cell_json(cell: &CampaignCell) -> String {
-    let error;
-    encode_cell_line(CellLine {
-        index: cell.index,
-        graph: &cell.graph,
-        adversary: &cell.adversary,
-        compiler: &cell.compiler,
-        repetition: cell.repetition,
-        seed: cell.seed,
-        status: cell.status(),
-        outcome: match &cell.outcome {
-            Ok(report) => Ok(CellLineRun {
-                payload_rounds: report.payload_rounds,
-                network_rounds: report.network_rounds,
-                corrupted_edge_rounds: report.metrics.corrupted_edge_rounds,
-                agrees: report.agrees_with_fault_free(),
-                notes_type: report.notes.label(),
-                notes: report.notes.metrics().into_iter(),
-            }),
-            Err(e) => {
-                error = e.to_string();
-                Err(error.as_str())
-            }
-        },
-    })
+    CellRecord::of(cell).cell_line()
 }
 
 /// One `kind:"summary"` JSONL line per grid cell (shared by

@@ -13,8 +13,8 @@
 //!   spec's twin): FNV-1a over the spec text, whose per-def objects are
 //!   canonical (the surrounding one-entry-per-line layout is fixed by
 //!   `CampaignSpec::to_json`);
-//! * the **report fingerprint** (`ReportRecord::fingerprint`): FNV-1a over
-//!   the `kind:"cell-record"` lines;
+//! * the **report fingerprint** `campaignd` serves: FNV-1a over a job's
+//!   `kind:"cell-record"` lines;
 //! * the **artifact-cache key**: the canonical graph and compiler objects of
 //!   a `(graph, compiler)` pair;
 //! * the **trajectory and `cells.log` lines**: `--resume`, shard merging and

@@ -25,7 +25,9 @@
 //! report aggregates every numeric facet — run metrics plus the typed notes
 //! (rewinds, correction verdicts, key rounds, packing quality) — into
 //! mean/min/max/p50/p99 summaries per grid cell, and exports the whole
-//! trajectory as JSONL for the bench harness.
+//! trajectory as JSONL for the bench harness.  Every output goes through a
+//! cell's flat [`CellRecord`] ([`report`]): one `kind:"cell"` encoder, one
+//! summary aggregator, shared by the CLI, the server and its store.
 //!
 //! A small two-worker campaign on a clique:
 //!
@@ -75,6 +77,6 @@ pub mod stats;
 pub use artifact_cache::ArtifactCache;
 pub use campaign::{cell_seed, Campaign, CampaignCell, CampaignReport, GroupSummary};
 pub use engine::{default_threads, run_indexed};
-pub use report::{CellRecord, RecordOutcome, ReportRecord};
+pub use report::{CellRecord, RecordOutcome};
 pub use spec::{CampaignSpec, GridSpec, PayloadDef, SpecError};
 pub use stats::StatSummary;

@@ -1,46 +1,45 @@
-//! The campaign-report codec: flat, serializable per-cell records with a
-//! lossless JSON round trip.
+//! The campaign-report codec: the flat record of one finished cell, and the
+//! trajectory file around it.
 //!
 //! A [`CellRecord`] is the plain-data form of one executed
 //! [`CampaignCell`]: the cell's grid coordinates plus
 //! exactly the facet values the summary aggregation consumes — no live
-//! `RunReport`, no outputs, no traces.  A [`ReportRecord`] is a whole
-//! campaign report in that form.  Three properties make it the storage format
-//! of the campaign server (`crates/campaignd`):
+//! `RunReport`, no outputs, no traces.  It is the one form a finished cell
+//! takes between the worker and every byte the system writes:
 //!
-//! * **lossless round trip** — `from_jsonl(to_jsonl(r)) == r` for every
-//!   record (property-tested in `tests/report_proptests.rs`; numbers ride the
-//!   exact-token [`crate::json`] layer, so `u64` seeds and shortest-form
-//!   `f64` facets survive byte-for-byte);
-//! * **fingerprint-stable** — [`ReportRecord::fingerprint`] is FNV-1a over
-//!   the canonical JSONL form, so two reports fingerprint equal iff they
-//!   carry the same cells, no matter which process (CLI run, server worker,
-//!   store replay) produced them;
-//! * **summary-exact** — [`ReportRecord::summaries`] and
-//!   [`CampaignReport::summaries`](crate::CampaignReport::summaries) share
-//!   one implementation ([`summaries_of`]), so a summary recomputed from
-//!   stored records is byte-identical to the one the live run printed.
+//! * **`cells.log`** — [`CellRecord::to_json`] is a lossless round trip with
+//!   [`CellRecord::from_json`] (property-tested in
+//!   `tests/report_proptests.rs`; numbers ride the exact-token
+//!   [`crate::json`] layer, so `u64` seeds and shortest-form `f64` facets
+//!   survive byte for byte);
+//! * **the trajectory** — [`CellRecord::cell_line`] is the only encoder of
+//!   the `kind:"cell"` line ([`cell_json`](crate::campaign::cell_json)
+//!   flattens a live cell and calls it), which is what lets a server-side
+//!   store answer `GET /jobs/{fp}/trajectory` with the exact bytes a one-shot
+//!   CLI run writes;
+//! * **the summaries** — [`summaries_of`] is the only aggregator
+//!   ([`CampaignReport::summaries`](crate::CampaignReport::summaries) calls
+//!   it and lays the traced wall-clock profiles over the same groups), so a
+//!   summary recomputed from stored records is byte-identical to the one the
+//!   live run printed.
 //!
-//! The per-cell trajectory line of the campaign CLI
-//! ([`cell_json`](crate::campaign::cell_json)) is derivable from a record
-//! ([`CellRecord::cell_line`]), which is what lets a server-side store answer
-//! `GET /jobs/{fp}/trajectory` with the exact bytes a one-shot CLI run would
-//! have written.
+//! The report fingerprint `campaignd` serves is FNV-1a over the records'
+//! `to_json` lines in index order, each followed by a newline: two reports
+//! fingerprint equal iff they carry the same cells, no matter which process
+//! (CLI run, server worker, store replay) produced them.
 //!
 //! The trajectory *file* lives here too, once: [`trajectory_header`] keys a
-//! file to its spec, [`read_lines`] reads one back for `--resume` (foreign
-//! fingerprints refused, torn lines skipped), [`assemble`] merges kept and
-//! fresh lines in index order and [`write_atomic`] replaces the file
-//! crash-safely.  The `campaign` and `redteam` CLIs and the server's store
-//! all call these.
+//! file to its spec, [`read_lines`] reads one back (foreign fingerprints
+//! refused, torn lines skipped), [`assemble`] merges kept and fresh lines in
+//! index order and [`write_atomic`] replaces the file crash-safely.
+//! [`resume_trajectory`] is the whole `--resume` cycle of the `campaign` and
+//! `redteam` CLIs over them; the server's store calls `write_atomic`.
 
-use crate::campaign::{
-    encode_cell_line, summary_json, CampaignCell, CampaignReport, CellLine, CellLineRun,
-    GroupSummary,
-};
-use crate::json::{self, fnv1a_hex, JsonValue, Reader};
+use crate::campaign::{CampaignCell, GroupSummary};
+use crate::json::{self, JsonValue, Reader};
 use crate::spec::{CampaignSpec, SpecError};
 use crate::stats::StatSummary;
+use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -153,8 +152,7 @@ impl CellRecord {
     }
 
     /// The facet samples this record contributes to its group summary
-    /// (empty unless the cell executed) — the single extraction point the
-    /// live path reuses through [`summaries_of`].
+    /// (empty unless the cell executed), in [`summaries_of`]'s stat order.
     pub fn facets(&self) -> Vec<(String, f64)> {
         let RecordOutcome::Ok {
             payload_rounds,
@@ -288,8 +286,8 @@ impl CellRecord {
             outcome,
         };
         // Repetitions are innermost in the enumeration order, so a cell's
-        // repetition never exceeds its index; `grouped_indices` subtracts
-        // the two, and a log line is outside input.
+        // repetition never exceeds its index; `summaries_of` subtracts the
+        // two, and a log line is outside input.
         if record.repetition > record.index {
             return Err(SpecError::Invalid {
                 reason: format!(
@@ -301,20 +299,20 @@ impl CellRecord {
         Ok(record)
     }
 
-    /// The `kind:"cell"` trajectory line this record stands for —
-    /// byte-identical to [`cell_json`](crate::campaign::cell_json) on the
-    /// live cell it was flattened from (both are extractors over one
-    /// encoder), so a store can serve the exact trajectory a CLI run writes.
+    /// The `kind:"cell"` trajectory line of this cell — the line's only
+    /// encoder, so the `campaign` CLI's file and the server's trajectory
+    /// endpoint write the same bytes (no trailing newline).
     pub fn cell_line(&self) -> String {
-        encode_cell_line(CellLine {
-            index: self.index,
-            graph: &self.graph,
-            adversary: &self.adversary,
-            compiler: &self.compiler,
-            repetition: self.repetition,
-            seed: self.seed,
-            status: self.status(),
-            outcome: match &self.outcome {
+        json::object(|w| {
+            w.str("kind", "cell")
+                .u64("index", self.index as u64)
+                .str("graph", &self.graph)
+                .str("adversary", &self.adversary)
+                .str("compiler", &self.compiler)
+                .u64("repetition", self.repetition as u64)
+                .u64("seed", self.seed)
+                .str("status", self.status());
+            match &self.outcome {
                 RecordOutcome::Ok {
                     payload_rounds,
                     network_rounds,
@@ -323,128 +321,27 @@ impl CellRecord {
                     notes_type,
                     notes,
                     ..
-                } => Ok(CellLineRun {
-                    payload_rounds: *payload_rounds,
-                    network_rounds: *network_rounds,
-                    corrupted_edge_rounds: *corrupted_edge_rounds,
-                    agrees: *agrees,
-                    notes_type,
-                    notes: notes.iter().map(|(name, value)| (name.as_str(), *value)),
-                }),
-                RecordOutcome::Skipped { error } | RecordOutcome::Failed { error } => Err(error),
-            },
-        })
-    }
-}
-
-/// A whole campaign report in record form: the serializable product of a run
-/// (see the module docs for the codec contracts).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReportRecord {
-    /// The cell records, ordered by [`CellRecord::index`].
-    pub cells: Vec<CellRecord>,
-}
-
-impl ReportRecord {
-    /// Flatten a live campaign report.
-    pub fn of(report: &CampaignReport) -> ReportRecord {
-        ReportRecord {
-            cells: report.cells.iter().map(CellRecord::of).collect(),
-        }
-    }
-
-    /// Encode as canonical JSONL: one [`CellRecord::to_json`] line per cell,
-    /// in index order.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for cell in &self.cells {
-            out.push_str(&cell.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse a report from its [`ReportRecord::to_jsonl`] form (blank lines
-    /// allowed; any other malformed line is a typed error).  Cells are
-    /// re-sorted by index, with exact duplicates deduplicated — the same
-    /// normalization [`ReportRecord::merged`] applies.
-    pub fn from_jsonl(text: &str) -> Result<ReportRecord, SpecError> {
-        let mut cells = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            cells.push(CellRecord::from_json(line)?);
-        }
-        Ok(ReportRecord::merged([ReportRecord { cells }]))
-    }
-
-    /// Merge shard / resume / store-segment reports into one, re-establishing
-    /// the global enumeration order.  Cells sharing an index are deduplicated
-    /// (first occurrence wins) — by the campaign determinism contract, two
-    /// records of the same global index describe the same execution.
-    pub fn merged(reports: impl IntoIterator<Item = ReportRecord>) -> ReportRecord {
-        let mut cells: Vec<CellRecord> = reports.into_iter().flat_map(|r| r.cells).collect();
-        cells.sort_by_key(|c| c.index);
-        cells.dedup_by_key(|c| c.index);
-        ReportRecord { cells }
-    }
-
-    /// Aggregate into per-grid-cell summaries — the same bytes
-    /// [`CampaignReport::summaries`](crate::CampaignReport::summaries)
-    /// produces for the live report these records were flattened from
-    /// (untraced runs; the wall-clock profile is measurement, not data, and
-    /// is never recorded).
-    pub fn summaries(&self) -> Vec<GroupSummary> {
-        summaries_of(&self.cells)
-    }
-
-    /// The `kind:"summary"` JSONL block (one line per grid cell) — the
-    /// machine-parseable stdout of a CLI run, recomputed from records.
-    pub fn summary_jsonl(&self) -> String {
-        let mut out = String::new();
-        for summary in self.summaries() {
-            out.push_str(&summary_json(&summary));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The trajectory body: one [`CellRecord::cell_line`] per cell.
-    pub fn cell_lines(&self) -> String {
-        let mut out = String::new();
-        for cell in &self.cells {
-            out.push_str(&cell.cell_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Stable 64-bit fingerprint (FNV-1a over the canonical
-    /// [`ReportRecord::to_jsonl`] form), rendered as 16 hex digits.  Two
-    /// reports fingerprint equal iff they carry the same cell records —
-    /// the acceptance check "a server-run campaign is byte-identical to the
-    /// one-shot CLI run" compares exactly this.
-    pub fn fingerprint(&self) -> String {
-        fnv1a_hex(self.to_jsonl().bytes())
-    }
-
-    /// Executed / skipped / failed / disagreeing cell counts, in that order.
-    pub fn outcome_counts(&self) -> (usize, usize, usize, usize) {
-        let mut counts = (0, 0, 0, 0);
-        for cell in &self.cells {
-            match &cell.outcome {
-                RecordOutcome::Ok { agrees, .. } => {
-                    counts.0 += 1;
-                    if *agrees == Some(false) {
-                        counts.3 += 1;
-                    }
+                } => {
+                    w.u64("payload_rounds", *payload_rounds as u64)
+                        .u64("network_rounds", *network_rounds as u64)
+                        .f64(
+                            "overhead",
+                            *network_rounds as f64 / (*payload_rounds).max(1) as f64,
+                        )
+                        .u64("corrupted_edge_rounds", *corrupted_edge_rounds as u64)
+                        .opt_bool("agrees", *agrees)
+                        .obj("notes", |w| {
+                            w.str("type", notes_type);
+                            for (name, value) in notes {
+                                w.f64(name, *value);
+                            }
+                        });
                 }
-                RecordOutcome::Skipped { .. } => counts.1 += 1,
-                RecordOutcome::Failed { .. } => counts.2 += 1,
+                RecordOutcome::Skipped { error } | RecordOutcome::Failed { error } => {
+                    w.str("error", error);
+                }
             }
-        }
-        counts
+        })
     }
 }
 
@@ -538,71 +435,124 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(tmp, path)
 }
 
-/// Group member indices per grid cell, in enumeration order.  Records are
-/// grouped on the key `index - repetition` (the global index of the grid
-/// cell's repetition 0) over contiguous runs — the same rule the live
-/// summaries use, so non-contiguous subsets (shards, resumed or partially
-/// stored jobs) aggregate per grid cell and never glue repetitions onto a
-/// neighbouring cell.
-pub fn grouped_indices(records: &[CellRecord]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, record) in records.iter().enumerate() {
-        let key = record.index - record.repetition;
-        match groups.last_mut() {
-            Some((k, members)) if *k == key => members.push(i),
-            _ => groups.push((key, vec![i])),
-        }
+/// One run over the trajectory file `out` — the whole file cycle of the
+/// `campaign` and `redteam` CLIs.
+///
+/// With `resume`, the lines already in `out` are kept: the file must open
+/// with a header of `header`'s kind and fingerprint ([`read_lines`]), torn
+/// lines are skipped, and a `line_kind` line whose index is not below
+/// `total` (no such cell or unit exists) is dropped.  Lines of indices
+/// outside `wanted` stay, so sequential sharded resumes accumulate the
+/// one-shot file.  `run` then gets the indices of `wanted` that no kept line
+/// covers, in order, plus the count of distinct indices kept, and returns
+/// the fresh `(index, line)` pairs.  When nothing was missing the file is
+/// left as it is and the result is `None`; otherwise `header` and the union
+/// of kept and fresh lines in index order replace `out` through
+/// [`write_atomic`] (its directory created first), and the result is the
+/// number of lines written, header included.
+pub fn resume_trajectory(
+    out: &Path,
+    header: &str,
+    line_kind: &str,
+    total: usize,
+    wanted: &[usize],
+    resume: bool,
+    run: impl FnOnce(&[usize], usize) -> Result<Vec<(usize, String)>, String>,
+) -> Result<Option<usize>, String> {
+    let mut lines = Vec::new();
+    if resume && out.exists() {
+        let text = std::fs::read_to_string(out)
+            .map_err(|e| format!("cannot read trajectory {}: {e}", out.display()))?;
+        let ours = json::parse(header).map_err(|e| format!("trajectory header: {e}"))?;
+        let ours = Reader::new(&ours, "");
+        let (kind, fingerprint) = (ours.opt_str("kind"), ours.opt_str("fingerprint"));
+        lines = read_lines(
+            &text,
+            kind.unwrap_or_default(),
+            line_kind,
+            fingerprint.unwrap_or_default(),
+        )
+        .map_err(|e| {
+            format!(
+                "trajectory {}: {e}; delete it or pick another --out",
+                out.display()
+            )
+        })?;
+        lines.retain(|(index, _)| *index < total);
     }
-    groups.into_iter().map(|(_, members)| members).collect()
+    let present: HashSet<usize> = lines.iter().map(|(index, _)| *index).collect();
+    let missing: Vec<usize> = wanted
+        .iter()
+        .copied()
+        .filter(|index| !present.contains(index))
+        .collect();
+    lines.extend(run(&missing, present.len())?);
+    if missing.is_empty() {
+        return Ok(None);
+    }
+    let text = assemble(header, &lines);
+    if let Some(parent) = out.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    write_atomic(out, &text)
+        .map_err(|e| format!("cannot write trajectory {}: {e}", out.display()))?;
+    Ok(Some(text.lines().count()))
 }
 
-/// Aggregate records into per-grid-cell [`GroupSummary`]s — the single
-/// summary implementation behind both
-/// [`CampaignReport::summaries`](crate::CampaignReport::summaries) (which
-/// overlays wall-clock profiles on top) and [`ReportRecord::summaries`].
-pub fn summaries_of(records: &[CellRecord]) -> Vec<GroupSummary> {
-    grouped_indices(records)
-        .into_iter()
-        .map(|members| {
-            let first = &records[members[0]];
-            let mut stats: Vec<(String, Vec<f64>)> = Vec::new();
-            let mut executed = 0usize;
-            let mut skipped = 0usize;
-            let mut failed = 0usize;
-            let mut disagreements = 0usize;
-            for &i in &members {
-                let record = &records[i];
-                match &record.outcome {
-                    RecordOutcome::Ok { agrees, .. } => {
-                        executed += 1;
-                        if *agrees == Some(false) {
-                            disagreements += 1;
-                        }
-                        for (name, value) in record.facets() {
-                            match stats.iter_mut().find(|(n, _)| *n == name) {
-                                Some((_, samples)) => samples.push(value),
-                                None => stats.push((name, vec![value])),
-                            }
-                        }
+/// Aggregate records, in index order, into per-grid-cell [`GroupSummary`]s
+/// — the one summary implementation (the live
+/// [`CampaignReport::summaries`](crate::CampaignReport::summaries) flattens
+/// its cells and calls it).  Records are grouped on the key
+/// `index - repetition` (the global index of the grid cell's repetition 0)
+/// over contiguous runs, so non-contiguous subsets (shards, resumed or
+/// partially stored jobs) aggregate per grid cell and never glue repetitions
+/// onto a neighbouring cell.  Stats follow [`CellRecord::facets`] order.
+pub fn summaries_of<'a>(records: impl IntoIterator<Item = &'a CellRecord>) -> Vec<GroupSummary> {
+    /// Each facet's samples, in first-seen order.
+    type Samples = Vec<(String, Vec<f64>)>;
+    let mut groups: Vec<(usize, GroupSummary, Samples)> = Vec::new();
+    for record in records {
+        let key = record.index - record.repetition;
+        if groups.last().map(|(k, ..)| *k) != Some(key) {
+            let summary = GroupSummary {
+                graph: record.graph.clone(),
+                adversary: record.adversary.clone(),
+                compiler: record.compiler.clone(),
+                executed: 0,
+                skipped: 0,
+                failed: 0,
+                disagreements: 0,
+                stats: Vec::new(),
+                profile: Vec::new(),
+            };
+            groups.push((key, summary, Vec::new()));
+        }
+        let (_, summary, samples) = groups.last_mut().expect("a group was just opened");
+        match &record.outcome {
+            RecordOutcome::Ok { agrees, .. } => {
+                summary.executed += 1;
+                if *agrees == Some(false) {
+                    summary.disagreements += 1;
+                }
+                for (name, value) in record.facets() {
+                    match samples.iter_mut().find(|(n, _)| *n == name) {
+                        Some((_, values)) => values.push(value),
+                        None => samples.push((name, vec![value])),
                     }
-                    RecordOutcome::Skipped { .. } => skipped += 1,
-                    RecordOutcome::Failed { .. } => failed += 1,
                 }
             }
-            GroupSummary {
-                graph: first.graph.clone(),
-                adversary: first.adversary.clone(),
-                compiler: first.compiler.clone(),
-                executed,
-                skipped,
-                failed,
-                disagreements,
-                stats: stats
-                    .into_iter()
-                    .filter_map(|(name, samples)| StatSummary::of(&samples).map(|s| (name, s)))
-                    .collect(),
-                profile: Vec::new(),
-            }
+            RecordOutcome::Skipped { .. } => summary.skipped += 1,
+            RecordOutcome::Failed { .. } => summary.failed += 1,
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(_, mut summary, samples)| {
+            summary.stats = samples
+                .into_iter()
+                .filter_map(|(name, values)| StatSummary::of(&values).map(|s| (name, s)))
+                .collect();
+            summary
         })
         .collect()
 }
@@ -658,45 +608,33 @@ mod tests {
 
     #[test]
     fn report_jsonl_round_trips_and_fingerprints_stably() {
-        let report = ReportRecord {
-            cells: vec![ok_record(0, 0), ok_record(1, 1), ok_record(2, 0)],
+        // A report's `cells.log` form: one `to_json` line per record.
+        let jsonl = |records: &[CellRecord]| -> String {
+            records.iter().map(|r| r.to_json() + "\n").collect()
         };
-        let text = report.to_jsonl();
-        let back = ReportRecord::from_jsonl(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.fingerprint(), report.fingerprint());
-        assert_eq!(report.fingerprint().len(), 16);
-    }
-
-    #[test]
-    fn merged_sorts_and_dedups_by_index() {
-        let a = ReportRecord {
-            cells: vec![ok_record(2, 0), ok_record(0, 0)],
-        };
-        let b = ReportRecord {
-            cells: vec![ok_record(1, 1), ok_record(2, 0)],
-        };
-        let merged = ReportRecord::merged([a, b]);
-        let indices: Vec<usize> = merged.cells.iter().map(|c| c.index).collect();
-        assert_eq!(indices, vec![0, 1, 2]);
+        let records = vec![ok_record(0, 0), ok_record(1, 1), ok_record(2, 0)];
+        let text = jsonl(&records);
+        let back: Vec<CellRecord> = text
+            .lines()
+            .map(|line| CellRecord::from_json(line).unwrap())
+            .collect();
+        assert_eq!(back, records);
+        let fingerprint = json::fnv1a_hex(text.bytes());
+        assert_eq!(json::fnv1a_hex(jsonl(&back).bytes()), fingerprint);
+        assert_eq!(fingerprint.len(), 16);
     }
 
     #[test]
     fn malformed_lines_are_typed_errors() {
         assert!(CellRecord::from_json("{\"kind\":\"cell\"}").is_err());
         assert!(CellRecord::from_json("{").is_err());
-        assert!(ReportRecord::from_jsonl("{\"kind\":\"cell-record\"}\n").is_err());
-        // Blank lines are tolerated (the store's segment writer ends files
-        // with a newline).
-        assert_eq!(
-            ReportRecord::from_jsonl("\n\n").unwrap(),
-            ReportRecord::default()
-        );
+        assert!(CellRecord::from_json("{\"kind\":\"cell-record\"}").is_err());
+        assert!(CellRecord::from_json("").is_err());
     }
 
     #[test]
     fn a_repetition_beyond_the_index_is_a_typed_decode_error() {
-        // `grouped_indices` keys groups on `index - repetition`; a log line
+        // `summaries_of` keys groups on `index - repetition`; a log line
         // claiming repetition 3 of cell 2 used to decode fine and then
         // overflow that subtraction (a panic in debug, a wrapped garbage
         // key in release) once summaries were asked for.
@@ -709,15 +647,14 @@ mod tests {
             CellRecord::from_json(&line),
             Err(SpecError::Invalid { .. })
         ));
-        assert!(ReportRecord::from_jsonl(&format!("{line}\n")).is_err());
         // The boundary case is a real cell: repetition == index is cell
         // `index` of a one-grid-cell campaign.
         let edge = CellRecord {
             repetition: 2,
             ..ok_record(2, 0)
         };
-        let back = ReportRecord::from_jsonl(&edge.to_json()).unwrap();
-        assert_eq!(back.summaries().len(), 1);
+        let back = CellRecord::from_json(&edge.to_json()).unwrap();
+        assert_eq!(summaries_of([&back]).len(), 1);
     }
 
     #[test]
@@ -780,11 +717,13 @@ mod tests {
         // Two grid cells with identical display names: repetition resets the
         // key, so they stay separate groups.
         let records = vec![ok_record(0, 0), ok_record(1, 1), ok_record(2, 0)];
-        let groups = grouped_indices(&records);
-        assert_eq!(groups, vec![vec![0, 1], vec![2]]);
         let summaries = summaries_of(&records);
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].executed, 2);
         assert_eq!(summaries[0].stat("network_rounds").unwrap().count, 2);
+        assert_eq!(summaries[1].executed, 1);
+        // A shard's subset: repetition 1 of the first grid cell and
+        // repetition 0 of the second are adjacent but never glued.
+        assert_eq!(summaries_of([&records[1], &records[2]]).len(), 2);
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests for the campaign-report record codec
 //! (`mobile_congest_harness::report`): arbitrary records survive the
-//! encode → parse round trip byte-for-byte, and the report fingerprint is a
-//! pure function of the cells.
+//! encode → parse round trip byte-for-byte, and the report fingerprint (FNV-1a
+//! over the records' lines) is a pure function of the cells.
 
-use mobile_congest_harness::report::{CellRecord, RecordOutcome, ReportRecord};
+use mobile_congest_harness::json::fnv1a_hex;
+use mobile_congest_harness::report::{CellRecord, RecordOutcome};
 use proptest::prelude::*;
 
 /// A random display-name-ish string exercising the escaper (names in real
@@ -99,18 +100,22 @@ proptest! {
             0..8,
         ),
     ) {
-        let report = ReportRecord {
-            cells: shapes
-                .iter()
-                .enumerate()
-                .map(|(i, (tag, seed, picks))| arbitrary_record(i, *tag, *seed, picks, &[*seed]))
-                .collect(),
+        let records: Vec<CellRecord> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, (tag, seed, picks))| arbitrary_record(i, *tag, *seed, picks, &[*seed]))
+            .collect();
+        let jsonl = |records: &[CellRecord]| -> String {
+            records.iter().map(|r| r.to_json() + "\n").collect()
         };
-        let text = report.to_jsonl();
-        let back = ReportRecord::from_jsonl(&text)
+        let text = jsonl(&records);
+        let back = text
+            .lines()
+            .map(CellRecord::from_json)
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| TestCaseError(format!("round trip failed: {e}")))?;
-        prop_assert_eq!(&back, &report);
-        prop_assert_eq!(back.to_jsonl(), text);
-        prop_assert_eq!(back.fingerprint(), report.fingerprint());
+        prop_assert_eq!(&back, &records);
+        prop_assert_eq!(jsonl(&back), text.clone());
+        prop_assert_eq!(fnv1a_hex(jsonl(&back).bytes()), fnv1a_hex(text.bytes()));
     }
 }

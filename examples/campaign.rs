@@ -81,7 +81,7 @@ fn main() {
 
     // The first few lines of the JSONL trajectory the bench harness exports.
     println!("\nJSONL trajectory (first 3 lines):");
-    for line in report.to_jsonl_with(&summaries).lines().take(3) {
+    for line in report.to_jsonl().lines().take(3) {
         println!("{line}");
     }
 

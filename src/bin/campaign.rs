@@ -16,9 +16,11 @@
 //! already present in the trajectory file are skipped, only missing cells
 //! execute, and the file is rewritten with the union in index order.  A
 //! trajectory written for a different spec (fingerprint mismatch) is refused
-//! rather than silently mixed.  `--shard I/OF` restricts the run to the
-//! cells with `index % OF == I`; shard outputs merge cleanly because every
-//! cell line depends only on the cell's global index.
+//! rather than silently mixed, and a line for a cell outside the grid is
+//! dropped.  `--shard I/OF` restricts the run to the cells with
+//! `index % OF == I`; shard outputs merge cleanly because every cell line
+//! depends only on the cell's global index.  The file cycle is
+//! `harness::report::resume_trajectory`, shared with the `redteam` CLI.
 //!
 //! **Stream contract**: stdout carries machine-parseable output only (the
 //! `kind:"summary"` JSONL lines of the executed batch); everything narrative
@@ -29,9 +31,9 @@
 //! is printed to stderr.
 
 use mobile_congest::cli;
-use mobile_congest::harness::campaign::{cell_json, summary_json, GroupSummary};
-use mobile_congest::harness::report::{assemble, read_lines, trajectory_header, write_atomic};
-use mobile_congest::harness::{Campaign, CampaignSpec};
+use mobile_congest::harness::campaign::{summary_json, GroupSummary};
+use mobile_congest::harness::report::{resume_trajectory, trajectory_header};
+use mobile_congest::harness::{Campaign, CampaignSpec, CellRecord};
 use mobile_congest::obs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -166,133 +168,112 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    // Cell-level resume: keep the lines already on disk, run only the rest.
-    let kept: Vec<(usize, String)> = if args.common.resume && out.exists() {
-        let text = std::fs::read_to_string(&out)
-            .map_err(|e| format!("cannot read trajectory {}: {e}", out.display()))?;
-        read_lines(&text, "campaign", "cell", &spec.fingerprint()).map_err(|e| {
-            format!(
-                "trajectory {}: {e}; delete it or pick another --out",
-                out.display()
-            )
-        })?
-    } else {
-        Vec::new()
-    };
-    let present: std::collections::HashSet<usize> = kept.iter().map(|(i, _)| *i).collect();
-    let missing: Vec<usize> = wanted
-        .iter()
-        .copied()
-        .filter(|i| !present.contains(i))
-        .collect();
-
-    diag(format!(
-        "campaign {} (fingerprint {}): {} cells{}{}",
-        args.spec.display(),
-        spec.fingerprint(),
-        spec.cell_count(),
-        match args.common.shard {
-            Some((i, of)) => format!(", shard {i}/{of} -> {} cells", wanted.len()),
-            None => String::new(),
-        },
-        if args.common.resume {
-            format!(
-                ", resume: {} cells to run ({} already present)",
-                missing.len(),
-                present.len()
-            )
-        } else {
-            String::new()
-        },
-    ));
-
-    if missing.is_empty() {
+    // Cell-level resume: keep the lines already on disk, run only the rest,
+    // rewrite the file crash-safely with the union in global index order
+    // (cell lines are pure functions of their cell, so a resumed file is
+    // byte-identical to a from-scratch one).
+    let run_missing = |missing: &[usize], present: usize| {
         diag(format!(
-            "nothing to do: trajectory {} already covers every cell",
-            out.display()
+            "campaign {} (fingerprint {}): {} cells{}{}",
+            args.spec.display(),
+            spec.fingerprint(),
+            spec.cell_count(),
+            match args.common.shard {
+                Some((i, of)) => format!(", shard {i}/{of} -> {} cells", wanted.len()),
+                None => String::new(),
+            },
+            if args.common.resume {
+                format!(
+                    ", resume: {} cells to run ({present} already present)",
+                    missing.len(),
+                )
+            } else {
+                String::new()
+            },
         ));
-        return Ok(());
-    }
-
-    let t0 = Instant::now();
-    let report = campaign.run_cells(&missing);
-    let wall = t0.elapsed().as_secs_f64();
-    let summaries = report.summaries();
-    if !args.common.quiet {
-        eprint!("{}", report.to_table_with(&summaries));
-    }
-    diag(format!(
-        "{} cells executed ({} skipped by validation) in {wall:.2}s; protected cells agree: {}",
-        report.cells.len(),
-        report.skipped_count(),
-        report.all_protected_cells_agree(),
-    ));
-    // Cache effectiveness, for humans and for the CI quality gate (which
-    // greps this stderr line).  Traced runs bypass the cache, so a zero
-    // lookup count there is expected, not a bug.
-    if let Some(cache) = campaign.artifact_cache_handle() {
+        if missing.is_empty() {
+            diag(format!(
+                "nothing to do: trajectory {} already covers every cell",
+                out.display()
+            ));
+            return Ok(Vec::new());
+        }
+        let t0 = Instant::now();
+        let report = campaign.run_cells(missing);
+        let wall = t0.elapsed().as_secs_f64();
+        // Each executed cell is flattened once: the stdout summaries and the
+        // trajectory lines both come from its record.
+        let records: Vec<CellRecord> = report.cells.iter().map(CellRecord::of).collect();
+        let summaries = report.summaries_with(&records);
+        if !args.common.quiet {
+            eprint!("{}", report.to_table_with(&summaries));
+        }
         diag(format!(
+            "{} cells executed ({} skipped by validation) in {wall:.2}s; protected cells agree: {}",
+            report.cells.len(),
+            report.skipped_count(),
+            report.all_protected_cells_agree(),
+        ));
+        // Cache effectiveness, for humans and for the CI quality gate (which
+        // greps this stderr line).  Traced runs bypass the cache, so a zero
+        // lookup count there is expected, not a bug.
+        if let Some(cache) = campaign.artifact_cache_handle() {
+            diag(format!(
             "artifact cache: {} hits, {} misses over {} (graph, compiler) pairs (hit rate {:.2})",
             cache.hits(),
             cache.misses(),
             cache.len(),
             cache.hit_rate(),
         ));
-    }
-    // The machine-parseable product of this run: one summary line per grid
-    // cell, on stdout.
-    for s in &summaries {
-        println!("{}", summary_json(s));
-    }
-
-    // Event traces: one JSONL stream per executed cell, keyed by the spec
-    // fingerprint so files from different campaigns never collide.
-    if let Some(trace_dir) = &args.trace_dir {
-        std::fs::create_dir_all(trace_dir)
-            .map_err(|e| format!("cannot create trace dir {}: {e}", trace_dir.display()))?;
-        let mut written = 0usize;
-        for cell in &report.cells {
-            let Ok(cell_report) = &cell.outcome else {
-                continue;
-            };
-            let path = trace_dir.join(format!("{}-cell{}.jsonl", spec.fingerprint(), cell.index));
-            let file = std::fs::File::create(&path)
-                .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-            cell_report
-                .trace
-                .write_jsonl(std::io::BufWriter::new(file))
-                .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-            written += 1;
         }
+        // The machine-parseable product of this run: one summary line per grid
+        // cell, on stdout.
+        for s in &summaries {
+            println!("{}", summary_json(s));
+        }
+
+        // Event traces: one JSONL stream per executed cell, keyed by the spec
+        // fingerprint so files from different campaigns never collide.
+        if let Some(trace_dir) = &args.trace_dir {
+            std::fs::create_dir_all(trace_dir)
+                .map_err(|e| format!("cannot create trace dir {}: {e}", trace_dir.display()))?;
+            let mut written = 0usize;
+            for cell in &report.cells {
+                let Ok(cell_report) = &cell.outcome else {
+                    continue;
+                };
+                let path =
+                    trace_dir.join(format!("{}-cell{}.jsonl", spec.fingerprint(), cell.index));
+                let file = std::fs::File::create(&path)
+                    .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
+                cell_report
+                    .trace
+                    .write_jsonl(std::io::BufWriter::new(file))
+                    .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
+                written += 1;
+            }
+            diag(format!(
+                "wrote {written} trace files to {}",
+                trace_dir.display()
+            ));
+            if !args.common.quiet {
+                eprint!("{}", profile_table(&summaries));
+            }
+        }
+        Ok(records.iter().map(|r| (r.index, r.cell_line())).collect())
+    };
+    let header = trajectory_header(&spec);
+    let total = spec.cell_count();
+    let resume = args.common.resume;
+    if let Some(written) =
+        resume_trajectory(&out, &header, "cell", total, &wanted, resume, run_missing)?
+    {
         diag(format!(
-            "wrote {written} trace files to {}",
-            trace_dir.display()
+            "wrote {written} trajectory lines ({} cells) to {}",
+            written - 1,
+            out.display()
         ));
-        if !args.common.quiet {
-            eprint!("{}", profile_table(&summaries));
-        }
     }
-
-    // Rewrite the trajectory: header + the union of kept and fresh cell
-    // lines, in global index order (cell lines are pure functions of their
-    // cell, so a resumed file is byte-identical to a from-scratch one).
-    let mut lines: Vec<(usize, String)> = kept;
-    lines.extend(report.cells.iter().map(|c| (c.index, cell_json(c))));
-    let text = assemble(&trajectory_header(&spec), &lines);
-    if let Some(parent) = out.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    // Crash-safe rewrite: never truncate the file --resume depends on.  A
-    // kill mid-write leaves either the old trajectory or the new one, so the
-    // completed cells survive and the worst case is re-running this batch.
-    write_atomic(&out, &text)
-        .map_err(|e| format!("cannot write trajectory {}: {e}", out.display()))?;
-    let written = text.lines().count();
-    diag(format!(
-        "wrote {written} trajectory lines ({} cells) to {}",
-        written - 1,
-        out.display()
-    ));
     Ok(())
 }
 

@@ -29,7 +29,7 @@
 //! everything narrative goes to stderr, and `--quiet` silences it.
 
 use mobile_congest::cli;
-use mobile_congest::harness::report::{assemble, read_lines, write_atomic};
+use mobile_congest::harness::report::resume_trajectory;
 use mobile_congest::redteam::{
     counterexample_spec, header_line, replay_trace_jsonl, unit_line, RedTeam, RedTeamSpec,
     UnitOutcome,
@@ -200,100 +200,79 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    // Unit-level resume: keep the lines already on disk, run only the rest.
-    let kept: Vec<(usize, String)> = if args.common.resume && out.exists() {
-        let text = std::fs::read_to_string(&out)
-            .map_err(|e| format!("cannot read trajectory {}: {e}", out.display()))?;
-        read_lines(&text, "redteam", "unit", &spec.fingerprint()).map_err(|e| {
-            format!(
-                "trajectory {}: {e}; delete it or pick another --out",
-                out.display()
-            )
-        })?
-    } else {
-        Vec::new()
-    };
-    let present: std::collections::HashSet<usize> = kept.iter().map(|(i, _)| *i).collect();
-    let missing: Vec<usize> = wanted
-        .iter()
-        .copied()
-        .filter(|i| !present.contains(i))
-        .collect();
-
-    diag(format!(
-        "redteam {} (fingerprint {}): {} units{}{}",
-        args.spec.display(),
-        spec.fingerprint(),
-        team.unit_count(),
-        match args.common.shard {
-            Some((i, of)) => format!(", shard {i}/{of} -> {} units", wanted.len()),
-            None => String::new(),
-        },
-        if args.common.resume {
-            format!(
-                ", resume: {} units to run ({} already present)",
-                missing.len(),
-                present.len()
-            )
-        } else {
-            String::new()
-        },
-    ));
-
-    if missing.is_empty() {
+    // Unit-level resume: keep the lines already on disk, run only the rest,
+    // rewrite the file crash-safely with the union in global index order.
+    let run_missing = |missing: &[usize], present: usize| {
         diag(format!(
-            "nothing to do: trajectory {} already covers every unit",
+            "redteam {} (fingerprint {}): {} units{}{}",
+            args.spec.display(),
+            spec.fingerprint(),
+            team.unit_count(),
+            match args.common.shard {
+                Some((i, of)) => format!(", shard {i}/{of} -> {} units", wanted.len()),
+                None => String::new(),
+            },
+            if args.common.resume {
+                format!(
+                    ", resume: {} units to run ({present} already present)",
+                    missing.len(),
+                )
+            } else {
+                String::new()
+            },
+        ));
+
+        if missing.is_empty() {
+            diag(format!(
+                "nothing to do: trajectory {} already covers every unit",
+                out.display()
+            ));
+            return Ok(Vec::new());
+        }
+
+        let t0 = Instant::now();
+        let outcomes = team.run_units(missing);
+        let wall = t0.elapsed().as_secs_f64();
+        let found = outcomes
+            .iter()
+            .filter(|o| o.counterexample.is_some())
+            .count();
+        diag(format!(
+            "{} units executed in {wall:.2}s; {found} counterexample(s) found",
+            outcomes.len(),
+        ));
+
+        // The machine-parseable product of this run: one unit line per executed
+        // unit, on stdout (the same lines the trajectory file gets).
+        let fresh: Vec<(usize, String)> = outcomes
+            .iter()
+            .map(|o| (o.unit, unit_line(&spec, o)))
+            .collect();
+        for (_, line) in &fresh {
+            println!("{line}");
+        }
+
+        // Counterexample artifacts: replayable spec + replay trace per failure.
+        for outcome in &outcomes {
+            for path in write_counterexample(&spec, &team, outcome, &ce_dir)? {
+                diag(format!("wrote {}", path.display()));
+            }
+        }
+
+        Ok(fresh)
+    };
+    let header = header_line(&spec);
+    let total = team.unit_count();
+    let resume = args.common.resume;
+    if let Some(written) =
+        resume_trajectory(&out, &header, "unit", total, &wanted, resume, run_missing)?
+    {
+        diag(format!(
+            "wrote {written} trajectory lines ({} units) to {}",
+            written - 1,
             out.display()
         ));
-        return Ok(());
     }
-
-    let t0 = Instant::now();
-    let outcomes = team.run_units(&missing);
-    let wall = t0.elapsed().as_secs_f64();
-    let found = outcomes
-        .iter()
-        .filter(|o| o.counterexample.is_some())
-        .count();
-    diag(format!(
-        "{} units executed in {wall:.2}s; {found} counterexample(s) found",
-        outcomes.len(),
-    ));
-
-    // The machine-parseable product of this run: one unit line per executed
-    // unit, on stdout (the same lines the trajectory file gets).
-    let fresh: Vec<(usize, String)> = outcomes
-        .iter()
-        .map(|o| (o.unit, unit_line(&spec, o)))
-        .collect();
-    for (_, line) in &fresh {
-        println!("{line}");
-    }
-
-    // Counterexample artifacts: replayable spec + replay trace per failure.
-    for outcome in &outcomes {
-        for path in write_counterexample(&spec, &team, outcome, &ce_dir)? {
-            diag(format!("wrote {}", path.display()));
-        }
-    }
-
-    // Crash-safe trajectory rewrite: header + union of kept and fresh unit
-    // lines in global index order.  A kill mid-write leaves either the old
-    // file or the new one, so completed units always survive.
-    let mut lines = kept;
-    lines.extend(fresh);
-    let text = assemble(&header_line(&spec), &lines);
-    if let Some(parent) = out.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    write_atomic(&out, &text)
-        .map_err(|e| format!("cannot write trajectory {}: {e}", out.display()))?;
-    let written = text.lines().count();
-    diag(format!(
-        "wrote {written} trajectory lines ({} units) to {}",
-        written - 1,
-        out.display()
-    ));
     Ok(())
 }
 

@@ -12,13 +12,50 @@ use mobile_congest::campaignd::client::Client;
 use mobile_congest::campaignd::server::{shard_batches, start, Config, Handle};
 use mobile_congest::campaignd::store::{FsStore, Store};
 use mobile_congest::campaignd::JobState;
-use mobile_congest::harness::report::{trajectory_header, CellRecord, ReportRecord};
-use mobile_congest::harness::{Campaign, CampaignSpec};
+use mobile_congest::harness::campaign::{cell_json, summary_json};
+use mobile_congest::harness::json::fnv1a_hex;
+use mobile_congest::harness::report::{trajectory_header, CellRecord};
+use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec};
 use std::path::PathBuf;
 
 fn spec_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/e16-small.json");
     std::fs::read_to_string(path).expect("specs/e16-small.json is checked in")
+}
+
+/// The one-shot `campaign` CLI run of a spec, through the CLI's own
+/// encoders: what the server must serve back byte for byte.
+struct OneShot {
+    report: CampaignReport,
+    /// The `--out` file: `trajectory_header` + one `cell_json` line per cell.
+    trajectory: String,
+    /// Stdout: one `summary_json` line per grid cell.
+    summary: String,
+    /// FNV-1a over one `CellRecord::to_json` line per cell, in index order.
+    report_fingerprint: String,
+}
+
+fn one_shot(spec: &CampaignSpec) -> OneShot {
+    let report = Campaign::from_spec(spec).unwrap().threads(1).run();
+    let mut trajectory = trajectory_header(spec) + "\n";
+    let mut records = String::new();
+    for cell in &report.cells {
+        trajectory.push_str(&cell_json(cell));
+        trajectory.push('\n');
+        records.push_str(&CellRecord::of(cell).to_json());
+        records.push('\n');
+    }
+    let summary = report
+        .summaries()
+        .iter()
+        .map(|s| summary_json(s) + "\n")
+        .collect();
+    OneShot {
+        report,
+        trajectory,
+        summary,
+        report_fingerprint: fnv1a_hex(records.bytes()),
+    }
 }
 
 /// A fresh per-test data dir under the system temp root.
@@ -43,7 +80,7 @@ fn server_on(data_dir: &PathBuf, workers: usize) -> (Handle, Client) {
 fn server_run_is_byte_identical_to_the_one_shot_run_and_query_sees_it() {
     let text = spec_text();
     let spec = CampaignSpec::from_json(&text).unwrap();
-    let expected = ReportRecord::of(&Campaign::from_spec(&spec).unwrap().threads(1).run());
+    let expected = one_shot(&spec);
 
     let data_dir = temp_data_dir("determinism");
     let (_handle, client) = server_on(&data_dir, 1);
@@ -55,27 +92,27 @@ fn server_run_is_byte_identical_to_the_one_shot_run_and_query_sees_it() {
     assert_eq!(done.state, JobState::Done);
     assert_eq!(done.cells_done, spec.cell_count());
 
-    // The determinism contract: the server's merged record report is
-    // byte-identical — same fingerprint, same summary and trajectory bytes
-    // — to the one-shot in-process run.
+    // The determinism contract: the server's job is byte-identical — same
+    // report fingerprint, same summary and trajectory bytes — to the
+    // one-shot CLI run.
+    assert_eq!(done.report_fingerprint, Some(expected.report_fingerprint));
+    assert_eq!(client.summary(&done.fingerprint).unwrap(), expected.summary);
     assert_eq!(
-        done.report_fingerprint.as_deref(),
-        Some(expected.fingerprint()).as_deref()
+        client.trajectory(&done.fingerprint).unwrap(),
+        expected.trajectory
     );
-    assert_eq!(
-        client.summary(&done.fingerprint).unwrap(),
-        expected.summary_jsonl()
-    );
-    let mut trajectory = trajectory_header(&spec);
-    trajectory.push('\n');
-    trajectory.push_str(&expected.cell_lines());
-    assert_eq!(client.trajectory(&done.fingerprint).unwrap(), trajectory);
 
-    // The status counters mirror the record's outcome tallies.
-    let (executed, skipped, failed, disagreements) = expected.outcome_counts();
+    // The status counters add up to the CLI's summary counts.
+    let mut counts = (0, 0, 0, 0);
+    for s in expected.report.summaries() {
+        counts.0 += s.executed;
+        counts.1 += s.skipped;
+        counts.2 += s.failed;
+        counts.3 += s.disagreements;
+    }
     assert_eq!(
         (done.executed, done.skipped, done.failed, done.disagreements),
-        (executed, skipped, failed, disagreements)
+        counts
     );
 
     // The query endpoint sees the finished job and honours its filters.
@@ -138,12 +175,9 @@ fn killed_server_resumes_without_reexecuting_completed_cells() {
     );
 
     // And the resumed result is still byte-identical to the one-shot run.
-    let expected = ReportRecord::of(&campaign.run());
-    assert_eq!(done.report_fingerprint, Some(expected.fingerprint()));
-    assert_eq!(
-        client.summary(&fingerprint).unwrap(),
-        expected.summary_jsonl()
-    );
+    let expected = one_shot(&spec);
+    assert_eq!(done.report_fingerprint, Some(expected.report_fingerprint));
+    assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
 
     let _ = std::fs::remove_dir_all(&data_dir);
 }
@@ -153,8 +187,7 @@ fn a_log_line_with_an_impossible_repetition_is_rerun_not_served() {
     let text = spec_text();
     let spec = CampaignSpec::from_json(&text).unwrap();
     let fingerprint = spec.fingerprint();
-    let campaign = Campaign::from_spec(&spec).unwrap().threads(1);
-    let expected = ReportRecord::of(&campaign.run());
+    let expected = one_shot(&spec);
 
     // Every cell is on disk, but one line claims a repetition beyond its
     // index — impossible in the enumeration order, and poison for the
@@ -162,10 +195,11 @@ fn a_log_line_with_an_impossible_repetition_is_rerun_not_served() {
     // jobs lock in a debug build and group on a wrapped key in release.
     const BAD: usize = 4;
     let lines: Vec<String> = expected
+        .report
         .cells
         .iter()
-        .map(|record| {
-            let mut record = record.clone();
+        .map(|cell| {
+            let mut record = CellRecord::of(cell);
             if record.index == BAD {
                 record.repetition = BAD + 1;
             }
@@ -190,10 +224,52 @@ fn a_log_line_with_an_impossible_repetition_is_rerun_not_served() {
     let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
     assert_eq!(done.state, JobState::Done);
     assert_eq!(handle.executed(), 1, "only the refused cell re-runs");
-    assert_eq!(done.report_fingerprint, Some(expected.fingerprint()));
+    assert_eq!(done.report_fingerprint, Some(expected.report_fingerprint));
+    assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
+
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
+fn a_log_record_off_its_grid_position_is_rerun_not_served() {
+    let text = spec_text();
+    let spec = CampaignSpec::from_json(&text).unwrap();
+    let fingerprint = spec.fingerprint();
+    let expected = one_shot(&spec);
+    let total = spec.cell_count();
+
+    // Every cell is on disk, but cell 3 claims repetition 3 of a
+    // 2-repetition spec — it decodes (repetition ≤ index), yet would group
+    // with cells 0 and 1 — and one more record sits past the grid.  Neither
+    // is a cell of this job: both count as torn, and cell 3 re-runs.
+    const WRONG: usize = 3;
+    assert_eq!(spec.repetitions, 2);
+    let mut records: Vec<CellRecord> = expected.report.cells.iter().map(CellRecord::of).collect();
+    records[WRONG].repetition = WRONG;
+    let mut past = records[0].clone();
+    past.index = total;
+    records.push(past);
+    let lines: Vec<String> = records.iter().map(CellRecord::to_json).collect();
+    let data_dir = temp_data_dir("off-grid");
+    let store = FsStore::open(&data_dir).unwrap();
+    store.put_spec(&fingerprint, &spec.to_json()).unwrap();
+    store.set_state(&fingerprint, JobState::Running).unwrap();
+    store.append_cells(&fingerprint, &lines).unwrap();
+    let loaded = store.load_jobs().unwrap();
+    assert_eq!(loaded[0].torn_lines, 0, "both lines decode");
+    assert_eq!(loaded[0].cells.len(), total + 1);
+    drop(store);
+
+    let (handle, client) = server_on(&data_dir, 1);
+    let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
+    assert_eq!(done.state, JobState::Done);
+    assert_eq!(done.cells_done, total);
+    assert_eq!(handle.executed(), 1, "only the misplaced cell re-runs");
+    assert_eq!(done.report_fingerprint, Some(expected.report_fingerprint));
+    assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
     assert_eq!(
-        client.summary(&fingerprint).unwrap(),
-        expected.summary_jsonl()
+        client.trajectory(&fingerprint).unwrap(),
+        expected.trajectory
     );
 
     let _ = std::fs::remove_dir_all(&data_dir);

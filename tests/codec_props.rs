@@ -19,7 +19,8 @@ use mobile_congest::campaignd::JobState;
 use mobile_congest::graphs::{GraphDef, GraphFamily, PackingVersion};
 use mobile_congest::harness::campaign::cell_json;
 use mobile_congest::harness::report::{
-    assemble, read_lines, trajectory_header, CellRecord, RecordOutcome, ReportRecord,
+    assemble, read_lines, resume_trajectory, summaries_of, trajectory_header, CellRecord,
+    RecordOutcome,
 };
 use mobile_congest::harness::spec::{
     adversary_from_json, adversary_to_json, compiler_from_json, compiler_to_json, graph_from_json,
@@ -311,19 +312,6 @@ fn cell_record(rng: &mut ChaCha8Rng) -> CellRecord {
     }
 }
 
-/// A report in its normal form: strictly increasing indices.
-fn report_record(rng: &mut ChaCha8Rng) -> ReportRecord {
-    let mut next = 0;
-    ReportRecord {
-        cells: vec_of(rng, 0..5, |rng| {
-            let mut cell = cell_record(rng);
-            cell.index = next + cell.repetition;
-            next = cell.index + 1;
-            cell
-        }),
-    }
-}
-
 fn job_status(rng: &mut ChaCha8Rng) -> JobStatus {
     const STATES: [JobState; 5] = [
         JobState::Queued,
@@ -442,12 +430,6 @@ fn table() -> Vec<(&'static str, Property)> {
             cell_record,
             CellRecord::to_json,
             CellRecord::from_json,
-        ),
-        row(
-            "report-record",
-            report_record,
-            ReportRecord::to_jsonl,
-            ReportRecord::from_jsonl,
         ),
         row(
             "job-status",
@@ -649,7 +631,8 @@ fn mutated_documents_decode_or_fail_with_a_typed_error() {
     }
     assert!(seen >= 7, "specs/ holds the checked-in specs");
 
-    // A `cells.log` line, alone and as a one-line report.
+    // A `cells.log` line, decoded and then summarised: whatever decodes must
+    // also summarise, and `summaries_of` subtracts repetition from index.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let line = loop {
         let record = cell_record(&mut rng);
@@ -657,13 +640,9 @@ fn mutated_documents_decode_or_fail_with_a_typed_error() {
             break record.to_json();
         }
     };
-    survives("cells.log line", &line, typed(CellRecord::from_json));
-    survives("report jsonl", &line, |text| {
-        // Whatever decodes must also summarise: `summaries` subtracts
-        // repetition from index.
-        ReportRecord::from_jsonl(text)
-            .map(|report| report.summaries().len())
-            .map_err(|e| e.to_string())
+    survives("cells.log line", &line, |text| {
+        let record = CellRecord::from_json(text).map_err(|e| e.to_string())?;
+        Ok(summaries_of([&record]).len())
     });
 
     // Each server document.
@@ -773,16 +752,21 @@ fn resumes_from_every_crash_point(
     }
 }
 
-#[test]
-fn a_campaign_trajectory_resumes_from_every_crash_point_of_its_tail() {
-    let spec = CampaignSpec::from_json(
+/// A four-cell campaign: two compilers × two repetitions on K5.
+fn small_campaign_spec() -> CampaignSpec {
+    CampaignSpec::from_json(
         r#"{"kind":"campaign-spec","seed":7,"repetitions":2,"grid":{
             "graphs":[{"family":"complete","n":5}],
             "adversaries":[{"kind":"random-mobile","f":1}],
             "compilers":[{"id":"uncompiled"},{"id":"clique","f":1,"seed":5}],
             "payload":{"kind":"exchange-ids"}}}"#,
     )
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn a_campaign_trajectory_resumes_from_every_crash_point_of_its_tail() {
+    let spec = small_campaign_spec();
     let campaign = Campaign::from_spec(&spec).unwrap().threads(1);
     let header = trajectory_header(&spec);
     let lines: Vec<(usize, String)> = campaign
@@ -799,6 +783,82 @@ fn a_campaign_trajectory_resumes_from_every_crash_point_of_its_tail() {
         spec.cell_count(),
         |index| cell_json(&campaign.run_cells(&[index]).cells[0]),
     );
+}
+
+/// `resume_trajectory`, the CLIs' file cycle, over a file that also holds a
+/// line for a cell past the grid and a torn tail: the stray line is dropped
+/// (it used to be written back, beside a header whose `cells` count it
+/// contradicted), other shards' lines stay, exactly the missing cells run,
+/// and two sequential shard resumes rewrite the one-shot bytes.
+#[test]
+fn a_resume_drops_lines_past_the_grid_and_runs_exactly_the_missing_cells() {
+    let spec = small_campaign_spec();
+    let campaign = Campaign::from_spec(&spec).unwrap().threads(1);
+    let (header, total) = (trajectory_header(&spec), spec.cell_count());
+    let lines: Vec<(usize, String)> = campaign
+        .run()
+        .cells
+        .iter()
+        .map(|cell| (cell.index, cell_json(cell)))
+        .collect();
+    let one_shot = assemble(&header, &lines);
+    let stray = lines[1]
+        .1
+        .replace("\"index\":1,", &format!("\"index\":{total},"));
+    assert_ne!(stray, lines[1].1);
+
+    let dir = std::env::temp_dir().join(format!("codec-props-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("t.jsonl");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        &path,
+        format!("{header}\n{}\n{stray}\n{}", lines[0].1, &lines[2].1[..20]),
+    )
+    .unwrap();
+    // Shard 1 of 2, then shard 0 of 2, each resuming the same file.
+    for (shard, expected_missing, expected_present) in [(1, vec![1, 3], 1), (0, vec![2], 3)] {
+        let wanted: Vec<usize> = (0..total).filter(|i| i % 2 == shard).collect();
+        let mut asked = None;
+        let written = resume_trajectory(&path, &header, "cell", total, &wanted, true, |m, p| {
+            asked = Some((m.to_vec(), p));
+            Ok(m.iter().map(|&i| lines[i].clone()).collect())
+        })
+        .unwrap();
+        assert_eq!(asked, Some((expected_missing, expected_present)));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(written, Some(text.lines().count()));
+        assert!(
+            !text.contains(&stray),
+            "shard {shard}: the stray line stays"
+        );
+    }
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), one_shot);
+
+    // A complete file: nothing runs and nothing is rewritten.
+    let wanted: Vec<usize> = (0..total).collect();
+    let again = resume_trajectory(&path, &header, "cell", total, &wanted, true, |m, p| {
+        assert!(m.is_empty() && p == total);
+        Ok(Vec::new())
+    });
+    assert_eq!(again, Ok(None));
+    // Without `--resume` the file is replaced, not merged.
+    let fresh = resume_trajectory(&path, &header, "cell", total, &[0], false, |m, p| {
+        assert_eq!((m, p), (&[0][..], 0));
+        Ok(vec![lines[0].clone()])
+    });
+    assert_eq!(fresh, Ok(Some(2)));
+    // A file written for another spec is refused, naming the file.
+    let other = trajectory_header(&CampaignSpec {
+        seed: 8,
+        ..small_campaign_spec()
+    });
+    let refused = resume_trajectory(&path, &other, "cell", total, &wanted, true, |_, _| {
+        panic!("a foreign file must not run anything")
+    })
+    .unwrap_err();
+    assert!(refused.contains("t.jsonl"), "{refused}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

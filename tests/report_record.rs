@@ -1,11 +1,10 @@
-//! Pins for the record codec (`harness::report`) against the live campaign
-//! path, and the `CampaignReport::merged` / `ReportRecord::merged` edge
-//! cases: empty input, a single shard, overlapping indices, and
-//! merged-equals-unsharded across 1/2/8-way shard splits of the checked-in
-//! `specs/e16-small.json`.
+//! Pins for the record path (`harness::report`) against the live campaign
+//! report, and the `CampaignReport::merged` edge cases: empty input, a
+//! single shard, overlapping indices, and merged-equals-unsharded across
+//! 1/2/8-way shard splits of the checked-in `specs/e16-small.json`.
 
-use mobile_congest::harness::campaign::{cell_json, summary_json, CampaignReport};
-use mobile_congest::harness::report::{CellRecord, ReportRecord};
+use mobile_congest::harness::campaign::{summary_json, CampaignReport};
+use mobile_congest::harness::report::{summaries_of, CellRecord};
 use mobile_congest::harness::{Campaign, CampaignSpec};
 
 fn checked_in_campaign() -> Campaign {
@@ -20,9 +19,8 @@ fn merging_no_reports_yields_an_empty_report() {
     let merged = CampaignReport::merged(Vec::new());
     assert!(merged.cells.is_empty());
     assert!(merged.summaries().is_empty());
-    let merged = ReportRecord::merged(Vec::new());
-    assert!(merged.cells.is_empty());
     assert_eq!(merged.to_jsonl(), "");
+    assert!(summaries_of(&Vec::<CellRecord>::new()).is_empty());
 }
 
 #[test]
@@ -75,33 +73,14 @@ fn merged_shard_splits_reproduce_the_unsharded_run() {
 }
 
 #[test]
-fn record_cell_lines_match_the_live_trajectory_encoder() {
-    // `CellRecord::cell_line` (what the server's trajectory endpoint emits)
-    // must stay byte-identical to `cell_json` (what the `campaign` CLI
-    // writes), for every outcome in the grid — ok, skipped and failed alike.
-    let campaign = checked_in_campaign();
-    let report = campaign.run();
-    for cell in &report.cells {
-        assert_eq!(
-            CellRecord::of(cell).cell_line(),
-            cell_json(cell),
-            "cell {} diverged",
-            cell.index
-        );
-    }
-}
-
-#[test]
 fn record_summaries_match_the_live_report_summaries() {
     // The record path (stored cells, no profile data) and the live path
     // must produce the same summary bytes on an untraced run.
     let campaign = checked_in_campaign();
     let report = campaign.run();
-    let record = ReportRecord::of(&report);
-    let mut live = String::new();
-    for summary in report.summaries() {
-        live.push_str(&summary_json(&summary));
-        live.push('\n');
-    }
-    assert_eq!(record.summary_jsonl(), live);
+    let records: Vec<CellRecord> = report.cells.iter().map(CellRecord::of).collect();
+    let jsonl = |summaries: Vec<_>| -> String {
+        summaries.iter().map(|s| summary_json(s) + "\n").collect()
+    };
+    assert_eq!(jsonl(summaries_of(&records)), jsonl(report.summaries()));
 }

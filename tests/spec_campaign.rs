@@ -3,7 +3,9 @@
 //! union of all shards equals the unsharded run, and a payload a grid graph
 //! cannot run is a typed error before anything runs.
 
+use mobile_congest::harness::campaign::{cell_json, summary_json};
 use mobile_congest::harness::json::fnv1a_hex;
+use mobile_congest::harness::report::trajectory_header;
 use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec, PayloadDef, SpecError};
 
 fn checked_in_spec_text() -> String {
@@ -86,6 +88,58 @@ fn spec_report_fingerprints_are_golden() {
             fnv1a_hex(report.fingerprint().bytes()),
             pinned,
             "specs/{name}.json report drifted"
+        );
+    }
+}
+
+/// The bytes the `campaign` CLI writes for every checked-in campaign spec,
+/// pinned as FNV-1a: the trajectory file (`trajectory_header` plus one
+/// `cell_json` line per cell) and stdout (one `summary_json` line per grid
+/// cell).  The pins above hash the live report's `Debug` form; these hash
+/// what the encoders make of it, and were captured from the CLI's own output
+/// files before the cell record became the one `kind:"cell"` encoder and the
+/// one summary aggregator.
+#[test]
+fn campaign_cli_bytes_are_golden() {
+    const GOLDEN: [(&str, &str, &str); 6] = [
+        ("e16-small", "b2bce9874c5e68f3", "0139ed3355b9c47c"),
+        (
+            "frontier-small-world",
+            "572fb7f363275574",
+            "aba599118b4a9bb9",
+        ),
+        ("async-partial-sync", "7a3e628b3406fef5", "380436d70711c248"),
+        (
+            "secure-gossip-small",
+            "2d2e8a84aaed41fb",
+            "87085a6aa297f419",
+        ),
+        ("cycle-cover-small", "1f29630db556da7a", "120e44b421fbe300"),
+        (
+            "redteam-minimal-example",
+            "4c4b4894ee84d860",
+            "e9c0c4772972f3d4",
+        ),
+    ];
+    for (name, trajectory_pin, stdout_pin) in GOLDEN {
+        let path = format!("{}/specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("spec is checked in");
+        let spec = CampaignSpec::from_json(&text).expect("spec parses");
+        let report = Campaign::from_spec(&spec).unwrap().threads(1).run();
+        let mut trajectory = trajectory_header(&spec) + "\n";
+        for cell in &report.cells {
+            trajectory.push_str(&cell_json(cell));
+            trajectory.push('\n');
+        }
+        let stdout: String = report
+            .summaries()
+            .iter()
+            .map(|s| summary_json(s) + "\n")
+            .collect();
+        assert_eq!(
+            (fnv1a_hex(trajectory.bytes()), fnv1a_hex(stdout.bytes())),
+            (trajectory_pin.to_string(), stdout_pin.to_string()),
+            "specs/{name}.json: (trajectory, stdout) bytes drifted"
         );
     }
 }
