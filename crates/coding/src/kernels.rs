@@ -23,6 +23,12 @@
 //!   `pshufb`, sixteen elements per shuffle.  GF(2^8) needs two shuffles per
 //!   sixteen elements; GF(2^16) splits each element into four nibbles and
 //!   each table entry into its low and high byte, so eight;
+//! * **GFNI** (x86-64, runtime-detected: AVX-512F/BW and GFNI) — the
+//!   GF(2^16) kernel at 64 lanes with no tables at all: multiplication by
+//!   `c` is GF(2)-linear, so each product byte is two 8 × 8 bit matrices of
+//!   `c` applied to the source's low and high byte, one `vgf2p8affineqb`
+//!   each, four per step; one AVX2 and one SSSE3 step and the scalar walk
+//!   finish the tail.  GF(2^8) keeps the SSSE3 bodies;
 //! * **AVX2** (x86-64, runtime-detected) — the GF(2^16) kernel at 32 lanes
 //!   per `vpshufb`, one SSSE3 step and the scalar walk finishing the tail;
 //!   GF(2^8) keeps the SSSE3 bodies;
@@ -35,7 +41,8 @@
 //! of a one-row step.  The x86 kernels split `src` once per tile of 512
 //! elements — the four nibble planes, 2 KiB, stay on the stack —
 //! and then walk every row over the tile: eight shuffles, the re-interleave
-//! and a load–XOR–store per step.  [`gf2_16_addmul`] (and so
+//! and a load–XOR–store per step (GFNI: the two byte planes, 1 KiB, and four
+//! affine maps).  [`gf2_16_addmul`] (and so
 //! [`crate::field::Field::addmul_slice`]) is the same kernel with one
 //! constant.  NEON loops its one-row body per row.
 //!
@@ -48,12 +55,15 @@
 //! For GF(2^16) a 65536-entry table per constant would blow the cache, so
 //! [`NibbleMul`] splits the operand into four 4-bit nibbles and XORs four
 //! 16-entry table lookups — 128 bytes of table per constant, built with
-//! sixteen carryless doublings.  Measured on one 4 KiB cache-resident slice
-//! (`bench` probe `coding.gf2_16_addmul_mb_s`, the one-row call, 2.1 GHz
-//! Xeon): scalar ≈ 2.0 GB/s, SSSE3 ≈ 8.4–9.0 GB/s, AVX2 ≈ 13 GB/s.  On the
-//! key schedule's shape — 20 rows over 23 808 elements — a multiply–
-//! accumulate costs ≈ 0.22 ns as twenty SSSE3 one-row calls and ≈ 0.08 ns
-//! through the AVX2 rows kernel.
+//! sixteen carryless doublings; the GFNI kernel reads the same constant as
+//! four bit matrices, derived from the same sixteen powers.  Measured per
+//! backend on one 4 KiB cache-resident slice (the one-row call, best of
+//! nine, on a shared two-vCPU Xeon with AVX-512 and GFNI; ranges are that
+//! host's load): scalar ≈ 1.0 GB/s, SSSE3 ≈ 5–7 GB/s, AVX2 ≈ 8–13 GB/s,
+//! GFNI ≈ 24 GB/s.  On the key schedule's shape — 20 rows over 23 808
+//! elements — a multiply–accumulate costs ≈ 0.18 ns through the SSSE3 rows
+//! kernel, 0.11–0.15 ns through the AVX2 one and ≈ 0.05 ns through the GFNI
+//! one.
 
 use crate::gf256::Gf256;
 use crate::gf2_16::Gf2_16;
@@ -409,6 +419,83 @@ mod x86 {
         end
     }
 
+    /// [`addmul16_rows_128`] at 64 lanes, with GFNI affine maps in place of
+    /// the nibble tables.  Per tile each element is split into its low and
+    /// high byte (`vpackuswb`) once; every row `j` then takes the four
+    /// matrices of `consts[j]` — product low byte = `A_ll·lo ⊕ A_hl·hi`, high
+    /// byte = `A_lh·lo ⊕ A_hh·hi`, one `vgf2p8affineqb` each — and
+    /// `vpunpck*bw` re-interleaves, within 128-bit lanes as `packus` split.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and GFNI,
+    /// `acc.len() == consts.len() · src.len()` and `from <= src.len()`.
+    #[target_feature(enable = "avx512f,avx512bw,gfni")]
+    unsafe fn addmul16_rows_512(
+        acc: &mut [Gf2_16],
+        src: &[Gf2_16],
+        consts: &[NibbleMul],
+        from: usize,
+    ) -> usize {
+        const LANES: usize = 64;
+        let w = src.len();
+        let end = from + (w - from) / LANES * LANES;
+        let low_byte = _mm512_set1_epi16(0x00FF);
+        let sp = src.as_ptr().cast::<u8>();
+        let ap = acc.as_mut_ptr().cast::<u8>();
+        let mut planes = [[_mm512_setzero_si512(); 2]; TILE / LANES];
+        let mut start = from;
+        while start < end {
+            let steps = ((end - start) / LANES).min(TILE / LANES);
+            for (k, plane) in planes[..steps].iter_mut().enumerate() {
+                let i = start + k * LANES;
+                // SAFETY: `i + LANES <= end <= w`, so the 64-byte loads at
+                // byte offsets `2i` and `2i + 64` end at byte `2(i + 64) <=
+                // 2w`; unaligned loads are what `loadu` is for.
+                let (a, b) = unsafe {
+                    (
+                        _mm512_loadu_si512(sp.add(2 * i).cast()),
+                        _mm512_loadu_si512(sp.add(2 * i + 64).cast()),
+                    )
+                };
+                *plane = [
+                    _mm512_packus_epi16(
+                        _mm512_and_si512(a, low_byte),
+                        _mm512_and_si512(b, low_byte),
+                    ),
+                    _mm512_packus_epi16(_mm512_srli_epi16::<8>(a), _mm512_srli_epi16::<8>(b)),
+                ];
+            }
+            for (j, m) in consts.iter().enumerate() {
+                let [ll, hl, lh, hh] = m.affine.map(|q| _mm512_set1_epi64(q as i64));
+                for (k, &[lo, hi]) in planes[..steps].iter().enumerate() {
+                    let product_lo = _mm512_xor_si512(
+                        _mm512_gf2p8affine_epi64_epi8::<0>(lo, ll),
+                        _mm512_gf2p8affine_epi64_epi8::<0>(hi, hl),
+                    );
+                    let product_hi = _mm512_xor_si512(
+                        _mm512_gf2p8affine_epi64_epi8::<0>(lo, lh),
+                        _mm512_gf2p8affine_epi64_epi8::<0>(hi, hh),
+                    );
+                    let at = 2 * (j * w + start + k * LANES);
+                    // SAFETY: as in `addmul16_rows_128`, with 64-byte
+                    // accesses at `2(start + k·LANES)` and 64 bytes on, both
+                    // inside row `j` because `start + k·LANES + LANES <= w`.
+                    unsafe {
+                        let da = ap.add(at).cast::<__m512i>();
+                        let db = ap.add(at + 64).cast::<__m512i>();
+                        let pa = _mm512_unpacklo_epi8(product_lo, product_hi);
+                        let pb = _mm512_unpackhi_epi8(product_lo, product_hi);
+                        _mm512_storeu_si512(da, _mm512_xor_si512(_mm512_loadu_si512(da), pa));
+                        _mm512_storeu_si512(db, _mm512_xor_si512(_mm512_loadu_si512(db), pb));
+                    }
+                }
+            }
+            start += steps * LANES;
+        }
+        end
+    }
+
     /// The SSSE3 backend's GF(2^16) kernel: 16-lane steps, then the scalar
     /// walk.  Registered by the dispatcher only after
     /// `is_x86_feature_detected!("ssse3")` succeeded.
@@ -430,6 +517,21 @@ mod x86 {
         // column `<= src.len()` for the next, and the dispatcher hands this
         // function out only on CPUs that reported AVX2 and SSSE3.
         let done = unsafe { addmul16_rows_256(acc, src, consts, 0) };
+        let done = unsafe { addmul16_rows_128(acc, src, consts, done) };
+        gf2_16_addmul_rows_tables(acc, src, consts, done);
+    }
+
+    /// The GFNI backend's GF(2^16) kernel: 64-lane steps, then one 32- and
+    /// one 16-lane step and the scalar walk.  Registered by the dispatcher
+    /// only after `ssse3`, `avx2`, `avx512f`, `avx512bw` and `gfni` were all
+    /// detected.
+    pub fn addmul16_rows_gfni(acc: &mut [Gf2_16], src: &[Gf2_16], consts: &[NibbleMul]) {
+        assert_rows_block(acc, src, consts);
+        // SAFETY: the block shape was just checked, each call returns a
+        // column `<= src.len()` for the next, and the dispatcher hands this
+        // function out only on CPUs that reported every feature they need.
+        let done = unsafe { addmul16_rows_512(acc, src, consts, 0) };
+        let done = unsafe { addmul16_rows_256(acc, src, consts, done) };
         let done = unsafe { addmul16_rows_128(acc, src, consts, done) };
         gf2_16_addmul_rows_tables(acc, src, consts, done);
     }
@@ -558,6 +660,19 @@ fn available_backends() -> Vec<Backend> {
     let mut backends = Vec::new();
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("ssse3") {
+        // GFNI's kernel also needs 512-bit byte and word lanes.
+        if is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("gfni")
+        {
+            backends.push(Backend {
+                name: "gfni",
+                addmul: x86::addmul_entry,
+                mul_slice: x86::mul_slice_entry,
+                addmul16_rows: x86::addmul16_rows_gfni,
+            });
+        }
         if is_x86_feature_detected!("avx2") {
             backends.push(Backend {
                 name: "avx2",
@@ -594,8 +709,8 @@ fn backend() -> Backend {
     *CHOSEN.get_or_init(|| available_backends()[0])
 }
 
-/// The name of the kernel backend this process dispatched to: `"avx2"`
-/// (which keeps the SSSE3 GF(2^8) kernels), `"ssse3"`, `"neon"`, or
+/// The name of the kernel backend this process dispatched to: `"gfni"` or
+/// `"avx2"` (both keep the SSSE3 GF(2^8) kernels), `"ssse3"`, `"neon"`, or
 /// `"swar"` (which pairs the GF(2^8) SWAR kernel with the scalar GF(2^16)
 /// one).
 pub fn gf256_backend() -> &'static str {
@@ -637,6 +752,30 @@ pub struct NibbleMul {
     /// The tables split by product byte, as the SIMD backends shuffle them:
     /// entry `n` holds the low bytes of `Tₙ`, entry `4 + n` its high bytes.
     bytes: [[u8; 16]; 8],
+    /// The same multiplication as four 8 × 8 bit matrices over GF(2), in the
+    /// `vgf2p8affineqb` layout (see [`affine_matrix`]): low byte → low byte,
+    /// high → low, low → high, high → high.  Only the x86 GFNI kernel reads
+    /// them.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    affine: [u64; 4],
+}
+
+/// The `vgf2p8affineqb` matrix of the GF(2)-linear byte map sending bit `j`
+/// to `columns[j]`: output bit `i` is the parity of the input AND byte
+/// `7 − i`, so byte `7 − i` holds bit `i` of every column.  Packing the
+/// columns one per byte and transposing the 8 × 8 bit block gives row `i` in
+/// byte `i`; the byte swap puts it in byte `7 − i`.
+fn affine_matrix(columns: [u8; 8]) -> u64 {
+    let mut m = u64::from_le_bytes(columns);
+    for (shift, mask) in [
+        (7, 0x00AA_00AA_00AA_00AA),
+        (14, 0x0000_CCCC_0000_CCCC),
+        (28, 0x0000_0000_F0F0_F0F0),
+    ] {
+        let t = (m ^ (m >> shift)) & mask;
+        m ^= t ^ (t << shift);
+    }
+    m.swap_bytes()
 }
 
 impl NibbleMul {
@@ -665,7 +804,18 @@ impl NibbleMul {
                 bytes[4 + n][d] = hi;
             }
         }
-        NibbleMul { bytes }
+        // Bit `j` of the low (high) input byte is `x^j` (`x^{8 + j}`), whose
+        // product is `powers[j]` (`powers[8 + j]`); split by product byte.
+        let columns = |from: usize, byte: usize| -> [u8; 8] {
+            core::array::from_fn(|j| powers[from + j].to_le_bytes()[byte])
+        };
+        let affine = [
+            affine_matrix(columns(0, 0)),
+            affine_matrix(columns(8, 0)),
+            affine_matrix(columns(0, 1)),
+            affine_matrix(columns(8, 1)),
+        ];
+        NibbleMul { bytes, affine }
     }
 
     /// `c · x` for the constant this table was built for.
@@ -811,6 +961,37 @@ mod tests {
         }
     }
 
+    /// The affine matrices against the field, bit by bit: applying each as
+    /// `vgf2p8affineqb` defines it (output bit `i` = parity of the input AND
+    /// byte `7 − i`) to every byte reproduces the split product.
+    #[test]
+    fn affine_matrices_are_the_byte_split_product() {
+        let apply = |matrix: u64, x: u8| -> u8 {
+            (0..8).fold(0, |out, i| {
+                let row = matrix.to_le_bytes()[7 - i];
+                out | (((row & x).count_ones() & 1) as u8) << i
+            })
+        };
+        for c in (0..=0xFFFFu32).step_by(97).chain([1, 0xFFFF]) {
+            let c = Gf2_16(c as u16);
+            let [ll, hl, lh, hh] = NibbleMul::new(c).affine;
+            for x in 0..=255u8 {
+                let [lo, hi] = (c * Gf2_16(x as u16)).0.to_le_bytes();
+                assert_eq!(
+                    [apply(ll, x), apply(lh, x)],
+                    [lo, hi],
+                    "c={c:?} low byte {x:#x}"
+                );
+                let [lo, hi] = (c * Gf2_16((x as u16) << 8)).0.to_le_bytes();
+                assert_eq!(
+                    [apply(hl, x), apply(hh, x)],
+                    [lo, hi],
+                    "c={c:?} high byte {x:#x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn nibble_mul_matches_field_mul_on_a_grid() {
         for c in (0..=0xFFFFu32).step_by(251) {
@@ -861,8 +1042,8 @@ mod tests {
     /// The forced-backend test.  The table is the dispatcher's own, so a
     /// backend this CPU offers cannot go unchecked: every entry runs against
     /// plain field arithmetic (GF(2^16)) or the scalar kernels (GF(2^8)).
-    /// GF(2^16) rows: 1..=40 rows, widths on both sides of the 16- and
-    /// 32-lane steps, and one past three tiles plus a tail in every row
+    /// GF(2^16) rows: 1..=40 rows, widths on both sides of the 16-, 32- and
+    /// 64-lane steps, and one past three tiles plus a tail in every row
     /// count; GF(2^8) `addmul` / `mul_slice` from empty to several vector
     /// bodies.  Each on sub-slices 0, 1 and 2 elements into their
     /// allocation, with the constants 0 and 1 among random ones.
@@ -881,19 +1062,29 @@ mod tests {
         {
             let ssse3 = is_x86_feature_detected!("ssse3");
             let avx2 = ssse3 && is_x86_feature_detected!("avx2");
+            let gfni =
+                avx2 && is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("gfni");
             assert_eq!(names.contains(&"ssse3"), ssse3, "{names:?}");
             assert_eq!(names.contains(&"avx2"), avx2, "{names:?}");
+            assert_eq!(names.contains(&"gfni"), gfni, "{names:?}");
         }
         #[cfg(target_arch = "aarch64")]
         assert_eq!(names[0], "neon");
+        println!("kernel backends run: {names:?}");
 
-        const WIDTHS: [usize; 13] = [0, 1, 15, 16, 17, 31, 32, 33, 63, 97, 511, 513, 1060];
+        const WIDTHS: [usize; 17] = [
+            0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 97, 127, 129, 511, 513, 1060,
+        ];
         // Past three 512-element tiles, with a 32-lane step and a tail left.
         let long = 3 * 512 + 47;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBAC6);
         for backend in &backends {
             for rows in 1..=40usize {
-                let picks = [WIDTHS[rows % 13], WIDTHS[(5 * rows + 2) % 13], long];
+                let picks = [
+                    WIDTHS[rows % WIDTHS.len()],
+                    WIDTHS[(5 * rows + 2) % WIDTHS.len()],
+                    long,
+                ];
                 for (width, offset) in
                     picks
                         .into_iter()

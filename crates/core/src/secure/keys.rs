@@ -12,6 +12,9 @@
 //!
 //! Pads are exchanged and extracted in 16-bit chunks of the `GF(2^16)` field;
 //! a keystream "round" consists of enough chunks to pad one full payload.
+//! Each chunk is the low 16 bits of one `u64` draw of the sender's generator:
+//! per exchange round a node draws its `deg · lanes` pads in one
+//! [`ChaCha8Rng::fill_u64`] call, arc by arc in neighbour order.
 //!
 //! Extraction is *streamed*: each exchange round's pads — one flat arc-major
 //! row of `arcs · lanes` chunks — are sent and immediately folded into all
@@ -24,8 +27,8 @@ use coding::field::Field;
 use coding::{BitExtractor, Gf2_16};
 use congest_sim::network::Network;
 use congest_sim::traffic::Traffic;
-use netgraph::ArcId;
-use rand::Rng;
+use netgraph::{ArcId, Graph};
+use rand_chacha::ChaCha8Rng;
 
 /// Number of 16-bit chunks in one 64-bit payload word.
 const CHUNKS_PER_WORD: usize = 4;
@@ -117,12 +120,54 @@ pub struct KeyPool {
     threshold: usize,
 }
 
+/// One exchange round's pad draw: graph, the nodes' generators, a scratch of
+/// at least `max_degree · lanes` draws, the arc-major pads row, a one-message
+/// scratch and the round's traffic.
+type DrawPads = fn(&Graph, &mut [ChaCha8Rng], &mut [u64], &mut [Gf2_16], &mut [u64], &mut Traffic);
+
+/// One exchange round's pads.  Sender `v` draws its `deg(v) · lanes` `u64`s
+/// in one [`ChaCha8Rng::fill_u64`] call; arc `v → u`, in neighbour order,
+/// takes the next `lanes` of them — chunk `k` is the low 16 bits of draw
+/// `k` — into its row of `pads` and, four chunks to a word, its message on
+/// `traffic`.
+fn draw_pads(
+    g: &Graph,
+    node_rngs: &mut [ChaCha8Rng],
+    draws: &mut [u64],
+    pads: &mut [Gf2_16],
+    words: &mut [u64],
+    traffic: &mut Traffic,
+) {
+    let lanes = words.len() * CHUNKS_PER_WORD;
+    for (v, rng) in node_rngs.iter_mut().enumerate() {
+        let neighbors = g.neighbors(v);
+        let draws = &mut draws[..neighbors.len() * lanes];
+        rng.fill_u64(draws);
+        for (&(u, e), draws) in neighbors.iter().zip(draws.chunks_exact(lanes)) {
+            let arc = g.arc(e, v, u);
+            for (pad, &draw) in pads[arc * lanes..][..lanes].iter_mut().zip(draws) {
+                *pad = Gf2_16::from_u64(draw);
+            }
+            // Chunk `c` of a word is bits `16c ..` of it.
+            for (word, draws) in words.iter_mut().zip(draws.chunks_exact(CHUNKS_PER_WORD)) {
+                *word = draws
+                    .iter()
+                    .rev()
+                    .fold(0, |word, &draw| word << 16 | (draw & 0xFFFF));
+            }
+            traffic.set_arc(arc, Some(words));
+        }
+    }
+}
+
 impl KeyPool {
     /// Establish a keystream good for `rounds` protected rounds of messages of
     /// up to `words_per_message` words, resilient to eavesdroppers that observe
     /// any given edge in at most `t` of the exchange rounds.
     ///
-    /// Runs `ℓ = rounds + t` network rounds (phase 1 of Theorem 1.2).  The
+    /// Runs `ℓ = rounds + t` network rounds (phase 1 of Theorem 1.2); every
+    /// pad chunk is the low 16 bits of one `u64` draw of the sending node's
+    /// generator ([`Network::node_rng`]), drawn in neighbour order.  The
     /// network's adversary is expected to be an eavesdropper; a byzantine
     /// adversary would additionally desynchronise the endpoints' keys, which is
     /// outside the threat model of the secure compilers.
@@ -141,6 +186,19 @@ impl KeyPool {
         rounds: usize,
         words_per_message: usize,
         t: usize,
+    ) -> Result<Self, KeyScheduleError> {
+        Self::establish_by(net, seed, rounds, words_per_message, t, draw_pads)
+    }
+
+    /// [`KeyPool::establish`] with the pad draw of each exchange round
+    /// passed in: [`draw_pads`], or the tests' per-draw oracle.
+    fn establish_by(
+        net: &mut Network,
+        seed: u64,
+        rounds: usize,
+        words_per_message: usize,
+        t: usize,
+        draw: DrawPads,
     ) -> Result<Self, KeyScheduleError> {
         assert!(rounds > 0, "need at least one protected round");
         assert!(
@@ -169,26 +227,18 @@ impl KeyPool {
         // eavesdropper only listens).
         let mut pads = vec![Gf2_16::ZERO; width];
         let mut words = vec![0u64; words_per_message];
+        let mut draws = vec![0u64; g.max_degree() * chunks_per_round];
         let mut traffic = Traffic::new(&g);
         for round in 0..exchange_rounds {
             traffic.begin_round(&g);
-            for (v, rng) in node_rngs.iter_mut().enumerate() {
-                for &(u, e) in g.neighbors(v) {
-                    let arc = g.arc(e, v, u);
-                    let lanes = &mut pads[arc * chunks_per_round..][..chunks_per_round];
-                    for (word, group) in words
-                        .iter_mut()
-                        .zip(lanes.chunks_exact_mut(CHUNKS_PER_WORD))
-                    {
-                        *word = 0;
-                        for (c, pad) in group.iter_mut().enumerate() {
-                            *pad = Gf2_16::from_u64(rng.gen());
-                            *word |= pad.to_u64() << (16 * c);
-                        }
-                    }
-                    traffic.set_arc(arc, Some(&words));
-                }
-            }
+            draw(
+                &g,
+                &mut node_rngs,
+                &mut draws,
+                &mut pads,
+                &mut words,
+                &mut traffic,
+            );
             net.exchange_in_place(&mut traffic);
             // Condense on the fly: protected round i of every arc and lane
             // gains α_round^i times this round's pad (Theorem 2.1).
@@ -269,8 +319,117 @@ impl KeyPool {
 mod tests {
     use super::*;
     use congest_sim::adversary::{AdversaryRole, CorruptionBudget, FixedEdges, RandomMobile};
-    use netgraph::{generators, Graph};
-    use rand::SeedableRng;
+    use congest_sim::scenario::matrix::graph_zoo_defs;
+    use netgraph::generators;
+    use rand::{Rng, SeedableRng};
+
+    /// The pad draw before bulk draws, kept as the oracle: one `gen` per
+    /// chunk, arc by arc.
+    fn draw_pads_by_gen(
+        g: &Graph,
+        node_rngs: &mut [ChaCha8Rng],
+        _draws: &mut [u64],
+        pads: &mut [Gf2_16],
+        words: &mut [u64],
+        traffic: &mut Traffic,
+    ) {
+        let chunks_per_round = words.len() * CHUNKS_PER_WORD;
+        for (v, rng) in node_rngs.iter_mut().enumerate() {
+            for &(u, e) in g.neighbors(v) {
+                let arc = g.arc(e, v, u);
+                let lanes = &mut pads[arc * chunks_per_round..][..chunks_per_round];
+                for (word, group) in words
+                    .iter_mut()
+                    .zip(lanes.chunks_exact_mut(CHUNKS_PER_WORD))
+                {
+                    *word = 0;
+                    for (c, pad) in group.iter_mut().enumerate() {
+                        *pad = Gf2_16::from_u64(rng.gen());
+                        *word |= pad.to_u64() << (16 * c);
+                    }
+                }
+                traffic.set_arc(arc, Some(words));
+            }
+        }
+    }
+
+    /// Bulk draws against the per-draw oracle on the zoo graphs at one to
+    /// three words (so some node's `deg · lanes` is no multiple of a
+    /// refill, and fills start mid-buffer): the same pads and messages round
+    /// by round, then the same keystream and the same wire — an
+    /// eavesdropper on every edge records both runs.
+    #[test]
+    fn bulk_pad_draws_equal_the_per_draw_oracle() {
+        let mut ragged = false;
+        for (case, def) in graph_zoo_defs(2024).iter().enumerate() {
+            let g = def.build().expect("zoo graph builds");
+            for words in 1..=3usize {
+                let lanes = words * CHUNKS_PER_WORD;
+                ragged |= g
+                    .nodes()
+                    .any(|v| !(g.degree(v) * lanes).is_multiple_of(128));
+                let seed = 0xD1CE + case as u64;
+                let mut rngs = [(); 2].map(|_| {
+                    g.nodes()
+                        .map(|v| Network::node_rng(seed, v))
+                        .collect::<Vec<_>>()
+                });
+                let mut pads = [(); 2].map(|_| vec![Gf2_16::ZERO; g.arc_count() * lanes]);
+                let mut traffic = [(); 2].map(|_| Traffic::new(&g));
+                let mut scratch = vec![0u64; words];
+                let mut draws = vec![0u64; g.max_degree() * lanes];
+                for round in 0..5 {
+                    for (i, draw) in [draw_pads as DrawPads, draw_pads_by_gen]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        traffic[i].begin_round(&g);
+                        draw(
+                            &g,
+                            &mut rngs[i],
+                            &mut draws,
+                            &mut pads[i],
+                            &mut scratch,
+                            &mut traffic[i],
+                        );
+                    }
+                    assert_eq!(pads[0], pads[1], "{def:?}, {words} words, round {round}");
+                    for arc in 0..g.arc_count() {
+                        assert_eq!(
+                            traffic[0].get_arc(arc),
+                            traffic[1].get_arc(arc),
+                            "{def:?}, {words} words, round {round}, arc {arc}"
+                        );
+                    }
+                }
+
+                let all: Vec<usize> = (0..g.edge_count()).collect();
+                let [(bulk, bulk_net), (oracle, oracle_net)] =
+                    [draw_pads as DrawPads, draw_pads_by_gen].map(|draw| {
+                        let mut net = Network::new(
+                            g.clone(),
+                            AdversaryRole::Eavesdropper,
+                            Box::new(FixedEdges::new(all.clone())),
+                            CorruptionBudget::Static(all.clone()),
+                            case as u64,
+                        );
+                        let pool =
+                            KeyPool::establish_by(&mut net, seed, 3, words, 2, draw).unwrap();
+                        (pool, net)
+                    });
+                assert_eq!(bulk.keystream, oracle.keystream, "{def:?}, {words} words");
+                let wire = |net: &Network| {
+                    net.view_log()
+                        .entries
+                        .iter()
+                        .map(|entry| (entry.edge, entry.forward.clone(), entry.backward.clone()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(wire(&bulk_net), wire(&oracle_net), "{def:?}, {words} words");
+            }
+        }
+        assert!(ragged, "some fill must end mid-refill");
+    }
 
     fn pool_on(g: Graph, rounds: usize, words: usize, t: usize) -> (KeyPool, Network) {
         let mut net = Network::new(

@@ -129,6 +129,7 @@ fn run() -> Result<(), String> {
             eprintln!("{msg}");
         }
     };
+    diag(cli::backends_line());
     let spec_text = std::fs::read_to_string(&args.spec)
         .map_err(|e| format!("cannot read spec {}: {e}", args.spec.display()))?;
     let spec = CampaignSpec::from_json(&spec_text)

@@ -82,6 +82,9 @@ fn run() -> Result<(), String> {
         config.workers = args.common.threads;
     }
     let handle = start(config)?;
+    if !args.common.quiet {
+        eprintln!("campaignd: {}", cli::backends_line());
+    }
     // The one stdout line: lets scripts that bound port 0 find the server.
     let listening = json::object(|w| {
         w.str("kind", "listening")

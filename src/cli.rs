@@ -9,6 +9,19 @@
 //! unit tests pin them — so changing a message here is a deliberate,
 //! workspace-wide decision rather than per-binary drift.
 
+/// The stderr line every non-quiet `campaign` and `campaignd` run prints:
+/// the vector code this process dispatched to — the GF(2^8) / GF(2^16)
+/// kernel backend and the ChaCha8 refill form — so a run's diagnostics say
+/// which code produced its numbers (the numbers themselves are identical on
+/// every backend).
+pub fn backends_line() -> String {
+    format!(
+        "vector backends: gf kernels {}, chacha8 refill {}",
+        coding::kernels::gf256_backend(),
+        rand_chacha::refill_backend()
+    )
+}
+
 /// Pull the value of `flag` off the argument iterator
 /// (`"{flag} needs a value"` if the command line ends first).
 pub fn need_value(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
@@ -169,6 +182,19 @@ mod tests {
         assert_eq!(parse_shard("0/0").unwrap_err(), "shard 0/0 is out of range");
         assert_eq!(parse_shard("4/4").unwrap_err(), "shard 4/4 is out of range");
         assert_eq!(parse_shard("9/2").unwrap_err(), "shard 9/2 is out of range");
+    }
+
+    #[test]
+    fn the_backends_line_names_both_dispatched_forms() {
+        let line = backends_line();
+        assert!(
+            line.contains(&format!("gf kernels {}", coding::kernels::gf256_backend())),
+            "{line}"
+        );
+        assert!(
+            line.contains(&format!("chacha8 refill {}", rand_chacha::refill_backend())),
+            "{line}"
+        );
     }
 
     #[test]
