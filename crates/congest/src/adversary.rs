@@ -81,9 +81,10 @@ impl CorruptionBudget {
 /// A deduplicating, insertion-ordered edge set backed by a reusable bitset.
 ///
 /// This is the vehicle strategies mark their wanted edges into: the network
-/// owns one, [`EdgeSet::reset`]s it each round (an `O(m/64)` word fill, no
-/// allocation at steady state), and reads the marked edges back in insertion
-/// order — the order budget clamping honours.
+/// owns one, [`EdgeSet::reset`]s it each round (clearing only the words of
+/// the edges marked since the last reset, no allocation at steady state), and
+/// reads the marked edges back in insertion order — the order budget clamping
+/// honours.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeSet {
     /// One bit per edge id (grown on demand).
@@ -99,10 +100,20 @@ impl EdgeSet {
     }
 
     /// Clear the set and make sure `edge_count` edges fit without growing.
+    ///
+    /// `O(marked)`, not `O(edge_count / 64)`: every set bit belongs to an
+    /// edge in the insertion order, so zeroing those edges' words clears the
+    /// bitset.  The bitset never shrinks; bits past `edge_count` read as
+    /// unmarked like any other.
     pub fn reset(&mut self, edge_count: usize) {
+        for &e in &self.order {
+            self.bits[e / 64] = 0;
+        }
         self.order.clear();
-        self.bits.clear();
-        self.bits.resize(edge_count.div_ceil(64), 0);
+        let words = edge_count.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
     }
 
     /// Mark an edge; returns `true` if it was newly inserted.
@@ -193,6 +204,30 @@ impl CorruptionMode {
                 out.extend(std::iter::repeat_n(*w, len));
                 true
             }
+        }
+    }
+
+    /// Whether rewriting `original` would change the message, without
+    /// writing the rewrite anywhere: exactly the RNG draws of
+    /// [`CorruptionMode::apply_into`] and exactly its outcome under the
+    /// engine's rule — a dropped message changes a present one, a present
+    /// one changes an absent one, and two present ones differ iff their words
+    /// do.  Pattern rounds, which keep no rewrite, ask this instead.
+    pub fn alters<R: Rng + ?Sized>(&self, original: Option<&[u64]>, rng: &mut R) -> bool {
+        match (self, original) {
+            // Every word is drawn, equal or not (`|`, not `||`).
+            (CorruptionMode::ReplaceRandom, Some(p)) if !p.is_empty() => p
+                .iter()
+                .fold(false, |changed, &w| changed | (rng.gen::<u64>() != w)),
+            (CorruptionMode::ReplaceRandom, _) => {
+                rng.gen::<u64>();
+                true
+            }
+            (CorruptionMode::Drop, original) => original.is_some(),
+            (CorruptionMode::Constant(w), Some(p)) if !p.is_empty() => p.iter().any(|x| x != w),
+            // A flipped bit always differs; an empty or absent message
+            // becomes a one-word one.
+            (CorruptionMode::FlipLowBit | CorruptionMode::Constant(_), _) => true,
         }
     }
 
@@ -937,6 +972,35 @@ mod tests {
         // Inserting beyond the reset capacity grows the bitset.
         assert!(s.insert(1000));
         assert!(s.contains(1000));
+    }
+
+    proptest::proptest! {
+        // `reset` clears only the words of the edges it marked; whatever was
+        // marked before — past `edge_count` too, which grows the bitset — a
+        // reset set must act as a fresh one reset to the same count.
+        #[test]
+        fn reset_after_arbitrary_inserts_equals_a_fresh_set(
+            rounds in proptest::prop::collection::vec(
+                (0usize..300, proptest::prop::collection::vec(0usize..400, 0..24)),
+                1..6,
+            ),
+        ) {
+            let mut reused = EdgeSet::new();
+            for (edge_count, inserts) in &rounds {
+                reused.reset(*edge_count);
+                let mut fresh = EdgeSet::new();
+                fresh.reset(*edge_count);
+                proptest::prop_assert!(reused.is_empty());
+                proptest::prop_assert!(reused.bits.len() >= edge_count.div_ceil(64));
+                for &e in inserts {
+                    proptest::prop_assert_eq!(reused.insert(e), fresh.insert(e), "insert {}", e);
+                }
+                proptest::prop_assert_eq!(reused.as_slice(), fresh.as_slice());
+                for e in 0..420 {
+                    proptest::prop_assert_eq!(reused.contains(e), fresh.contains(e), "edge {}", e);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,26 +19,30 @@
 //! and count the round, let the strategy mark its wanted edges into a
 //! recycled [`EdgeSet`], clamp them to the budget into a recycled `controlled`
 //! vector, apply the adversary's role to both arcs of every controlled edge
-//! (an eavesdropper copies them into the view log; a byzantine rewrite goes
-//! through a recycled scratch payload and is compared with the original),
-//! record the corruption, append to the flattened [`CorruptionHistory`], close
-//! the span.  After warm-up a round executes without touching the allocator
-//! (covered by buffer-reuse regression tests).  The three kinds of round
-//! differ only in where a controlled arc's original words come from and where
-//! the rewrite goes:
+//! (an eavesdropper copies them into the view log; a byzantine rewrite, under
+//! the [`CorruptionMode`] the caller read off the strategy, is counted if it
+//! changed the message), record the corruption, append to the flattened
+//! [`CorruptionHistory`], close the span.  After warm-up a round executes
+//! without touching the allocator (covered by buffer-reuse regression tests).
+//! The three kinds of round differ only in where a controlled arc's original
+//! words come from and where the rewrite goes:
 //!
 //! * a **dense** round ([`Network::exchange_in_place`]) reads and rewrites the
-//!   caller's [`Traffic`], whose flat arena the receivers then read, and walks
-//!   its spans once for the traffic-volume metrics;
+//!   caller's [`Traffic`] (the rewrite built in a recycled scratch, compared
+//!   with the original and written back), whose flat arena the receivers then
+//!   read, and walks its spans once for the traffic-volume metrics;
 //! * a **pattern** round ([`Network::pattern_rounds`]) has no buffer at all.
 //!   The caller describes its recurring rounds as [`RoundPatterns`] — which
 //!   arcs carry how many words, and the words on one arc in one round — and
 //!   promises not to read what is delivered.  The engine materialises only the
-//!   `≤ 2f` controlled arcs into a recycled scratch, applies the corruption to
-//!   the scratch (same RNG draws, same `altered` count, same view entries,
-//!   same trace events), stores nothing and hands the controlled edges back.
-//!   Such a round costs `O(f)`, not `O(m)`; its traffic volume is settled in
-//!   bulk when the [`PatternRounds`] scope ends;
+//!   `≤ 2f` controlled arcs into a recycled scratch and asks
+//!   [`CorruptionMode::alters`] whether the rewrite would change them (same
+//!   RNG draws, same `altered` count, same view entries, same trace events):
+//!   the rewrite is never built, nothing is stored, and the controlled edges
+//!   are handed back.  Such a round costs `O(f)`, not `O(m)`; its traffic
+//!   volume is settled in bulk when the [`PatternRounds`] scope ends, and a
+//!   caller running several families of one plan back to back may run them
+//!   all in one scope;
 //! * a **held** round ([`Network::held_rounds`]) runs on a buffer the caller
 //!   keeps across rounds — what every sender currently holds and sends again
 //!   each round, like the relays of a flood.  The engine reads that buffer and
@@ -52,8 +56,8 @@
 //!   rank each shape once.  A round whose shape did not change costs `O(f)`.
 
 use crate::adversary::{
-    AdversaryRole, AdversaryStrategy, ArcLens, CorruptionBudget, EdgeSet, NoAdversary, PatternId,
-    RoundView,
+    AdversaryRole, AdversaryStrategy, ArcLens, CorruptionBudget, CorruptionMode, EdgeSet,
+    NoAdversary, PatternId, RoundView,
 };
 use crate::metrics::Metrics;
 use crate::traffic::{Payload, Traffic};
@@ -299,8 +303,35 @@ trait RoundSource {
     /// The message the sender put on `arc`.
     fn original(&mut self, arc: ArcId) -> Option<&[u64]>;
 
-    /// Replace the message on `arc` by what the adversary made of it.
-    fn deliver(&mut self, arc: ArcId, payload: Option<&[u64]>);
+    /// Rewrite the message on `arc` under `mode`, drawing from `rng` (with
+    /// `scratch` to build the rewrite in, if it is kept), and say whether it
+    /// changed.
+    fn rewrite(
+        &mut self,
+        arc: ArcId,
+        mode: CorruptionMode,
+        rng: &mut ChaCha8Rng,
+        scratch: &mut Vec<u64>,
+    ) -> bool;
+}
+
+/// The rewrite of a round that keeps it: `mode` applied to `original` into
+/// `scratch`.  Returns whether a message is present at all, and whether it
+/// differs from `original` — the engine's `changed` rule, which
+/// [`CorruptionMode::alters`] answers without building the rewrite.
+fn rewrite_into(
+    mode: CorruptionMode,
+    original: Option<&[u64]>,
+    rng: &mut ChaCha8Rng,
+    scratch: &mut Vec<u64>,
+) -> (bool, bool) {
+    let present = mode.apply_into(original, rng, scratch);
+    let changed = match (present, original) {
+        (true, Some(original)) => scratch.as_slice() != original,
+        (false, None) => false,
+        _ => true,
+    };
+    (present, changed)
 }
 
 /// A dense round: the caller's buffer is read, charged and rewritten.
@@ -316,8 +347,16 @@ impl RoundSource for Dense<'_> {
     fn original(&mut self, arc: ArcId) -> Option<&[u64]> {
         self.0.get_arc(arc)
     }
-    fn deliver(&mut self, arc: ArcId, payload: Option<&[u64]>) {
-        self.0.set_arc(arc, payload);
+    fn rewrite(
+        &mut self,
+        arc: ArcId,
+        mode: CorruptionMode,
+        rng: &mut ChaCha8Rng,
+        scratch: &mut Vec<u64>,
+    ) -> bool {
+        let (present, changed) = rewrite_into(mode, self.0.get_arc(arc), rng, scratch);
+        self.0.set_arc(arc, present.then_some(scratch.as_slice()));
+        changed
     }
 }
 
@@ -363,7 +402,17 @@ impl<P: RoundPatterns> RoundSource for Described<'_, P> {
         );
         present.then_some(self.words.as_slice())
     }
-    fn deliver(&mut self, _arc: ArcId, _payload: Option<&[u64]>) {}
+    /// Nothing reads a pattern round's deliveries, so the rewrite is only
+    /// weighed, never built.
+    fn rewrite(
+        &mut self,
+        arc: ArcId,
+        mode: CorruptionMode,
+        rng: &mut ChaCha8Rng,
+        _scratch: &mut Vec<u64>,
+    ) -> bool {
+        mode.alters(self.original(arc), rng)
+    }
 }
 
 /// A held round: the scope's buffer under its current shape's pattern id,
@@ -384,8 +433,17 @@ impl RoundSource for Held<'_> {
     fn original(&mut self, arc: ArcId) -> Option<&[u64]> {
         self.traffic.get_arc(arc)
     }
-    fn deliver(&mut self, arc: ArcId, payload: Option<&[u64]>) {
-        self.delivered.push(arc, payload);
+    fn rewrite(
+        &mut self,
+        arc: ArcId,
+        mode: CorruptionMode,
+        rng: &mut ChaCha8Rng,
+        scratch: &mut Vec<u64>,
+    ) -> bool {
+        let (present, changed) = rewrite_into(mode, self.traffic.get_arc(arc), rng, scratch);
+        self.delivered
+            .push(arc, present.then_some(scratch.as_slice()));
+        changed
     }
 }
 
@@ -578,7 +636,8 @@ impl Network {
             traffic.arc_slots(),
             self.graph.arc_count()
         );
-        self.run_round(&mut Dense(traffic));
+        let mode = self.strategy.corruption_mode();
+        self.run_round(&mut Dense(traffic), mode);
     }
 
     /// Open a scope of **pattern rounds** over `patterns`: rounds whose
@@ -599,6 +658,7 @@ impl Network {
         scratch.uses.clear();
         scratch.uses.resize(patterns.count(), 0);
         PatternRounds {
+            mode: self.strategy.corruption_mode(),
             net: self,
             patterns,
             scope: fresh_pattern_scope(),
@@ -617,6 +677,7 @@ impl Network {
         let mut delivered = std::mem::take(&mut self.buffers.delivered);
         delivered.clear();
         HeldRounds {
+            mode: self.strategy.corruption_mode(),
             net: self,
             held,
             id: PatternId {
@@ -628,8 +689,11 @@ impl Network {
         }
     }
 
-    /// The one round body (module docs): `source` is the round's traffic.
-    fn run_round<S: RoundSource>(&mut self, source: &mut S) {
+    /// The one round body (module docs): `source` is the round's traffic and
+    /// `mode` the strategy's [`CorruptionMode`], read by the caller — once per
+    /// scope in a pattern or held scope, which holds the network's only
+    /// borrow, so the strategy cannot change under it.
+    fn run_round<S: RoundSource>(&mut self, source: &mut S, mode: CorruptionMode) {
         let round = self.metrics.rounds;
         self.tracer.set_time(round as u64);
         self.tracer.span_open(Phase::RoundExchange);
@@ -665,7 +729,6 @@ impl Network {
 
         // 2. Apply the adversary's role on the controlled edges.
         let mut altered = 0usize;
-        let mode = self.strategy.corruption_mode();
         for &e in controlled.iter() {
             let (fwd_arc, bwd_arc) = Graph::arcs_of(e);
             self.tracer.point(EventKind::CorruptionApplied { edge: e });
@@ -680,17 +743,9 @@ impl Network {
                 }
                 AdversaryRole::Byzantine => {
                     for arc in [fwd_arc, bwd_arc] {
-                        let original = source.original(arc);
-                        let present = mode.apply_into(original, &mut self.corruption_rng, scratch);
-                        let changed = match (present, original) {
-                            (true, Some(original)) => scratch.as_slice() != original,
-                            (false, None) => false,
-                            _ => true,
-                        };
-                        if changed {
+                        if source.rewrite(arc, mode, &mut self.corruption_rng, scratch) {
                             altered += 1;
                         }
-                        source.deliver(arc, present.then_some(scratch.as_slice()));
                     }
                 }
             }
@@ -742,13 +797,25 @@ impl Network {
 pub struct PatternRounds<'a, P: RoundPatterns> {
     net: &'a mut Network,
     patterns: &'a P,
+    /// The strategy's corruption mode, read when the scope opened.
+    mode: CorruptionMode,
     /// This scope's [`PatternId::scope`].
     scope: u64,
     /// The network's pattern scratch, handed back on drop.
     scratch: PatternScratch,
 }
 
-impl<P: RoundPatterns> PatternRounds<'_, P> {
+impl<'a, P: RoundPatterns> PatternRounds<'a, P> {
+    /// The family this scope runs.
+    pub fn patterns(&self) -> &'a P {
+        self.patterns
+    }
+
+    /// The graph of the network the scope runs on.
+    pub fn graph(&self) -> &Graph {
+        &self.net.graph
+    }
+
     /// Execute one round whose outgoing traffic is pattern `pattern` under
     /// `tag`; returns the edges the adversary controlled in it (the round's
     /// entry of the [`CorruptionHistory`]).  What the receivers would have
@@ -759,16 +826,19 @@ impl<P: RoundPatterns> PatternRounds<'_, P> {
     /// Panics if `pattern` is out of range.
     pub fn exchange(&mut self, pattern: usize, tag: u64) -> &[EdgeId] {
         let PatternScratch { uses, words } = &mut self.scratch;
-        self.net.run_round(&mut Described {
-            patterns: self.patterns,
-            id: PatternId {
-                scope: self.scope,
-                index: pattern,
+        self.net.run_round(
+            &mut Described {
+                patterns: self.patterns,
+                id: PatternId {
+                    scope: self.scope,
+                    index: pattern,
+                },
+                tag,
+                uses: &mut uses[pattern],
+                words,
             },
-            tag,
-            uses: &mut uses[pattern],
-            words,
-        });
+            self.mode,
+        );
         &self.net.buffers.controlled
     }
 }
@@ -800,6 +870,8 @@ impl<P: RoundPatterns> Drop for PatternRounds<'_, P> {
 pub struct HeldRounds<'a> {
     net: &'a mut Network,
     held: &'a mut Traffic,
+    /// The strategy's corruption mode, read when the scope opened.
+    mode: CorruptionMode,
     /// The pattern id strategies see for the current shape.
     id: PatternId,
     /// Rounds run on the current shape, not yet charged.
@@ -822,11 +894,14 @@ impl HeldRounds<'_> {
     pub fn exchange(&mut self) -> &[EdgeId] {
         self.uses += 1;
         self.delivered.clear();
-        self.net.run_round(&mut Held {
-            traffic: self.held,
-            id: self.id,
-            delivered: &mut self.delivered,
-        });
+        self.net.run_round(
+            &mut Held {
+                traffic: self.held,
+                id: self.id,
+                delivered: &mut self.delivered,
+            },
+            self.mode,
+        );
         &self.net.buffers.controlled
     }
 
@@ -1063,6 +1138,60 @@ mod tests {
         assert_eq!(h.total_edge_rounds(), 3);
         let rounds: Vec<&[EdgeId]> = h.iter().collect();
         assert_eq!(rounds.len(), 3);
+    }
+
+    /// A word of an `alters` case: often one the rewrite could produce
+    /// (`Constant`'s value, a flipped low bit), sometimes anything.
+    fn word() -> impl proptest::Strategy<Value = u64> {
+        use proptest::Strategy;
+        (0usize..4, proptest::any::<u64>()).prop_map(|(pick, any)| [0, 1, 3, any][pick])
+    }
+
+    /// An `alters` case's original message: absent one time in five,
+    /// otherwise zero to three words.
+    fn message() -> impl proptest::Strategy<Value = Option<Vec<u64>>> {
+        use proptest::Strategy;
+        (0usize..5, proptest::prop::collection::vec(word(), 0..4))
+            .prop_map(|(pick, words)| (pick > 0).then_some(words))
+    }
+
+    proptest::proptest! {
+        // `CorruptionMode::alters` is `apply_into` followed by the engine's
+        // `changed` rule, and leaves the RNG where `apply_into` does.  With
+        // `echo` the original is the RNG's next words, so `ReplaceRandom` can
+        // also come out unchanged.
+        #[test]
+        fn alters_is_apply_into_then_the_changed_rule(
+            mode_index in 0usize..4,
+            constant in word(),
+            original in message(),
+            echo in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let mode = [
+                CorruptionMode::ReplaceRandom,
+                CorruptionMode::FlipLowBit,
+                CorruptionMode::Drop,
+                CorruptionMode::Constant(constant),
+            ][mode_index];
+            let mut built = ChaCha8Rng::seed_from_u64(seed);
+            let mut weighed = built.clone();
+            let original = match original {
+                Some(words) if echo => {
+                    let mut next = built.clone();
+                    Some(words.iter().map(|_| next.gen::<u64>()).collect::<Vec<u64>>())
+                }
+                original => original,
+            };
+            let mut scratch = vec![5; 4];
+            let (_, changed) = rewrite_into(mode, original.as_deref(), &mut built, &mut scratch);
+            proptest::prop_assert_eq!(
+                mode.alters(original.as_deref(), &mut weighed),
+                changed,
+                "{:?} on {:?}", mode, original
+            );
+            proptest::prop_assert_eq!(built.gen::<u64>(), weighed.gen::<u64>(), "rng drifted");
+        }
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl RewindCompiler {
         let dtp = self.packing.max_height().max(1);
         // Correction state (schedule plan, spanning flags, broadcast code) is a
         // pure function of `(g, packing)` — build it once, not per global round.
+        // The verdict schedules through the same plan.
         let ctx = CorrectionContext::new(&g, &self.packing);
-        let plan = interactive_coding::SchedulePlan::new(&g, &self.packing);
 
         // committed[j] = the (corrected) traffic delivered in simulated round j.
         let mut committed: Vec<Traffic> = Vec::new();
@@ -168,7 +168,7 @@ impl RewindCompiler {
             // Phase C: rewind-if-error — verify the whole committed prefix plus
             // the new round, with the verdict aggregated over the packing's trees.
             let honest_good = consistent && corrected.agrees_with(&intended);
-            let sched = RsScheduler.run_planned(net, &self.packing, &plan, dtp + 2);
+            let sched = RsScheduler.run_planned(net, &self.packing, ctx.plan(), dtp + 2);
             let verdict_trustworthy = 2 * sched.success_count() > self.packing.len();
             let good_state = if verdict_trustworthy {
                 honest_good

@@ -307,6 +307,11 @@ impl CorrectionContext {
             bcast,
         }
     }
+
+    /// The Lemma 3.3 plan of `(g, packing)` the aggregation schedules through.
+    pub(crate) fn plan(&self) -> &SchedulePlan {
+        &self.plan
+    }
 }
 
 /// The `Õ(D_TP + f)` correction: per-tree `s`-sparse recovery + majority over

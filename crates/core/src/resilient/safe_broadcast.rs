@@ -133,6 +133,11 @@ impl BroadcastContext {
 /// semantics from the start; a per-node decode would be `n−1` redundant
 /// syndrome decodes.)
 ///
+/// All chunks run in **one** pattern scope on `net`: their scheduled rounds
+/// are the same rounds as in a scope per chunk, but the traffic volume is
+/// settled, and a weighing strategy ranks each slot, once per broadcast
+/// instead of once per chunk.
+///
 /// # Panics
 ///
 /// Panics if the message is empty.
@@ -163,7 +168,9 @@ pub fn ecc_safe_broadcast(
     let mut decode_ok = true;
     let mut max_failed = 0usize;
     let mut received: Vec<Gf2_16> = Vec::with_capacity(k);
+    let mut corrupted: Vec<usize> = Vec::with_capacity(k);
 
+    let mut rounds = net.pattern_rounds(&*ctx.plan);
     for chunk in &chunks {
         let mut padded = chunk.to_vec();
         padded.resize(ell, Gf2_16::ZERO);
@@ -173,7 +180,7 @@ pub fn ecc_safe_broadcast(
         // per-instance round count (and with it the Theorem 3.2 corruption
         // threshold) is padded so that an adversary sweeping over consecutive
         // edge ids cannot fail a tree within a single scheduling window.
-        let report = RsScheduler.run_planned(net, &ctx.packing, &ctx.plan, ctx.dtp + 16);
+        let report = RsScheduler.run_in(&mut rounds, ctx.dtp + 16, &mut corrupted);
         max_failed = max_failed.max(k - report.success_count());
 
         // Fault-free semantics per instance: a successful tree delivers its
@@ -193,6 +200,7 @@ pub fn ecc_safe_broadcast(
             Err(_) => decode_ok = false,
         }
     }
+    drop(rounds);
 
     // Reassemble words from symbols; every node holds the same stream.
     let node_output: Option<Vec<u64>> = if !decode_ok || decoded.len() < symbols.len() {
@@ -224,9 +232,206 @@ pub fn ecc_safe_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, GreedyHeaviest, RandomMobile};
-    use netgraph::generators;
-    use netgraph::tree_packing::star_packing;
+    use congest_sim::adversary::{
+        AdaptiveHeaviest, AdversaryRole, AdversaryStrategy, BurstAdversary, CorruptionBudget,
+        CorruptionMode, EclipseNode, FixedEdges, GreedyHeaviest, NoAdversary, RandomMobile,
+        ScheduledEdges, SweepMobile, SynthesizedSchedule,
+    };
+    use netgraph::tree_packing::{
+        augmented_low_depth_packing, greedy_low_depth_packing, star_packing,
+    };
+    use netgraph::{generators, GraphDef};
+
+    /// The pre-scope `ecc_safe_broadcast`, kept as the oracle: every chunk
+    /// runs `run_planned` in a pattern scope of its own.
+    fn broadcast_by_chunk_scopes(
+        net: &mut Network,
+        ctx: &BroadcastContext,
+        message: &[u64],
+        seed: u64,
+    ) -> (Vec<Option<Vec<u64>>>, SafeBroadcastReport) {
+        assert!(!message.is_empty(), "message must be non-empty");
+        let n = net.graph().node_count();
+        let k = ctx.packing.len();
+        let start = net.round();
+        let ell = ctx.ell;
+        let symbols: Vec<Gf2_16> = message
+            .iter()
+            .flat_map(|w| (0..SYMBOLS_PER_WORD).map(move |i| Gf2_16::from_u64(w >> (16 * i))))
+            .collect();
+        let chunks: Vec<&[Gf2_16]> = symbols.chunks(ell).collect();
+        let mut fake_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xECC0_FFEE);
+        let mut decoded: Vec<Gf2_16> = Vec::with_capacity(symbols.len());
+        let mut decode_ok = true;
+        let mut max_failed = 0usize;
+        let mut received: Vec<Gf2_16> = Vec::with_capacity(k);
+        for chunk in &chunks {
+            let mut padded = chunk.to_vec();
+            padded.resize(ell, Gf2_16::ZERO);
+            let codeword = ctx.rs.encode(&padded).expect("length matches");
+            let report = RsScheduler.run_planned(net, &ctx.packing, &ctx.plan, ctx.dtp + 16);
+            max_failed = max_failed.max(k - report.success_count());
+            let garbage: Vec<Gf2_16> = (0..k).map(|_| Gf2_16::from_u64(fake_rng.gen())).collect();
+            received.clear();
+            for (j, tree_report) in report.per_tree.iter().enumerate() {
+                if tree_report.ok && ctx.usable[j] {
+                    received.push(codeword[j]);
+                } else {
+                    received.push(garbage[j]);
+                }
+            }
+            match ctx.rs.decode(&received) {
+                Ok(msg) => decoded.extend_from_slice(&msg[..chunk.len().min(ell)]),
+                Err(_) => decode_ok = false,
+            }
+        }
+        let node_output: Option<Vec<u64>> = if !decode_ok || decoded.len() < symbols.len() {
+            None
+        } else {
+            Some(
+                decoded[..symbols.len()]
+                    .chunks(SYMBOLS_PER_WORD)
+                    .map(|group| {
+                        group
+                            .iter()
+                            .enumerate()
+                            .fold(0u64, |acc, (i, s)| acc | (s.to_u64() << (16 * i)))
+                    })
+                    .collect(),
+            )
+        };
+        let unanimous = node_output.as_deref() == Some(message);
+        let report = SafeBroadcastReport {
+            rounds: net.round() - start,
+            chunks: chunks.len(),
+            max_failed_trees: max_failed,
+            unanimous,
+        };
+        (vec![node_output; n], report)
+    }
+
+    /// The zoo's three packing kinds: the clique's star packing (seventeen
+    /// trees, four symbols a chunk, so a one-word message is one chunk), v1
+    /// on a circulant and v2 on the small world (nine trees, two symbols a
+    /// chunk).
+    fn zoo_packings() -> Vec<(Graph, TreePacking)> {
+        let clique = generators::complete(17);
+        let circulant = generators::circulant(18, 4);
+        let small_world = GraphDef::watts_strogatz(24, 6, 0.2, 2024 ^ 0x5A11)
+            .build()
+            .expect("zoo small world builds");
+        vec![
+            (clique.clone(), star_packing(&clique, 0)),
+            (
+                circulant.clone(),
+                greedy_low_depth_packing(&circulant, 0, 9, 2),
+            ),
+            (
+                small_world.clone(),
+                augmented_low_depth_packing(&small_world, 0, 9, 2),
+            ),
+        ]
+    }
+
+    /// Every strategy of `congest_sim::adversary` in `mode` on a mobile
+    /// budget of two edges, a round-error-rate budget that runs dry inside
+    /// the first broadcast, and an eavesdropper.
+    fn zoo_networks(g: &Graph, mode: CorruptionMode) -> Vec<Network> {
+        let (f, m) = (2, g.edge_count());
+        let schedule = vec![vec![1, m - 1], vec![], vec![0, 2, 4], vec![m / 2]];
+        let strategies: Vec<Box<dyn AdversaryStrategy>> = vec![
+            Box::new(NoAdversary),
+            Box::new(FixedEdges::new(vec![0, 3, m - 1]).with_mode(mode)),
+            Box::new(RandomMobile::new(f, 77).with_mode(mode)),
+            Box::new(SweepMobile::new(f).with_mode(mode)),
+            Box::new(GreedyHeaviest::new(f).with_mode(mode)),
+            Box::new(AdaptiveHeaviest::new(f).with_mode(mode)),
+            Box::new(EclipseNode::new(1, f).with_mode(mode)),
+            Box::new(BurstAdversary::new(1, 2, 3, 78).with_mode(mode)),
+            Box::new(ScheduledEdges::new(schedule.clone())),
+            Box::new(SynthesizedSchedule::new(schedule).with_mode(mode)),
+        ];
+        let mut nets: Vec<Network> = strategies
+            .into_iter()
+            .map(|strategy| {
+                let budget = CorruptionBudget::Mobile { f };
+                Network::new(g.clone(), AdversaryRole::Byzantine, strategy, budget, 31)
+            })
+            .collect();
+        nets.push(Network::new(
+            g.clone(),
+            AdversaryRole::Byzantine,
+            Box::new(RandomMobile::new(3, 79).with_mode(mode)),
+            CorruptionBudget::RoundErrorRate { total: 40 },
+            31,
+        ));
+        nets.push(Network::new(
+            g.clone(),
+            AdversaryRole::Eavesdropper,
+            Box::new(RandomMobile::new(f, 80)),
+            CorruptionBudget::Mobile { f },
+            31,
+        ));
+        nets
+    }
+
+    /// The one-scope broadcast against a scope per chunk: over the zoo
+    /// packings × every strategy × the four corruption modes, a one-chunk
+    /// and a many-chunk message back to back on one network, the outputs,
+    /// reports, `Metrics`, `CorruptionHistory`, `ViewLog`, event streams and
+    /// the next public coin must all be equal.
+    #[test]
+    fn one_scope_broadcast_equals_a_scope_per_chunk() {
+        let modes = [
+            CorruptionMode::ReplaceRandom,
+            CorruptionMode::FlipLowBit,
+            CorruptionMode::Drop,
+            CorruptionMode::Constant(3),
+        ];
+        let messages: [&[u64]; 2] = [&[0xDEAD_BEEF], &[3, u64::MAX, 0, 42, 1 << 40]];
+        let (mut single_chunk, mut acted) = (0, 0);
+        for (g, packing) in zoo_packings() {
+            let ctx = BroadcastContext::new(&g, &packing);
+            for mode in modes {
+                for (mut scoped, mut chunked) in zoo_networks(&g, mode)
+                    .into_iter()
+                    .zip(zoo_networks(&g, mode))
+                {
+                    let name = format!("{} {mode:?} k={}", scoped.adversary_name(), packing.len());
+                    for net in [&mut scoped, &mut chunked] {
+                        net.install_tracer(obs::TraceSpec::ring().build_tracer());
+                    }
+                    for (i, message) in messages.into_iter().enumerate() {
+                        let got = ecc_safe_broadcast(&mut scoped, &ctx, message, 5 + i as u64);
+                        let want =
+                            broadcast_by_chunk_scopes(&mut chunked, &ctx, message, 5 + i as u64);
+                        assert_eq!(got, want, "{name} message {i}");
+                        single_chunk += usize::from(got.1.chunks == 1);
+                    }
+                    assert_eq!(scoped.metrics(), chunked.metrics(), "{name}");
+                    assert_eq!(
+                        scoped.corruption_history(),
+                        chunked.corruption_history(),
+                        "{name}"
+                    );
+                    assert_eq!(scoped.view_log(), chunked.view_log(), "{name}");
+                    assert_eq!(scoped.public_coin(), chunked.public_coin(), "{name}");
+                    let [scoped_trace, chunked_trace] =
+                        [&mut scoped, &mut chunked].map(|net| net.take_tracer().finish());
+                    assert_eq!(
+                        format!("{scoped_trace:?}"),
+                        format!("{chunked_trace:?}"),
+                        "{name}"
+                    );
+                    acted += usize::from(scoped.metrics().corrupted_edge_rounds > 0);
+                }
+            }
+        }
+        // The clique's one-word message, under all 4 × 12 networks.
+        assert_eq!(single_chunk, 4 * 12);
+        // Every network but the fault-free one.
+        assert_eq!(acted, 3 * 4 * 11);
+    }
 
     fn byz_net(g: netgraph::Graph, f: usize, seed: u64) -> Network {
         Network::new(
@@ -263,7 +468,7 @@ mod tests {
             report.unanimous,
             "broadcast failed: {} trees failed (capacity {})",
             report.max_failed_trees,
-            packing.len() / 3
+            rs_error_capacity(packing.len())
         );
     }
 

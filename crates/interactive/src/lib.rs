@@ -11,8 +11,14 @@
 //!   guarantee (per-instance corruption accounting against real adversary
 //!   choices) and reporting which instances ended correctly — Lemma 3.3;
 //! * [`replay`] — a concrete, executable resilient transport (repetition +
-//!   majority along trees and path systems), used by the cycle-cover compiler
-//!   of Theorem 1.4 and as a non-oracle demonstration of the same pipeline.
+//!   majority along trees and path systems), a non-oracle demonstration of
+//!   the same pipeline, and the voting rules [`majority`] / [`most_frequent`].
+//!   Outside this crate only those two rules are used: the rewind compiler
+//!   votes with `most_frequent`, and the cycle-cover compiler of Theorem 1.4
+//!   runs its own floods, whose plurality vote follows `most_frequent`'s
+//!   order and is tested against `majority`.  The transport functions have
+//!   no caller; whether they stay is open (the Theorem 3.2 row of
+//!   "Deviations from the paper" in `docs/ARCHITECTURE.md`).
 //!
 //! Substitution note: no tree code is executed — the Theorem 3.2 guarantee is
 //! a corruption-counting oracle.  See "Deviations from the paper" in

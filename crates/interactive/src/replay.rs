@@ -6,10 +6,14 @@
 //! module provides an *executable* instantiation of the same idea for a single
 //! tree at a time: every hop retransmits each symbol `2T + 1` times and the
 //! receiver takes the majority, so the protocol survives any adversary that
-//! corrupts at most `T` of the repetitions on any one edge.  It is used
-//! (a) to demonstrate an end-to-end concrete pipeline without the oracle, and
-//! (b) by the cycle-cover compiler of Theorem 1.4, whose resilience argument is
-//! exactly this flooding-with-majority argument (Lemma 5.6).
+//! corrupts at most `T` of the repetitions on any one edge.  It demonstrates
+//! an end-to-end concrete pipeline without the oracle; nothing outside this
+//! module runs the transport, and whether it stays is open (the Theorem 3.2
+//! row of "Deviations from the paper" in `docs/ARCHITECTURE.md`).  The
+//! cycle-cover compiler of Theorem 1.4, whose resilience argument is the same
+//! flooding-with-majority argument (Lemma 5.6), runs its own floods: its
+//! plurality vote follows [`most_frequent`]'s order and its tests check it
+//! against [`majority`].  The rewind compiler votes with [`most_frequent`].
 
 use congest_sim::network::Network;
 use congest_sim::traffic::{Payload, Traffic};

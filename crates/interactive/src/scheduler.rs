@@ -19,7 +19,7 @@
 //! concrete (non-oracle) instantiation of the same interface lives in
 //! [`crate::replay`].
 
-use congest_sim::network::{Network, RoundPatterns};
+use congest_sim::network::{Network, PatternRounds, RoundPatterns};
 use netgraph::tree_packing::TreePacking;
 use netgraph::{ArcId, EdgeId, Graph};
 
@@ -95,7 +95,7 @@ impl FamilyRunReport {
 /// cache then shares it across every `(seed, adversary)` cell.  The plan
 /// carries no randomness, no network state and **no traffic**: it only
 /// *describes* a slot's round to the network (its [`RoundPatterns`]
-/// implementation), and [`RsScheduler::run_planned`] builds none either.
+/// implementation), and [`RsScheduler::run_in`] builds none either.
 #[derive(Debug, Clone)]
 pub struct SchedulePlan {
     /// Edge-major CSR: the trees using edge `e`, in packing order, are
@@ -237,36 +237,9 @@ pub struct RsScheduler;
 
 impl RsScheduler {
     /// Run one RS-compiled protocol per tree of `packing`, all in parallel, on
-    /// the network, through the [`SchedulePlan`] built for `(graph, packing)`.
-    ///
-    /// * `rounds_per_protocol` — the round complexity `r` of each individual
-    ///   (uncompiled) tree protocol (e.g. `Θ(D_TP + sketch words)`),
-    /// * the schedule executes `T_RS · r · η` network rounds where
-    ///   `η = max_e |{trees using e}|` (the packing's load, at least 1),
-    /// * in every scheduled round each tree edge carries a two-word message
-    ///   `[instance, round]` of the instance scheduled on it, so the adversary
-    ///   faces the real traffic pattern of Lemma 3.3,
-    /// * each corruption is attributed to the instance whose message occupied
-    ///   the corrupted edge; an instance fails once its attributed corruption
-    ///   reaches `max(1, r / c_RS)` messages (the Theorem 3.2 threshold).
-    ///
-    /// Returns which instances ended correctly.  What the surviving instances
-    /// *compute* is up to the caller (the compiler applies the corresponding
-    /// fault-free result to successful trees and treats failed trees as
-    /// adversarially controlled).
-    ///
-    /// # Pattern rounds
-    ///
-    /// The call builds no traffic.  The plan *describes* each slot's round to
-    /// the network ([`RoundPatterns`]) and every round runs as a pattern round
-    /// ([`Network::pattern_rounds`]): the whole round engine — strategy, budget
-    /// clamp, corruption randomness, history, view log, metrics, trace spans —
-    /// as for any other round, but only the arcs the adversary controls are
-    /// ever materialised, so a round costs `O(f)` instead of `O(m)`.  That is
-    /// sound because nothing reads a scheduled round's deliveries: under the
-    /// Theorem 3.2 oracle semantics (module docs) an instance's fate is
-    /// decided by *where* the adversary struck, which is all this loop takes
-    /// from a round.  The call allocates its per-tree counters and its report.
+    /// the network, through the [`SchedulePlan`] built for `(graph, packing)`:
+    /// [`RsScheduler::run_in`] in a pattern scope of its own, opened on `net`
+    /// for this one call and settled when it returns.
     ///
     /// # Panics
     ///
@@ -279,30 +252,87 @@ impl RsScheduler {
         plan: &SchedulePlan,
         rounds_per_protocol: usize,
     ) -> FamilyRunReport {
-        assert_eq!(
-            plan.edge_count(),
-            net.graph().edge_count(),
-            "schedule plan was built for a different graph"
-        );
         let k = packing.len();
         assert_eq!(
             plan.trees, k,
             "schedule plan was built for a packing of {} trees, but the packing passed in has {k}",
             plan.trees
         );
-        let r = rounds_per_protocol.max(1);
-        let total_rounds = T_RS * r * plan.eta();
-        let mut corrupted = vec![0usize; k];
         let mut rounds = net.pattern_rounds(plan);
+        self.run_in(&mut rounds, rounds_per_protocol, &mut Vec::new())
+    }
+
+    /// Run one RS-compiled protocol per tree of the scope's plan, all in
+    /// parallel, as rounds of the open pattern scope `rounds`:
+    ///
+    /// * `rounds_per_protocol` — the round complexity `r` of each individual
+    ///   (uncompiled) tree protocol (e.g. `Θ(D_TP + sketch words)`),
+    /// * the schedule executes `T_RS · r · η` network rounds where
+    ///   `η = max_e |{trees using e}|` (the packing's load, at least 1),
+    ///   tagged `0, 1, …` and cycling through the slots,
+    /// * in every scheduled round each tree edge carries a two-word message
+    ///   `[instance, round]` of the instance scheduled on it, so the adversary
+    ///   faces the real traffic pattern of Lemma 3.3,
+    /// * each corruption is attributed to the instance whose message occupied
+    ///   the corrupted edge; an instance fails once its attributed corruption
+    ///   reaches `max(1, r / c_RS)` messages (the Theorem 3.2 threshold).
+    ///
+    /// Returns which instances ended correctly.  What the surviving instances
+    /// *compute* is up to the caller (the compiler applies the corresponding
+    /// fault-free result to successful trees and treats failed trees as
+    /// adversarially controlled).  `corrupted` is the per-tree counter
+    /// scratch, reset here, so a caller running many families keeps one.
+    ///
+    /// # Pattern rounds
+    ///
+    /// The call builds no traffic.  The plan *describes* each slot's round to
+    /// the network ([`RoundPatterns`]) and every round runs as a pattern round
+    /// ([`Network::pattern_rounds`]): the whole round engine — strategy, budget
+    /// clamp, corruption randomness, history, view log, metrics, trace spans —
+    /// as for any other round, but only the arcs the adversary controls are
+    /// ever materialised, so a round costs `O(f)` instead of `O(m)`.  That is
+    /// sound because nothing reads a scheduled round's deliveries: under the
+    /// Theorem 3.2 oracle semantics (module docs) an instance's fate is
+    /// decided by *where* the adversary struck, which is all this loop takes
+    /// from a round.  Families run back to back in one scope are the same
+    /// rounds as families run in a scope each: the scope settles their traffic
+    /// volume (a sum over rounds) when it drops, and a slot keeps one
+    /// [`congest_sim::adversary::PatternId`] throughout (its shape never
+    /// changes).  The call allocates only its report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan was built for a graph with a different edge count.
+    pub fn run_in(
+        &self,
+        rounds: &mut PatternRounds<'_, SchedulePlan>,
+        rounds_per_protocol: usize,
+        corrupted: &mut Vec<usize>,
+    ) -> FamilyRunReport {
+        let plan = rounds.patterns();
+        assert_eq!(
+            plan.edge_count(),
+            rounds.graph().edge_count(),
+            "schedule plan was built for a different graph"
+        );
+        let r = rounds_per_protocol.max(1);
+        let eta = plan.eta();
+        let total_rounds = T_RS * r * eta;
+        corrupted.clear();
+        corrupted.resize(plan.trees, 0);
+        let mut slot = 0;
         for round in 0..total_rounds {
-            let slot = round % plan.eta();
             for &e in rounds.exchange(slot, round as u64) {
                 if let Some(tree) = plan.owner(e, slot) {
                     corrupted[tree] += 1;
                 }
             }
+            slot += 1;
+            if slot == eta {
+                slot = 0;
+            }
         }
-        FamilyRunReport::of(&corrupted, r, total_rounds)
+        FamilyRunReport::of(corrupted, r, total_rounds)
     }
 
     /// The Lemma 3.3 bound on the number of failing instances for a mobile
