@@ -100,30 +100,38 @@ pub trait Field:
         }
     }
 
-    /// Multi-row fused multiply–accumulate over one source: row `j` of the
-    /// `consts.len() × src.len()` block `acc` (row-major) gains
-    /// `consts[j] · src`.
+    /// Multi-row fused multiply–accumulate over one or more sources: row
+    /// `j` of the block `acc` (row-major, rows as wide as the sources) gains
+    /// `Σ_s consts_s[j] · src_s` for the sources `(src_s, consts_s)`.
     ///
     /// This is the streamed Vandermonde extraction's step
-    /// ([`crate::vandermonde::Vandermonde::absorb_row`]).  The default is one
-    /// [`Field::addmul_slice`] per row; a field whose kernel can share work
-    /// across rows overrides it (GF(2^16) splits `src` once for all rows —
+    /// ([`crate::vandermonde::Vandermonde::absorb_rows`]).  The default is one
+    /// [`Field::addmul_slice`] per row and source; a field whose kernel can
+    /// share work across rows and sources overrides it (GF(2^16) splits each
+    /// source once for all rows and folds two sources per pass over `acc` —
     /// see [`crate::kernels`]).  Overriding never changes results.
     ///
     /// # Panics
     ///
-    /// Panics when `acc.len() != consts.len() · src.len()`.
-    fn addmul_rows(acc: &mut [Self], src: &[Self], consts: &[Self]) {
-        assert_eq!(
-            consts.len().checked_mul(src.len()),
-            Some(acc.len()),
-            "addmul_rows block size mismatch"
-        );
-        if src.is_empty() {
+    /// Panics when a source is wider or narrower than the first, or
+    /// `acc.len() != consts.len() · width` for a source.
+    fn addmul_rows(acc: &mut [Self], sources: &[(&[Self], &[Self])]) {
+        let Some(&(first, _)) = sources.first() else {
             return;
-        }
-        for (row, &c) in acc.chunks_exact_mut(src.len()).zip(consts) {
-            Self::addmul_slice(row, src, c);
+        };
+        for &(src, consts) in sources {
+            assert_eq!(src.len(), first.len(), "addmul_rows source width mismatch");
+            assert_eq!(
+                consts.len().checked_mul(src.len()),
+                Some(acc.len()),
+                "addmul_rows block size mismatch"
+            );
+            if src.is_empty() {
+                continue;
+            }
+            for (row, &c) in acc.chunks_exact_mut(src.len()).zip(consts) {
+                Self::addmul_slice(row, src, c);
+            }
         }
     }
 

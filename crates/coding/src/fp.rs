@@ -1,9 +1,9 @@
 //! The prime field `F_p` for the Mersenne prime `p = 2^61 - 1`.
 //!
-//! Used for bounded-independence hashing (Lemma 1.11), transcript fingerprints
-//! in the rewind-if-error compiler (Section 4), and sketch fingerprints: these
-//! all need a field whose order comfortably exceeds any polynomial in the
-//! network size so that random collisions happen with probability `1/poly(n)`.
+//! Used for bounded-independence hashing (Lemma 1.11) and sketch
+//! fingerprints: both need a field whose order comfortably exceeds any
+//! polynomial in the network size so that random collisions happen with
+//! probability `1/poly(n)`.
 
 use crate::field::Field;
 use std::ops::{Add, Mul, Neg, Sub};

@@ -144,14 +144,24 @@ impl Field for Gf2_16 {
         }
     }
 
-    fn addmul_rows(acc: &mut [Self], src: &[Self], consts: &[Self]) {
-        // One split-table multiplier per row; the multi-row kernel splits
-        // `src` once for all of them.
-        let muls: Vec<_> = consts
+    fn addmul_rows(acc: &mut [Self], sources: &[(&[Self], &[Self])]) {
+        // One split-table multiplier per row and source; the multi-row
+        // kernel splits each source once for all rows.
+        let muls: Vec<Vec<_>> = sources
             .iter()
-            .map(|&c| crate::kernels::NibbleMul::new(c))
+            .map(|&(_, consts)| {
+                consts
+                    .iter()
+                    .map(|&c| crate::kernels::NibbleMul::new(c))
+                    .collect()
+            })
             .collect();
-        crate::kernels::gf2_16_addmul_rows(acc, src, &muls);
+        let sources: Vec<crate::kernels::RowsSource<'_>> = sources
+            .iter()
+            .zip(&muls)
+            .map(|(&(src, _), muls)| (src, &muls[..]))
+            .collect();
+        crate::kernels::gf2_16_addmul_rows(acc, &sources);
     }
 }
 

@@ -1,19 +1,15 @@
-//! Bounded-independence hash families and transcript fingerprints.
+//! Bounded-independence hash families.
 //!
-//! Two constructions from the paper's toolbox:
-//!
-//! * [`KWiseHash`] — a `c`-wise independent family `H = {h : [N] → [L]}`
-//!   (Lemma 1.11), realised as random polynomials of degree `c - 1` over the
-//!   prime field `F_{2^61-1}`.  The congestion-sensitive compiler of
-//!   Theorem 1.3 draws one such function from a shared random seed and uses it
-//!   to make non-empty and empty payload messages indistinguishable.
-//! * [`TranscriptHash`] — a pairwise-independent polynomial fingerprint of a
-//!   whole message transcript, used by the rewind-if-error compiler
-//!   (Section 4.1) so neighbours can cheaply compare their view of the joint
-//!   transcript and detect divergence w.h.p.
+//! [`KWiseHash`] is a `c`-wise independent family `H = {h : [N] → [L]}`
+//! (Lemma 1.11), realised as random polynomials of degree `c - 1` over the
+//! prime field `F_{2^61-1}`.  The congestion-sensitive compiler of
+//! Theorem 1.3 draws one such function from a shared random seed and uses it
+//! to make non-empty and empty payload messages indistinguishable, tagging a
+//! whole round of arcs at once through [`KWiseHash::hash_many`].
 
 use crate::field::Field;
-use crate::fp::Fp61;
+use crate::fp::{Fp61, P61};
+use crate::kernels;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,115 +65,34 @@ impl KWiseHash {
     /// Evaluate the hash on `x`: Horner's rule on a lazily reduced
     /// accumulator (one Mersenne fold per step), canonical only at the end.
     pub fn hash(&self, x: u64) -> u64 {
-        let x = Fp61::from_u64(x);
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = Fp61::mul_add_lazy(acc, x, c);
-        }
-        Fp61::from_lazy(acc).to_u64() % self.range
+        kernels::fp61_horner_one(&self.coeffs, x) % self.range
     }
 
     /// Evaluate the hash on every input in place: `xs[i]` becomes
     /// `hash(xs[i])`, bit for bit.
     ///
     /// One evaluation is a chain of `c` dependent multiply–adds, so a single
-    /// [`KWiseHash::hash`] call is bound by multiplier latency; this walks
-    /// four inputs' lazily reduced Horner chains in lockstep so the
-    /// multiplies overlap.
-    /// Callers that tag a whole round of messages (Theorem 1.3) batch them
-    /// through here.
+    /// [`KWiseHash::hash`] call is bound by multiplier latency; this runs
+    /// many inputs' lazily reduced Horner chains side by side so the
+    /// multiplies overlap — 4 × 8 vector lanes under AVX-512F, 4 × 4 under
+    /// AVX2, four scalar chains elsewhere and for the last inputs — through
+    /// the kernel backend the process dispatched to
+    /// ([`crate::kernels::fp61_horner_form`]).  Callers that tag a whole
+    /// round of messages (Theorem 1.3) batch them through here.
     pub fn hash_many(&self, xs: &mut [u64]) {
-        let mut quads = xs.chunks_exact_mut(4);
-        for quad in &mut quads {
-            let x: [Fp61; 4] = std::array::from_fn(|lane| Fp61::from_u64(quad[lane]));
-            let mut acc = [0u64; 4];
-            for &c in self.coeffs.iter().rev() {
-                for lane in 0..4 {
-                    acc[lane] = Fp61::mul_add_lazy(acc[lane], x[lane], c);
-                }
-            }
-            for lane in 0..4 {
-                quad[lane] = Fp61::from_lazy(acc[lane]).to_u64() % self.range;
+        kernels::fp61_horner(&self.coeffs, xs);
+        // Field values are below `p`, so a wider range leaves them as is.
+        if self.range < P61 {
+            for x in xs {
+                *x %= self.range;
             }
         }
-        for x in quads.into_remainder() {
-            *x = self.hash(*x);
-        }
-    }
-
-    /// Evaluate the hash on an arbitrary byte string by first collapsing it with
-    /// a fixed injective-enough packing (length-prefixed 8-byte chunks combined
-    /// with a Horner pass using a fixed base point).
-    pub fn hash_bytes(&self, bytes: &[u8]) -> u64 {
-        self.hash(pack_bytes(bytes))
-    }
-}
-
-/// Collapse a byte string into a single `u64` deterministically.  This is a
-/// *fixed* (not keyed) compression: collision resistance comes from the keyed
-/// polynomial applied afterwards on word sequences — see [`TranscriptHash`] for
-/// the keyed variant over long inputs.
-fn pack_bytes(bytes: &[u8]) -> u64 {
-    // Simple FNV-1a 64-bit; adequate as a canonical packing for test payloads.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^ (bytes.len() as u64).wrapping_mul(0x9E3779B97F4A7C15)
-}
-
-/// A keyed polynomial fingerprint over a sequence of `u64` words.
-///
-/// For a random evaluation point `r` and random offset `s`, the fingerprint of
-/// `w_1 … w_m` is `s + Σ_i w_i · r^i` over `F_{2^61-1}`.  Two distinct
-/// sequences of length ≤ m collide with probability at most `m / (2^61 - 1)`
-/// over the choice of `r` — the property Lemma 4.9 needs ("`h_R(π) ≠ h_R(π̃)`
-/// w.h.p. when `π ≠ π̃`").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TranscriptHash {
-    point: Fp61,
-    offset: Fp61,
-}
-
-impl TranscriptHash {
-    /// Derive a fingerprint key from a compact seed (as exchanged in the
-    /// round-initialisation phase of the rewind compiler).
-    pub fn from_seed(seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        TranscriptHash {
-            point: Fp61::random(&mut rng),
-            offset: Fp61::random(&mut rng),
-        }
-    }
-
-    /// Draw a fresh random fingerprint key.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        TranscriptHash {
-            point: Fp61::random(rng),
-            offset: Fp61::random(rng),
-        }
-    }
-
-    /// Fingerprint a word sequence.
-    pub fn fingerprint(&self, words: &[u64]) -> u64 {
-        let mut acc = self.offset;
-        let mut power = self.point;
-        for &w in words {
-            acc = acc + Fp61::from_u64(w) * power;
-            power = power * self.point;
-        }
-        // Mix in the length so prefixes do not trivially collide when the
-        // remaining words are zero.
-        acc = acc + Fp61::from_u64(words.len() as u64) * power;
-        acc.to_u64()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::P61;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -197,13 +112,15 @@ mod tests {
 
         // Coefficients mix random field elements with the extremes `0` and
         // `p - 1`; inputs mix random words with the ones around the modulus;
-        // every length `0..=9` runs so both the quad body and the remainder
-        // do.
+        // every length `0..=9` runs so both the scalar quad body and its
+        // remainder do, then lengths past one and two blocks of the AVX2
+        // (16) and AVX-512 (32) forms, up to two blocks plus an 11-input
+        // tail (the forced-form test below runs every length).
         #[test]
         fn lazy_horner_chain_matches_the_canonical_oracle(
             coeffs in prop::collection::vec((any::<u64>(), 0..4u8), 1..=1024usize),
-            random in prop::collection::vec(any::<u64>(), 9),
-            edge_mask in any::<u16>(),
+            random in prop::collection::vec(any::<u64>(), 75),
+            edge_mask in any::<u64>(),
         ) {
             let coeffs: Vec<Fp61> = coeffs
                 .iter()
@@ -217,7 +134,7 @@ mod tests {
             let inputs: Vec<u64> = random
                 .iter()
                 .enumerate()
-                .map(|(i, &word)| match (edge_mask >> i) & 1 {
+                .map(|(i, &word)| match (edge_mask >> (i % 64)) & 1 {
                     1 => EDGES[word as usize % EDGES.len()],
                     _ => word,
                 })
@@ -228,7 +145,7 @@ mod tests {
                 for (&x, &want) in inputs.iter().zip(&expect) {
                     prop_assert_eq!(h.hash(x), want, "hash({}) c={} range={}", x, coeffs.len(), range);
                 }
-                for len in 0..=inputs.len() {
+                for len in (0..=9).chain([17, 33, 64, 75]) {
                     let mut out = inputs[..len].to_vec();
                     h.hash_many(&mut out);
                     prop_assert_eq!(&out[..], &expect[..len], "hash_many len={} range={}", len, range);
@@ -253,6 +170,62 @@ mod tests {
                 }
                 h.hash_many(&mut xs);
                 assert_eq!(xs, expect, "c={c}");
+            }
+        }
+    }
+
+    /// The forced-form test: every Fp61 Horner form in the kernel backend
+    /// table — the dispatcher's first, and every other one this CPU could
+    /// run — against the canonical oracle, at every length from empty to
+    /// two blocks of the widest form plus a tail (so every block and tail
+    /// shape runs), for random and extreme coefficients and inputs.
+    #[test]
+    fn every_horner_form_this_cpu_runs_matches_the_canonical_oracle() {
+        // Backends sharing a form are adjacent in the table.
+        let mut forms = kernels::available_backends();
+        forms.dedup_by_key(|backend| backend.horner);
+        let names: Vec<&str> = forms.iter().map(|backend| backend.horner).collect();
+        assert_eq!(
+            names[0],
+            kernels::fp61_horner_form(),
+            "the dispatcher runs the first entry"
+        );
+        assert_eq!(names.last(), Some(&"scalar"));
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = is_x86_feature_detected!("ssse3") && is_x86_feature_detected!("avx2");
+            let avx512 = avx2 && is_x86_feature_detected!("avx512f");
+            assert_eq!(names.contains(&"avx2"), avx2, "{names:?}");
+            assert_eq!(names.contains(&"avx512"), avx512, "{names:?}");
+        }
+        println!("fp61 horner forms run: {names:?}");
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x4082);
+        const EDGES: [u64; 6] = [0, 1, P61 - 1, P61, P61 + 1, u64::MAX];
+        let inputs: Vec<u64> = (0..2 * 32 + 11)
+            .map(|i| match i % 5 {
+                0 => EDGES[(i / 5) % EDGES.len()],
+                _ => rng.gen(),
+            })
+            .collect();
+        for c in [1usize, 2, 3, 48, 192] {
+            for fill in [None, Some(Fp61::ZERO), Some(Fp61::new(P61 - 1))] {
+                let coeffs: Vec<Fp61> = (0..c)
+                    .map(|_| fill.unwrap_or_else(|| Fp61::random(&mut rng)))
+                    .collect();
+                let h = KWiseHash {
+                    coeffs,
+                    range: u64::MAX,
+                };
+                let expect: Vec<u64> = inputs.iter().map(|&x| hash_oracle(&h, x)).collect();
+                for backend in &forms {
+                    for len in 0..=inputs.len() {
+                        let mut out = inputs[..len].to_vec();
+                        (backend.fp61_horner)(&h.coeffs, &mut out);
+                        let form = backend.horner;
+                        assert_eq!(out, expect[..len], "{form} form, c={c} {fill:?}, len {len}");
+                    }
+                }
             }
         }
     }
@@ -343,37 +316,5 @@ mod tests {
                 "bucket {v} count {c} far from {expected}"
             );
         }
-    }
-
-    #[test]
-    fn hash_bytes_distinguishes_lengths() {
-        let h = KWiseHash::from_seed(3, 2, u64::MAX);
-        assert_ne!(h.hash_bytes(b""), h.hash_bytes(b"\0"));
-        assert_ne!(h.hash_bytes(b"ab"), h.hash_bytes(b"ba"));
-    }
-
-    #[test]
-    fn transcript_fingerprint_detects_divergence() {
-        let mut detected = 0;
-        let trials = 2000;
-        for seed in 0..trials {
-            let th = TranscriptHash::from_seed(seed);
-            let a: Vec<u64> = (0..50).collect();
-            let mut b = a.clone();
-            b[37] ^= 1;
-            if th.fingerprint(&a) != th.fingerprint(&b) {
-                detected += 1;
-            }
-        }
-        assert_eq!(detected, trials, "fingerprint missed a divergence");
-    }
-
-    #[test]
-    fn transcript_fingerprint_prefix_sensitivity() {
-        let th = TranscriptHash::from_seed(99);
-        let a: Vec<u64> = vec![1, 2, 3];
-        let b: Vec<u64> = vec![1, 2, 3, 0];
-        assert_ne!(th.fingerprint(&a), th.fingerprint(&b));
-        assert_eq!(th.fingerprint(&a), th.fingerprint(&[1, 2, 3]));
     }
 }

@@ -11,11 +11,12 @@
 //!   exchanges into perfectly hidden one-time-pad keys,
 //! * [`reed_solomon`]: Reed–Solomon encoding with syndrome (Berlekamp–Massey)
 //!   error decoding (Theorem 1.8), used by the `ECCSafeBroadcast` procedure,
-//! * [`hashing`]: `c`-wise independent hash families (Lemma 1.11) and polynomial
-//!   transcript fingerprints used by the rewind-if-error compiler,
+//! * [`hashing`]: `c`-wise independent hash families (Lemma 1.11), the tagger
+//!   of the congestion-sensitive compiler,
 //! * [`kernels`]: bit-sliced/SWAR and SIMD multiply–accumulate kernels behind
-//!   the Reed–Solomon encode/syndrome hot loops, plus the GF(2^16)
-//!   split-table constant multiplier.
+//!   the Reed–Solomon encode/syndrome hot loops and the key schedule's bit
+//!   extraction, the GF(2^16) split-table constant multiplier, and the
+//!   vector Fp61 Horner chains behind [`KWiseHash::hash_many`].
 //!
 //! # Example
 //!
@@ -50,7 +51,7 @@ pub use field::Field;
 pub use fp::Fp61;
 pub use gf256::Gf256;
 pub use gf2_16::Gf2_16;
-pub use hashing::{KWiseHash, TranscriptHash};
+pub use hashing::KWiseHash;
 pub use kernels::NibbleMul;
 pub use reed_solomon::ReedSolomon;
 pub use vandermonde::{BitExtractor, Vandermonde};

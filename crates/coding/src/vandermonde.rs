@@ -92,41 +92,65 @@ impl<F: Field> Vandermonde<F> {
         Ok(out)
     }
 
-    /// The streaming, batched form of [`Vandermonde::apply`]: fold input row
-    /// `i` of `w = row.len()` independent columns into their outputs at once.
+    /// The streaming, batched form of [`Vandermonde::apply`]: fold input rows
+    /// `i` (each `w` independent columns wide) into their outputs at once.
     ///
     /// `acc` holds the `cols × w` outputs row-major by output index
     /// (`acc[j·w + k]` is output `j` of column `k`) and gains
-    /// `alpha_i^j · row[k]` there, as one [`Field::addmul_rows`] call with
-    /// the powers of `alpha_i`.  Starting from zeros and absorbing rows
-    /// `0..rows` (in any order) leaves `acc[j·w + k] == apply(column k)[j]`
-    /// without ever holding a whole column.
+    /// `alpha_i^j · row[k]` there for every `(i, row)` of `rows`, as one
+    /// [`Field::addmul_rows`] call with the powers of each `alpha_i` (GF(2^16)
+    /// folds two rows per pass over `acc`).  Starting from zeros and
+    /// absorbing rows `0..rows` (in any order and grouping) leaves
+    /// `acc[j·w + k] == apply(column k)[j]` without ever holding a whole
+    /// column.
     ///
     /// # Errors
     ///
-    /// Returns [`CodingError::InvalidParameters`] if `i >= rows` and
-    /// [`CodingError::LengthMismatch`] if `acc.len() != cols · row.len()`.
-    pub fn absorb_row(&self, i: usize, row: &[F], acc: &mut [F]) -> Result<()> {
-        if i >= self.rows {
-            return Err(CodingError::InvalidParameters(format!(
-                "row {i} out of range for {} rows",
-                self.rows
-            )));
+    /// Returns [`CodingError::InvalidParameters`] if some `i >= rows` and
+    /// [`CodingError::LengthMismatch`] if some row is not `w` wide, with
+    /// `acc.len() == cols · w` for the first row's `w`.
+    pub fn absorb_rows(&self, rows: &[(usize, &[F])], acc: &mut [F]) -> Result<()> {
+        let Some(&(_, first)) = rows.first() else {
+            return Ok(());
+        };
+        for &(i, row) in rows {
+            if i >= self.rows {
+                return Err(CodingError::InvalidParameters(format!(
+                    "row {i} out of range for {} rows",
+                    self.rows
+                )));
+            }
+            if row.len() != first.len() {
+                return Err(CodingError::LengthMismatch {
+                    expected: first.len(),
+                    got: row.len(),
+                });
+            }
         }
-        if acc.len() != self.cols * row.len() {
+        if acc.len() != self.cols * first.len() {
             return Err(CodingError::LengthMismatch {
-                expected: self.cols * row.len(),
+                expected: self.cols * first.len(),
                 got: acc.len(),
             });
         }
-        if row.is_empty() {
+        if first.is_empty() {
             return Ok(());
         }
-        let alpha = self.points[i];
-        let powers: Vec<F> = std::iter::successors(Some(F::ONE), |&p| Some(p * alpha))
-            .take(self.cols)
+        let powers: Vec<Vec<F>> = rows
+            .iter()
+            .map(|&(i, _)| {
+                let alpha = self.points[i];
+                std::iter::successors(Some(F::ONE), |&p| Some(p * alpha))
+                    .take(self.cols)
+                    .collect()
+            })
             .collect();
-        F::addmul_rows(acc, row, &powers);
+        let sources: Vec<(&[F], &[F])> = rows
+            .iter()
+            .zip(&powers)
+            .map(|(&(_, row), powers)| (row, &powers[..]))
+            .collect();
+        F::addmul_rows(acc, &sources);
         Ok(())
     }
 }
@@ -178,19 +202,20 @@ impl<F: Field> BitExtractor<F> {
         self.matrix.apply(pads)
     }
 
-    /// Streamed extraction over many pad lanes at once: fold the pads of
-    /// exchange round `round` (one per lane) into `keys`, the
-    /// `output_len() × pads.len()` key block laid out key-index-major.  After
-    /// rounds `0..input_len()` have been absorbed into a zeroed block,
+    /// Streamed extraction over many pad lanes at once: fold each
+    /// `(round, pads)` given — the pads of exchange round `round`, one per
+    /// lane, `w` lanes — into `keys`, the `output_len() × w` key block laid
+    /// out key-index-major.  The key schedule passes two rounds per call.
+    /// After rounds `0..input_len()` have been absorbed into a zeroed block,
     /// `keys[j·w + k]` is `extract(lane k)[j]` — see
-    /// [`Vandermonde::absorb_row`].
+    /// [`Vandermonde::absorb_rows`].
     ///
     /// # Errors
     ///
-    /// Returns an error when `round >= input_len()` or `keys` is not
-    /// `output_len() · pads.len()` long.
-    pub fn absorb(&self, round: usize, pads: &[F], keys: &mut [F]) -> Result<()> {
-        self.matrix.absorb_row(round, pads, keys)
+    /// Returns an error when some `round >= input_len()`, the rounds' pads
+    /// differ in width, or `keys` is not `output_len() · w` long.
+    pub fn absorb(&self, rounds: &[(usize, &[F])], keys: &mut [F]) -> Result<()> {
+        self.matrix.absorb_rows(rounds, keys)
     }
 }
 
@@ -227,7 +252,7 @@ mod tests {
     /// The streamed form against the per-column oracle: random shapes of up
     /// to 40 rows, widths on both sides of the 16- and 32-lane kernel steps
     /// and up to three 512-element kernel tiles plus a 32-lane step and a
-    /// tail, rows absorbed out of order.
+    /// tail, rows absorbed out of order in groups of one to three.
     #[test]
     fn absorbing_every_row_equals_per_column_apply() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
@@ -244,8 +269,12 @@ mod tests {
                 .map(|_| (0..width).map(|_| F::from_u64(rng.gen())).collect())
                 .collect();
             let mut keys = vec![F::ZERO; (n - t) * width];
-            for i in (0..n).rev() {
-                ex.absorb(i, &rows[i], &mut keys).unwrap();
+            let order: Vec<(usize, &[F])> = (0..n).rev().map(|i| (i, &rows[i][..])).collect();
+            let mut rest = &order[..];
+            while !rest.is_empty() {
+                let (group, tail) = rest.split_at(rng.gen_range(1..=3usize).min(rest.len()));
+                ex.absorb(group, &mut keys).unwrap();
+                rest = tail;
             }
             for k in 0..width {
                 let column: Vec<F> = rows.iter().map(|r| r[k]).collect();
@@ -262,16 +291,24 @@ mod tests {
         let ex = BitExtractor::<F>::new(5, 2).unwrap();
         let row = [F::ONE; 4];
         assert!(matches!(
-            ex.absorb(5, &row, &mut [F::ZERO; 12]),
+            ex.absorb(&[(0, &row), (5, &row)], &mut [F::ZERO; 12]),
             Err(CodingError::InvalidParameters(_))
         ));
         assert!(matches!(
-            ex.absorb(0, &row, &mut [F::ZERO; 11]),
+            ex.absorb(&[(0, &row)], &mut [F::ZERO; 11]),
             Err(CodingError::LengthMismatch {
                 expected: 12,
                 got: 11
             })
         ));
+        assert!(matches!(
+            ex.absorb(&[(0, &row), (1, &row[..3])], &mut [F::ZERO; 12]),
+            Err(CodingError::LengthMismatch {
+                expected: 4,
+                got: 3
+            })
+        ));
+        assert_eq!(ex.absorb(&[], &mut []), Ok(()));
     }
 
     #[test]

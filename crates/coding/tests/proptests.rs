@@ -3,7 +3,7 @@
 //! hashing determinism.
 
 use coding::field::{lagrange_interpolate, poly_eval, Field};
-use coding::{BitExtractor, Fp61, Gf256, Gf2_16, KWiseHash, ReedSolomon, TranscriptHash};
+use coding::{BitExtractor, Fp61, Gf256, Gf2_16, KWiseHash, ReedSolomon};
 use proptest::prelude::*;
 
 fn gf16(x: u64) -> Gf2_16 {
@@ -115,21 +115,5 @@ proptest! {
     fn kwise_hash_in_range(seed in any::<u64>(), c in 1usize..6, range in 1u64..1_000_000, x in any::<u64>()) {
         let h = KWiseHash::from_seed(seed, c, range);
         prop_assert!(h.hash(x) < range);
-    }
-
-    #[test]
-    fn transcript_hash_equal_iff_inputs_equal_whp(
-        words in prop::collection::vec(any::<u64>(), 0..40),
-        flip_at in any::<prop::sample::Index>(),
-        seed in any::<u64>(),
-    ) {
-        let th = TranscriptHash::from_seed(seed);
-        prop_assert_eq!(th.fingerprint(&words), th.fingerprint(&words.clone()));
-        if !words.is_empty() {
-            let mut other = words.clone();
-            let i = flip_at.index(words.len());
-            other[i] ^= 0x1;
-            prop_assert_ne!(th.fingerprint(&words), th.fingerprint(&other));
-        }
     }
 }

@@ -17,11 +17,15 @@
 //! [`ChaCha8Rng::fill_u64`] call, arc by arc in neighbour order.
 //!
 //! Extraction is *streamed*: each exchange round's pads — one flat arc-major
-//! row of `arcs · lanes` chunks — are sent and immediately folded into all
-//! `r` protected rounds of the keystream by one multi-row multiply–accumulate
-//! ([`BitExtractor::absorb`]), so the accumulator *is* the keystream and no
-//! exchanged pad outlives its round: memory is `O(r · arcs · lanes)`, never
-//! `O(ℓ · arcs · lanes)`.
+//! row of `arcs · lanes` chunks — are sent and folded into all `r` protected
+//! rounds of the keystream by a multi-row multiply–accumulate
+//! ([`BitExtractor::absorb`]), so the accumulator *is* the keystream.  The
+//! fold takes two exchange rounds per pass over the keystream: an even
+//! round's row is kept until the odd round after it is sent, and both are
+//! absorbed in one call (a last even round of an odd `ℓ` goes alone).  So
+//! one pad row outlives its round, and memory is the keystream plus two pad
+//! rows, `O(r · arcs · lanes)`, never `O(ℓ · arcs · lanes)`.  Accumulation
+//! is XOR, so the pairing leaves the keystream unchanged.
 
 use coding::field::Field;
 use coding::{BitExtractor, Gf2_16};
@@ -222,10 +226,10 @@ impl KeyPool {
             .expect("ℓ = r + t was checked against the field above");
         let mut node_rngs: Vec<_> = g.nodes().map(|v| Network::node_rng(seed, v)).collect();
         let mut keystream = vec![Gf2_16::ZERO; rounds * width];
-        // This round's pads, arc-major, as known to BOTH endpoints (the sender
-        // generated them, the receiver received them verbatim — the
-        // eavesdropper only listens).
-        let mut pads = vec![Gf2_16::ZERO; width];
+        // The pads of an even round and of the odd round after it, arc-major,
+        // as known to BOTH endpoints (the sender generated them, the receiver
+        // received them verbatim — the eavesdropper only listens).
+        let mut pads = [vec![Gf2_16::ZERO; width], vec![Gf2_16::ZERO; width]];
         let mut words = vec![0u64; words_per_message];
         let mut draws = vec![0u64; g.max_degree() * chunks_per_round];
         let mut traffic = Traffic::new(&g);
@@ -235,15 +239,21 @@ impl KeyPool {
                 &g,
                 &mut node_rngs,
                 &mut draws,
-                &mut pads,
+                &mut pads[round % 2],
                 &mut words,
                 &mut traffic,
             );
             net.exchange_in_place(&mut traffic);
-            // Condense on the fly: protected round i of every arc and lane
-            // gains α_round^i times this round's pad (Theorem 2.1).
+            // Condense on the fly, two rounds per pass: protected round i of
+            // every arc and lane gains α_round^i times each round's pad
+            // (Theorem 2.1).
+            let pending: &[(usize, &[Gf2_16])] = match round % 2 {
+                1 => &[(round - 1, &pads[0]), (round, &pads[1])],
+                _ if round + 1 == exchange_rounds => &[(round, &pads[0])],
+                _ => continue,
+            };
             extractor
-                .absorb(round, &pads, &mut keystream)
+                .absorb(pending, &mut keystream)
                 .expect("the keystream block is sized for the extractor");
         }
         net.tracer_mut().span_close(obs::Phase::KeySchedule);

@@ -11,13 +11,14 @@
 
 /// The stderr line every non-quiet `campaign` and `campaignd` run prints:
 /// the vector code this process dispatched to — the GF(2^8) / GF(2^16)
-/// kernel backend and the ChaCha8 refill form — so a run's diagnostics say
-/// which code produced its numbers (the numbers themselves are identical on
-/// every backend).
+/// kernel backend, the Fp61 Horner form of the Theorem 1.3 tagger and the
+/// ChaCha8 refill form — so a run's diagnostics say which code produced its
+/// numbers (the numbers themselves are identical on every backend).
 pub fn backends_line() -> String {
     format!(
-        "vector backends: gf kernels {}, chacha8 refill {}",
+        "vector backends: gf kernels {}, fp61 horner {}, chacha8 refill {}",
         coding::kernels::gf256_backend(),
+        coding::kernels::fp61_horner_form(),
         rand_chacha::refill_backend()
     )
 }
@@ -189,6 +190,13 @@ mod tests {
         let line = backends_line();
         assert!(
             line.contains(&format!("gf kernels {}", coding::kernels::gf256_backend())),
+            "{line}"
+        );
+        assert!(
+            line.contains(&format!(
+                "fp61 horner {}",
+                coding::kernels::fp61_horner_form()
+            )),
             "{line}"
         );
         assert!(

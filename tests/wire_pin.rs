@@ -5,9 +5,10 @@
 //! tests put an eavesdropper on *every* edge in *every* round — its
 //! `view_log()` is then the complete wire — and pin a digest of that view and
 //! of the node outputs.  The constants were captured before the key schedule
-//! was rewritten to stream its bit extraction; any change to pad draw order,
-//! extraction arithmetic, keystream layout, tagging or dummy traffic moves
-//! them.
+//! was rewritten to stream its bit extraction (the K12 case: before the
+//! tagger ran in vector lanes and the key schedule absorbed two pad rows per
+//! pass); any change to pad draw order, extraction arithmetic, keystream
+//! layout, tagging or dummy traffic moves them.
 
 use mobile_congest::compilers::secure::{
     broadcast_packing, CongestionSensitiveCompiler, StaticToMobileCompiler,
@@ -81,4 +82,27 @@ fn congestion_sensitive_wire_bytes_are_pinned() {
     assert_eq!(net.round(), 32);
     assert_eq!(digest(net.view_log().canonical()), "f59d5d4f2421928b");
     assert_eq!(outputs_digest(&out), "5e128a46a4580b35");
+}
+
+/// Theorem 1.3 on K12: 132 arcs, so a round's tags span up to four 32-lane
+/// Horner blocks and a ragged tail, and the two key schedules have an even
+/// (`ℓ = 3r = 24`, the local exchange) and an odd (`ℓ = 3k = 9`, the
+/// broadcast's) number of exchange rounds.
+#[test]
+fn congestion_sensitive_wire_bytes_are_pinned_on_k12() {
+    let g = generators::complete(12);
+    let mut net = wiretapped(&g);
+    let mut alg = tokens(&g);
+    let expected = alg.expected_outputs();
+    let (out, report) = CongestionSensitiveCompiler::new(1, 2, 0xC0DE)
+        .run(&mut alg, &mut net, 0, &broadcast_packing(&g, 0, 1))
+        .expect("2-word batches fit");
+    assert_eq!(out, expected);
+    assert_eq!(g.arc_count(), 132);
+    assert_eq!(net.view_log().len(), net.round() * g.edge_count());
+    assert_eq!(report.local_key_rounds, 24);
+    assert_eq!(report.global_key_rounds, 12);
+    assert_eq!(net.round(), 44);
+    assert_eq!(digest(net.view_log().canonical()), "2379851d3e0eace3");
+    assert_eq!(outputs_digest(&out), "4e6e90f7a6e957d5");
 }
