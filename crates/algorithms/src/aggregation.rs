@@ -54,7 +54,8 @@ impl BfsTreeAlgorithm {
 
     /// Expected outputs in a correct execution (parents chosen by smallest
     /// announcing neighbour are not unique, so only depths are compared).
-    pub fn expected_depths(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn expected_depths(&self) -> Vec<u64> {
         netgraph::traversal::bfs(&self.graph, self.root)
             .dist
             .iter()

@@ -208,18 +208,6 @@ impl ScheduleDef {
         self
     }
 
-    /// Set the drop model (builder-style).
-    pub fn with_drops(mut self, drops: DropModel) -> Self {
-        self.drops = drops;
-        self
-    }
-
-    /// Add a partition window (builder-style).
-    pub fn with_partition(mut self, window: PartitionWindow) -> Self {
-        self.partitions.push(window);
-        self
-    }
-
     /// Add a crash-recovery window (builder-style).
     pub fn with_crash(mut self, window: CrashWindow) -> Self {
         self.crashes.push(window);
@@ -1003,10 +991,12 @@ mod tests {
         let mut net = Network::fault_free(g.clone());
         // FloodBroadcast forwards once per arc, so `k = 1` (drop everything)
         // is the schedule that actually bites.
-        let (out, notes) =
-            AsyncExecutor::new(ScheduleDef::synchronous().with_drops(DropModel::EveryKth { k: 1 }))
-                .execute(&CompileArtifacts::graph_only(&g), &make, &mut net)
-                .unwrap();
+        let (out, notes) = AsyncExecutor::new(ScheduleDef {
+            drops: DropModel::EveryKth { k: 1 },
+            ..ScheduleDef::synchronous()
+        })
+        .execute(&CompileArtifacts::graph_only(&g), &make, &mut net)
+        .unwrap();
         assert_ne!(out, fault_free, "total loss must stop the broadcast");
         match notes {
             CompilerNotes::Async {
@@ -1061,8 +1051,11 @@ mod tests {
             "lat=2,ro=1"
         );
         assert_eq!(
-            AsyncExecutor::new(ScheduleDef::synchronous().with_drops(DropModel::EveryKth { k: 5 }))
-                .name(),
+            AsyncExecutor::new(ScheduleDef {
+                drops: DropModel::EveryKth { k: 5 },
+                ..ScheduleDef::synchronous()
+            })
+            .name(),
             "async(drop1in5)"
         );
     }

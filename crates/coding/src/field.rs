@@ -192,7 +192,8 @@ pub fn lagrange_interpolate<F: Field>(points: &[(F, F)]) -> Vec<F> {
 }
 
 /// Multiply two polynomials given by their coefficient vectors (low-order first).
-pub fn poly_mul<F: Field>(a: &[F], b: &[F]) -> Vec<F> {
+#[cfg(test)]
+pub(crate) fn poly_mul<F: Field>(a: &[F], b: &[F]) -> Vec<F> {
     if a.is_empty() || b.is_empty() {
         return vec![];
     }
@@ -214,7 +215,8 @@ pub fn poly_mul<F: Field>(a: &[F], b: &[F]) -> Vec<F> {
 /// # Panics
 ///
 /// Panics if `den` is the zero polynomial.
-pub fn poly_divmod<F: Field>(num: &[F], den: &[F]) -> (Vec<F>, Vec<F>) {
+#[cfg(test)]
+pub(crate) fn poly_divmod<F: Field>(num: &[F], den: &[F]) -> (Vec<F>, Vec<F>) {
     let den_deg = den
         .iter()
         .rposition(|c| !c.is_zero())
@@ -241,7 +243,8 @@ pub fn poly_divmod<F: Field>(num: &[F], den: &[F]) -> (Vec<F>, Vec<F>) {
 
 /// Degree of a polynomial (position of the highest non-zero coefficient), or
 /// `None` for the zero polynomial.
-pub fn poly_degree<F: Field>(p: &[F]) -> Option<usize> {
+#[cfg(test)]
+pub(crate) fn poly_degree<F: Field>(p: &[F]) -> Option<usize> {
     p.iter().rposition(|c| !c.is_zero())
 }
 

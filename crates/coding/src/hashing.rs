@@ -52,11 +52,6 @@ impl KWiseHash {
         KWiseHash { coeffs, range }
     }
 
-    /// The independence parameter `c` of the family this function was drawn from.
-    pub fn independence(&self) -> usize {
-        self.coeffs.len()
-    }
-
     /// The output range `L`.
     pub fn range(&self) -> u64 {
         self.range

@@ -126,13 +126,6 @@ pub fn gf256_addmul_scalar(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// `dst[i] = c · dst[i]` over GF(2^8), scalar path (the oracle).
-pub fn gf256_mul_slice_scalar(dst: &mut [u8], c: u8) {
-    for d in dst.iter_mut() {
-        *d = mul8(c, *d);
-    }
-}
-
 /// Bit-sliced SWAR `dst[i] ^= c · src[i]`: eight bytes per `u64` lane, one
 /// `xtime64` doubling per set bit of `c`.
 fn gf256_addmul_swar(dst: &mut [u8], src: &[u8], c: u8) {
@@ -158,28 +151,6 @@ fn gf256_addmul_swar(dst: &mut [u8], src: &[u8], c: u8) {
     gf256_addmul_scalar(dst_lanes.into_remainder(), src_lanes.remainder(), c);
 }
 
-/// Bit-sliced SWAR `dst[i] = c · dst[i]`.
-fn gf256_mul_slice_swar(dst: &mut [u8], c: u8) {
-    let mut lanes = dst.chunks_exact_mut(8);
-    for d8 in &mut lanes {
-        let mut lane = u64::from_le_bytes(d8[..].try_into().expect("8-byte chunk"));
-        let mut acc = 0u64;
-        let mut bits = c;
-        loop {
-            if bits & 1 != 0 {
-                acc ^= lane;
-            }
-            bits >>= 1;
-            if bits == 0 {
-                break;
-            }
-            lane = xtime64(lane);
-        }
-        d8.copy_from_slice(&acc.to_le_bytes());
-    }
-    gf256_mul_slice_scalar(lanes.into_remainder(), c);
-}
-
 /// The 16-entry low/high nibble product tables for one GF(2^8) constant:
 /// `lo[d] = c·d`, `hi[d] = c·(d << 4)`, so `c·b = lo[b & 0xF] ^ hi[b >> 4]`.
 /// Both SIMD backends shuffle these with their byte-table instruction.
@@ -202,7 +173,7 @@ const TILE: usize = 512;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{assert_rows_block, gf256_addmul_scalar, gf256_mul_slice_scalar, nibble_tables8};
+    use super::{assert_rows_block, gf256_addmul_scalar, nibble_tables8};
     use super::{fp61_horner_scalar, gf2_16_addmul_rows_tables, Gf2_16, RowsSource, TILE};
     use crate::field::Field;
     use crate::fp::{Fp61, P61};
@@ -233,30 +204,10 @@ mod x86 {
         gf256_addmul_scalar(&mut dst[whole..], &src[whole..], c);
     }
 
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_slice(dst: &mut [u8], c: u8) {
-        let (lo, hi) = nibble_tables8(c);
-        let vlo = _mm_loadu_si128(lo.as_ptr() as *const __m128i);
-        let vhi = _mm_loadu_si128(hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let whole = dst.len() / 16 * 16;
-        for i in (0..whole).step_by(16) {
-            let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            let p = product16(vlo, vhi, mask, d);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, p);
-        }
-        gf256_mul_slice_scalar(&mut dst[whole..], c);
-    }
-
     /// Safe entry point, registered by the dispatcher only after
     /// `is_x86_feature_detected!("ssse3")` succeeded.
     pub fn addmul_entry(dst: &mut [u8], src: &[u8], c: u8) {
         unsafe { addmul(dst, src, c) }
-    }
-
-    /// Safe entry point; see [`addmul_entry`].
-    pub fn mul_slice_entry(dst: &mut [u8], c: u8) {
-        unsafe { mul_slice(dst, c) }
     }
 
     /// Columns `from..` of the GF(2^16) rows block `acc` (`rows` rows of the
@@ -794,7 +745,7 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod aarch64 {
-    use super::{assert_rows_block, gf256_addmul_scalar, gf256_mul_slice_scalar, nibble_tables8};
+    use super::{assert_rows_block, gf256_addmul_scalar, nibble_tables8};
     use super::{gf2_16_addmul_rows_tables, Gf2_16, NibbleMul, RowsSource};
     use std::arch::aarch64::*;
 
@@ -819,20 +770,6 @@ mod aarch64 {
                 vst1q_u8(dst.as_mut_ptr().add(i), veorq_u8(d, product16(vlo, vhi, s)));
             }
             gf256_addmul_scalar(&mut dst[whole..], &src[whole..], c);
-        }
-    }
-
-    pub fn mul_slice_entry(dst: &mut [u8], c: u8) {
-        let (lo, hi) = nibble_tables8(c);
-        unsafe {
-            let vlo = vld1q_u8(lo.as_ptr());
-            let vhi = vld1q_u8(hi.as_ptr());
-            let whole = dst.len() / 16 * 16;
-            for i in (0..whole).step_by(16) {
-                let d = vld1q_u8(dst.as_ptr().add(i));
-                vst1q_u8(dst.as_mut_ptr().add(i), product16(vlo, vhi, d));
-            }
-            gf256_mul_slice_scalar(&mut dst[whole..], c);
         }
     }
 
@@ -900,7 +837,6 @@ mod aarch64 {
 }
 
 type AddmulFn = fn(&mut [u8], &[u8], u8);
-type MulSliceFn = fn(&mut [u8], u8);
 type Addmul16RowsFn<const S: usize> = fn(&mut [Gf2_16], [RowsSource<'_>; S]);
 type Fp61HornerFn = fn(&[Fp61], &mut [u64]);
 
@@ -912,7 +848,6 @@ type Fp61HornerFn = fn(&[Fp61], &mut [u64]);
 pub(crate) struct Backend {
     name: &'static str,
     addmul: AddmulFn,
-    mul_slice: MulSliceFn,
     addmul16_rows: Addmul16RowsFn<1>,
     addmul16_rows2: Addmul16RowsFn<2>,
     pub(crate) horner: &'static str,
@@ -932,7 +867,6 @@ pub(crate) fn available_backends() -> Vec<Backend> {
             backends.push(Backend {
                 name: "gfni",
                 addmul: x86::addmul_entry,
-                mul_slice: x86::mul_slice_entry,
                 addmul16_rows: x86::addmul16_rows_gfni,
                 addmul16_rows2: x86::addmul16_rows_gfni,
                 horner: "avx512",
@@ -944,7 +878,6 @@ pub(crate) fn available_backends() -> Vec<Backend> {
             backends.push(Backend {
                 name: "avx512",
                 addmul: x86::addmul_entry,
-                mul_slice: x86::mul_slice_entry,
                 addmul16_rows: x86::addmul16_rows_avx2,
                 addmul16_rows2: x86::addmul16_rows_avx2,
                 horner: "avx512",
@@ -955,7 +888,6 @@ pub(crate) fn available_backends() -> Vec<Backend> {
             backends.push(Backend {
                 name: "avx2",
                 addmul: x86::addmul_entry,
-                mul_slice: x86::mul_slice_entry,
                 addmul16_rows: x86::addmul16_rows_avx2,
                 addmul16_rows2: x86::addmul16_rows_avx2,
                 horner: "avx2",
@@ -965,7 +897,6 @@ pub(crate) fn available_backends() -> Vec<Backend> {
         backends.push(Backend {
             name: "ssse3",
             addmul: x86::addmul_entry,
-            mul_slice: x86::mul_slice_entry,
             addmul16_rows: x86::addmul16_rows_ssse3,
             addmul16_rows2: x86::addmul16_rows_ssse3,
             horner: "scalar",
@@ -976,7 +907,6 @@ pub(crate) fn available_backends() -> Vec<Backend> {
     backends.push(Backend {
         name: "neon",
         addmul: aarch64::addmul_entry,
-        mul_slice: aarch64::mul_slice_entry,
         addmul16_rows: aarch64::addmul16_rows_entry,
         addmul16_rows2: aarch64::addmul16_rows_entry,
         horner: "scalar",
@@ -985,7 +915,6 @@ pub(crate) fn available_backends() -> Vec<Backend> {
     backends.push(Backend {
         name: "swar",
         addmul: gf256_addmul_swar,
-        mul_slice: gf256_mul_slice_swar,
         addmul16_rows: gf2_16_addmul_rows_scalar,
         addmul16_rows2: gf2_16_addmul_rows_scalar,
         horner: "scalar",
@@ -1028,15 +957,6 @@ pub fn gf256_addmul(dst: &mut [u8], src: &[u8], c: u8) {
         return;
     }
     (backend().addmul)(dst, src, c)
-}
-
-/// `dst[i] = c · dst[i]` over GF(2^8), via the fastest available backend.
-pub fn gf256_mul_slice(dst: &mut [u8], c: u8) {
-    match c {
-        0 => dst.fill(0),
-        1 => {}
-        _ => (backend().mul_slice)(dst, c),
-    }
 }
 
 /// A split-table constant multiplier over GF(2^16): multiplication by one
@@ -1297,16 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_special_constants() {
-        let mut dst: Vec<u8> = (0..37).map(|i| (i * 11 + 1) as u8).collect();
-        let orig = dst.clone();
-        gf256_mul_slice(&mut dst, 1);
-        assert_eq!(dst, orig);
-        gf256_mul_slice(&mut dst, 0);
-        assert_eq!(dst, vec![0u8; 37]);
-    }
-
-    #[test]
     fn known_aes_product_through_every_backend() {
         // 0x57 · 0x83 = 0xC1 (FIPS-197): long enough to hit the vector body.
         let src = [0x57u8; 24];
@@ -1400,7 +1310,7 @@ mod tests {
     /// plain field arithmetic (GF(2^16)) or the scalar kernels (GF(2^8)).
     /// GF(2^16) rows: 1..=40 rows, one and two sources, widths on both sides
     /// of the 16-, 32- and 64-lane steps, and one past three tiles plus a
-    /// tail in every row count; GF(2^8) `addmul` / `mul_slice` from empty to
+    /// tail in every row count; GF(2^8) `addmul` from empty to
     /// several vector bodies.  Each on sub-slices 0, 1 and 2 elements into
     /// their allocation, with the constants 0 and 1 among random ones.
     #[test]
@@ -1505,14 +1415,9 @@ mod tests {
                             format!("{} GF(2^8), len {len} offset {offset} c {c}", backend.name);
                         let mut expect = dst.clone();
                         gf256_addmul_scalar(&mut expect[offset..], &src[offset..], c);
-                        let mut got = dst.clone();
+                        let mut got = dst;
                         (backend.addmul)(&mut got[offset..], &src[offset..], c);
                         assert_eq!(got, expect, "addmul, {case}");
-                        let mut expect = dst.clone();
-                        gf256_mul_slice_scalar(&mut expect[offset..], c);
-                        let mut got = dst;
-                        (backend.mul_slice)(&mut got[offset..], c);
-                        assert_eq!(got, expect, "mul_slice, {case}");
                     }
                 }
             }
@@ -1630,21 +1535,6 @@ mod tests {
             gf256_addmul(&mut fast, &src, c);
             gf256_addmul_scalar(&mut oracle, &src, c);
             prop_assert_eq!(fast, oracle, "backend {}", gf256_backend());
-        }
-
-        #[test]
-        fn dispatched_mul_slice_matches_the_scalar_oracle(
-            data in prop::collection::vec(any::<u8>(), 0..131),
-            c in any::<u8>(),
-        ) {
-            let mut fast = data.clone();
-            let mut swar = data.clone();
-            let mut oracle = data;
-            gf256_mul_slice(&mut fast, c);
-            gf256_mul_slice_swar(&mut swar, c);
-            gf256_mul_slice_scalar(&mut oracle, c);
-            prop_assert_eq!(&fast, &oracle, "backend {}", gf256_backend());
-            prop_assert_eq!(&swar, &oracle);
         }
 
         #[test]

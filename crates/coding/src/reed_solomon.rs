@@ -150,16 +150,6 @@ impl<F: Field> ReedSolomon<F> {
         })
     }
 
-    /// Message length `ℓ`.
-    pub fn message_len(&self) -> usize {
-        self.ell
-    }
-
-    /// Block length `k`.
-    pub fn block_len(&self) -> usize {
-        self.k
-    }
-
     /// Number of symbol errors the decoder is guaranteed to correct:
     /// `⌊(k - ℓ)/2⌋`.
     pub fn error_capacity(&self) -> usize {
@@ -282,44 +272,6 @@ impl<F: Field> ReedSolomon<F> {
             head[i] = head[i] - value * self.head_inv_multipliers[i];
         }
         Some(matvec(&self.interp_cols, &head))
-    }
-
-    /// Erasure decoding: reconstruct the message from `ℓ` or more symbols whose
-    /// positions are known to be correct.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::DecodingFailure`] if fewer than `ℓ` positions are
-    /// supplied or positions are out of range / duplicated.
-    pub fn decode_erasures(&self, symbols: &[(usize, F)]) -> Result<Vec<F>> {
-        if symbols.len() < self.ell {
-            return Err(CodingError::DecodingFailure(format!(
-                "need at least {} symbols, got {}",
-                self.ell,
-                symbols.len()
-            )));
-        }
-        let mut pts = Vec::with_capacity(self.ell);
-        let mut used = std::collections::HashSet::new();
-        for &(pos, val) in symbols.iter() {
-            if pos >= self.k {
-                return Err(CodingError::DecodingFailure(format!(
-                    "position {pos} out of range"
-                )));
-            }
-            if !used.insert(pos) {
-                return Err(CodingError::DecodingFailure(format!(
-                    "duplicate position {pos}"
-                )));
-            }
-            pts.push((self.points[pos], val));
-            if pts.len() == self.ell {
-                break;
-            }
-        }
-        let mut coeffs = lagrange_interpolate(&pts);
-        coeffs.resize(self.ell, F::ZERO);
-        Ok(coeffs)
     }
 }
 
@@ -682,22 +634,6 @@ mod tests {
             Err(CodingError::DecodingFailure(_)) => {}
             Err(e) => panic!("unexpected error {e:?}"),
         }
-    }
-
-    #[test]
-    fn erasure_decoding() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let rs = Rs::new(5, 12).unwrap();
-        let msg = random_message(&mut rng, 5);
-        let cw = rs.encode(&msg).unwrap();
-        // Any 5 correct positions suffice.
-        let symbols: Vec<(usize, F)> = [11usize, 0, 7, 3, 9].iter().map(|&i| (i, cw[i])).collect();
-        assert_eq!(rs.decode_erasures(&symbols).unwrap(), msg);
-        // Too few symbols.
-        assert!(rs.decode_erasures(&symbols[..4]).is_err());
-        // Duplicate position.
-        let dup = vec![(0, cw[0]), (0, cw[0]), (1, cw[1]), (2, cw[2]), (3, cw[3])];
-        assert!(rs.decode_erasures(&dup).is_err());
     }
 
     #[test]

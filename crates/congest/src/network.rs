@@ -173,11 +173,6 @@ impl CorruptionHistory {
         (0..self.len()).map(|r| self.round(r))
     }
 
-    /// Total number of controlled edge-rounds.
-    pub fn total_edge_rounds(&self) -> usize {
-        self.edges.len()
-    }
-
     fn push_round(&mut self, edges: &[EdgeId]) {
         self.edges.extend_from_slice(edges);
         self.bounds.push(self.edges.len());
@@ -605,7 +600,8 @@ impl Network {
     }
 
     /// Change the number of words per bandwidth-normalised round (default 2).
-    pub fn set_bandwidth_words(&mut self, words: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_bandwidth_words(&mut self, words: usize) {
         self.bandwidth_words = words.max(1);
     }
 
@@ -753,16 +749,6 @@ impl Network {
         self.metrics.record_corruption(controlled, altered);
         self.corruption_history.push_round(controlled);
         self.tracer.span_close(Phase::RoundExchange);
-    }
-
-    /// Run `count` empty rounds (used to model waiting / padding rounds; the
-    /// adversary still gets to act, which matters for budget accounting).
-    pub fn idle_rounds(&mut self, count: usize) {
-        let mut t = Traffic::new(&self.graph);
-        for _ in 0..count {
-            t.begin_round(&self.graph);
-            self.exchange_in_place(&mut t);
-        }
     }
 
     /// Deterministic per-node private randomness stream: node `v`'s RNG derived
@@ -1060,7 +1046,8 @@ mod tests {
             assert!(round_edges.len() <= 2);
         }
         assert_eq!(net.metrics().corrupted_edge_rounds, 10);
-        assert_eq!(net.corruption_history().total_edge_rounds(), 10);
+        let edge_rounds: usize = net.corruption_history().iter().map(<[_]>::len).sum();
+        assert_eq!(edge_rounds, 10);
     }
 
     #[test]
@@ -1106,14 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_rounds_advance_the_clock() {
-        let g = generators::path(2);
-        let mut net = Network::fault_free(g);
-        net.idle_rounds(4);
-        assert_eq!(net.round(), 4);
-    }
-
-    #[test]
     fn node_rngs_are_distinct_and_deterministic() {
         let mut a = Network::node_rng(7, 0);
         let mut a2 = Network::node_rng(7, 0);
@@ -1135,7 +1114,6 @@ mod tests {
         assert_eq!(&h[0], &[3, 1][..]);
         assert!(h[1].is_empty());
         assert_eq!(h.last(), Some(&[7usize][..]));
-        assert_eq!(h.total_edge_rounds(), 3);
         let rounds: Vec<&[EdgeId]> = h.iter().collect();
         assert_eq!(rounds.len(), 3);
     }

@@ -252,7 +252,7 @@ mod tests {
         }
         fn receive(&mut self, _round: usize, inbox: &Traffic) {
             for v in self.graph.nodes() {
-                for (_, payload) in inbox.inbox_of(&self.graph, v) {
+                for (_, payload) in inbox.inbox(&self.graph, v) {
                     self.best[v] = self.best[v].max(payload[0]);
                 }
             }

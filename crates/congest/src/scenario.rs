@@ -785,7 +785,6 @@ impl Scenario {
             budget: CorruptionBudget::None,
             seed: 0,
             compiler: None,
-            bandwidth_words: None,
             check_fault_free: true,
             trace: obs::TraceSpec::off(),
             verdict: None,
@@ -828,7 +827,6 @@ pub struct ScenarioBuilder {
     budget: CorruptionBudget,
     seed: u64,
     compiler: Option<Box<dyn Compiler>>,
-    bandwidth_words: Option<usize>,
     check_fault_free: bool,
     trace: obs::TraceSpec,
     verdict: Option<Verdict>,
@@ -891,13 +889,6 @@ impl ScenarioBuilder {
     /// [`ScenarioBuilder::compiled_with`] with a pre-boxed compiler.
     pub fn compiled_with_boxed(mut self, compiler: Box<dyn Compiler>) -> Self {
         self.compiler = Some(compiler);
-        self
-    }
-
-    /// Words per bandwidth-normalised round (see
-    /// [`Network::set_bandwidth_words`]).
-    pub fn bandwidth_words(mut self, words: usize) -> Self {
-        self.bandwidth_words = Some(words);
         self
     }
 
@@ -969,9 +960,6 @@ impl ScenarioBuilder {
             None => std::sync::Arc::new(compiler.prepare(net.graph(), &mut tracer)?),
         };
         net.install_tracer(tracer);
-        if let Some(words) = self.bandwidth_words {
-            net.set_bandwidth_words(words);
-        }
         Ok(BuiltScenario {
             net,
             payload,
@@ -995,17 +983,13 @@ impl ScenarioBuilder {
         if self.graph.node_count() == 0 {
             return Err(ScenarioError::EmptyGraph);
         }
-        let mut net = Network::new(
+        Ok(Network::new(
             self.graph,
             self.role,
             self.strategy.unwrap_or_else(|| Box::new(NoAdversary)),
             self.budget,
             self.seed,
-        );
-        if let Some(words) = self.bandwidth_words {
-            net.set_bandwidth_words(words);
-        }
-        Ok(net)
+        ))
     }
 }
 
@@ -1239,7 +1223,7 @@ pub fn doctest_payload(graph: Graph) -> impl CongestAlgorithm {
         }
         fn receive(&mut self, _round: usize, inbox: &crate::traffic::Traffic) {
             for v in self.graph.nodes() {
-                for (_, payload) in inbox.inbox_of(&self.graph, v) {
+                for (_, payload) in inbox.inbox(&self.graph, v) {
                     self.received[v].push(payload[0]);
                 }
                 self.received[v].sort_unstable();
@@ -1637,7 +1621,10 @@ mod tests {
             .seed(3)
             .network()
             .unwrap();
-        net.idle_rounds(2);
+        let g = net.graph().clone();
+        for _ in 0..2 {
+            let _ = net.exchange(crate::traffic::Traffic::new(&g));
+        }
         assert_eq!(net.round(), 2);
         assert!(Scenario::on(Graph::new(0)).network().is_err());
     }

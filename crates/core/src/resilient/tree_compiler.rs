@@ -112,11 +112,6 @@ impl MobileByzantineCompiler {
         self
     }
 
-    /// The packing used by the compiler.
-    pub fn packing(&self) -> &TreePacking {
-        &self.packing
-    }
-
     /// Run the compiled algorithm on the network (whose adversary should be
     /// byzantine).  Returns the payload outputs and a report, or
     /// [`UnpackableMessage`] as soon as `alg` sends a message the correction

@@ -8,7 +8,10 @@
 //! share message is one-time-padded with keys established by a local secret
 //! exchange (Lemma A.1).  Perfect secrecy holds as long as at least one tree
 //! contains no "bad" edge (an edge whose pad the adversary pinned down), which
-//! the parameter choice `k > η·f_bad` guarantees.
+//! a packing with `k > η·f_bad` guarantees.  Nothing checks that condition on
+//! a run: [`broadcast_packing`] sizes `k` for an assumed `η = 2`, and
+//! [`broadcast_packing_is_sufficient`] is evaluated by its own test only (see
+//! "Deviations from the paper" in `docs/ARCHITECTURE.md`).
 //!
 //! > **Substitution note** (see "Deviations from the paper" in
 //! > `docs/ARCHITECTURE.md`): the paper's Θ(√(f·b·n)) landmark /

@@ -328,9 +328,12 @@ impl KeyPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_sim::adversary::{AdversaryRole, CorruptionBudget, FixedEdges, RandomMobile};
+    use congest_sim::adversary::{
+        AdversaryRole, AdversaryStrategy, CorruptionBudget, FixedEdges, RandomMobile,
+        ScheduledEdges,
+    };
     use congest_sim::scenario::matrix::graph_zoo_defs;
-    use netgraph::generators;
+    use netgraph::{generators, EdgeId};
     use rand::{Rng, SeedableRng};
 
     /// The pad draw before bulk draws, kept as the oracle: one `gen` per
@@ -662,5 +665,64 @@ mod tests {
             applied(&pool2, arc, 0, &p),
             "keystream must depend on private node randomness"
         );
+    }
+
+    /// Edges the network's recorded corruption history observed in more
+    /// than `t` of its rounds: the bad edges of Theorem 1.2's averaging
+    /// argument, once the history is exactly the `ℓ` exchange rounds.
+    fn bad_edges(net: &Network, t: usize) -> usize {
+        let mut seen = vec![0usize; net.graph().edge_count()];
+        for round in net.corruption_history() {
+            for &e in round {
+                seen[e] += 1;
+            }
+        }
+        seen.iter().filter(|&&n| n > t).count()
+    }
+
+    /// The averaging bound of Theorem 1.2, `⌊f·ℓ/(t+1)⌋`, against the edges
+    /// an `f`-mobile eavesdropper really saw more than `t` times during the
+    /// key exchange: never above it under random mobility, and met exactly
+    /// by a schedule that spends all `f·ℓ` observations `t + 1` at a time.
+    /// Observation `k = j·ℓ + r` (slot `j` of round `r`) goes to edge
+    /// `⌊k/(t+1)⌋`; slots of one round are `ℓ ≥ t + 1` observations apart,
+    /// so each round's `f` edges are distinct.
+    #[test]
+    fn bad_edges_stay_within_the_averaging_bound_and_a_schedule_meets_it() {
+        let rounds = 3;
+        for def in graph_zoo_defs(2024) {
+            let g = def.build().expect("zoo graph builds");
+            for f in 1..=3usize {
+                for t in [1usize, 2, 4] {
+                    let ell = rounds + t;
+                    let schedule: Vec<Vec<EdgeId>> = (0..ell)
+                        .map(|r| (0..f).map(|j| (j * ell + r) / (t + 1)).collect())
+                        .collect();
+                    assert!((f * ell).div_ceil(t + 1) <= g.edge_count());
+                    for scheduled in [false, true] {
+                        let strategy: Box<dyn AdversaryStrategy> = if scheduled {
+                            Box::new(ScheduledEdges::new(schedule.clone()))
+                        } else {
+                            Box::new(RandomMobile::new(f, 11))
+                        };
+                        let mut net = Network::new(
+                            g.clone(),
+                            AdversaryRole::Eavesdropper,
+                            strategy,
+                            CorruptionBudget::Mobile { f },
+                            11,
+                        );
+                        let pool = KeyPool::establish(&mut net, 3, rounds, 1, t).unwrap();
+                        assert_eq!(net.corruption_history().len(), ell);
+                        let (bad, bound) = (bad_edges(&net, t), pool.bad_edge_bound(f));
+                        let case = format!("{def:?} f {f} t {t} scheduled {scheduled}");
+                        assert!(bad <= bound, "{case}: {bad} bad edges > bound {bound}");
+                        if scheduled {
+                            assert_eq!(bad, bound, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

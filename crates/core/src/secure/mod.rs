@@ -11,7 +11,4 @@ pub use broadcast::{
 };
 pub use keys::{KeyPool, KeyScheduleError, PayloadTooWide};
 pub use static_to_mobile::{MobileSecureReport, StaticToMobileCompiler};
-pub use unicast::{
-    mobile_secure_multicast, mobile_secure_unicast, plain_unicast_baseline, UnicastInstance,
-    UnicastReport,
-};
+pub use unicast::{mobile_secure_multicast, mobile_secure_unicast, UnicastInstance, UnicastReport};

@@ -136,6 +136,7 @@ mod tests {
     use congest_algorithms::{ConvergecastSum, FloodBroadcast, LeaderElection, TokenDissemination};
     use congest_sim::adversary::{AdversaryRole, CorruptionBudget, RandomMobile, ScheduledEdges};
     use congest_sim::run_fault_free;
+    use congest_sim::scenario::matrix::graph_zoo_defs;
     use netgraph::generators;
 
     fn eaves_net(g: netgraph::Graph, f: usize, seed: u64) -> Network {
@@ -209,6 +210,25 @@ mod tests {
         let big_t = StaticToMobileCompiler::new(2 * 3 * 5, 1, 0);
         assert_eq!(c.mobile_tolerance(0, 5), 0);
         assert_eq!(big_t.mobile_tolerance(3, 5), 3 * 31 / 35);
+    }
+
+    /// Theorem 1.2's round count on real runs: `2r + t` rounds go by on the
+    /// network, across the zoo, and the outputs are the fault-free ones.
+    #[test]
+    fn compiled_runs_take_exactly_the_stated_rounds_across_the_zoo() {
+        for def in graph_zoo_defs(2024) {
+            let g = def.build().expect("zoo graph builds");
+            let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 77));
+            for t in [1usize, 3] {
+                let compiler = StaticToMobileCompiler::new(t, 1, 13);
+                let mut alg = FloodBroadcast::new(g.clone(), 0, 77);
+                let r = alg.rounds();
+                let mut net = eaves_net(g.clone(), 2, 5);
+                let (out, _) = compiler.run(&mut alg, &mut net).unwrap();
+                assert_eq!(net.round(), compiler.compiled_rounds(r), "{def:?} t {t}");
+                assert_eq!(out, expected, "{def:?} t {t}");
+            }
+        }
     }
 
     #[test]

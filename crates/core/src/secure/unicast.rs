@@ -218,9 +218,10 @@ pub fn mobile_secure_multicast(
 }
 
 /// The plain (non-secure) baseline: send the secret directly hop-by-hop along a
-/// single shortest path with no encryption.  Used by the experiments to show
+/// single shortest path with no encryption — the positive control showing
 /// what the eavesdropper sees without the compiler.
-pub fn plain_unicast_baseline(
+#[cfg(test)]
+pub(crate) fn plain_unicast_baseline(
     net: &mut Network,
     source: NodeId,
     target: NodeId,

@@ -204,18 +204,6 @@ pub(crate) fn min_edge_cut(g: &Graph) -> Vec<EdgeId> {
         .collect()
 }
 
-/// Check `(k, d)`-connectivity between a specific pair: are there `k`
-/// edge-disjoint `s`–`t` paths each of length at most `d`?
-///
-/// This uses the BFS-augmenting max-flow (shortest augmenting paths first) and
-/// then checks the lengths of the decomposed paths; it is a practical
-/// sufficient check (the exact problem is NP-hard in general), which is how the
-/// experiments estimate `D_TP`.
-pub fn has_k_short_disjoint_paths(g: &Graph, s: NodeId, t: NodeId, k: usize, d: usize) -> bool {
-    let paths = edge_disjoint_paths(g, s, t, k);
-    paths.len() >= k && paths.iter().take(k).all(|p| p.len() - 1 <= d)
-}
-
 /// Estimate the tree-packing diameter `D_TP(k)`: the smallest `d` such that all
 /// *adjacent* pairs (a cheaper proxy for all pairs, which is what the
 /// compilers' per-edge correction paths need) have `k` edge-disjoint paths of
@@ -473,17 +461,6 @@ mod tests {
     fn same_endpoints_yield_no_paths() {
         let g = generators::complete(4);
         assert!(edge_disjoint_paths(&g, 2, 2, 5).is_empty());
-    }
-
-    #[test]
-    fn short_disjoint_paths_check() {
-        let g = generators::complete(6);
-        // Between adjacent nodes in K6: 1 direct path + 4 paths of length 2.
-        assert!(has_k_short_disjoint_paths(&g, 0, 1, 5, 2));
-        assert!(!has_k_short_disjoint_paths(&g, 0, 1, 6, 2));
-        let c = generators::cycle(10);
-        assert!(has_k_short_disjoint_paths(&c, 0, 1, 2, 9));
-        assert!(!has_k_short_disjoint_paths(&c, 0, 1, 2, 5));
     }
 
     #[test]

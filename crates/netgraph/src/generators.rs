@@ -469,17 +469,6 @@ pub fn complete(n: usize) -> Graph {
     g
 }
 
-/// The complete bipartite graph `K_{a,b}` (left part `0..a`, right part `a..a+b`).
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = Graph::new(a + b);
-    for i in 0..a {
-        for j in 0..b {
-            g.add_edge(i, a + j);
-        }
-    }
-    g
-}
-
 /// An `rows × cols` grid graph.
 pub fn grid(rows: usize, cols: usize) -> Graph {
     let mut g = Graph::new(rows * cols);
@@ -821,14 +810,6 @@ mod tests {
         assert_eq!(g.edge_count(), 15);
         assert_eq!(g.min_degree(), 5);
         assert_eq!(g.max_degree(), 5);
-    }
-
-    #[test]
-    fn bipartite_counts() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.edge_count(), 12);
-        assert_eq!(g.degree(0), 4);
-        assert_eq!(g.degree(3), 3);
     }
 
     #[test]

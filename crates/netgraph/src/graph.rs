@@ -261,11 +261,6 @@ impl Graph {
         &self.adjacency[u]
     }
 
-    /// Neighbour node ids of `u`.
-    pub fn neighbor_ids(&self, u: NodeId) -> Vec<NodeId> {
-        self.adjacency[u].iter().map(|&(v, _)| v).collect()
-    }
-
     /// Degree of `u`.
     pub fn degree(&self, u: NodeId) -> usize {
         self.adjacency[u].len()
@@ -396,11 +391,6 @@ impl Graph {
     pub fn incident_edges(&self, u: NodeId) -> Vec<EdgeId> {
         self.adjacency[u].iter().map(|&(_, e)| e).collect()
     }
-
-    /// Sum of degrees / 2m sanity value; useful in tests.
-    pub fn degree_sum(&self) -> usize {
-        (0..self.n).map(|u| self.degree(u)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -428,7 +418,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree_sum(), 6);
         assert!(g.has_edge(0, 2));
         assert!(!g.has_edge(0, 0));
     }

@@ -8,7 +8,7 @@
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::traversal::bfs;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A rooted spanning tree (or forest fragment) of a host graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,24 +132,6 @@ impl RootedTree {
         ch
     }
 
-    /// Nodes in bottom-up order (leaves first, root last).  Useful for
-    /// convergecast-style aggregation in a fault-free reference computation.
-    pub fn bottom_up_order(&self) -> Vec<NodeId> {
-        let depths = self.depths();
-        let mut nodes: Vec<NodeId> = (0..self.parent.len())
-            .filter(|&v| self.in_tree[v] && depths[v].is_some())
-            .collect();
-        nodes.sort_by_key(|&v| std::cmp::Reverse(depths[v].unwrap()));
-        nodes
-    }
-
-    /// Nodes in top-down order (root first).
-    pub fn top_down_order(&self) -> Vec<NodeId> {
-        let mut o = self.bottom_up_order();
-        o.reverse();
-        o
-    }
-
     /// Whether the given host-graph edge is used by this tree.
     pub fn uses_edge(&self, e: EdgeId) -> bool {
         self.edges.contains(&e)
@@ -160,57 +142,6 @@ impl RootedTree {
 pub fn bfs_tree(g: &Graph, root: NodeId) -> RootedTree {
     let r = bfs(g, root);
     RootedTree::from_parents(g, root, r.parent)
-}
-
-/// Build a hop-bounded lightest-path spanning tree: the shortest-path tree
-/// under the given per-edge weights (all weights must be ≥ some positive
-/// minimum), restricted to paths of at most `max_hops` edges.
-///
-/// This is the building block of the Appendix-C tree packing ("min-cost
-/// `d`-depth spanning tree"): the weight of an edge reflects its current load,
-/// so successive trees avoid heavily used edges while staying shallow.  Nodes
-/// unreachable within `max_hops` hops are left out of the tree.
-///
-/// # Panics
-///
-/// Panics if `weight.len() != g.edge_count()` or some weight is not strictly
-/// positive (positivity rules out parent-pointer cycles).
-pub fn weighted_shallow_tree(
-    g: &Graph,
-    root: NodeId,
-    weight: &[f64],
-    max_hops: usize,
-) -> RootedTree {
-    assert_eq!(weight.len(), g.edge_count());
-    assert!(
-        weight.iter().all(|&w| w > 0.0),
-        "edge weights must be strictly positive"
-    );
-    let n = g.node_count();
-    let mut dist: Vec<f64> = vec![f64::INFINITY; n];
-    let mut parent = vec![None; n];
-    dist[root] = 0.0;
-    // Hop-bounded Bellman–Ford with Jacobi-style updates so that after `h`
-    // iterations `dist[v]` is the lightest path using at most `h` edges.
-    for _ in 0..max_hops.max(1) {
-        let snapshot = dist.clone();
-        let mut changed = false;
-        for v in 0..n {
-            for &(u, e) in g.neighbors(v) {
-                let cand = snapshot[u] + weight[e];
-                if cand < dist[v] {
-                    dist[v] = cand;
-                    parent[v] = Some(u);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Nodes that were never reached keep parent = None and are excluded.
-    RootedTree::from_parents(g, root, parent)
 }
 
 /// Build an approximate minimum-cost depth-bounded spanning tree by Prim-style
@@ -295,7 +226,8 @@ fn candidate_key(w: f64, u: NodeId, pos: usize) -> u128 {
 
 /// Build the BFS tree of a *subgraph* described by a set of edges, rooted at
 /// `root`.  Nodes unreachable within the subgraph are left out of the tree.
-pub fn subgraph_bfs_tree(g: &Graph, edges: &[EdgeId], root: NodeId) -> RootedTree {
+#[cfg(test)]
+pub(crate) fn subgraph_bfs_tree(g: &Graph, edges: &[EdgeId], root: NodeId) -> RootedTree {
     let n = g.node_count();
     let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     for &e in edges {
@@ -306,7 +238,7 @@ pub fn subgraph_bfs_tree(g: &Graph, edges: &[EdgeId], root: NodeId) -> RootedTre
     let mut parent = vec![None; n];
     let mut seen = vec![false; n];
     seen[root] = true;
-    let mut q = VecDeque::new();
+    let mut q = std::collections::VecDeque::new();
     q.push_back(root);
     while let Some(u) = q.pop_front() {
         for &v in &adj[u] {
@@ -353,38 +285,6 @@ mod tests {
         assert_eq!(d[4], Some(2));
         let ch = t.children();
         assert_eq!(ch[2].len(), 2);
-        let bu = t.bottom_up_order();
-        assert_eq!(*bu.last().unwrap(), 2);
-        let td = t.top_down_order();
-        assert_eq!(td[0], 2);
-        assert_eq!(bu.len(), 5);
-    }
-
-    #[test]
-    fn weighted_shallow_tree_avoids_heavy_edges() {
-        // Square 0-1-2-3-0; heavy weight on edge (0,1) should push the tree to
-        // reach node 1 the long way around (3 hops) when the hop budget allows.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let mut w = vec![1.0; 4];
-        w[g.edge_between(0, 1).unwrap()] = 100.0;
-        let t = weighted_shallow_tree(&g, 0, &w, 4);
-        assert!(t.is_spanning(&g));
-        assert_eq!(
-            t.parent[1],
-            Some(2),
-            "node 1 should be reached avoiding the heavy edge"
-        );
-        // With a hop budget of 1, only direct neighbours are reachable.
-        let shallow = weighted_shallow_tree(&g, 0, &w, 1);
-        assert_eq!(shallow.size(), 3);
-        assert!(!shallow.is_spanning(&g));
-    }
-
-    #[test]
-    #[should_panic]
-    fn weighted_shallow_tree_rejects_nonpositive_weights() {
-        let g = generators::path(3);
-        let _ = weighted_shallow_tree(&g, 0, &[0.0, 1.0], 3);
     }
 
     /// The Prim scan the heap replaced, kept as the oracle: per attached node,

@@ -11,8 +11,6 @@ pub struct BfsResult {
     /// `parent[v]` = predecessor on a shortest path, `None` for the source and
     /// unreachable nodes.
     pub parent: Vec<Option<NodeId>>,
-    /// The source node.
-    pub source: NodeId,
 }
 
 impl BfsResult {
@@ -54,11 +52,7 @@ pub fn bfs(g: &Graph, source: NodeId) -> BfsResult {
             }
         }
     }
-    BfsResult {
-        dist,
-        parent,
-        source,
-    }
+    BfsResult { dist, parent }
 }
 
 /// Whether the graph is connected (the empty graph is considered connected).
@@ -67,36 +61,6 @@ pub fn is_connected(g: &Graph) -> bool {
         return true;
     }
     bfs(g, 0).dist.iter().all(|d| d.is_some())
-}
-
-/// Connected components as a vector of component ids per node (ids are dense,
-/// starting at 0, in order of discovery).
-pub fn connected_components(g: &Graph) -> Vec<usize> {
-    let n = g.node_count();
-    let mut comp = vec![usize::MAX; n];
-    let mut next = 0;
-    for s in 0..n {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        let r = bfs(g, s);
-        for (v, dist) in r.dist.iter().enumerate() {
-            if dist.is_some() && comp[v] == usize::MAX {
-                comp[v] = next;
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
-/// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
-    connected_components(g)
-        .into_iter()
-        .max()
-        .map(|m| m + 1)
-        .unwrap_or(0)
 }
 
 /// The exact diameter (maximum eccentricity) of a connected graph, computed by
@@ -140,8 +104,6 @@ mod tests {
         assert_eq!(r.dist[3], None);
         assert_eq!(r.path_to(3), None);
         assert!(!is_connected(&g));
-        assert_eq!(component_count(&g), 2);
-        assert_eq!(connected_components(&g), vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -179,6 +141,5 @@ mod tests {
         let g = Graph::new(0);
         assert!(is_connected(&g));
         assert_eq!(g.diameter(), None);
-        assert_eq!(component_count(&g), 0);
     }
 }

@@ -18,10 +18,7 @@
 //!   — Nash-Williams/Tutte, Gabow's matroid-union augmentation — show such
 //!   packings are computable in polynomial time);
 //! * [`star_packing`] — the exact `(n, 2, 2)` packing of the complete graph
-//!   used by the CONGESTED CLIQUE compilers (Theorems 1.6 / 4.11);
-//! * [`random_coloring_packing`] — the fault-free version of the Lemma 3.10
-//!   construction for expanders (colour every edge with a random colour in
-//!   `[k]`, take a BFS tree of every colour class).
+//!   used by the CONGESTED CLIQUE compilers (Theorems 1.6 / 4.11).
 //!
 //! [`PackingQuality`] measures a packing against its `(k, D_TP, η)` target —
 //! good-tree count, max edge load, usage of a minimum cut — which is what the
@@ -29,10 +26,8 @@
 //! strength instead of merely gating on connectivity.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::spanning::{min_cost_depth_bounded_tree, subgraph_bfs_tree, RootedTree};
+use crate::spanning::{min_cost_depth_bounded_tree, RootedTree};
 use std::collections::VecDeque;
-
-use rand::Rng;
 
 /// A collection of (sub)trees of a host graph intended as a tree packing.
 #[derive(Debug, Clone)]
@@ -639,34 +634,11 @@ pub fn star_packing(g: &Graph, root: NodeId) -> TreePacking {
     TreePacking::new(trees)
 }
 
-/// Fault-free version of the Lemma 3.10 construction: colour every edge
-/// independently and uniformly with a colour in `[k]`; for each colour class,
-/// return the BFS tree of the colour subgraph rooted at `root` (which may fail
-/// to span — that is expected and handled by the *weak* packing notion).
-pub fn random_coloring_packing<R: Rng + ?Sized>(
-    g: &Graph,
-    root: NodeId,
-    k: usize,
-    rng: &mut R,
-) -> TreePacking {
-    assert!(k > 0, "k must be positive");
-    let mut classes: Vec<Vec<EdgeId>> = vec![Vec::new(); k];
-    for e in 0..g.edge_count() {
-        classes[rng.gen_range(0..k)].push(e);
-    }
-    let trees = classes
-        .into_iter()
-        .map(|edges| subgraph_bfs_tree(g, &edges, root))
-        .collect();
-    TreePacking::new(trees)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use crate::spanning::subgraph_bfs_tree;
 
     #[test]
     fn star_packing_of_clique_is_tight() {
@@ -713,30 +685,6 @@ mod tests {
     fn greedy_packing_rejects_disconnected() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         greedy_low_depth_packing(&g, 0, 2, 1);
-    }
-
-    #[test]
-    fn random_coloring_packing_load_bounded_by_one_per_direction() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let g = generators::random_regular(&mut rng, 40, 10);
-        let k = 4;
-        let p = random_coloring_packing(&g, 0, k, &mut rng);
-        assert_eq!(p.len(), k);
-        // Every edge belongs to exactly one colour class, so the load is ≤ 1.
-        assert!(p.load(&g) <= 1);
-    }
-
-    #[test]
-    fn random_coloring_packing_mostly_spans_dense_expander() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let g = generators::random_regular(&mut rng, 60, 20);
-        let k = 3; // few colours on a dense graph: every class is still dense.
-        let p = random_coloring_packing(&g, 0, k, &mut rng);
-        let good = p.count_good(&g, 0, 12);
-        assert!(
-            good >= 2,
-            "expected most colour classes to span, got {good}"
-        );
     }
 
     #[test]

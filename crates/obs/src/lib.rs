@@ -19,11 +19,10 @@
 //! **points** (corruption applied, rewind triggered, augmenting-chain step,
 //! async slot delivered/dropped/delayed, node crash/recover).
 //!
-//! Sinks implement [`TraceSink`]: [`NoopSink`] (discard), [`RingSink`]
-//! (bounded, keeps the most recent events), [`JsonlSink`] (streams one JSON
-//! object per line to any writer).  A [`SamplingPolicy`] bounds point-event
-//! volume per class (keep 1-in-N plus a reservoir cap); span events are never
-//! sampled out, so the open/close bracketing invariant survives sampling.
+//! An enabled [`Tracer`] keeps every event in one bounded in-memory ring of
+//! [`RING_CAP`] events: once full, the oldest event is evicted and counted in
+//! [`TraceStats::sink_dropped`].  [`RunTrace::write_jsonl`] turns the retained
+//! events into one JSON object per line.
 //!
 //! The [`Tracer`] front end is branch-cheap when disabled: every method
 //! early-returns on a single `bool`, takes no [`std::time::Instant`], and
@@ -102,8 +101,8 @@ impl Phase {
     }
 }
 
-/// Sampling classes for point events.  Spans form their own class and are
-/// never sampled out.
+/// Event classes, the facets [`RunTrace::class_count`] counts.  Spans form
+/// their own class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventClass {
     /// Span open/close events.
@@ -119,9 +118,6 @@ pub enum EventClass {
     /// Async node crash/recover transitions.
     Node,
 }
-
-/// Number of [`EventClass`] variants.
-pub const CLASS_COUNT: usize = 6;
 
 /// A typed trace event.  Carries **virtual time only** — never wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,7 +169,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The sampling class of this event.
+    /// The class of this event.
     pub fn class(&self) -> EventClass {
         match self {
             EventKind::SpanOpen(_) | EventKind::SpanClose(_) => EventClass::Span,
@@ -239,141 +235,6 @@ impl Event {
                 format!("{{\"t\":{t},\"ev\":\"recover\",\"node\":{node}}}")
             }
         }
-    }
-}
-
-/// Where recorded events go.
-pub trait TraceSink: Send {
-    /// Record one event (already past sampling).
-    fn record(&mut self, event: &Event);
-    /// Flush any buffered output.
-    fn flush(&mut self) {}
-    /// Drain retained events, if this sink retains any.
-    fn take_events(&mut self) -> Option<Vec<Event>> {
-        None
-    }
-    /// Events the *sink* discarded (e.g. ring eviction), beyond sampling.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// Discards everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _event: &Event) {}
-}
-
-/// Bounded in-memory ring: keeps the most recent `cap` events and counts
-/// evictions.  The default sink for campaign cells — worker threads never
-/// touch the filesystem.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    events: VecDeque<Event>,
-    evicted: u64,
-}
-
-impl RingSink {
-    /// A ring retaining at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            cap: cap.max(1),
-            events: VecDeque::new(),
-            evicted: 0,
-        }
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &Event) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.evicted += 1;
-        }
-        self.events.push_back(*event);
-    }
-
-    fn take_events(&mut self) -> Option<Vec<Event>> {
-        Some(std::mem::take(&mut self.events).into())
-    }
-
-    fn dropped(&self) -> u64 {
-        self.evicted
-    }
-}
-
-/// Streams one JSON object per line to a writer.
-pub struct JsonlSink<W: Write + Send> {
-    writer: W,
-    lines: u64,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer, lines: 0 }
-    }
-
-    /// Number of lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Unwrap the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &Event) {
-        // I/O errors must not abort a simulation; the line counter lets
-        // callers detect short writes if they care.
-        if writeln!(self.writer, "{}", event.to_json_line()).is_ok() {
-            self.lines += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-/// Deterministic per-class sampling: keep every `N`-th point event of a class
-/// (counting from the first, which is always kept) up to a reservoir `cap`,
-/// then drop the rest.  Spans bypass sampling entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplingPolicy {
-    /// Keep 1-in-`keep_every` point events per class (1 = keep all).
-    pub keep_every: u32,
-    /// Hard cap on kept point events per class.
-    pub cap: u64,
-}
-
-impl SamplingPolicy {
-    /// Keep every point event, unbounded.
-    pub fn keep_all() -> Self {
-        SamplingPolicy {
-            keep_every: 1,
-            cap: u64::MAX,
-        }
-    }
-
-    /// Keep 1-in-`keep_every` per class, at most `cap` per class.
-    pub fn sampled(keep_every: u32, cap: u64) -> Self {
-        SamplingPolicy {
-            keep_every: keep_every.max(1),
-            cap,
-        }
-    }
-}
-
-impl Default for SamplingPolicy {
-    fn default() -> Self {
-        SamplingPolicy::keep_all()
     }
 }
 
@@ -446,16 +307,18 @@ impl fmt::Debug for PhaseProfile {
     }
 }
 
-/// Bookkeeping counters for one tracer's lifetime.
+/// Bookkeeping counters for one tracer's lifetime.  The field set is part of
+/// [`RunTrace`]'s `Debug` form, which campaign fingerprints cover.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Events offered to the tracer while enabled.
     pub offered: u64,
-    /// Events that reached the sink.
+    /// Events that reached the ring; every offered event does, so this
+    /// always equals `offered`.
     pub recorded: u64,
-    /// Point events suppressed by the sampling policy.
+    /// Always 0: the tracer keeps every event (nothing samples them out).
     pub sampled_out: u64,
-    /// Events the sink itself discarded (ring eviction).
+    /// Events the ring evicted once it held [`RING_CAP`] events.
     pub sink_dropped: u64,
     /// Spans still open when the tracer finished.
     pub unclosed: u64,
@@ -463,11 +326,11 @@ pub struct TraceStats {
     pub mismatched: u64,
 }
 
-/// Everything a finished tracer yields: the retained event stream (ring
-/// sinks), the wall-clock profile, and the counters.
+/// Everything a finished tracer yields: the retained event stream, the
+/// wall-clock profile, and the counters.
 #[derive(Clone, Default)]
 pub struct RunTrace {
-    /// Retained events (empty for no-op and writer sinks).
+    /// Retained events, oldest first (empty when tracing was off).
     pub events: Vec<Event>,
     /// Out-of-band per-phase wall profile.
     pub profile: PhaseProfile,
@@ -500,11 +363,11 @@ impl RunTrace {
         Ok(())
     }
 
-    /// Number of retained events of one sampling class — the facet counters
+    /// Number of retained events of one class — the facet counters
     /// downstream scoring reads (e.g. the red-team `Fitness` lattice counts
     /// [`EventClass::Rewind`] triggers and [`EventClass::Corruption`]
-    /// applications).  Counts **retained** events only: ring eviction or
-    /// sampling reduce it, so score with keep-all policies.
+    /// applications).  Counts **retained** events only: ring eviction past
+    /// [`RING_CAP`] events reduces it.
     pub fn class_count(&self, class: EventClass) -> usize {
         self.events
             .iter()
@@ -531,44 +394,27 @@ impl fmt::Debug for RunTrace {
 pub struct TraceSpec {
     /// Whether tracing is on at all (off ⇒ the no-op fast path).
     pub enabled: bool,
-    /// Ring capacity for the per-run sink.
-    pub ring_cap: usize,
-    /// Point-event sampling policy.
-    pub sampling: SamplingPolicy,
 }
 
 impl TraceSpec {
     /// Tracing off: the disabled tracer, no timing, no events.
     pub fn off() -> Self {
-        TraceSpec {
-            enabled: false,
-            ring_cap: 0,
-            sampling: SamplingPolicy::keep_all(),
-        }
+        TraceSpec { enabled: false }
     }
 
-    /// Ring-buffer tracing with default bounds (64 Ki events, keep-all).
+    /// Ring-buffer tracing: the most recent [`RING_CAP`] events are kept.
     pub fn ring() -> Self {
-        TraceSpec {
-            enabled: true,
-            ring_cap: 1 << 16,
-            sampling: SamplingPolicy::keep_all(),
-        }
-    }
-
-    /// Ring-buffer tracing with an explicit sampling policy.
-    pub fn ring_sampled(keep_every: u32, cap: u64) -> Self {
-        TraceSpec {
-            enabled: true,
-            ring_cap: 1 << 16,
-            sampling: SamplingPolicy::sampled(keep_every, cap),
-        }
+        TraceSpec { enabled: true }
     }
 
     /// Build the tracer this spec describes.
     pub fn build_tracer(&self) -> Tracer {
         if self.enabled {
-            Tracer::new(Box::new(RingSink::new(self.ring_cap)), self.sampling)
+            Tracer {
+                enabled: true,
+                open: Vec::with_capacity(8),
+                ..Tracer::disabled()
+            }
         } else {
             Tracer::disabled()
         }
@@ -581,15 +427,15 @@ impl Default for TraceSpec {
     }
 }
 
+/// Capacity of an enabled tracer's ring, in events.
+pub const RING_CAP: usize = 1 << 16;
+
 /// The instrumentation front end.  One per `Network`; all methods early-return
 /// when disabled (no `Instant::now()`, no allocation).
 pub struct Tracer {
     enabled: bool,
     time: u64,
-    sink: Box<dyn TraceSink>,
-    policy: SamplingPolicy,
-    seen: [u64; CLASS_COUNT],
-    kept: [u64; CLASS_COUNT],
+    events: VecDeque<Event>,
     open: Vec<(Phase, Instant)>,
     profile: PhaseProfile,
     stats: TraceStats,
@@ -617,26 +463,8 @@ impl Tracer {
         Tracer {
             enabled: false,
             time: 0,
-            sink: Box::new(NoopSink),
-            policy: SamplingPolicy::keep_all(),
-            seen: [0; CLASS_COUNT],
-            kept: [0; CLASS_COUNT],
+            events: VecDeque::new(),
             open: Vec::new(),
-            profile: PhaseProfile::default(),
-            stats: TraceStats::default(),
-        }
-    }
-
-    /// An enabled tracer over an arbitrary sink.
-    pub fn new(sink: Box<dyn TraceSink>, policy: SamplingPolicy) -> Self {
-        Tracer {
-            enabled: true,
-            time: 0,
-            sink,
-            policy,
-            seen: [0; CLASS_COUNT],
-            kept: [0; CLASS_COUNT],
-            open: Vec::with_capacity(8),
             profile: PhaseProfile::default(),
             stats: TraceStats::default(),
         }
@@ -664,15 +492,18 @@ impl Tracer {
 
     fn emit(&mut self, kind: EventKind) {
         self.stats.offered += 1;
-        let ev = Event {
+        if self.events.len() == RING_CAP {
+            self.events.pop_front();
+            self.stats.sink_dropped += 1;
+        }
+        self.events.push_back(Event {
             time: self.time,
             kind,
-        };
-        self.sink.record(&ev);
+        });
         self.stats.recorded += 1;
     }
 
-    /// Open a phase span.  Spans are never sampled out.
+    /// Open a phase span.
     #[inline]
     pub fn span_open(&mut self, phase: Phase) {
         if !self.enabled {
@@ -705,21 +536,12 @@ impl Tracer {
         self.emit(EventKind::SpanClose(phase));
     }
 
-    /// Record a point event, subject to the sampling policy.
+    /// Record a point event.
     #[inline]
     pub fn point(&mut self, kind: EventKind) {
         if !self.enabled {
             return;
         }
-        let class = kind.class() as usize;
-        let n = self.seen[class];
-        self.seen[class] += 1;
-        if !n.is_multiple_of(self.policy.keep_every as u64) || self.kept[class] >= self.policy.cap {
-            self.stats.offered += 1;
-            self.stats.sampled_out += 1;
-            return;
-        }
-        self.kept[class] += 1;
         self.emit(kind);
     }
 
@@ -733,14 +555,12 @@ impl Tracer {
         self.stats
     }
 
-    /// Finish: flush the sink, count still-open spans as unclosed, and return
-    /// the retained events + profile + stats.
+    /// Finish: count still-open spans as unclosed, and return the retained
+    /// events + profile + stats.
     pub fn finish(mut self) -> RunTrace {
         self.stats.unclosed = self.open.len() as u64;
-        self.stats.sink_dropped = self.sink.dropped();
-        self.sink.flush();
         RunTrace {
-            events: self.sink.take_events().unwrap_or_default(),
+            events: self.events.into(),
             profile: self.profile,
             stats: self.stats,
         }
@@ -800,71 +620,35 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_one_in_n_with_cap() {
-        let mut t = Tracer::new(
-            Box::new(RingSink::new(1 << 10)),
-            SamplingPolicy::sampled(3, 2),
-        );
-        for i in 0..10 {
-            t.point(EventKind::SlotDelivered { arc: i });
-        }
-        let out = t.finish();
-        // Kept: i = 0, 3 (cap of 2 reached); 6 and 9 hit the cap.
-        assert_eq!(out.events.len(), 2);
-        assert_eq!(out.events[0].kind, EventKind::SlotDelivered { arc: 0 });
-        assert_eq!(out.events[1].kind, EventKind::SlotDelivered { arc: 3 });
-        assert_eq!(out.stats.sampled_out, 8);
-    }
-
-    #[test]
-    fn spans_bypass_sampling() {
-        let mut t = Tracer::new(
-            Box::new(RingSink::new(64)),
-            SamplingPolicy::sampled(1000, 0),
-        );
-        t.span_open(Phase::Packing);
-        t.span_close(Phase::Packing);
-        let out = t.finish();
-        assert_eq!(out.events.len(), 2);
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut t = Tracer::new(Box::new(RingSink::new(2)), SamplingPolicy::keep_all());
-        for i in 0..5 {
+    fn ring_keeps_the_most_recent_ring_cap_events() {
+        let mut t = TraceSpec::ring().build_tracer();
+        for i in 0..RING_CAP + 3 {
             t.point(EventKind::SlotDropped { arc: i });
         }
         let out = t.finish();
-        assert_eq!(out.events.len(), 2);
+        assert_eq!(out.events.len(), RING_CAP);
         assert_eq!(out.events[0].kind, EventKind::SlotDropped { arc: 3 });
-        assert_eq!(out.events[1].kind, EventKind::SlotDropped { arc: 4 });
+        assert_eq!(
+            out.events[RING_CAP - 1].kind,
+            EventKind::SlotDropped { arc: RING_CAP + 2 }
+        );
         assert_eq!(out.stats.sink_dropped, 3);
+        assert_eq!(out.stats.offered, (RING_CAP + 3) as u64);
+        assert_eq!(out.stats.recorded, out.stats.offered);
+        assert_eq!(out.stats.sampled_out, 0);
     }
 
     #[test]
-    fn jsonl_sink_writes_stable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        for ev in [
-            Event {
-                time: 7,
-                kind: EventKind::SpanOpen(Phase::Decode),
-            },
-            Event {
-                time: 7,
-                kind: EventKind::NodeCrash { node: 4 },
-            },
-            Event {
-                time: 7,
-                kind: EventKind::SpanClose(Phase::Decode),
-            },
-        ] {
-            sink.record(&ev);
-        }
-        sink.flush();
-        assert_eq!(sink.lines(), 3);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+    fn write_jsonl_writes_stable_lines() {
+        let mut t = TraceSpec::ring().build_tracer();
+        t.set_time(7);
+        t.span_open(Phase::Decode);
+        t.point(EventKind::NodeCrash { node: 4 });
+        t.span_close(Phase::Decode);
+        let mut out = Vec::new();
+        t.finish().write_jsonl(&mut out).unwrap();
         assert_eq!(
-            text,
+            String::from_utf8(out).unwrap(),
             "{\"t\":7,\"ev\":\"span_open\",\"phase\":\"decode\"}\n\
              {\"t\":7,\"ev\":\"crash\",\"node\":4}\n\
              {\"t\":7,\"ev\":\"span_close\",\"phase\":\"decode\"}\n"

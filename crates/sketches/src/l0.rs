@@ -142,18 +142,6 @@ impl L0Sampler {
         None
     }
 
-    /// Query with the recovered frequency as well.
-    pub fn query_with_frequency(&self) -> Option<(u64, i64)> {
-        for lvl in (0..LEVELS).rev() {
-            for cell in &self.cells[lvl] {
-                if let OneSparseResult::Single { element, frequency } = cell.decode() {
-                    return Some((element, frequency));
-                }
-            }
-        }
-        None
-    }
-
     /// Whether every cell summarises the empty multiset (no non-zero element
     /// *and* no undetected collision residue — exact emptiness).
     pub fn is_empty_sketch(&self) -> bool {
@@ -161,16 +149,6 @@ impl L0Sampler {
             .iter()
             .flat_map(|lvl| lvl.iter())
             .all(|c| c.is_zero())
-    }
-
-    /// Serialise the sketch state into words (for sending over the simulator).
-    ///
-    /// The encoding is only consumed by [`L0Sampler::merge`]-style plumbing in tests /
-    /// protocol plumbing; it is not a stable format.
-    pub fn encoded_size_words(&self) -> usize {
-        // 4 words per cell (count, weighted (2 words), fingerprint) — a rough
-        // proxy used for bandwidth accounting in the simulator.
-        LEVELS * CELLS_PER_LEVEL * 4
     }
 }
 
@@ -268,7 +246,6 @@ mod tests {
             let mut sk = L0Sampler::new(SketchRandomness::from_seed(seed));
             sk.update(777, 2);
             assert_eq!(sk.query(), Some(777));
-            assert_eq!(sk.query_with_frequency(), Some((777, 2)));
         }
     }
 
