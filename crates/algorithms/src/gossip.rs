@@ -3,9 +3,9 @@
 //! `TokenDissemination` is the canonical *high-congestion* payload: every node
 //! starts with a token and every node must learn every token.  On general
 //! graphs it floods token sets for `Θ(D + n)` rounds; on the clique it
-//! completes in a single round.  The congestion-sensitive compiler experiments
-//! (Theorem 1.3) use it to exercise the `cong` parameter, and the CONGESTED
-//! CLIQUE experiments (Theorem 1.6) use it as the payload to protect.
+//! completes in a single round.  It exercises the congestion-sensitive
+//! compiler's `cong` parameter (Theorem 1.3), and the CONGESTED CLIQUE row of
+//! `tests/conformance.rs` (Theorem 1.6) uses it as the payload to protect.
 //!
 //! `RandomizedColoring` is a round-limited conflict-resolution payload whose
 //! output validity (proper colouring) is easy to verify after compilation.

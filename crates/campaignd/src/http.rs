@@ -148,7 +148,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
 
 fn read_line(reader: &mut BufReader<&mut TcpStream>, head: &mut String) -> Result<String, String> {
     let mut line = String::new();
+    // `read_line` alone buffers until it meets `\n`, however far away that
+    // is: read at most what is left of the head budget, plus the one byte
+    // that tells "at the limit" from "past it".
+    let budget = (MAX_HEAD - head.len()) as u64 + 1;
     reader
+        .by_ref()
+        .take(budget)
         .read_line(&mut line)
         .map_err(|e| format!("cannot read request: {e}"))?;
     head.push_str(&line);
@@ -282,5 +288,27 @@ mod tests {
             .write_all(b"POST / HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
             .unwrap();
         assert!(join.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn a_request_line_without_a_newline_is_refused_at_the_head_limit() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = done.send(read_request(&mut stream).map(|_| ()));
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        // 1 MiB and no newline, with the connection held open: the server
+        // must give up after the head budget, not wait for a line end.
+        let _ = client.write_all(&vec![b'A'; 1 << 20]);
+        let outcome = result
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the read is bounded by the head limit");
+        assert_eq!(
+            outcome.unwrap_err(),
+            "request head exceeds the limit".to_string()
+        );
     }
 }

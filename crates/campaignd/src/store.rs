@@ -346,6 +346,28 @@ mod tests {
     }
 
     #[test]
+    fn a_record_with_a_non_finite_metric_is_torn_not_loaded() {
+        let dir = temp_dir("nonfinite");
+        let store = FsStore::open(&dir).unwrap();
+        let spec = sample_spec();
+        let fp = spec.fingerprint();
+        store.put_spec(&fp, &spec.to_json()).unwrap();
+        // `1e999` reads as `inf`, which re-encodes as the non-JSON `inf`.
+        let line = record(0)
+            .to_json()
+            .replace("\"cong_p99\":1", "\"cong_p99\":1e999");
+        assert!(line.contains("1e999"), "{line}");
+        assert!(CellRecord::from_json(&line).is_err());
+        store
+            .append_cells(&fp, &[line, record(1).to_json()])
+            .unwrap();
+        let jobs = store.load_jobs().unwrap();
+        assert_eq!(jobs[0].cells.len(), 1);
+        assert_eq!(jobs[0].torn_lines, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn empty_job_directories_are_skipped_and_mismatched_specs_refused() {
         let dir = temp_dir("mismatch");
         let store = FsStore::open(&dir).unwrap();

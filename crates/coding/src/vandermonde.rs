@@ -333,6 +333,13 @@ mod tests {
     /// bijection (so uniform inputs give uniform outputs).
     #[test]
     fn extraction_is_bijective_in_hidden_coordinates() {
+        // Theorem 2.1's yield: exactly `n − t` keys from `n` pads.
+        for (n, t) in [(16usize, 4usize), (64, 16), (128, 64), (256, 32)] {
+            let ex = BitExtractor::<F>::new(n, t).unwrap();
+            let pads: Vec<F> = (0..n as u64).map(F::from_u64).collect();
+            assert_eq!(ex.output_len(), n - t);
+            assert_eq!(ex.extract(&pads).unwrap().len(), n - t);
+        }
         // n = 3, t = 1 over GF(2^8) would still be 2^16 combinations; use GF(2^16)
         // with a handful of random hidden values instead and check injectivity.
         let n = 4;

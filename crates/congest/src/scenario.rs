@@ -1153,7 +1153,7 @@ impl RunReport {
         )
     }
 
-    /// One formatted results row (experiment tables).
+    /// One formatted results row (the examples' tables).
     pub fn table_row(&self) -> String {
         format!(
             "{:<22} {:<20} {:<22} {:>7} {:>9} {:>9.1} {:>10} {:>8} {:<20}",

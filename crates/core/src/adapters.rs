@@ -428,7 +428,8 @@ impl Compiler for CompilerDef {
                 // Note: `CliqueCompiler::max_tolerable_f` is the far stricter
                 // *worst-case* majority envelope; runs beyond it can still
                 // succeed against non-adversarial strategies, so it is
-                // reported in experiments rather than enforced.
+                // asserted by the Theorem 1.6 row of `tests/conformance.rs`
+                // rather than enforced.
                 validate_clique_floor(&name, graph, f)?;
                 // The wrapped compiler, star packing and all, under a packing
                 // span.

@@ -927,17 +927,32 @@ mod tests {
         assert!(CycleCoverCompiler::new(&g, 0).is_some());
     }
 
+    /// Theorems 1.4 / 5.5 on `(2f + 1)`-edge-connected graphs: `2f + 1`
+    /// paths per edge, the fault-free outputs, and per payload round at most
+    /// one flood per colour class of `dilation + window` rounds, the window
+    /// being `(2f + 1)·dilation + 1`.
     #[test]
     fn cycle_cover_compiler_on_circulant_f1() {
-        let g = generators::circulant(9, 2); // 4-edge-connected ≥ 2f+1 for f=1
-        let f = 1;
-        let compiler = CycleCoverCompiler::new(&g, f).expect("sufficiently connected");
-        let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 88));
-        let mut net = byz_net(g.clone(), f, 3);
-        let (out, report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 88), &mut net);
-        assert_eq!(out, expected);
-        assert_eq!(report.paths_per_edge, 3);
-        assert!(report.network_rounds > report.payload_rounds);
+        for (g, f, seed) in [
+            (generators::circulant(9, 2), 1usize, 3u64),
+            (generators::circulant(9, 2), 1, 5),
+            (generators::circulant(11, 3), 2, 5),
+            (generators::complete(8), 1, 5),
+        ] {
+            let compiler = CycleCoverCompiler::new(&g, f).expect("sufficiently connected");
+            let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 88));
+            let mut net = byz_net(g.clone(), f, seed);
+            let (out, report) = compiler.run(&mut FloodBroadcast::new(g.clone(), 0, 88), &mut net);
+            assert!(net.metrics().corrupted_edge_rounds > 0, "f={f}");
+            assert_eq!(out, expected, "f={f}");
+            assert_eq!(report.paths_per_edge, 2 * f + 1);
+            let per_class = (2 * f + 2) * report.dilation + 1;
+            assert!(report.network_rounds > report.payload_rounds);
+            assert!(
+                report.network_rounds <= report.payload_rounds * report.colors * per_class,
+                "f={f}: {report:?}"
+            );
+        }
     }
 
     #[test]

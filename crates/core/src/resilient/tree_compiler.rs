@@ -51,13 +51,6 @@ pub struct ByzantineCompilerReport {
     pub packing_quality: PackingQuality,
 }
 
-impl ByzantineCompilerReport {
-    /// Round overhead factor: network rounds per payload round.
-    pub fn overhead(&self) -> f64 {
-        self.network_rounds as f64 / self.payload_rounds.max(1) as f64
-    }
-}
-
 /// The Theorem 3.5 compiler: wraps any [`CongestAlgorithm`] and simulates it
 /// resiliently over a weak `(k, D_TP, η)` tree packing.
 #[derive(Debug, Clone)]

@@ -461,6 +461,10 @@ mod tests {
         )
     }
 
+    /// Theorem A.4 with the substituted packing: `k = 2f + 1` shares, a pad
+    /// exchange of `ℓ = k + 2·f·k` rounds (the `t ≥ 2·f·r` slack over one
+    /// keystream round per tree), then at most `η` sub-rounds per tree level
+    /// whatever the secret's width `b`.
     #[test]
     fn broadcast_reaches_everyone() {
         let g = generators::complete(8);
@@ -474,6 +478,32 @@ mod tests {
             assert_eq!(r, Some(secret.clone()));
         }
         assert!(report.shares > 2 * 2);
+
+        let g = generators::complete(14);
+        for f in 1..=3usize {
+            let packing = broadcast_packing(&g, 0, f);
+            let k = packing.len();
+            assert_eq!(k, 2 * f + 1);
+            let mut dissemination = Vec::new();
+            for b in [1usize, 4] {
+                let secret: Vec<u64> = (0..b as u64).map(|i| 0xA000 + i).collect();
+                let mut net = eaves_net(g.clone(), f, 3 + f as u64);
+                let (_, report) =
+                    mobile_secure_broadcast(&mut net, 0, &secret, f, 21, &packing).unwrap();
+                assert!(report.all_recovered, "f={f} b={b}");
+                assert_eq!(report.shares, k, "f={f} b={b}");
+                assert_eq!(report.key_rounds, k + 2 * f * k, "f={f} b={b}");
+                assert!(
+                    report.dissemination_rounds <= packing.max_height() * packing.load(&g),
+                    "f={f} b={b}"
+                );
+                dissemination.push(report.dissemination_rounds);
+            }
+            assert_eq!(
+                dissemination[0], dissemination[1],
+                "f={f}: independent of b"
+            );
+        }
     }
 
     #[test]

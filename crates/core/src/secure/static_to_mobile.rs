@@ -30,9 +30,6 @@ pub struct MobileSecureReport {
     pub key_rounds: usize,
     /// Rounds spent simulating `A` (`r`).
     pub simulation_rounds: usize,
-    /// The tolerated mobility `f'` for a given static tolerance `f`
-    /// (`⌊f·(t+1)/(r+t)⌋`), recorded for the experiment tables.
-    pub f_mobile_for: Vec<(usize, usize)>,
 }
 
 /// The Theorem 1.2 compiler.
@@ -115,7 +112,6 @@ impl StaticToMobileCompiler {
         let report = MobileSecureReport {
             key_rounds,
             simulation_rounds: r,
-            f_mobile_for: (1..=4).map(|f| (f, self.mobile_tolerance(f, r))).collect(),
         };
         Ok((alg.outputs(), report))
     }
@@ -212,21 +208,33 @@ mod tests {
         assert_eq!(big_t.mobile_tolerance(3, 5), 3 * 31 / 35);
     }
 
-    /// Theorem 1.2's round count on real runs: `2r + t` rounds go by on the
-    /// network, across the zoo, and the outputs are the fault-free ones.
+    /// Theorem 1.2 on real runs: `ℓ = r + t` key rounds then `r` simulated
+    /// ones, `2r + t` in all, across the zoo, with the fault-free outputs;
+    /// and the tolerated mobility `f'` is the largest whose `f'·ℓ` observed
+    /// edge-rounds fit in `f` edges seen `t + 1` times each — the fewest
+    /// observations that pin an edge's keys down.
     #[test]
     fn compiled_runs_take_exactly_the_stated_rounds_across_the_zoo() {
+        let f_static = 4;
         for def in graph_zoo_defs(2024) {
             let g = def.build().expect("zoo graph builds");
             let expected = run_fault_free(&mut FloodBroadcast::new(g.clone(), 0, 77));
-            for t in [1usize, 3] {
+            for t in [1usize, 3, 32] {
                 let compiler = StaticToMobileCompiler::new(t, 1, 13);
                 let mut alg = FloodBroadcast::new(g.clone(), 0, 77);
                 let r = alg.rounds();
                 let mut net = eaves_net(g.clone(), 2, 5);
-                let (out, _) = compiler.run(&mut alg, &mut net).unwrap();
+                let (out, report) = compiler.run(&mut alg, &mut net).unwrap();
+                assert_eq!(report.key_rounds, r + t, "{def:?} t {t}");
+                assert_eq!(report.simulation_rounds, r, "{def:?} t {t}");
                 assert_eq!(net.round(), compiler.compiled_rounds(r), "{def:?} t {t}");
                 assert_eq!(out, expected, "{def:?} t {t}");
+                let f_mobile = compiler.mobile_tolerance(f_static, r);
+                assert!(f_mobile * (r + t) <= f_static * (t + 1), "{def:?} t {t}");
+                assert!(
+                    (f_mobile + 1) * (r + t) > f_static * (t + 1),
+                    "{def:?} t {t}"
+                );
             }
         }
     }

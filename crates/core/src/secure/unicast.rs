@@ -265,10 +265,24 @@ mod tests {
             generators::cycle(8),
             generators::complete(6),
             generators::grid(3, 3),
+            generators::path(16),
+            generators::cycle(20),
+            generators::grid(5, 5),
+            generators::complete(12),
         ] {
+            let target = g.node_count() - 1;
             let mut net = eaves_net(g.clone(), 2, 3);
-            let report = mobile_secure_unicast(&mut net, 0, g.node_count() - 1, 0xFEED_FACE, 7);
+            let report = mobile_secure_unicast(&mut net, 0, target, 0xFEED_FACE, 7);
             assert_eq!(report.recovered[0], Some(0xFEED_FACE));
+            // One pad round, then every share one hop per round: the paths
+            // of one instance are edge-disjoint, so none waits.
+            let longest = edge_disjoint_paths(&g, 0, target, usize::MAX)
+                .iter()
+                .map(|p| p.len() - 1)
+                .max()
+                .unwrap();
+            assert_eq!(report.rounds, 1 + longest);
+            assert!(report.congestion <= 3);
         }
     }
 
@@ -293,24 +307,34 @@ mod tests {
         );
     }
 
+    /// Lemma A.3's `O(D + R)` multicast, exactly, on a clique: `R` pad
+    /// rounds, then `R + 1` share rounds — every instance leaves the common
+    /// source over all `n − 1` of its arcs (the direct edge and one two-hop
+    /// path per relay), so the instances take those arcs in turn and the last
+    /// one's relayed shares land a round later.
     #[test]
     fn multicast_many_instances() {
-        let g = generators::complete(8);
-        let instances: Vec<UnicastInstance> = (1..6)
-            .map(|i| UnicastInstance {
-                source: 0,
-                target: i,
-                secret: 1000 + i as u64,
-            })
-            .collect();
-        let mut net = eaves_net(g.clone(), 2, 9);
-        let report = mobile_secure_multicast(&mut net, &instances, 11);
-        for (i, inst) in instances.iter().enumerate() {
-            assert_eq!(report.recovered[i], Some(inst.secret));
+        for (n, r, net_seed, seed) in [
+            (8usize, 5usize, 9u64, 11u64),
+            (12, 2, 11, 13),
+            (12, 5, 11, 13),
+            (12, 10, 11, 13),
+        ] {
+            let g = generators::complete(n);
+            let instances: Vec<UnicastInstance> = (1..=r)
+                .map(|i| UnicastInstance {
+                    source: 0,
+                    target: i,
+                    secret: 1000 + i as u64,
+                })
+                .collect();
+            let mut net = eaves_net(g.clone(), 2, net_seed);
+            let report = mobile_secure_multicast(&mut net, &instances, seed);
+            for (i, inst) in instances.iter().enumerate() {
+                assert_eq!(report.recovered[i], Some(inst.secret), "K{n} R={r}");
+            }
+            assert_eq!(report.rounds, 2 * r + 1, "K{n} R={r}");
         }
-        // O(D + R) rounds: pad rounds (R) + the longest share pipeline (which the
-        // max-flow decomposition may stretch up to O(n) hops on dense graphs).
-        assert!(report.rounds <= instances.len() + g.node_count());
     }
 
     #[test]

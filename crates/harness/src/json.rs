@@ -97,10 +97,12 @@ impl JsonValue {
         }
     }
 
-    /// The number as an `f64`, if this is a number.
+    /// The number as a finite `f64`, if this is a number.  A token past
+    /// the `f64` range (`1e999`) is refused rather than read as `inf`, which
+    /// no encoder here can write back as JSON.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
+            JsonValue::Num(raw) => raw.parse().ok().filter(|v: &f64| v.is_finite()),
             _ => None,
         }
     }

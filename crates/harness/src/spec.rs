@@ -916,4 +916,24 @@ mod tests {
             }
         );
     }
+
+    #[test]
+    fn an_overflowing_float_parameter_is_refused_by_name() {
+        // `1e999` parses as `inf`, which the canonical form cannot write
+        // back: the spec would be stored and then never load again.
+        let err = CampaignSpec::from_json(
+            r#"{"kind":"campaign-spec","seed":1,"repetitions":1,"grid":{
+                "graphs":[{"family":"watts-strogatz","n":12,"k":2,"beta":1e999}],
+                "adversaries":[{"kind":"random-mobile","f":1}],
+                "compilers":[{"id":"uncompiled"}],
+                "payload":{"kind":"exchange-ids"}}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::Missing {
+                field: "graphs[].beta".into()
+            }
+        );
+    }
 }

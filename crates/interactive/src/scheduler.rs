@@ -619,29 +619,39 @@ mod tests {
         assert_eq!(net.round(), report.rounds_used);
     }
 
+    /// Lemma 3.3: over its `t_RS·r·η`-round window, an `f`-mobile adversary
+    /// fails at most `t_RS·c_RS·f·η` of the packing's instances.
     #[test]
     fn mobile_adversary_fails_only_boundedly_many_trees() {
-        let g = generators::complete(12);
-        let packing = star_packing(&g, 0);
-        let eta = packing.load(&g);
-        let f = 3;
-        let mut net = Network::new(
-            g.clone(),
-            AdversaryRole::Byzantine,
-            Box::new(RandomMobile::new(f, 11)),
-            CorruptionBudget::Mobile { f },
-            11,
-        );
-        let report =
-            RsScheduler.run_planned(&mut net, &packing, &SchedulePlan::new(&g, &packing), 10);
-        let failures = packing.len() - report.success_count();
-        assert!(
-            failures <= RsScheduler::failure_bound(f, eta),
-            "failures {failures} exceed the Lemma 3.3 bound {}",
-            RsScheduler::failure_bound(f, eta)
-        );
-        // The adversary did act.
-        assert!(net.metrics().corrupted_edge_rounds > 0);
+        for (n, f, seed) in [
+            (12usize, 3usize, 11u64),
+            (16, 1, 23),
+            (16, 2, 23),
+            (24, 3, 31),
+            (32, 4, 39),
+        ] {
+            let g = generators::complete(n);
+            let packing = star_packing(&g, 0);
+            let eta = packing.load(&g);
+            let mut net = Network::new(
+                g.clone(),
+                AdversaryRole::Byzantine,
+                Box::new(RandomMobile::new(f, seed)),
+                CorruptionBudget::Mobile { f },
+                seed,
+            );
+            let report =
+                RsScheduler.run_planned(&mut net, &packing, &SchedulePlan::new(&g, &packing), 10);
+            assert_eq!(report.rounds_used, T_RS * 10 * eta, "K{n} f={f}");
+            let failures = packing.len() - report.success_count();
+            assert!(
+                failures <= RsScheduler::failure_bound(f, eta),
+                "K{n} f={f}: failures {failures} exceed the Lemma 3.3 bound {}",
+                RsScheduler::failure_bound(f, eta)
+            );
+            // The adversary did act.
+            assert!(net.metrics().corrupted_edge_rounds > 0, "K{n} f={f}");
+        }
     }
 
     #[test]

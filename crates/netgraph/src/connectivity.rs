@@ -11,8 +11,9 @@
 //! * **conductance** `φ` — the expander compiler tolerates `f = Õ(kφ)` faults
 //!   with overhead `Õ(r/φ)`.
 //!
-//! These routines compute (exactly, at simulation scale) or estimate those
-//! quantities so experiments can report them alongside measured overheads.
+//! These routines compute those quantities exactly at simulation scale (the
+//! compilers' admissibility checks and packing quality read them), or
+//! estimate the conductance by a sweep.
 
 use crate::graph::{ArcId, EdgeId, Graph, NodeId};
 
@@ -204,24 +205,6 @@ pub(crate) fn min_edge_cut(g: &Graph) -> Vec<EdgeId> {
         .collect()
 }
 
-/// Estimate the tree-packing diameter `D_TP(k)`: the smallest `d` such that all
-/// *adjacent* pairs (a cheaper proxy for all pairs, which is what the
-/// compilers' per-edge correction paths need) have `k` edge-disjoint paths of
-/// length ≤ `d`.  Returns `None` when some adjacent pair does not even have `k`
-/// edge-disjoint paths.
-pub fn estimate_dtp(g: &Graph, k: usize) -> Option<usize> {
-    let mut worst = 0usize;
-    for e in g.edges() {
-        let paths = edge_disjoint_paths(g, e.u, e.v, k);
-        if paths.len() < k {
-            return None;
-        }
-        let longest = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
-        worst = worst.max(longest);
-    }
-    Some(worst)
-}
-
 /// Conductance of the cut `(S, V \ S)`: `|E(S, V\S)| / min(vol(S), vol(V\S))`.
 /// Returns `None` if either side has zero volume.
 pub fn cut_conductance(g: &Graph, in_s: &[bool]) -> Option<f64> {
@@ -343,6 +326,24 @@ fn exact_or_trivial(g: &Graph) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// Estimate the tree-packing diameter `D_TP(k)`: the smallest `d` such that all
+    /// *adjacent* pairs (a cheaper proxy for all pairs, which is what the
+    /// compilers' per-edge correction paths need) have `k` edge-disjoint paths of
+    /// length ≤ `d`.  Returns `None` when some adjacent pair does not even have `k`
+    /// edge-disjoint paths.
+    fn estimate_dtp(g: &Graph, k: usize) -> Option<usize> {
+        let mut worst = 0usize;
+        for e in g.edges() {
+            let paths = edge_disjoint_paths(g, e.u, e.v, k);
+            if paths.len() < k {
+                return None;
+            }
+            let longest = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
+            worst = worst.max(longest);
+        }
+        Some(worst)
+    }
 
     #[test]
     fn disjoint_paths_on_cycle() {

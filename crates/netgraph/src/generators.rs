@@ -555,8 +555,8 @@ pub fn watts_strogatz<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize, beta: f6
 /// A seeded random `d`-regular expander: [`random_regular`] driven by an
 /// internal ChaCha stream, so graph grids can name an expander by `(n, d,
 /// seed)` without threading an RNG through the spec.  For `d ≥ 3` these are
-/// expanders with high probability (the experiments verify conductance
-/// empirically).
+/// expanders with high probability (`connectivity::sweep_conductance`
+/// estimates the conductance of a given draw).
 ///
 /// # Panics
 ///
@@ -624,11 +624,11 @@ pub fn erdos_renyi<R: Rng + ?Sized>(rng: &mut R, n: usize, p: f64) -> Graph {
 
 /// A random `d`-regular(ish) graph generated by the configuration model with
 /// rejection of self-loops and duplicate edges.  For `d ≥ 3` and moderate `n`
-/// these graphs are expanders with high probability; the experiments verify the
-/// conductance empirically rather than assuming it.
+/// these graphs are expanders with high probability; `connectivity::sweep_conductance`
+/// estimates the conductance of a given draw rather than assuming it.
 ///
 /// The result may have a few nodes of degree `d - 1` when the matching gets
-/// stuck; this does not matter for the experiments (minimum degree is reported).
+/// stuck; the compilers read the graph they get, so this does not matter.
 ///
 /// # Panics
 ///

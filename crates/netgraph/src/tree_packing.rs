@@ -658,6 +658,10 @@ mod tests {
         star_packing(&g, 0);
     }
 
+    /// Appendix C / Theorem 3.1: `k` spanning trees, each within the hop
+    /// budget `2·diam + 2` (the `O(D_TP log n)` depth up to constants), at a
+    /// load of `O(log n)` — here at most `⌈log2 n⌉`, and never below the
+    /// [`load_floor`] any packing of `k` trees must pay.
     #[test]
     fn greedy_packing_on_circulant_spans_with_bounded_load() {
         let g = generators::circulant(16, 3); // 6-edge-connected
@@ -670,6 +674,28 @@ mod tests {
         // With 6-connectivity and only 4 trees the load should stay small.
         assert!(p.load(&g) <= 3, "load {} too high", p.load(&g));
         assert!(p.max_height() <= 8);
+
+        for (g, k) in [
+            (generators::complete(16), 8usize),
+            (generators::circulant(20, 3), 4),
+            (generators::circulant(24, 4), 6),
+            (generators::hypercube(5), 4),
+        ] {
+            let n = g.node_count();
+            let p = greedy_low_depth_packing(&g, 0, k, 2);
+            assert_eq!(p.len(), k);
+            assert!(p.trees.iter().all(|t| t.is_spanning(&g)), "n={n} k={k}");
+            assert!(
+                p.max_height() <= 2 * g.diameter().unwrap() + 2,
+                "n={n} k={k}"
+            );
+            let log_n = n.next_power_of_two().trailing_zeros() as usize;
+            let load = p.load(&g);
+            assert!(
+                (load_floor(&g, k)..=log_n).contains(&load),
+                "n={n} k={k}: load {load}"
+            );
+        }
     }
 
     #[test]

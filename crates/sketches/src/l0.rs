@@ -10,8 +10,6 @@
 use crate::one_sparse::{OneSparseCell, OneSparseResult};
 use coding::hashing::KWiseHash;
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Shared randomness for a family of mergeable sketches.
 ///
@@ -207,31 +205,29 @@ impl L0SamplerBank {
     }
 }
 
-/// Convenience used by tests and calibration: estimate the sampling
-/// distribution of an ℓ0 sampler over a fixed support by repeated independent
-/// sketches.
-pub fn empirical_sample_counts(
-    support: &[u64],
-    trials: usize,
-    base_seed: u64,
-) -> std::collections::HashMap<u64, usize> {
-    let mut counts = std::collections::HashMap::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(base_seed);
-    for _ in 0..trials {
-        let mut sk = L0Sampler::new(SketchRandomness::random(&mut rng));
-        for &e in support {
-            sk.update(e, 1);
-        }
-        if let Some(s) = sk.query() {
-            *counts.entry(s).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
+
+    /// The sampling distribution of an ℓ0 sampler over a fixed support,
+    /// from repeated independent sketches.
+    fn empirical_sample_counts(support: &[u64], trials: usize, seed: u64) -> HashMap<u64, usize> {
+        let mut counts = HashMap::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..trials {
+            let mut sk = L0Sampler::new(SketchRandomness::random(&mut rng));
+            for &e in support {
+                sk.update(e, 1);
+            }
+            if let Some(s) = sk.query() {
+                *counts.entry(s).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
 
     #[test]
     fn empty_sketch_returns_none() {
@@ -306,19 +302,24 @@ mod tests {
         a.merge(&b);
     }
 
+    /// Theorem 3.4: a query fails with small constant probability (here
+    /// under 1/8) and returns a near-uniform element of the support.
     #[test]
     fn sampling_is_roughly_uniform() {
-        let support: Vec<u64> = (1..=8).collect();
-        let counts = empirical_sample_counts(&support, 4000, 42);
-        let total: usize = counts.values().sum();
-        assert!(total > 3500, "too many failed queries: {total}");
-        for &e in &support {
-            let c = *counts.get(&e).unwrap_or(&0);
-            let expect = total as f64 / support.len() as f64;
-            assert!(
-                (c as f64) > expect * 0.5 && (c as f64) < expect * 1.7,
-                "element {e} sampled {c} times, expected ≈ {expect}"
-            );
+        for (size, trials, seed) in [(8u64, 4000usize, 42u64), (10, 3000, 9)] {
+            let support: Vec<u64> = (1..=size).collect();
+            let counts = empirical_sample_counts(&support, trials, seed);
+            assert!(counts.keys().all(|e| support.contains(e)));
+            let total: usize = counts.values().sum();
+            assert!(8 * total > 7 * trials, "too many failed queries: {total}");
+            for &e in &support {
+                let c = *counts.get(&e).unwrap_or(&0);
+                let expect = total as f64 / support.len() as f64;
+                assert!(
+                    (c as f64) > expect * 0.5 && (c as f64) < expect * 1.7,
+                    "element {e} sampled {c} times, expected ≈ {expect}"
+                );
+            }
         }
     }
 

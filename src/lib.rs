@@ -69,8 +69,8 @@
 //!   into a replayable one-cell campaign spec, and the `redteam` CLI binary
 //!   (`cargo run --bin redteam`) with sharding and unit-level resume.
 //!
-//! See `README.md` for a guided tour; `benches/experiments.rs` is the
-//! experiment index (E1–E15, one table per theorem).
+//! See `README.md` for a guided tour; the "Paper → module map" of
+//! `docs/ARCHITECTURE.md` names, per theorem, the test that asserts it.
 
 /// Compiles every `rust` code block of `README.md` as a doctest, so the
 /// README's quickstart and harness snippets cannot drift from the real API.

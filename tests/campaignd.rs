@@ -323,6 +323,19 @@ fn api_errors_are_typed_and_named() {
     assert!(body.contains("invalid spec"), "body: {body}");
     assert!(client.jobs().unwrap().jobs.is_empty());
 
+    // So is a float past the `f64` range, naming its field: stored, its
+    // canonical text would hold `inf` and the job could never load again.
+    let overflowing = spec_text().replacen(
+        r#"{"family":"complete","n":8}"#,
+        r#"{"family":"watts-strogatz","n":12,"k":2,"beta":1e999}"#,
+        1,
+    );
+    assert!(overflowing.contains("1e999"));
+    let (status, body) = client.request("POST", "/jobs", Some(&overflowing)).unwrap();
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("beta"), "body: {body}");
+    assert!(client.jobs().unwrap().jobs.is_empty());
+
     // Unknown routes and wrong methods both land on the typed 404.
     let (status, _) = client.request("GET", "/nope", None).unwrap();
     assert_eq!(status, 404);
