@@ -13,13 +13,17 @@
 //!
 //! Recovery protocol ([`Store::load_jobs`]): enumerate the job directories,
 //! re-parse `spec.json` and `state.json`, replay `cells.log` line by line.
-//! Only lines that parse as full [`CellRecord`]s count as done — a torn
-//! trailing line from a crash mid-append is counted in
-//! [`StoredJob::torn_lines`] and its cell simply re-runs (the cell's seed
-//! depends only on its global index, so the re-run is byte-identical).
-//! `cells.log` is append-only and fsync'd per batch; the other three files
-//! are written whole to a temp file, fsync'd and renamed into place, so a
-//! crash at any instant leaves either the old version or the new one.
+//! A line is persisted only once its `\n` is: a crash mid-append leaves a
+//! trailing fragment without one, and recovery truncates `cells.log` back
+//! to its last `\n` and fsyncs before anything appends again, so the next
+//! batch starts on a line of its own.  Only lines that parse as full
+//! [`CellRecord`]s count as done — the cut fragment and any unparseable
+//! line are counted in [`StoredJob::torn_lines`] and their cells simply
+//! re-run (the cell's seed depends only on its global index, so the re-run
+//! is byte-identical).  `cells.log` is append-only and fsync'd per batch;
+//! the other three files are written whole to a temp file, fsync'd and
+//! renamed into place, so a crash at any instant leaves either the old
+//! version or the new one.
 
 use harness::json::{self, Reader};
 use harness::report::{write_atomic, CellRecord};
@@ -68,7 +72,8 @@ pub struct StoredJob {
     pub state: JobState,
     /// Every fully persisted cell record, in log order.
     pub cells: Vec<CellRecord>,
-    /// Unparseable `cells.log` lines (torn writes) that were skipped.
+    /// Unparseable `cells.log` lines that were skipped, a torn tail cut off
+    /// by this replay included.
     pub torn_lines: usize,
 }
 
@@ -151,7 +156,7 @@ impl Store for FsStore {
             .map_err(|e| StoreError::new(&path, e))?;
         // The durability point: the batch is either fully on disk after this
         // returns, or (on a crash before it) at worst a torn trailing line,
-        // which recovery skips and re-runs.
+        // which recovery cuts off and re-runs.
         file.sync_data().map_err(|e| StoreError::new(&path, e))
     }
 
@@ -209,11 +214,17 @@ impl Store for FsStore {
                 Err(e) => return Err(StoreError::new(&state_path, e)),
             };
             let log_path = dir.join("cells.log");
-            let (cells, torn_lines) = match fs::read_to_string(&log_path) {
-                Ok(text) => {
+            let (cells, torn_lines) = match fs::read(&log_path) {
+                Ok(bytes) => {
+                    // Appending behind a torn tail would glue the fragment
+                    // and the next record into one line that never parses.
+                    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    let mut torn = usize::from(whole < bytes.len());
+                    if torn > 0 {
+                        truncate_durably(&log_path, whole as u64)?;
+                    }
                     let mut cells = Vec::new();
-                    let mut torn = 0usize;
-                    for line in text.lines() {
+                    for line in String::from_utf8_lossy(&bytes[..whole]).lines() {
                         if line.trim().is_empty() {
                             continue;
                         }
@@ -238,6 +249,16 @@ impl Store for FsStore {
         jobs.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
         Ok(jobs)
     }
+}
+
+/// Cut the file at `path` to its first `len` bytes and fsync the new size.
+fn truncate_durably(path: &Path, len: u64) -> Result<(), StoreError> {
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .map_err(|e| StoreError::new(path, e))?;
+    file.set_len(len).map_err(|e| StoreError::new(path, e))?;
+    file.sync_all().map_err(|e| StoreError::new(path, e))
 }
 
 /// Parse the `state.json` document.
@@ -342,6 +363,16 @@ mod tests {
         assert_eq!(jobs[0].cells.len(), 1, "only the intact record counts");
         assert_eq!(jobs[0].torn_lines, 1);
         assert_eq!(jobs[0].state, JobState::Queued, "no state file yet");
+
+        // Recovery cut the fragment, so the requeued cells' batch appends
+        // whole lines and a second restart loads every record.
+        store
+            .append_cells(&fp, &[record(1).to_json(), record(2).to_json()])
+            .unwrap();
+        let jobs = store.load_jobs().unwrap();
+        let indices: Vec<usize> = jobs[0].cells.iter().map(|c| c.index).collect();
+        assert_eq!(indices, [0, 1, 2], "every appended record is loaded");
+        assert_eq!(jobs[0].torn_lines, 0, "the fragment is gone from the log");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -42,8 +42,8 @@ fn tables() -> &'static Tables {
 
 /// An element of GF(2^8).
 ///
-/// `repr(transparent)` over the raw byte so slices of elements can be handed
-/// to the byte-oriented SIMD kernels in [`crate::kernels`] without copying.
+/// `repr(transparent)` over the raw byte, so the SSSE3 kernel in
+/// [`crate::kernels`] loads sixteen elements as one vector.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[repr(transparent)]
 pub struct Gf256(pub u8);
@@ -119,11 +119,7 @@ impl Field for Gf256 {
     }
 
     fn addmul_slice(acc: &mut [Self], src: &[Self], c: Self) {
-        // Sound because Gf256 is repr(transparent) over u8.
-        let acc_bytes =
-            unsafe { std::slice::from_raw_parts_mut(acc.as_mut_ptr() as *mut u8, acc.len()) };
-        let src_bytes = unsafe { std::slice::from_raw_parts(src.as_ptr() as *const u8, src.len()) };
-        crate::kernels::gf256_addmul(acc_bytes, src_bytes, c.0);
+        crate::kernels::gf256_addmul(acc, src, c);
     }
 }
 

@@ -176,8 +176,25 @@ fn killed_server_resumes_without_reexecuting_completed_cells() {
 
     // And the resumed result is still byte-identical to the one-shot run.
     let expected = one_shot(&spec);
-    assert_eq!(done.report_fingerprint, Some(expected.report_fingerprint));
+    assert_eq!(
+        done.report_fingerprint.as_ref(),
+        Some(&expected.report_fingerprint)
+    );
     assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
+
+    // A second restart serves the same finished job from disk alone: the
+    // requeued cells' first batch must not have been glued onto the torn
+    // fragment, or that record would be lost to a job that never re-runs.
+    let (again, client) = server_on(&data_dir, 1);
+    let served = client.status(&fingerprint).unwrap();
+    assert_eq!(served.state, JobState::Done);
+    assert_eq!(served.cells_done, total);
+    assert_eq!(again.executed(), 0, "a finished job never re-runs");
+    assert_eq!(served.report_fingerprint, Some(expected.report_fingerprint));
+    assert_eq!(
+        client.trajectory(&fingerprint).unwrap(),
+        expected.trajectory
+    );
 
     let _ = std::fs::remove_dir_all(&data_dir);
 }
