@@ -8,9 +8,13 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Longest accepted request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
+/// Longest a served connection may block on one read or write: a client
+/// that connects and sends nothing must not hold an HTTP thread for good.
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Largest accepted request body (campaign specs are a few KB).
 const MAX_BODY: usize = 8 * 1024 * 1024;
 

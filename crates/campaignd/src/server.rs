@@ -528,6 +528,9 @@ fn status_of(fingerprint: &str, job: &Job) -> JobStatus {
 }
 
 fn serve_connection(inner: &Arc<Inner>, mut stream: std::net::TcpStream) {
+    // Long-polls wait after the read, so the timeouts never cut them short.
+    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
     let response = match http::read_request(&mut stream) {
         Ok(request) => route(inner, &request),
         Err(e) => Response::json(400, ApiError { error: e }.to_json()),

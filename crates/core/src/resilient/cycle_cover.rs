@@ -530,7 +530,7 @@ mod tests {
     /// The pre-plan `run`, kept as the oracle: per colour class it walks the
     /// cover, orients every path as a node sequence per instance, rebuilds
     /// each round with `Traffic::send` from per-hop `Option<Payload>` holders
-    /// and votes with `interactive_coding::majority`.
+    /// and votes with `interactive_coding::most_frequent`.
     fn run_by_send<A: CongestAlgorithm + ?Sized>(
         cover: &FtCycleCover,
         coloring: &BTreeMap<EdgeId, usize>,
@@ -670,7 +670,7 @@ mod tests {
 
         arrived
             .iter()
-            .map(|values| interactive_coding::majority(values))
+            .map(|values| interactive_coding::most_frequent(values).cloned())
             .collect()
     }
 
@@ -914,7 +914,7 @@ mod tests {
             for (instance, values) in listed.iter().enumerate() {
                 prop_assert_eq!(
                     tally.plurality(instance).map(<[u64]>::to_vec),
-                    interactive_coding::majority(values)
+                    interactive_coding::most_frequent(values).cloned()
                 );
             }
         }

@@ -16,7 +16,10 @@ use mobile_congest::harness::campaign::{cell_json, summary_json};
 use mobile_congest::harness::json::fnv1a_hex;
 use mobile_congest::harness::report::{trajectory_header, CellRecord};
 use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn spec_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/e16-small.json");
@@ -364,6 +367,41 @@ fn api_errors_are_typed_and_named() {
     let (status, body) = client.request("GET", "/healthz", None).unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("\"ok\":true"));
+
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A client that connects and sends nothing holds an HTTP thread only until
+/// the server's read timeout: with every HTTP thread so held, `/healthz`
+/// still answers.
+#[test]
+fn idle_connections_on_every_http_thread_do_not_stall_the_api() {
+    let data_dir = temp_data_dir("idle");
+    let mut config = Config::new(&data_dir);
+    config.workers = 0;
+    config.quiet = true;
+    let threads = config.http_threads;
+    let handle = start(config).expect("server starts");
+    let idle: Vec<TcpStream> = (0..threads)
+        .map(|_| TcpStream::connect(handle.addr()).expect("idle connection"))
+        .collect();
+
+    let mut probe = TcpStream::connect(handle.addr()).expect("probe connection");
+    // Bounded, so a server that never answers fails the test, not hangs it.
+    probe
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut reply = String::new();
+    let read = probe.read_to_string(&mut reply);
+    assert!(
+        read.is_ok(),
+        "no /healthz answer behind {threads} idle connections: {read:?}"
+    );
+    assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
+    drop(idle);
 
     let _ = std::fs::remove_dir_all(&data_dir);
 }
