@@ -18,7 +18,7 @@ pub enum JobState {
     Queued,
     /// At least one cell batch has executed; more remain.
     Running,
-    /// Every cell is stored and the summary is finalized.
+    /// Every cell is stored and the report is finalized.
     Done,
     /// Cancelled via `DELETE /jobs/{fp}`; completed cells remain stored and
     /// a resubmission resumes from them.

@@ -9,8 +9,13 @@
 //! an in-memory queue, and drained by a pool of worker threads.  Each worker
 //! executes its batch through [`Campaign::run_cells`] — the same entry point
 //! the CLI's `--shard`/`--resume` paths use — flattens the cells to
-//! [`CellRecord`]s and appends them to the fsync'd store before marking them
-//! done in memory.
+//! [`CellRecord`]s, encodes each once, hands the batch to the committer
+//! thread and starts its next batch at once.  The committer group-commits:
+//! it drains every executed batch waiting, appends each job's share to the
+//! fsync'd store in one call outside the jobs lock, and only once that
+//! append returned `Ok` marks the cells done in memory (durability before
+//! visibility).  So the fsync overlaps the next batch's execution, and
+//! batches that queued behind one fsync share the next.
 //!
 //! # Determinism contract
 //!
@@ -59,8 +64,9 @@ pub struct Config {
     pub workers: usize,
     /// Threads serving HTTP connections.
     pub http_threads: usize,
-    /// Cells per batch (the durability granularity: a batch is fsync'd as
-    /// one append).
+    /// Cells per batch (the durability granularity: a batch costs at most
+    /// one fsync'd append, and batches that wait for the committer together
+    /// share one).
     pub batch_size: usize,
     /// Suppress stderr diagnostics.
     pub quiet: bool,
@@ -124,6 +130,12 @@ struct Batch {
     indices: Vec<usize>,
 }
 
+/// An executed batch waiting for the committer: its cells, encoded once.
+struct Executed {
+    fingerprint: String,
+    cells: Vec<DoneCell>,
+}
+
 struct Inner {
     store: Box<dyn Store>,
     jobs: Mutex<BTreeMap<String, Job>>,
@@ -132,13 +144,15 @@ struct Inner {
     jobs_cv: Condvar,
     queue: Mutex<VecDeque<Batch>>,
     queue_cv: Condvar,
+    /// Executed batches to the committer thread, in execution order.
+    commits: mpsc::Sender<Executed>,
     /// Cells executed by the engine in this server process — the
     /// zero-re-execution recovery contract is asserted against this.
     executed: AtomicUsize,
     batch_size: usize,
-    /// Upper bound on batches per enqueue: each batch pays a lock round
-    /// trip and an fsync'd append, so huge jobs get proportionally bigger
-    /// batches rather than proportionally more of them.
+    /// Upper bound on batches per enqueue: each batch pays lock round
+    /// trips and up to one fsync'd append, so huge jobs get proportionally
+    /// bigger batches rather than proportionally more of them.
     max_batches: usize,
     quiet: bool,
     /// One compile-artifact cache for the whole daemon: every job's
@@ -157,8 +171,10 @@ impl Inner {
 
 /// A handle on a started server: the resolved address plus the process-level
 /// execution counter.  Dropping the handle does **not** stop the server;
-/// the accept loop and workers run until process exit (the server is a
-/// daemon, not a scoped task).
+/// the accept loop, the workers and the committer thread run until process
+/// exit (the server is a daemon, not a scoped task).  A graceful shutdown
+/// would have to drain the committer's queue before exiting: executed cells
+/// waiting there are not yet durable.
 pub struct Handle {
     addr: SocketAddr,
     inner: Arc<Inner>,
@@ -195,15 +211,22 @@ pub fn shard_batches(pending: &[usize], of: usize) -> Vec<Vec<usize>> {
 }
 
 /// Start a server: open (and replay) the store, bind the listener, spawn
-/// the worker pool and the HTTP threads.
+/// the worker pool, the committer and the HTTP threads.
 pub fn start(config: Config) -> Result<Handle, String> {
     let store = FsStore::open(&config.data_dir).map_err(|e| e.to_string())?;
+    start_on(config, Box::new(store))
+}
+
+/// [`start`] over a given store (`config.data_dir` is not read).
+fn start_on(config: Config, store: Box<dyn Store>) -> Result<Handle, String> {
+    let (commits, incoming) = mpsc::channel();
     let inner = Arc::new(Inner {
-        store: Box::new(store),
+        store,
         jobs: Mutex::new(BTreeMap::new()),
         jobs_cv: Condvar::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
+        commits,
         executed: AtomicUsize::new(0),
         batch_size: config.batch_size.max(1),
         max_batches: (config.workers.max(1) * 4).max(8),
@@ -223,6 +246,13 @@ pub fn start(config: Config) -> Result<Handle, String> {
             .name(format!("campaignd-worker-{worker}"))
             .spawn(move || worker_loop(&inner))
             .map_err(|e| format!("cannot spawn worker: {e}"))?;
+    }
+    {
+        let inner = Arc::clone(&inner);
+        std::thread::Builder::new()
+            .name("campaignd-committer".to_string())
+            .spawn(move || committer_loop(&inner, &incoming))
+            .map_err(|e| format!("cannot spawn committer: {e}"))?;
     }
 
     // Bounded connection hand-off: the accept loop blocks once every HTTP
@@ -386,14 +416,10 @@ fn fingerprint_of(job: &Job) -> String {
     )
 }
 
-/// Complete a job: persist the summary, flip the state to done, cache the
-/// report fingerprint.  Caller holds the jobs lock.
+/// Complete a job: persist the done state, cache the report fingerprint.
+/// Caller holds the jobs lock.
 fn finalize(inner: &Inner, fingerprint: &str, job: &mut Job) {
-    if let Err(e) = inner
-        .store
-        .put_summary(fingerprint, &summary_jsonl(job))
-        .and_then(|()| inner.store.set_state(fingerprint, JobState::Done))
-    {
+    if let Err(e) = inner.store.set_state(fingerprint, JobState::Done) {
         fail_job(inner, fingerprint, job, e.to_string());
         return;
     }
@@ -436,7 +462,7 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 /// Execute one batch: re-check the job, run the still-missing cells through
-/// the engine, persist, account.
+/// the engine, hand them to the committer.
 fn process_batch(inner: &Arc<Inner>, batch: Batch) {
     let (campaign, todo) = {
         let mut jobs = inner.jobs.lock().expect("jobs lock");
@@ -459,13 +485,8 @@ fn process_batch(inner: &Arc<Inner>, batch: Batch) {
             }
             return;
         }
-        if job.state != JobState::Running {
-            job.state = JobState::Running;
-            if let Err(e) = inner.store.set_state(&batch.fingerprint, JobState::Running) {
-                fail_job(inner, &batch.fingerprint, job, e.to_string());
-                return;
-            }
-        }
+        // In memory only: recovery requeues `queued` and `running` alike.
+        job.state = JobState::Running;
         (Arc::clone(&job.campaign), todo)
     };
 
@@ -482,29 +503,63 @@ fn process_batch(inner: &Arc<Inner>, batch: Batch) {
             DoneCell { record, line }
         })
         .collect();
-    let lines: Vec<String> = cells.iter().map(|d| d.line.clone()).collect();
     inner.executed.fetch_add(cells.len(), Ordering::SeqCst);
+    inner
+        .commits
+        .send(Executed {
+            fingerprint: batch.fingerprint,
+            cells,
+        })
+        .expect("the committer runs until process exit");
+}
 
-    // Durability before visibility: the fsync'd append happens before the
-    // cells are marked done in memory.
-    let append = inner.store.append_cells(&batch.fingerprint, &lines);
+/// Committer thread: group-commit executed batches forever.  Everything
+/// waiting is taken at once and merged per job, so batches that queued
+/// behind one fsync share the next.
+fn committer_loop(inner: &Inner, incoming: &mpsc::Receiver<Executed>) {
+    while let Ok(first) = incoming.recv() {
+        let mut per_job: Vec<Executed> = Vec::new();
+        for executed in std::iter::once(first).chain(incoming.try_iter()) {
+            match per_job
+                .iter_mut()
+                .find(|e| e.fingerprint == executed.fingerprint)
+            {
+                Some(job) => job.cells.extend(executed.cells),
+                None => per_job.push(executed),
+            }
+        }
+        for executed in per_job {
+            commit(inner, executed);
+        }
+    }
+}
+
+/// Persist one job's executed cells, then publish them: durability before
+/// visibility — the fsync'd append returns before the jobs lock is taken
+/// and the cells are marked done in memory.
+fn commit(inner: &Inner, executed: Executed) {
+    let (records, lines): (Vec<CellRecord>, Vec<String>) = executed
+        .cells
+        .into_iter()
+        .map(|d| (d.record, d.line))
+        .unzip();
+    let append = inner.store.append_cells(&executed.fingerprint, &lines);
     let mut jobs = inner.jobs.lock().expect("jobs lock");
-    let Some(job) = jobs.get_mut(&batch.fingerprint) else {
+    let Some(job) = jobs.get_mut(&executed.fingerprint) else {
         return;
     };
     if let Err(e) = append {
-        fail_job(inner, &batch.fingerprint, job, e.to_string());
+        fail_job(inner, &executed.fingerprint, job, e.to_string());
         return;
     }
-    for cell in cells {
-        if let std::collections::btree_map::Entry::Vacant(slot) = job.done.entry(cell.record.index)
-        {
-            tally(&mut job.counts, &cell.record);
-            slot.insert(cell);
+    for (record, line) in records.into_iter().zip(lines) {
+        if let std::collections::btree_map::Entry::Vacant(slot) = job.done.entry(record.index) {
+            tally(&mut job.counts, &record);
+            slot.insert(DoneCell { record, line });
         }
     }
     if !job.state.is_terminal() && pending_indices(job).is_empty() {
-        finalize(inner, &batch.fingerprint, job);
+        finalize(inner, &executed.fingerprint, job);
     }
 }
 
@@ -671,11 +726,9 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         ),
         Err(e) => return error_response(400, format!("invalid spec: {e}")),
     };
-    if let Err(e) = inner
-        .store
-        .put_spec(&fingerprint, &spec.to_json())
-        .and_then(|()| inner.store.set_state(&fingerprint, JobState::Queued))
-    {
+    // The spec alone is a queued job on disk: a missing `state.json` loads
+    // as `queued`.
+    if let Err(e) = inner.store.put_spec(&fingerprint, &spec.to_json()) {
         return error_response(500, e.to_string());
     }
     let job = Job {
@@ -787,6 +840,159 @@ fn query(inner: &Arc<Inner>, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::store::{StoreError, StoredJob};
+    use std::time::Instant;
+
+    /// A gate the test holds shut: `append_cells` blocks on it.
+    #[derive(Default)]
+    struct Latch {
+        open: Mutex<bool>,
+        cv: Condvar,
+        /// `append_cells` calls that reached the gate.
+        arrived: AtomicUsize,
+    }
+
+    /// An [`FsStore`] whose appends wait for the test to open the latch,
+    /// then fail if `fail_appends` is set.
+    struct LatchedStore {
+        fs: FsStore,
+        latch: Arc<Latch>,
+        fail_appends: bool,
+    }
+
+    impl Store for LatchedStore {
+        fn put_spec(&self, fingerprint: &str, spec_json: &str) -> Result<(), StoreError> {
+            self.fs.put_spec(fingerprint, spec_json)
+        }
+        fn set_state(&self, fingerprint: &str, state: JobState) -> Result<(), StoreError> {
+            self.fs.set_state(fingerprint, state)
+        }
+        fn append_cells(&self, fingerprint: &str, lines: &[String]) -> Result<(), StoreError> {
+            self.latch.arrived.fetch_add(1, Ordering::SeqCst);
+            let mut open = self.latch.open.lock().unwrap();
+            while !*open {
+                open = self.latch.cv.wait(open).unwrap();
+            }
+            drop(open);
+            if self.fail_appends {
+                return Err(StoreError {
+                    path: PathBuf::from(fingerprint),
+                    reason: "injected append failure".to_string(),
+                });
+            }
+            self.fs.append_cells(fingerprint, lines)
+        }
+        fn load_jobs(&self) -> Result<Vec<StoredJob>, StoreError> {
+            self.fs.load_jobs()
+        }
+    }
+
+    /// Poll `ready` for up to 20 s.
+    fn eventually(ready: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !ready() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        true
+    }
+
+    /// Four cells, so `batch_size: 1` makes four batches.
+    const FOUR_CELLS: &str = r#"{"kind":"campaign-spec","seed":11,"repetitions":4,"grid":{
+        "graphs":[{"family":"complete","n":6}],
+        "adversaries":[{"kind":"random-mobile","f":1}],
+        "compilers":[{"id":"uncompiled"}],
+        "payload":{"kind":"exchange-ids"}}}"#;
+
+    /// A one-worker, one-cell-per-batch server over a [`LatchedStore`] in a
+    /// fresh directory named by `tag`.
+    fn latched_server(tag: &str, latch: &Arc<Latch>, fail_appends: bool) -> (Handle, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("campaignd-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = LatchedStore {
+            fs: FsStore::open(&dir).unwrap(),
+            latch: Arc::clone(latch),
+            fail_appends,
+        };
+        let mut config = Config::new(&dir);
+        config.workers = 1;
+        config.batch_size = 1;
+        config.quiet = true;
+        (start_on(config, Box::new(store)).unwrap(), dir)
+    }
+
+    #[test]
+    fn cells_show_only_after_their_append_and_execution_overlaps_it() {
+        let spec = CampaignSpec::from_json(FOUR_CELLS).unwrap();
+        let fp = spec.fingerprint();
+        let lines: String = Campaign::from_spec(&spec)
+            .unwrap()
+            .threads(1)
+            .run()
+            .cells
+            .iter()
+            .map(|cell| CellRecord::of(cell).to_json() + "\n")
+            .collect();
+        let one_shot = harness::json::fnv1a_hex(lines.bytes());
+
+        let latch = Arc::new(Latch::default());
+        let (handle, dir) = latched_server("latch", &latch, false);
+        let client = Client::new(handle.addr().to_string());
+        client.submit(FOUR_CELLS).unwrap();
+
+        // One cell per batch: the committer holds the first in the shut
+        // append while the worker runs on into the second.
+        assert!(
+            eventually(|| latch.arrived.load(Ordering::SeqCst) >= 1 && handle.executed() > 1),
+            "the worker stopped behind the held append (executed {})",
+            handle.executed()
+        );
+        let held = client.status(&fp).unwrap();
+        assert_eq!(held.cells_done, 0, "a cell showed before its append");
+        assert_eq!(held.report_fingerprint, None);
+        assert!(!held.state.is_terminal());
+        assert_eq!(
+            client.trajectory(&fp).unwrap(),
+            trajectory_header(&spec) + "\n"
+        );
+        assert_eq!(client.summary(&fp).unwrap(), "");
+        let mut query = crate::api_types::QueryParams::new("network_rounds", "mean");
+        query.jobs = vec![fp.clone()];
+        assert!(client.query(&query).unwrap().rows.is_empty());
+
+        *latch.open.lock().unwrap() = true;
+        latch.cv.notify_all();
+        let done = client.watch(&fp, 25, |_| {}).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        assert_eq!(done.cells_done, spec.cell_count());
+        assert_eq!(done.report_fingerprint, Some(one_shot));
+        assert_eq!(handle.executed(), spec.cell_count());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_append_error_fails_the_job_and_shows_no_cell() {
+        let latch = Arc::new(Latch::default());
+        *latch.open.lock().unwrap() = true;
+        let (handle, dir) = latched_server("append-error", &latch, true);
+        let client = Client::new(handle.addr().to_string());
+        let fp = client.submit(FOUR_CELLS).unwrap().fingerprint;
+        let failed = client.watch(&fp, 25, |_| {}).unwrap();
+        assert_eq!(failed.state, JobState::Failed);
+        assert_eq!(failed.cells_done, 0);
+        assert!(
+            failed
+                .error
+                .as_deref()
+                .is_some_and(|e| e.contains("injected append failure")),
+            "{:?}",
+            failed.error
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn shard_batches_partition_like_campaign_shard() {

@@ -8,20 +8,27 @@
 //!     spec.json       canonical CampaignSpec::to_json   (atomic rename)
 //!     state.json      {"kind":"job-state","state":...}  (atomic rename)
 //!     cells.log       one CellRecord JSON line per cell (append + fsync)
-//!     summary.jsonl   kind:"summary" lines              (atomic rename, on completion)
 //! ```
+//!
+//! `spec.json` alone is a queued job: a missing `state.json` reads as
+//! `queued`.  The server writes `state.json` only for a terminal job
+//! (`done`, `cancelled`, `failed`) and for one resubmitted out of a terminal
+//! state (`queued`); it never writes `running`, but reads it (older stores
+//! hold it) and requeues it like `queued`.  A `summary.jsonl` that older
+//! stores hold beside these files is never read: summaries are computed
+//! from the cell records.
 //!
 //! Recovery protocol ([`Store::load_jobs`]): enumerate the job directories,
 //! re-parse `spec.json` and `state.json`, replay `cells.log` line by line.
 //! A line is persisted only once its `\n` is: a crash mid-append leaves a
 //! trailing fragment without one, and recovery truncates `cells.log` back
 //! to its last `\n` and fsyncs before anything appends again, so the next
-//! batch starts on a line of its own.  Only lines that parse as full
+//! append starts on a line of its own.  Only lines that parse as full
 //! [`CellRecord`]s count as done — the cut fragment and any unparseable
 //! line are counted in [`StoredJob::torn_lines`] and their cells simply
 //! re-run (the cell's seed depends only on its global index, so the re-run
-//! is byte-identical).  `cells.log` is append-only and fsync'd per batch;
-//! the other three files are written whole to a temp file, fsync'd and
+//! is byte-identical).  `cells.log` is append-only and fsync'd per append;
+//! the other two files are written whole to a temp file, fsync'd and
 //! renamed into place, so a crash at any instant leaves either the old
 //! version or the new one.
 
@@ -79,8 +86,12 @@ pub struct StoredJob {
 
 /// The persistence contract of the campaign server.  One method per
 /// durability point; [`Store::load_jobs`] is the crash-recovery replay.
+/// The server persists only what recovery reads: the spec, the cells, and
+/// a state wherever the default `queued` would be wrong (a terminal state,
+/// or `queued` again over one).
 pub trait Store: Send + Sync {
-    /// Persist a job's canonical spec JSON (atomic; creates the job).
+    /// Persist a job's canonical spec JSON (atomic; creates the job, which
+    /// loads as `queued` until a state is set).
     fn put_spec(&self, fingerprint: &str, spec_json: &str) -> Result<(), StoreError>;
     /// Persist a job's lifecycle state (atomic).
     fn set_state(&self, fingerprint: &str, state: JobState) -> Result<(), StoreError>;
@@ -90,10 +101,6 @@ pub trait Store: Send + Sync {
     /// once and keep the lines; the server reuses them to fingerprint the
     /// finished report without re-serializing every record.
     fn append_cells(&self, fingerprint: &str, lines: &[String]) -> Result<(), StoreError>;
-    /// Persist the finalized summary JSONL (atomic).
-    fn put_summary(&self, fingerprint: &str, summary_jsonl: &str) -> Result<(), StoreError>;
-    /// Read a job's finalized summary, if present.
-    fn summary(&self, fingerprint: &str) -> Result<Option<String>, StoreError>;
     /// Replay the whole store (see the module docs for the protocol).
     fn load_jobs(&self) -> Result<Vec<StoredJob>, StoreError>;
 }
@@ -158,22 +165,6 @@ impl Store for FsStore {
         // returns, or (on a crash before it) at worst a torn trailing line,
         // which recovery cuts off and re-runs.
         file.sync_data().map_err(|e| StoreError::new(&path, e))
-    }
-
-    fn put_summary(&self, fingerprint: &str, summary_jsonl: &str) -> Result<(), StoreError> {
-        Self::write_atomic(
-            &self.job_dir(fingerprint).join("summary.jsonl"),
-            summary_jsonl,
-        )
-    }
-
-    fn summary(&self, fingerprint: &str) -> Result<Option<String>, StoreError> {
-        let path = self.job_dir(fingerprint).join("summary.jsonl");
-        match fs::read_to_string(&path) {
-            Ok(text) => Ok(Some(text)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(StoreError::new(&path, e)),
-        }
     }
 
     fn load_jobs(&self) -> Result<Vec<StoredJob>, StoreError> {
@@ -326,7 +317,6 @@ mod tests {
             .append_cells(&fp, &[record(0).to_json(), record(1).to_json()])
             .unwrap();
         store.append_cells(&fp, &[record(2).to_json()]).unwrap();
-        store.put_summary(&fp, "summary-line\n").unwrap();
         store.set_state(&fp, JobState::Done).unwrap();
 
         let jobs = FsStore::open(&dir).unwrap().load_jobs().unwrap();
@@ -337,10 +327,6 @@ mod tests {
         assert_eq!(job.state, JobState::Done);
         assert_eq!(job.cells.len(), 3);
         assert_eq!(job.torn_lines, 0);
-        assert_eq!(
-            store.summary(&fp).unwrap().as_deref(),
-            Some("summary-line\n")
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

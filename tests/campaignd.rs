@@ -137,69 +137,109 @@ fn killed_server_resumes_without_reexecuting_completed_cells() {
     let text = spec_text();
     let spec = CampaignSpec::from_json(&text).unwrap();
     let fingerprint = spec.fingerprint();
-    let campaign = Campaign::from_spec(&spec).unwrap().threads(1);
-    let total = campaign.cell_count();
-
-    // What a crashed server would have left behind: the spec, a `running`
-    // state, the even cells fully persisted, and a torn trailing line (a
-    // partial write of cell 1 interrupted mid-append).
-    let evens: Vec<usize> = (0..total).step_by(2).collect();
-    let done_lines: Vec<String> = campaign
-        .run_cells(&evens)
-        .cells
-        .iter()
-        .map(|cell| CellRecord::of(cell).to_json())
-        .collect();
-    let data_dir = temp_data_dir("recovery");
-    let store = FsStore::open(&data_dir).unwrap();
-    store.put_spec(&fingerprint, &spec.to_json()).unwrap();
-    store.set_state(&fingerprint, JobState::Running).unwrap();
-    store.append_cells(&fingerprint, &done_lines).unwrap();
-    {
-        use std::io::Write;
-        let mut log = std::fs::OpenOptions::new()
-            .append(true)
-            .open(data_dir.join("jobs").join(&fingerprint).join("cells.log"))
-            .unwrap();
-        write!(log, "{{\"kind\":\"cell-record\",\"index\":1,\"gra").unwrap();
-    }
-    drop(store);
-
-    // Restart: recovery must requeue exactly the odd cells (the torn cell
-    // never persisted, so it re-runs) and never touch the persisted evens.
-    let (handle, client) = server_on(&data_dir, 1);
-    let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
-    assert_eq!(done.state, JobState::Done);
-    assert_eq!(done.cells_done, total);
-    assert_eq!(
-        handle.executed(),
-        total - evens.len(),
-        "a recovered server must execute exactly the missing cells"
-    );
-
-    // And the resumed result is still byte-identical to the one-shot run.
     let expected = one_shot(&spec);
-    assert_eq!(
-        done.report_fingerprint.as_ref(),
-        Some(&expected.report_fingerprint)
-    );
-    assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
+    let total = spec.cell_count();
+    let line_of = |index: usize| CellRecord::of(&expected.report.cells[index]).to_json();
 
-    // A second restart serves the same finished job from disk alone: the
-    // requeued cells' first batch must not have been glued onto the torn
-    // fragment, or that record would be lost to a job that never re-runs.
-    let (again, client) = server_on(&data_dir, 1);
-    let served = client.status(&fingerprint).unwrap();
-    assert_eq!(served.state, JobState::Done);
-    assert_eq!(served.cells_done, total);
-    assert_eq!(again.executed(), 0, "a finished job never re-runs");
-    assert_eq!(served.report_fingerprint, Some(expected.report_fingerprint));
-    assert_eq!(
-        client.trajectory(&fingerprint).unwrap(),
-        expected.trajectory
-    );
+    // Every on-disk shape a job can be left in, each in its own store:
+    // (a) `spec.json` alone — submitted, never run: how a queued job sits
+    //     on disk;
+    // (b) what older servers left: `state.json` = `running`, the first half
+    //     of the cells, and a stale, wrong `summary.jsonl` that must not be
+    //     served;
+    // (c) a crash mid-append: a `running` state, the even cells fully
+    //     persisted, and a torn trailing line (a partial write of cell 1).
+    let evens: Vec<usize> = (0..total).step_by(2).collect();
+    let shapes: [(&str, Vec<usize>); 3] = [
+        ("spec-only", Vec::new()),
+        ("older-server", (0..total / 2).collect()),
+        ("torn-tail", evens),
+    ];
+    for (tag, stored) in shapes {
+        let data_dir = temp_data_dir(&format!("recovery-{tag}"));
+        let store = FsStore::open(&data_dir).unwrap();
+        store.put_spec(&fingerprint, &spec.to_json()).unwrap();
+        let lines: Vec<String> = stored.iter().map(|&i| line_of(i)).collect();
+        store.append_cells(&fingerprint, &lines).unwrap();
+        let job_dir = data_dir.join("jobs").join(&fingerprint);
+        match tag {
+            "spec-only" => {
+                let files: Vec<_> = std::fs::read_dir(&job_dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name())
+                    .collect();
+                assert_eq!(files, ["spec.json"], "an empty append creates no log");
+            }
+            "older-server" => {
+                store.set_state(&fingerprint, JobState::Running).unwrap();
+                std::fs::write(
+                    job_dir.join("summary.jsonl"),
+                    "{\"kind\":\"summary\",\"graph\":\"stale\"}\n",
+                )
+                .unwrap();
+            }
+            _ => {
+                store.set_state(&fingerprint, JobState::Running).unwrap();
+                let mut log = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(job_dir.join("cells.log"))
+                    .unwrap();
+                write!(log, "{{\"kind\":\"cell-record\",\"index\":1,\"gra").unwrap();
+            }
+        }
+        drop(store);
 
-    let _ = std::fs::remove_dir_all(&data_dir);
+        // Restart: recovery must requeue exactly the missing cells (a torn
+        // cell never persisted, so it re-runs) and never touch stored ones.
+        let (handle, client) = server_on(&data_dir, 1);
+        let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
+        assert_eq!(done.state, JobState::Done, "{tag}");
+        assert_eq!(done.cells_done, total, "{tag}");
+        assert_eq!(
+            handle.executed(),
+            total - stored.len(),
+            "{tag}: a recovered server must execute exactly the missing cells"
+        );
+
+        // And the resumed result is still byte-identical to the one-shot run.
+        assert_eq!(
+            done.report_fingerprint.as_ref(),
+            Some(&expected.report_fingerprint),
+            "{tag}"
+        );
+        assert_eq!(
+            client.summary(&fingerprint).unwrap(),
+            expected.summary,
+            "{tag}"
+        );
+
+        // A second restart serves the same finished job from disk alone:
+        // the requeued cells' first append must not have been glued onto a
+        // torn fragment, or that record would be lost to a job that never
+        // re-runs.
+        let (again, client) = server_on(&data_dir, 1);
+        let served = client.status(&fingerprint).unwrap();
+        assert_eq!(served.state, JobState::Done, "{tag}");
+        assert_eq!(served.cells_done, total, "{tag}");
+        assert_eq!(again.executed(), 0, "{tag}: a finished job never re-runs");
+        assert_eq!(
+            served.report_fingerprint.as_ref(),
+            Some(&expected.report_fingerprint),
+            "{tag}"
+        );
+        assert_eq!(
+            client.summary(&fingerprint).unwrap(),
+            expected.summary,
+            "{tag}"
+        );
+        assert_eq!(
+            client.trajectory(&fingerprint).unwrap(),
+            expected.trajectory,
+            "{tag}"
+        );
+
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
 }
 
 #[test]
