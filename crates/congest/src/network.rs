@@ -68,7 +68,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The next [`PatternId::scope`]: process-wide, so a serial never repeats for
 /// any strategy, whichever network it ends up in.
@@ -443,11 +442,12 @@ impl RoundSource for Held<'_> {
 }
 
 /// The round-synchronous network simulator.
+///
+/// The network never mutates its graph.  Compilers that need the graph
+/// beside a `&mut Network` take `net.graph().clone()`: a [`Graph`] clone is
+/// a reference-count bump that shares the data and the structural memos.
 pub struct Network {
-    /// Shared, never mutated: compilers that need the graph beside a
-    /// `&mut Network` take a handle ([`Network::shared_graph`]) instead of a
-    /// deep copy.
-    graph: Arc<Graph>,
+    graph: Graph,
     role: AdversaryRole,
     strategy: Box<dyn AdversaryStrategy>,
     budget: CorruptionBudget,
@@ -477,7 +477,7 @@ impl std::fmt::Debug for Network {
 
 impl Network {
     /// A fault-free network over `graph`.
-    pub fn fault_free(graph: impl Into<Arc<Graph>>) -> Self {
+    pub fn fault_free(graph: Graph) -> Self {
         Network::new(
             graph,
             AdversaryRole::Byzantine,
@@ -493,13 +493,12 @@ impl Network {
     /// corrupted payloads (the nodes' randomness is separate and never exposed
     /// to the adversary).
     pub fn new(
-        graph: impl Into<Arc<Graph>>,
+        graph: Graph,
         role: AdversaryRole,
         strategy: Box<dyn AdversaryStrategy>,
         budget: CorruptionBudget,
         seed: u64,
     ) -> Self {
-        let graph = graph.into();
         let metrics = Metrics::new(&graph);
         Network {
             graph,
@@ -547,12 +546,6 @@ impl Network {
     /// The communication graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// A handle on the communication graph that does not borrow the network
-    /// (a reference-count bump, not a copy of the adjacency lists).
-    pub fn shared_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.graph)
     }
 
     /// The adversary's role (eavesdropper or byzantine).

@@ -574,8 +574,9 @@ impl core::fmt::Display for CompilerNotes {
 /// Everything in here is a pure function of the graph and the compiler's own
 /// parameters — never of the run seed or the adversary — so one value can be
 /// shared across every `(seed, adversary)` cell of a campaign grid.  The
-/// carried graph has its CSR adjacency index forced, so clones of it start
-/// warm; compiler-specific state (a tree packing, a prebuilt correction
+/// carried graph is a clone of the prepared one, so it shares that graph's
+/// data and structural memos, and its CSR adjacency index is forced;
+/// compiler-specific state (a tree packing, a prebuilt correction
 /// compiler, a cycle cover) rides along as an opaque `Any` payload that the
 /// owning compiler downcasts back in [`Compiler::execute`].
 pub struct CompileArtifacts {
@@ -604,8 +605,10 @@ impl CompileArtifacts {
         artifacts
     }
 
-    /// The prepared graph, CSR index already built.  Cloning it clones the
-    /// warm index, so per-cell networks skip the CSR rebuild.
+    /// The prepared graph, CSR index already built.  Every clone of it (the
+    /// per-cell networks and payloads) shares its memos, so the CSR index,
+    /// the minimum cut and the diameter are computed once per graph, not
+    /// once per cell.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -1483,7 +1486,8 @@ pub mod matrix {
     ///
     /// `verdict` optionally supplies the `(graph, compiler)` pair's [`Verdict`]
     /// (the campaign artifact cache does).  With `Some(Ok(..))` the scenario
-    /// runs on the artifacts' CSR-warmed graph, with `Some(Err(..))` the cell
+    /// and its payload run on clones of the artifacts' graph, which share its
+    /// warm memos, with `Some(Err(..))` the cell
     /// is that error (a role mismatch still takes precedence), and with
     /// `None` [`Compiler::prepare`] runs inside the cell.  Because a verdict
     /// is a pure function of `(graph, compiler)`, all three produce
@@ -1497,12 +1501,12 @@ pub mod matrix {
         trace: obs::TraceSpec,
         verdict: Option<Verdict>,
     ) -> Result<RunReport, ScenarioError> {
-        let payload_graph = graph.clone();
         let graph = match &verdict {
-            Some(Ok(artifacts)) => artifacts.graph().clone(),
-            _ => payload_graph.clone(),
+            Some(Ok(artifacts)) => artifacts.graph(),
+            _ => graph,
         };
-        let mut builder = Scenario::on(graph)
+        let payload_graph = graph.clone();
+        let mut builder = Scenario::on(graph.clone())
             .payload_boxed(move || payload(&payload_graph))
             .adversary_boxed(
                 adversary.role(),

@@ -92,7 +92,7 @@ impl RewindCompiler {
         A: CongestAlgorithm,
         F: Fn() -> A,
     {
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         let start = net.round();
         let r = make_alg().rounds();
         let global_rounds = self.slack * r.max(1);

@@ -331,7 +331,7 @@ pub fn sparse_majority_correction(
     sparsity: usize,
     seed: u64,
 ) -> (Traffic, CorrectionReport) {
-    let g = net.shared_graph();
+    let g = net.graph().clone();
     let start = net.round();
     let dtp = ctx.dtp;
     let k = packing.len();
@@ -457,7 +457,7 @@ pub fn l0_threshold_correction(
     samplers_per_tree: usize,
     seed: u64,
 ) -> (Traffic, CorrectionReport) {
-    let g = net.shared_graph();
+    let g = net.graph().clone();
     let start = net.round();
     let dtp = ctx.dtp;
     let k = packing.len();

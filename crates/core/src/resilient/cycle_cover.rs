@@ -538,7 +538,7 @@ mod tests {
         alg: &mut A,
         net: &mut Network,
     ) -> (Vec<Output>, CycleCoverReport) {
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         let start = net.round();
         let r = alg.rounds();
         let dilation = cover.dilation().max(1);
@@ -615,7 +615,7 @@ mod tests {
         instances: &[FloodInstance],
         window: usize,
     ) -> Vec<Option<Payload>> {
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         let dilation = instances
             .iter()
             .flat_map(|i| i.paths.iter().map(|p| p.len() - 1))

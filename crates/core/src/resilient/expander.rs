@@ -44,7 +44,7 @@ pub fn weak_packing_under_attack(
     bfs_rounds: usize,
     seed: u64,
 ) -> (TreePacking, WeakPackingReport) {
-    let g = net.shared_graph();
+    let g = net.graph().clone();
     let n = g.node_count();
     let root: NodeId = n - 1;
     let start = net.round();

@@ -92,7 +92,7 @@ pub fn mobile_secure_broadcast(
     packing: &TreePacking,
 ) -> Result<(Vec<Option<Vec<u64>>>, SecureBroadcastReport), KeyScheduleError> {
     assert!(!secret.is_empty(), "secret must be non-empty");
-    let g = net.shared_graph();
+    let g = net.graph().clone();
     let n = g.node_count();
     let start = net.round();
 
@@ -282,7 +282,7 @@ impl CongestionSensitiveCompiler {
         packing: &TreePacking,
         memo: bool,
     ) -> Result<(Vec<Output>, SecureCompilerReport), KeyScheduleError> {
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         let r = alg.rounds();
         let cong = alg.congestion_bound().unwrap_or(r);
         let start = net.round();

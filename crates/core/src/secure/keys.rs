@@ -216,7 +216,7 @@ impl KeyPool {
                 rounds,
                 threshold: t,
             })?;
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         net.tracer_mut().span_open(obs::Phase::KeySchedule);
         let chunks_per_round = words_per_message * CHUNKS_PER_WORD;
         let arcs = g.arc_count();

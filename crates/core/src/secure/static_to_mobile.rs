@@ -82,7 +82,7 @@ impl StaticToMobileCompiler {
         alg: &mut A,
         net: &mut Network,
     ) -> Result<(Vec<Output>, MobileSecureReport), KeyScheduleError> {
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         let r = alg.rounds();
         // Phase 1: establish one-time pads (ℓ = r + t exchange rounds).
         let pool = KeyPool::establish(net, self.seed, r, self.words_per_message, self.t)?;

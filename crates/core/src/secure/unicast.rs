@@ -81,7 +81,7 @@ pub fn mobile_secure_multicast(
     instances: &[UnicastInstance],
     seed: u64,
 ) -> UnicastReport {
-    let g = net.shared_graph();
+    let g = net.graph().clone();
     let r = instances.len();
     assert!(
         instances.iter().all(|i| i.source != i.target),
@@ -227,7 +227,7 @@ pub(crate) fn plain_unicast_baseline(
     target: NodeId,
     secret: u64,
 ) -> Option<u64> {
-    let g = net.shared_graph();
+    let g = net.graph().clone();
     let path = netgraph::traversal::bfs(&g, source).path_to(target)?;
     let mut carried = Some(secret);
     for w in path.windows(2) {

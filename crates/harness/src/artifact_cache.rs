@@ -4,12 +4,18 @@
 //!
 //! A campaign grid runs every compiler against every graph under several
 //! adversaries and seed repetitions, but [`Compiler::prepare`] — the
-//! compiler's judgement of the graph, then the graph clone, CSR index, tree
-//! packings, wrapped compiler instances — is keyed by the `(graph,
-//! compiler)` pair alone.  The cache computes each pair's verdict **exactly
-//! once** (the preparing worker holds the pair's shard lock, so concurrent
-//! workers block rather than duplicate the work) and hands every other cell
-//! of the pair a clone: an `Arc` share of the artifacts, or the typed error.
+//! compiler's judgement of the graph, then tree packings, wrapped compiler
+//! instances — is keyed by the `(graph, compiler)` pair alone.  The cache
+//! computes each pair's verdict **exactly once** (the preparing worker holds
+//! the pair's shard lock, so concurrent workers block rather than duplicate
+//! the work) and hands every other cell of the pair a clone: an `Arc` share
+//! of the artifacts, or the typed error.
+//!
+//! The graph the artifacts carry is a `Graph` clone, a reference-count bump,
+//! so it is not what the cache saves: the graph's structural memos (CSR
+//! index, minimum cut, diameter) are shared by every clone of the campaign's
+//! graph, cached or not, and are computed once per graph by whichever cell
+//! or `prepare` asks first.
 //!
 //! Keys are the **spec-layer canonical JSON** of the two defs
 //! ([`crate::spec::graph_to_json`] / [`crate::spec::compiler_to_json`]), not

@@ -363,7 +363,7 @@ mod tests {
         packing: &TreePacking,
         rounds_per_protocol: usize,
     ) -> FamilyRunReport {
-        let g = net.shared_graph();
+        let g = net.graph().clone();
         let users: Vec<Vec<usize>> = (0..g.edge_count())
             .map(|e| packing.trees_using_edge(e))
             .collect();

@@ -6,7 +6,7 @@
 //! indices so that protocol state can live in flat vectors.
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node: a dense index in `[0, n)`.
 pub type NodeId = usize;
@@ -92,7 +92,7 @@ pub struct CsrIndex {
 }
 
 impl CsrIndex {
-    fn build(g: &Graph) -> Self {
+    fn build(g: &GraphData) -> Self {
         let mut offsets = Vec::with_capacity(g.n + 1);
         let mut entries = Vec::with_capacity(2 * g.edges.len());
         offsets.push(0);
@@ -142,8 +142,19 @@ impl CsrIndex {
 }
 
 /// An undirected simple graph with dense node and edge indices.
-#[derive(Debug, Clone, Default)]
+///
+/// The data lives behind one `Arc`, so a clone is a reference-count bump and
+/// every clone of one graph shares its structural memos ([`Graph::csr`],
+/// [`Graph::min_cut`], [`Graph::diameter`]): whichever clone asks first fills
+/// them, once, for all.  [`Graph::add_edge`] copies the data only while it is
+/// shared and resets the memos of its own copy.
+#[derive(Clone, Default)]
 pub struct Graph {
+    inner: Arc<GraphData>,
+}
+
+#[derive(Clone, Default)]
+struct GraphData {
     n: usize,
     edges: Vec<Edge>,
     /// adjacency[u] = sorted list of (neighbor, edge id)
@@ -156,14 +167,29 @@ pub struct Graph {
     diameter: OnceLock<Option<usize>>,
 }
 
+impl std::fmt::Debug for Graph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = &*self.inner;
+        f.debug_struct("Graph")
+            .field("n", &g.n)
+            .field("edges", &g.edges)
+            .field("adjacency", &g.adjacency)
+            .field("csr", &g.csr)
+            .field("min_cut", &g.min_cut)
+            .field("diameter", &g.diameter)
+            .finish()
+    }
+}
+
 impl Graph {
     /// Create a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
         Graph {
-            n,
-            edges: Vec::new(),
-            adjacency: vec![Vec::new(); n],
-            ..Graph::default()
+            inner: Arc::new(GraphData {
+                n,
+                adjacency: vec![Vec::new(); n],
+                ..GraphData::default()
+            }),
         }
     }
 
@@ -178,22 +204,22 @@ impl Graph {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.inner.n
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.inner.edges.len()
     }
 
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        0..self.n
+        0..self.inner.n
     }
 
     /// Slice of all edges, indexed by [`EdgeId`].
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.inner.edges
     }
 
     /// The edge with the given id.
@@ -202,7 +228,7 @@ impl Graph {
     ///
     /// Panics if `e` is out of range.
     pub fn edge(&self, e: EdgeId) -> Edge {
-        self.edges[e]
+        self.inner.edges[e]
     }
 
     /// Add an undirected edge; returns its id, or the existing id if the edge
@@ -212,19 +238,22 @@ impl Graph {
     ///
     /// Panics if either endpoint is out of range or `a == b`.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> EdgeId {
-        assert!(a < self.n && b < self.n, "endpoint out of range");
+        assert!(
+            a < self.inner.n && b < self.inner.n,
+            "endpoint out of range"
+        );
         assert!(a != b, "self-loops are not allowed");
         if let Some(e) = self.edge_between(a, b) {
             return e;
         }
-        let e = Edge::new(a, b);
-        let id = self.edges.len();
-        self.edges.push(e);
-        self.adjacency[a].push((b, id));
-        self.adjacency[b].push((a, id));
-        self.csr = OnceLock::new();
-        self.min_cut = OnceLock::new();
-        self.diameter = OnceLock::new();
+        let g = Arc::make_mut(&mut self.inner);
+        let id = g.edges.len();
+        g.edges.push(Edge::new(a, b));
+        g.adjacency[a].push((b, id));
+        g.adjacency[b].push((a, id));
+        g.csr = OnceLock::new();
+        g.min_cut = OnceLock::new();
+        g.diameter = OnceLock::new();
         id
     }
 
@@ -232,7 +261,7 @@ impl Graph {
     /// and cached until the graph is mutated.  Hot round-engine loops iterate
     /// this instead of the per-node adjacency vectors.
     pub fn csr(&self) -> &CsrIndex {
-        self.csr.get_or_init(|| CsrIndex::build(self))
+        self.inner.csr.get_or_init(|| CsrIndex::build(&self.inner))
     }
 
     /// The edge ids of one global minimum edge cut, in increasing order (the
@@ -243,7 +272,8 @@ impl Graph {
     /// compiler that asks for `λ` or for the witness on one graph shares one
     /// `n − 1`-sink max-flow sweep.
     pub fn min_cut(&self) -> &[EdgeId] {
-        self.min_cut
+        self.inner
+            .min_cut
             .get_or_init(|| crate::connectivity::min_edge_cut(self))
     }
 
@@ -252,36 +282,37 @@ impl Graph {
     /// cached until the graph is mutated.
     pub fn diameter(&self) -> Option<usize> {
         *self
+            .inner
             .diameter
             .get_or_init(|| crate::traversal::all_pairs_diameter(self))
     }
 
     /// Neighbours of `u` together with the connecting edge ids.
     pub fn neighbors(&self, u: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adjacency[u]
+        &self.inner.adjacency[u]
     }
 
     /// Degree of `u`.
     pub fn degree(&self, u: NodeId) -> usize {
-        self.adjacency[u].len()
+        self.inner.adjacency[u].len()
     }
 
     /// Minimum degree over all nodes (0 for the empty graph).
     pub fn min_degree(&self) -> usize {
-        (0..self.n).map(|u| self.degree(u)).min().unwrap_or(0)
+        (0..self.inner.n).map(|u| self.degree(u)).min().unwrap_or(0)
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.n).map(|u| self.degree(u)).max().unwrap_or(0)
+        (0..self.inner.n).map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
     /// Edge id between `a` and `b`, if present.
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        if a >= self.n || b >= self.n {
+        if a >= self.inner.n || b >= self.inner.n {
             return None;
         }
-        self.adjacency[a]
+        self.inner.adjacency[a]
             .iter()
             .find(|&&(v, _)| v == b)
             .map(|&(_, e)| e)
@@ -298,7 +329,7 @@ impl Graph {
     ///
     /// Panics if `from`/`to` are not the endpoints of `e`.
     pub fn arc(&self, e: EdgeId, from: NodeId, to: NodeId) -> ArcId {
-        let edge = self.edges[e];
+        let edge = self.inner.edges[e];
         assert!(
             (edge.u == from && edge.v == to) || (edge.u == to && edge.v == from),
             "arc endpoints {from}->{to} do not match edge {edge:?}"
@@ -352,7 +383,7 @@ impl Graph {
     /// Decompose an arc id into `(edge, from, to)`.
     pub fn arc_endpoints(&self, arc: ArcId) -> (EdgeId, NodeId, NodeId) {
         let e = arc / 2;
-        let edge = self.edges[e];
+        let edge = self.inner.edges[e];
         if arc.is_multiple_of(2) {
             (e, edge.u, edge.v)
         } else {
@@ -362,14 +393,14 @@ impl Graph {
 
     /// Total number of directed arcs (`2m`).
     pub fn arc_count(&self) -> usize {
-        2 * self.edges.len()
+        2 * self.inner.edges.len()
     }
 
     /// The subgraph induced by keeping only the given edges (same node set).
     pub fn edge_subgraph(&self, keep: &[EdgeId]) -> Graph {
-        let mut g = Graph::new(self.n);
+        let mut g = Graph::new(self.inner.n);
         for &e in keep {
-            let Edge { u, v } = self.edges[e];
+            let Edge { u, v } = self.inner.edges[e];
             g.add_edge(u, v);
         }
         g
@@ -378,8 +409,8 @@ impl Graph {
     /// The graph obtained by removing the given edges (same node set).
     pub fn remove_edges(&self, remove: &[EdgeId]) -> Graph {
         let removed: BTreeSet<EdgeId> = remove.iter().copied().collect();
-        let mut g = Graph::new(self.n);
-        for (id, &Edge { u, v }) in self.edges.iter().enumerate() {
+        let mut g = Graph::new(self.inner.n);
+        for (id, &Edge { u, v }) in self.inner.edges.iter().enumerate() {
             if !removed.contains(&id) {
                 g.add_edge(u, v);
             }
@@ -389,7 +420,7 @@ impl Graph {
 
     /// All edges incident to node `u`.
     pub fn incident_edges(&self, u: NodeId) -> Vec<EdgeId> {
-        self.adjacency[u].iter().map(|&(_, e)| e).collect()
+        self.inner.adjacency[u].iter().map(|&(_, e)| e).collect()
     }
 }
 
@@ -484,7 +515,7 @@ mod tests {
         g.add_edge(1, 2);
         assert_eq!(g.csr().degree(2), 1);
         assert_eq!(g.csr().neighbors(2)[0].neighbor, 1);
-        // A clone keeps its own (consistent) index.
+        // A clone sees the same (consistent) index.
         let h = g.clone();
         assert_eq!(h.csr().entries().len(), 4);
     }
@@ -498,13 +529,73 @@ mod tests {
         // Re-adding an edge that exists changes nothing.
         g.add_edge(0, 3);
         assert_eq!((g.min_cut().len(), g.diameter()), (2, Some(2)));
-        // A clone carries the memo of the graph it copies, no more.
-        let mut h = Graph::from_edges(3, &[(0, 1)]);
-        assert_eq!((h.min_cut(), h.diameter()), (&[][..], None));
-        let frozen = h.clone();
-        h.add_edge(1, 2);
+        // A clone shares the data and the memos until it mutates: then it
+        // copies the data, resets its own memos and leaves the original's
+        // data and memos as they were.
+        let h = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         assert_eq!((h.min_cut().len(), h.diameter()), (1, Some(2)));
-        assert_eq!((frozen.min_cut().len(), frozen.diameter()), (0, None));
+        let (csr, cut) = (h.csr() as *const CsrIndex, h.min_cut() as *const [EdgeId]);
+        let mut grown = h.clone();
+        grown.add_edge(2, 0);
+        assert_eq!((grown.min_cut().len(), grown.diameter()), (2, Some(1)));
+        assert_eq!(grown.csr().entries().len(), 6);
+        assert_eq!(
+            (h.edge_count(), h.degree(2), h.csr().entries().len()),
+            (2, 1, 4)
+        );
+        assert_eq!((h.min_cut().len(), h.diameter()), (1, Some(2)));
+        assert!(std::ptr::eq(h.csr(), csr) && std::ptr::eq(h.min_cut(), cut));
+    }
+
+    #[test]
+    fn clones_share_one_memo_set() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let (csr, cut) = (g.csr(), g.min_cut());
+        let h = g.clone();
+        assert!(std::ptr::eq(h.csr(), csr));
+        assert!(std::ptr::eq(h.min_cut(), cut));
+        // A memo a clone fills is the original's too.
+        let d = h.clone().diameter();
+        assert_eq!(d, Some(2));
+        assert_eq!(g.inner.diameter.get(), Some(&d));
+    }
+
+    #[test]
+    fn memos_filled_by_racing_clones_equal_the_single_thread_values() {
+        let build = || crate::generators::torus(6, 7);
+        let solo = build();
+        let expected = (
+            solo.diameter(),
+            solo.min_cut().to_vec(),
+            solo.csr().entries().to_vec(),
+        );
+        let g = build();
+        let clones: Vec<Graph> = (0..8).map(|_| g.clone()).collect();
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = clones
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    s.spawn(move || {
+                        // Half the threads ask in the other order, so the
+                        // first fill of every memo races against the others.
+                        if i % 2 == 0 {
+                            let d = g.diameter();
+                            (d, g.min_cut(), g.csr())
+                        } else {
+                            let csr = g.csr();
+                            let cut = g.min_cut();
+                            (g.diameter(), cut, csr)
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (d, cut, csr) in answers {
+            assert_eq!((d, cut.to_vec(), csr.entries().to_vec()), expected);
+            assert!(std::ptr::eq(csr, g.csr()) && std::ptr::eq(cut, g.min_cut()));
+        }
     }
 
     #[test]
