@@ -215,8 +215,9 @@ fn run() -> Result<(), String> {
             report.skipped_count(),
             report.all_protected_cells_agree(),
         ));
-        // Cache effectiveness, for humans and for the CI quality gate (which
-        // greps this stderr line).  Traced runs bypass the cache, so a zero
+        // Cache effectiveness, for humans and for
+        // `tests/cli.rs::artifact_cache_reports_hits_on_a_repeated_grid`
+        // (which reads this stderr line).  Traced runs bypass the cache, so a zero
         // lookup count there is expected, not a bug.
         if let Some(cache) = campaign.artifact_cache_handle() {
             diag(format!(

@@ -1,12 +1,16 @@
 //! Scenario-as-data acceptance tests: the checked-in specs round-trip
 //! through the hand-rolled JSON layer and run to pinned fingerprints, the
-//! union of all shards equals the unsharded run, and a payload a grid graph
-//! cannot run is a typed error before anything runs.
+//! union of all shards equals the unsharded run, the `campaign` binary writes
+//! the pinned bytes at any thread count with the cache on or off, and a
+//! payload a grid graph cannot run is a typed error before anything runs.
 
 use mobile_congest::harness::campaign::{cell_json, summary_json};
 use mobile_congest::harness::json::fnv1a_hex;
 use mobile_congest::harness::report::trajectory_header;
 use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec, PayloadDef, SpecError};
+
+mod common;
+use common::TempDir;
 
 fn checked_in_spec_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/e16-small.json");
@@ -29,7 +33,6 @@ fn checked_in_spec_is_golden() {
     assert_eq!(spec.cell_count(), 3 * 3 * 3 * 2);
 }
 
-/// The secure-compiler CI gate's spec, pinned as a test:
 /// `specs/secure-gossip-small.json` runs token dissemination under both
 /// secrecy compilers on a torus and a clique.  The report fingerprint covers
 /// every output word, round count and adversary metric of the grid; it was
@@ -98,7 +101,12 @@ fn spec_report_fingerprints_are_golden() {
 /// cell).  The pins above hash the live report's `Debug` form; these hash
 /// what the encoders make of it, and were captured from the CLI's own output
 /// files before the cell record became the one `kind:"cell"` encoder and the
-/// one summary aggregator.
+/// one summary aggregator.  Each spec is checked twice over: through the
+/// library's encoders, and by running the `campaign` binary itself at
+/// `--threads 1`, at `--threads 4` and at `--threads 1 --no-cache`.  Since
+/// every line's counts, `status` and `agrees` are in the pinned bytes, this
+/// is the determinism gate for thread count and artifact cache, and it fixes
+/// every cell of `cycle-cover-small` and `secure-gossip-small` to agree.
 #[test]
 fn campaign_cli_bytes_are_golden() {
     const GOLDEN: [(&str, &str, &str); 6] = [
@@ -141,15 +149,44 @@ fn campaign_cli_bytes_are_golden() {
             (trajectory_pin.to_string(), stdout_pin.to_string()),
             "specs/{name}.json: (trajectory, stdout) bytes drifted"
         );
+
+        // The binary itself writes the same bytes at one thread and at four,
+        // with the artifact cache on and off.
+        let dir = TempDir::new(&format!("golden-{name}"));
+        for mode in [
+            &["--threads", "1"][..],
+            &["--threads", "4"],
+            &["--threads", "1", "--no-cache"],
+        ] {
+            let out = dir.join("trajectory.jsonl");
+            let run = common::run(
+                dir.command(env!("CARGO_BIN_EXE_campaign"))
+                    .arg("--spec")
+                    .arg(&path)
+                    .arg("--out")
+                    .arg(&out)
+                    .arg("--quiet")
+                    .args(mode),
+            )
+            .ok();
+            assert_eq!(
+                (
+                    fnv1a_hex(common::file_text(&out).bytes()),
+                    fnv1a_hex(run.stdout.bytes())
+                ),
+                (trajectory_pin.to_string(), stdout_pin.to_string()),
+                "`campaign --spec specs/{name}.json {}`: (trajectory, stdout) bytes drifted",
+                mode.join(" ")
+            );
+        }
     }
 }
 
-/// The CI quality gate's spec, pinned as a test: `specs/frontier-small-world.json`
-/// A/Bs tree-packing v1 vs v2 on the PR-3 frontier cell (sparse small world ×
-/// targeted heaviest-edge adversaries).  v1's failure stays pinned as the
-/// baseline; v2 must fully correct every cell.  The CI pipeline runs the same
-/// spec through the campaign CLI, but this test is the gate: the step's
-/// negated greps could not fail it and were removed.
+/// `specs/frontier-small-world.json` A/Bs tree-packing v1 vs v2 on the PR-3
+/// frontier cell (sparse small world × targeted heaviest-edge adversaries).
+/// v1's failure stays pinned as the baseline; v2 must fully correct every
+/// cell.  `campaign_cli_bytes_are_golden` pins what the CLI writes for the
+/// same spec.
 #[test]
 fn frontier_spec_pins_v1_failure_and_v2_full_correction() {
     let path = concat!(
@@ -207,14 +244,13 @@ fn frontier_spec_pins_v1_failure_and_v2_full_correction() {
     }
 }
 
-/// The async CI gate's spec, pinned as a test: `specs/async-partial-sync.json`
-/// runs the flood-broadcast payload through the asynchronous execution
-/// runtime under delay, reorder and crash-recovery schedules on a small grid
-/// and a circulant ring.  The CI pipeline runs the same spec through the
-/// campaign CLI, but this test is the gate (the step's negated greps could
-/// not fail it and were removed): every async cell completes (no node starves
-/// under any schedule), and crash-recovery cells under the eavesdropper still
-/// reach full agreement with the fault-free reference.
+/// `specs/async-partial-sync.json` runs the flood-broadcast payload through
+/// the asynchronous execution runtime under delay, reorder and crash-recovery
+/// schedules on a small grid and a circulant ring: every async cell completes
+/// (no node starves under any schedule), and crash-recovery cells under the
+/// eavesdropper still reach full agreement with the fault-free reference.
+/// `campaign_cli_bytes_are_golden` pins what the CLI writes for the same
+/// spec.
 #[test]
 fn async_spec_pins_completion_and_crash_recovery() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/async-partial-sync.json");
@@ -262,7 +298,7 @@ fn async_spec_pins_completion_and_crash_recovery() {
     }
     assert!(
         crash_recoveries > 0,
-        "the crash-recovery gate cells disappeared — update the spec and CI"
+        "the crash-recovery gate cells disappeared — update the spec and this test"
     );
 }
 
