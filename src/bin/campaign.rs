@@ -216,7 +216,7 @@ fn run() -> Result<(), String> {
             report.all_protected_cells_agree(),
         ));
         // Cache effectiveness, for humans and for
-        // `tests/cli.rs::artifact_cache_reports_hits_on_a_repeated_grid`
+        // `tests/cli.rs::campaign_resume_rewrites_the_one_shot_bytes_over_a_torn_half`
         // (which reads this stderr line).  Traced runs bypass the cache, so a zero
         // lookup count there is expected, not a bug.
         if let Some(cache) = campaign.artifact_cache_handle() {
