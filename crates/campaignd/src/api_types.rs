@@ -14,9 +14,9 @@ use mobile_congest_harness as harness;
 /// Lifecycle state of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Submitted and durable; no worker has picked up a batch yet.
+    /// Submitted and durable; the runner has not started its cells yet.
     Queued,
-    /// At least one cell batch has executed; more remain.
+    /// The runner is executing the job's cells; more remain to commit.
     Running,
     /// Every cell is stored and the report is finalized.
     Done,
@@ -52,7 +52,7 @@ impl JobState {
         })
     }
 
-    /// Whether the state is final (no worker will touch the job again
+    /// Whether the state is final (the runner will not touch the job again
     /// without a new submission).
     pub fn is_terminal(&self) -> bool {
         matches!(
@@ -189,7 +189,7 @@ pub struct QueryParams {
     /// Facet name (`overhead`, `network_rounds`, a notes metric, …).
     pub facet: String,
     /// Which statistic of the facet to report
-    /// (`mean`/`stddev`/`min`/`max`/`p10`/`p50`/`p90`/`p99`).
+    /// (`count`/`mean`/`stddev`/`min`/`max`/`p10`/`p50`/`p90`/`p99`).
     pub stat: String,
     /// Keep only groups with this graph display name.
     pub graph: Option<String>,

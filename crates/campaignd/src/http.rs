@@ -84,9 +84,6 @@ fn status_reason(status: u16) -> &'static str {
         201 => "Created",
         400 => "Bad Request",
         404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
         500 => "Internal Server Error",
         _ => "Unknown",
     }

@@ -8,13 +8,13 @@
 //! - [`store`] — an append-only, fsync'd filesystem store keyed by spec
 //!   fingerprint, with atomic-rename writes and a replay-on-startup
 //!   recovery protocol.
-//! - [`server`] — the job queue and in-process worker pool.  Cells are
-//!   batched with the same `index % of` partition as the CLI's `--shard`,
-//!   executed through [`harness::Campaign::run_cells`] and persisted before
-//!   they become visible, so a server-run campaign is byte-identical (same
-//!   summary, trajectory and report fingerprint) to the one-shot CLI run,
-//!   and a SIGKILLed server resumes without re-executing any completed
-//!   cell.
+//! - [`server`] — the job queue and its one runner thread.  A job's pending
+//!   cells run as at most eight contiguous batches, each through
+//!   [`harness::Campaign::run_cells`] on the engine's threads, and are
+//!   persisted before they become visible, so a server-run campaign is
+//!   byte-identical (same summary, trajectory and report fingerprint) to the
+//!   one-shot CLI run, and a SIGKILLed server resumes without re-executing
+//!   any completed cell.
 //! - [`http`] — the minimal hand-rolled HTTP/1.1 subset (the workspace is
 //!   offline; no hyper) shared by server and client.
 //! - [`api_types`] — typed request/response documents with JSON codecs

@@ -1,21 +1,30 @@
-//! The campaign server: a durable job queue and in-process worker pool over
-//! the deterministic campaign engine, fronted by the std-only HTTP API.
+//! The campaign server: a durable job queue over the deterministic campaign
+//! engine, fronted by the std-only HTTP API.
 //!
 //! # Execution model
 //!
 //! A submitted [`CampaignSpec`] becomes a durable job keyed by its
-//! fingerprint.  The job's pending cells are split into batches using the
-//! [`Campaign::shard`] partition (`global index % batch_count`), pushed on
-//! an in-memory queue, and drained by a pool of worker threads.  Each worker
-//! executes its batch through [`Campaign::run_cells`] — the same entry point
-//! the CLI's `--shard`/`--resume` paths use — flattens the cells to
-//! [`CellRecord`]s, encodes each once, hands the batch to the committer
-//! thread and starts its next batch at once.  The committer group-commits:
-//! it drains every executed batch waiting, appends each job's share to the
-//! fsync'd store in one call outside the jobs lock, and only once that
-//! append returned `Ok` marks the cells done in memory (durability before
-//! visibility).  So the fsync overlaps the next batch's execution, and
-//! batches that queued behind one fsync share the next.
+//! fingerprint, and the fingerprint joins a FIFO of runnable jobs.  One
+//! runner thread drains that FIFO.  For each job it takes the pending cells
+//! once, in index order, and runs them as at most eight contiguous batches
+//! (`batch_plan`), each through [`Campaign::run_cells`] — the entry point
+//! the CLI's `--shard`/`--resume` paths use — on the job's `workers` engine
+//! threads, so parallelism comes from the engine's work stealing.  Before
+//! each batch the runner re-checks the job's state under the jobs lock: a
+//! job cancelled (or failed) since stops there, which is the whole cancel
+//! mechanism.  The runner flattens each executed cell to a [`CellRecord`],
+//! encodes it once, and hands the batch to the committer thread over a
+//! one-slot channel, then starts its next batch.  The committer
+//! group-commits: it drains every executed batch waiting, appends each
+//! job's share to the fsync'd store in one call outside the jobs lock, and
+//! only once that append returned `Ok` marks the cells done in memory
+//! (durability before visibility).  So the fsync overlaps the next batch's
+//! execution, and batches that queued behind one fsync share the next.
+//!
+//! The durability granularity is the batch: a crash loses at most the
+//! batch in flight (≤ ⌈pending / 8⌉ cells) plus what waits at the
+//! committer, which the one-slot channel bounds to the group being
+//! appended and one batch behind it.
 //!
 //! # Determinism contract
 //!
@@ -23,8 +32,8 @@
 //! global index, so a server-run job is **byte-identical** to the one-shot
 //! CLI run of the same spec — same summary and trajectory bytes, same report
 //! fingerprint (FNV-1a over the records' `to_json` lines in index order) —
-//! regardless of batch size, worker count, restarts, or the order batches
-//! happened to complete in.  Every read walks the job's done records in
+//! regardless of batching, engine threads, restarts, or the order batches
+//! happened to commit in.  Every read walks the job's done records in
 //! place: summaries through [`summaries_of`], trajectory lines through
 //! [`CellRecord::cell_line`], the encoders the CLI writes with.
 //!
@@ -44,7 +53,7 @@ use harness::campaign::summary_json;
 use harness::report::{summaries_of, trajectory_header, CellRecord};
 use harness::{Campaign, CampaignSpec, StatSummary};
 use mobile_congest_harness as harness;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,30 +67,25 @@ pub struct Config {
     pub addr: String,
     /// Store root (the `jobs/` tree is created under it).
     pub data_dir: PathBuf,
-    /// Worker threads draining the batch queue.  `0` starts none — jobs
+    /// Engine threads each batch runs on.  `0` starts no runner — jobs
     /// queue durably but nothing executes (a testing knob; the binaries
     /// always pass at least 1).
     pub workers: usize,
     /// Threads serving HTTP connections.
     pub http_threads: usize,
-    /// Cells per batch (the durability granularity: a batch costs at most
-    /// one fsync'd append, and batches that wait for the committer together
-    /// share one).
-    pub batch_size: usize,
     /// Suppress stderr diagnostics.
     pub quiet: bool,
 }
 
 impl Config {
-    /// Defaults: any free loopback port, one worker per core, 2 HTTP
-    /// threads, 8-cell batches.
+    /// Defaults: any free loopback port, one engine thread per core, 2 HTTP
+    /// threads.
     pub fn new(data_dir: impl Into<PathBuf>) -> Config {
         Config {
             addr: "127.0.0.1:0".to_string(),
             data_dir: data_dir.into(),
             workers: harness::default_threads(),
             http_threads: 2,
-            batch_size: 8,
             quiet: false,
         }
     }
@@ -107,6 +111,10 @@ struct Job {
     /// Cached once the job finalizes (recomputing is O(cells)).
     report_fingerprint: Option<String>,
     error: Option<String>,
+    /// On the runnable FIFO or held by the runner.  A resubmission of a
+    /// scheduled job only flips its state back: the runner's next state
+    /// check sees it and carries on.
+    scheduled: bool,
 }
 
 /// Fold one record into a job's executed / skipped / failed / disagreement
@@ -124,12 +132,6 @@ fn tally(counts: &mut (usize, usize, usize, usize), record: &CellRecord) {
     }
 }
 
-/// One unit of queued work: a slice of a job's pending cells.
-struct Batch {
-    fingerprint: String,
-    indices: Vec<usize>,
-}
-
 /// An executed batch waiting for the committer: its cells, encoded once.
 struct Executed {
     fingerprint: String,
@@ -142,18 +144,17 @@ struct Inner {
     /// Signalled on every job state change; long-polling status requests
     /// (`GET /jobs/{fp}?wait_ms=N`) block on it instead of busy-polling.
     jobs_cv: Condvar,
-    queue: Mutex<VecDeque<Batch>>,
-    queue_cv: Condvar,
-    /// Executed batches to the committer thread, in execution order.
-    commits: mpsc::Sender<Executed>,
+    /// Fingerprints of jobs with cells to run, to the runner thread.
+    runnable: mpsc::Sender<String>,
+    /// Executed batches to the committer thread, in execution order.  One
+    /// slot: past it the runner waits instead of running further ahead of
+    /// durability.
+    commits: mpsc::SyncSender<Executed>,
     /// Cells executed by the engine in this server process — the
     /// zero-re-execution recovery contract is asserted against this.
     executed: AtomicUsize,
-    batch_size: usize,
-    /// Upper bound on batches per enqueue: each batch pays lock round
-    /// trips and up to one fsync'd append, so huge jobs get proportionally
-    /// bigger batches rather than proportionally more of them.
-    max_batches: usize,
+    /// Engine threads per batch ([`Config::workers`]).
+    workers: usize,
     quiet: bool,
     /// One compile-artifact cache for the whole daemon: every job's
     /// campaign shares it, so resubmitted or overlapping specs reuse each
@@ -167,14 +168,33 @@ impl Inner {
             eprintln!("campaignd: {msg}");
         }
     }
+
+    /// A spec's campaign on this server's engine threads and shared
+    /// artifact cache.
+    fn campaign(&self, spec: &CampaignSpec) -> Result<Arc<Campaign>, harness::SpecError> {
+        Ok(Arc::new(
+            Campaign::from_spec(spec)?
+                .threads(self.workers)
+                .artifact_cache(Arc::clone(&self.artifact_cache)),
+        ))
+    }
+
+    /// Put a job on the runnable FIFO.  Caller holds the jobs lock.
+    fn schedule(&self, fingerprint: &str, job: &mut Job) {
+        job.scheduled = true;
+        // Without a runner (`workers: 0`) the receiver is gone and the job
+        // only stays queued.
+        let _ = self.runnable.send(fingerprint.to_string());
+    }
 }
 
 /// A handle on a started server: the resolved address plus the process-level
 /// execution counter.  Dropping the handle does **not** stop the server;
-/// the accept loop, the workers and the committer thread run until process
-/// exit (the server is a daemon, not a scoped task).  A graceful shutdown
-/// would have to drain the committer's queue before exiting: executed cells
-/// waiting there are not yet durable.
+/// the accept loop, the HTTP threads, the runner and the committer run
+/// until process exit (the server is a daemon, not a scoped task).  A
+/// graceful shutdown would have to stop the runner at its next state check
+/// and drain the committer's channel before exiting: executed cells waiting
+/// there are not yet durable.
 pub struct Handle {
     addr: SocketAddr,
     inner: Arc<Inner>,
@@ -195,23 +215,14 @@ impl Handle {
     }
 }
 
-/// The `Campaign::shard` partition of a pending-index set: batch `b` holds
-/// the indices with `index % of == b`.  Batching this way (rather than
-/// chunking contiguously) keeps the server's unit of work identical to the
-/// CLI's `--shard I/OF`, so every durability and determinism argument about
-/// shards carries over verbatim.
-pub fn shard_batches(pending: &[usize], of: usize) -> Vec<Vec<usize>> {
-    let of = of.max(1);
-    let mut batches: Vec<Vec<usize>> = vec![Vec::new(); of];
-    for &index in pending {
-        batches[index % of].push(index);
-    }
-    batches.retain(|b| !b.is_empty());
-    batches
+/// The runner's batches of a job's pending cells (ascending): contiguous
+/// slices of `⌈pending / 8⌉` cells, so a job has at most eight.
+fn batch_plan(pending: &[usize]) -> std::slice::Chunks<'_, usize> {
+    pending.chunks(pending.len().div_ceil(8).max(1))
 }
 
 /// Start a server: open (and replay) the store, bind the listener, spawn
-/// the worker pool, the committer and the HTTP threads.
+/// the runner, the committer and the HTTP threads.
 pub fn start(config: Config) -> Result<Handle, String> {
     let store = FsStore::open(&config.data_dir).map_err(|e| e.to_string())?;
     start_on(config, Box::new(store))
@@ -219,17 +230,16 @@ pub fn start(config: Config) -> Result<Handle, String> {
 
 /// [`start`] over a given store (`config.data_dir` is not read).
 fn start_on(config: Config, store: Box<dyn Store>) -> Result<Handle, String> {
-    let (commits, incoming) = mpsc::channel();
+    let (runnable, jobs_to_run) = mpsc::channel();
+    let (commits, incoming) = mpsc::sync_channel(1);
     let inner = Arc::new(Inner {
         store,
         jobs: Mutex::new(BTreeMap::new()),
         jobs_cv: Condvar::new(),
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
+        runnable,
         commits,
         executed: AtomicUsize::new(0),
-        batch_size: config.batch_size.max(1),
-        max_batches: (config.workers.max(1) * 4).max(8),
+        workers: config.workers,
         quiet: config.quiet,
         artifact_cache: Arc::new(harness::ArtifactCache::new()),
     });
@@ -240,12 +250,16 @@ fn start_on(config: Config, store: Box<dyn Store>) -> Result<Handle, String> {
         TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
-    for worker in 0..config.workers {
+    if config.workers > 0 {
         let inner = Arc::clone(&inner);
         std::thread::Builder::new()
-            .name(format!("campaignd-worker-{worker}"))
-            .spawn(move || worker_loop(&inner))
-            .map_err(|e| format!("cannot spawn worker: {e}"))?;
+            .name("campaignd-runner".to_string())
+            .spawn(move || {
+                for fingerprint in jobs_to_run {
+                    run_job(&inner, &fingerprint);
+                }
+            })
+            .map_err(|e| format!("cannot spawn runner: {e}"))?;
     }
     {
         let inner = Arc::clone(&inner);
@@ -297,12 +311,9 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
     let stored = inner.store.load_jobs().map_err(|e| e.to_string())?;
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     for job in stored {
-        let campaign = Arc::new(
-            Campaign::from_spec(&job.spec)
-                .map_err(|e| format!("job {}: {e}", job.fingerprint))?
-                .threads(1)
-                .artifact_cache(Arc::clone(&inner.artifact_cache)),
-        );
+        let campaign = inner
+            .campaign(&job.spec)
+            .map_err(|e| format!("job {}: {e}", job.fingerprint))?;
         let total = campaign.cell_count();
         let mut done = BTreeMap::new();
         let mut counts = (0, 0, 0, 0);
@@ -336,6 +347,7 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
             counts,
             report_fingerprint: None,
             error: None,
+            scheduled: false,
         };
         if entry.state == JobState::Done {
             entry.report_fingerprint = Some(fingerprint_of(&entry));
@@ -351,13 +363,12 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
                 ));
             } else {
                 entry.state = JobState::Queued;
-                let batches = enqueue_pending(inner, &job.fingerprint, &pending);
+                inner.schedule(&job.fingerprint, &mut entry);
                 inner.log(format!(
-                    "recovered job {}: {} cells done, requeued {} cell(s) in {} batch(es)",
+                    "recovered job {}: {} cells done, requeued {} cell(s)",
                     job.fingerprint,
                     entry.done.len(),
-                    pending.len(),
-                    batches
+                    pending.len()
                 ));
             }
         }
@@ -373,27 +384,6 @@ fn pending_indices(job: &Job) -> Vec<usize> {
         .into_iter()
         .filter(|i| !job.done.contains_key(i))
         .collect()
-}
-
-/// Queue the pending cells as shard batches; returns the batch count.
-/// Callers must hold no queue lock and should notify after mutating jobs.
-fn enqueue_pending(inner: &Inner, fingerprint: &str, pending: &[usize]) -> usize {
-    let of = pending
-        .len()
-        .div_ceil(inner.batch_size)
-        .clamp(1, inner.max_batches);
-    let batches = shard_batches(pending, of);
-    let count = batches.len();
-    let mut queue = inner.queue.lock().expect("queue lock");
-    for indices in batches {
-        queue.push_back(Batch {
-            fingerprint: fingerprint.to_string(),
-            indices,
-        });
-    }
-    drop(queue);
-    inner.queue_cv.notify_all();
-    count
 }
 
 /// The job's summary block (one `kind:"summary"` line per grid cell) over
@@ -445,72 +435,56 @@ fn fail_job(inner: &Inner, fingerprint: &str, job: &mut Job, error: String) {
     let _ = inner.store.set_state(fingerprint, JobState::Failed);
 }
 
-/// Worker thread: drain batches forever.
-fn worker_loop(inner: &Arc<Inner>) {
-    loop {
-        let batch = {
-            let mut queue = inner.queue.lock().expect("queue lock");
-            loop {
-                if let Some(batch) = queue.pop_front() {
-                    break batch;
-                }
-                queue = inner.queue_cv.wait(queue).expect("queue wait");
-            }
-        };
-        process_batch(inner, batch);
-    }
-}
-
-/// Execute one batch: re-check the job, run the still-missing cells through
-/// the engine, hand them to the committer.
-fn process_batch(inner: &Arc<Inner>, batch: Batch) {
-    let (campaign, todo) = {
-        let mut jobs = inner.jobs.lock().expect("jobs lock");
-        let Some(job) = jobs.get_mut(&batch.fingerprint) else {
-            return;
-        };
-        // Cancelled (or failed) between enqueue and pickup: drop the batch.
-        if job.state.is_terminal() {
-            return;
-        }
-        let todo: Vec<usize> = batch
-            .indices
-            .iter()
-            .copied()
-            .filter(|i| !job.done.contains_key(i))
-            .collect();
-        if todo.is_empty() {
-            if pending_indices(job).is_empty() {
-                finalize(inner, &batch.fingerprint, job);
-            }
-            return;
-        }
-        // In memory only: recovery requeues `queued` and `running` alike.
-        job.state = JobState::Running;
-        (Arc::clone(&job.campaign), todo)
+/// Run one job's pending cells, taken once at pickup, batch by batch
+/// through the engine, each executed batch to the committer.
+fn run_job(inner: &Inner, fingerprint: &str) {
+    let (campaign, pending) = {
+        let jobs = inner.jobs.lock().expect("jobs lock");
+        let job = &jobs[fingerprint];
+        (Arc::clone(&job.campaign), pending_indices(job))
     };
-
-    // The actual work happens outside every lock — including the record
-    // encode, which is done exactly once per cell and reused for both the
-    // durable append and the finished-report fingerprint.
-    let report = campaign.run_cells(&todo);
-    let cells: Vec<DoneCell> = report
-        .cells
-        .iter()
-        .map(|cell| {
-            let record = CellRecord::of(cell);
-            let line = record.to_json();
-            DoneCell { record, line }
-        })
-        .collect();
-    inner.executed.fetch_add(cells.len(), Ordering::SeqCst);
+    for batch in batch_plan(&pending) {
+        {
+            let mut jobs = inner.jobs.lock().expect("jobs lock");
+            let job = jobs.get_mut(fingerprint).expect("jobs are never removed");
+            // Cancelled (or failed) since the last batch: stop, and leave
+            // the rest to a resubmission.
+            if job.state.is_terminal() {
+                job.scheduled = false;
+                return;
+            }
+            // In memory only: recovery requeues `queued` and `running` alike.
+            job.state = JobState::Running;
+        }
+        // The actual work happens outside every lock — including the record
+        // encode, which is done exactly once per cell and reused for both the
+        // durable append and the finished-report fingerprint.
+        let cells: Vec<DoneCell> = campaign
+            .run_cells(batch)
+            .cells
+            .iter()
+            .map(|cell| {
+                let record = CellRecord::of(cell);
+                let line = record.to_json();
+                DoneCell { record, line }
+            })
+            .collect();
+        inner.executed.fetch_add(cells.len(), Ordering::SeqCst);
+        inner
+            .commits
+            .send(Executed {
+                fingerprint: fingerprint.to_string(),
+                cells,
+            })
+            .expect("the committer runs until process exit");
+    }
     inner
-        .commits
-        .send(Executed {
-            fingerprint: batch.fingerprint,
-            cells,
-        })
-        .expect("the committer runs until process exit");
+        .jobs
+        .lock()
+        .expect("jobs lock")
+        .get_mut(fingerprint)
+        .expect("jobs are never removed")
+        .scheduled = false;
 }
 
 /// Committer thread: group-commit executed batches forever.  Everything
@@ -708,9 +682,11 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
                     fail_job(inner, &fingerprint, job, e.to_string());
                     return Response::json(200, status_of(&fingerprint, job).to_json());
                 }
-                let batches = enqueue_pending(inner, &fingerprint, &pending);
+                if !job.scheduled {
+                    inner.schedule(&fingerprint, job);
+                }
                 inner.log(format!(
-                    "job {fingerprint} resumed: requeued {} cell(s) in {batches} batch(es)",
+                    "job {fingerprint} resumed: requeued {} cell(s)",
                     pending.len()
                 ));
             }
@@ -718,12 +694,8 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         return Response::json(200, status_of(&fingerprint, job).to_json());
     }
 
-    let campaign = match Campaign::from_spec(&spec) {
-        Ok(campaign) => Arc::new(
-            campaign
-                .threads(1)
-                .artifact_cache(Arc::clone(&inner.artifact_cache)),
-        ),
+    let campaign = match inner.campaign(&spec) {
+        Ok(campaign) => campaign,
         Err(e) => return error_response(400, format!("invalid spec: {e}")),
     };
     // The spec alone is a queued job on disk: a missing `state.json` loads
@@ -731,7 +703,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     if let Err(e) = inner.store.put_spec(&fingerprint, &spec.to_json()) {
         return error_response(500, e.to_string());
     }
-    let job = Job {
+    let mut job = Job {
         spec,
         campaign,
         state: JobState::Queued,
@@ -739,20 +711,21 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         counts: (0, 0, 0, 0),
         report_fingerprint: None,
         error: None,
+        scheduled: false,
     };
-    let pending = pending_indices(&job);
-    let batches = enqueue_pending(inner, &fingerprint, &pending);
+    inner.schedule(&fingerprint, &mut job);
     inner.log(format!(
-        "job {fingerprint} submitted: {} cells in {batches} batch(es)",
-        pending.len()
+        "job {fingerprint} submitted: {} cells",
+        job.campaign.cell_count()
     ));
     let response = Response::json(201, status_of(&fingerprint, &job).to_json());
     jobs.insert(fingerprint, job);
     response
 }
 
-/// `DELETE /jobs/{fp}`: cancel.  Already-stored cells stay durable; queued
-/// batches are purged; a later resubmission resumes from what is stored.
+/// `DELETE /jobs/{fp}`: cancel.  Already-stored cells stay durable; the
+/// runner stops before the job's next batch; a later resubmission resumes
+/// from what is stored.
 fn cancel(inner: &Arc<Inner>, fingerprint: &str) -> Response {
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     let Some(job) = jobs.get_mut(fingerprint) else {
@@ -764,9 +737,6 @@ fn cancel(inner: &Arc<Inner>, fingerprint: &str) -> Response {
             fail_job(inner, fingerprint, job, e.to_string());
             return Response::json(200, status_of(fingerprint, job).to_json());
         }
-        let mut queue = inner.queue.lock().expect("queue lock");
-        queue.retain(|batch| batch.fingerprint != fingerprint);
-        drop(queue);
         inner.jobs_cv.notify_all();
         inner.log(format!("job {fingerprint} cancelled"));
     }
@@ -900,15 +870,15 @@ mod tests {
         true
     }
 
-    /// Four cells, so `batch_size: 1` makes four batches.
+    /// Four cells, so the batch plan makes four 1-cell batches.
     const FOUR_CELLS: &str = r#"{"kind":"campaign-spec","seed":11,"repetitions":4,"grid":{
         "graphs":[{"family":"complete","n":6}],
         "adversaries":[{"kind":"random-mobile","f":1}],
         "compilers":[{"id":"uncompiled"}],
         "payload":{"kind":"exchange-ids"}}}"#;
 
-    /// A one-worker, one-cell-per-batch server over a [`LatchedStore`] in a
-    /// fresh directory named by `tag`.
+    /// A one-engine-thread server over a [`LatchedStore`] in a fresh
+    /// directory named by `tag`.
     fn latched_server(tag: &str, latch: &Arc<Latch>, fail_appends: bool) -> (Handle, PathBuf) {
         let dir = std::env::temp_dir().join(format!("campaignd-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -919,16 +889,13 @@ mod tests {
         };
         let mut config = Config::new(&dir);
         config.workers = 1;
-        config.batch_size = 1;
         config.quiet = true;
         (start_on(config, Box::new(store)).unwrap(), dir)
     }
 
-    #[test]
-    fn cells_show_only_after_their_append_and_execution_overlaps_it() {
-        let spec = CampaignSpec::from_json(FOUR_CELLS).unwrap();
-        let fp = spec.fingerprint();
-        let lines: String = Campaign::from_spec(&spec)
+    /// The report fingerprint of the one-shot run of `spec`.
+    fn one_shot_fingerprint(spec: &CampaignSpec) -> String {
+        let lines: String = Campaign::from_spec(spec)
             .unwrap()
             .threads(1)
             .run()
@@ -936,7 +903,14 @@ mod tests {
             .iter()
             .map(|cell| CellRecord::of(cell).to_json() + "\n")
             .collect();
-        let one_shot = harness::json::fnv1a_hex(lines.bytes());
+        harness::json::fnv1a_hex(lines.bytes())
+    }
+
+    #[test]
+    fn cells_show_only_after_their_append_and_execution_overlaps_it() {
+        let spec = CampaignSpec::from_json(FOUR_CELLS).unwrap();
+        let fp = spec.fingerprint();
+        let one_shot = one_shot_fingerprint(&spec);
 
         let latch = Arc::new(Latch::default());
         let (handle, dir) = latched_server("latch", &latch, false);
@@ -944,7 +918,7 @@ mod tests {
         client.submit(FOUR_CELLS).unwrap();
 
         // One cell per batch: the committer holds the first in the shut
-        // append while the worker runs on into the second.
+        // append while the runner runs on into the second.
         assert!(
             eventually(|| latch.arrived.load(Ordering::SeqCst) >= 1 && handle.executed() > 1),
             "the worker stopped behind the held append (executed {})",
@@ -995,20 +969,75 @@ mod tests {
     }
 
     #[test]
-    fn shard_batches_partition_like_campaign_shard() {
-        // The full grid, batched: exactly the `index % of` partition.
-        let pending: Vec<usize> = (0..10).collect();
-        let batches = shard_batches(&pending, 3);
-        assert_eq!(batches[0], vec![0, 3, 6, 9]);
-        assert_eq!(batches[1], vec![1, 4, 7]);
-        assert_eq!(batches[2], vec![2, 5, 8]);
-        // A sparse pending set (resume): empty batches drop out, the
-        // partition rule is unchanged.
-        let sparse = [1usize, 5, 9];
-        let batches = shard_batches(&sparse, 4);
-        assert_eq!(batches, vec![vec![1, 5, 9]]);
-        // Degenerate: of=0 is clamped.
-        assert_eq!(shard_batches(&[0], 0), vec![vec![0]]);
+    fn a_cancel_mid_job_stops_before_the_next_batch_and_a_resubmit_runs_the_rest() {
+        let spec = CampaignSpec::from_json(FOUR_CELLS).unwrap();
+        let fp = spec.fingerprint();
+        // Resubmitted once the runner has stopped, and while it still holds
+        // the job.
+        for while_held in [false, true] {
+            let latch = Arc::new(Latch::default());
+            let tag = format!("cancel-mid-job-{while_held}");
+            let (handle, dir) = latched_server(&tag, &latch, false);
+            let client = Client::new(handle.addr().to_string());
+            client.submit(FOUR_CELLS).unwrap();
+
+            // The committer holds batch 0 in the shut append, batch 1 waits
+            // in the channel's slot, and the runner blocks handing over
+            // batch 2.
+            assert!(
+                eventually(|| latch.arrived.load(Ordering::SeqCst) == 1 && handle.executed() == 3),
+                "the runner did not stop behind the held append (executed {})",
+                handle.executed()
+            );
+            assert_eq!(client.cancel(&fp).unwrap().state, JobState::Cancelled);
+            if while_held {
+                // The resubmit only flips the state back; the runner's next
+                // check sees it and runs batch 3.
+                assert_eq!(client.submit(FOUR_CELLS).unwrap().state, JobState::Queued);
+            }
+            *latch.open.lock().unwrap() = true;
+            latch.cv.notify_all();
+
+            if !while_held {
+                // The batches executed before the cancel commit; batch 3
+                // never runs.
+                assert!(eventually(|| client.status(&fp).unwrap().cells_done >= 3));
+                let parked = client.status(&fp).unwrap();
+                assert_eq!(parked.state, JobState::Cancelled);
+                assert_eq!(parked.cells_done, 3);
+                assert_eq!(handle.executed(), 3, "a batch ran after the cancel");
+                client.submit(FOUR_CELLS).unwrap();
+            }
+
+            // Either way the resubmit runs exactly the missing cell.
+            let done = client.watch(&fp, 25, |_| {}).unwrap();
+            assert_eq!(done.state, JobState::Done, "{tag}");
+            assert_eq!(done.cells_done, spec.cell_count(), "{tag}");
+            assert_eq!(
+                handle.executed(),
+                spec.cell_count(),
+                "{tag}: a cell ran twice"
+            );
+            assert_eq!(done.report_fingerprint, Some(one_shot_fingerprint(&spec)));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_job_runs_in_at_most_eight_contiguous_ascending_batches() {
+        for (pending, batches, largest) in [(4, 4, 1), (27, 7, 4), (540, 8, 68), (5400, 8, 675)] {
+            let cells: Vec<usize> = (0..pending).collect();
+            let plan: Vec<&[usize]> = batch_plan(&cells).collect();
+            assert_eq!(plan.len(), batches, "{pending} pending");
+            assert_eq!(plan.iter().map(|b| b.len()).max(), Some(largest));
+            assert_eq!(plan.concat(), cells, "{pending} pending");
+        }
+        // A resume's sparse pending set: slices of it, in its order.
+        let sparse: Vec<usize> = (1..40).step_by(3).collect();
+        let plan: Vec<&[usize]> = batch_plan(&sparse).collect();
+        assert_eq!(plan.len(), 7);
+        assert_eq!(plan.concat(), sparse);
+        assert_eq!(batch_plan(&[]).count(), 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ const USAGE: &str = "usage: campaignd --data-dir DIR [--addr HOST:PORT] [--threa
 
   --data-dir DIR    store root (created if missing; replayed on startup)
   --addr HOST:PORT  listen address (default 127.0.0.1:7070; port 0 picks one)
-  --threads N       campaign worker threads (default: all cores)
+  --threads N       engine threads per batch (default: all cores)
   --quiet           suppress stderr diagnostics";
 
 #[cfg_attr(test, derive(Debug))]
@@ -91,7 +91,7 @@ fn run() -> Result<(), String> {
             .str("addr", &handle.addr().to_string());
     });
     println!("{listening}");
-    // The accept loop and workers are daemon threads; park this one forever.
+    // The server threads are daemons; park this one forever.
     loop {
         std::thread::park();
     }

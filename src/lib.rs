@@ -59,7 +59,7 @@
 //!   and the `campaign` CLI binary (`cargo run --bin campaign`) with
 //!   cell-level resume,
 //! * [`campaignd`] — the campaign *server*: durable jobs in an fsync'd
-//!   store, an in-process worker pool over the same deterministic engine
+//!   store, one runner thread driving the same deterministic engine
 //!   (byte-identical reports, zero re-execution after a crash), a std-only
 //!   HTTP/1.1 API and the `campaignd` / `campaignctl` binaries,
 //! * [`redteam`] — adversary synthesis: deterministic red-team search over

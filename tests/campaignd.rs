@@ -9,7 +9,7 @@
 
 use mobile_congest::campaignd::api_types::QueryParams;
 use mobile_congest::campaignd::client::Client;
-use mobile_congest::campaignd::server::{shard_batches, start, Config, Handle};
+use mobile_congest::campaignd::server::{start, Config, Handle};
 use mobile_congest::campaignd::store::{FsStore, Store};
 use mobile_congest::campaignd::JobState;
 use mobile_congest::harness::campaign::{cell_json, summary_json};
@@ -68,8 +68,8 @@ fn temp_data_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Start a server with `workers` worker threads on an ephemeral port and
-/// hand back its handle plus a client bound to it.
+/// Start a server with `workers` engine threads (`0`: no runner) on an
+/// ephemeral port and hand back its handle plus a client bound to it.
 fn server_on(data_dir: &PathBuf, workers: usize) -> (Handle, Client) {
     let mut config = Config::new(data_dir);
     config.workers = workers;
@@ -338,8 +338,9 @@ fn a_log_record_off_its_grid_position_is_rerun_not_served() {
 #[test]
 fn cancel_parks_a_job_and_resubmitting_resumes_it() {
     let text = spec_text();
-    // No workers: submissions queue durably but nothing executes, so the
-    // cancel/resubmit transitions are fully deterministic.
+    // No engine threads, so no runner: submissions queue durably but
+    // nothing executes, and the cancel/resubmit transitions are fully
+    // deterministic.
     let data_dir = temp_data_dir("cancel");
     let (handle, client) = server_on(&data_dir, 0);
 
@@ -444,23 +445,4 @@ fn idle_connections_on_every_http_thread_do_not_stall_the_api() {
     drop(idle);
 
     let _ = std::fs::remove_dir_all(&data_dir);
-}
-
-#[test]
-fn server_batches_are_exactly_the_cli_shard_partition() {
-    let spec = CampaignSpec::from_json(&spec_text()).unwrap();
-    let pending = Campaign::from_spec(&spec).unwrap().cell_indices();
-    for of in [1usize, 3, 7] {
-        let batches = shard_batches(&pending, of);
-        let expected: Vec<Vec<usize>> = (0..of)
-            .map(|i| {
-                Campaign::from_spec(&spec)
-                    .unwrap()
-                    .shard(i, of)
-                    .cell_indices()
-            })
-            .filter(|s| !s.is_empty())
-            .collect();
-        assert_eq!(batches, expected, "of={of}");
-    }
 }

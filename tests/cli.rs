@@ -219,8 +219,8 @@ fn redteam_emits_a_replayable_counterexample_and_resumes() {
     assert!(again.stderr.contains("nothing to do"), "{}", again.stderr);
 }
 
-/// Workers per server: several, so batches finish out of order and the
-/// committer groups their appends, as on a multi-core host.
+/// Engine threads per server: several, so each batch runs on the engine's
+/// work-stealing pool, as on a multi-core host.
 const SERVER_WORKERS: usize = 4;
 
 /// A `campaignd` process on an ephemeral port, SIGKILLed and reaped when
@@ -231,8 +231,8 @@ struct Server {
 }
 
 impl Server {
-    /// Start [`SERVER_WORKERS`] workers on `dir/data`, stderr to
-    /// `dir/<log>`, and wait for the `listening` line.
+    /// Start a server of [`SERVER_WORKERS`] engine threads on `dir/data`,
+    /// stderr to `dir/<log>`, and wait for the `listening` line.
     fn start(dir: &TempDir, log: &str) -> Server {
         let stderr = std::fs::File::create(dir.join(log)).unwrap();
         let mut child = dir
@@ -295,9 +295,11 @@ impl Drop for Server {
 
 /// Repetitions of the 27-cell e16 grid for the job the server is killed in,
 /// against a kill that follows the first durable batch within milliseconds.
-/// The server splits a job into `4 · SERVER_WORKERS` = 16 batches; at most
-/// one round of them (one per worker) is durable when the kill lands, so
-/// three quarters of the job, several rounds of work, are still to run.
+/// The server runs a job as eight batches of `⌈cells / 8⌉` (675 cells in
+/// debug, 6 750 in release), one after another.  When the kill lands,
+/// `cells.log` held 675 of 5 400 lines in debug, and in release 6 750 of
+/// 54 000, or 5 740 when the kill cut the first append short, so seven
+/// eighths of the job are still to run.
 const KILL_REPETITIONS: usize = if cfg!(debug_assertions) { 200 } else { 2000 };
 
 #[test]
