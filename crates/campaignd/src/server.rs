@@ -12,7 +12,10 @@
 //! threads, so parallelism comes from the engine's work stealing.  Before
 //! each batch the runner re-checks the job's state under the jobs lock: a
 //! job cancelled (or failed) since stops there, which is the whole cancel
-//! mechanism.  The runner flattens each executed cell to a [`CellRecord`],
+//! mechanism.  The cells a runner took stay claimed until their batch's
+//! append returns or the runner stops before sending them, and a
+//! resubmission schedules the job only for missing cells nobody claims.
+//! The runner flattens each executed cell to a [`CellRecord`],
 //! encodes it once, and hands the batch to the committer thread over a
 //! one-slot channel, then starts its next batch.  The committer
 //! group-commits: it drains every executed batch waiting, appends each
@@ -53,7 +56,7 @@ use harness::campaign::summary_json;
 use harness::report::{summaries_of, trajectory_header, CellRecord};
 use harness::{Campaign, CampaignSpec, StatSummary};
 use mobile_congest_harness as harness;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -111,10 +114,12 @@ struct Job {
     /// Cached once the job finalizes (recomputing is O(cells)).
     report_fingerprint: Option<String>,
     error: Option<String>,
-    /// On the runnable FIFO or held by the runner.  A resubmission of a
-    /// scheduled job only flips its state back: the runner's next state
-    /// check sees it and carries on.
-    scheduled: bool,
+    /// Cells the runner took at pickup and has not yet seen through the
+    /// committer.  A cell leaves when its batch's append returns (done, or
+    /// dropped by a failed append) or when the runner stops before sending
+    /// it.  Only missing cells outside this set are scheduled again, so a
+    /// resubmission neither re-runs a cell in flight nor strands one.
+    claimed: BTreeSet<usize>,
 }
 
 /// Fold one record into a job's executed / skipped / failed / disagreement
@@ -179,9 +184,8 @@ impl Inner {
         ))
     }
 
-    /// Put a job on the runnable FIFO.  Caller holds the jobs lock.
-    fn schedule(&self, fingerprint: &str, job: &mut Job) {
-        job.scheduled = true;
+    /// Put a job on the runnable FIFO.
+    fn schedule(&self, fingerprint: &str) {
         // Without a runner (`workers: 0`) the receiver is gone and the job
         // only stays queued.
         let _ = self.runnable.send(fingerprint.to_string());
@@ -347,7 +351,7 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
             counts,
             report_fingerprint: None,
             error: None,
-            scheduled: false,
+            claimed: BTreeSet::new(),
         };
         if entry.state == JobState::Done {
             entry.report_fingerprint = Some(fingerprint_of(&entry));
@@ -363,7 +367,7 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
                 ));
             } else {
                 entry.state = JobState::Queued;
-                inner.schedule(&job.fingerprint, &mut entry);
+                inner.schedule(&job.fingerprint);
                 inner.log(format!(
                     "recovered job {}: {} cells done, requeued {} cell(s)",
                     job.fingerprint,
@@ -377,13 +381,19 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
     Ok(())
 }
 
-/// The cells of the full grid not yet in the done map, in index order.
+/// The cells of the full grid neither done nor claimed by the runner, in
+/// index order.
 fn pending_indices(job: &Job) -> Vec<usize> {
     job.campaign
         .cell_indices()
         .into_iter()
-        .filter(|i| !job.done.contains_key(i))
+        .filter(|i| !job.done.contains_key(i) && !job.claimed.contains(i))
         .collect()
+}
+
+/// Whether every cell of the grid is done.
+fn complete(job: &Job) -> bool {
+    job.done.len() == job.campaign.cell_count()
 }
 
 /// The job's summary block (one `kind:"summary"` line per grid cell) over
@@ -435,22 +445,27 @@ fn fail_job(inner: &Inner, fingerprint: &str, job: &mut Job, error: String) {
     let _ = inner.store.set_state(fingerprint, JobState::Failed);
 }
 
-/// Run one job's pending cells, taken once at pickup, batch by batch
+/// Run one job's pending cells, claimed once at pickup, batch by batch
 /// through the engine, each executed batch to the committer.
 fn run_job(inner: &Inner, fingerprint: &str) {
     let (campaign, pending) = {
-        let jobs = inner.jobs.lock().expect("jobs lock");
-        let job = &jobs[fingerprint];
-        (Arc::clone(&job.campaign), pending_indices(job))
+        let mut jobs = inner.jobs.lock().expect("jobs lock");
+        let job = jobs.get_mut(fingerprint).expect("jobs are never removed");
+        let pending = pending_indices(job);
+        job.claimed.extend(&pending);
+        (Arc::clone(&job.campaign), pending)
     };
+    let mut unsent = &pending[..];
     for batch in batch_plan(&pending) {
         {
             let mut jobs = inner.jobs.lock().expect("jobs lock");
             let job = jobs.get_mut(fingerprint).expect("jobs are never removed");
-            // Cancelled (or failed) since the last batch: stop, and leave
-            // the rest to a resubmission.
+            // Cancelled (or failed) since the last batch: release the rest
+            // to a resubmission and stop.
             if job.state.is_terminal() {
-                job.scheduled = false;
+                for index in unsent {
+                    job.claimed.remove(index);
+                }
                 return;
             }
             // In memory only: recovery requeues `queued` and `running` alike.
@@ -477,14 +492,8 @@ fn run_job(inner: &Inner, fingerprint: &str) {
                 cells,
             })
             .expect("the committer runs until process exit");
+        unsent = &unsent[batch.len()..];
     }
-    inner
-        .jobs
-        .lock()
-        .expect("jobs lock")
-        .get_mut(fingerprint)
-        .expect("jobs are never removed")
-        .scheduled = false;
 }
 
 /// Committer thread: group-commit executed batches forever.  Everything
@@ -522,6 +531,9 @@ fn commit(inner: &Inner, executed: Executed) {
     let Some(job) = jobs.get_mut(&executed.fingerprint) else {
         return;
     };
+    for record in &records {
+        job.claimed.remove(&record.index);
+    }
     if let Err(e) = append {
         fail_job(inner, &executed.fingerprint, job, e.to_string());
         return;
@@ -532,7 +544,7 @@ fn commit(inner: &Inner, executed: Executed) {
             slot.insert(DoneCell { record, line });
         }
     }
-    if !job.state.is_terminal() && pending_indices(job).is_empty() {
+    if !job.state.is_terminal() && complete(job) {
         finalize(inner, &executed.fingerprint, job);
     }
 }
@@ -672,8 +684,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     if let Some(job) = jobs.get_mut(&fingerprint) {
         if matches!(job.state, JobState::Cancelled | JobState::Failed) {
-            let pending = pending_indices(job);
-            if pending.is_empty() {
+            if complete(job) {
                 finalize(inner, &fingerprint, job);
             } else {
                 job.state = JobState::Queued;
@@ -682,8 +693,12 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
                     fail_job(inner, &fingerprint, job, e.to_string());
                     return Response::json(200, status_of(&fingerprint, job).to_json());
                 }
-                if !job.scheduled {
-                    inner.schedule(&fingerprint, job);
+                // Claimed cells are already on their way through the runner
+                // (whose next state check sees `queued`) and the committer:
+                // only the unclaimed missing ones need the job rescheduled.
+                let pending = pending_indices(job);
+                if !pending.is_empty() {
+                    inner.schedule(&fingerprint);
                 }
                 inner.log(format!(
                     "job {fingerprint} resumed: requeued {} cell(s)",
@@ -703,7 +718,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     if let Err(e) = inner.store.put_spec(&fingerprint, &spec.to_json()) {
         return error_response(500, e.to_string());
     }
-    let mut job = Job {
+    let job = Job {
         spec,
         campaign,
         state: JobState::Queued,
@@ -711,9 +726,9 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         counts: (0, 0, 0, 0),
         report_fingerprint: None,
         error: None,
-        scheduled: false,
+        claimed: BTreeSet::new(),
     };
-    inner.schedule(&fingerprint, &mut job);
+    inner.schedule(&fingerprint);
     inner.log(format!(
         "job {fingerprint} submitted: {} cells",
         job.campaign.cell_count()
@@ -817,18 +832,28 @@ mod tests {
     /// A gate the test holds shut: `append_cells` blocks on it.
     #[derive(Default)]
     struct Latch {
-        open: Mutex<bool>,
+        /// `append_cells` calls still let through.
+        open: Mutex<usize>,
         cv: Condvar,
         /// `append_cells` calls that reached the gate.
         arrived: AtomicUsize,
     }
 
-    /// An [`FsStore`] whose appends wait for the test to open the latch,
-    /// then fail if `fail_appends` is set.
+    impl Latch {
+        /// Let `appends` more `append_cells` calls through the gate.
+        fn allow(&self, appends: usize) {
+            let mut open = self.open.lock().unwrap();
+            *open = open.saturating_add(appends);
+            self.cv.notify_all();
+        }
+    }
+
+    /// An [`FsStore`] whose appends wait for the test to let them through
+    /// the latch; the first `fail_appends` of them then fail.
     struct LatchedStore {
         fs: FsStore,
         latch: Arc<Latch>,
-        fail_appends: bool,
+        fail_appends: usize,
     }
 
     impl Store for LatchedStore {
@@ -839,13 +864,14 @@ mod tests {
             self.fs.set_state(fingerprint, state)
         }
         fn append_cells(&self, fingerprint: &str, lines: &[String]) -> Result<(), StoreError> {
-            self.latch.arrived.fetch_add(1, Ordering::SeqCst);
+            let nth = self.latch.arrived.fetch_add(1, Ordering::SeqCst);
             let mut open = self.latch.open.lock().unwrap();
-            while !*open {
+            while *open == 0 {
                 open = self.latch.cv.wait(open).unwrap();
             }
+            *open -= 1;
             drop(open);
-            if self.fail_appends {
+            if nth < self.fail_appends {
                 return Err(StoreError {
                     path: PathBuf::from(fingerprint),
                     reason: "injected append failure".to_string(),
@@ -870,6 +896,17 @@ mod tests {
         true
     }
 
+    /// The job's status once terminal: a job that never finishes fails the
+    /// test after 20 s instead of hanging it.
+    fn finished(client: &Client, fp: &str) -> JobStatus {
+        assert!(
+            eventually(|| client.status(fp).unwrap().state.is_terminal()),
+            "job {fp} never finished: {:?}",
+            client.status(fp).unwrap()
+        );
+        client.status(fp).unwrap()
+    }
+
     /// Four cells, so the batch plan makes four 1-cell batches.
     const FOUR_CELLS: &str = r#"{"kind":"campaign-spec","seed":11,"repetitions":4,"grid":{
         "graphs":[{"family":"complete","n":6}],
@@ -879,7 +916,7 @@ mod tests {
 
     /// A one-engine-thread server over a [`LatchedStore`] in a fresh
     /// directory named by `tag`.
-    fn latched_server(tag: &str, latch: &Arc<Latch>, fail_appends: bool) -> (Handle, PathBuf) {
+    fn latched_server(tag: &str, latch: &Arc<Latch>, fail_appends: usize) -> (Handle, PathBuf) {
         let dir = std::env::temp_dir().join(format!("campaignd-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = LatchedStore {
@@ -913,7 +950,7 @@ mod tests {
         let one_shot = one_shot_fingerprint(&spec);
 
         let latch = Arc::new(Latch::default());
-        let (handle, dir) = latched_server("latch", &latch, false);
+        let (handle, dir) = latched_server("latch", &latch, 0);
         let client = Client::new(handle.addr().to_string());
         client.submit(FOUR_CELLS).unwrap();
 
@@ -937,8 +974,7 @@ mod tests {
         query.jobs = vec![fp.clone()];
         assert!(client.query(&query).unwrap().rows.is_empty());
 
-        *latch.open.lock().unwrap() = true;
-        latch.cv.notify_all();
+        latch.allow(usize::MAX);
         let done = client.watch(&fp, 25, |_| {}).unwrap();
         assert_eq!(done.state, JobState::Done);
         assert_eq!(done.cells_done, spec.cell_count());
@@ -950,8 +986,8 @@ mod tests {
     #[test]
     fn an_append_error_fails_the_job_and_shows_no_cell() {
         let latch = Arc::new(Latch::default());
-        *latch.open.lock().unwrap() = true;
-        let (handle, dir) = latched_server("append-error", &latch, true);
+        latch.allow(usize::MAX);
+        let (handle, dir) = latched_server("append-error", &latch, usize::MAX);
         let client = Client::new(handle.addr().to_string());
         let fp = client.submit(FOUR_CELLS).unwrap().fingerprint;
         let failed = client.watch(&fp, 25, |_| {}).unwrap();
@@ -977,7 +1013,7 @@ mod tests {
         for while_held in [false, true] {
             let latch = Arc::new(Latch::default());
             let tag = format!("cancel-mid-job-{while_held}");
-            let (handle, dir) = latched_server(&tag, &latch, false);
+            let (handle, dir) = latched_server(&tag, &latch, 0);
             let client = Client::new(handle.addr().to_string());
             client.submit(FOUR_CELLS).unwrap();
 
@@ -991,12 +1027,12 @@ mod tests {
             );
             assert_eq!(client.cancel(&fp).unwrap().state, JobState::Cancelled);
             if while_held {
-                // The resubmit only flips the state back; the runner's next
-                // check sees it and runs batch 3.
+                // Every missing cell is still claimed, so the resubmit only
+                // flips the state back; the runner's next check sees it and
+                // runs batch 3.
                 assert_eq!(client.submit(FOUR_CELLS).unwrap().state, JobState::Queued);
             }
-            *latch.open.lock().unwrap() = true;
-            latch.cv.notify_all();
+            latch.allow(usize::MAX);
 
             if !while_held {
                 // The batches executed before the cancel commit; batch 3
@@ -1010,7 +1046,7 @@ mod tests {
             }
 
             // Either way the resubmit runs exactly the missing cell.
-            let done = client.watch(&fp, 25, |_| {}).unwrap();
+            let done = finished(&client, &fp);
             assert_eq!(done.state, JobState::Done, "{tag}");
             assert_eq!(done.cells_done, spec.cell_count(), "{tag}");
             assert_eq!(
@@ -1021,6 +1057,58 @@ mod tests {
             assert_eq!(done.report_fingerprint, Some(one_shot_fingerprint(&spec)));
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_resubmit_after_a_failed_append_reruns_only_the_dropped_and_unsent_cells() {
+        let spec = CampaignSpec::from_json(FOUR_CELLS).unwrap();
+        let fp = spec.fingerprint();
+        let latch = Arc::new(Latch::default());
+        let (handle, dir) = latched_server("failed-append-resubmit", &latch, 1);
+        let client = Client::new(handle.addr().to_string());
+        client.submit(FOUR_CELLS).unwrap();
+        let claimed = || -> Vec<usize> {
+            let jobs = handle.inner.jobs.lock().unwrap();
+            jobs[&fp].claimed.iter().copied().collect()
+        };
+
+        // Batch 0 waits at the gate, batch 1 in the slot, the runner blocks
+        // handing over batch 2.
+        assert!(
+            eventually(|| latch.arrived.load(Ordering::SeqCst) == 1 && handle.executed() == 3),
+            "the runner did not stop behind the held append (executed {})",
+            handle.executed()
+        );
+        // Batch 0's append goes through and fails: cell 0 is dropped, the
+        // committer holds batches 1 and 2 at the gate, and the runner stops
+        // before batch 3 and releases cell 3.
+        latch.allow(1);
+        assert!(
+            eventually(|| {
+                latch.arrived.load(Ordering::SeqCst) == 2
+                    && client.status(&fp).unwrap().state == JobState::Failed
+                    && claimed() == [1, 2]
+            }),
+            "the failed append did not park the job (claimed {:?})",
+            claimed()
+        );
+        assert_eq!(handle.executed(), 3);
+
+        // Resubmitted while cells 1 and 2 are still in flight: only cells 0
+        // and 3 run again.
+        assert_eq!(client.submit(FOUR_CELLS).unwrap().state, JobState::Queued);
+        latch.allow(usize::MAX);
+        let done = finished(&client, &fp);
+        assert_eq!(done.state, JobState::Done);
+        assert_eq!(done.cells_done, spec.cell_count());
+        assert_eq!(
+            handle.executed(),
+            spec.cell_count() + 1,
+            "a cell other than the dropped one ran twice"
+        );
+        assert_eq!(done.report_fingerprint, Some(one_shot_fingerprint(&spec)));
+        assert!(claimed().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
