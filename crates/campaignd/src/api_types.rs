@@ -23,8 +23,7 @@ pub enum JobState {
     /// Cancelled via `DELETE /jobs/{fp}`; completed cells remain stored and
     /// a resubmission resumes from them.
     Cancelled,
-    /// The server could not persist or execute the job (the status carries
-    /// the error).
+    /// The server could not persist the job (the status carries the error).
     Failed,
 }
 

@@ -17,17 +17,21 @@
 //! resubmission schedules the job only for missing cells nobody claims.
 //! The runner flattens each executed cell to a [`CellRecord`],
 //! encodes it once, and hands the batch to the committer thread over a
-//! one-slot channel, then starts its next batch.  The committer
-//! group-commits: it drains every executed batch waiting, appends each
-//! job's share to the fsync'd store in one call outside the jobs lock, and
-//! only once that append returned `Ok` marks the cells done in memory
-//! (durability before visibility).  So the fsync overlaps the next batch's
-//! execution, and batches that queued behind one fsync share the next.
+//! one-slot channel, then starts its next batch.  The committer appends
+//! each batch to the job's fsync'd log as it arrives, in one call outside
+//! the jobs lock, and only once that append returned `Ok` marks the cells
+//! done in memory (durability before visibility).  So the fsync overlaps
+//! the next batch's execution.
 //!
 //! The durability granularity is the batch: a crash loses at most the
 //! batch in flight (≤ ⌈pending / 8⌉ cells) plus what waits at the
-//! committer, which the one-slot channel bounds to the group being
-//! appended and one batch behind it.
+//! committer, which the one-slot channel bounds to the batch being
+//! appended and one behind it.
+//!
+//! A job's durable record is its spec (written at submission) and its
+//! cells (one append per batch).  A state is written only to park a job
+//! (`cancelled`, `failed`) or to unpark it (`queued`); `done` is never
+//! written: a job is done when its log holds a record for every grid cell.
 //!
 //! # Determinism contract
 //!
@@ -46,8 +50,11 @@
 //! protocol): fully persisted cells count as done and are **never
 //! re-executed**; a torn trailing line re-runs its cell, and so does a
 //! record that decodes but does not sit at its grid position (an index past
-//! the grid, or a repetition other than `index % repetitions`); non-terminal
-//! jobs are requeued with exactly their missing cells.
+//! the grid, or a repetition other than `index % repetitions`).  Then one
+//! rule covers every stored job: a `cancelled` or `failed` job stays parked;
+//! any other (`queued`, or `running` and `done` from older stores) is done
+//! when every grid cell has a record, and is otherwise requeued with exactly
+//! its missing cells.
 
 use crate::api_types::{ApiError, JobList, JobState, JobStatus, QueryResponse, QueryRow};
 use crate::http::{self, Request, Response};
@@ -63,6 +70,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
+/// Threads serving HTTP connections, each accepting on its own handle of
+/// the listener; past them, connections wait in the kernel's listen
+/// backlog.
+pub const HTTP_THREADS: usize = 2;
+
 /// Server configuration.
 pub struct Config {
     /// Listen address (`127.0.0.1:0` picks a free port; see
@@ -74,21 +86,17 @@ pub struct Config {
     /// queue durably but nothing executes (a testing knob; the binaries
     /// always pass at least 1).
     pub workers: usize,
-    /// Threads serving HTTP connections.
-    pub http_threads: usize,
     /// Suppress stderr diagnostics.
     pub quiet: bool,
 }
 
 impl Config {
-    /// Defaults: any free loopback port, one engine thread per core, 2 HTTP
-    /// threads.
+    /// Defaults: any free loopback port, one engine thread per core.
     pub fn new(data_dir: impl Into<PathBuf>) -> Config {
         Config {
             addr: "127.0.0.1:0".to_string(),
             data_dir: data_dir.into(),
             workers: harness::default_threads(),
-            http_threads: 2,
             quiet: false,
         }
     }
@@ -194,11 +202,11 @@ impl Inner {
 
 /// A handle on a started server: the resolved address plus the process-level
 /// execution counter.  Dropping the handle does **not** stop the server;
-/// the accept loop, the HTTP threads, the runner and the committer run
-/// until process exit (the server is a daemon, not a scoped task).  A
-/// graceful shutdown would have to stop the runner at its next state check
-/// and drain the committer's channel before exiting: executed cells waiting
-/// there are not yet durable.
+/// the HTTP threads, the runner and the committer run until process exit
+/// (the server is a daemon, not a scoped task).  A graceful shutdown would
+/// have to stop the runner at its next state check and drain the
+/// committer's channel before exiting: executed cells waiting there are not
+/// yet durable.
 pub struct Handle {
     addr: SocketAddr,
     inner: Arc<Inner>,
@@ -269,38 +277,27 @@ fn start_on(config: Config, store: Box<dyn Store>) -> Result<Handle, String> {
         let inner = Arc::clone(&inner);
         std::thread::Builder::new()
             .name("campaignd-committer".to_string())
-            .spawn(move || committer_loop(&inner, &incoming))
+            .spawn(move || {
+                for executed in incoming {
+                    commit(&inner, executed);
+                }
+            })
             .map_err(|e| format!("cannot spawn committer: {e}"))?;
     }
-
-    // Bounded connection hand-off: the accept loop blocks once every HTTP
-    // thread is busy and the channel is full, instead of queueing unboundedly.
-    let (tx, rx) = mpsc::sync_channel::<std::net::TcpStream>(64);
-    let rx = Arc::new(Mutex::new(rx));
-    for worker in 0..config.http_threads.max(1) {
+    for worker in 0..HTTP_THREADS {
         let inner = Arc::clone(&inner);
-        let rx = Arc::clone(&rx);
+        let listener = listener
+            .try_clone()
+            .map_err(|e| format!("cannot clone listener: {e}"))?;
         std::thread::Builder::new()
             .name(format!("campaignd-http-{worker}"))
-            .spawn(move || loop {
-                let stream = match rx.lock().expect("http rx lock").recv() {
-                    Ok(stream) => stream,
-                    Err(_) => return,
-                };
-                serve_connection(&inner, stream);
+            .spawn(move || {
+                for stream in listener.incoming().flatten() {
+                    serve_connection(&inner, stream);
+                }
             })
             .map_err(|e| format!("cannot spawn http thread: {e}"))?;
     }
-    std::thread::Builder::new()
-        .name("campaignd-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming().flatten() {
-                if tx.send(stream).is_err() {
-                    return;
-                }
-            }
-        })
-        .map_err(|e| format!("cannot spawn accept loop: {e}"))?;
 
     let handle = Handle {
         addr,
@@ -343,30 +340,25 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
                 job.fingerprint
             ));
         }
+        let parked = matches!(job.state, JobState::Cancelled | JobState::Failed);
         let mut entry = Job {
             spec: job.spec,
             campaign,
-            state: job.state,
+            state: if parked { job.state } else { JobState::Queued },
             done,
             counts,
             report_fingerprint: None,
             error: None,
             claimed: BTreeSet::new(),
         };
-        if entry.state == JobState::Done {
-            entry.report_fingerprint = Some(fingerprint_of(&entry));
-        }
-        if !entry.state.is_terminal() {
+        // Whatever else the store says (`queued`, or an older server's
+        // `running` or `done`), the log decides whether the job is done.
+        if !parked {
             let pending = pending_indices(&entry);
             if pending.is_empty() {
-                finalize(inner, &job.fingerprint, &mut entry);
-                inner.log(format!(
-                    "recovered job {}: {} cells done, already complete — finalized",
-                    job.fingerprint,
-                    entry.done.len()
-                ));
+                entry.report_fingerprint = Some(fingerprint_of(&entry));
+                entry.state = JobState::Done;
             } else {
-                entry.state = JobState::Queued;
                 inner.schedule(&job.fingerprint);
                 inner.log(format!(
                     "recovered job {}: {} cells done, requeued {} cell(s)",
@@ -416,13 +408,10 @@ fn fingerprint_of(job: &Job) -> String {
     )
 }
 
-/// Complete a job: persist the done state, cache the report fingerprint.
-/// Caller holds the jobs lock.
+/// Complete a job: cache the report fingerprint.  Nothing is stored — a
+/// job whose log holds every cell recovers as done.  Caller holds the jobs
+/// lock.
 fn finalize(inner: &Inner, fingerprint: &str, job: &mut Job) {
-    if let Err(e) = inner.store.set_state(fingerprint, JobState::Done) {
-        fail_job(inner, fingerprint, job, e.to_string());
-        return;
-    }
     job.report_fingerprint = Some(fingerprint_of(job));
     job.state = JobState::Done;
     inner.jobs_cv.notify_all();
@@ -496,28 +485,7 @@ fn run_job(inner: &Inner, fingerprint: &str) {
     }
 }
 
-/// Committer thread: group-commit executed batches forever.  Everything
-/// waiting is taken at once and merged per job, so batches that queued
-/// behind one fsync share the next.
-fn committer_loop(inner: &Inner, incoming: &mpsc::Receiver<Executed>) {
-    while let Ok(first) = incoming.recv() {
-        let mut per_job: Vec<Executed> = Vec::new();
-        for executed in std::iter::once(first).chain(incoming.try_iter()) {
-            match per_job
-                .iter_mut()
-                .find(|e| e.fingerprint == executed.fingerprint)
-            {
-                Some(job) => job.cells.extend(executed.cells),
-                None => per_job.push(executed),
-            }
-        }
-        for executed in per_job {
-            commit(inner, executed);
-        }
-    }
-}
-
-/// Persist one job's executed cells, then publish them: durability before
+/// Persist one executed batch, then publish its cells: durability before
 /// visibility — the fsync'd append returns before the jobs lock is taken
 /// and the cells are marked done in memory.
 fn commit(inner: &Inner, executed: Executed) {
@@ -684,15 +652,17 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     if let Some(job) = jobs.get_mut(&fingerprint) {
         if matches!(job.state, JobState::Cancelled | JobState::Failed) {
+            // Unparked on disk first, so a restart cannot bring the parked
+            // state back — even for a complete job, which finalizes now.
+            if let Err(e) = inner.store.set_state(&fingerprint, JobState::Queued) {
+                fail_job(inner, &fingerprint, job, e.to_string());
+                return Response::json(200, status_of(&fingerprint, job).to_json());
+            }
+            job.error = None;
             if complete(job) {
                 finalize(inner, &fingerprint, job);
             } else {
                 job.state = JobState::Queued;
-                job.error = None;
-                if let Err(e) = inner.store.set_state(&fingerprint, JobState::Queued) {
-                    fail_job(inner, &fingerprint, job, e.to_string());
-                    return Response::json(200, status_of(&fingerprint, job).to_json());
-                }
                 // Claimed cells are already on their way through the runner
                 // (whose next state check sees `queued`) and the committer:
                 // only the unclaimed missing ones need the job rescheduled.

@@ -10,13 +10,17 @@
 //!     cells.log       one CellRecord JSON line per cell (append + fsync)
 //! ```
 //!
-//! `spec.json` alone is a queued job: a missing `state.json` reads as
-//! `queued`.  The server writes `state.json` only for a terminal job
-//! (`done`, `cancelled`, `failed`) and for one resubmitted out of a terminal
-//! state (`queued`); it never writes `running`, but reads it (older stores
-//! hold it) and requeues it like `queued`.  A `summary.jsonl` that older
-//! stores hold beside these files is never read: summaries are computed
-//! from the cell records.
+//! What is durable, and when: `spec.json` at submission, and each executed
+//! batch's records in `cells.log` once its append returns.  `spec.json`
+//! alone is a queued job: a missing `state.json` reads as `queued`.  The
+//! server writes `state.json` only to park a job (`cancelled`, `failed`)
+//! and to unpark one on resubmission (`queued`).  It never writes `running`
+//! or `done`; older stores hold both, and the server reads them, like
+//! `queued`, as "not parked".  Whether such a job is done is read off its
+//! log: done when every grid cell has a record.  So a job never parked is
+//! done with just `cells.log` and `spec.json`.  A `summary.jsonl` that
+//! older stores hold beside these files is never read: summaries are
+//! computed from the cell records.
 //!
 //! Recovery protocol ([`Store::load_jobs`]): enumerate the job directories,
 //! re-parse `spec.json` and `state.json`, replay `cells.log` line by line.
@@ -87,8 +91,8 @@ pub struct StoredJob {
 /// The persistence contract of the campaign server.  One method per
 /// durability point; [`Store::load_jobs`] is the crash-recovery replay.
 /// The server persists only what recovery reads: the spec, the cells, and
-/// a state wherever the default `queued` would be wrong (a terminal state,
-/// or `queued` again over one).
+/// a state wherever the default `queued` would be wrong (a parked job, or
+/// `queued` again over one).
 pub trait Store: Send + Sync {
     /// Persist a job's canonical spec JSON (atomic; creates the job, which
     /// loads as `queued` until a state is set).

@@ -9,7 +9,7 @@
 
 use mobile_congest::campaignd::api_types::QueryParams;
 use mobile_congest::campaignd::client::Client;
-use mobile_congest::campaignd::server::{start, Config, Handle};
+use mobile_congest::campaignd::server::{start, Config, Handle, HTTP_THREADS};
 use mobile_congest::campaignd::store::{FsStore, Store};
 use mobile_congest::campaignd::JobState;
 use mobile_congest::harness::campaign::{cell_json, summary_json};
@@ -266,28 +266,42 @@ fn a_log_line_with_an_impossible_repetition_is_rerun_not_served() {
             record.to_json()
         })
         .collect();
-    let data_dir = temp_data_dir("bad-repetition");
-    let store = FsStore::open(&data_dir).unwrap();
-    store.put_spec(&fingerprint, &spec.to_json()).unwrap();
-    store.set_state(&fingerprint, JobState::Running).unwrap();
-    store.append_cells(&fingerprint, &lines).unwrap();
-    let loaded = store.load_jobs().unwrap();
-    assert_eq!(
-        loaded[0].torn_lines, 1,
-        "the line is refused at the decoder"
-    );
-    assert!(loaded[0].cells.iter().all(|c| c.index != BAD));
-    drop(store);
+    // Whatever state the store holds — an older server's `running`, or the
+    // `done` older servers wrote once the last batch landed — the log
+    // decides: its refused line is a missing cell.
+    for state in [JobState::Running, JobState::Done] {
+        let data_dir = temp_data_dir(&format!("bad-repetition-{state}"));
+        let store = FsStore::open(&data_dir).unwrap();
+        store.put_spec(&fingerprint, &spec.to_json()).unwrap();
+        store.set_state(&fingerprint, state).unwrap();
+        store.append_cells(&fingerprint, &lines).unwrap();
+        let loaded = store.load_jobs().unwrap();
+        assert_eq!(
+            loaded[0].torn_lines, 1,
+            "the line is refused at the decoder"
+        );
+        assert!(loaded[0].cells.iter().all(|c| c.index != BAD));
+        drop(store);
 
-    // Recovery re-executes exactly that cell and serves the true report.
-    let (handle, client) = server_on(&data_dir, 1);
-    let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
-    assert_eq!(done.state, JobState::Done);
-    assert_eq!(handle.executed(), 1, "only the refused cell re-runs");
-    assert_eq!(done.report_fingerprint, Some(expected.report_fingerprint));
-    assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
+        // Recovery re-executes exactly that cell and serves the true report.
+        let (handle, client) = server_on(&data_dir, 1);
+        let done = client.watch(&fingerprint, 25, |_| {}).unwrap();
+        assert_eq!(done.state, JobState::Done, "stored {state}");
+        assert_eq!(done.cells_done, spec.cell_count(), "stored {state}");
+        assert_eq!(
+            handle.executed(),
+            1,
+            "stored {state}: only the refused cell re-runs"
+        );
+        assert_eq!(
+            done.report_fingerprint,
+            Some(expected.report_fingerprint.clone()),
+            "stored {state}"
+        );
+        assert_eq!(client.summary(&fingerprint).unwrap(), expected.summary);
 
-    let _ = std::fs::remove_dir_all(&data_dir);
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
 }
 
 #[test]
@@ -421,7 +435,7 @@ fn idle_connections_on_every_http_thread_do_not_stall_the_api() {
     let mut config = Config::new(&data_dir);
     config.workers = 0;
     config.quiet = true;
-    let threads = config.http_threads;
+    let threads = HTTP_THREADS;
     let handle = start(config).expect("server starts");
     let idle: Vec<TcpStream> = (0..threads)
         .map(|_| TcpStream::connect(handle.addr()).expect("idle connection"))
