@@ -6,14 +6,15 @@
 //! `Content-Length` body, hard size limits, percent-decoded query strings.
 //! That subset is enough for `curl`, the [`crate::client::Client`] and CI.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest accepted request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
-/// Longest a served connection may block on one read or write: a client
-/// that connects and sends nothing must not hold an HTTP thread for good.
+/// Longest a served connection may take to send its whole request, and to
+/// block on one write: a client that sends nothing, or one byte at a time,
+/// must not hold an HTTP thread for good.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Largest accepted request body (campaign specs are a few KB).
 const MAX_BODY: usize = 8 * 1024 * 1024;
@@ -89,9 +90,29 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Read and parse one request off a connection.
+/// Reads off a connection against one deadline: before each read the
+/// socket's timeout is set to the time left.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Read and parse one request off a connection, all of it, from the request
+/// line to the last body byte, within `IO_TIMEOUT` (2 s) of the call.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream);
+    let at = Instant::now() + IO_TIMEOUT;
+    let mut reader = BufReader::new(Deadline { stream, at });
     let mut head = String::new();
     // Request line + headers, line by line, bounded.
     let request_line = read_line(&mut reader, &mut head)?;
@@ -147,7 +168,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     })
 }
 
-fn read_line(reader: &mut BufReader<&mut TcpStream>, head: &mut String) -> Result<String, String> {
+fn read_line(reader: &mut BufReader<Deadline<'_>>, head: &mut String) -> Result<String, String> {
     let mut line = String::new();
     // `read_line` alone buffers until it meets `\n`, however far away that
     // is: read at most what is left of the head budget, plus the one byte

@@ -8,7 +8,9 @@
 //! - [`store`] — an append-only, fsync'd filesystem store keyed by spec
 //!   fingerprint, with atomic-rename writes and a replay-on-startup
 //!   recovery protocol.
-//! - [`server`] — the job queue and its one runner thread.  A job's pending
+//! - [`server`] — the job queue and its one runner thread, driving the job
+//!   protocol (the crate-private `job` module, which does no I/O and is
+//!   checked in every interleaving by its tests).  A job's pending
 //!   cells run as at most eight contiguous batches, each through
 //!   [`harness::Campaign::run_cells`] on the engine's threads, and are
 //!   persisted before they become visible, so a server-run campaign is
@@ -29,6 +31,7 @@
 pub mod api_types;
 pub mod client;
 pub mod http;
+mod job;
 pub mod server;
 pub mod store;
 

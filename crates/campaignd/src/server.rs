@@ -1,69 +1,33 @@
-//! The campaign server: a durable job queue over the deterministic campaign
-//! engine, fronted by the std-only HTTP API.
+//! The campaign server: the job protocol of `job.rs` run over real threads,
+//! the store and the std-only HTTP API.  Every `Job` lives in one map under
+//! the jobs lock; each event is applied to its job under that lock, and the
+//! server carries out the `Effect`s it returns.
 //!
-//! # Execution model
+//! One runner thread drains the runnable FIFO.  It runs each job's claimed
+//! cells as at most eight contiguous batches (`batch_plan`), each through
+//! [`Campaign::run_cells`] (the entry point of the CLI's `--shard` and
+//! `--resume`) on `workers` engine threads, and hands each executed batch
+//! to the committer thread over a one-slot channel.  The committer appends
+//! the batch to the job's fsync'd log outside the jobs lock, then publishes
+//! it, so the fsync overlaps the next batch's execution.  A crash loses at
+//! most the batch in flight (≤ ⌈pending / 8⌉ cells) plus what waits at the
+//! committer: the batch being appended and one in the slot.
 //!
-//! A submitted [`CampaignSpec`] becomes a durable job keyed by its
-//! fingerprint, and the fingerprint joins a FIFO of runnable jobs.  One
-//! runner thread drains that FIFO.  For each job it takes the pending cells
-//! once, in index order, and runs them as at most eight contiguous batches
-//! (`batch_plan`), each through [`Campaign::run_cells`] — the entry point
-//! the CLI's `--shard`/`--resume` paths use — on the job's `workers` engine
-//! threads, so parallelism comes from the engine's work stealing.  Before
-//! each batch the runner re-checks the job's state under the jobs lock: a
-//! job cancelled (or failed) since stops there, which is the whole cancel
-//! mechanism.  The cells a runner took stay claimed until their batch's
-//! append returns or the runner stops before sending them, and a
-//! resubmission schedules the job only for missing cells nobody claims.
-//! The runner flattens each executed cell to a [`CellRecord`],
-//! encodes it once, and hands the batch to the committer thread over a
-//! one-slot channel, then starts its next batch.  The committer appends
-//! each batch to the job's fsync'd log as it arrives, in one call outside
-//! the jobs lock, and only once that append returned `Ok` marks the cells
-//! done in memory (durability before visibility).  So the fsync overlaps
-//! the next batch's execution.
-//!
-//! The durability granularity is the batch: a crash loses at most the
-//! batch in flight (≤ ⌈pending / 8⌉ cells) plus what waits at the
-//! committer, which the one-slot channel bounds to the batch being
-//! appended and one behind it.
-//!
-//! A job's durable record is its spec (written at submission) and its
-//! cells (one append per batch).  A state is written only to park a job
-//! (`cancelled`, `failed`) or to unpark it (`queued`); `done` is never
-//! written: a job is done when its log holds a record for every grid cell.
-//!
-//! # Determinism contract
-//!
-//! A cell's seed (and therefore its entire execution) depends only on its
-//! global index, so a server-run job is **byte-identical** to the one-shot
-//! CLI run of the same spec — same summary and trajectory bytes, same report
-//! fingerprint (FNV-1a over the records' `to_json` lines in index order) —
-//! regardless of batching, engine threads, restarts, or the order batches
-//! happened to commit in.  Every read walks the job's done records in
-//! place: summaries through [`summaries_of`], trajectory lines through
-//! [`CellRecord::cell_line`], the encoders the CLI writes with.
-//!
-//! # Crash recovery
-//!
-//! On startup the store is replayed ([`crate::store`] documents the
-//! protocol): fully persisted cells count as done and are **never
-//! re-executed**; a torn trailing line re-runs its cell, and so does a
-//! record that decodes but does not sit at its grid position (an index past
-//! the grid, or a repetition other than `index % repetitions`).  Then one
-//! rule covers every stored job: a `cancelled` or `failed` job stays parked;
-//! any other (`queued`, or `running` and `done` from older stores) is done
-//! when every grid cell has a record, and is otherwise requeued with exactly
-//! its missing cells.
+//! A cell's seed depends only on its global index, so a server-run job is
+//! **byte-identical** to the one-shot CLI run of its spec (summary and
+//! trajectory bytes, report fingerprint) whatever the batching, threads,
+//! restarts or commit order.  Reads walk the done records through the
+//! CLI's encoders ([`summaries_of`], [`harness::CellRecord::cell_line`]).
 
-use crate::api_types::{ApiError, JobList, JobState, JobStatus, QueryResponse, QueryRow};
+use crate::api_types::{ApiError, JobList, JobState, QueryResponse, QueryRow};
 use crate::http::{self, Request, Response};
-use crate::store::{FsStore, Store};
+use crate::job::{Batch, Effect, Job};
+use crate::store::{FsStore, Store, StoredJob};
 use harness::campaign::summary_json;
-use harness::report::{summaries_of, trajectory_header, CellRecord};
+use harness::report::{summaries_of, trajectory_header};
 use harness::{Campaign, CampaignSpec, StatSummary};
 use mobile_congest_harness as harness;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -102,55 +66,6 @@ impl Config {
     }
 }
 
-/// A completed cell: the typed record plus its canonical
-/// [`CellRecord::to_json`] line, cached from the append so finalizing
-/// (fingerprinting) a job never re-encodes every record.
-struct DoneCell {
-    record: CellRecord,
-    line: String,
-}
-
-/// One live job.
-struct Job {
-    spec: CampaignSpec,
-    campaign: Arc<Campaign>,
-    state: JobState,
-    done: BTreeMap<usize, DoneCell>,
-    /// Running executed/skipped/failed/disagreement tallies, updated as
-    /// records land so status polls never rescan the cell map.
-    counts: (usize, usize, usize, usize),
-    /// Cached once the job finalizes (recomputing is O(cells)).
-    report_fingerprint: Option<String>,
-    error: Option<String>,
-    /// Cells the runner took at pickup and has not yet seen through the
-    /// committer.  A cell leaves when its batch's append returns (done, or
-    /// dropped by a failed append) or when the runner stops before sending
-    /// it.  Only missing cells outside this set are scheduled again, so a
-    /// resubmission neither re-runs a cell in flight nor strands one.
-    claimed: BTreeSet<usize>,
-}
-
-/// Fold one record into a job's executed / skipped / failed / disagreement
-/// tallies.
-fn tally(counts: &mut (usize, usize, usize, usize), record: &CellRecord) {
-    match &record.outcome {
-        harness::RecordOutcome::Ok { agrees, .. } => {
-            counts.0 += 1;
-            if *agrees == Some(false) {
-                counts.3 += 1;
-            }
-        }
-        harness::RecordOutcome::Skipped { .. } => counts.1 += 1,
-        harness::RecordOutcome::Failed { .. } => counts.2 += 1,
-    }
-}
-
-/// An executed batch waiting for the committer: its cells, encoded once.
-struct Executed {
-    fingerprint: String,
-    cells: Vec<DoneCell>,
-}
-
 struct Inner {
     store: Box<dyn Store>,
     jobs: Mutex<BTreeMap<String, Job>>,
@@ -162,7 +77,7 @@ struct Inner {
     /// Executed batches to the committer thread, in execution order.  One
     /// slot: past it the runner waits instead of running further ahead of
     /// durability.
-    commits: mpsc::SyncSender<Executed>,
+    commits: mpsc::SyncSender<(String, Batch)>,
     /// Cells executed by the engine in this server process — the
     /// zero-re-execution recovery contract is asserted against this.
     executed: AtomicUsize,
@@ -192,11 +107,32 @@ impl Inner {
         ))
     }
 
-    /// Put a job on the runnable FIFO.
-    fn schedule(&self, fingerprint: &str) {
-        // Without a runner (`workers: 0`) the receiver is gone and the job
-        // only stays queued.
-        let _ = self.runnable.send(fingerprint.to_string());
+    /// Apply `event` to one job under the jobs lock.
+    fn with_job<T>(&self, fingerprint: &str, event: impl FnOnce(&mut Job) -> T) -> T {
+        let mut jobs = self.jobs.lock().expect("jobs lock");
+        event(jobs.get_mut(fingerprint).expect("jobs are never removed"))
+    }
+
+    /// Carry out a transition's effects, in order.  Caller holds the jobs
+    /// lock.
+    fn apply(&self, job: &mut Job, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::Write(state) => {
+                    if let Err(e) = self.store.set_state(&job.status().fingerprint, state) {
+                        if state != JobState::Failed {
+                            let failed = job.fail(e.to_string());
+                            return self.apply(job, failed);
+                        }
+                    }
+                }
+                // Without a runner (`workers: 0`) the receiver is gone and
+                // the job only stays queued.
+                Effect::Schedule => drop(self.runnable.send(job.status().fingerprint.clone())),
+                Effect::Wake => self.jobs_cv.notify_all(),
+                Effect::Log(line) => self.log(line),
+            }
+        }
     }
 }
 
@@ -278,8 +214,8 @@ fn start_on(config: Config, store: Box<dyn Store>) -> Result<Handle, String> {
         std::thread::Builder::new()
             .name("campaignd-committer".to_string())
             .spawn(move || {
-                for executed in incoming {
-                    commit(&inner, executed);
+                for (fingerprint, batch) in incoming {
+                    commit(&inner, &fingerprint, batch);
                 }
             })
             .map_err(|e| format!("cannot spawn committer: {e}"))?;
@@ -307,238 +243,55 @@ fn start_on(config: Config, store: Box<dyn Store>) -> Result<Handle, String> {
     Ok(handle)
 }
 
-/// Replay the store into the in-memory job map and requeue unfinished work.
+/// Replay the store into the in-memory job map, each job through `Recover`.
 fn recover(inner: &Arc<Inner>) -> Result<(), String> {
     let stored = inner.store.load_jobs().map_err(|e| e.to_string())?;
     let mut jobs = inner.jobs.lock().expect("jobs lock");
-    for job in stored {
+    for stored in stored {
         let campaign = inner
-            .campaign(&job.spec)
-            .map_err(|e| format!("job {}: {e}", job.fingerprint))?;
-        let total = campaign.cell_count();
-        let mut done = BTreeMap::new();
-        let mut counts = (0, 0, 0, 0);
-        let mut torn = job.torn_lines;
-        for record in job.cells {
-            // A record that decodes but does not sit at its grid position
-            // (past the grid, or at another repetition than the enumeration
-            // gives its index) would split or invent a summary group: it is
-            // as good as torn, and its cell re-runs.
-            if record.index >= total || record.repetition != record.index % job.spec.repetitions {
-                torn += 1;
-                continue;
-            }
-            if let std::collections::btree_map::Entry::Vacant(slot) = done.entry(record.index) {
-                tally(&mut counts, &record);
-                let line = record.to_json();
-                slot.insert(DoneCell { record, line });
-            }
-        }
-        if torn > 0 {
-            inner.log(format!(
-                "job {}: skipped {torn} torn log line(s); their cells will re-run",
-                job.fingerprint
-            ));
-        }
-        let parked = matches!(job.state, JobState::Cancelled | JobState::Failed);
-        let mut entry = Job {
-            spec: job.spec,
-            campaign,
-            state: if parked { job.state } else { JobState::Queued },
-            done,
-            counts,
-            report_fingerprint: None,
-            error: None,
-            claimed: BTreeSet::new(),
-        };
-        // Whatever else the store says (`queued`, or an older server's
-        // `running` or `done`), the log decides whether the job is done.
-        if !parked {
-            let pending = pending_indices(&entry);
-            if pending.is_empty() {
-                entry.report_fingerprint = Some(fingerprint_of(&entry));
-                entry.state = JobState::Done;
-            } else {
-                inner.schedule(&job.fingerprint);
-                inner.log(format!(
-                    "recovered job {}: {} cells done, requeued {} cell(s)",
-                    job.fingerprint,
-                    entry.done.len(),
-                    pending.len()
-                ));
-            }
-        }
-        jobs.insert(job.fingerprint, entry);
+            .campaign(&stored.spec)
+            .map_err(|e| format!("job {}: {e}", stored.fingerprint))?;
+        let (mut job, effects) = Job::recover(stored, campaign);
+        inner.apply(&mut job, effects);
+        jobs.insert(job.status().fingerprint.clone(), job);
     }
     Ok(())
-}
-
-/// The cells of the full grid neither done nor claimed by the runner, in
-/// index order.
-fn pending_indices(job: &Job) -> Vec<usize> {
-    job.campaign
-        .cell_indices()
-        .into_iter()
-        .filter(|i| !job.done.contains_key(i) && !job.claimed.contains(i))
-        .collect()
-}
-
-/// Whether every cell of the grid is done.
-fn complete(job: &Job) -> bool {
-    job.done.len() == job.campaign.cell_count()
-}
-
-/// The job's summary block (one `kind:"summary"` line per grid cell) over
-/// its done records in index order — the CLI's stdout for the same cells.
-fn summary_jsonl(job: &Job) -> String {
-    summaries_of(job.done.values().map(|d| &d.record))
-        .iter()
-        .map(|summary| summary_json(summary) + "\n")
-        .collect()
-}
-
-/// The report fingerprint of a job's done cells: FNV-1a over one `to_json`
-/// line per cell, each followed by a newline, in index order — streamed
-/// over the cached encoded lines, without re-serializing any record.
-fn fingerprint_of(job: &Job) -> String {
-    harness::json::fnv1a_hex(
-        job.done
-            .values()
-            .flat_map(|d| d.line.bytes().chain(std::iter::once(b'\n'))),
-    )
-}
-
-/// Complete a job: cache the report fingerprint.  Nothing is stored — a
-/// job whose log holds every cell recovers as done.  Caller holds the jobs
-/// lock.
-fn finalize(inner: &Inner, fingerprint: &str, job: &mut Job) {
-    job.report_fingerprint = Some(fingerprint_of(job));
-    job.state = JobState::Done;
-    inner.jobs_cv.notify_all();
-    inner.log(format!(
-        "job {fingerprint} done: {} cells, report fingerprint {}",
-        job.done.len(),
-        job.report_fingerprint.as_deref().unwrap_or(""),
-    ));
-}
-
-/// Mark a job failed (a store error — execution itself cannot fail the
-/// job; cell-level failures are recorded outcomes).  Caller holds the lock.
-fn fail_job(inner: &Inner, fingerprint: &str, job: &mut Job, error: String) {
-    inner.log(format!("job {fingerprint} failed: {error}"));
-    job.state = JobState::Failed;
-    job.error = Some(error);
-    inner.jobs_cv.notify_all();
-    // Best-effort: if the store is broken this may fail too; the in-memory
-    // state still reports the failure.
-    let _ = inner.store.set_state(fingerprint, JobState::Failed);
 }
 
 /// Run one job's pending cells, claimed once at pickup, batch by batch
 /// through the engine, each executed batch to the committer.
 fn run_job(inner: &Inner, fingerprint: &str) {
-    let (campaign, pending) = {
-        let mut jobs = inner.jobs.lock().expect("jobs lock");
-        let job = jobs.get_mut(fingerprint).expect("jobs are never removed");
-        let pending = pending_indices(job);
-        job.claimed.extend(&pending);
-        (Arc::clone(&job.campaign), pending)
-    };
-    let mut unsent = &pending[..];
+    let (campaign, pending) =
+        inner.with_job(fingerprint, |job| (Arc::clone(&job.campaign), job.pickup()));
     for batch in batch_plan(&pending) {
-        {
-            let mut jobs = inner.jobs.lock().expect("jobs lock");
-            let job = jobs.get_mut(fingerprint).expect("jobs are never removed");
-            // Cancelled (or failed) since the last batch: release the rest
-            // to a resubmission and stop.
-            if job.state.is_terminal() {
-                for index in unsent {
-                    job.claimed.remove(index);
-                }
-                return;
-            }
-            // In memory only: recovery requeues `queued` and `running` alike.
-            job.state = JobState::Running;
+        if !inner.with_job(fingerprint, Job::check) {
+            return;
         }
-        // The actual work happens outside every lock — including the record
-        // encode, which is done exactly once per cell and reused for both the
-        // durable append and the finished-report fingerprint.
-        let cells: Vec<DoneCell> = campaign
-            .run_cells(batch)
-            .cells
-            .iter()
-            .map(|cell| {
-                let record = CellRecord::of(cell);
-                let line = record.to_json();
-                DoneCell { record, line }
-            })
-            .collect();
-        inner.executed.fetch_add(cells.len(), Ordering::SeqCst);
+        // The work happens outside every lock, the one encode per cell too.
+        let batch = Batch::of(&campaign.run_cells(batch).cells);
+        let cells = batch.lines.len();
+        inner.executed.fetch_add(cells, Ordering::SeqCst);
+        inner.with_job(fingerprint, |job| job.sent(&batch));
         inner
             .commits
-            .send(Executed {
-                fingerprint: fingerprint.to_string(),
-                cells,
-            })
+            .send((fingerprint.to_string(), batch))
             .expect("the committer runs until process exit");
-        unsent = &unsent[batch.len()..];
     }
 }
 
 /// Persist one executed batch, then publish its cells: durability before
-/// visibility — the fsync'd append returns before the jobs lock is taken
-/// and the cells are marked done in memory.
-fn commit(inner: &Inner, executed: Executed) {
-    let (records, lines): (Vec<CellRecord>, Vec<String>) = executed
-        .cells
-        .into_iter()
-        .map(|d| (d.record, d.line))
-        .unzip();
-    let append = inner.store.append_cells(&executed.fingerprint, &lines);
-    let mut jobs = inner.jobs.lock().expect("jobs lock");
-    let Some(job) = jobs.get_mut(&executed.fingerprint) else {
-        return;
-    };
-    for record in &records {
-        job.claimed.remove(&record.index);
-    }
-    if let Err(e) = append {
-        fail_job(inner, &executed.fingerprint, job, e.to_string());
-        return;
-    }
-    for (record, line) in records.into_iter().zip(lines) {
-        if let std::collections::btree_map::Entry::Vacant(slot) = job.done.entry(record.index) {
-            tally(&mut job.counts, &record);
-            slot.insert(DoneCell { record, line });
-        }
-    }
-    if !job.state.is_terminal() && complete(job) {
-        finalize(inner, &executed.fingerprint, job);
-    }
-}
-
-/// The status document of one job.  Caller holds the jobs lock.  Built
-/// from the running tallies — no scan of the cell map, so status polls
-/// stay O(1) however large the job is.
-fn status_of(fingerprint: &str, job: &Job) -> JobStatus {
-    let (executed, skipped, failed, disagreements) = job.counts;
-    JobStatus {
-        fingerprint: fingerprint.to_string(),
-        state: job.state,
-        cells_total: job.campaign.cell_count(),
-        cells_done: job.done.len(),
-        executed,
-        skipped,
-        failed,
-        disagreements,
-        report_fingerprint: job.report_fingerprint.clone(),
-        error: job.error.clone(),
-    }
+/// visibility — the fsync'd append returns before the jobs lock is taken.
+fn commit(inner: &Inner, fingerprint: &str, batch: Batch) {
+    let append = inner.store.append_cells(fingerprint, &batch.lines);
+    inner.with_job(fingerprint, |job| {
+        let effects = job.appended(batch, append.map_err(|e| e.to_string()));
+        inner.apply(job, effects);
+    });
 }
 
 fn serve_connection(inner: &Arc<Inner>, mut stream: std::net::TcpStream) {
-    // Long-polls wait after the read, so the timeouts never cut them short.
-    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
+    // The request is read against its own deadline; long-polls wait after
+    // it, so no timeout cuts them short.
     let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
     let response = match http::read_request(&mut stream) {
         Ok(request) => route(inner, &request),
@@ -561,6 +314,14 @@ fn not_found(fingerprint: &str) -> Response {
     error_response(404, format!("no job with fingerprint `{fingerprint}`"))
 }
 
+/// A text document read off one job under the jobs lock.
+fn read_job(inner: &Inner, fp: &str, read: impl FnOnce(&Job) -> String) -> Response {
+    match inner.jobs.lock().expect("jobs lock").get(fp) {
+        Some(job) => Response::text(200, read(job)),
+        None => not_found(fp),
+    }
+}
+
 /// Dispatch one request.
 fn route(inner: &Arc<Inner>, request: &Request) -> Response {
     let segments = request.segments();
@@ -575,7 +336,7 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
         ("GET", ["jobs"]) => {
             let jobs = inner.jobs.lock().expect("jobs lock");
             let list = JobList {
-                jobs: jobs.iter().map(|(fp, job)| status_of(fp, job)).collect(),
+                jobs: jobs.values().map(|job| job.status().clone()).collect(),
             };
             Response::json(200, list.to_json())
         }
@@ -590,7 +351,9 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
                 .min(30_000);
             let mut jobs = inner.jobs.lock().expect("jobs lock");
             let deadline = std::time::Instant::now() + Duration::from_millis(wait_ms);
-            while wait_ms > 0 && matches!(jobs.get(*fp), Some(job) if !job.state.is_terminal()) {
+            while wait_ms > 0
+                && matches!(jobs.get(*fp), Some(job) if !job.status().state.is_terminal())
+            {
                 let now = std::time::Instant::now();
                 let Some(left) = deadline
                     .checked_duration_since(now)
@@ -601,32 +364,24 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
                 jobs = inner.jobs_cv.wait_timeout(jobs, left).expect("jobs wait").0;
             }
             match jobs.get(*fp) {
-                Some(job) => Response::json(200, status_of(fp, job).to_json()),
+                Some(job) => Response::json(200, job.status().to_json()),
                 None => not_found(fp),
             }
         }
-        ("GET", ["jobs", fp, "summary"]) => {
-            let jobs = inner.jobs.lock().expect("jobs lock");
-            match jobs.get(*fp) {
-                Some(job) => Response::text(200, summary_jsonl(job)),
-                None => not_found(fp),
+        // The summary block (one `kind:"summary"` line per grid cell) over
+        // the done records in index order: the CLI's stdout for those cells.
+        ("GET", ["jobs", fp, "summary"]) => read_job(inner, fp, |job| {
+            let summaries = summaries_of(job.records());
+            summaries.iter().map(|s| summary_json(s) + "\n").collect()
+        }),
+        ("GET", ["jobs", fp, "trajectory"]) => read_job(inner, fp, |job| {
+            let mut text = trajectory_header(&job.spec) + "\n";
+            for record in job.records() {
+                text.push_str(&record.cell_line());
+                text.push('\n');
             }
-        }
-        ("GET", ["jobs", fp, "trajectory"]) => {
-            let jobs = inner.jobs.lock().expect("jobs lock");
-            match jobs.get(*fp) {
-                Some(job) => {
-                    let mut text = trajectory_header(&job.spec);
-                    text.push('\n');
-                    for done in job.done.values() {
-                        text.push_str(&done.record.cell_line());
-                        text.push('\n');
-                    }
-                    Response::text(200, text)
-                }
-                None => not_found(fp),
-            }
-        }
+            text
+        }),
         ("DELETE", ["jobs", fp]) => cancel(inner, fp),
         ("GET", ["query"]) => query(inner, request),
         _ => error_response(
@@ -651,32 +406,9 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
 
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     if let Some(job) = jobs.get_mut(&fingerprint) {
-        if matches!(job.state, JobState::Cancelled | JobState::Failed) {
-            // Unparked on disk first, so a restart cannot bring the parked
-            // state back — even for a complete job, which finalizes now.
-            if let Err(e) = inner.store.set_state(&fingerprint, JobState::Queued) {
-                fail_job(inner, &fingerprint, job, e.to_string());
-                return Response::json(200, status_of(&fingerprint, job).to_json());
-            }
-            job.error = None;
-            if complete(job) {
-                finalize(inner, &fingerprint, job);
-            } else {
-                job.state = JobState::Queued;
-                // Claimed cells are already on their way through the runner
-                // (whose next state check sees `queued`) and the committer:
-                // only the unclaimed missing ones need the job rescheduled.
-                let pending = pending_indices(job);
-                if !pending.is_empty() {
-                    inner.schedule(&fingerprint);
-                }
-                inner.log(format!(
-                    "job {fingerprint} resumed: requeued {} cell(s)",
-                    pending.len()
-                ));
-            }
-        }
-        return Response::json(200, status_of(&fingerprint, job).to_json());
+        let effects = job.resubmit();
+        inner.apply(job, effects);
+        return Response::json(200, job.status().to_json());
     }
 
     let campaign = match inner.campaign(&spec) {
@@ -688,44 +420,29 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     if let Err(e) = inner.store.put_spec(&fingerprint, &spec.to_json()) {
         return error_response(500, e.to_string());
     }
-    let job = Job {
+    let stored = StoredJob {
+        fingerprint: fingerprint.clone(),
         spec,
-        campaign,
         state: JobState::Queued,
-        done: BTreeMap::new(),
-        counts: (0, 0, 0, 0),
-        report_fingerprint: None,
-        error: None,
-        claimed: BTreeSet::new(),
+        cells: Vec::new(),
+        torn_lines: 0,
     };
-    inner.schedule(&fingerprint);
-    inner.log(format!(
-        "job {fingerprint} submitted: {} cells",
-        job.campaign.cell_count()
-    ));
-    let response = Response::json(201, status_of(&fingerprint, &job).to_json());
+    let (mut job, effects) = Job::submit(stored, campaign);
+    inner.apply(&mut job, effects);
+    let response = Response::json(201, job.status().to_json());
     jobs.insert(fingerprint, job);
     response
 }
 
-/// `DELETE /jobs/{fp}`: cancel.  Already-stored cells stay durable; the
-/// runner stops before the job's next batch; a later resubmission resumes
-/// from what is stored.
+/// `DELETE /jobs/{fp}`: cancel (see [`Job::cancel`]).
 fn cancel(inner: &Arc<Inner>, fingerprint: &str) -> Response {
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     let Some(job) = jobs.get_mut(fingerprint) else {
         return not_found(fingerprint);
     };
-    if !job.state.is_terminal() {
-        job.state = JobState::Cancelled;
-        if let Err(e) = inner.store.set_state(fingerprint, JobState::Cancelled) {
-            fail_job(inner, fingerprint, job, e.to_string());
-            return Response::json(200, status_of(fingerprint, job).to_json());
-        }
-        inner.jobs_cv.notify_all();
-        inner.log(format!("job {fingerprint} cancelled"));
-    }
-    Response::json(200, status_of(fingerprint, job).to_json())
+    let effects = job.cancel();
+    inner.apply(job, effects);
+    Response::json(200, job.status().to_json())
 }
 
 /// Pick one statistic off a facet summary.
@@ -765,7 +482,7 @@ fn query(inner: &Arc<Inner>, request: &Request) -> Response {
         if !wanted_jobs.is_empty() && !wanted_jobs.iter().any(|fp| fp == fingerprint) {
             continue;
         }
-        for group in summaries_of(job.done.values().map(|d| &d.record)) {
+        for group in summaries_of(job.records()) {
             if !matches(request.query_param("graph"), &group.graph)
                 || !matches(request.query_param("adversary"), &group.adversary)
                 || !matches(request.query_param("compiler"), &group.compiler)
@@ -795,8 +512,10 @@ fn query(inner: &Arc<Inner>, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api_types::JobStatus;
     use crate::client::Client;
-    use crate::store::{StoreError, StoredJob};
+    use crate::store::StoreError;
+    use harness::CellRecord;
     use std::time::Instant;
 
     /// A gate the test holds shut: `append_cells` blocks on it.
@@ -1039,7 +758,7 @@ mod tests {
         client.submit(FOUR_CELLS).unwrap();
         let claimed = || -> Vec<usize> {
             let jobs = handle.inner.jobs.lock().unwrap();
-            jobs[&fp].claimed.iter().copied().collect()
+            jobs[&fp].claimed()
         };
 
         // Batch 0 waits at the gate, batch 1 in the slot, the runner blocks

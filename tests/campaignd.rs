@@ -19,6 +19,8 @@ use mobile_congest::harness::{Campaign, CampaignReport, CampaignSpec};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn spec_text() -> String {
@@ -426,9 +428,10 @@ fn api_errors_are_typed_and_named() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
-/// A client that connects and sends nothing holds an HTTP thread only until
-/// the server's read timeout: with every HTTP thread so held, `/healthz`
-/// still answers.
+/// A client that connects and sends nothing, or sends its request head one
+/// byte every 0.5 s, holds an HTTP thread only until the server's deadline
+/// for the whole request: with every HTTP thread so held, `/healthz` still
+/// answers.
 #[test]
 fn idle_connections_on_every_http_thread_do_not_stall_the_api() {
     let data_dir = temp_data_dir("idle");
@@ -437,26 +440,47 @@ fn idle_connections_on_every_http_thread_do_not_stall_the_api() {
     config.quiet = true;
     let threads = HTTP_THREADS;
     let handle = start(config).expect("server starts");
-    let idle: Vec<TcpStream> = (0..threads)
-        .map(|_| TcpStream::connect(handle.addr()).expect("idle connection"))
-        .collect();
+    for trickle in [false, true] {
+        let behaviour = if trickle { "trickling" } else { "idle" };
+        let stop = Arc::new(AtomicBool::new(false));
+        let clients: Vec<_> = (0..threads)
+            .map(|_| {
+                let mut stream = TcpStream::connect(handle.addr()).expect("client connection");
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let head = b"GET /healthz HTTP/1.1\r\nX-Slow: ";
+                    let mut bytes = head.iter().chain(std::iter::repeat(&b'a'));
+                    while !stop.load(Ordering::SeqCst) {
+                        let byte = bytes.next().expect("endless");
+                        if trickle && stream.write_all(&[*byte]).is_err() {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(if trickle { 500 } else { 10 }));
+                    }
+                })
+            })
+            .collect();
 
-    let mut probe = TcpStream::connect(handle.addr()).expect("probe connection");
-    // Bounded, so a server that never answers fails the test, not hangs it.
-    probe
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    probe
-        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut reply = String::new();
-    let read = probe.read_to_string(&mut reply);
-    assert!(
-        read.is_ok(),
-        "no /healthz answer behind {threads} idle connections: {read:?}"
-    );
-    assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
-    drop(idle);
+        let mut probe = TcpStream::connect(handle.addr()).expect("probe connection");
+        // Bounded, so a server that never answers fails the test, not hangs it.
+        probe
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        let read = probe.read_to_string(&mut reply);
+        stop.store(true, Ordering::SeqCst);
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        assert!(
+            read.is_ok(),
+            "no /healthz answer behind {threads} {behaviour} connections: {read:?}"
+        );
+        assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
+    }
 
     let _ = std::fs::remove_dir_all(&data_dir);
 }
