@@ -175,8 +175,12 @@ impl Job {
         vec![Write(JobState::Failed), Wake, Log(log)]
     }
 
-    /// `Pickup`: the runner claims every runnable cell, in index order.
+    /// `Pickup`: the runner claims every runnable cell, in index order.  A
+    /// parked job's entry in the FIFO is stale: it claims nothing.
     pub(crate) fn pickup(&mut self) -> Vec<usize> {
+        if self.parked() {
+            return Vec::new();
+        }
         let pending = self.pending();
         self.claimed.extend(&pending);
         self.held.extend(&pending);
@@ -499,7 +503,14 @@ mod tests {
             match self.runner {
                 Runner::Idle if self.fifo > 0 => {
                     w.fifo -= 1;
+                    let parked = w.job.parked();
                     let pending = w.job.pickup();
+                    if parked && !pending.is_empty() {
+                        return Err(format!(
+                            "pickup {pending:?} of a {} job claims a cell",
+                            w.job.status.state
+                        ));
+                    }
                     let size = pending.len().div_ceil(BATCHES).max(1);
                     w.plan = pending.chunks(size).map(<[usize]>::to_vec).collect();
                     w.next = 0;

@@ -4,14 +4,16 @@
 //! server carries out the `Effect`s it returns.
 //!
 //! One runner thread drains the runnable FIFO.  It runs each job's claimed
-//! cells as at most eight contiguous batches (`batch_plan`), each through
-//! [`Campaign::run_cells`] (the entry point of the CLI's `--shard` and
-//! `--resume`) on `workers` engine threads, and hands each executed batch
-//! to the committer thread over a one-slot channel.  The committer appends
-//! the batch to the job's fsync'd log outside the jobs lock, then publishes
-//! it, so the fsync overlaps the next batch's execution.  A crash loses at
-//! most the batch in flight (≤ ⌈pending / 8⌉ cells) plus what waits at the
-//! committer: the batch being appended and one in the slot.
+//! cells as the contiguous chunks of the harness's one chunk rule
+//! ([`Campaign::chunks`]: at most eight, and no fewer cells each than the
+//! engine has threads; the `campaign` and `redteam` CLIs run theirs the
+//! same way), each through [`Campaign::run_cells`] on `workers` engine
+//! threads, and hands each executed batch to the committer thread over a
+//! one-slot channel.  The committer appends the batch to the job's fsync'd
+//! log outside the jobs lock, then publishes it, so the fsync overlaps the
+//! next batch's execution.  A crash loses at most the batch in flight (one
+//! chunk) plus what waits at the committer: the batch being appended and
+//! one in the slot.
 //!
 //! A cell's seed depends only on its global index, so a server-run job is
 //! **byte-identical** to the one-shot CLI run of its spec (summary and
@@ -163,12 +165,6 @@ impl Handle {
     }
 }
 
-/// The runner's batches of a job's pending cells (ascending): contiguous
-/// slices of `⌈pending / 8⌉` cells, so a job has at most eight.
-fn batch_plan(pending: &[usize]) -> std::slice::Chunks<'_, usize> {
-    pending.chunks(pending.len().div_ceil(8).max(1))
-}
-
 /// Start a server: open (and replay) the store, bind the listener, spawn
 /// the runner, the committer and the HTTP threads.
 pub fn start(config: Config) -> Result<Handle, String> {
@@ -263,7 +259,7 @@ fn recover(inner: &Arc<Inner>) -> Result<(), String> {
 fn run_job(inner: &Inner, fingerprint: &str) {
     let (campaign, pending) =
         inner.with_job(fingerprint, |job| (Arc::clone(&job.campaign), job.pickup()));
-    for batch in batch_plan(&pending) {
+    for batch in campaign.chunks(&pending) {
         if !inner.with_job(fingerprint, Job::check) {
             return;
         }
@@ -596,7 +592,7 @@ mod tests {
         client.status(fp).unwrap()
     }
 
-    /// Four cells, so the batch plan makes four 1-cell batches.
+    /// Four cells, so one engine thread runs them as four 1-cell chunks.
     const FOUR_CELLS: &str = r#"{"kind":"campaign-spec","seed":11,"repetitions":4,"grid":{
         "graphs":[{"family":"complete","n":6}],
         "adversaries":[{"kind":"random-mobile","f":1}],
@@ -798,23 +794,6 @@ mod tests {
         assert_eq!(done.report_fingerprint, Some(one_shot_fingerprint(&spec)));
         assert!(claimed().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_job_runs_in_at_most_eight_contiguous_ascending_batches() {
-        for (pending, batches, largest) in [(4, 4, 1), (27, 7, 4), (540, 8, 68), (5400, 8, 675)] {
-            let cells: Vec<usize> = (0..pending).collect();
-            let plan: Vec<&[usize]> = batch_plan(&cells).collect();
-            assert_eq!(plan.len(), batches, "{pending} pending");
-            assert_eq!(plan.iter().map(|b| b.len()).max(), Some(largest));
-            assert_eq!(plan.concat(), cells, "{pending} pending");
-        }
-        // A resume's sparse pending set: slices of it, in its order.
-        let sparse: Vec<usize> = (1..40).step_by(3).collect();
-        let plan: Vec<&[usize]> = batch_plan(&sparse).collect();
-        assert_eq!(plan.len(), 7);
-        assert_eq!(plan.concat(), sparse);
-        assert_eq!(batch_plan(&[]).count(), 0);
     }
 
     #[test]

@@ -23,25 +23,25 @@
 //! computed from the cell records.
 //!
 //! Recovery protocol ([`Store::load_jobs`]): enumerate the job directories,
-//! re-parse `spec.json` and `state.json`, replay `cells.log` line by line.
-//! A line is persisted only once its `\n` is: a crash mid-append leaves a
-//! trailing fragment without one, and recovery truncates `cells.log` back
-//! to its last `\n` and fsyncs before anything appends again, so the next
-//! append starts on a line of its own.  Only lines that parse as full
-//! [`CellRecord`]s count as done — the cut fragment and any unparseable
-//! line are counted in [`StoredJob::torn_lines`] and their cells simply
-//! re-run (the cell's seed depends only on its global index, so the re-run
-//! is byte-identical).  `cells.log` is append-only and fsync'd per append;
-//! the other two files are written whole to a temp file, fsync'd and
-//! renamed into place, so a crash at any instant leaves either the old
-//! version or the new one.
+//! re-parse `spec.json` and `state.json`, and replay `cells.log` through
+//! [`harness::report::replay`], the replay the CLIs' trajectory files go
+//! through too.  A line is persisted only once its `\n` is: a crash
+//! mid-append leaves a trailing fragment without one, which the replay cuts
+//! off durably before anything appends again, so the next append starts on
+//! a line of its own.  Only lines that parse as full [`CellRecord`]s count
+//! as done — the cut fragment and any unparseable line are counted in
+//! [`StoredJob::torn_lines`] and their cells simply re-run (the cell's seed
+//! depends only on its global index, so the re-run is byte-identical).
+//! `cells.log` takes one [`harness::report::append_lines`] per batch (one
+//! write, then `sync_data`); the other two files are written whole to a
+//! temp file, fsync'd and renamed into place, so a crash at any instant
+//! leaves either the old version or the new one.
 
 use harness::json::{self, Reader};
-use harness::report::{write_atomic, CellRecord};
+use harness::report::{append_lines, replay, write_atomic, CellRecord};
 use harness::CampaignSpec;
 use mobile_congest_harness as harness;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::api_types::JobState;
@@ -153,22 +153,9 @@ impl Store for FsStore {
             return Ok(());
         }
         let path = self.job_dir(fingerprint).join("cells.log");
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| StoreError::new(&path, e))?;
-        let mut text = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-        for line in lines {
-            text.push_str(line);
-            text.push('\n');
-        }
-        file.write_all(text.as_bytes())
-            .map_err(|e| StoreError::new(&path, e))?;
-        // The durability point: the batch is either fully on disk after this
-        // returns, or (on a crash before it) at worst a torn trailing line,
-        // which recovery cuts off and re-runs.
-        file.sync_data().map_err(|e| StoreError::new(&path, e))
+        append_lines(&path, lines.iter().map(String::as_str))
+            .and_then(|file| file.sync_data())
+            .map_err(|e| StoreError::new(&path, e))
     }
 
     fn load_jobs(&self) -> Result<Vec<StoredJob>, StoreError> {
@@ -209,30 +196,15 @@ impl Store for FsStore {
                 Err(e) => return Err(StoreError::new(&state_path, e)),
             };
             let log_path = dir.join("cells.log");
-            let (cells, torn_lines) = match fs::read(&log_path) {
-                Ok(bytes) => {
-                    // Appending behind a torn tail would glue the fragment
-                    // and the next record into one line that never parses.
-                    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                    let mut torn = usize::from(whole < bytes.len());
-                    if torn > 0 {
-                        truncate_durably(&log_path, whole as u64)?;
-                    }
-                    let mut cells = Vec::new();
-                    for line in String::from_utf8_lossy(&bytes[..whole]).lines() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match CellRecord::from_json(line) {
-                            Ok(record) => cells.push(record),
-                            Err(_) => torn += 1,
-                        }
-                    }
-                    (cells, torn)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), 0),
-                Err(e) => return Err(StoreError::new(&log_path, e)),
-            };
+            let replayed = replay(&log_path, |text| {
+                let lines = text.lines().filter(|line| !line.trim().is_empty());
+                Ok(lines.map(CellRecord::from_json).collect::<Vec<_>>())
+            })
+            .map_err(|e| StoreError::new(&log_path, e))?;
+            let (records, torn) = replayed.unwrap_or_default();
+            let unparsed = records.iter().filter(|record| record.is_err()).count();
+            let cells: Vec<CellRecord> = records.into_iter().flatten().collect();
+            let torn_lines = unparsed + usize::from(torn);
             jobs.push(StoredJob {
                 fingerprint,
                 spec,
@@ -244,16 +216,6 @@ impl Store for FsStore {
         jobs.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
         Ok(jobs)
     }
-}
-
-/// Cut the file at `path` to its first `len` bytes and fsync the new size.
-fn truncate_durably(path: &Path, len: u64) -> Result<(), StoreError> {
-    let file = fs::OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| StoreError::new(path, e))?;
-    file.set_len(len).map_err(|e| StoreError::new(path, e))?;
-    file.sync_all().map_err(|e| StoreError::new(path, e))
 }
 
 /// Parse the `state.json` document.
@@ -268,6 +230,7 @@ fn parse_state(text: &str) -> Option<JobState> {
 mod tests {
     use super::*;
     use harness::report::RecordOutcome;
+    use std::io::Write;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

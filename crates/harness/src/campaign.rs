@@ -185,6 +185,12 @@ impl Campaign {
         }
     }
 
+    /// `indices` as the chunks a runner executes and makes durable one at a
+    /// time: [`engine::chunks`] at this campaign's thread count.
+    pub fn chunks<'a>(&self, indices: &'a [usize]) -> std::slice::Chunks<'a, usize> {
+        engine::chunks(indices, engine::resolve_threads(self.threads))
+    }
+
     /// Execute every cell of the campaign across the worker pool and collect
     /// the report.
     ///
@@ -210,11 +216,7 @@ impl Campaign {
             .copied()
             .filter(|&i| i < self.cell_count())
             .collect();
-        let threads = if self.threads == 0 {
-            engine::default_threads()
-        } else {
-            self.threads
-        };
+        let threads = engine::resolve_threads(self.threads);
         // Tracing bypasses the cache: `prepare` emits packing spans into the
         // cell's event stream, and a cache hit would elide them from every
         // cell but the first, changing traced fingerprints.
@@ -391,22 +393,9 @@ impl CampaignReport {
     /// Wall times are measurement, not data, and never enter the record form.
     pub fn summaries_with(&self, records: &[CellRecord]) -> Vec<GroupSummary> {
         let mut summaries = summaries_of(records);
-        let groups = self
-            .cells
-            .chunk_by(|a, b| a.index - a.repetition == b.index - b.repetition);
-        for (summary, group) in summaries.iter_mut().zip(groups) {
-            let mut profile = obs::PhaseProfile::default();
-            for cell in group {
-                if let Ok(report) = &cell.outcome {
-                    profile.merge(&report.trace.profile);
-                }
-            }
-            summary.profile = profile
-                .rows()
-                .into_iter()
-                .map(|(name, spans, nanos)| (name.to_string(), spans, nanos as f64 / 1.0e6))
-                .collect();
-        }
+        let mut profiles = GroupProfiles::default();
+        profiles.add(&self.cells);
+        profiles.lay_over(&mut summaries);
         summaries
     }
 
@@ -436,58 +425,95 @@ impl CampaignReport {
         format!("{:?}", self.cells)
     }
 
-    /// A formatted per-group summary table.
+    /// A formatted per-group summary table: [`summary_table`] of
+    /// [`CampaignReport::summaries`].
     pub fn to_table(&self) -> String {
-        self.to_table_with(&self.summaries())
+        summary_table(&self.summaries())
+    }
+}
+
+/// The traced wall-clock profile of each grid cell, merged over its
+/// executed repetitions as chunks of cells arrive — the
+/// [`GroupSummary::profile`] of a run whose cells are not all in one
+/// report.  Groups follow [`summaries_of`]'s key (`index - repetition`,
+/// contiguous runs), so the profiles of the cells added, in order, line up
+/// with the summaries of their records.
+#[derive(Default)]
+pub struct GroupProfiles(Vec<(usize, obs::PhaseProfile)>);
+
+impl GroupProfiles {
+    /// Merge the profiles of `cells`, the next cells of the run in index
+    /// order, into their groups.
+    pub fn add(&mut self, cells: &[CampaignCell]) {
+        for cell in cells {
+            let key = cell.index - cell.repetition;
+            if self.0.last().map(|(k, _)| *k) != Some(key) {
+                self.0.push((key, obs::PhaseProfile::default()));
+            }
+            if let Ok(report) = &cell.outcome {
+                let (_, profile) = self.0.last_mut().expect("a group was just opened");
+                profile.merge(&report.trace.profile);
+            }
+        }
     }
 
-    /// [`CampaignReport::to_table`] with a precomputed [`summaries`] result.
-    ///
-    /// [`summaries`]: CampaignReport::summaries
-    pub fn to_table_with(&self, summaries: &[GroupSummary]) -> String {
-        let mut out = format!(
-            "{:<12} {:<22} {:<22} {:>5} {:>9} {:>9} {:>8} {:>9} {:>8}\n",
-            "graph",
-            "adversary",
-            "compiler",
-            "reps",
-            "net p50",
-            "net p99",
-            "net sd",
-            "overhead",
-            "agree"
-        );
-        for s in summaries {
-            if s.executed == 0 {
-                out.push_str(&format!(
-                    "{:<12} {:<22} {:<22} {:>5} skipped={} failed={}\n",
-                    s.graph, s.adversary, s.compiler, 0, s.skipped, s.failed
-                ));
-                continue;
-            }
-            let net = s.stat("network_rounds");
-            out.push_str(&format!(
-                "{:<12} {:<22} {:<22} {:>5} {:>9} {:>9} {:>8.1} {:>9.1} {:>8}{}\n",
-                s.graph,
-                s.adversary,
-                s.compiler,
-                s.executed,
-                net.map(|v| v.p50).unwrap_or(0.0),
-                net.map(|v| v.p99).unwrap_or(0.0),
-                net.map(|v| v.stddev).unwrap_or(0.0),
-                s.stat("overhead").map(|v| v.mean).unwrap_or(0.0),
-                if s.disagreements == 0 { "yes" } else { "NO" },
-                // A group can agree on its executed repetitions and still
-                // have runtime failures — don't let them hide.
-                if s.failed > 0 {
-                    format!("  failed={}", s.failed)
-                } else {
-                    String::new()
-                },
-            ));
+    /// Lay the profiles over `summaries`, the [`summaries_of`] of the same
+    /// cells' records, group by group.
+    pub fn lay_over(&self, summaries: &mut [GroupSummary]) {
+        for (summary, (_, profile)) in summaries.iter_mut().zip(&self.0) {
+            summary.profile = profile
+                .rows()
+                .into_iter()
+                .map(|(name, spans, nanos)| (name.to_string(), spans, nanos as f64 / 1.0e6))
+                .collect();
         }
-        out
     }
+}
+
+/// A formatted per-group table of `summaries`.
+pub fn summary_table(summaries: &[GroupSummary]) -> String {
+    let mut out = format!(
+        "{:<12} {:<22} {:<22} {:>5} {:>9} {:>9} {:>8} {:>9} {:>8}\n",
+        "graph",
+        "adversary",
+        "compiler",
+        "reps",
+        "net p50",
+        "net p99",
+        "net sd",
+        "overhead",
+        "agree"
+    );
+    for s in summaries {
+        if s.executed == 0 {
+            out.push_str(&format!(
+                "{:<12} {:<22} {:<22} {:>5} skipped={} failed={}\n",
+                s.graph, s.adversary, s.compiler, 0, s.skipped, s.failed
+            ));
+            continue;
+        }
+        let net = s.stat("network_rounds");
+        out.push_str(&format!(
+            "{:<12} {:<22} {:<22} {:>5} {:>9} {:>9} {:>8.1} {:>9.1} {:>8}{}\n",
+            s.graph,
+            s.adversary,
+            s.compiler,
+            s.executed,
+            net.map(|v| v.p50).unwrap_or(0.0),
+            net.map(|v| v.p99).unwrap_or(0.0),
+            net.map(|v| v.stddev).unwrap_or(0.0),
+            s.stat("overhead").map(|v| v.mean).unwrap_or(0.0),
+            if s.disagreements == 0 { "yes" } else { "NO" },
+            // A group can agree on its executed repetitions and still
+            // have runtime failures — don't let them hide.
+            if s.failed > 0 {
+                format!("  failed={}", s.failed)
+            } else {
+                String::new()
+            },
+        ));
+    }
+    out
 }
 
 /// One `kind:"cell"` JSONL line: the cell's [`CellRecord::cell_line`].  A

@@ -25,6 +25,25 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The worker count a `threads` setting runs on: `0` is [`default_threads`].
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        default_threads()
+    } else {
+        threads
+    }
+}
+
+/// The one chunk rule of every runner — the `campaign` and `redteam` CLIs
+/// and `campaignd`'s runner: `indices` as contiguous slices of `⌈n / 8⌉`,
+/// so at most eight, but never fewer per chunk than the `threads` the engine
+/// runs on (resolved, see [`resolve_threads`]), so no chunk of a small run
+/// leaves a worker idle.  A chunk is the unit of durability: its lines are
+/// appended and fsync'd once it has run.
+pub fn chunks(indices: &[usize], threads: usize) -> std::slice::Chunks<'_, usize> {
+    indices.chunks(indices.len().div_ceil(8).max(threads).max(1))
+}
+
 /// Run `job(0..count)` on `threads` workers and return the results in index
 /// order.
 ///
@@ -86,6 +105,27 @@ mod tests {
     fn zero_cells_is_fine() {
         let out: Vec<usize> = run_indexed(4, 0, |i| i);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_job_runs_in_at_most_eight_contiguous_ascending_batches() {
+        for (pending, batches, largest) in [(4, 4, 1), (27, 7, 4), (540, 8, 68), (5400, 8, 675)] {
+            let cells: Vec<usize> = (0..pending).collect();
+            let plan: Vec<&[usize]> = chunks(&cells, 1).collect();
+            assert_eq!(plan.len(), batches, "{pending} pending");
+            assert_eq!(plan.iter().map(|b| b.len()).max(), Some(largest));
+            assert_eq!(plan.concat(), cells, "{pending} pending");
+        }
+        // A chunk never holds fewer cells than the engine has threads.
+        let four: Vec<usize> = (0..4).collect();
+        let plan: Vec<&[usize]> = chunks(&four, 2).collect();
+        assert_eq!(plan, [&[0, 1][..], &[2, 3][..]]);
+        // A resume's sparse pending set: slices of it, in its order.
+        let sparse: Vec<usize> = (1..40).step_by(3).collect();
+        let plan: Vec<&[usize]> = chunks(&sparse, 1).collect();
+        assert_eq!(plan.len(), 7);
+        assert_eq!(plan.concat(), sparse);
+        assert_eq!(chunks(&[], 1).count(), 0);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! takes between the worker and every byte the system writes:
 //!
 //! * **`cells.log`** — [`CellRecord::to_json`] is a lossless round trip with
-//!   [`CellRecord::from_json`] (property-tested in
-//!   `tests/report_proptests.rs`; numbers ride the exact-token
-//!   [`crate::json`] layer, so `u64` seeds and shortest-form `f64` facets
-//!   survive byte for byte);
+//!   [`CellRecord::from_json`] (property-tested in `tests/codec_props.rs`;
+//!   numbers ride the exact-token [`crate::json`] layer, so `u64` seeds and
+//!   shortest-form `f64` facets survive byte for byte);
 //! * **the trajectory** — [`CellRecord::cell_line`] is the only encoder of
 //!   the `kind:"cell"` line ([`cell_json`](crate::campaign::cell_json)
 //!   flattens a live cell and calls it), which is what lets a server-side
@@ -28,12 +27,18 @@
 //! fingerprint equal iff they carry the same cells, no matter which process
 //! (CLI run, server worker, store replay) produced them.
 //!
-//! The trajectory *file* lives here too, once: [`trajectory_header`] keys a
-//! file to its spec, [`read_lines`] reads one back (foreign fingerprints
-//! refused, torn lines skipped), [`assemble`] merges kept and fresh lines in
-//! index order and [`write_atomic`] replaces the file crash-safely.
-//! [`resume_trajectory`] is the whole `--resume` cycle of the `campaign` and
-//! `redteam` CLIs over them; the server's store calls `write_atomic`.
+//! The log files live here too, once.  [`replay`] is the one reader of an
+//! append-only log (whole lines kept, a torn tail cut durably) and
+//! [`append_lines`] the one append (one write, then the caller's
+//! `sync_data`); `campaignd`'s store runs `cells.log` through both.  A trajectory file is such a log:
+//! [`trajectory_header`] keys it to its spec, [`resume_trajectory`] opens it
+//! for a run of the `campaign` or `redteam` CLI (replaying what is on file,
+//! foreign fingerprints refused), the run appends each executed chunk
+//! ([`TrajectoryLog::append`]), and [`TrajectoryLog::finish`] rewrites the
+//! file into index order only when a resume left it out of order.
+//! [`read_lines`] parses a trajectory's lines, [`assemble`] merges kept and
+//! fresh lines in index order and [`write_atomic`] replaces a file
+//! crash-safely.
 
 use crate::campaign::{CampaignCell, GroupSummary};
 use crate::json::{self, JsonValue, Reader};
@@ -41,7 +46,7 @@ use crate::spec::{CampaignSpec, SpecError};
 use crate::stats::StatSummary;
 use std::collections::HashSet;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// How one recorded cell ended: the executed facets, or the typed reason it
 /// did not run.
@@ -435,21 +440,106 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(tmp, path)
 }
 
-/// One run over the trajectory file `out` — the whole file cycle of the
-/// `campaign` and `redteam` CLIs.
+/// Replay an append-only log of `\n`-terminated lines — the one replay of
+/// `campaignd`'s `cells.log` and of the CLIs' trajectory files.  Read `path`
+/// and hand the text of its whole lines (every byte up to its last `\n`) to
+/// `accept`.  Once `accept` has taken them, any bytes after the last `\n`,
+/// an append a crash tore, are cut off and the new length fsync'd, so the
+/// next append starts on a line of its own.  A file `accept` refuses is left
+/// as it is.  `Ok(None)` when there is no file; otherwise `accept`'s value
+/// and whether a torn tail was cut.
+pub fn replay<T>(
+    path: &Path,
+    accept: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<(T, bool)>, String> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.to_string()),
+    };
+    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let kept = accept(&String::from_utf8_lossy(&bytes[..whole]))?;
+    let torn = whole < bytes.len();
+    if torn {
+        let cut = |e: std::io::Error| format!("cannot cut its torn tail: {e}");
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .map_err(cut)?;
+        file.set_len(whole as u64).map_err(cut)?;
+        file.sync_all().map_err(cut)?;
+    }
+    Ok(Some((kept, torn)))
+}
+
+/// Append `lines` to the log at `path` (created if missing), each followed
+/// by `\n`, in one write, and return the file for its `sync_data`.  Once
+/// this returns the lines survive the process; once that `sync_data`
+/// returns, any crash.  A crash before leaves at worst a torn last line,
+/// which [`replay`] cuts.
+pub fn append_lines<'a>(
+    path: &Path,
+    lines: impl IntoIterator<Item = &'a str>,
+) -> std::io::Result<std::fs::File> {
+    let mut text = String::new();
+    for line in lines {
+        text.push_str(line);
+        text.push('\n');
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    file.write_all(text.as_bytes())?;
+    Ok(file)
+}
+
+/// A trajectory file kept as an append-only log: the whole file cycle of the
+/// `campaign` and `redteam` CLIs, opened by [`resume_trajectory`].  The
+/// runner [`append`](TrajectoryLog::append)s each executed chunk's lines as
+/// the chunk finishes and [`finish`](TrajectoryLog::finish) leaves the file
+/// in the one-shot form.  An append writes before it returns, so a killed
+/// run loses at most the chunk in flight; its `sync_data` runs on a thread
+/// of its own while the next chunk runs, as `campaignd`'s committer
+/// overlaps its fsync, so a machine crash loses at most the chunk in flight
+/// and the one whose `sync_data` is under way.  A
+/// file this run starts afresh holds its header from its first write on:
+/// the header and the first chunk replace it together ([`write_atomic`]).
+pub struct TrajectoryLog {
+    path: PathBuf,
+    header: String,
+    header_kind: String,
+    fingerprint: String,
+    line_kind: String,
+    total: usize,
+    missing: Vec<usize>,
+    present: usize,
+    /// Lines on file, the header included; `0` until a run that starts
+    /// the file afresh writes it.
+    lines: usize,
+    /// The index of the last line on file.
+    last: Option<usize>,
+    /// Whether the file is the header followed by unique, in-grid lines in
+    /// ascending order: the one-shot form, which `finish` leaves as it is.
+    in_order: bool,
+    /// Whether this run appended to the file.
+    appended: bool,
+    /// The `sync_data` of the last append, while it runs.
+    syncing: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+}
+
+/// Open the trajectory file `out` for one run of `wanted`, the CLIs'
+/// `--resume` cycle.
 ///
 /// With `resume`, the lines already in `out` are kept: the file must open
-/// with a header of `header`'s kind and fingerprint ([`read_lines`]), torn
-/// lines are skipped, and a `line_kind` line whose index is not below
-/// `total` (no such cell or unit exists) is dropped.  Lines of indices
-/// outside `wanted` stay, so sequential sharded resumes accumulate the
-/// one-shot file.  `run` then gets the indices of `wanted` that no kept line
-/// covers, in order, plus the count of distinct indices kept, and returns
-/// the fresh `(index, line)` pairs.  When nothing was missing the file is
-/// left as it is and the result is `None`; otherwise `header` and the union
-/// of kept and fresh lines in index order replace `out` through
-/// [`write_atomic`] (its directory created first), and the result is the
-/// number of lines written, header included.
+/// with a header of `header`'s kind and fingerprint ([`read_lines`]), a
+/// torn tail is cut ([`replay`]), unparseable lines are skipped, and a
+/// `line_kind` line whose index is not below `total` (no such cell or unit
+/// exists) is dropped.  Lines of indices outside `wanted` stay, so
+/// sequential sharded resumes accumulate the one-shot file.  The indices of
+/// `wanted` that no kept line covers are [`missing`](TrajectoryLog::missing),
+/// in order.  Without `resume`, or with no file yet, every index of
+/// `wanted` is missing, and the first append replaces the file.
 pub fn resume_trajectory(
     out: &Path,
     header: &str,
@@ -457,46 +547,137 @@ pub fn resume_trajectory(
     total: usize,
     wanted: &[usize],
     resume: bool,
-    run: impl FnOnce(&[usize], usize) -> Result<Vec<(usize, String)>, String>,
-) -> Result<Option<usize>, String> {
-    let mut lines = Vec::new();
-    if resume && out.exists() {
-        let text = std::fs::read_to_string(out)
-            .map_err(|e| format!("cannot read trajectory {}: {e}", out.display()))?;
-        let ours = json::parse(header).map_err(|e| format!("trajectory header: {e}"))?;
-        let ours = Reader::new(&ours, "");
-        let (kind, fingerprint) = (ours.opt_str("kind"), ours.opt_str("fingerprint"));
-        lines = read_lines(
-            &text,
-            kind.unwrap_or_default(),
-            line_kind,
-            fingerprint.unwrap_or_default(),
-        )
-        .map_err(|e| {
-            format!(
-                "trajectory {}: {e}; delete it or pick another --out",
-                out.display()
-            )
-        })?;
-        lines.retain(|(index, _)| *index < total);
-    }
-    let present: HashSet<usize> = lines.iter().map(|(index, _)| *index).collect();
-    let missing: Vec<usize> = wanted
+) -> Result<TrajectoryLog, String> {
+    let ours = json::parse(header).map_err(|e| format!("trajectory header: {e}"))?;
+    let ours = Reader::new(&ours, "");
+    let mut log = TrajectoryLog {
+        path: out.to_path_buf(),
+        header: header.to_string(),
+        header_kind: ours.opt_str("kind").unwrap_or_default().to_string(),
+        fingerprint: ours.opt_str("fingerprint").unwrap_or_default().to_string(),
+        line_kind: line_kind.to_string(),
+        total,
+        missing: Vec::new(),
+        present: 0,
+        lines: 0,
+        last: None,
+        in_order: true,
+        appended: false,
+        syncing: None,
+    };
+    let kept = if resume {
+        replay(out, |text| {
+            let on_file = text.lines().count().saturating_sub(1);
+            let kept = log.kept_lines(text)?;
+            Ok((kept, on_file))
+        })
+        .map_err(|e| format!("trajectory {}: {e}", out.display()))?
+    } else {
+        None
+    };
+    let present: HashSet<usize> = match kept {
+        Some(((kept, on_file), _)) => {
+            let ascending = kept.windows(2).all(|pair| pair[0].0 < pair[1].0);
+            log.in_order = ascending && kept.len() == on_file;
+            log.lines = 1 + kept.len();
+            log.last = kept.last().map(|(index, _)| *index);
+            kept.into_iter().map(|(index, _)| index).collect()
+        }
+        None => HashSet::new(),
+    };
+    log.present = present.len();
+    log.missing = wanted
         .iter()
         .copied()
         .filter(|index| !present.contains(index))
         .collect();
-    lines.extend(run(&missing, present.len())?);
-    if missing.is_empty() {
-        return Ok(None);
+    Ok(log)
+}
+
+impl TrajectoryLog {
+    /// The indices of `wanted` to run, ascending.
+    pub fn missing(&self) -> &[usize] {
+        &self.missing
     }
-    let text = assemble(header, &lines);
-    if let Some(parent) = out.parent() {
-        let _ = std::fs::create_dir_all(parent);
+
+    /// How many distinct indices the file already held.
+    pub fn present(&self) -> usize {
+        self.present
     }
-    write_atomic(out, &text)
-        .map_err(|e| format!("cannot write trajectory {}: {e}", out.display()))?;
-    Ok(Some(text.lines().count()))
+
+    /// Append one executed chunk's `(index, line)` pairs ([`append_lines`])
+    /// once the last append's `sync_data` has returned, and start this one's;
+    /// into a file this run starts afresh, the header and the chunk replace
+    /// it together (its directory created first, [`write_atomic`]).  A failed
+    /// `sync_data` is returned by the next `append` or by `finish`.
+    pub fn append(&mut self, lines: &[(usize, String)]) -> Result<(), String> {
+        self.synced()?;
+        let out = self.path.display();
+        let fresh = lines.iter().map(|(_, line)| line.as_str());
+        if self.lines == 0 {
+            if let Some(parent) = self.path.parent() {
+                let _ = std::fs::create_dir_all(parent);
+            }
+            let text: String = std::iter::once(self.header.as_str())
+                .chain(fresh)
+                .flat_map(|line| [line, "\n"])
+                .collect();
+            write_atomic(&self.path, &text)
+                .map_err(|e| format!("cannot write trajectory {out}: {e}"))?;
+            self.lines = 1;
+        } else {
+            let file = append_lines(&self.path, fresh)
+                .map_err(|e| format!("cannot append to trajectory {out}: {e}"))?;
+            self.syncing = Some(std::thread::spawn(move || file.sync_data()));
+        }
+        for (index, _) in lines {
+            self.in_order &= self.last.is_none_or(|last| last < *index);
+            self.last = Some(*index);
+        }
+        self.lines += lines.len();
+        self.appended = true;
+        Ok(())
+    }
+
+    /// Wait for the last append's `sync_data`.
+    fn synced(&mut self) -> Result<(), String> {
+        let Some(sync) = self.syncing.take() else {
+            return Ok(());
+        };
+        sync.join()
+            .expect("a trajectory fsync panicked")
+            .map_err(|e| format!("cannot sync trajectory {}: {e}", self.path.display()))
+    }
+
+    /// Leave the file in its one-shot form: when it is not the header
+    /// followed by unique, in-grid lines in ascending order (a resume that
+    /// filled gaps, a later shard, a stray or unparseable line), rewrite it
+    /// as the header and its kept lines in index order ([`assemble`],
+    /// [`write_atomic`]).  The number of lines on file, header included,
+    /// when this run wrote the file; `None` when it left it as it was.
+    pub fn finish(mut self) -> Result<Option<usize>, String> {
+        self.synced()?;
+        if self.in_order {
+            return Ok(self.appended.then_some(self.lines));
+        }
+        let out = self.path.display();
+        let lines = replay(&self.path, |text| self.kept_lines(text))
+            .map_err(|e| format!("trajectory {out}: {e}"))?
+            .map(|(lines, _)| lines)
+            .ok_or_else(|| format!("trajectory {out} is gone"))?;
+        let text = assemble(&self.header, &lines);
+        write_atomic(&self.path, &text)
+            .map_err(|e| format!("cannot write trajectory {out}: {e}"))?;
+        Ok(Some(text.lines().count()))
+    }
+
+    /// The file's well-formed, in-grid lines ([`read_lines`]).
+    fn kept_lines(&self, text: &str) -> Result<Vec<(usize, String)>, String> {
+        let mut lines = read_lines(text, &self.header_kind, &self.line_kind, &self.fingerprint)
+            .map_err(|e| format!("{e}; delete it or pick another --out"))?;
+        lines.retain(|(index, _)| *index < self.total);
+        Ok(lines)
+    }
 }
 
 /// Aggregate records, in index order, into per-grid-cell [`GroupSummary`]s

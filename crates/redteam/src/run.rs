@@ -170,15 +170,15 @@ impl RedTeam {
     /// order.  Each unit is independent and seeded by its global index, so
     /// the outcome is byte-identical at any thread count.
     pub fn run_units(&self, units: &[usize]) -> Vec<UnitOutcome> {
-        engine::run_indexed(
-            if self.threads == 0 {
-                engine::default_threads()
-            } else {
-                self.threads
-            },
-            units.len(),
-            |i| self.run_unit(units[i]),
-        )
+        engine::run_indexed(engine::resolve_threads(self.threads), units.len(), |i| {
+            self.run_unit(units[i])
+        })
+    }
+
+    /// `units` as the chunks the CLI runs and makes durable one at a time:
+    /// [`engine::chunks`] at this instance's thread count.
+    pub fn chunks<'a>(&self, units: &'a [usize]) -> std::slice::Chunks<'a, usize> {
+        engine::chunks(units, engine::resolve_threads(self.threads))
     }
 
     /// Run every unit of this instance's shard.
@@ -193,8 +193,8 @@ impl RedTeam {
 
 /// The trajectory header line: `kind:"redteam"` plus the spec fingerprint
 /// that keys `--resume` (a trajectory written for a different spec is
-/// refused, never silently mixed).  Files are read back and assembled with
-/// the shared `harness::report::{read_lines, assemble}`.
+/// refused, never silently mixed).  The CLI keeps the file through the
+/// shared `harness::report::resume_trajectory`.
 pub fn header_line(spec: &RedTeamSpec) -> String {
     json::object(|w| {
         w.str("kind", "redteam")

@@ -9,6 +9,7 @@
 //! Run with `cargo run --example campaign`.
 
 use mobile_congest::graphs::GraphDef;
+use mobile_congest::harness::campaign::summary_table;
 use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::scenario::matrix::AdversaryDef;
 use mobile_congest::scenario::CompilerDef;
@@ -54,7 +55,7 @@ fn main() {
     let report = campaign.run();
     let summaries = report.summaries();
 
-    print!("{}", report.to_table_with(&summaries));
+    print!("{}", summary_table(&summaries));
     println!(
         "\n{} cells, {} skipped by validation; protected cells agree with fault-free: {}",
         report.cells.len(),

@@ -12,15 +12,25 @@
 //! spec's stable fingerprint) followed by one `kind:"cell"` line per cell in
 //! global enumeration order.
 //!
+//! The trajectory file is the run's durable log: each chunk of cells
+//! ([`Campaign::chunks`], the chunk rule `campaignd` runs jobs by) is
+//! appended as soon as it has run, the first one together with the header
+//! when the run starts the file afresh, and fsync'd while the next one runs,
+//! so a killed run loses at most the chunk in flight.  Only each cell's flat record outlives its
+//! chunk, for the stdout summaries; the run reports, traces included, are
+//! dropped chunk by chunk.
+//!
 //! `--resume` makes the run **cell-level incremental**: cells whose lines are
-//! already present in the trajectory file are skipped, only missing cells
-//! execute, and the file is rewritten with the union in index order.  A
-//! trajectory written for a different spec (fingerprint mismatch) is refused
-//! rather than silently mixed, and a line for a cell outside the grid is
-//! dropped.  `--shard I/OF` restricts the run to the cells with
-//! `index % OF == I`; shard outputs merge cleanly because every cell line
-//! depends only on the cell's global index.  The file cycle is
-//! `harness::report::resume_trajectory`, shared with the `redteam` CLI.
+//! already present in the trajectory file are skipped and only missing cells
+//! execute, appended like any others; when that leaves the file out of index
+//! order it is rewritten once at the end, in order, so a resumed file is
+//! byte-identical to a one-shot one.  A trajectory written for a different
+//! spec (fingerprint mismatch) is refused rather than silently mixed, and a
+//! line for a cell outside the grid is dropped.  `--shard I/OF` restricts
+//! the run to the cells with `index % OF == I`; shard outputs merge cleanly
+//! because every cell line depends only on the cell's global index.  The
+//! file cycle is `harness::report::resume_trajectory`, shared with the
+//! `redteam` CLI.
 //!
 //! **Stream contract**: stdout carries machine-parseable output only (the
 //! `kind:"summary"` JSONL lines of the executed batch); everything narrative
@@ -31,9 +41,9 @@
 //! is printed to stderr.
 
 use mobile_congest::cli;
-use mobile_congest::harness::campaign::{summary_json, GroupSummary};
-use mobile_congest::harness::report::{resume_trajectory, trajectory_header};
-use mobile_congest::harness::{Campaign, CampaignSpec, CellRecord};
+use mobile_congest::harness::campaign::{summary_json, summary_table, GroupProfiles, GroupSummary};
+use mobile_congest::harness::report::{resume_trajectory, summaries_of, trajectory_header};
+use mobile_congest::harness::{Campaign, CampaignCell, CampaignSpec, CellRecord, RecordOutcome};
 use mobile_congest::obs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -170,50 +180,80 @@ fn run() -> Result<(), String> {
     }
 
     // Cell-level resume: keep the lines already on disk, run only the rest,
-    // rewrite the file crash-safely with the union in global index order
-    // (cell lines are pure functions of their cell, so a resumed file is
-    // byte-identical to a from-scratch one).
-    let run_missing = |missing: &[usize], present: usize| {
+    // chunk by chunk, each appended to the file once it has run (cell lines
+    // are pure functions of their cell, so a resumed file is byte-identical
+    // to a from-scratch one).
+    let header = trajectory_header(&spec);
+    let mut log = resume_trajectory(
+        &out,
+        &header,
+        "cell",
+        spec.cell_count(),
+        &wanted,
+        args.common.resume,
+    )?;
+    let missing = log.missing().to_vec();
+    diag(format!(
+        "campaign {} (fingerprint {}): {} cells{}{}",
+        args.spec.display(),
+        spec.fingerprint(),
+        spec.cell_count(),
+        match args.common.shard {
+            Some((i, of)) => format!(", shard {i}/{of} -> {} cells", wanted.len()),
+            None => String::new(),
+        },
+        if args.common.resume {
+            format!(
+                ", resume: {} cells to run ({} already present)",
+                missing.len(),
+                log.present(),
+            )
+        } else {
+            String::new()
+        },
+    ));
+    if missing.is_empty() {
         diag(format!(
-            "campaign {} (fingerprint {}): {} cells{}{}",
-            args.spec.display(),
-            spec.fingerprint(),
-            spec.cell_count(),
-            match args.common.shard {
-                Some((i, of)) => format!(", shard {i}/{of} -> {} cells", wanted.len()),
-                None => String::new(),
-            },
-            if args.common.resume {
-                format!(
-                    ", resume: {} cells to run ({present} already present)",
-                    missing.len(),
-                )
-            } else {
-                String::new()
-            },
+            "nothing to do: trajectory {} already covers every cell",
+            out.display()
         ));
-        if missing.is_empty() {
-            diag(format!(
-                "nothing to do: trajectory {} already covers every cell",
-                out.display()
-            ));
-            return Ok(Vec::new());
+    } else {
+        if let Some(trace_dir) = &args.trace_dir {
+            std::fs::create_dir_all(trace_dir)
+                .map_err(|e| format!("cannot create trace dir {}: {e}", trace_dir.display()))?;
         }
         let t0 = Instant::now();
-        let report = campaign.run_cells(missing);
-        let wall = t0.elapsed().as_secs_f64();
-        // Each executed cell is flattened once: the stdout summaries and the
-        // trajectory lines both come from its record.
-        let records: Vec<CellRecord> = report.cells.iter().map(CellRecord::of).collect();
-        let summaries = report.summaries_with(&records);
-        if !args.common.quiet {
-            eprint!("{}", report.to_table_with(&summaries));
+        // Each executed cell is flattened once: its record gives the chunk's
+        // trajectory lines and, kept, the stdout summaries.
+        let mut records: Vec<CellRecord> = Vec::with_capacity(missing.len());
+        let mut profiles = GroupProfiles::default();
+        let (mut agree, mut traces) = (true, 0usize);
+        for chunk in campaign.chunks(&missing) {
+            let report = campaign.run_cells(chunk);
+            agree &= report.all_protected_cells_agree();
+            if let Some(trace_dir) = &args.trace_dir {
+                traces += write_traces(trace_dir, &spec.fingerprint(), &report.cells)?;
+                profiles.add(&report.cells);
+            }
+            let fresh: Vec<CellRecord> = report.cells.iter().map(CellRecord::of).collect();
+            let lines: Vec<(usize, String)> =
+                fresh.iter().map(|r| (r.index, r.cell_line())).collect();
+            log.append(&lines)?;
+            records.extend(fresh);
         }
+        let wall = t0.elapsed().as_secs_f64();
+        let mut summaries = summaries_of(&records);
+        profiles.lay_over(&mut summaries);
+        if !args.common.quiet {
+            eprint!("{}", summary_table(&summaries));
+        }
+        let skipped = records
+            .iter()
+            .filter(|r| matches!(r.outcome, RecordOutcome::Skipped { .. }))
+            .count();
         diag(format!(
-            "{} cells executed ({} skipped by validation) in {wall:.2}s; protected cells agree: {}",
-            report.cells.len(),
-            report.skipped_count(),
-            report.all_protected_cells_agree(),
+            "{} cells executed ({skipped} skipped by validation) in {wall:.2}s; protected cells agree: {agree}",
+            records.len(),
         ));
         // Cache effectiveness, for humans and for
         // `tests/cli.rs::campaign_resume_rewrites_the_one_shot_bytes_over_a_torn_half`
@@ -233,43 +273,17 @@ fn run() -> Result<(), String> {
         for s in &summaries {
             println!("{}", summary_json(s));
         }
-
-        // Event traces: one JSONL stream per executed cell, keyed by the spec
-        // fingerprint so files from different campaigns never collide.
         if let Some(trace_dir) = &args.trace_dir {
-            std::fs::create_dir_all(trace_dir)
-                .map_err(|e| format!("cannot create trace dir {}: {e}", trace_dir.display()))?;
-            let mut written = 0usize;
-            for cell in &report.cells {
-                let Ok(cell_report) = &cell.outcome else {
-                    continue;
-                };
-                let path =
-                    trace_dir.join(format!("{}-cell{}.jsonl", spec.fingerprint(), cell.index));
-                let file = std::fs::File::create(&path)
-                    .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-                cell_report
-                    .trace
-                    .write_jsonl(std::io::BufWriter::new(file))
-                    .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-                written += 1;
-            }
             diag(format!(
-                "wrote {written} trace files to {}",
+                "wrote {traces} trace files to {}",
                 trace_dir.display()
             ));
             if !args.common.quiet {
                 eprint!("{}", profile_table(&summaries));
             }
         }
-        Ok(records.iter().map(|r| (r.index, r.cell_line())).collect())
-    };
-    let header = trajectory_header(&spec);
-    let total = spec.cell_count();
-    let resume = args.common.resume;
-    if let Some(written) =
-        resume_trajectory(&out, &header, "cell", total, &wanted, resume, run_missing)?
-    {
+    }
+    if let Some(written) = log.finish()? {
         diag(format!(
             "wrote {written} trajectory lines ({} cells) to {}",
             written - 1,
@@ -277,6 +291,31 @@ fn run() -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Event traces: one JSONL stream per executed cell of `cells`, keyed by the
+/// spec fingerprint so files from different campaigns never collide.
+/// Returns how many files it wrote.
+fn write_traces(
+    trace_dir: &Path,
+    fingerprint: &str,
+    cells: &[CampaignCell],
+) -> Result<usize, String> {
+    let mut written = 0;
+    for cell in cells {
+        let Ok(cell_report) = &cell.outcome else {
+            continue;
+        };
+        let path = trace_dir.join(format!("{fingerprint}-cell{}.jsonl", cell.index));
+        let file = std::fs::File::create(&path)
+            .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
+        cell_report
+            .trace
+            .write_jsonl(std::io::BufWriter::new(file))
+            .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
+        written += 1;
+    }
+    Ok(written)
 }
 
 /// The per-grid-cell wall-time profile table (`--trace-dir` runs only).

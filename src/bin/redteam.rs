@@ -19,7 +19,11 @@
 //! * a trajectory JSONL (`--out`): one `kind:"redteam"` header line keyed by
 //!   the spec fingerprint, then one `kind:"unit"` line per unit in global
 //!   order — byte-identical at any `--threads`, and `--shard`/`--resume`
-//!   accumulate byte-identically to a one-shot run;
+//!   accumulate byte-identically to a one-shot run.  Each chunk of units
+//!   (`RedTeam::chunks`) is appended as soon as it has run and fsync'd
+//!   while the next one runs, so a killed run loses at most the chunk in
+//!   flight
+//!   (`harness::report::resume_trajectory`, shared with the `campaign` CLI);
 //! * per counterexample (`--ce-dir`): a one-cell campaign spec
 //!   (`<fp>-unit<N>.json`, replayable with the `campaign` CLI) and a replay
 //!   trace (`<fp>-unit<N>-replay.jsonl`: per-round corruption events plus
@@ -201,72 +205,76 @@ fn run() -> Result<(), String> {
     }
 
     // Unit-level resume: keep the lines already on disk, run only the rest,
-    // rewrite the file crash-safely with the union in global index order.
-    let run_missing = |missing: &[usize], present: usize| {
-        diag(format!(
-            "redteam {} (fingerprint {}): {} units{}{}",
-            args.spec.display(),
-            spec.fingerprint(),
-            team.unit_count(),
-            match args.common.shard {
-                Some((i, of)) => format!(", shard {i}/{of} -> {} units", wanted.len()),
-                None => String::new(),
-            },
-            if args.common.resume {
-                format!(
-                    ", resume: {} units to run ({present} already present)",
-                    missing.len(),
-                )
-            } else {
-                String::new()
-            },
-        ));
-
-        if missing.is_empty() {
-            diag(format!(
-                "nothing to do: trajectory {} already covers every unit",
-                out.display()
-            ));
-            return Ok(Vec::new());
-        }
-
-        let t0 = Instant::now();
-        let outcomes = team.run_units(missing);
-        let wall = t0.elapsed().as_secs_f64();
-        let found = outcomes
-            .iter()
-            .filter(|o| o.counterexample.is_some())
-            .count();
-        diag(format!(
-            "{} units executed in {wall:.2}s; {found} counterexample(s) found",
-            outcomes.len(),
-        ));
-
-        // The machine-parseable product of this run: one unit line per executed
-        // unit, on stdout (the same lines the trajectory file gets).
-        let fresh: Vec<(usize, String)> = outcomes
-            .iter()
-            .map(|o| (o.unit, unit_line(&spec, o)))
-            .collect();
-        for (_, line) in &fresh {
-            println!("{line}");
-        }
-
-        // Counterexample artifacts: replayable spec + replay trace per failure.
-        for outcome in &outcomes {
-            for path in write_counterexample(&spec, &team, outcome, &ce_dir)? {
-                diag(format!("wrote {}", path.display()));
-            }
-        }
-
-        Ok(fresh)
-    };
+    // chunk by chunk, each appended to the file once it has run.
     let header = header_line(&spec);
-    let total = team.unit_count();
-    let resume = args.common.resume;
-    if let Some(written) =
-        resume_trajectory(&out, &header, "unit", total, &wanted, resume, run_missing)?
-    {
+    let mut log = resume_trajectory(
+        &out,
+        &header,
+        "unit",
+        team.unit_count(),
+        &wanted,
+        args.common.resume,
+    )?;
+    let missing = log.missing().to_vec();
+    diag(format!(
+        "redteam {} (fingerprint {}): {} units{}{}",
+        args.spec.display(),
+        spec.fingerprint(),
+        team.unit_count(),
+        match args.common.shard {
+            Some((i, of)) => format!(", shard {i}/{of} -> {} units", wanted.len()),
+            None => String::new(),
+        },
+        if args.common.resume {
+            format!(
+                ", resume: {} units to run ({} already present)",
+                missing.len(),
+                log.present(),
+            )
+        } else {
+            String::new()
+        },
+    ));
+    if missing.is_empty() {
+        diag(format!(
+            "nothing to do: trajectory {} already covers every unit",
+            out.display()
+        ));
+    } else {
+        let t0 = Instant::now();
+        let (mut executed, mut found) = (0usize, 0usize);
+        for chunk in team.chunks(&missing) {
+            let outcomes = team.run_units(chunk);
+            // Counterexample artifacts first: a unit is done once its line is
+            // appended, so its files must be on disk by then.
+            for outcome in &outcomes {
+                for path in write_counterexample(&spec, &team, outcome, &ce_dir)? {
+                    diag(format!("wrote {}", path.display()));
+                }
+            }
+            let fresh: Vec<(usize, String)> = outcomes
+                .iter()
+                .map(|o| (o.unit, unit_line(&spec, o)))
+                .collect();
+            log.append(&fresh)?;
+            // The machine-parseable product of this run: one unit line per
+            // executed unit, on stdout (the same lines the trajectory file
+            // gets).
+            for (_, line) in &fresh {
+                println!("{line}");
+            }
+            executed += outcomes.len();
+            found += outcomes
+                .iter()
+                .filter(|o| o.counterexample.is_some())
+                .count();
+        }
+        let wall = t0.elapsed().as_secs_f64();
+        diag(format!(
+            "{executed} units executed in {wall:.2}s; {found} counterexample(s) found"
+        ));
+    }
+    if let Some(written) = log.finish()? {
         diag(format!(
             "wrote {written} trajectory lines ({} units) to {}",
             written - 1,

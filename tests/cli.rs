@@ -1,8 +1,9 @@
 //! The binaries end to end: what only a real `campaign`, `redteam`,
 //! `campaignd` or `campaignctl` process can get wrong — flag parsing and exit
 //! codes, the stderr diagnostics, `--resume` over a torn file on disk,
-//! `--trace-dir` output, counterexample files, and a server that is
-//! SIGKILLed mid-job and restarted.  The library-level contracts these rest
+//! `--trace-dir` output, counterexample files, and a server and a
+//! `campaign` run that are SIGKILLed mid-run and resumed.  The
+//! library-level contracts these rest
 //! on are tested in `spec_campaign`, `redteam`, `campaignd` and
 //! `artifact_cache`; `spec_campaign::campaign_cli_bytes_are_golden` pins the
 //! bytes `campaign` writes at any thread count, cache on or off.
@@ -17,7 +18,7 @@ use mobile_congest::harness::CampaignSpec;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Stdio};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
 
 const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
@@ -293,14 +294,47 @@ impl Drop for Server {
     }
 }
 
-/// Repetitions of the 27-cell e16 grid for the job the server is killed in,
-/// against a kill that follows the first durable batch within milliseconds.
-/// The server runs a job as eight batches of `⌈cells / 8⌉` (675 cells in
-/// debug, 6 750 in release), one after another.  When the kill lands,
-/// `cells.log` held 675 of 5 400 lines in debug, and in release 6 750 of
-/// 54 000, or 5 740 when the kill cut the first append short, so seven
-/// eighths of the job are still to run.
+/// Repetitions of the 27-cell e16 grid for the run the server, and then
+/// `campaign`, is killed in, against a kill that follows the first durable
+/// chunk within milliseconds.  Both run it as eight chunks of
+/// `⌈cells / 8⌉` (675 cells in debug, 6 750 in release), one after
+/// another.  When the kill lands, `cells.log` held 675 of 5 400 lines in
+/// debug, and in release 6 750 of 54 000, or 5 740 when the kill cut the
+/// first append short, so seven eighths of the job are still to run.
 const KILL_REPETITIONS: usize = if cfg!(debug_assertions) { 200 } else { 2000 };
+
+/// `specs/e16-small.json` at [`KILL_REPETITIONS`].
+fn e16_big_spec() -> String {
+    let text = file_text(&spec_path("e16-small"));
+    let scaled = text.replace(
+        "\"repetitions\": 2,",
+        &format!("\"repetitions\": {KILL_REPETITIONS},"),
+    );
+    assert_ne!(scaled, text, "specs/e16-small.json sets its repetitions");
+    scaled
+}
+
+/// The one-shot `campaign` run of [`e16_big_spec`]: its trajectory and
+/// stdout, run once for both SIGKILL tests.
+struct OneShot {
+    trajectory: String,
+    stdout: String,
+}
+
+fn e16_big_one_shot() -> &'static OneShot {
+    static ONE_SHOT: OnceLock<OneShot> = OnceLock::new();
+    ONE_SHOT.get_or_init(|| {
+        let dir = TempDir::new("e16-big-one-shot");
+        let spec = dir.join("e16-big.json");
+        std::fs::write(&spec, e16_big_spec()).unwrap();
+        let out = dir.join("one-shot.jsonl");
+        let run = run_spec(&dir, CAMPAIGN, &spec, &out, &["--quiet"]).ok();
+        OneShot {
+            trajectory: file_text(&out),
+            stdout: run.stdout,
+        }
+    })
+}
 
 #[test]
 fn campaignd_matches_the_cli_and_recovers_from_sigkill() {
@@ -337,12 +371,7 @@ fn campaignd_matches_the_cli_and_recovers_from_sigkill() {
     assert_eq!(files, ["cells.log", "spec.json"]);
 
     // SIGKILL the server mid-job: right after the first durable batch.
-    let text = file_text(&spec);
-    let scaled = text.replace(
-        "\"repetitions\": 2,",
-        &format!("\"repetitions\": {KILL_REPETITIONS},"),
-    );
-    assert_ne!(scaled, text, "specs/e16-small.json sets its repetitions");
+    let scaled = e16_big_spec();
     let total = CampaignSpec::from_json(&scaled).unwrap().cell_count();
     let big_spec = dir.join("e16-big.json");
     std::fs::write(&big_spec, &scaled).unwrap();
@@ -382,14 +411,70 @@ fn campaignd_matches_the_cli_and_recovers_from_sigkill() {
     );
 
     // The resumed report is still byte-identical to the one-shot run.
-    let direct_out = dir.join("direct-big.jsonl");
-    let direct = run_spec(&dir, CAMPAIGN, &big_spec, &direct_out, &["--quiet"]).ok();
+    let direct = e16_big_one_shot();
     assert_eq!(server.ctl(&dir, &["summary", &big]).stdout, direct.stdout);
     assert_eq!(
         server.ctl(&dir, &["trajectory", &big]).stdout,
-        file_text(&direct_out)
+        direct.trajectory
     );
     server.kill();
+}
+
+/// A `campaign` run SIGKILLed right after its first durable chunk keeps
+/// every complete cell line it appended, and `--resume` runs exactly the
+/// rest to the one-shot bytes.
+#[test]
+fn campaign_resumes_the_one_shot_bytes_after_a_sigkill_mid_run() {
+    let dir = TempDir::new("campaign-sigkill");
+    let scaled = e16_big_spec();
+    let total = CampaignSpec::from_json(&scaled).unwrap().cell_count();
+    let spec = dir.join("e16-big.json");
+    std::fs::write(&spec, &scaled).unwrap();
+    let out = dir.join("trajectory.jsonl");
+
+    let mut child = dir
+        .command(CAMPAIGN)
+        .arg("--spec")
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out)
+        .arg("--quiet")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("campaign starts");
+    // The header and one complete cell line.
+    let start = Instant::now();
+    while !std::fs::read_to_string(&out).is_ok_and(|text| text.matches('\n').count() >= 2) {
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("no durable chunk in time");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    child.kill().expect("SIGKILL campaign");
+    child.wait().expect("reap campaign");
+    // Only complete lines count; a torn last line is not durable.
+    let durable = file_text(&out).matches('\n').count() - 1;
+    assert!(
+        0 < durable && durable < total,
+        "the kill did not land mid-run ({durable} of {total} cell lines durable), \
+         so this run checks no recovery: make the run bigger"
+    );
+
+    let resumed = run_spec(&dir, CAMPAIGN, &spec, &out, &["--resume"]).ok();
+    let plan = format!(
+        "resume: {} cells to run ({durable} already present)",
+        total - durable
+    );
+    assert!(resumed.stderr.contains(&plan), "{}", resumed.stderr);
+    assert_eq!(
+        file_text(&out),
+        e16_big_one_shot().trajectory,
+        "the resumed trajectory differs from the one-shot run"
+    );
 }
 
 /// Specs that used to kill `campaign` with exit 101, and one that silently

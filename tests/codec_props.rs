@@ -9,7 +9,9 @@
 //!   panic;
 //! * crash points of the trajectory file — a `campaign` and a `redteam`
 //!   trajectory truncated at every byte offset inside their last two lines
-//!   resume to exactly the one-shot bytes.
+//!   resume to exactly the one-shot bytes, both as text and through the
+//!   on-disk cycle the CLIs run, crashed again after its first appended
+//!   chunk.
 //!
 //! Exact bytes are pinned separately, in `tests/codec_pin.rs`.
 
@@ -26,7 +28,7 @@ use mobile_congest::harness::spec::{
     adversary_from_json, adversary_to_json, compiler_from_json, compiler_to_json, graph_from_json,
     graph_to_json, mode_from_json, mode_to_json, payload_from_json, payload_to_json, SpecError,
 };
-use mobile_congest::harness::{json, Campaign, CampaignSpec, GridSpec, PayloadDef};
+use mobile_congest::harness::{engine, json, Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::redteam::{
     header_line, unit_line, BudgetSpec, RedTeam, RedTeamSpec, SearchSpec, SearchStrategy,
     TargetSpec,
@@ -41,6 +43,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
 // Generators: one arbitrary value per type from a seeded stream.
@@ -699,11 +702,60 @@ fn a_mutated_state_file_is_a_store_error_never_a_panic() {
 // (d) Crash points of the trajectory file.
 // ---------------------------------------------------------------------------
 
+/// What a run of the file cycle was asked to do: `(missing, present)`.
+type Asked = (Vec<usize>, usize);
+
+/// One run of the CLIs' file cycle over `path`: open it with
+/// `resume_trajectory`, append the line of each missing index (`line`)
+/// chunk by chunk under the one chunk rule at one thread, and finish.
+/// Returns what the run was asked to do, `(missing, present)`, and what
+/// `finish` returned.
+fn file_cycle(
+    path: &Path,
+    header: &str,
+    line_kind: &str,
+    total: usize,
+    wanted: &[usize],
+    resume: bool,
+    mut line: impl FnMut(usize) -> String,
+) -> Result<(Asked, Option<usize>), String> {
+    let mut log = resume_trajectory(path, header, line_kind, total, wanted, resume)?;
+    let asked = (log.missing().to_vec(), log.present());
+    for chunk in engine::chunks(&asked.0, 1) {
+        let fresh: Vec<(usize, String)> = chunk.iter().map(|&i| (i, line(i))).collect();
+        log.append(&fresh)?;
+    }
+    Ok((asked, log.finish()?))
+}
+
+/// A scratch directory for one test's files, removed when dropped.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("codec-props-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Truncate `one_shot` at every byte offset inside its last two lines and
 /// resume from each prefix: the shared reader must keep exactly the intact
 /// lines, the plan must be exactly the missing indices, and re-assembling
-/// after running them must reproduce the one-shot bytes.  `run` produces the
-/// line of one index (memoised: lines are pure functions of their index).
+/// after running them must reproduce the one-shot bytes.  Then the same
+/// prefix goes through the on-disk cycle: the replay cuts the line a crash
+/// tore (a line without its `\n` is not durable), the run is crashed again
+/// right after its first appended chunk, and the next resume must run
+/// exactly the rest and leave the one-shot bytes, which holds only if each
+/// append starts on a line of its own.  `run` produces the line of one
+/// index (memoised: lines are pure functions of their index).
 fn resumes_from_every_crash_point(
     one_shot: &str,
     header: &str,
@@ -725,6 +777,10 @@ fn resumes_from_every_crash_point(
         })
         .collect();
     let mut fresh: HashMap<usize, String> = HashMap::new();
+    let mut line = |index: usize| fresh.entry(index).or_insert_with(|| run(index)).clone();
+    let scratch = Scratch::new(kinds.0);
+    let path = scratch.0.join("trajectory.jsonl");
+    let all: Vec<usize> = (0..total).collect();
     for cut in ends[total - 3] + 1..one_shot.len() {
         let intact = ends.iter().take_while(|&&end| end <= cut).count();
         let kept = read_lines(&one_shot[..cut], kinds.0, kinds.1, fingerprint).unwrap();
@@ -745,10 +801,40 @@ fn resumes_from_every_crash_point(
         );
         let mut resumed = kept;
         for index in missing {
-            let line = fresh.entry(index).or_insert_with(|| run(index));
-            resumed.push((index, line.clone()));
+            resumed.push((index, line(index)));
         }
         assert_eq!(assemble(header, &resumed), one_shot, "cut at byte {cut}");
+
+        // On disk: durable are the lines whose `\n` made it.
+        std::fs::write(&path, &one_shot[..cut]).unwrap();
+        let durable = ends.iter().take_while(|&&end| end < cut).count();
+        let mut log = resume_trajectory(&path, header, kinds.1, total, &all, true).unwrap();
+        let rest: Vec<usize> = (durable..total).collect();
+        assert_eq!(
+            (log.missing(), log.present()),
+            (&rest[..], durable),
+            "cut at byte {cut}"
+        );
+        let first: Vec<(usize, String)> = engine::chunks(&rest, 1)
+            .next()
+            .unwrap()
+            .iter()
+            .map(|&index| (index, line(index)))
+            .collect();
+        let done = durable + first.len();
+        log.append(&first).unwrap();
+        drop(log); // stopped before `finish`
+        let (asked, _) = file_cycle(&path, header, kinds.1, total, &all, true, &mut line).unwrap();
+        assert_eq!(
+            asked,
+            ((done..total).collect(), done),
+            "cut at byte {cut}: the resume after the crash"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            one_shot,
+            "cut at byte {cut}: the file after the crash and the resume"
+        );
     }
 }
 
@@ -807,25 +893,20 @@ fn a_resume_drops_lines_past_the_grid_and_runs_exactly_the_missing_cells() {
         .replace("\"index\":1,", &format!("\"index\":{total},"));
     assert_ne!(stray, lines[1].1);
 
-    let dir = std::env::temp_dir().join(format!("codec-props-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.join("t.jsonl");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("resume");
+    let path = scratch.0.join("t.jsonl");
     std::fs::write(
         &path,
         format!("{header}\n{}\n{stray}\n{}", lines[0].1, &lines[2].1[..20]),
     )
     .unwrap();
+    let line = |i: usize| lines[i].1.clone();
     // Shard 1 of 2, then shard 0 of 2, each resuming the same file.
     for (shard, expected_missing, expected_present) in [(1, vec![1, 3], 1), (0, vec![2], 3)] {
         let wanted: Vec<usize> = (0..total).filter(|i| i % 2 == shard).collect();
-        let mut asked = None;
-        let written = resume_trajectory(&path, &header, "cell", total, &wanted, true, |m, p| {
-            asked = Some((m.to_vec(), p));
-            Ok(m.iter().map(|&i| lines[i].clone()).collect())
-        })
-        .unwrap();
-        assert_eq!(asked, Some((expected_missing, expected_present)));
+        let (asked, written) =
+            file_cycle(&path, &header, "cell", total, &wanted, true, line).unwrap();
+        assert_eq!(asked, (expected_missing, expected_present));
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(written, Some(text.lines().count()));
         assert!(
@@ -837,28 +918,25 @@ fn a_resume_drops_lines_past_the_grid_and_runs_exactly_the_missing_cells() {
 
     // A complete file: nothing runs and nothing is rewritten.
     let wanted: Vec<usize> = (0..total).collect();
-    let again = resume_trajectory(&path, &header, "cell", total, &wanted, true, |m, p| {
-        assert!(m.is_empty() && p == total);
-        Ok(Vec::new())
-    });
-    assert_eq!(again, Ok(None));
+    let again = file_cycle(&path, &header, "cell", total, &wanted, true, line);
+    assert_eq!(again, Ok(((Vec::new(), total), None)));
     // Without `--resume` the file is replaced, not merged.
-    let fresh = resume_trajectory(&path, &header, "cell", total, &[0], false, |m, p| {
-        assert_eq!((m, p), (&[0][..], 0));
-        Ok(vec![lines[0].clone()])
-    });
-    assert_eq!(fresh, Ok(Some(2)));
-    // A file written for another spec is refused, naming the file.
+    let fresh = file_cycle(&path, &header, "cell", total, &[0], false, line);
+    assert_eq!(fresh, Ok(((vec![0], 0), Some(2))));
+    // A file written for another spec is refused, naming the file, and left
+    // as it is, torn tail included.
     let other = trajectory_header(&CampaignSpec {
         seed: 8,
         ..small_campaign_spec()
     });
-    let refused = resume_trajectory(&path, &other, "cell", total, &wanted, true, |_, _| {
+    let torn = format!("{header}\n{}\n{}", lines[0].1, &lines[1].1[..20]);
+    std::fs::write(&path, &torn).unwrap();
+    let refused = file_cycle(&path, &other, "cell", total, &wanted, true, |_| {
         panic!("a foreign file must not run anything")
     })
     .unwrap_err();
     assert!(refused.contains("t.jsonl"), "{refused}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), torn);
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! through the whole stack.
 
 use mobile_congest::graphs::{GraphDef, PackingVersion};
+use mobile_congest::harness::campaign::summary_table;
 use mobile_congest::harness::{Campaign, CampaignSpec, GridSpec, PayloadDef};
 use mobile_congest::scenario::matrix::AdversaryDef;
 use mobile_congest::scenario::{CompilerDef, CompilerNotes};
@@ -180,7 +181,7 @@ fn full_grid_campaign_with_repetitions_through_the_parallel_engine() {
     assert!(jsonl.contains("\"stddev\":"));
     assert!(jsonl.contains("\"p10\":"));
     assert!(jsonl.contains("\"p90\":"));
-    assert!(report.to_table_with(&summaries).contains("net sd"));
+    assert!(summary_table(&summaries).contains("net sd"));
     let net = clique.stat("network_rounds").unwrap();
     assert!(net.stddev >= 0.0);
     assert!(net.p10 <= net.p50 && net.p50 <= net.p90 && net.p90 <= net.p99);
