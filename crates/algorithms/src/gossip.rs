@@ -26,8 +26,11 @@ pub struct TokenDissemination {
     tokens: Vec<u64>,
     rounds: usize,
     batch: usize,
-    /// known[v] = tokens learned so far (sorted).
+    /// known[v] = tokens learned so far, in the order learned (what
+    /// `send_into` forwards).
     known: Vec<Vec<u64>>,
+    /// seen[v] = known[v], sorted: the membership test of `receive`.
+    seen: Vec<Vec<u64>>,
     /// sent[v][u-index] = how many of v's known tokens were already sent to that neighbour.
     sent: Vec<Vec<usize>>,
 }
@@ -56,6 +59,7 @@ impl TokenDissemination {
             tokens,
             rounds,
             batch,
+            seen: known.clone(),
             known,
             sent,
         }
@@ -97,7 +101,8 @@ impl CongestAlgorithm for TokenDissemination {
         for v in self.graph.nodes() {
             for (_, payload) in inbox.inbox(&self.graph, v) {
                 for &tok in payload {
-                    if !self.known[v].contains(&tok) {
+                    if let Err(at) = self.seen[v].binary_search(&tok) {
+                        self.seen[v].insert(at, tok);
                         self.known[v].push(tok);
                     }
                 }
@@ -106,15 +111,7 @@ impl CongestAlgorithm for TokenDissemination {
     }
 
     fn outputs(&self) -> Vec<Output> {
-        self.known
-            .iter()
-            .map(|k| {
-                let mut s = k.clone();
-                s.sort_unstable();
-                s.dedup();
-                s
-            })
-            .collect()
+        self.seen.clone()
     }
 
     fn congestion_bound(&self) -> Option<usize> {
@@ -255,6 +252,22 @@ mod tests {
             let out = run_fault_free(&mut alg);
             assert_eq!(out, expect);
         }
+    }
+
+    /// A node forwards tokens in the order it first learned them, and takes
+    /// a repeated or unsorted (say, byzantine) delivery once per token.
+    #[test]
+    fn receive_keeps_the_learned_order_and_drops_repeats() {
+        let g = generators::path(3);
+        let mut alg = TokenDissemination::new(g.clone(), vec![5, 7, 2], 8);
+        let mut inbox = Traffic::new(&g);
+        inbox.send(&g, 1, 0, [9, 5, 3, 9, 1, 3]);
+        alg.receive(0, &inbox);
+        assert_eq!(alg.known[0], [5, 9, 3, 1]);
+        let mut out = Traffic::new(&g);
+        alg.send_into(1, &mut out);
+        assert_eq!(out.get(&g, 0, 1), Some(&[5, 9, 3, 1][..]));
+        assert_eq!(alg.outputs()[0], [1, 3, 5, 9]);
     }
 
     #[test]

@@ -42,7 +42,11 @@
 //!   are handed back.  Such a round costs `O(f)`, not `O(m)`; its traffic
 //!   volume is settled in bulk when the [`PatternRounds`] scope ends, and a
 //!   caller running several families of one plan back to back may run them
-//!   all in one scope;
+//!   all in one scope.  Two callers run this way: the Lemma 3.3 scheduler
+//!   (`SchedulePlan`, one pattern per slot) and the key exchange of the
+//!   secrecy compilers (`KeyPool::establish`, one pattern: every arc
+//!   carries its pads, of which only the controlled arcs' are ever packed
+//!   into words);
 //! * a **held** round ([`Network::held_rounds`]) runs on a buffer the caller
 //!   keeps across rounds — what every sender currently holds and sends again
 //!   each round, like the relays of a flood.  The engine reads that buffer and

@@ -16,23 +16,32 @@
 //! per exchange round a node draws its `deg · lanes` pads in one
 //! [`ChaCha8Rng::fill_u64`] call, arc by arc in neighbour order.
 //!
-//! Extraction is *streamed*: each exchange round's pads — one flat arc-major
-//! row of `arcs · lanes` chunks — are sent and folded into all `r` protected
-//! rounds of the keystream by a multi-row multiply–accumulate
+//! The exchange runs as the round engine's *pattern rounds*
+//! ([`Network::pattern_rounds`]): every round has one shape — every arc
+//! carries one message of `words_per_message` words — so it is one pattern,
+//! and the words on an arc are its pad chunks, four to a word.  The pads
+//! themselves are only written into a flat arc-major row of `arcs · lanes`
+//! chunks; the engine packs the words of the `≤ 2f'` arcs the adversary
+//! controls, for the view log, and settles the traffic volume in bulk, with
+//! the same metrics, RNG draws and trace events as a round that sent every
+//! pad on a `Traffic`.
+//!
+//! Extraction is *streamed*: each exchange round's row is folded into all
+//! `r` protected rounds of the keystream by a multi-row multiply–accumulate
 //! ([`BitExtractor::absorb`]), so the accumulator *is* the keystream.  The
 //! fold takes two exchange rounds per pass over the keystream: an even
-//! round's row is kept until the odd round after it is sent, and both are
-//! absorbed in one call (a last even round of an odd `ℓ` goes alone).  So
+//! round's row is kept until the odd round after it is exchanged, and both
+//! are absorbed in one call (a last even round of an odd `ℓ` goes alone).  So
 //! one pad row outlives its round, and memory is the keystream plus two pad
 //! rows, `O(r · arcs · lanes)`, never `O(ℓ · arcs · lanes)`.  Accumulation
 //! is XOR, so the pairing leaves the keystream unchanged.
 
 use coding::field::Field;
 use coding::{BitExtractor, Gf2_16};
-use congest_sim::network::Network;
-use congest_sim::traffic::Traffic;
+use congest_sim::network::{Network, RoundPatterns};
 use netgraph::{ArcId, Graph};
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
 
 /// Number of 16-bit chunks in one 64-bit payload word.
 const CHUNKS_PER_WORD: usize = 4;
@@ -124,43 +133,74 @@ pub struct KeyPool {
     threshold: usize,
 }
 
-/// One exchange round's pad draw: graph, the nodes' generators, a scratch of
-/// at least `max_degree · lanes` draws, the arc-major pads row, a one-message
-/// scratch and the round's traffic.
-type DrawPads = fn(&Graph, &mut [ChaCha8Rng], &mut [u64], &mut [Gf2_16], &mut [u64], &mut Traffic);
+/// One exchange round's pad draw: graph, lanes per arc, the nodes'
+/// generators, a scratch of at least `max_degree · lanes` draws and the
+/// arc-major pads row.
+type DrawPads = fn(&Graph, usize, &mut [ChaCha8Rng], &mut [u64], &mut [Gf2_16]);
 
 /// One exchange round's pads.  Sender `v` draws its `deg(v) · lanes` `u64`s
 /// in one [`ChaCha8Rng::fill_u64`] call; arc `v → u`, in neighbour order,
 /// takes the next `lanes` of them — chunk `k` is the low 16 bits of draw
-/// `k` — into its row of `pads` and, four chunks to a word, its message on
-/// `traffic`.
+/// `k` — into its row of `pads`.
 fn draw_pads(
     g: &Graph,
+    lanes: usize,
     node_rngs: &mut [ChaCha8Rng],
     draws: &mut [u64],
     pads: &mut [Gf2_16],
-    words: &mut [u64],
-    traffic: &mut Traffic,
 ) {
-    let lanes = words.len() * CHUNKS_PER_WORD;
+    let csr = g.csr();
     for (v, rng) in node_rngs.iter_mut().enumerate() {
-        let neighbors = g.neighbors(v);
-        let draws = &mut draws[..neighbors.len() * lanes];
+        let out = csr.neighbors(v);
+        let draws = &mut draws[..out.len() * lanes];
         rng.fill_u64(draws);
-        for (&(u, e), draws) in neighbors.iter().zip(draws.chunks_exact(lanes)) {
-            let arc = g.arc(e, v, u);
-            for (pad, &draw) in pads[arc * lanes..][..lanes].iter_mut().zip(draws) {
+        for (entry, draws) in out.iter().zip(draws.chunks_exact(lanes)) {
+            for (pad, &draw) in pads[entry.arc_out * lanes..][..lanes].iter_mut().zip(draws) {
                 *pad = Gf2_16::from_u64(draw);
             }
-            // Chunk `c` of a word is bits `16c ..` of it.
-            for (word, draws) in words.iter_mut().zip(draws.chunks_exact(CHUNKS_PER_WORD)) {
-                *word = draws
-                    .iter()
-                    .rev()
-                    .fold(0, |word, &draw| word << 16 | (draw & 0xFFFF));
-            }
-            traffic.set_arc(arc, Some(words));
         }
+    }
+}
+
+/// The key exchange as the round engine's pattern description: one pattern,
+/// every arc carrying `words` words, and in the round tagged `tag` those
+/// words are the arc's pad chunks in row `tag % 2`, four to a word.  The
+/// rows are written between rounds while a scope borrows the family, hence
+/// the cells.
+struct PadRounds {
+    arcs: usize,
+    words: usize,
+    rows: [RefCell<Vec<Gf2_16>>; 2],
+}
+
+impl RoundPatterns for PadRounds {
+    fn count(&self) -> usize {
+        1
+    }
+
+    fn lens(&self, _: usize) -> impl Iterator<Item = (ArcId, usize)> + '_ {
+        (0..self.arcs).map(|arc| (arc, self.words))
+    }
+
+    fn arc_len(&self, _: usize, arc: ArcId) -> Option<usize> {
+        (arc < self.arcs).then_some(self.words)
+    }
+
+    fn arc_words(&self, _: usize, arc: ArcId, tag: u64, out: &mut Vec<u64>) -> bool {
+        let lanes = self.words * CHUNKS_PER_WORD;
+        let row = self.rows[(tag % 2) as usize].borrow();
+        // Chunk `c` of a word is bits `16c ..` of it.
+        out.extend(
+            row[arc * lanes..][..lanes]
+                .chunks_exact(CHUNKS_PER_WORD)
+                .map(|chunks| {
+                    chunks
+                        .iter()
+                        .rev()
+                        .fold(0, |word, pad| word << 16 | pad.to_u64())
+                }),
+        );
+        true
     }
 }
 
@@ -229,33 +269,37 @@ impl KeyPool {
         // The pads of an even round and of the odd round after it, arc-major,
         // as known to BOTH endpoints (the sender generated them, the receiver
         // received them verbatim — the eavesdropper only listens).
-        let mut pads = [vec![Gf2_16::ZERO; width], vec![Gf2_16::ZERO; width]];
-        let mut words = vec![0u64; words_per_message];
+        let pads = PadRounds {
+            arcs,
+            words: words_per_message,
+            rows: [(); 2].map(|_| RefCell::new(vec![Gf2_16::ZERO; width])),
+        };
         let mut draws = vec![0u64; g.max_degree() * chunks_per_round];
-        let mut traffic = Traffic::new(&g);
+        let mut scope = net.pattern_rounds(&pads);
         for round in 0..exchange_rounds {
-            traffic.begin_round(&g);
             draw(
                 &g,
+                chunks_per_round,
                 &mut node_rngs,
                 &mut draws,
-                &mut pads[round % 2],
-                &mut words,
-                &mut traffic,
+                &mut pads.rows[round % 2].borrow_mut(),
             );
-            net.exchange_in_place(&mut traffic);
+            scope.exchange(0, round as u64);
             // Condense on the fly, two rounds per pass: protected round i of
             // every arc and lane gains α_round^i times each round's pad
             // (Theorem 2.1).
+            let rows = [0, 1].map(|i| pads.rows[i].borrow());
             let pending: &[(usize, &[Gf2_16])] = match round % 2 {
-                1 => &[(round - 1, &pads[0]), (round, &pads[1])],
-                _ if round + 1 == exchange_rounds => &[(round, &pads[0])],
+                1 => &[(round - 1, &rows[0]), (round, &rows[1])],
+                _ if round + 1 == exchange_rounds => &[(round, &rows[0])],
                 _ => continue,
             };
             extractor
                 .absorb(pending, &mut keystream)
                 .expect("the keystream block is sized for the extractor");
         }
+        // Settles the exchange's traffic volume.
+        drop(scope);
         net.tracer_mut().span_close(obs::Phase::KeySchedule);
         Ok(KeyPool {
             keystream,
@@ -306,9 +350,9 @@ impl KeyPool {
     pub fn apply(&self, arc: ArcId, round: usize, payload: &mut [u64]) {
         assert!(
             payload.len() * CHUNKS_PER_WORD <= self.chunks_per_round,
-            "payload wider than the provisioned keystream ({} words > {} chunks)",
+            "payload wider than the provisioned keystream ({} words > words_per_message = {})",
             payload.len(),
-            self.chunks_per_round
+            self.chunks_per_round / CHUNKS_PER_WORD
         );
         let key = self.keystream(arc, round);
         for (word, group) in payload.iter_mut().zip(key.chunks_exact(CHUNKS_PER_WORD)) {
@@ -329,10 +373,11 @@ impl KeyPool {
 mod tests {
     use super::*;
     use congest_sim::adversary::{
-        AdversaryRole, AdversaryStrategy, CorruptionBudget, FixedEdges, RandomMobile,
-        ScheduledEdges,
+        AdversaryRole, AdversaryStrategy, CorruptionBudget, FixedEdges, GreedyHeaviest,
+        RandomMobile, ScheduledEdges,
     };
     use congest_sim::scenario::matrix::graph_zoo_defs;
+    use congest_sim::traffic::Traffic;
     use netgraph::{generators, EdgeId};
     use rand::{Rng, SeedableRng};
 
@@ -340,37 +385,140 @@ mod tests {
     /// chunk, arc by arc.
     fn draw_pads_by_gen(
         g: &Graph,
+        lanes: usize,
         node_rngs: &mut [ChaCha8Rng],
         _draws: &mut [u64],
         pads: &mut [Gf2_16],
-        words: &mut [u64],
-        traffic: &mut Traffic,
     ) {
-        let chunks_per_round = words.len() * CHUNKS_PER_WORD;
         for (v, rng) in node_rngs.iter_mut().enumerate() {
             for &(u, e) in g.neighbors(v) {
                 let arc = g.arc(e, v, u);
-                let lanes = &mut pads[arc * chunks_per_round..][..chunks_per_round];
-                for (word, group) in words
-                    .iter_mut()
-                    .zip(lanes.chunks_exact_mut(CHUNKS_PER_WORD))
-                {
-                    *word = 0;
-                    for (c, pad) in group.iter_mut().enumerate() {
-                        *pad = Gf2_16::from_u64(rng.gen());
-                        *word |= pad.to_u64() << (16 * c);
-                    }
+                for pad in &mut pads[arc * lanes..][..lanes] {
+                    *pad = Gf2_16::from_u64(rng.gen());
                 }
-                traffic.set_arc(arc, Some(words));
             }
         }
     }
 
+    /// The exchange before pattern rounds, kept as the oracle: each round's
+    /// pads (drawn per chunk) are packed into one message per arc on a
+    /// `Traffic`, sent in a dense `exchange_in_place` round, and absorbed
+    /// one round at a time.  Returns the keystream.
+    fn dense_keystream(
+        net: &mut Network,
+        seed: u64,
+        rounds: usize,
+        words: usize,
+        t: usize,
+    ) -> Vec<Gf2_16> {
+        let g = net.graph().clone();
+        net.tracer_mut().span_open(obs::Phase::KeySchedule);
+        let lanes = words * CHUNKS_PER_WORD;
+        let extractor = BitExtractor::<Gf2_16>::new(rounds + t, t).unwrap();
+        let mut node_rngs: Vec<_> = g.nodes().map(|v| Network::node_rng(seed, v)).collect();
+        let mut keystream = vec![Gf2_16::ZERO; rounds * g.arc_count() * lanes];
+        let mut pads = vec![Gf2_16::ZERO; g.arc_count() * lanes];
+        let mut message = vec![0u64; words];
+        let mut traffic = Traffic::new(&g);
+        for round in 0..rounds + t {
+            traffic.begin_round(&g);
+            draw_pads_by_gen(&g, lanes, &mut node_rngs, &mut [], &mut pads);
+            for (arc, lanes) in pads.chunks_exact(lanes).enumerate() {
+                for (word, group) in message.iter_mut().zip(lanes.chunks_exact(CHUNKS_PER_WORD)) {
+                    *word = 0;
+                    for (c, pad) in group.iter().enumerate() {
+                        *word |= pad.to_u64() << (16 * c);
+                    }
+                }
+                traffic.set_arc(arc, Some(&message));
+            }
+            net.exchange_in_place(&mut traffic);
+            extractor.absorb(&[(round, &pads)], &mut keystream).unwrap();
+        }
+        net.tracer_mut().span_close(obs::Phase::KeySchedule);
+        keystream
+    }
+
+    /// The adversaries the pattern exchange is held to the dense one under:
+    /// an eavesdropper on every edge (0), a `RandomMobile` eavesdropper (1)
+    /// and a byzantine `GreedyHeaviest` (2), which ranks each `PatternId`
+    /// once, so it sees one pattern id for the whole schedule.
+    fn exchange_adversary(
+        kind: usize,
+        g: &Graph,
+    ) -> (AdversaryRole, Box<dyn AdversaryStrategy>, CorruptionBudget) {
+        let all: Vec<EdgeId> = (0..g.edge_count()).collect();
+        match kind {
+            0 => (
+                AdversaryRole::Eavesdropper,
+                Box::new(FixedEdges::new(all.clone())),
+                CorruptionBudget::Static(all),
+            ),
+            1 => (
+                AdversaryRole::Eavesdropper,
+                Box::new(RandomMobile::new(2, 7)),
+                CorruptionBudget::Mobile { f: 2 },
+            ),
+            _ => (
+                AdversaryRole::Byzantine,
+                Box::new(GreedyHeaviest::new(2)),
+                CorruptionBudget::Mobile { f: 2 },
+            ),
+        }
+    }
+
+    /// The pattern exchange against the dense oracle on the zoo graphs at
+    /// one to three words and an even and an odd `ℓ`, under each
+    /// [`exchange_adversary`]: the same keystream, metrics, view log,
+    /// corruption history, corruption-RNG position and trace events.
+    #[test]
+    fn pattern_exchange_equals_the_dense_exchange() {
+        let (mut observed, mut altered) = (0, 0);
+        for (case, def) in graph_zoo_defs(2024).iter().enumerate() {
+            let g = def.build().expect("zoo graph builds");
+            let seed = 0xBEEF + case as u64;
+            for (words, t, kind) in (1..=3usize)
+                .flat_map(|words| [1usize, 2].map(|t| (words, t)))
+                .flat_map(|(words, t)| (0..3).map(move |kind| (words, t, kind)))
+            {
+                let [(pattern, mut pattern_net), (dense, mut dense_net)] =
+                    [false, true].map(|dense| {
+                        let (role, strategy, budget) = exchange_adversary(kind, &g);
+                        let mut net = Network::new(g.clone(), role, strategy, budget, case as u64);
+                        net.install_tracer(obs::TraceSpec::ring().build_tracer());
+                        let keystream = if dense {
+                            dense_keystream(&mut net, seed, 3, words, t)
+                        } else {
+                            let pool = KeyPool::establish(&mut net, seed, 3, words, t).unwrap();
+                            pool.keystream
+                        };
+                        (keystream, net)
+                    });
+                let name = format!("{def:?}, {words} words, t {t}, adversary {kind}");
+                assert_eq!(pattern, dense, "{name}");
+                assert_eq!(pattern_net.metrics(), dense_net.metrics(), "{name}");
+                assert_eq!(pattern_net.view_log(), dense_net.view_log(), "{name}");
+                let histories = [&pattern_net, &dense_net].map(Network::corruption_history);
+                assert_eq!(histories[0], histories[1], "{name}");
+                let coins = [&mut pattern_net, &mut dense_net].map(Network::public_coin);
+                assert_eq!(coins[0], coins[1], "{name}");
+                let [pattern_trace, dense_trace] =
+                    [&mut pattern_net, &mut dense_net].map(|net| net.take_tracer().finish());
+                assert!(pattern_trace.events.len() >= 2 * (3 + t), "{name}");
+                assert_eq!(pattern_trace.events, dense_trace.events, "{name}");
+                assert_eq!(pattern_trace.stats, dense_trace.stats, "{name}");
+                observed += pattern_net.view_log().len();
+                altered += pattern_net.metrics().corrupted_messages;
+            }
+        }
+        assert!(observed > 0 && altered > 0, "both roles must act");
+    }
+
     /// Bulk draws against the per-draw oracle on the zoo graphs at one to
     /// three words (so some node's `deg · lanes` is no multiple of a
-    /// refill, and fills start mid-buffer): the same pads and messages round
-    /// by round, then the same keystream and the same wire — an
-    /// eavesdropper on every edge records both runs.
+    /// refill, and fills start mid-buffer): the same pads round by round,
+    /// then the same keystream and the same wire — an eavesdropper on every
+    /// edge records both runs.
     #[test]
     fn bulk_pad_draws_equal_the_per_draw_oracle() {
         let mut ragged = false;
@@ -388,32 +536,15 @@ mod tests {
                         .collect::<Vec<_>>()
                 });
                 let mut pads = [(); 2].map(|_| vec![Gf2_16::ZERO; g.arc_count() * lanes]);
-                let mut traffic = [(); 2].map(|_| Traffic::new(&g));
-                let mut scratch = vec![0u64; words];
                 let mut draws = vec![0u64; g.max_degree() * lanes];
                 for round in 0..5 {
                     for (i, draw) in [draw_pads as DrawPads, draw_pads_by_gen]
                         .into_iter()
                         .enumerate()
                     {
-                        traffic[i].begin_round(&g);
-                        draw(
-                            &g,
-                            &mut rngs[i],
-                            &mut draws,
-                            &mut pads[i],
-                            &mut scratch,
-                            &mut traffic[i],
-                        );
+                        draw(&g, lanes, &mut rngs[i], &mut draws, &mut pads[i]);
                     }
                     assert_eq!(pads[0], pads[1], "{def:?}, {words} words, round {round}");
-                    for arc in 0..g.arc_count() {
-                        assert_eq!(
-                            traffic[0].get_arc(arc),
-                            traffic[1].get_arc(arc),
-                            "{def:?}, {words} words, round {round}, arc {arc}"
-                        );
-                    }
                 }
 
                 let all: Vec<usize> = (0..g.edge_count()).collect();
@@ -513,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "(3 words > words_per_message = 1)")]
     fn oversized_payload_panics() {
         let g = generators::path(2);
         let (pool, _) = pool_on(g.clone(), 2, 1, 1);
