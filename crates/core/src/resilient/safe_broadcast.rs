@@ -6,7 +6,9 @@
 //! Lemma 3.3 scheduler), and every node decodes the nearest codeword from the
 //! symbols it received.  As long as the number of failed tree instances stays
 //! below the code's error capacity — which the scheduler guarantees for
-//! `k = Ω(η·f)` — every node recovers the message exactly.
+//! `k = Ω(η·f)` — every node recovers the message exactly; so a chunk within
+//! that capacity is not decoded at all, since its decode is known to return
+//! the chunk.
 
 use coding::field::Field;
 use coding::{Gf2_16, ReedSolomon};
@@ -138,6 +140,14 @@ impl BroadcastContext {
 /// settled, and a weighing strategy ranks each slot, once per broadcast
 /// instead of once per chunk.
 ///
+/// A chunk is RS-encoded and decoded only when the outcome is open: when
+/// more than the code's error capacity `⌊(k − ℓ)/2⌋` of its trees failed or
+/// are unusable.  Within capacity, the received word is at most that many
+/// symbols from the chunk's codeword, and a bounded-distance decoder of an
+/// MDS code returns the unique codeword in that radius, so the chunk is
+/// appended as it is.  It still takes its `k` garbage draws, so the chunks
+/// after it see the same garbage either way.
+///
 /// # Panics
 ///
 /// Panics if the message is empty.
@@ -167,15 +177,13 @@ pub fn ecc_safe_broadcast(
     let mut decoded: Vec<Gf2_16> = Vec::with_capacity(symbols.len());
     let mut decode_ok = true;
     let mut max_failed = 0usize;
+    let capacity = ctx.rs.error_capacity();
+    let mut padded: Vec<Gf2_16> = Vec::with_capacity(ell);
     let mut received: Vec<Gf2_16> = Vec::with_capacity(k);
     let mut corrupted: Vec<usize> = Vec::with_capacity(k);
 
     let mut rounds = net.pattern_rounds(&*ctx.plan);
     for chunk in &chunks {
-        let mut padded = chunk.to_vec();
-        padded.resize(ell, Gf2_16::ZERO);
-        let codeword = ctx.rs.encode(&padded).expect("length matches");
-
         // One RS-compiled DTP-hop broadcast per tree, scheduled in parallel.  The
         // per-instance round count (and with it the Theorem 3.2 corruption
         // threshold) is padded so that an adversary sweeping over consecutive
@@ -185,18 +193,28 @@ pub fn ecc_safe_broadcast(
 
         // Fault-free semantics per instance: a successful tree delivers its
         // symbol to every node; a failed tree delivers adversarial garbage
-        // (coordinated across nodes — the worst case for the decoder).
-        let garbage: Vec<Gf2_16> = (0..k).map(|_| Gf2_16::from_u64(fake_rng.gen())).collect();
+        // (coordinated across nodes — the worst case for the decoder).  The
+        // chunk takes its `k` garbage draws whether it decodes or not, so the
+        // chunks after it see the same stream.
         received.clear();
-        for (j, tree_report) in report.per_tree.iter().enumerate() {
-            if tree_report.ok && ctx.usable[j] {
-                received.push(codeword[j]);
-            } else {
-                received.push(garbage[j]);
+        received.extend((0..k).map(|_| Gf2_16::from_u64(fake_rng.gen())));
+        let delivered = |j: usize| report.per_tree[j].ok && ctx.usable[j];
+        if (0..k).filter(|&j| !delivered(j)).count() <= capacity {
+            // The decode would return the chunk (see the function docs).
+            decoded.extend_from_slice(chunk);
+            continue;
+        }
+        padded.clear();
+        padded.extend_from_slice(chunk);
+        padded.resize(ell, Gf2_16::ZERO);
+        let codeword = ctx.rs.encode(&padded).expect("length matches");
+        for (j, symbol) in received.iter_mut().enumerate() {
+            if delivered(j) {
+                *symbol = codeword[j];
             }
         }
         match ctx.rs.decode(&received) {
-            Ok(msg) => decoded.extend_from_slice(&msg[..chunk.len().min(ell)]),
+            Ok(msg) => decoded.extend_from_slice(&msg[..chunk.len()]),
             Err(_) => decode_ok = false,
         }
     }
@@ -243,12 +261,15 @@ mod tests {
     use netgraph::{generators, GraphDef};
 
     /// The pre-scope `ecc_safe_broadcast`, kept as the oracle: every chunk
-    /// runs `run_planned` in a pattern scope of its own.
+    /// runs `run_planned` in a pattern scope of its own and is encoded and
+    /// decoded, whatever its trees did.  Pushes each chunk's count of failed
+    /// or unusable trees to `bad_trees`.
     fn broadcast_by_chunk_scopes(
         net: &mut Network,
         ctx: &BroadcastContext,
         message: &[u64],
         seed: u64,
+        bad_trees: &mut Vec<usize>,
     ) -> (Vec<Option<Vec<u64>>>, SafeBroadcastReport) {
         assert!(!message.is_empty(), "message must be non-empty");
         let n = net.graph().node_count();
@@ -280,6 +301,11 @@ mod tests {
                     received.push(garbage[j]);
                 }
             }
+            bad_trees.push(
+                (report.per_tree.iter())
+                    .filter(|t| !(t.ok && ctx.usable[t.tree]))
+                    .count(),
+            );
             match ctx.rs.decode(&received) {
                 Ok(msg) => decoded.extend_from_slice(&msg[..chunk.len().min(ell)]),
                 Err(_) => decode_ok = false,
@@ -390,8 +416,13 @@ mod tests {
         ];
         let messages: [&[u64]; 2] = [&[0xDEAD_BEEF], &[3, u64::MAX, 0, 42, 1 << 40]];
         let (mut single_chunk, mut acted) = (0, 0);
+        // Chunks with exactly `capacity` and `capacity + 1` bad trees: the
+        // last one the broadcast skips the decoder for, and the first one it
+        // decodes.
+        let (mut at_capacity, mut past_capacity) = (0, 0);
         for (g, packing) in zoo_packings() {
             let ctx = BroadcastContext::new(&g, &packing);
+            let capacity = rs_error_capacity(packing.len());
             for mode in modes {
                 for (mut scoped, mut chunked) in zoo_networks(&g, mode)
                     .into_iter()
@@ -402,11 +433,19 @@ mod tests {
                         net.install_tracer(obs::TraceSpec::ring().build_tracer());
                     }
                     for (i, message) in messages.into_iter().enumerate() {
+                        let mut bad_trees = Vec::new();
                         let got = ecc_safe_broadcast(&mut scoped, &ctx, message, 5 + i as u64);
-                        let want =
-                            broadcast_by_chunk_scopes(&mut chunked, &ctx, message, 5 + i as u64);
+                        let want = broadcast_by_chunk_scopes(
+                            &mut chunked,
+                            &ctx,
+                            message,
+                            5 + i as u64,
+                            &mut bad_trees,
+                        );
                         assert_eq!(got, want, "{name} message {i}");
                         single_chunk += usize::from(got.1.chunks == 1);
+                        at_capacity += bad_trees.iter().filter(|&&b| b == capacity).count();
+                        past_capacity += bad_trees.iter().filter(|&&b| b == capacity + 1).count();
                     }
                     assert_eq!(scoped.metrics(), chunked.metrics(), "{name}");
                     assert_eq!(
@@ -431,6 +470,8 @@ mod tests {
         assert_eq!(single_chunk, 4 * 12);
         // Every network but the fault-free one.
         assert_eq!(acted, 3 * 4 * 11);
+        assert!(at_capacity > 0, "no chunk at the error capacity");
+        assert!(past_capacity > 0, "no chunk one past the error capacity");
     }
 
     fn byz_net(g: netgraph::Graph, f: usize, seed: u64) -> Network {

@@ -7,6 +7,20 @@
 //! multiset has exactly one element with non-zero frequency, the cell recovers
 //! it exactly (and the fingerprint check fails with probability `≤ poly(n)/p`
 //! otherwise).
+//!
+//! The fingerprint `Σ δ·r^(e+1)` costs one `Fp61::pow` per term, and the
+//! singleton check another.  A cell whose updates have all named one element
+//! `e` does not need either: its fingerprint is `count·r^(e+1)` exactly
+//! (ℤ → F_p is a ring homomorphism), `e = weighted/count − 1` whenever
+//! `count ≠ 0`, and with `count = 0` it is the empty cell.  So the cell
+//! keeps its fingerprint *implicit* until an update or a merge brings a
+//! second distinct element: that one materialises it (two powers), and every
+//! later update costs one power, as an always-materialised cell's does.  A
+//! cell that stays implicit decodes to `Zero` or `Single` without a power.
+//! Every answer — `decode`, `is_zero`, `==`, `Debug` — is the one the
+//! materialised fingerprint gives, as long as the counters stay inside
+//! `i128` (which the materialised check needs as well); the tests hold the
+//! cell to the always-materialised cell, kept as their oracle.
 
 use coding::field::Field;
 use coding::fp::Fp61;
@@ -31,14 +45,15 @@ pub enum OneSparseResult {
 ///
 /// Two cells can be merged iff they were created with the same fingerprint
 /// point (i.e. the same shared randomness).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct OneSparseCell {
     /// Σ frequencies.
     count: i128,
     /// Σ frequency · (element + 1)   (the +1 keeps element 0 distinguishable).
     weighted: i128,
-    /// Σ frequency · r^(element + 1) over F_p.
-    fingerprint: Fp61,
+    /// Σ frequency · r^(element + 1) over F_p, or `None` while every update
+    /// has named one element `e`, when it is `count · r^(e + 1)`.
+    fingerprint: Option<Fp61>,
     /// The fingerprint evaluation point (from shared randomness).
     point: Fp61,
 }
@@ -51,7 +66,7 @@ impl OneSparseCell {
         OneSparseCell {
             count: 0,
             weighted: 0,
-            fingerprint: Fp61::ZERO,
+            fingerprint: None,
             point,
         }
     }
@@ -62,11 +77,12 @@ impl OneSparseCell {
             return;
         }
         let val = element as i128 + 1;
+        if !self.names_only(val) {
+            let term = signed_to_field(delta as i128) * self.power(val);
+            self.fingerprint = Some(self.fingerprint() + term);
+        }
         self.count += delta as i128;
         self.weighted += delta as i128 * val;
-        let term = self.point.pow(element.wrapping_add(1));
-        let delta_f = signed_to_field(delta as i128);
-        self.fingerprint = self.fingerprint + delta_f * term;
     }
 
     /// Merge another cell created with the same randomness into this one.
@@ -79,14 +95,29 @@ impl OneSparseCell {
             self.point, other.point,
             "cannot merge cells with different randomness"
         );
+        let stays_implicit = self.fingerprint.is_none()
+            && other.fingerprint.is_none()
+            && (self.count == 0 || other.names_only(self.weighted / self.count));
+        if !stays_implicit {
+            self.fingerprint = Some(self.fingerprint() + other.fingerprint());
+        }
         self.count += other.count;
         self.weighted += other.weighted;
-        self.fingerprint = self.fingerprint + other.fingerprint;
     }
 
     /// Attempt to decode the summarised multiset.
     pub fn decode(&self) -> OneSparseResult {
-        if self.count == 0 && self.weighted == 0 && self.fingerprint == Fp61::ZERO {
+        let fingerprint = match self.fingerprint {
+            None if self.count == 0 => return OneSparseResult::Zero,
+            None => {
+                return OneSparseResult::Single {
+                    element: (self.weighted / self.count - 1) as u64,
+                    frequency: self.count as i64,
+                }
+            }
+            Some(fingerprint) => fingerprint,
+        };
+        if self.count == 0 && self.weighted == 0 && fingerprint == Fp61::ZERO {
             return OneSparseResult::Zero;
         }
         if self.count == 0 {
@@ -99,12 +130,11 @@ impl OneSparseCell {
         if candidate <= 0 || candidate > u64::MAX as i128 + 1 {
             return OneSparseResult::Collision;
         }
-        let element = (candidate - 1) as u64;
         // Verify the fingerprint: it must equal count · r^(element+1).
-        let expect = signed_to_field(self.count) * self.point.pow(element.wrapping_add(1));
-        if expect == self.fingerprint {
+        let expect = signed_to_field(self.count) * self.power(candidate);
+        if expect == fingerprint {
             OneSparseResult::Single {
-                element,
+                element: (candidate - 1) as u64,
                 frequency: self.count as i64,
             }
         } else {
@@ -114,7 +144,54 @@ impl OneSparseCell {
 
     /// Whether the cell currently summarises the empty multiset.
     pub fn is_zero(&self) -> bool {
-        matches!(self.decode(), OneSparseResult::Zero)
+        self.count == 0 && self.weighted == 0 && self.fingerprint() == Fp61::ZERO
+    }
+
+    /// The fingerprint `Σ frequency · r^(element + 1)`, materialised.
+    fn fingerprint(&self) -> Fp61 {
+        match self.fingerprint {
+            Some(fingerprint) => fingerprint,
+            None if self.count == 0 => Fp61::ZERO,
+            None => signed_to_field(self.count) * self.power(self.weighted / self.count),
+        }
+    }
+
+    /// Whether the fingerprint stays implicit after an update naming the
+    /// element `val − 1`: it is implicit, and empty or already that element.
+    fn names_only(&self, val: i128) -> bool {
+        self.fingerprint.is_none()
+            && (self.count == 0 || self.count.checked_mul(val) == Some(self.weighted))
+    }
+
+    /// `r^val`, the fingerprint term of the element `val − 1`.
+    fn power(&self, val: i128) -> Fp61 {
+        self.point.pow(val as u64)
+    }
+}
+
+/// Equal counters and equal fingerprints, implicit ones compared by value.
+impl PartialEq for OneSparseCell {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.weighted == other.weighted
+            && self.point == other.point
+            // Two implicit cells with equal counters name the same element.
+            && ((self.fingerprint.is_none() && other.fingerprint.is_none())
+                || self.fingerprint() == other.fingerprint())
+    }
+}
+
+impl Eq for OneSparseCell {}
+
+/// The materialised fingerprint, whatever the cell holds.
+impl std::fmt::Debug for OneSparseCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OneSparseCell")
+            .field("count", &self.count)
+            .field("weighted", &self.weighted)
+            .field("fingerprint", &self.fingerprint())
+            .field("point", &self.point)
+            .finish()
     }
 }
 
@@ -125,8 +202,213 @@ fn signed_to_field(x: i128) -> Fp61 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The always-materialised cell — every update pays its power, every
+    /// decode of a non-empty cell the check's — kept as the oracle of the
+    /// implicit fingerprint.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct EagerCell {
+        count: i128,
+        weighted: i128,
+        fingerprint: Fp61,
+        point: Fp61,
+    }
+
+    impl EagerCell {
+        /// An empty cell with the fingerprint point of `cell`.
+        pub(crate) fn like(cell: &OneSparseCell) -> Self {
+            EagerCell {
+                count: 0,
+                weighted: 0,
+                fingerprint: Fp61::ZERO,
+                point: cell.point,
+            }
+        }
+
+        pub(crate) fn update(&mut self, element: u64, delta: i64) {
+            if delta == 0 {
+                return;
+            }
+            let val = element as i128 + 1;
+            self.count += delta as i128;
+            self.weighted += delta as i128 * val;
+            let term = self.point.pow(element.wrapping_add(1));
+            let delta_f = signed_to_field(delta as i128);
+            self.fingerprint = self.fingerprint + delta_f * term;
+        }
+
+        pub(crate) fn merge(&mut self, other: &EagerCell) {
+            assert_eq!(self.point, other.point);
+            self.count += other.count;
+            self.weighted += other.weighted;
+            self.fingerprint = self.fingerprint + other.fingerprint;
+        }
+
+        pub(crate) fn decode(&self) -> OneSparseResult {
+            if self.count == 0 && self.weighted == 0 && self.fingerprint == Fp61::ZERO {
+                return OneSparseResult::Zero;
+            }
+            if self.count == 0 {
+                return OneSparseResult::Collision;
+            }
+            if self.weighted % self.count != 0 {
+                return OneSparseResult::Collision;
+            }
+            let candidate = self.weighted / self.count;
+            if candidate <= 0 || candidate > u64::MAX as i128 + 1 {
+                return OneSparseResult::Collision;
+            }
+            let element = (candidate - 1) as u64;
+            let expect = signed_to_field(self.count) * self.point.pow(element.wrapping_add(1));
+            if expect == self.fingerprint {
+                OneSparseResult::Single {
+                    element,
+                    frequency: self.count as i64,
+                }
+            } else {
+                OneSparseResult::Collision
+            }
+        }
+
+        pub(crate) fn is_zero(&self) -> bool {
+            matches!(self.decode(), OneSparseResult::Zero)
+        }
+    }
+
+    /// One step on a pair of cells `[a, b]`.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Update {
+            slot: usize,
+            element: u64,
+            delta: i64,
+        },
+        /// Merge the other slot into `into`.
+        MergeSlots { into: usize },
+        /// Merge a fresh cell fed `updates` into `into`.
+        MergeFresh {
+            into: usize,
+            updates: Vec<(u64, i64)>,
+        },
+    }
+
+    /// Few distinct elements, so repeats and cancellations are common, plus
+    /// the extremes `0` and `u64::MAX` (whose `element + 1` wraps the
+    /// exponent) and arbitrary words.
+    fn element() -> impl Strategy<Value = u64> {
+        (0..4u8, any::<u64>()).prop_map(|(kind, word)| match kind {
+            0 => word % 4,
+            1 => u64::MAX,
+            2 => u64::MAX - 1,
+            _ => word,
+        })
+    }
+
+    /// Unit-size and larger frequency changes, `0` (a no-op) included.
+    fn delta() -> impl Strategy<Value = i64> {
+        (0..2u8, -3i64..=3, -1000i64..=1000).prop_map(|(kind, small, large)| match kind {
+            0 => small,
+            _ => large,
+        })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let updates = prop::collection::vec((element(), delta()), 0..4);
+        (0..6u8, 0..2usize, element(), delta(), updates).prop_map(
+            |(kind, slot, element, delta, updates)| match kind {
+                0 => Op::MergeSlots { into: slot },
+                1 => Op::MergeFresh {
+                    into: slot,
+                    updates,
+                },
+                _ => Op::Update {
+                    slot,
+                    element,
+                    delta,
+                },
+            },
+        )
+    }
+
+    /// A fresh implicit cell and a fresh oracle fed `updates`.
+    fn fed(seed: u64, updates: &[(u64, i64)]) -> (OneSparseCell, EagerCell) {
+        let mut cell = OneSparseCell::new(seed);
+        let mut eager = EagerCell::like(&cell);
+        for &(element, delta) in updates {
+            cell.update(element, delta);
+            eager.update(element, delta);
+        }
+        (cell, eager)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // After every step, each cell decodes and reports emptiness as its
+        // oracle does, `a == b` holds exactly when it holds between the
+        // oracles, and each cell equals a fresh cell fed only its net
+        // multiset (an implicit cell against a materialised one whenever
+        // elements came and cancelled).  At most 40 steps keep the
+        // counters of repeated slot merges far inside `i128`.
+        #[test]
+        fn the_implicit_cell_answers_as_the_eager_cell(
+            seed in any::<u64>(),
+            ops in prop::collection::vec(op(), 1..40),
+        ) {
+            let mut cells = [OneSparseCell::new(seed), OneSparseCell::new(seed)];
+            let mut oracles = [EagerCell::like(&cells[0]), EagerCell::like(&cells[0])];
+            let mut nets: [BTreeMap<u64, i64>; 2] = Default::default();
+            for (step, op) in ops.iter().enumerate() {
+                match op {
+                    &Op::Update { slot, element, delta } => {
+                        cells[slot].update(element, delta);
+                        oracles[slot].update(element, delta);
+                        *nets[slot].entry(element).or_default() += delta;
+                    }
+                    &Op::MergeSlots { into } => {
+                        let (cell, oracle, net) =
+                            (cells[1 - into].clone(), oracles[1 - into].clone(), nets[1 - into].clone());
+                        cells[into].merge(&cell);
+                        oracles[into].merge(&oracle);
+                        for (element, delta) in net {
+                            *nets[into].entry(element).or_default() += delta;
+                        }
+                    }
+                    Op::MergeFresh { into, updates } => {
+                        let (cell, oracle) = fed(seed, updates);
+                        cells[*into].merge(&cell);
+                        oracles[*into].merge(&oracle);
+                        for &(element, delta) in updates {
+                            *nets[*into].entry(element).or_default() += delta;
+                        }
+                    }
+                }
+                for slot in 0..2 {
+                    prop_assert_eq!(
+                        cells[slot].decode(), oracles[slot].decode(),
+                        "decode differs from the eager cell: slot {} step {}", slot, step
+                    );
+                    prop_assert_eq!(
+                        cells[slot].is_zero(), oracles[slot].is_zero(),
+                        "is_zero differs from the eager cell: slot {} step {}", slot, step
+                    );
+                    let net: Vec<(u64, i64)> = nets[slot].iter().map(|(&e, &d)| (e, d)).collect();
+                    let (replayed, replayed_oracle) = fed(seed, &net);
+                    prop_assert_eq!(&replayed_oracle, &oracles[slot]);
+                    prop_assert!(replayed == cells[slot], "slot {} step {}", slot, step);
+                    prop_assert_eq!(format!("{:?}", cells[slot]), format!("{:?}", replayed));
+                }
+                prop_assert_eq!(
+                    cells[0] == cells[1], oracles[0] == oracles[1],
+                    "== differs from the eager cell at step {}", step
+                );
+            }
+        }
+    }
 
     #[test]
     fn empty_cell_is_zero() {

@@ -140,6 +140,82 @@ impl SparseRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::one_sparse::tests::EagerCell;
+    use proptest::prelude::*;
+
+    /// [`SparseRecovery::decode`]'s peeling over always-materialised cells
+    /// with the points and hashes of `sk`, fed `updates`: the oracle of the
+    /// implicit fingerprint at sketch level.
+    fn decode_over_eager_cells(
+        sk: &SparseRecovery,
+        updates: &[(u64, i64)],
+    ) -> Option<Vec<(u64, i64)>> {
+        let mut cells: Vec<Vec<EagerCell>> = sk
+            .cells
+            .iter()
+            .map(|row| row.iter().map(EagerCell::like).collect())
+            .collect();
+        let update = |cells: &mut Vec<Vec<EagerCell>>, element: u64, delta: i64| {
+            for (row, hash) in cells.iter_mut().zip(&sk.hashes) {
+                row[hash.hash(element) as usize].update(element, delta);
+            }
+        };
+        for &(element, delta) in updates {
+            update(&mut cells, element, delta);
+        }
+        let mut recovered: BTreeMap<u64, i64> = BTreeMap::new();
+        while let Some((element, frequency)) =
+            cells.iter().flatten().find_map(|cell| match cell.decode() {
+                OneSparseResult::Single { element, frequency } => Some((element, frequency)),
+                _ => None,
+            })
+        {
+            *recovered.entry(element).or_insert(0) += frequency;
+            update(&mut cells, element, -frequency);
+        }
+        cells
+            .iter()
+            .flatten()
+            .all(EagerCell::is_zero)
+            .then(|| recovered.into_iter().filter(|&(_, f)| f != 0).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Supports of up to 3·s elements, so peeling fails too, over noise
+        // that comes and cancels (its cells materialise, then return to
+        // zero); fed to one sketch, and split over two that are merged.
+        #[test]
+        fn decode_over_implicit_cells_equals_decode_over_eager_cells(
+            seed in any::<u64>(),
+            sparsity in 1usize..=4,
+            support in prop::collection::vec((0..8u8, 0u64..64, -3i64..=3), 0..=12),
+            noise in prop::collection::vec((0u64..64, 1i64..=3), 0..6),
+        ) {
+            let support = support
+                .into_iter()
+                .take(3 * sparsity)
+                .map(|(kind, element, delta)| (if kind == 0 { u64::MAX } else { element }, delta));
+            let updates: Vec<(u64, i64)> = noise
+                .iter()
+                .copied()
+                .chain(support)
+                .chain(noise.iter().map(|&(element, delta)| (element, -delta)))
+                .collect();
+            let r = randomness(seed);
+            let [mut whole, mut left, mut right] = [(); 3].map(|_| SparseRecovery::new(r, sparsity));
+            for (i, &(element, delta)) in updates.iter().enumerate() {
+                whole.update(element, delta);
+                if i % 2 == 0 { &mut left } else { &mut right }.update(element, delta);
+            }
+            left.merge(&right);
+            let want = decode_over_eager_cells(&whole, &updates);
+            prop_assert_eq!(whole.decode(), want.clone(), "decode differs from the eager cells");
+            prop_assert_eq!(left.decode(), want.clone(), "merged decode differs from the eager cells");
+            prop_assert_eq!(&left, &whole);
+        }
+    }
 
     fn randomness(seed: u64) -> SketchRandomness {
         SketchRandomness::from_seed(seed)
