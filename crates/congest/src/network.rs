@@ -33,20 +33,25 @@
 //!   read, and walks its spans once for the traffic-volume metrics;
 //! * a **pattern** round ([`Network::pattern_rounds`]) has no buffer at all.
 //!   The caller describes its recurring rounds as [`RoundPatterns`] — which
-//!   arcs carry how many words, and the words on one arc in one round — and
-//!   promises not to read what is delivered.  The engine materialises only the
-//!   `≤ 2f` controlled arcs into a recycled scratch and asks
-//!   [`CorruptionMode::alters`] whether the rewrite would change them (same
-//!   RNG draws, same `altered` count, same view entries, same trace events):
-//!   the rewrite is never built, nothing is stored, and the controlled edges
-//!   are handed back.  Such a round costs `O(f)`, not `O(m)`; its traffic
-//!   volume is settled in bulk when the [`PatternRounds`] scope ends, and a
-//!   caller running several families of one plan back to back may run them
-//!   all in one scope.  Two callers run this way: the Lemma 3.3 scheduler
-//!   (`SchedulePlan`, one pattern per slot) and the key exchange of the
-//!   secrecy compilers (`KeyPool::establish`, one pattern: every arc
-//!   carries its pads, of which only the controlled arcs' are ever packed
-//!   into words);
+//!   arcs carry how many words, and the words on one arc in one round.  The
+//!   engine materialises only the `≤ 2f` controlled arcs into a recycled
+//!   scratch.  A family that reads its deliveries
+//!   ([`RoundPatterns::READS_DELIVERIES`]) gets each byzantine rewrite in a
+//!   recycled [`Deliveries`] list ([`PatternRounds::delivered`]), as in a
+//!   held round, and every other arc delivers what its pattern says; for any
+//!   other family the engine asks [`CorruptionMode::alters`] whether the
+//!   rewrite would change the arc (same RNG draws, same `altered` count) and
+//!   builds nothing.  Either way the view entries and trace events are a
+//!   dense round's, and the controlled edges are handed back.  Such a round
+//!   costs `O(f)`, not `O(m)`; its traffic volume is settled in bulk when the
+//!   [`PatternRounds`] scope ends, and a caller running several families of
+//!   one plan back to back may run them all in one scope.  Three callers run
+//!   this way: the Lemma 3.3 scheduler (`SchedulePlan`, one pattern per
+//!   slot, no deliveries read), the key exchange of the secrecy compilers
+//!   (`KeyPool::establish`, one pattern: every arc carries its pads, of which
+//!   only the controlled arcs' are ever packed into words) and Theorem 1.3's
+//!   simulation (`CongestionSensitiveCompiler::run`, one pattern, deliveries
+//!   read: only the controlled arcs' frames are ever tagged and padded);
 //! * a **held** round ([`Network::held_rounds`]) runs on a buffer the caller
 //!   keeps across rounds — what every sender currently holds and sends again
 //!   each round, like the relays of a flood.  The engine reads that buffer and
@@ -208,13 +213,14 @@ struct RoundBuffers {
     scratch: Vec<u64>,
     /// Scratch of pattern rounds, lent to the open [`PatternRounds`] scope.
     pattern: PatternScratch,
-    /// Deliveries of held rounds, lent to the open [`HeldRounds`] scope.
+    /// Deliveries of pattern and held rounds, lent to the open
+    /// [`PatternRounds`] or [`HeldRounds`] scope.
     delivered: Deliveries,
 }
 
-/// What the adversary delivered in place of the held messages on the arcs it
-/// rewrote in the last round of a [`HeldRounds`] scope — at most two per
-/// controlled edge, none under an eavesdropper.
+/// What the adversary delivered in place of the sent messages on the arcs it
+/// rewrote in the last round of a [`HeldRounds`] or [`PatternRounds`] scope
+/// — at most two per controlled edge, none under an eavesdropper.
 #[derive(Debug, Default)]
 pub struct Deliveries {
     /// Per rewritten arc, in the order the adversary rewrote them: its words
@@ -241,6 +247,14 @@ impl Deliveries {
     /// The rewritten arcs, in the order the adversary rewrote them.
     pub fn arcs(&self) -> impl Iterator<Item = ArcId> + '_ {
         self.arcs.iter().map(|&(arc, _)| arc)
+    }
+
+    /// The rewritten arcs with what was delivered on each (`None`: the
+    /// message was dropped), in the order the adversary rewrote them.
+    pub fn iter(&self) -> impl Iterator<Item = (ArcId, Option<&[u64]>)> + '_ {
+        self.arcs
+            .iter()
+            .map(|(arc, span)| (*arc, span.clone().map(|span| &self.words[span])))
     }
 
     /// What was delivered on `arc`: `None` if the adversary did not rewrite
@@ -274,6 +288,12 @@ struct PatternScratch {
 /// `arc_len(p, ·)` is `Some`, with that length, and `arc_words(p, arc, tag, ·)`
 /// appends that many words for every `tag`.
 pub trait RoundPatterns {
+    /// Whether the caller reads what the adversary delivered on the arcs it
+    /// rewrote ([`PatternRounds::delivered`]).  A family that does not
+    /// leaves the deliveries empty, and its rounds only weigh each rewrite
+    /// ([`CorruptionMode::alters`]) instead of building it.
+    const READS_DELIVERIES: bool = false;
+
     /// Number of patterns in the family.
     fn count(&self) -> usize;
 
@@ -358,7 +378,8 @@ impl RoundSource for Dense<'_> {
     }
 }
 
-/// A pattern round: one pattern of the scope's family under one tag.
+/// A pattern round: one pattern of the scope's family under one tag; the
+/// rewrites go to the deliveries if the family reads them.
 struct Described<'a, P> {
     patterns: &'a P,
     id: PatternId,
@@ -366,6 +387,7 @@ struct Described<'a, P> {
     /// This pattern's entry of [`PatternScratch::uses`].
     uses: &'a mut usize,
     words: &'a mut Vec<u64>,
+    delivered: &'a mut Deliveries,
 }
 
 impl<P: RoundPatterns> ArcLens for Described<'_, P> {
@@ -400,16 +422,20 @@ impl<P: RoundPatterns> RoundSource for Described<'_, P> {
         );
         present.then_some(self.words.as_slice())
     }
-    /// Nothing reads a pattern round's deliveries, so the rewrite is only
-    /// weighed, never built.
     fn rewrite(
         &mut self,
         arc: ArcId,
         mode: CorruptionMode,
         rng: &mut ChaCha8Rng,
-        _scratch: &mut Vec<u64>,
+        scratch: &mut Vec<u64>,
     ) -> bool {
-        mode.alters(self.original(arc), rng)
+        if !P::READS_DELIVERIES {
+            return mode.alters(self.original(arc), rng);
+        }
+        let (present, changed) = rewrite_into(mode, self.original(arc), rng, scratch);
+        self.delivered
+            .push(arc, present.then_some(scratch.as_slice()));
+        changed
     }
 }
 
@@ -634,11 +660,11 @@ impl Network {
     }
 
     /// Open a scope of **pattern rounds** over `patterns`: rounds whose
-    /// outgoing traffic is one of a few recurring, described patterns and
-    /// whose deliveries the caller does not read (see the module docs).  The
-    /// scope borrows the network, so nothing can observe it before the scope
-    /// ends and settles the rounds' traffic volume.  The scope's rounds show
-    /// strategies a fresh [`PatternId::scope`].
+    /// outgoing traffic is one of a few recurring, described patterns (see
+    /// the module docs).  The scope borrows the network, so nothing can
+    /// observe it before the scope ends and settles the rounds' traffic
+    /// volume.  The scope's rounds show strategies a fresh
+    /// [`PatternId::scope`].
     ///
     /// # Panics
     ///
@@ -650,12 +676,15 @@ impl Network {
         let mut scratch = std::mem::take(&mut self.buffers.pattern);
         scratch.uses.clear();
         scratch.uses.resize(patterns.count(), 0);
+        let mut delivered = std::mem::take(&mut self.buffers.delivered);
+        delivered.clear();
         PatternRounds {
             mode: self.strategy.corruption_mode(),
             net: self,
             patterns,
             scope: fresh_pattern_scope(),
             scratch,
+            delivered,
         }
     }
 
@@ -786,6 +815,8 @@ pub struct PatternRounds<'a, P: RoundPatterns> {
     scope: u64,
     /// The network's pattern scratch, handed back on drop.
     scratch: PatternScratch,
+    /// The network's deliveries list, handed back on drop.
+    delivered: Deliveries,
 }
 
 impl<'a, P: RoundPatterns> PatternRounds<'a, P> {
@@ -801,14 +832,15 @@ impl<'a, P: RoundPatterns> PatternRounds<'a, P> {
 
     /// Execute one round whose outgoing traffic is pattern `pattern` under
     /// `tag`; returns the edges the adversary controlled in it (the round's
-    /// entry of the [`CorruptionHistory`]).  What the receivers would have
-    /// observed is not produced.
+    /// entry of the [`CorruptionHistory`]).  The receiver of an arc gets the
+    /// pattern's words unless the arc is in [`PatternRounds::delivered`].
     ///
     /// # Panics
     ///
     /// Panics if `pattern` is out of range.
     pub fn exchange(&mut self, pattern: usize, tag: u64) -> &[EdgeId] {
         let PatternScratch { uses, words } = &mut self.scratch;
+        self.delivered.clear();
         self.net.run_round(
             &mut Described {
                 patterns: self.patterns,
@@ -819,10 +851,18 @@ impl<'a, P: RoundPatterns> PatternRounds<'a, P> {
                 tag,
                 uses: &mut uses[pattern],
                 words,
+                delivered: &mut self.delivered,
             },
             self.mode,
         );
         &self.net.buffers.controlled
+    }
+
+    /// The arcs the adversary rewrote in the last round, with what it
+    /// delivered on them; always empty for a family that does not set
+    /// [`RoundPatterns::READS_DELIVERIES`].
+    pub fn delivered(&self) -> &Deliveries {
+        &self.delivered
     }
 }
 
@@ -837,6 +877,7 @@ impl<P: RoundPatterns> Drop for PatternRounds<'_, P> {
             }
         }
         self.net.buffers.pattern = std::mem::take(&mut self.scratch);
+        self.net.buffers.delivered = std::mem::take(&mut self.delivered);
     }
 }
 
@@ -1271,6 +1312,64 @@ mod tests {
         }
     }
 
+    /// [`TestPatterns`] as a family that reads its deliveries.
+    struct Reading<'a>(&'a TestPatterns);
+
+    impl RoundPatterns for Reading<'_> {
+        const READS_DELIVERIES: bool = true;
+        fn count(&self) -> usize {
+            self.0.count()
+        }
+        fn lens(&self, p: usize) -> impl Iterator<Item = (ArcId, usize)> + '_ {
+            self.0.lens(p)
+        }
+        fn arc_len(&self, p: usize, arc: ArcId) -> Option<usize> {
+            self.0.arc_len(p, arc)
+        }
+        fn arc_words(&self, p: usize, arc: ArcId, tag: u64, out: &mut Vec<u64>) -> bool {
+            self.0.arc_words(p, arc, tag, out)
+        }
+    }
+
+    /// Rounds `first .. first + 3` of the engine differential below: pattern
+    /// rounds in one scope over `family` (which describes `patterns`) on the
+    /// first network, the same rounds dense on the second and on the
+    /// reference.  The same edges are controlled, and what the receivers get
+    /// — the pattern's words, but the deliveries on the arcs the adversary
+    /// rewrote — is the dense round's traffic, or there are no deliveries
+    /// when the family reads none.
+    fn three_pattern_rounds<P: RoundPatterns>(
+        family: &P,
+        patterns: &TestPatterns,
+        first: usize,
+        (mixed, dense, reference): (&mut Network, &mut Network, &mut ReferenceNetwork),
+        name: &str,
+    ) {
+        let g = dense.graph().clone();
+        let mut scope = mixed.pattern_rounds(family);
+        for round in first..first + 3 {
+            let (p, tag) = (round % 2, round as u64 / 2);
+            let controlled = scope.exchange(p, tag).to_vec();
+            let mut t = patterns.materialise(&g, p, tag);
+            reference.exchange(LegacyTraffic::from_traffic(&g, &t));
+            dense.exchange_in_place(&mut t);
+            assert_eq!(
+                Some(&controlled[..]),
+                dense.corruption_history().last(),
+                "{name} round {round}"
+            );
+            let mut received = patterns.materialise(&g, p, tag);
+            for (arc, words) in scope.delivered().iter() {
+                received.set_arc(arc, words);
+            }
+            if P::READS_DELIVERIES {
+                assert_eq!(received, t, "{name} round {round}");
+            } else {
+                assert_eq!(scope.delivered().arcs().count(), 0, "{name} round {round}");
+            }
+        }
+    }
+
     /// All ten strategies of `adversary.rs`, in `mode` where they take one.
     fn all_strategies(g: &Graph, mode: CorruptionMode) -> Vec<Box<dyn AdversaryStrategy>> {
         let m = g.edge_count();
@@ -1345,22 +1444,18 @@ mod tests {
                             let mut reference =
                                 ReferenceNetwork::new(g.clone(), role, s2, budget.clone(), 31);
                             // Rounds 3, 7, 11 are ordinary; the others are
-                            // pattern rounds in scopes of three.
+                            // pattern rounds in scopes of three, the middle
+                            // scope's family reading no deliveries.
                             for first in [0, 4, 8] {
-                                let mut scope = mixed.pattern_rounds(&patterns);
-                                for round in first..first + 3 {
-                                    let (p, tag) = (round % 2, round as u64 / 2);
-                                    let controlled = scope.exchange(p, tag).to_vec();
-                                    let mut t = patterns.materialise(&g, p, tag);
-                                    reference.exchange(LegacyTraffic::from_traffic(&g, &t));
-                                    dense.exchange_in_place(&mut t);
-                                    assert_eq!(
-                                        Some(&controlled[..]),
-                                        dense.corruption_history().last(),
-                                        "{name} round {round}"
+                                let rounds = (&mut mixed, &mut dense, &mut reference);
+                                if first == 4 {
+                                    three_pattern_rounds(
+                                        &patterns, &patterns, first, rounds, &name,
                                     );
+                                } else {
+                                    let reading = Reading(&patterns);
+                                    three_pattern_rounds(&reading, &patterns, first, rounds, &name);
                                 }
-                                drop(scope);
                                 let mut t = ordinary(first + 3);
                                 reference.exchange(LegacyTraffic::from_traffic(&g, &t));
                                 let delivered = mixed.exchange(t.clone());
@@ -1418,6 +1513,7 @@ mod tests {
                 tag: 4,
                 uses: &mut scope.scratch.uses[p],
                 words: &mut scope.scratch.words,
+                delivered: &mut scope.delivered,
             };
             let built = patterns.materialise(&g, p, 4);
             let (got, want) = (described.view(&g), RoundView::of(&g, &built));

@@ -54,15 +54,24 @@ fn is_complete(g: &Graph) -> bool {
     g.edge_count() == n * n.saturating_sub(1) / 2
 }
 
-/// Shared sizing for greedy packings.  The check certifies exactly what the
-/// v2 packing delivers, so passing it *predicts* correction strength:
+/// Shared sizing for greedy packings.  The check certifies three properties
+/// of the graph:
 ///
 /// * edge connectivity `λ ≥ 2f + 1` (the information-theoretic floor),
 /// * `k (n-1) <= 2 eta m` edge capacity (enough room for the trees at all),
 /// * the graph's [`load_floor`] — the best max-edge-load any `k`-tree packing
 ///   can achieve — stays within the correction code's [`rs_error_capacity`],
-///   since a heaviest-edge mobile adversary fails every tree scheduled over
-///   one edge at once.
+///   since a heaviest-edge adversary fails every tree scheduled over one edge
+///   at once.
+///
+/// Passing it does not predict correction.  It reads the graph's floor, not
+/// the load of the packing that is built, and a mobile adversary is not held
+/// to one edge over a scheduling window: Lemma 3.3 bounds its failures per
+/// window by `t_RS·c_RS·f·η`, which exceeds the capacity on every packing of
+/// the zoo's sparse graphs.  At `graph_zoo_defs(2024)`, `small-world(24,6)` passes
+/// and its v2 packing still leaves residual mismatches under
+/// `eclipse(v=0)`.  ROADMAP item 21 is the regime check that would predict
+/// it.
 fn validate_packing_feasible(
     compiler: &str,
     g: &Graph,

@@ -130,10 +130,16 @@ impl BroadcastContext {
 /// Each chunk is decoded **once** instead of once per node: the received word
 /// is built from the family run report and the garbage stream, neither of
 /// which depends on the receiving node, so all `n` decoders see identical
-/// input by construction.  (That is the Lemma 3.6 worst case — the adversary
-/// coordinates the garbage across nodes — and has been this module's
-/// semantics from the start; a per-node decode would be `n−1` redundant
-/// syndrome decodes.)
+/// input by construction (a per-node decode would be `n−1` redundant
+/// syndrome decodes).
+///
+/// That garbage is *not* the decoder's worst case.  Each failed tree
+/// delivers one independent uniform symbol, and past the error capacity such
+/// a word almost never lies within decoding distance of another codeword, so
+/// the decode fails detectably: all 2 208 past-capacity decodes of the
+/// `byz-zoo` bench workload return `Err`.  A colluding adversary would have
+/// every failed tree deliver its symbol of one other codeword and be decoded
+/// to it silently; ROADMAP item 22 makes that the one semantics.
 ///
 /// All chunks run in **one** pattern scope on `net`: their scheduled rounds
 /// are the same rounds as in a scope per chunk, but the traffic volume is
@@ -192,10 +198,11 @@ pub fn ecc_safe_broadcast(
         max_failed = max_failed.max(k - report.success_count());
 
         // Fault-free semantics per instance: a successful tree delivers its
-        // symbol to every node; a failed tree delivers adversarial garbage
-        // (coordinated across nodes — the worst case for the decoder).  The
-        // chunk takes its `k` garbage draws whether it decodes or not, so the
-        // chunks after it see the same stream.
+        // symbol to every node; a failed tree delivers one independent
+        // uniform symbol, the same at every node (not the colluding worst
+        // case: see the function docs).  The chunk takes its `k` garbage
+        // draws whether it decodes or not, so the chunks after it see the
+        // same stream.
         received.clear();
         received.extend((0..k).map(|_| Gf2_16::from_u64(fake_rng.gen())));
         let delivered = |j: usize| report.per_tree[j].ok && ctx.usable[j];

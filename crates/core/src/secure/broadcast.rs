@@ -26,15 +26,29 @@
 //! nodes via the secure broadcast, and (3) a round-by-round simulation in which
 //! real messages are sent as `(payload ‖ h*(payload)) ⊕ key` and silent edges
 //! send fresh randomness, making real and dummy traffic indistinguishable.
+//!
+//! The simulation runs as the round engine's pattern rounds
+//! ([`Network::pattern_rounds`]): one pattern, every arc carrying
+//! `words + 2` words.  Only the arcs the adversary controls are ever framed,
+//! tagged and padded, for its view or its rewrite.  Every other arc delivers
+//! exactly what was sent, so its receiver gets the payload's own message; a
+//! silent arc delivers its dummy words, which are decrypted and tag-checked
+//! in full only when their decrypted length field is in range (a frame whose
+//! length is out of range is never delivered, whatever its tag); and an arc
+//! the adversary rewrote is decrypted and tag-checked as it arrived.  The
+//! dummy words are still drawn for every silent arc, in node/neighbour
+//! order, so the wire is that of sending every frame.
 
 use crate::secure::keys::{KeyPool, KeyScheduleError, PayloadTooWide};
 use coding::KWiseHash;
-use congest_sim::network::Network;
+use congest_sim::network::{Network, RoundPatterns};
 use congest_sim::traffic::{Output, Traffic};
 use congest_sim::CongestAlgorithm;
 use netgraph::tree_packing::{greedy_low_depth_packing, TreePacking};
 use netgraph::{ArcId, Graph, NodeId};
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
 
 /// Report of a secure broadcast run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,28 +283,36 @@ impl CongestionSensitiveCompiler {
         source: NodeId,
         packing: &TreePacking,
     ) -> Result<(Vec<Output>, SecureCompilerReport), KeyScheduleError> {
-        self.simulate(alg, net, source, packing, true)
-    }
-
-    /// [`CongestionSensitiveCompiler::run`]; with `memo` off (tests only) the
-    /// receive side re-hashes every arc, as it did before the memo existed.
-    fn simulate<A: CongestAlgorithm + ?Sized>(
-        &self,
-        alg: &mut A,
-        net: &mut Network,
-        source: NodeId,
-        packing: &TreePacking,
-        memo: bool,
-    ) -> Result<(Vec<Output>, SecureCompilerReport), KeyScheduleError> {
-        let g = net.graph().clone();
         let r = alg.rounds();
         let cong = alg.congestion_bound().unwrap_or(r);
+        let secrets = self.exchange_secrets(net, source, r, cong, packing)?;
+        let sim_start = net.round();
+        self.simulate(alg, net, &secrets)?;
+        Ok((
+            alg.outputs(),
+            SecureCompilerReport {
+                local_key_rounds: secrets.local_key_rounds,
+                global_key_rounds: secrets.global_key_rounds,
+                simulation_rounds: net.round() - sim_start,
+                congestion: cong,
+            },
+        ))
+    }
+
+    /// Steps 1 and 2 for a payload of `r` rounds and congestion `cong`.
+    fn exchange_secrets(
+        &self,
+        net: &mut Network,
+        source: NodeId,
+        r: usize,
+        cong: usize,
+        packing: &TreePacking,
+    ) -> Result<Secrets, KeyScheduleError> {
         let start = net.round();
 
         // Step 1: local secret exchange — r keystream rounds, width = length + payload + tag.
-        let width = self.words_per_message + 2;
         let t = self.f.saturating_mul(2).saturating_mul(r);
-        let pool = KeyPool::establish(net, self.seed, r, width, t)?;
+        let pool = KeyPool::establish(net, self.seed, r, self.words_per_message + 2, t)?;
         let local_key_rounds = net.round() - start;
 
         // Step 2: global secret exchange — share the seed of a c-wise independent
@@ -301,123 +323,206 @@ impl CongestionSensitiveCompiler {
             mobile_secure_broadcast(net, source, &[hash_seed], self.f, self.seed ^ 0x22, packing)?;
         debug_assert!(bcast_report.all_recovered);
         let c = (4 * self.f * cong).max(2);
-        let tagger = KWiseHash::from_seed(hash_seed, c, u64::MAX);
-        let global_key_rounds = net.round() - global_start;
+        Ok(Secrets {
+            pool,
+            tagger: KWiseHash::from_seed(hash_seed, c, u64::MAX),
+            local_key_rounds,
+            global_key_rounds: net.round() - global_start,
+        })
+    }
 
-        // Step 3: round-by-round simulation with dummy traffic on silent edges.
-        // Each direction frames (or decrypts) every arc first, tags the whole
-        // round through one batched hash evaluation, then finishes per arc;
-        // all scratch is recycled, so steady-state rounds do not allocate.
-        let sim_start = net.round();
-        let arcs = g.arc_count();
-        // A frame is `length ‖ payload (zero-padded)`, followed by its tag.
-        let framed = self.words_per_message + 1;
+    /// Step 3: the round-by-round simulation, as pattern rounds (see
+    /// [`FrameRounds`]).  An arc the adversary did not rewrite delivers
+    /// exactly the frame that was sent, so its receiver gets the payload's
+    /// own message, or nothing on a silent arc unless its dummy words open
+    /// to a tagged frame; a rewritten arc is decrypted and tag-checked.
+    fn simulate<A: CongestAlgorithm + ?Sized>(
+        &self,
+        alg: &mut A,
+        net: &mut Network,
+        secrets: &Secrets,
+    ) -> Result<(), KeyScheduleError> {
+        let g = net.graph().clone();
+        let frames = FrameRounds {
+            arcs: g.arc_count(),
+            words: self.words_per_message,
+            pool: &secrets.pool,
+            tagger: &secrets.tagger,
+            plain: RefCell::new(Traffic::new(&g)),
+            silent: RefCell::new(Silent {
+                arcs: Vec::new(),
+                at: vec![0; g.arc_count()],
+                dummies: Vec::new(),
+            }),
+        };
+        let width = frames.width();
         let mut dummy_rng = Network::node_rng(self.seed ^ 0xD0_0D, 0);
-        let mut plain = Traffic::new(&g);
-        let mut wire = Traffic::new(&g);
-        let mut decrypted = Traffic::new(&g);
-        let mut frame = vec![0u64; width];
-        let mut tagged: Vec<ArcId> = Vec::with_capacity(arcs);
-        // Per tagged arc: the mixed frame going into the tagger, and its tag.
-        let mut mixes: Vec<u64> = Vec::with_capacity(arcs);
-        let mut tags: Vec<u64> = Vec::with_capacity(arcs);
-        // The tag memo.  The tagger is a pure function of the mixed frame, so
-        // the send side leaves `(mixed frame, tag)` on every arc it tagged
-        // this round, and the receive side hashes only the arcs whose
-        // decrypted frame mixes to something else: dummy arcs, and whatever
-        // an adversary touched (`misses` are their slots in `tags`).  Every
-        // arc is still verified against its expected tag.
-        let mut sent: Vec<Option<(u64, u64)>> = vec![None; arcs];
-        let mut misses: Vec<usize> = Vec::with_capacity(arcs);
-        for round in 0..r {
-            alg.send_into(round, &mut plain);
-            wire.begin_round(&g);
-            tagged.clear();
-            mixes.clear();
-            sent.fill(None);
-            // Arcs are visited in this order because silent ones draw from
-            // the dummy stream as they come.
-            for v in g.nodes() {
-                for &(u, e) in g.neighbors(v) {
-                    let arc = g.arc(e, v, u);
-                    match plain.get_arc(arc) {
-                        Some(p) => {
-                            if p.len() > self.words_per_message {
-                                return Err(PayloadTooWide {
-                                    observed: p.len(),
-                                    configured: self.words_per_message,
-                                }
-                                .into());
-                            }
-                            frame[0] = p.len() as u64;
-                            frame[1..=p.len()].copy_from_slice(p);
-                            frame[1 + p.len()..].fill(0);
-                            mixes.push(mix_words(&frame[..framed], arc as u64, round as u64));
-                            tagged.push(arc);
-                        }
-                        None => frame.fill_with(|| dummy_rng.gen()),
-                    }
-                    wire.set_arc(arc, Some(&frame));
-                }
-            }
-            tags.clone_from(&mixes);
-            tagger.hash_many(&mut tags);
-            for ((&arc, &mix), &tag) in tagged.iter().zip(&mixes).zip(&tags) {
-                let body = wire.arc_mut(arc).expect("framed above");
-                body[framed] = tag;
-                pool.apply(arc, round, body);
-                if memo {
-                    sent[arc] = Some((mix, tag));
-                }
-            }
-            net.exchange_in_place(&mut wire);
+        let mut msg = Vec::with_capacity(width);
+        let mut scope = net.pattern_rounds(&frames);
+        for round in 0..alg.rounds() {
+            alg.send_into(round, &mut frames.plain.borrow_mut());
+            frames.draw_dummies(&g, &mut dummy_rng)?;
+            scope.exchange(0, round as u64);
 
-            tagged.clear();
-            mixes.clear();
-            tags.clear();
-            misses.clear();
-            for (arc, &left) in sent.iter().enumerate() {
-                if let Some(msg) = wire.arc_mut(arc) {
-                    pool.apply(arc, round, msg);
-                    if msg.len() == width {
-                        let mix = mix_words(&msg[..framed], arc as u64, round as u64);
-                        match left {
-                            Some((sent_mix, tag)) if sent_mix == mix => tags.push(tag),
-                            _ => {
-                                misses.push(tags.len());
-                                mixes.push(mix);
-                                tags.push(0);
-                            }
-                        }
-                        tagged.push(arc);
+            let mut inbox = frames.plain.borrow_mut();
+            let silent = frames.silent.borrow();
+            for (&arc, dummy) in silent.arcs.iter().zip(silent.dummies.chunks_exact(width)) {
+                // Decrypt the length field alone: a frame whose length is out
+                // of range can never be delivered, whatever its tag.
+                let mut len = [dummy[0]];
+                frames.pool.apply(arc, round, &mut len);
+                if len[0] <= frames.words as u64 {
+                    if let Some(payload) = frames.open(dummy, arc, round, &mut msg) {
+                        inbox.set_arc(arc, Some(payload));
                     }
                 }
             }
-            tagger.hash_many(&mut mixes);
-            for (&slot, &tag) in misses.iter().zip(&mixes) {
-                tags[slot] = tag;
+            for (arc, delivered) in scope.delivered().iter() {
+                let opened = delivered.and_then(|words| frames.open(words, arc, round, &mut msg));
+                inbox.set_arc(arc, opened);
             }
-            decrypted.begin_round(&g);
-            for (&arc, &expect) in tagged.iter().zip(&tags) {
-                let msg = wire.get_arc(arc).expect("decrypted above");
-                let len = msg[0] as usize;
-                if msg[framed] == expect && len <= self.words_per_message {
-                    decrypted.set_arc(arc, Some(&msg[1..=len]));
-                }
-            }
-            alg.receive(round, &decrypted);
+            alg.receive(round, &inbox);
         }
-        let simulation_rounds = net.round() - sim_start;
+        Ok(())
+    }
+}
 
-        Ok((
-            alg.outputs(),
-            SecureCompilerReport {
-                local_key_rounds,
-                global_key_rounds,
-                simulation_rounds,
-                congestion: cong,
-            },
-        ))
+/// What steps 1 and 2 of Theorem 1.3 leave for the simulation.
+struct Secrets {
+    /// The per-arc keystream: one `length ‖ payload ‖ tag` frame per round.
+    pool: KeyPool,
+    /// The shared `c`-wise independent tag function.
+    tagger: KWiseHash,
+    local_key_rounds: usize,
+    global_key_rounds: usize,
+}
+
+/// The silent arcs of one simulated round and their dummy words.
+struct Silent {
+    /// The silent arcs, in node/neighbour order.
+    arcs: Vec<ArcId>,
+    /// Per arc: where its dummy words start in `dummies`, if it is silent.
+    at: Vec<usize>,
+    /// `width` words per silent arc, in `arcs` order.
+    dummies: Vec<u64>,
+}
+
+/// Theorem 1.3's simulated rounds as the round engine's pattern description:
+/// one pattern, every arc carrying `words + 2` words.  In the round tagged
+/// `round`, a real message goes out as `(length ‖ payload ‖ tag) ⊕ key` and a
+/// silent arc sends its dummy words; [`RoundPatterns::arc_words`] builds that
+/// frame only for the arcs the engine asks for, the controlled ones.  The
+/// payload's traffic and the dummy words are written between rounds while a
+/// scope borrows the family, hence the cells.
+struct FrameRounds<'a> {
+    arcs: usize,
+    /// The payload width the compiler protects.
+    words: usize,
+    pool: &'a KeyPool,
+    tagger: &'a KWiseHash,
+    /// The payload's messages of the current round; after the exchange, what
+    /// its receivers get.
+    plain: RefCell<Traffic>,
+    silent: RefCell<Silent>,
+}
+
+impl FrameRounds<'_> {
+    /// Words per frame on the wire: length, payload, tag.
+    fn width(&self) -> usize {
+        self.words + 2
+    }
+
+    /// The tag of the frame `length ‖ payload` (zero-padded) on `arc` in
+    /// `round`.
+    fn tag(&self, framed: &[u64], arc: ArcId, round: usize) -> u64 {
+        self.tagger
+            .hash(mix_words(framed, arc as u64, round as u64))
+    }
+
+    /// Walk the arcs in node/neighbour order: refuse a message wider than
+    /// the compiler protects, and draw `width` dummy words for every silent
+    /// arc as it comes.
+    fn draw_dummies(&self, g: &Graph, rng: &mut ChaCha8Rng) -> Result<(), PayloadTooWide> {
+        let plain = self.plain.borrow();
+        let silent = &mut *self.silent.borrow_mut();
+        silent.arcs.clear();
+        let csr = g.csr();
+        for v in g.nodes() {
+            for entry in csr.neighbors(v) {
+                let arc = entry.arc_out;
+                match plain.get_arc(arc) {
+                    Some(p) if p.len() > self.words => {
+                        return Err(PayloadTooWide {
+                            observed: p.len(),
+                            configured: self.words,
+                        })
+                    }
+                    Some(_) => {}
+                    None => {
+                        silent.at[arc] = silent.arcs.len() * self.width();
+                        silent.arcs.push(arc);
+                    }
+                }
+            }
+        }
+        silent.dummies.resize(silent.arcs.len() * self.width(), 0);
+        rng.fill_u64(&mut silent.dummies);
+        Ok(())
+    }
+
+    /// Decrypt what arrived on `arc` in `round` into `msg` and return the
+    /// payload it carries, if it is a frame whose length is in range and
+    /// whose tag matches.
+    fn open<'m>(
+        &self,
+        arrived: &[u64],
+        arc: ArcId,
+        round: usize,
+        msg: &'m mut Vec<u64>,
+    ) -> Option<&'m [u64]> {
+        msg.clear();
+        msg.extend_from_slice(arrived);
+        self.pool.apply(arc, round, msg);
+        let framed = self.words + 1;
+        if msg.len() != self.width() || msg[0] > self.words as u64 {
+            return None;
+        }
+        let len = msg[0] as usize;
+        (msg[framed] == self.tag(&msg[..framed], arc, round)).then(|| &msg[1..=len])
+    }
+}
+
+impl RoundPatterns for FrameRounds<'_> {
+    const READS_DELIVERIES: bool = true;
+
+    fn count(&self) -> usize {
+        1
+    }
+
+    fn lens(&self, _: usize) -> impl Iterator<Item = (ArcId, usize)> + '_ {
+        (0..self.arcs).map(|arc| (arc, self.width()))
+    }
+
+    fn arc_len(&self, _: usize, arc: ArcId) -> Option<usize> {
+        (arc < self.arcs).then_some(self.width())
+    }
+
+    fn arc_words(&self, _: usize, arc: ArcId, tag: u64, out: &mut Vec<u64>) -> bool {
+        let round = tag as usize;
+        match self.plain.borrow().get_arc(arc) {
+            Some(payload) => {
+                out.push(payload.len() as u64);
+                out.extend_from_slice(payload);
+                out.resize(self.words + 1, 0);
+                out.push(self.tag(out, arc, round));
+                self.pool.apply(arc, round, out);
+            }
+            None => {
+                let silent = self.silent.borrow();
+                out.extend_from_slice(&silent.dummies[silent.at[arc]..][..self.width()]);
+            }
+        }
+        true
     }
 }
 
@@ -446,10 +551,11 @@ mod tests {
     use super::*;
     use congest_algorithms::{ConvergecastSum, FloodBroadcast, TokenDissemination};
     use congest_sim::adversary::{
-        AdversaryRole, CorruptionBudget, CorruptionMode, RandomMobile, SynthesizedSchedule,
+        AdversaryRole, AdversaryStrategy, CorruptionBudget, CorruptionMode, EdgeSet, FixedEdges,
+        GreedyHeaviest, RandomMobile, RoundView, SynthesizedSchedule,
     };
     use congest_sim::run_fault_free;
-    use netgraph::generators;
+    use netgraph::{generators, EdgeId};
 
     fn eaves_net(g: netgraph::Graph, f: usize, seed: u64) -> Network {
         Network::new(
@@ -722,78 +828,330 @@ mod tests {
         }
     }
 
-    /// The memo's contract, under adversaries that *tamper* with the
-    /// simulation rounds: serving the send side's tag to an arc whose frame
-    /// arrived unchanged, and hashing only the rest, is observably the run
-    /// that re-hashes every arc — same outputs, same arcs delivered in every
-    /// round, same adversary view — and no frame the adversary altered is
-    /// ever delivered.
-    #[test]
-    fn tag_memo_equals_rehashing_every_arc_under_a_corrupting_adversary() {
-        let g = generators::complete(6);
-        let compiler = CongestionSensitiveCompiler::new(1, 2, 0xB0B);
-        let packing = broadcast_packing(&g, 0, 1);
-        let payload = || {
-            let tokens = (0..6u64).map(|v| 1000 + 7 * v).collect();
-            TokenDissemination::new(g.clone(), tokens, 2)
-        };
-        // Leave the key exchanges alone (a corrupted share fails the seed
-        // broadcast, which is not what is under test), then control three
-        // edges in every simulation round, sweeping over all of them.
-        let (_, quiet) = compiler
-            .run(&mut payload(), &mut eaves_net(g.clone(), 0, 1), 0, &packing)
-            .unwrap();
-        let mut schedule = vec![vec![]; quiet.local_key_rounds + quiet.global_key_rounds];
-        schedule.extend((0..quiet.simulation_rounds).map(|round| {
-            (0..3)
-                .map(|i| (3 * round + i) % g.edge_count())
-                .collect::<Vec<_>>()
-        }));
-        for role in [AdversaryRole::Byzantine, AdversaryRole::Eavesdropper] {
-            for mode in [
-                CorruptionMode::FlipLowBit,
-                CorruptionMode::ReplaceRandom,
-                CorruptionMode::Drop,
-                CorruptionMode::Constant(0),
-            ] {
-                let run = |memo: bool| {
-                    let strategy = SynthesizedSchedule::new(schedule.clone()).with_mode(mode);
-                    let budget = CorruptionBudget::Mobile { f: 3 };
-                    let mut net = Network::new(g.clone(), role, Box::new(strategy), budget, 7);
-                    let mut alg = Recorded {
-                        inner: payload(),
-                        delivered: Vec::new(),
-                    };
-                    let (out, report) = compiler
-                        .simulate(&mut alg, &mut net, 0, &packing, memo)
-                        .unwrap();
-                    assert_eq!(report, quiet);
-                    (out, alg.delivered, net)
-                };
-                let (out, delivered, net) = run(true);
-                let (out_plain, delivered_plain, net_plain) = run(false);
-                assert_eq!(out, out_plain, "{role:?} {mode:?}");
-                assert_eq!(delivered, delivered_plain, "{role:?} {mode:?}");
-                assert_eq!(net.view_log().canonical(), net_plain.view_log().canonical());
-                assert_eq!(net.metrics(), net_plain.metrics());
+    /// The simulation before pattern rounds, kept as the oracle: every arc
+    /// is framed (or filled with dummy words) on a `Traffic`, the real
+    /// frames are tagged in one batch and padded, the round is sent dense,
+    /// and every arc is decrypted and tag-checked on the way in.
+    fn dense_simulation<A: CongestAlgorithm + ?Sized>(
+        compiler: &CongestionSensitiveCompiler,
+        alg: &mut A,
+        net: &mut Network,
+        secrets: &Secrets,
+    ) -> Result<(), KeyScheduleError> {
+        let g = net.graph().clone();
+        let Secrets { pool, tagger, .. } = secrets;
+        let words = compiler.words_per_message;
+        let (framed, width) = (words + 1, words + 2);
+        let mut dummy_rng = Network::node_rng(compiler.seed ^ 0xD0_0D, 0);
+        let mut plain = Traffic::new(&g);
+        let mut wire = Traffic::new(&g);
+        let mut decrypted = Traffic::new(&g);
+        let mut frame = vec![0u64; width];
+        let (mut tagged, mut tags) = (Vec::new(), Vec::new());
+        for round in 0..alg.rounds() {
+            alg.send_into(round, &mut plain);
+            wire.begin_round(&g);
+            tagged.clear();
+            tags.clear();
+            for v in g.nodes() {
+                for &(u, e) in g.neighbors(v) {
+                    let arc = g.arc(e, v, u);
+                    match plain.get_arc(arc) {
+                        Some(p) => {
+                            if p.len() > words {
+                                return Err(PayloadTooWide {
+                                    observed: p.len(),
+                                    configured: words,
+                                }
+                                .into());
+                            }
+                            frame[0] = p.len() as u64;
+                            frame[1..=p.len()].copy_from_slice(p);
+                            frame[1 + p.len()..].fill(0);
+                            tags.push(mix_words(&frame[..framed], arc as u64, round as u64));
+                            tagged.push(arc);
+                        }
+                        None => frame.fill_with(|| dummy_rng.gen()),
+                    }
+                    wire.set_arc(arc, Some(&frame));
+                }
+            }
+            tagger.hash_many(&mut tags);
+            for (&arc, &tag) in tagged.iter().zip(&tags) {
+                let body = wire.arc_mut(arc).expect("framed above");
+                body[framed] = tag;
+                pool.apply(arc, round, body);
+            }
+            net.exchange_in_place(&mut wire);
 
-                let tampers = role == AdversaryRole::Byzantine;
-                assert_eq!(net.view_log().is_empty(), tampers);
-                let first = net.round() - quiet.simulation_rounds;
-                for (round, arcs) in delivered.iter().enumerate() {
-                    let controlled = net.corruption_history().round(first + round);
-                    assert_eq!(controlled.len(), 3);
-                    let touched = controlled.iter().flat_map(|&e| {
-                        let (forward, backward) = Graph::arcs_of(e);
-                        [forward, backward]
-                    });
-                    for arc in touched.filter(|_| tampers) {
-                        assert!(!arcs.contains(&arc), "{mode:?}: round {round}, arc {arc}");
+            tagged.clear();
+            tags.clear();
+            for arc in 0..g.arc_count() {
+                if let Some(msg) = wire.arc_mut(arc) {
+                    pool.apply(arc, round, msg);
+                    if msg.len() == width {
+                        tags.push(mix_words(&msg[..framed], arc as u64, round as u64));
+                        tagged.push(arc);
                     }
                 }
-                // Not vacuous: the untouched arcs do deliver.
-                assert!(delivered.iter().map(Vec::len).sum::<usize>() > 60);
+            }
+            tagger.hash_many(&mut tags);
+            decrypted.begin_round(&g);
+            for (&arc, &expect) in tagged.iter().zip(&tags) {
+                let msg = wire.get_arc(arc).expect("decrypted above");
+                let len = msg[0] as usize;
+                if msg[framed] == expect && len <= words {
+                    decrypted.set_arc(arc, Some(&msg[1..=len]));
+                }
+            }
+            alg.receive(round, &decrypted);
+        }
+        Ok(())
+    }
+
+    /// A strategy that controls nothing before round `from` and acts as
+    /// `inner` from then on.
+    struct After<S> {
+        from: usize,
+        inner: S,
+    }
+
+    impl<S: AdversaryStrategy> AdversaryStrategy for After<S> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn mark_edges(&mut self, round: usize, graph: &Graph, view: &RoundView, out: &mut EdgeSet) {
+            if round >= self.from {
+                self.inner.mark_edges(round, graph, view, out);
             }
         }
+        fn corruption_mode(&self) -> CorruptionMode {
+            self.inner.corruption_mode()
+        }
+    }
+
+    /// One compiled run: the secret exchanges, `craft` applied to their
+    /// keys, then the pattern simulation or the dense oracle.  Returns the
+    /// outputs, the arcs delivered per simulated round, and the network.
+    fn simulated<A: CongestAlgorithm>(
+        compiler: &CongestionSensitiveCompiler,
+        alg: A,
+        mut net: Network,
+        packing: &TreePacking,
+        dense: bool,
+        craft: impl Fn(&mut Secrets),
+    ) -> (Vec<Output>, Vec<Vec<ArcId>>, Network) {
+        let mut alg = Recorded {
+            inner: alg,
+            delivered: Vec::new(),
+        };
+        let (r, cong) = (alg.rounds(), alg.congestion_bound().unwrap_or(alg.rounds()));
+        let mut secrets = compiler
+            .exchange_secrets(&mut net, 0, r, cong, packing)
+            .unwrap();
+        craft(&mut secrets);
+        let start = net.round();
+        if dense {
+            dense_simulation(compiler, &mut alg, &mut net, &secrets).unwrap();
+        } else {
+            compiler.simulate(&mut alg, &mut net, &secrets).unwrap();
+        }
+        assert_eq!(net.round() - start, r);
+        (alg.outputs(), alg.delivered, net)
+    }
+
+    /// The pattern simulation against the dense oracle, under adversaries
+    /// that watch or *tamper with* the simulation rounds: every edge, a
+    /// `RandomMobile` and a `GreedyHeaviest` (which ranks each `PatternId`
+    /// once) at `f = 2`, and a schedule sweeping three edges a round over
+    /// all of them; each as an eavesdropper and as a byzantine adversary in
+    /// the four corruption modes, on K6, K12, the 6×6 torus and
+    /// expander(24,8).  Same outputs, same arcs delivered in every round,
+    /// same view, metrics and trace events — and no frame a byzantine
+    /// adversary rewrote is ever delivered.  (A byzantine adversary leaves
+    /// the key exchanges alone: a corrupted share fails the seed broadcast,
+    /// which is not what is under test.)
+    #[test]
+    fn pattern_simulation_equals_the_dense_simulation() {
+        let graphs = [
+            generators::complete(6),
+            generators::complete(12),
+            generators::torus(6, 6),
+            generators::expander_d_regular(24, 8, 3),
+        ];
+        let compiler = CongestionSensitiveCompiler::new(1, 2, 0xB0B);
+        let modes = [
+            CorruptionMode::FlipLowBit,
+            CorruptionMode::ReplaceRandom,
+            CorruptionMode::Drop,
+            CorruptionMode::Constant(0),
+        ];
+        let mut tampered = 0;
+        for (case, g) in graphs.iter().enumerate() {
+            let n = g.node_count() as u64;
+            let packing = broadcast_packing(g, 0, 1);
+            let payload = || {
+                let tokens = (0..n).map(|v| 1000 + 7 * v).collect();
+                TokenDissemination::new(g.clone(), tokens, 2)
+            };
+            let quiet = compiler
+                .run(&mut payload(), &mut eaves_net(g.clone(), 0, 1), 0, &packing)
+                .unwrap()
+                .1;
+            let key_rounds = quiet.local_key_rounds + quiet.global_key_rounds;
+            let m = g.edge_count();
+            let sweep: Vec<Vec<EdgeId>> = (0..key_rounds + quiet.simulation_rounds)
+                .map(|round| {
+                    let sim = round.saturating_sub(key_rounds);
+                    (0..3).map(|i| (3 * sim + i) % m).collect()
+                })
+                .collect();
+            for role in [AdversaryRole::Byzantine, AdversaryRole::Eavesdropper] {
+                let tampers = role == AdversaryRole::Byzantine;
+                let from = if tampers { key_rounds } else { 0 };
+                // An eavesdropper ignores the mode.
+                let modes = if tampers { &modes[..] } else { &modes[..1] };
+                for (mode, kind) in modes
+                    .iter()
+                    .flat_map(|&mode| (0..4).map(move |kind| (mode, kind)))
+                {
+                    let adversary = || -> (Box<dyn AdversaryStrategy>, CorruptionBudget) {
+                        match kind {
+                            0 => (
+                                Box::new(After {
+                                    from,
+                                    inner: FixedEdges::new((0..m).collect()).with_mode(mode),
+                                }),
+                                CorruptionBudget::Static((0..m).collect()),
+                            ),
+                            1 => (
+                                Box::new(After {
+                                    from,
+                                    inner: RandomMobile::new(2, 5).with_mode(mode),
+                                }),
+                                CorruptionBudget::Mobile { f: 2 },
+                            ),
+                            2 => (
+                                Box::new(After {
+                                    from,
+                                    inner: GreedyHeaviest::new(2).with_mode(mode),
+                                }),
+                                CorruptionBudget::Mobile { f: 2 },
+                            ),
+                            _ => (
+                                Box::new(After {
+                                    from,
+                                    inner: SynthesizedSchedule::new(sweep.clone()).with_mode(mode),
+                                }),
+                                CorruptionBudget::Mobile { f: 3 },
+                            ),
+                        }
+                    };
+                    let [(out, delivered, mut net), (dense_out, dense_delivered, mut dense_net)] =
+                        [false, true].map(|dense| {
+                            let (strategy, budget) = adversary();
+                            let mut net = Network::new(g.clone(), role, strategy, budget, 7);
+                            net.install_tracer(obs::TraceSpec::ring().build_tracer());
+                            simulated(&compiler, payload(), net, &packing, dense, |_| {})
+                        });
+                    let name = format!("graph {case} {role:?} {mode:?} adversary {kind}");
+                    assert_eq!(out, dense_out, "{name}");
+                    assert_eq!(delivered, dense_delivered, "{name}");
+                    assert_eq!(
+                        net.view_log().canonical(),
+                        dense_net.view_log().canonical(),
+                        "{name}"
+                    );
+                    assert_eq!(net.metrics(), dense_net.metrics(), "{name}");
+                    let [trace, dense_trace] =
+                        [&mut net, &mut dense_net].map(|net| net.take_tracer().finish());
+                    assert!(!trace.events.is_empty(), "{name}");
+                    assert_eq!(trace.events, dense_trace.events, "{name}");
+                    assert_eq!(trace.stats, dense_trace.stats, "{name}");
+
+                    assert_eq!(net.view_log().is_empty(), tampers, "{name}");
+                    let mut controlled_arcs = 0;
+                    for (round, arcs) in delivered.iter().enumerate() {
+                        let controlled = net.corruption_history().round(key_rounds + round);
+                        let touched = controlled.iter().flat_map(|&e| {
+                            let (forward, backward) = Graph::arcs_of(e);
+                            [forward, backward]
+                        });
+                        for arc in touched.filter(|_| tampers) {
+                            assert!(!arcs.contains(&arc), "{name}: round {round}, arc {arc}");
+                            controlled_arcs += 1;
+                        }
+                    }
+                    tampered += controlled_arcs;
+                    // Not vacuous: the untouched arcs do deliver.
+                    if kind != 0 {
+                        assert!(delivered.iter().map(Vec::len).sum::<usize>() > 60, "{name}");
+                    }
+                }
+            }
+        }
+        assert!(tampered > 0, "the byzantine runs must rewrite arcs");
+    }
+
+    /// The rare branch: a silent arc whose dummy words decrypt to a length
+    /// in range is delivered only through the full tag check.  Two silent
+    /// arcs of the first simulated round get crafted keys — one so that its
+    /// dummy words decrypt to a correctly tagged frame, one to a frame with
+    /// a length in range and a wrong tag — and the pattern simulation must
+    /// deliver the first (whose receiver adopts the forged value) and not
+    /// the second, exactly as the dense oracle does.
+    #[test]
+    fn a_silent_arc_whose_length_is_in_range_runs_the_full_tag_check() {
+        let g = generators::complete(6);
+        let compiler = CongestionSensitiveCompiler::new(1, 2, 0x51E);
+        let packing = broadcast_packing(&g, 0, 1);
+        let (value, forged) = (0x7A1u64, 0xF0E6u64);
+        let payload = || FloodBroadcast::new(g.clone(), 5, value);
+        // The silent arcs of round 0 in node/neighbour order, each with its
+        // receiver and the dummy words it draws.
+        let mut first = Traffic::new(&g);
+        payload().send_into(0, &mut first);
+        let mut dummy_rng = Network::node_rng(compiler.seed ^ 0xD0_0D, 0);
+        let silent: Vec<(ArcId, NodeId, Vec<u64>)> = g
+            .nodes()
+            .flat_map(|v| {
+                g.csr()
+                    .neighbors(v)
+                    .iter()
+                    .map(|entry| (entry.arc_out, entry.neighbor))
+            })
+            .filter(|&(arc, _)| first.get_arc(arc).is_none())
+            .map(|(arc, to)| (arc, to, (0..4).map(|_| dummy_rng.gen()).collect()))
+            .collect();
+        let [(good, good_to, _), (bad, bad_to, _)] = [0, 1].map(|i| silent[i].clone());
+        let craft = |secrets: &mut Secrets| {
+            let mut frames = Vec::new();
+            for (i, (arc, _, dummy)) in silent[..2].iter().enumerate() {
+                let mut frame = vec![1, forged, 0];
+                let tag = mix_words(&frame, *arc as u64, 0);
+                frame.push(if i == 0 {
+                    secrets.tagger.hash(tag)
+                } else {
+                    tag
+                });
+                let key: Vec<u64> = dummy.iter().zip(&frame).map(|(d, w)| d ^ w).collect();
+                frames.push((*arc, key));
+            }
+            for (arc, key) in frames {
+                secrets.pool.set_key(arc, 0, &key);
+            }
+        };
+        let [(out, delivered, net), (dense_out, dense_delivered, dense_net)] =
+            [false, true].map(|dense| {
+                let net = eaves_net(g.clone(), 1, 3);
+                simulated(&compiler, payload(), net, &packing, dense, craft)
+            });
+        assert_eq!(out, dense_out);
+        assert_eq!(delivered, dense_delivered);
+        assert_eq!(net.view_log().canonical(), dense_net.view_log().canonical());
+        assert_eq!(net.metrics(), dense_net.metrics());
+        assert!(delivered[0].contains(&good) && !delivered[0].contains(&bad));
+        assert_eq!(out[good_to], vec![forged]);
+        assert_eq!(out[bad_to], vec![value]);
     }
 }

@@ -370,6 +370,21 @@ impl KeyPool {
 }
 
 #[cfg(test)]
+impl KeyPool {
+    /// Overwrite the key of `arc` in protected round `round`, so that
+    /// [`KeyPool::apply`] XORs `key` into the leading words of a payload.
+    pub(crate) fn set_key(&mut self, arc: ArcId, round: usize, key: &[u64]) {
+        let start = (round * self.arcs + arc) * self.chunks_per_round;
+        let chunks = &mut self.keystream[start..][..key.len() * CHUNKS_PER_WORD];
+        for (group, &word) in chunks.chunks_exact_mut(CHUNKS_PER_WORD).zip(key) {
+            for (c, chunk) in group.iter_mut().enumerate() {
+                *chunk = Gf2_16::from_u64(word >> (16 * c));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use congest_sim::adversary::{

@@ -63,19 +63,71 @@ pub fn is_connected(g: &Graph) -> bool {
     bfs(g, 0).dist.iter().all(|d| d.is_some())
 }
 
-/// The exact diameter (maximum eccentricity) of a connected graph, computed by
-/// all-sources BFS, or `None` if the graph is disconnected or empty — the
-/// computation behind the graph's memo, [`Graph::diameter`].
+/// The exact diameter (maximum eccentricity) of a connected graph, or `None`
+/// if the graph is disconnected or empty — the computation behind the
+/// graph's memo, [`Graph::diameter`].
+///
+/// Sixty-four sources at a time, bit-parallel: bit `i` of a node's word
+/// stands for source `i` of the batch.  Each pass pushes the nodes that some
+/// source reached in the last pass to their neighbours, keeping the sources
+/// that had not reached a neighbour yet, so a pass takes every source of the
+/// batch one hop further, and the batch's largest eccentricity is its number
+/// of passes that reached a node.  A node is pushed once per distinct
+/// distance from the batch, so a batch costs at most what its sixty-four
+/// breadth-first searches would, and a graph of small diameter far less.  A
+/// node that some source never reached means the graph is disconnected.
 pub(crate) fn all_pairs_diameter(g: &Graph) -> Option<usize> {
-    if g.node_count() == 0 || !is_connected(g) {
+    let n = g.node_count();
+    if n == 0 {
         return None;
     }
-    Some(
-        (0..g.node_count())
-            .map(|s| bfs(g, s).eccentricity())
-            .max()
-            .unwrap_or(0),
-    )
+    let csr = g.csr();
+    // Per node: the batch's sources that reached it, those that reached it
+    // in the last pass, and those that reach it in this one.
+    let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+    let (mut active, mut reached) = (Vec::new(), Vec::new());
+    let mut diameter = 0;
+    for first in (0..n).step_by(64) {
+        let sources = first..n.min(first + 64);
+        let everyone = u64::MAX >> (64 - sources.len());
+        seen.fill(0);
+        active.clear();
+        for (i, s) in sources.enumerate() {
+            (seen[s], frontier[s]) = (1 << i, 1 << i);
+            active.push(s);
+        }
+        let mut passes = 0;
+        loop {
+            for &u in &active {
+                let pushed = std::mem::take(&mut frontier[u]);
+                for entry in csr.neighbors(u) {
+                    let v = entry.neighbor;
+                    let new = pushed & !seen[v];
+                    if new != 0 {
+                        if next[v] == 0 {
+                            reached.push(v);
+                        }
+                        next[v] |= new;
+                    }
+                }
+            }
+            if reached.is_empty() {
+                break;
+            }
+            passes += 1;
+            for &v in &reached {
+                seen[v] |= next[v];
+                frontier[v] = std::mem::take(&mut next[v]);
+            }
+            std::mem::swap(&mut active, &mut reached);
+            reached.clear();
+        }
+        if seen.iter().any(|&s| s != everyone) {
+            return None;
+        }
+        diameter = diameter.max(passes);
+    }
+    Some(diameter)
 }
 
 /// Hop distance between two nodes, if connected.
@@ -114,6 +166,64 @@ mod tests {
         assert_eq!(generators::grid(3, 3).diameter(), Some(4));
         assert_eq!(generators::hypercube(4).diameter(), Some(4));
         assert_eq!(Graph::from_edges(3, &[(0, 1)]).diameter(), None);
+    }
+
+    /// The diameter as `n` breadth-first searches: the largest eccentricity,
+    /// `None` when a search misses a node.
+    fn bfs_diameter(g: &Graph) -> Option<usize> {
+        if g.node_count() == 0 || !is_connected(g) {
+            return None;
+        }
+        g.nodes().map(|s| bfs(g, s).eccentricity()).max()
+    }
+
+    /// The bit-parallel sweep against the `n`-BFS oracle on random graphs
+    /// past one word of nodes (`n` up to 200, sparse enough that some are
+    /// disconnected and some long), and on unions of two such graphs, which
+    /// are always disconnected.
+    #[test]
+    fn the_sweep_is_the_bfs_eccentricity_maximum() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xD1A);
+        let (mut connected, mut disconnected, mut multi_word) = (0, 0, 0);
+        for case in 0..60 {
+            let n = rng.gen_range(1..200usize);
+            let p = rng.gen_range(1.0..4.0) / n as f64;
+            let mut g = generators::erdos_renyi(&mut rng, n, p.min(1.0));
+            if case % 4 == 3 {
+                // A second component, always.
+                let other = generators::cycle(rng.gen_range(3..70usize));
+                let mut union = Graph::new(n + other.node_count());
+                for e in g.edges().iter() {
+                    union.add_edge(e.u, e.v);
+                }
+                for e in other.edges().iter() {
+                    union.add_edge(n + e.u, n + e.v);
+                }
+                g = union;
+            }
+            let want = bfs_diameter(&g);
+            assert_eq!(
+                all_pairs_diameter(&g),
+                want,
+                "case {case}: n {}",
+                g.node_count()
+            );
+            multi_word += usize::from(g.node_count() > 64);
+            match want {
+                Some(_) => connected += 1,
+                None => disconnected += 1,
+            }
+        }
+        for g in [
+            generators::path(130),
+            generators::cycle(65),
+            generators::grid(9, 9),
+        ] {
+            assert_eq!(all_pairs_diameter(&g), bfs_diameter(&g));
+            connected += 1;
+        }
+        assert!(connected >= 10 && disconnected >= 10 && multi_word >= 20);
     }
 
     #[test]
